@@ -18,7 +18,6 @@ from bateman.ft import FIT_THETA_GRID, ft_norm_exponent_fit, ft_standard_norm
 class Config:
     states: list = field(default_factory=lambda: [(0, 0), (1, 0), (1, 1), (2, 1)])
     decades: int = 4
-    n_max: int = 64
     out: str | None = None
 
 
@@ -38,7 +37,7 @@ def main(argv=None) -> int:
         prev = None
         for big in wall_grid(cfg.decades):
             gap = math.pi / 2 - big
-            val = ft_standard_norm(big / 2.0, n1, n2, n_max=cfg.n_max)
+            val = ft_standard_norm(big / 2.0, n1, n2)
             slope = "" if prev is None else f"{(math.log(val) - math.log(prev)) / math.log(10):.3f}"
             print(f"({n1},{n2}) Theta=pi/2-{gap:.0e}  norm={val:.6e}  dlog10={slope}")
             rows.append((n1, n2, big, val))

@@ -317,19 +317,7 @@ def cmd_spectrum(settings: Settings) -> CommandOutput:
 _CLOSED_FORM_PAIRS = ((0, 0), (1, 0), (1, 1), (2, 1))
 
 
-def _closed_form(n1: int, n2: int, big_theta: float) -> float | None:
-    c = math.cos(big_theta)
-    if (n1, n2) == (0, 0):
-        return 1.0 / c
-    if (n1, n2) == (1, 0):
-        return 1.0 / c**2
-    if (n1, n2) == (1, 1):
-        return (2.0 - c * c) / c**3
-    return None
-
-
 def cmd_norms(settings: Settings) -> CommandOutput:
-    n_max = settings.n_max if settings.n_max is not None else 64
     if settings.theta_explicit:
         grid = (2.0 * settings.theta,)
     else:
@@ -337,8 +325,8 @@ def cmd_norms(settings: Settings) -> CommandOutput:
     rows = []
     for (n1, n2) in _CLOSED_FORM_PAIRS:
         for big_theta in grid:
-            value = ft.ft_standard_norm(big_theta / 2.0, n1, n2, n_max=n_max)
-            closed = _closed_form(n1, n2, big_theta)
+            value = ft.ft_standard_norm(big_theta / 2.0, n1, n2)
+            closed = ft.ft_norm_closed_forms(big_theta).get((n1, n2))
             rel = abs(value - closed) / abs(closed) if closed is not None else None
             rows.append(
                 {
@@ -352,13 +340,13 @@ def cmd_norms(settings: Settings) -> CommandOutput:
             )
     fits = []
     for (n1, n2) in _CLOSED_FORM_PAIRS:
-        slope = ft.ft_norm_exponent_fit(ft.FIT_THETA_GRID, n1, n2, n_max=n_max)
+        slope = ft.ft_norm_exponent_fit(ft.FIT_THETA_GRID, n1, n2)
         fits.append({"n1": n1, "n2": n2, "slope": slope, "expected": n1 + n2 + 1})
     payload = _header_payload("norms", settings)
-    payload.update({"n_max": n_max, "rows": rows, "fits": fits})
+    payload.update({"rows": rows, "fits": fits})
     header = ("n1", "n2", "big_theta", "value", "closed_form", "rel_dev")
     csv_rows = [tuple(r[k] for k in header) for r in rows]
-    lines = [f"standard norms, n_max={n_max}"]
+    lines = ["standard norms"]
     for r in rows:
         closed = "-" if r["closed_form"] is None else f"{r['closed_form']:.10g}"
         lines.append(

@@ -19,7 +19,6 @@ from fractions import Fraction
 
 import numpy as np
 from numpy.linalg import matrix_power
-from scipy.special import logsumexp
 
 from .algebra import (
     B1_ANN,
@@ -48,6 +47,7 @@ __all__ = [
     "ft_basis",
     "ft_basis_similarity",
     "ft_gram",
+    "ft_norm_closed_forms",
     "ft_standard_norm",
     "ft_norm_exponent_fit",
     "ft_heisenberg_factor",
@@ -61,9 +61,7 @@ __all__ = [
     "TREND_THETA_GRID",
 ]
 
-#: deterministic ceiling for the adaptively extended norm evaluation chain
-MAX_CHAIN_SITES = 4096
-_TAIL_LOG = math.log(1e-13)
+#: relative size below which a chain Taylor term, or the chain's neglected tail, is negligible
 _CONV_LOG = math.log(1e-19)
 
 #: Theta grids for the divergence study: pi/2 - 10^-j
@@ -304,22 +302,59 @@ def ft_gram(ft: FtTransform, q_cap: int) -> np.ndarray:
 # standard norms and their divergence
 
 
+def ft_norm_closed_forms(big_theta: float) -> dict[tuple[int, int], float]:
+    """Hand-derived standard norms 1/cos, 1/cos^2, (2 - cos^2)/cos^3 of (0,0), (1,0), (1,1)."""
+    c = math.cos(big_theta)
+    return {(0, 0): 1.0 / c, (1, 0): 1.0 / c**2, (1, 1): (2.0 - c * c) / c**3}
+
+
+def ft_standard_norm(theta: complex, n1: int, n2: int) -> float:
+    """Standard (dagger) squared norm of the bar basis ket |n1,n2>>.
+
+    This is <n1,n2|e^{Theta X}|n1,n2> with Theta = theta + conj(theta).  The
+    su(1,1) disentangling of e^{Theta X} (Perelomov; Celeghini, Rasetti and
+    Vitiello for this model) makes it a sum of min(n1, n2) + 1 positive terms,
+    N = sum_j C(n1,j) C(n2,j) tan^{2j} Theta cos^{-(n1+n2-2j+1)} Theta, summed
+    in log space so the blowup near the wall |Theta| = pi/2 stays accurate.
+    """
+    if n1 < 0 or n2 < 0:
+        raise DomainError(f"occupation numbers must be >= 0, got ({n1}, {n2})")
+    big_theta = 2.0 * complex(theta).real
+    if not math.isfinite(big_theta):
+        raise DomainError(f"theta must be finite, got {theta}")
+    if abs(big_theta) >= math.pi / 2:
+        raise SeriesDivergence(
+            f"|theta + conj(theta)| = {abs(big_theta):.6g} >= pi/2: standard norm diverges"
+        )
+    if big_theta == 0.0:
+        return 1.0
+    log_cos = math.log(math.cos(big_theta))
+    log_tan2 = 2.0 * math.log(abs(math.tan(big_theta)))
+    log_fact = math.lgamma(n1 + 1) + math.lgamma(n2 + 1)
+    log_norm = float(np.logaddexp.reduce([
+        j * log_tan2 + log_fact - 2.0 * math.lgamma(j + 1)
+        - math.lgamma(n1 - j + 1) - math.lgamma(n2 - j + 1)
+        - (n1 + n2 - 2 * j + 1) * log_cos
+        for j in range(min(n1, n2) + 1)
+    ]))
+    if log_norm > 700.0:
+        raise NumericalError(f"standard norm overflows float64 (log = {log_norm:.3g})")
+    return math.exp(log_norm)
+
+
 def _log_chain_exp(q0: int, s: float, couplings: np.ndarray) -> np.ndarray:
     """log of e^{s T} e_q0 for the nonnegative tridiagonal chain T.
 
     All Taylor terms are componentwise nonnegative, so the whole iteration
-    lives in log space (logaddexp); this is what keeps Theta near pi/2
-    evaluable where a dense expm overflows.
+    lives in log space (logaddexp) and large amplitudes cannot overflow.
     """
     size = len(couplings) + 1
-    with np.errstate(divide="ignore"):
-        log_t = np.log(couplings)
+    log_t = np.log(couplings)
     acc = np.full(size, -np.inf)
     acc[q0] = 0.0
     term = acc.copy()
     log_s = math.log(s)
-    t_max = float(couplings.max()) if len(couplings) else 1.0
-    max_iter = int(2.2 * s * 2.0 * t_max) + 200
+    max_iter = int(4.4 * s * float(couplings.max())) + 200
     for m in range(1, max_iter + 1):
         nxt = np.full(size, -np.inf)
         nxt[1:] = term[:-1] + log_t
@@ -332,55 +367,42 @@ def _log_chain_exp(q0: int, s: float, couplings: np.ndarray) -> np.ndarray:
     raise NumericalError("chain exponential series did not converge")
 
 
-def ft_standard_norm(theta: complex, n1: int, n2: int, n_max: int = 64) -> float:
-    """Standard (dagger) squared norm of the bar basis ket |n1,n2>>.
+def _chain_standard_norm(big_theta: float, n1: int, n2: int) -> float:
+    """Independent route to ft_standard_norm: ||e^{(Theta/2) T} e_q0||^2 on a finite chain.
 
-    Evaluates <n1,n2|e^{Theta X}|n1,n2> with Theta = theta + conj(theta),
-    restricted to the occupation-difference chain through (n1, n2).  n_max is
-    a guaranteed minimum occupation extent; the chain is extended adaptively
-    (up to MAX_CHAIN_SITES) until the neglected geometric tail is below float
-    precision, so moderate-Theta results are series-converged rather than
-    truncation-limited.
+    T is X restricted to the occupation-difference chain through (n1, n2).
+    The amplitudes decay like tan^q(Theta/2) per site, so the chain is sized
+    from that geometric tail and never capped; its cost grows like
+    (pi/2 - |Theta|)^-2, so it is meant for moderate Theta.  If the tail is not
+    resolved (the decay ratio rounds to 1, or the measured end amplitude is not
+    negligible) it raises NumericalError instead of returning a truncated value.
     """
-    if n1 < 0 or n2 < 0:
-        raise DomainError(f"occupation numbers must be >= 0, got ({n1}, {n2})")
-    if n_max < 2:
-        raise DomainError(f"n_max must be >= 2, got {n_max}")
-    big_theta = 2.0 * complex(theta).real
-    if abs(big_theta) >= math.pi / 2:
-        raise SeriesDivergence(
-            f"|theta + conj(theta)| = {abs(big_theta):.6g} >= pi/2: standard norm diverges"
-        )
     s_half = abs(big_theta) / 2.0  # diagonal elements of exp are even in Theta
-    if s_half == 0.0:
-        return 1.0
-
-    d = abs(n1 - n2)
-    q0 = min(n1, n2)
-    # amplitude of e^{(Theta/2) T} e_q0 decays like tan^q(Theta/2) per site
     ratio = math.tan(s_half) ** 2
-    if ratio <= 0.0:
-        needed = q0 + 2
-    else:
-        needed = int((_TAIL_LOG + math.log1p(-ratio)) / math.log(ratio)) + 2 * (n1 + n2) + 24
-    sites = max(n_max - d + 1, min(MAX_CHAIN_SITES, needed), q0 + 2)
-
+    if not 0.0 < ratio < 1.0:
+        raise NumericalError(f"no geometric chain tail to resolve at Theta={big_theta!r}")
+    log_ratio = math.log(ratio)
+    # squared amplitudes fall like q^(n1+n2) ratio^q along the chain
+    geometric = (_CONV_LOG + math.log1p(-ratio)) / log_ratio
+    sites = int(geometric - (n1 + n2) * math.log(geometric + n1 + n2 + 1) / log_ratio) + 24
     q = np.arange(sites - 1, dtype=float)
-    couplings = np.sqrt((q + d + 1.0) * (q + 1.0))
-    log_u = _log_chain_exp(q0, s_half, couplings)
-    log_norm = float(logsumexp(2.0 * log_u))
-    if log_norm > 700.0:
-        raise NumericalError(f"standard norm overflows float64 (log = {log_norm:.3g})")
+    couplings = np.sqrt((q + abs(n1 - n2) + 1.0) * (q + 1.0))
+    log_u2 = 2.0 * _log_chain_exp(min(n1, n2), s_half, couplings)
+    log_norm = float(np.logaddexp.reduce(log_u2))
+    log_tail = log_u2[-1] + log_ratio - math.log1p(-ratio)
+    if log_tail > log_norm + _CONV_LOG:
+        raise NumericalError(f"chain of {sites} sites leaves a relative tail of "
+                             f"{math.exp(log_tail - log_norm):.3g} at Theta={big_theta!r}")
     return math.exp(log_norm)
 
 
-def ft_norm_exponent_fit(thetas, n1: int, n2: int, n_max: int = 64) -> float:
+def ft_norm_exponent_fit(thetas, n1: int, n2: int) -> float:
     """Least-squares slope of log norm against -log cos Theta; expected n1+n2+1."""
     thetas = [float(t) for t in thetas]
     if len(thetas) < 3:
         raise FitError(f"exponent fit needs >= 3 samples, got {len(thetas)}")
     xs = np.array([-math.log(math.cos(t)) for t in thetas])
-    ys = np.array([math.log(ft_standard_norm(t / 2.0, n1, n2, n_max=n_max)) for t in thetas])
+    ys = np.array([math.log(ft_standard_norm(t / 2.0, n1, n2)) for t in thetas])
     slope, _ = np.polyfit(xs, ys, 1)
     return float(slope)
 

@@ -14,7 +14,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -35,7 +35,6 @@ from .fock import (
     build_ladder,
     commutator,
     interior_deviation,
-    interior_projector,
     matrix_exp,
     position_operators,
 )
@@ -44,6 +43,8 @@ from .params import PhysicalParams, derive_params
 __all__ = ["CheckResult", "VerifyConfig", "SUITE_NAMES", "run_suite", "all_passed"]
 
 SUITE_NAMES = ("algebra", "ft", "is", "dynamics")
+#: largest accepted --n-max; one dense operator takes 16 (n_max+1)^4 bytes
+MAX_VERIFY_N_MAX = 48
 
 
 @dataclass(frozen=True)
@@ -69,6 +70,9 @@ class VerifyConfig:
     def __post_init__(self):
         if self.n_max is not None and self.n_max < 4:
             raise DomainError(f"verify needs n_max >= 4, got {self.n_max}")
+        if self.n_max is not None and self.n_max > MAX_VERIFY_N_MAX:
+            raise DomainError(f"verify needs n_max <= {MAX_VERIFY_N_MAX}, got {self.n_max}: one "
+                              f"dense operator would take {16 * (self.n_max + 1) ** 4:,} bytes")
         if self.tol_scale <= 0:
             raise DomainError(f"tol_scale must be positive, got {self.tol_scale}")
 
@@ -100,11 +104,25 @@ def _finish(cfg: VerifyConfig, check_id: str, description: str, deviation: float
     )
 
 
+def _check(check_id: str):
+    """Declare a check whose body returns (description, deviation, tolerance[, detail])."""
+    def declare(body):
+        @wraps(body)
+        def check(cfg: VerifyConfig) -> CheckResult:
+            return _finish(cfg, check_id, *body(cfg))
+
+        check.check_id = check_id
+        return check
+
+    return declare
+
+
 # ---------------------------------------------------------------------------
 # algebra suite
 
 
-def check_params_examples(cfg: VerifyConfig) -> CheckResult:
+@_check("algebra.params")
+def check_params_examples(cfg: VerifyConfig) -> tuple:
     dev = 0.0
     mismatch = 0
     p = derive_params(1.0, 1e-9, 1.0)
@@ -122,11 +140,11 @@ def check_params_examples(cfg: VerifyConfig) -> CheckResult:
         for s in (q.lam + 1j * q.omega, q.lam - 1j * q.omega):
             dev = max(dev, abs(q.m * s * s - q.gamma * s + q.k))
         dev = max(dev, abs(q.omega**2 + q.lam**2 - q.k / q.m) / (q.k / q.m))
-    return _finish(cfg, "algebra.params", "parameter derivation and quadratic roots",
-                   dev + mismatch, 1e-10)
+    return ("parameter derivation and quadratic roots", dev + mismatch, 1e-10)
 
 
-def check_normal_order(cfg: VerifyConfig) -> CheckResult:
+@_check("algebra.normal-order")
+def check_normal_order(cfg: VerifyConfig) -> tuple:
     b1 = LadderPoly.symbol(B1_ANN)
     b1d = LadderPoly.symbol(B1_CRE)
     mismatch = 0
@@ -148,11 +166,11 @@ def check_normal_order(cfg: VerifyConfig) -> CheckResult:
     once = messy.normal_order()
     if once.normal_order() != once:
         mismatch += 1
-    return _finish(cfg, "algebra.normal-order", "normal ordering examples and idempotence",
-                   mismatch, 0.0)
+    return ("normal ordering examples and idempotence", mismatch, 0.0)
 
 
-def check_vacuum_pairing(cfg: VerifyConfig) -> CheckResult:
+@_check("algebra.vacuum-pairing")
+def check_vacuum_pairing(cfg: VerifyConfig) -> tuple:
     one = LadderPoly.one()
     mismatch = 0
     if algebra.vacuum_pairing(one, one) != ExactScalar.of(1):
@@ -163,11 +181,11 @@ def check_vacuum_pairing(cfg: VerifyConfig) -> CheckResult:
     ket = LadderPoly.word((B1_CRE, B1_CRE, B2_CRE))
     if algebra.vacuum_pairing(bra, ket) != ExactScalar.of(2):
         mismatch += 1
-    return _finish(cfg, "algebra.vacuum-pairing", "vacuum pairing examples (n1! n2! weights)",
-                   mismatch, 0.0)
+    return ("vacuum pairing examples (n1! n2! weights)", mismatch, 0.0)
 
 
-def check_biorthonormality(cfg: VerifyConfig) -> CheckResult:
+@_check("algebra.biorthonormality")
+def check_biorthonormality(cfg: VerifyConfig) -> tuple:
     one = LadderPoly.one()
     mismatch = 0
     for m1 in range(4):
@@ -178,11 +196,11 @@ def check_biorthonormality(cfg: VerifyConfig) -> CheckResult:
                     want = ExactScalar.of(1 if (m1, m2) == (n1, n2) else 0)
                     if got != want:
                         mismatch += 1
-    return _finish(cfg, "algebra.biorthonormality", "pairing of basis monomials is Kronecker delta",
-                   mismatch, 0.0)
+    return ("pairing of basis monomials is Kronecker delta", mismatch, 0.0)
 
 
-def check_matrix_element_examples(cfg: VerifyConfig) -> CheckResult:
+@_check("algebra.matrix-element")
+def check_matrix_element_examples(cfg: VerifyConfig) -> tuple:
     mismatch = 0
     number1 = LadderPoly.word((B1_CRE, B1_ANN))
     if algebra.basis_matrix_element(3, 2, number1, 3, 2) != ExactScalar.of(3):
@@ -193,11 +211,11 @@ def check_matrix_element_examples(cfg: VerifyConfig) -> CheckResult:
         mismatch += 1
     if algebra.basis_matrix_element(2, 0, h_plus, 1, 1) != ExactScalar.zero():
         mismatch += 1
-    return _finish(cfg, "algebra.matrix-element", "number operator and diagonal H elements",
-                   mismatch, 0.0)
+    return ("number operator and diagonal H elements", mismatch, 0.0)
 
 
-def check_commutators_interior(cfg: VerifyConfig) -> CheckResult:
+@_check("algebra.commutators.interior")
+def check_commutators_interior(cfg: VerifyConfig) -> tuple:
     n_max = cfg.resolve(12)
     lad = _ladder(n_max)
     space = lad.space
@@ -222,8 +240,7 @@ def check_commutators_interior(cfg: VerifyConfig) -> CheckResult:
     cross = float(np.max(np.abs(commutator(lad.a1, lad.a2_dag))))
     detail["cross_mode_exact"] = cross
     dev = max(dev, cross)
-    return _finish(cfg, "algebra.commutators.interior",
-                   "ladder commutators on the interior projection", dev, 1e-12, detail)
+    return ("ladder commutators on the interior projection", dev, 1e-12, detail)
 
 
 def _exact_single_mode_defect(n_top: int) -> int:
@@ -256,7 +273,8 @@ def _exact_single_mode_defect(n_top: int) -> int:
     return mismatch
 
 
-def check_boundary_defect(cfg: VerifyConfig) -> CheckResult:
+@_check("algebra.boundary-defect")
+def check_boundary_defect(cfg: VerifyConfig) -> tuple:
     n_top = cfg.resolve(8)
     mismatch = _exact_single_mode_defect(n_top)
     # float route for the same structure
@@ -267,12 +285,12 @@ def check_boundary_defect(cfg: VerifyConfig) -> CheckResult:
     float_dev = float(np.max(np.abs(comm - want)))
     if float_dev > 1e-13:
         mismatch += 1
-    return _finish(cfg, "algebra.boundary-defect",
-                   "truncated [a, a+] equals I - (N+1)|N><N| exactly", mismatch, 0.0,
-                   {"float_deviation": float_dev})
+    return ("truncated [a, a+] equals I - (N+1)|N><N| exactly", mismatch, 0.0,
+            {"float_deviation": float_dev})
 
 
-def check_h_structure(cfg: VerifyConfig) -> CheckResult:
+@_check("algebra.h-structure")
+def check_h_structure(cfg: VerifyConfig) -> tuple:
     n_max = cfg.resolve(12)
     lad = _ladder(n_max)
     ham = build_hamiltonian(lad, cfg.params)
@@ -292,13 +310,13 @@ def check_h_structure(cfg: VerifyConfig) -> CheckResult:
         commutator(ham.h0, ham.h1), np.zeros_like(ham.h), lad.space, cfg.eff_margin(n_max)
     )
     dev = mismatch + (comm_dev if comm_dev > 1e-10 else 0.0)
-    return _finish(cfg, "algebra.h-structure",
-                   "H Hermitian when truncated; basis change non-unitary; [H0,H1]=0",
-                   dev, 0.0, {"hermiticity": herm_dev, "nonunitarity": nonunitary,
-                              "h0_h1_commutator": comm_dev})
+    return ("H Hermitian when truncated; basis change non-unitary; [H0,H1]=0",
+            dev, 0.0, {"hermiticity": herm_dev, "nonunitarity": nonunitary,
+                       "h0_h1_commutator": comm_dev})
 
 
-def check_oracle_cross_validation(cfg: VerifyConfig) -> CheckResult:
+@_check("algebra.cross-validation")
+def check_oracle_cross_validation(cfg: VerifyConfig) -> tuple:
     rng = random.Random(cfg.seed)
     dev = 0.0
     for trial in range(200):
@@ -319,8 +337,7 @@ def check_oracle_cross_validation(cfg: VerifyConfig) -> CheckResult:
             bra = np.zeros(big.space.dim, dtype=complex)
             bra[big.space.index(*m)] = 1.0
             dev = max(dev, abs(elem - bra @ (mat @ ket)))
-    return _finish(cfg, "algebra.cross-validation",
-                   "200 random polynomials: exact oracle vs truncated matrices", dev, 1e-12)
+    return ("200 random polynomials: exact oracle vs truncated matrices", dev, 1e-12)
 
 
 ALGEBRA_SUITE = [
@@ -356,24 +373,24 @@ def _ft_spectrum_sweep(branch: int) -> int:
     return mismatch
 
 
-def check_ft_spectrum(cfg: VerifyConfig) -> CheckResult:
+@_check("ft.spectrum")
+def check_ft_spectrum(cfg: VerifyConfig) -> tuple:
     mismatch = _ft_spectrum_sweep(+1) + _ft_spectrum_sweep(-1)
-    return _finish(cfg, "ft.spectrum",
-                   "exact eigenvalues hw(n1-n2) +- ihl(n1+n2+1), n1+n2 <= 5, both branches",
-                   mismatch, 0.0)
+    return ("exact eigenvalues hw(n1-n2) +- ihl(n1+n2+1), n1+n2 <= 5, both branches",
+            mismatch, 0.0)
 
 
-def check_ft_derivation(cfg: VerifyConfig) -> CheckResult:
+@_check("ft.h-derivation")
+def check_ft_derivation(cfg: VerifyConfig) -> tuple:
     mismatch = 0
     for branch in (+1, -1):
         if ft.ft_hamiltonian_from_plain(branch) != ft.ft_hamiltonian_formal(branch):
             mismatch += 1
-    return _finish(cfg, "ft.h-derivation",
-                   "substituted H normal-orders to the diagonal bar form exactly",
-                   mismatch, 0.0)
+    return ("substituted H normal-orders to the diagonal bar form exactly", mismatch, 0.0)
 
 
-def check_ft_reconstruction(cfg: VerifyConfig) -> CheckResult:
+@_check("ft.reconstruction")
+def check_ft_reconstruction(cfg: VerifyConfig) -> tuple:
     n_max = cfg.resolve(12)
     lad = _ladder(n_max)
     t0 = ft.ft_transform(0.0, lad)
@@ -387,12 +404,11 @@ def check_ft_reconstruction(cfg: VerifyConfig) -> CheckResult:
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     devq = float(np.max(np.abs(tq.ann1 - inv_sqrt2 * (lad.a1 - lad.a2_dag))))
     dev = max(dev0, devq)
-    return _finish(cfg, "ft.reconstruction",
-                   "bar operators at theta=0 and theta=pi/4 match closed combinations",
-                   dev, 1e-14)
+    return ("bar operators at theta=0 and theta=pi/4 match closed combinations", dev, 1e-14)
 
 
-def check_ft_similarity(cfg: VerifyConfig) -> CheckResult:
+@_check("ft.similarity")
+def check_ft_similarity(cfg: VerifyConfig) -> tuple:
     n_max = cfg.resolve(24)
     lad = _ladder(n_max)
     thetas = sorted({0.1, cfg.theta})
@@ -403,13 +419,13 @@ def check_ft_similarity(cfg: VerifyConfig) -> CheckResult:
         ft.similarity_deviation(ft.ft_transform(theta, lad), window=window)
         for theta in thetas
     )
-    return _finish(cfg, "ft.similarity",
-                   "e^{theta X} a e^{-theta X} matches linear combinations (low block)",
-                   dev, 1e-8, detail={"thetas": list(thetas), "window": window,
-                                      "n_max": n_max})
+    return ("e^{theta X} a e^{-theta X} matches linear combinations (low block)",
+            dev, 1e-8, {"thetas": list(thetas), "window": window,
+                        "n_max": n_max})
 
 
-def check_exp_inverse(cfg: VerifyConfig) -> CheckResult:
+@_check("ft.exp-inverse")
+def check_exp_inverse(cfg: VerifyConfig) -> tuple:
     n_max = cfg.resolve(8)
     lad = _ladder(n_max)
     x = ft.generator_matrix(lad)
@@ -419,11 +435,12 @@ def check_exp_inverse(cfg: VerifyConfig) -> CheckResult:
     # ||e^{theta X}|| grows like e^{theta n_max}; the resolution-independent
     # statement is the residual relative to the factor norms
     kappa = float(np.linalg.norm(u, np.inf) * np.linalg.norm(u_inv, np.inf))
-    return _finish(cfg, "ft.exp-inverse", "exp(theta X) exp(-theta X) = identity",
-                   raw / kappa, 1e-12, detail={"raw_deviation": raw, "kappa": kappa})
+    return ("exp(theta X) exp(-theta X) = identity",
+            raw / kappa, 1e-12, {"raw_deviation": raw, "kappa": kappa})
 
 
-def check_ft_commutators(cfg: VerifyConfig) -> CheckResult:
+@_check("ft.commutators")
+def check_ft_commutators(cfg: VerifyConfig) -> tuple:
     n_max = cfg.resolve(12)
     lad = _ladder(n_max)
     space = lad.space
@@ -435,11 +452,11 @@ def check_ft_commutators(cfg: VerifyConfig) -> CheckResult:
         dev = max(dev, interior_deviation(commutator(tr.ann2, tr.cre2), eye, space, 1))
         dev = max(dev, interior_deviation(commutator(tr.ann1, tr.cre2), 0 * eye, space, 1))
         dev = max(dev, interior_deviation(commutator(tr.ann1, tr.ann2), 0 * eye, space, 1))
-    return _finish(cfg, "ft.commutators",
-                   "bar-mode commutation relations on the interior", dev, 1e-12)
+    return ("bar-mode commutation relations on the interior", dev, 1e-12)
 
 
-def check_ft_identity_quarter(cfg: VerifyConfig) -> CheckResult:
+@_check("ft.h-identity.quarter")
+def check_ft_identity_quarter(cfg: VerifyConfig) -> tuple:
     n_max = cfg.resolve(12)
     lad = _ladder(n_max)
     margin = cfg.eff_margin(n_max)
@@ -448,23 +465,22 @@ def check_ft_identity_quarter(cfg: VerifyConfig) -> CheckResult:
         tr = ft.ft_transform(sign * math.pi / 4, lad)
         rep = ft.h1_in_bar(tr, cfg.params, margin=margin)
         dev = max(dev, rep.h0_deviation, rep.h1_deviation, rep.reduced_deviation or 0.0)
-    return _finish(cfg, "ft.h-identity.quarter",
-                   "H0/H1 equal their bar number-operator forms at theta=+-pi/4",
-                   dev, 1e-10 * lad.space.dim)
+    return ("H0/H1 equal their bar number-operator forms at theta=+-pi/4",
+            dev, 1e-10 * lad.space.dim)
 
 
-def check_ft_identity_generic(cfg: VerifyConfig) -> CheckResult:
+@_check("ft.h-identity.generic")
+def check_ft_identity_generic(cfg: VerifyConfig) -> tuple:
     n_max = cfg.resolve(12)
     lad = _ladder(n_max)
     tr = ft.ft_transform(cfg.theta, lad)
     rep = ft.h1_in_bar(tr, cfg.params, margin=cfg.eff_margin(n_max))
     dev = max(rep.h0_deviation, rep.h1_deviation)
-    return _finish(cfg, "ft.h-identity.generic",
-                   "H0/H1 equal the full cos2theta/sin2theta bar expressions",
-                   dev, 1e-10 * lad.space.dim)
+    return ("H0/H1 equal the full cos2theta/sin2theta bar expressions", dev, 1e-10 * lad.space.dim)
 
 
-def check_ft_vacuum(cfg: VerifyConfig) -> CheckResult:
+@_check("ft.vacuum-series")
+def check_ft_vacuum(cfg: VerifyConfig) -> tuple:
     n_max = cfg.resolve(24)
     lad = _ladder(n_max)
     ket, bra = ft.ft_vacuum_series(cfg.theta, lad.space)
@@ -481,13 +497,13 @@ def check_ft_vacuum(cfg: VerifyConfig) -> CheckResult:
         mismatch += 1
     except SeriesDivergence:
         pass
-    return _finish(cfg, "ft.vacuum-series",
-                   "vacuum pairing telescopes to 1; divergence signaled at pi/4",
-                   dev + mismatch, max(1e-12, 2.0 * tail),
-                   {"geometric_tail": tail})
+    return ("vacuum pairing telescopes to 1; divergence signaled at pi/4",
+            dev + mismatch, max(1e-12, 2.0 * tail),
+            {"geometric_tail": tail})
 
 
-def check_ft_gram(cfg: VerifyConfig) -> CheckResult:
+@_check("ft.gram")
+def check_ft_gram(cfg: VerifyConfig) -> tuple:
     n_max = cfg.resolve(24)
     lad = _ladder(n_max)
     tr = ft.ft_transform(cfg.theta, lad)
@@ -498,12 +514,12 @@ def check_ft_gram(cfg: VerifyConfig) -> CheckResult:
     # worst pair (2*q_cap rungs up) gives back roughly one power per rung;
     # the single power with a x10 cushion bounds the measured gap at every n_max
     tail = abs(math.tan(cfg.theta)) ** (n_max + 1 - 2 * q_cap)
-    return _finish(cfg, "ft.gram",
-                   f"biorthonormality Gram is identity for occupations <= {q_cap}",
-                   dev, max(1e-10, 10.0 * tail))
+    return (f"biorthonormality Gram is identity for occupations <= {q_cap}",
+            dev, max(1e-10, 10.0 * tail))
 
 
-def check_ft_two_route(cfg: VerifyConfig) -> CheckResult:
+@_check("ft.basis-two-route")
+def check_ft_two_route(cfg: VerifyConfig) -> tuple:
     n_max = cfg.resolve(24)
     lad = _ladder(n_max)
     tr = ft.ft_transform(cfg.theta, lad)
@@ -520,80 +536,57 @@ def check_ft_two_route(cfg: VerifyConfig) -> CheckResult:
     # both routes truncate the same series; the measured gap decays like a
     # single power of tan per rung (normalization eats the other power)
     tail = abs(math.tan(cfg.theta)) ** (n_max - 2)
-    return _finish(cfg, "ft.basis-two-route",
-                   "creator-monomial and exponential-map basis vectors agree",
-                   dev, max(1e-8, 50.0 * tail))
+    return ("creator-monomial and exponential-map basis vectors agree",
+            dev, max(1e-8, 50.0 * tail))
 
 
-def _ft_closed_forms(big_theta: float) -> dict[tuple[int, int], float]:
-    c = math.cos(big_theta)
-    return {
-        (0, 0): 1.0 / c,
-        (1, 0): 1.0 / c**2,
-        (1, 1): (2.0 - c * c) / c**3,
-    }
-
-
-def _ft_norm_series_oracle(big_theta: float, n1: int, n2: int) -> float:
-    """Independent finite-sum evaluation from the Gauss factorization of e^{Theta X}."""
-    c, t = math.cos(big_theta), math.tan(big_theta)
-    total = 0.0
-    for j in range(min(n1, n2) + 1):
-        total += (
-            t ** (2 * j)
-            / math.factorial(j) ** 2
-            * (math.factorial(n1) / math.factorial(n1 - j))
-            * (math.factorial(n2) / math.factorial(n2 - j))
-            * c ** -(n1 + n2 - 2 * j + 1)
-        )
-    return total
-
-
-def check_ft_norm_closed_forms(cfg: VerifyConfig) -> CheckResult:
-    n_max = cfg.resolve(64)
+@_check("ft.norm.closed-forms")
+def check_ft_norm_closed_forms(cfg: VerifyConfig) -> tuple:
     dev = 0.0
     worst = {}
     for big_theta in (0.3, 0.6, 1.0, 1.4):
-        closed = _ft_closed_forms(big_theta)
-        closed[(2, 1)] = _ft_norm_series_oracle(big_theta, 2, 1)
-        for (n1, n2), want in closed.items():
-            got = ft.ft_standard_norm(big_theta / 2.0, n1, n2, n_max=n_max)
-            rel = abs(got - want) / abs(want)
-            if rel > dev:
-                dev = rel
-                worst = {"Theta": big_theta, "n1": n1, "n2": n2, "got": got, "want": want}
-    return _finish(cfg, "ft.norm.closed-forms",
-                   "standard norms match 1/cos, 1/cos^2, (2-cos^2)/cos^3 closed forms",
-                   dev, 1e-8, worst)
+        closed = ft.ft_norm_closed_forms(big_theta)
+        for (n1, n2) in ((0, 0), (1, 0), (1, 1), (2, 1)):
+            got = ft.ft_standard_norm(big_theta / 2.0, n1, n2)
+            wants = {"chain": ft._chain_standard_norm(big_theta, n1, n2)}
+            if (n1, n2) in closed:
+                wants["closed_form"] = closed[(n1, n2)]
+            for route, want in wants.items():
+                rel = abs(got - want) / abs(want)
+                if rel > dev:
+                    dev = rel
+                    worst = {"Theta": big_theta, "n1": n1, "n2": n2, "route": route,
+                             "got": got, "want": want}
+    return ("standard norms match 1/cos, 1/cos^2, (2-cos^2)/cos^3 and the chain route",
+            dev, 1e-8, worst)
 
 
-def check_ft_norm_fits(cfg: VerifyConfig) -> CheckResult:
-    n_max = cfg.resolve(64)
+@_check("ft.norm.exponent-fits")
+def check_ft_norm_fits(cfg: VerifyConfig) -> tuple:
     dev = 0.0
     slopes = {}
     for (n1, n2) in ((0, 0), (1, 0), (1, 1), (2, 1)):
-        slope = ft.ft_norm_exponent_fit(ft.FIT_THETA_GRID, n1, n2, n_max=n_max)
+        slope = ft.ft_norm_exponent_fit(ft.FIT_THETA_GRID, n1, n2)
         slopes[f"({n1},{n2})"] = slope
         dev = max(dev, abs(slope - (n1 + n2 + 1)))
-    return _finish(cfg, "ft.norm.exponent-fits",
-                   "divergence exponents fit to n1+n2+1", dev, 0.1, slopes)
+    return ("divergence exponents fit to n1+n2+1", dev, 0.1, slopes)
 
 
-def check_ft_norm_trend(cfg: VerifyConfig) -> CheckResult:
-    n_max = cfg.resolve(64)
-    values = [ft.ft_standard_norm(t / 2.0, 0, 0, n_max=n_max) for t in ft.TREND_THETA_GRID]
+@_check("ft.norm.trend")
+def check_ft_norm_trend(cfg: VerifyConfig) -> tuple:
+    values = [ft.ft_standard_norm(t / 2.0, 0, 0) for t in ft.TREND_THETA_GRID]
     mismatch = 0
     for a, b in zip(values, values[1:]):
         if not b > a:
             mismatch += 1
     if not values[-1] > 1e3:
         mismatch += 1
-    return _finish(cfg, "ft.norm.trend",
-                   "vacuum norm strictly increases toward pi/2 and exceeds 1e3",
-                   mismatch, 0.0, {"values": values})
+    return ("vacuum norm strictly increases toward pi/2 and exceeds 1e3",
+            mismatch, 0.0, {"values": values})
 
 
-def check_ft_heisenberg(cfg: VerifyConfig) -> CheckResult:
+@_check("ft.heisenberg")
+def check_ft_heisenberg(cfg: VerifyConfig) -> tuple:
     n_max = cfg.resolve(12)
     lad = _ladder(n_max)
     margin = cfg.eff_margin(n_max)
@@ -611,12 +604,11 @@ def check_ft_heisenberg(cfg: VerifyConfig) -> CheckResult:
         for op, rate in rates.values():
             lhs = commutator(op, h) / (1j * params.hbar)
             dev = max(dev, interior_deviation(lhs, rate * op, lad.space, margin))
-    return _finish(cfg, "ft.heisenberg",
-                   "(i hbar)^-1 [bar op, H] equals the closed-form rate times the op",
-                   dev, 1e-10)
+    return ("(i hbar)^-1 [bar op, H] equals the closed-form rate times the op", dev, 1e-10)
 
 
-def check_ft_xy(cfg: VerifyConfig) -> CheckResult:
+@_check("ft.xy-reconstruction")
+def check_ft_xy(cfg: VerifyConfig) -> tuple:
     n_max = cfg.resolve(12)
     lad = _ladder(n_max)
     x_ref, y_ref = position_operators(lad, cfg.params)
@@ -625,8 +617,7 @@ def check_ft_xy(cfg: VerifyConfig) -> CheckResult:
         tr = ft.ft_transform(sign * math.pi / 4, lad)
         x0, y0 = ft.ft_xy_operators(sign, 0.0, tr, cfg.params)
         dev = max(dev, float(np.max(np.abs(x0 - x_ref))), float(np.max(np.abs(y0 - y_ref))))
-    return _finish(cfg, "ft.xy-reconstruction",
-                   "x(0), y(0) reassemble the rotated position pair", dev, 1e-12)
+    return ("x(0), y(0) reassemble the rotated position pair", dev, 1e-12)
 
 
 FT_SUITE = [
@@ -671,24 +662,23 @@ def _is_spectrum_sweep(branch: int) -> int:
     return mismatch
 
 
-def check_is_spectrum(cfg: VerifyConfig) -> CheckResult:
+@_check("is.spectrum")
+def check_is_spectrum(cfg: VerifyConfig) -> tuple:
     mismatch = _is_spectrum_sweep(+1) + _is_spectrum_sweep(-1)
-    return _finish(cfg, "is.spectrum",
-                   "exact eigenvalues hw(n1+n2+1) +- ihl(n1-n2), real part >= hw",
-                   mismatch, 0.0)
+    return ("exact eigenvalues hw(n1+n2+1) +- ihl(n1-n2), real part >= hw", mismatch, 0.0)
 
 
-def check_is_derivation(cfg: VerifyConfig) -> CheckResult:
+@_check("is.h-derivation")
+def check_is_derivation(cfg: VerifyConfig) -> tuple:
     mismatch = 0
     for branch in (+1, -1):
         if imagscale.is_hamiltonian_from_plain(branch) != imagscale.is_hamiltonian_formal(branch):
             mismatch += 1
-    return _finish(cfg, "is.h-derivation",
-                   "substituted H normal-orders to the diagonal check form exactly",
-                   mismatch, 0.0)
+    return ("substituted H normal-orders to the diagonal check form exactly", mismatch, 0.0)
 
 
-def check_is_closed_form(cfg: VerifyConfig) -> CheckResult:
+@_check("is.closed-form")
+def check_is_closed_form(cfg: VerifyConfig) -> tuple:
     n_max = cfg.resolve(12)
     lad = _ladder(n_max)
     t0 = imagscale.is_transform(0.0, lad)
@@ -701,12 +691,11 @@ def check_is_closed_form(cfg: VerifyConfig) -> CheckResult:
     tq = imagscale.is_transform(1j * math.pi / 4, lad)
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     dev = max(dev, float(np.max(np.abs(tq.ann1 - inv_sqrt2 * (lad.a1 - lad.a2_dag)))))
-    return _finish(cfg, "is.closed-form",
-                   "check operators at chi=0 and chi=i pi/4 match closed combinations",
-                   dev, 1e-14)
+    return ("check operators at chi=0 and chi=i pi/4 match closed combinations", dev, 1e-14)
 
 
-def check_is_tilde(cfg: VerifyConfig) -> CheckResult:
+@_check("is.tilde")
+def check_is_tilde(cfg: VerifyConfig) -> tuple:
     n_max = cfg.resolve(12)
     lad = _ladder(n_max)
     dev_sim = max(
@@ -719,15 +708,19 @@ def check_is_tilde(cfg: VerifyConfig) -> CheckResult:
     )
     z_built = lad.a1_dag @ t_ann + t_cre @ lad.a1
     dev_z = float(np.max(np.abs(z_built - imagscale.generator_z_matrix(lad))))
-    dev_chi = imagscale.chi_similarity_deviation(0.3j, _ladder(24), window=6)
-    return _finish(cfg, "is.tilde",
-                   "mode-2 squeeze: similarity routes, pi/2 closed form, Z composition",
-                   max(dev_sim, dev_cf, dev_z, dev_chi), 1e-8,
-                   detail={"squeeze_similarity": dev_sim, "closed_form": dev_cf,
-                           "z_composition": dev_z, "chi_similarity": dev_chi})
+    # the e^{chi Z} top-corner weight must stay clear of the compared block,
+    # so the window shrinks with n_max as in check_ft_similarity
+    chi_n_max = cfg.resolve(24)
+    window = min(6, max(0, (chi_n_max - 8) // 2))
+    dev_chi = imagscale.chi_similarity_deviation(0.3j, _ladder(chi_n_max), window=window)
+    return ("mode-2 squeeze: similarity routes, pi/2 closed form, Z composition",
+            max(dev_sim, dev_cf, dev_z, dev_chi), 1e-8,
+            {"squeeze_similarity": dev_sim, "closed_form": dev_cf,
+             "z_composition": dev_z, "chi_similarity": dev_chi})
 
 
-def check_is_commutators(cfg: VerifyConfig) -> CheckResult:
+@_check("is.commutators")
+def check_is_commutators(cfg: VerifyConfig) -> tuple:
     n_max = cfg.resolve(12)
     lad = _ladder(n_max)
     space = lad.space
@@ -739,11 +732,11 @@ def check_is_commutators(cfg: VerifyConfig) -> CheckResult:
         dev = max(dev, interior_deviation(commutator(tr.ann2, tr.cre2), eye, space, 1))
         dev = max(dev, interior_deviation(commutator(tr.ann1, tr.cre2), 0 * eye, space, 1))
         dev = max(dev, float(np.max(np.abs(commutator(tr.ann1, tr.ann2)))))
-    return _finish(cfg, "is.commutators",
-                   "check-mode commutation relations on the interior", dev, 1e-12)
+    return ("check-mode commutation relations on the interior", dev, 1e-12)
 
 
-def check_is_identity_quarter(cfg: VerifyConfig) -> CheckResult:
+@_check("is.h-identity.quarter")
+def check_is_identity_quarter(cfg: VerifyConfig) -> tuple:
     n_max = cfg.resolve(12)
     lad = _ladder(n_max)
     margin = cfg.eff_margin(n_max)
@@ -751,22 +744,22 @@ def check_is_identity_quarter(cfg: VerifyConfig) -> CheckResult:
     for sign in (+1, -1):
         rep = imagscale.h_in_check(sign * 1j * math.pi / 4, lad, cfg.params, margin=margin)
         dev = max(dev, rep.h0_deviation, rep.h1_deviation, rep.reduced_deviation or 0.0)
-    return _finish(cfg, "is.h-identity.quarter",
-                   "H0/H1 equal their check number-operator forms at chi=+-i pi/4",
-                   dev, 1e-10 * lad.space.dim)
+    return ("H0/H1 equal their check number-operator forms at chi=+-i pi/4",
+            dev, 1e-10 * lad.space.dim)
 
 
-def check_is_identity_generic(cfg: VerifyConfig) -> CheckResult:
+@_check("is.h-identity.generic")
+def check_is_identity_generic(cfg: VerifyConfig) -> tuple:
     n_max = cfg.resolve(12)
     lad = _ladder(n_max)
     rep = imagscale.h_in_check(0.2j, lad, cfg.params, margin=cfg.eff_margin(n_max))
     dev = max(rep.h0_deviation, rep.h1_deviation)
-    return _finish(cfg, "is.h-identity.generic",
-                   "H0/H1 equal the full cosh/sinh check expressions at generic chi",
-                   dev, 1e-10 * lad.space.dim)
+    return ("H0/H1 equal the full cosh/sinh check expressions at generic chi",
+            dev, 1e-10 * lad.space.dim)
 
 
-def check_is_vacuum(cfg: VerifyConfig) -> CheckResult:
+@_check("is.vacuum")
+def check_is_vacuum(cfg: VerifyConfig) -> tuple:
     n_max = cfg.resolve(8)
     lad = _ladder(n_max)
     t0 = imagscale.is_transform(0.0, lad)
@@ -779,24 +772,23 @@ def check_is_vacuum(cfg: VerifyConfig) -> CheckResult:
     dev = max(dev, float(np.linalg.norm(tq.ann1 @ ketq)), float(np.linalg.norm(tq.ann2 @ ketq)))
     dev = max(dev, float(np.linalg.norm(braq @ tq.cre1)), float(np.linalg.norm(braq @ tq.cre2)))
     dev = max(dev, abs(braq @ ketq - 1.0))
-    return _finish(cfg, "is.vacuum",
-                   "nullspace vacuum: chi=0 is the mode-2 top state; defining relations at i pi/4",
-                   dev, 1e-10)
+    return ("nullspace vacuum: chi=0 is the mode-2 top state; defining relations at i pi/4",
+            dev, 1e-10)
 
 
-def check_is_gram(cfg: VerifyConfig) -> CheckResult:
+@_check("is.gram")
+def check_is_gram(cfg: VerifyConfig) -> tuple:
     n_max = cfg.resolve(12)
     lad = _ladder(n_max)
     rep = imagscale.is_check_rep(1j * math.pi / 4, lad, cfg.params)
     q_cap = min(3, max(0, (n_max - 2) // 2))
     gram = imagscale.is_gram(rep, q_cap)
     dev = float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
-    return _finish(cfg, "is.gram",
-                   f"bounded-frame Gram is identity for occupations <= {q_cap}",
-                   dev, 1e-8)
+    return (f"bounded-frame Gram is identity for occupations <= {q_cap}", dev, 1e-8)
 
 
-def check_is_matrix_element(cfg: VerifyConfig) -> CheckResult:
+@_check("is.matrix-element")
+def check_is_matrix_element(cfg: VerifyConfig) -> tuple:
     n_max = cfg.resolve(12)
     lad = _ladder(n_max)
     params = cfg.params
@@ -818,13 +810,13 @@ def check_is_matrix_element(cfg: VerifyConfig) -> CheckResult:
     scale = params.hbar * (params.omega + params.lam)
     if params.gamma > 0 and witness <= 1e-6:
         dev = max(dev, 1.0)  # H must fail to be normal once damping is on
-    return _finish(cfg, "is.matrix-element",
-                   "bounded-frame H matrix elements match the spectrum (both branches)",
-                   dev, 1e-8 * scale,
-                   detail={"nonnormality_witness": witness})
+    return ("bounded-frame H matrix elements match the spectrum (both branches)",
+            dev, 1e-8 * scale,
+            {"nonnormality_witness": witness})
 
 
-def check_is_heisenberg(cfg: VerifyConfig) -> CheckResult:
+@_check("is.heisenberg")
+def check_is_heisenberg(cfg: VerifyConfig) -> tuple:
     n_max = cfg.resolve(12)
     lad = _ladder(n_max)
     margin = cfg.eff_margin(n_max)
@@ -842,12 +834,11 @@ def check_is_heisenberg(cfg: VerifyConfig) -> CheckResult:
         for op, rate in rates.values():
             lhs = commutator(op, h) / (1j * params.hbar)
             dev = max(dev, interior_deviation(lhs, rate * op, lad.space, margin))
-    return _finish(cfg, "is.heisenberg",
-                   "(i hbar)^-1 [check op, H] equals the closed-form rate times the op",
-                   dev, 1e-10)
+    return ("(i hbar)^-1 [check op, H] equals the closed-form rate times the op", dev, 1e-10)
 
 
-def check_is_xy(cfg: VerifyConfig) -> CheckResult:
+@_check("is.xy-reconstruction")
+def check_is_xy(cfg: VerifyConfig) -> tuple:
     n_max = cfg.resolve(12)
     lad = _ladder(n_max)
     x_ref, y_ref = position_operators(lad, cfg.params)
@@ -856,11 +847,11 @@ def check_is_xy(cfg: VerifyConfig) -> CheckResult:
         tr = imagscale.is_transform(sign * 1j * math.pi / 4, lad)
         x0, y0 = imagscale.is_xy_operators(sign, 0.0, tr, cfg.params)
         dev = max(dev, float(np.max(np.abs(x0 - x_ref))), float(np.max(np.abs(y0 - y_ref))))
-    return _finish(cfg, "is.xy-reconstruction",
-                   "x(0), y(0) reassemble the rotated position pair", dev, 1e-12)
+    return ("x(0), y(0) reassemble the rotated position pair", dev, 1e-12)
 
 
-def check_is_conjugation(cfg: VerifyConfig) -> CheckResult:
+@_check("is.xy-conjugation")
+def check_is_conjugation(cfg: VerifyConfig) -> tuple:
     mismatch = 0
     for sign in (+1, -1):
         x_terms, y_terms = imagscale.is_xy_symbolic(sign)
@@ -868,11 +859,11 @@ def check_is_conjugation(cfg: VerifyConfig) -> CheckResult:
             mismatch += 1
         if imagscale.conjugate_xy_terms(y_terms) != x_terms:
             mismatch += 1
-    return _finish(cfg, "is.xy-conjugation",
-                   "symbol conjugation maps the x(t) expression onto y(t)", mismatch, 0.0)
+    return ("symbol conjugation maps the x(t) expression onto y(t)", mismatch, 0.0)
 
 
-def check_contrast(cfg: VerifyConfig) -> CheckResult:
+@_check("is.contrast")
+def check_contrast(cfg: VerifyConfig) -> tuple:
     mismatch = 0
     for n1 in range(5):
         for n2 in range(5):
@@ -880,8 +871,7 @@ def check_contrast(cfg: VerifyConfig) -> CheckResult:
             is_rec = imagscale.is_eigenvalue(n1, n2, "+")
             if ft_rec.p != is_rec.q or ft_rec.q != is_rec.p:
                 mismatch += 1
-    return _finish(cfg, "is.contrast",
-                   "integer pairs transpose between the two constructions", mismatch, 0.0)
+    return ("integer pairs transpose between the two constructions", mismatch, 0.0)
 
 
 IS_SUITE = [
@@ -906,7 +896,8 @@ IS_SUITE = [
 # dynamics suite
 
 
-def check_classification(cfg: VerifyConfig) -> CheckResult:
+@_check("dynamics.classification")
+def check_classification(cfg: VerifyConfig) -> tuple:
     mismatch = 0
     for n1 in range(7):
         for n2 in range(7):
@@ -930,12 +921,12 @@ def check_classification(cfg: VerifyConfig) -> CheckResult:
                     )
                     if c_is != want_is:
                         mismatch += 1
-    return _finish(cfg, "dynamics.classification",
-                   "no stable states in the rotation construction; stability on n1=n2 otherwise",
-                   mismatch, 0.0)
+    return ("no stable states in the rotation construction; stability on n1=n2 otherwise",
+            mismatch, 0.0)
 
 
-def check_branch_antisymmetry(cfg: VerifyConfig) -> CheckResult:
+@_check("dynamics.branch-antisymmetry")
+def check_branch_antisymmetry(cfg: VerifyConfig) -> tuple:
     swap = {
         dynamics.StabilityClass.GROWING: dynamics.StabilityClass.DECAYING,
         dynamics.StabilityClass.DECAYING: dynamics.StabilityClass.GROWING,
@@ -949,11 +940,11 @@ def check_branch_antisymmetry(cfg: VerifyConfig) -> CheckResult:
                 minus = dynamics.classify(approach, "-", n1, n2, cfg.params)
                 if swap[plus] != minus:
                     mismatch += 1
-    return _finish(cfg, "dynamics.branch-antisymmetry",
-                   "branches swap growing and decaying, stability is shared", mismatch, 0.0)
+    return ("branches swap growing and decaying, stability is shared", mismatch, 0.0)
 
 
-def check_pairing_norm(cfg: VerifyConfig) -> CheckResult:
+@_check("dynamics.pairing-norm")
+def check_pairing_norm(cfg: VerifyConfig) -> tuple:
     grid = (0.0, 1.0, 10.0)
     mismatch = 0
     for (approach, branch, n1, n2) in (("ft", "-", 1, 0), ("is", "+", 2, 1)):
@@ -965,11 +956,11 @@ def check_pairing_norm(cfg: VerifyConfig) -> CheckResult:
         )
         if cross != [0.0, 0.0, 0.0]:
             mismatch += 1
-    return _finish(cfg, "dynamics.pairing-norm",
-                   "bra-ket pairing is exactly constant in time", mismatch, 0.0)
+    return ("bra-ket pairing is exactly constant in time", mismatch, 0.0)
 
 
-def check_eom_residuals(cfg: VerifyConfig) -> CheckResult:
+@_check("dynamics.eom")
+def check_eom_residuals(cfg: VerifyConfig) -> tuple:
     params = cfg.params
     exps = dynamics.xy_mode_exponents(params)
     dev = 0.0
@@ -981,12 +972,12 @@ def check_eom_residuals(cfg: VerifyConfig) -> CheckResult:
     undamped = abs(dynamics.eom_residual(1j * params.omega, "damped", params))
     if undamped <= 0.5 * params.gamma * params.omega:
         mismatch += 1
-    return _finish(cfg, "dynamics.eom",
-                   "x/y mode exponents satisfy the classical equations of motion",
-                   dev + mismatch, 1e-12 * params.k, {"undamped_control": undamped})
+    return ("x/y mode exponents satisfy the classical equations of motion",
+            dev + mismatch, 1e-12 * params.k, {"undamped_control": undamped})
 
 
-def check_factor_examples(cfg: VerifyConfig) -> CheckResult:
+@_check("dynamics.factor")
+def check_factor_examples(cfg: VerifyConfig) -> tuple:
     params = cfg.params
     dev = 0.0
     ev = ft.ft_eigenvalue(0, 0, "-").as_complex(params)
@@ -1005,9 +996,7 @@ def check_factor_examples(cfg: VerifyConfig) -> CheckResult:
         lhs = abs(evo.factor(t)) ** 2
         rhs = math.exp(2.0 * evo.amplitude_rate * t)
         dev = max(dev, abs(lhs - rhs) / max(rhs, 1.0))
-    return _finish(cfg, "dynamics.factor",
-                   "scalar evolution factors: decay value, unit modulus, reciprocal pair",
-                   dev, 1e-12)
+    return ("scalar evolution factors: decay value, unit modulus, reciprocal pair", dev, 1e-12)
 
 
 DYNAMICS_SUITE = [
@@ -1028,7 +1017,7 @@ SUITES = {
 
 
 def run_suite(name: str, cfg: VerifyConfig) -> list[CheckResult]:
-    """Run one suite (or 'all'); a crashing check is reported, not raised."""
+    """Run one suite (or 'all'); a crashing check is reported under its id, not raised."""
     if name == "all":
         checks = [fn for suite in SUITE_NAMES for fn in SUITES[suite]]
     elif name in SUITES:
@@ -1039,10 +1028,10 @@ def run_suite(name: str, cfg: VerifyConfig) -> list[CheckResult]:
     for fn in checks:
         try:
             results.append(fn(cfg))
-        except BatemanError as exc:
+        except Exception as exc:
             results.append(
                 CheckResult(
-                    check_id=fn.__name__.replace("check_", "", 1).replace("_", "-"),
+                    check_id=fn.check_id,
                     description="check raised an error",
                     deviation=math.inf,
                     tolerance=0.0,

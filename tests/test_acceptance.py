@@ -124,7 +124,7 @@ def test_norm_closed_forms_and_exponent_fits(capsys):
             c = math.cos(big)
             forms = {(0, 0): 1.0 / c, (1, 0): 1.0 / c**2, (1, 1): (2.0 - c * c) / c**3}
             for (n1, n2), want in forms.items():
-                got = ft.ft_standard_norm(big / 2.0, n1, n2, n_max=64)
+                got = ft.ft_standard_norm(big / 2.0, n1, n2)
                 rel = abs(got - want) / abs(want)
                 assert rel <= 1e-8
                 worst = max(worst, rel)

@@ -82,10 +82,18 @@ def test_norms_closed_forms_agree(capsys):
     assert rc == 0
     for line in out.splitlines()[1:]:
         parts = line.split(",")
-        # next to the wall the site budget caps out and the value is a
-        # truncated lower bound, so only the interior rows are tight
-        if parts[4] and float(parts[2]) < 1.55:
+        if parts[4]:
             assert float(parts[5]) <= 1e-8
+
+
+def test_norms_report_has_no_truncation(capsys):
+    rc, out, _ = run(capsys, "norms")
+    assert rc == 0
+    doc = json.loads(out)
+    assert "n_max" not in doc
+    assert len(doc["rows"]) == 32
+    _, text, _ = run(capsys, "norms", "--format", "text")
+    assert text.splitlines()[0] == "standard norms"
 
 
 # --- classify / evolve -------------------------------------------------------
@@ -128,6 +136,38 @@ def test_verify_corrupt_check_fails(capsys):
                      "algebra.boundary-defect", "--format", "text")
     assert rc == 1
     assert "FAIL algebra.boundary-defect" in out
+
+
+def test_verify_corrupt_norm_check_fails(capsys):
+    rc, out, _ = run(capsys, "verify", "ft", "--n-max", "4", "--corrupt-check",
+                     "ft.norm.closed-forms")
+    assert rc == 1
+    doc = json.loads(out)
+    assert [c["check_id"] for c in doc["checks"] if not c["passed"]] == ["ft.norm.closed-forms"]
+
+
+def test_verify_rejects_huge_n_max_before_building(monkeypatch, capsys):
+    def no_suite(*args):
+        raise AssertionError("a suite ran despite the n_max guard")
+
+    monkeypatch.setattr("bateman.cli.run_suite", no_suite)
+    rc, out, err = run(capsys, "verify", "ft", "--n-max", "1000")
+    assert rc == 2
+    assert out == ""
+    assert "n_max <= 48" in err and "16,064,096,064,016 bytes" in err
+
+
+def test_verify_crash_is_a_failed_check_not_a_traceback(monkeypatch, capsys):
+    def broken(*args):
+        raise ValueError("synthetic crash")
+
+    monkeypatch.setattr("bateman.verify.derive_params", broken)
+    rc, out, err = run(capsys, "verify", "algebra")
+    assert rc == 1
+    assert "Traceback" not in err
+    failed = [c for c in json.loads(out)["checks"] if not c["passed"]]
+    assert [c["check_id"] for c in failed] == ["algebra.params"]
+    assert failed[0]["detail"]["error"] == "ValueError: synthetic crash"
 
 
 def test_verify_json_counts(capsys):

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bateman import algebra
-from bateman.errors import DomainError, FitError, SeriesDivergence
+from bateman.errors import DomainError, FitError, NumericalError, SeriesDivergence
 from bateman.fock import FockSpace, build_ladder, position_operators
 from bateman.ft import (
     FIT_THETA_GRID,
     TREND_THETA_GRID,
+    _chain_standard_norm,
     ft_basis,
     ft_basis_similarity,
     ft_eigenvalue,
@@ -183,6 +184,46 @@ def test_norm_trend_grows_toward_wall():
 def test_norm_exponent_fit(n1, n2, want):
     got = ft_norm_exponent_fit(FIT_THETA_GRID, n1, n2)
     assert abs(got - want) <= 0.1
+
+
+def test_standard_norm_near_wall_matches_high_precision_sum():
+    mpmath = pytest.importorskip("mpmath")
+
+    def gauss_sum(big, n1, n2):
+        with mpmath.workdps(50):
+            c, t = mpmath.cos(mpmath.mpf(big)), mpmath.tan(mpmath.mpf(big))
+            return mpmath.fsum(
+                t ** (2 * j) * mpmath.binomial(n1, j) * mpmath.binomial(n2, j)
+                * c ** -(n1 + n2 - 2 * j + 1)
+                for j in range(min(n1, n2) + 1)
+            )
+
+    for big in TREND_THETA_GRID:
+        for n1 in range(7):
+            for n2 in range(5):
+                want = gauss_sum(big, n1, n2)
+                got = ft_standard_norm(big / 2.0, n1, n2)
+                assert abs(got - want) / want <= 1e-8, (big, n1, n2)
+
+
+def test_standard_norm_is_even_and_rejects_bad_input():
+    assert ft_standard_norm(-0.35, 2, 1) == ft_standard_norm(0.35, 2, 1)
+    with pytest.raises(NumericalError):
+        ft_standard_norm(TREND_THETA_GRID[-1] / 2.0, 200, 200)
+    with pytest.raises(DomainError):
+        ft_standard_norm(math.nan, 0, 0)
+
+
+@pytest.mark.parametrize("n1,n2", [(0, 0), (2, 1), (6, 4)])
+def test_chain_route_agrees_with_the_sum(n1, n2):
+    for big in (0.3, 1.0, 1.4):
+        chain = _chain_standard_norm(big, n1, n2)
+        assert abs(chain - ft_standard_norm(big / 2.0, n1, n2)) <= 1e-12 * chain
+
+
+def test_chain_route_raises_without_a_tail_to_resolve():
+    with pytest.raises(NumericalError):
+        _chain_standard_norm(0.0, 1, 0)
 
 
 def test_norm_fit_needs_three_samples():

@@ -4,12 +4,15 @@ import math
 
 import pytest
 
+from bateman import ft
 from bateman.errors import DomainError
 from bateman.verify import (
     SUITE_NAMES,
     SUITES,
     VerifyConfig,
+    _check,
     all_passed,
+    check_ft_norm_closed_forms,
     run_suite,
 )
 
@@ -52,20 +55,54 @@ def test_corrupt_hook_flips_exactly_one(params):
 
 def test_crashing_check_is_reported(params):
     # a coarse truncation once raised through run_suite; now any check that
-    # still escapes must come back as an inf-deviation failure, not a raise
+    # still escapes must come back as an inf-deviation failure under its
+    # declared id, not a raise
+    @_check("algebra.synthetic-case")
     def boom(cfg):
         raise DomainError("synthetic failure")
 
-    boom.__name__ = "check_synthetic_case"
     SUITES["algebra"].append(boom)
     try:
         results = run_suite("algebra", VerifyConfig(params=params, n_max=6))
         crashed = [r for r in results if r.deviation == math.inf]
-        assert [r.check_id for r in crashed] == ["synthetic-case"]
+        assert [r.check_id for r in crashed] == ["algebra.synthetic-case"]
         assert not crashed[0].passed
         assert "DomainError" in crashed[0].detail["error"]
     finally:
         SUITES["algebra"].remove(boom)
+
+
+def test_declared_ids_match_reported_ids(params):
+    cfg = VerifyConfig(params=params)
+    for suite in ("algebra", "dynamics"):
+        results = run_suite(suite, cfg)
+        assert [r.check_id for r in results] == [fn.check_id for fn in SUITES[suite]]
+    ids = [fn.check_id for checks in SUITES.values() for fn in checks]
+    assert len(ids) == len(set(ids)) == 44
+
+
+def test_n_max_upper_bound(params):
+    assert VerifyConfig(params=params, n_max=48).n_max == 48
+    with pytest.raises(DomainError, match="bytes"):
+        VerifyConfig(params=params, n_max=49)
+
+
+@pytest.mark.parametrize("states", [None, {(2, 1)}])
+def test_norm_closed_forms_check_catches_a_wrong_norm(params, monkeypatch, states):
+    # a 1e-6 error in the production norm must fail the check; the (2,1)
+    # state has no hand closed form, so only the chain route can catch it
+    exact = ft.ft_standard_norm
+
+    def skewed(theta, n1, n2):
+        value = exact(theta, n1, n2)
+        return value * (1 + 1e-6) if states is None or (n1, n2) in states else value
+
+    cfg = VerifyConfig(params=params)
+    assert check_ft_norm_closed_forms(cfg).passed
+    monkeypatch.setattr(ft, "ft_standard_norm", skewed)
+    result = check_ft_norm_closed_forms(cfg)
+    assert not result.passed
+    assert 5e-7 < result.deviation < 2e-6
 
 
 def test_tol_scale_loosens(params):
