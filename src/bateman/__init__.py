@@ -43,24 +43,17 @@ from .algebra import (
     normal_order,
     vacuum_pairing,
 )
-from .ft import (
-    FtEigen,
-    FtTransform,
-    ft_eigenvalue,
-    ft_gram,
-    ft_norm_exponent_fit,
-    ft_standard_norm,
-    ft_transform,
-    ft_vacuum_series,
+from .construction import (
+    Construction,
+    Eigen,
+    MixedModes,
+    basis,
+    eigenvalue,
+    gram,
+    transform,
 )
-from .imagscale import (
-    IsEigen,
-    IsTransform,
-    is_eigenvalue,
-    is_gram,
-    is_transform,
-    is_vacuum,
-)
+from .ft import FT, ft_norm_exponent_fit, ft_standard_norm, ft_vacuum_series
+from .imagscale import IS, IsCheckRep, is_check_rep, is_vacuum
 from .dynamics import (
     StabilityClass,
     StateEvolution,
@@ -100,19 +93,20 @@ __all__ = [
     "basis_matrix_element",
     "normal_order",
     "vacuum_pairing",
-    "FtEigen",
-    "FtTransform",
-    "ft_eigenvalue",
-    "ft_gram",
+    "Construction",
+    "Eigen",
+    "MixedModes",
+    "basis",
+    "eigenvalue",
+    "gram",
+    "transform",
+    "FT",
     "ft_norm_exponent_fit",
     "ft_standard_norm",
-    "ft_transform",
     "ft_vacuum_series",
-    "IsEigen",
-    "IsTransform",
-    "is_eigenvalue",
-    "is_gram",
-    "is_transform",
+    "IS",
+    "IsCheckRep",
+    "is_check_rep",
     "is_vacuum",
     "StabilityClass",
     "StateEvolution",

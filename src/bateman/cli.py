@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__, dynamics, ft
+from .construction import normalize_branch
 from .dynamics import StateEvolution, classify, eigen_record
 from .errors import BatemanError, DomainError
-from .ft import normalize_branch
 from .params import PhysicalParams, derive_params
 from .verify import VerifyConfig, all_passed, run_suite
 
@@ -33,7 +33,7 @@ MAX_N_CAP = 16
 
 _FLOAT_KEYS = ("m", "gamma", "k", "hbar", "theta", "tol_scale")
 _INT_KEYS = ("n_max", "margin", "n_cap", "seed", "n1", "n2")
-_STR_KEYS = ("chi_sign", "branch", "format", "out", "approach", "times", "corrupt_check")
+_STR_KEYS = ("branch", "format", "out", "approach", "times", "corrupt_check")
 
 _DEFAULTS = {
     "m": 1.0,
@@ -48,7 +48,6 @@ _DEFAULTS = {
     "seed": 20260823,
     "n1": 0,
     "n2": 0,
-    "chi_sign": None,
     "branch": None,
     "format": "json",
     "out": None,
@@ -186,6 +185,8 @@ def _parse_times(raw: str) -> tuple[float, ...]:
         raise DomainError(f"--times expects comma separated numbers, got {raw!r}") from exc
     if not values:
         raise DomainError("--times needs at least one value")
+    if not all(math.isfinite(t) for t in values):
+        raise DomainError(f"--times values must be finite, got {raw!r}")
     return values
 
 
@@ -201,12 +202,7 @@ def _resolve(args: argparse.Namespace) -> Settings:
         else:
             merged[key] = default
 
-    branch_flag = merged["branch"]
-    chi_flag = merged["chi_sign"]
-    if branch_flag is not None and chi_flag is not None:
-        if normalize_branch(branch_flag) != normalize_branch(chi_flag):
-            raise DomainError("--branch and --chi-sign disagree")
-    branch = normalize_branch(branch_flag if branch_flag is not None else (chi_flag or "+"))
+    branch = normalize_branch(merged["branch"] or "+")
 
     if merged["format"] not in ("json", "csv", "text"):
         raise DomainError(f"--format must be json, csv, or text, got {merged['format']!r}")
@@ -278,7 +274,7 @@ def cmd_spectrum(settings: Settings) -> CommandOutput:
     for (n1, n2) in states:
         rec = eigen_record(settings.approach, settings.branch, n1, n2)
         value = rec.as_complex(settings.params)
-        label = classify(settings.approach, settings.branch, n1, n2, settings.params).value
+        label = classify(settings.approach, settings.branch, n1, n2).value
         rows.append(
             {
                 "n1": n1,
@@ -363,7 +359,7 @@ def cmd_norms(settings: Settings) -> CommandOutput:
 def cmd_classify(settings: Settings) -> CommandOutput:
     rec = eigen_record(settings.approach, settings.branch, settings.n1, settings.n2)
     value = rec.as_complex(settings.params)
-    label = classify(settings.approach, settings.branch, settings.n1, settings.n2, settings.params)
+    label = classify(settings.approach, settings.branch, settings.n1, settings.n2)
     payload = _header_payload("classify", settings)
     payload.update(
         {
@@ -507,33 +503,38 @@ COMMANDS = {
 # parser
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--m", type=float, help="oscillator mass (default 1)")
-    parser.add_argument("--gamma", type=float, help="damping coefficient (default 1)")
-    parser.add_argument("--k", type=float, help="spring constant (default 1.25)")
-    parser.add_argument("--hbar", type=float, help="Planck constant over 2 pi (default 1)")
-    parser.add_argument("--n-max", dest="n_max", type=int, help="occupation truncation override")
-    parser.add_argument("--margin", type=int, help="interior margin for matrix checks (default 2)")
-    parser.add_argument("--theta", type=float, help="transform rotation angle (default 0.3)")
-    parser.add_argument("--chi-sign", dest="chi_sign", choices=("+", "-"),
-                        help="sign of the imaginary scale chi = +- i pi/4")
-    parser.add_argument("--branch", choices=("+", "-"), help="transform branch sign")
-    parser.add_argument("--n-cap", dest="n_cap", type=int,
-                        help=f"largest n1+n2 listed (default 6, max {MAX_N_CAP})")
-    parser.add_argument("--format", choices=("json", "csv", "text"),
-                        help="output format (default json)")
-    parser.add_argument("--out", help="write the report to this file instead of stdout")
-    parser.add_argument("--tol-scale", dest="tol_scale", type=float,
-                        help="multiply every check tolerance (default 1)")
-    parser.add_argument("--config", help="key=value file; command line flags take precedence")
-    parser.add_argument("--approach", choices=("ft", "is"),
-                        help="which construction: rotation (ft) or imaginary scale (is)")
-    parser.add_argument("--seed", type=int, help="seed for randomized cross-validation")
-    parser.add_argument("--n1", type=int, help="first occupation number (default 0)")
-    parser.add_argument("--n2", type=int, help="second occupation number (default 0)")
-    parser.add_argument("--times", help="comma separated time grid for evolve")
-    parser.add_argument("--corrupt-check", dest="corrupt_check", metavar="CHECK_ID",
-                        help="negative control: inflate the named check's deviation")
+#: flags every subcommand reads: the physical parameters and the report's form
+_SHARED_FLAGS = ("m", "gamma", "k", "hbar", "format", "out", "config")
+
+_FLAGS = {
+    "m": dict(type=float, help="oscillator mass (default 1)"),
+    "gamma": dict(type=float, help="damping coefficient (default 1)"),
+    "k": dict(type=float, help="spring constant (default 1.25)"),
+    "hbar": dict(type=float, help="Planck constant over 2 pi (default 1)"),
+    "format": dict(choices=("json", "csv", "text"), help="output format (default json)"),
+    "out": dict(help="write the report to this file instead of stdout"),
+    "config": dict(help="key=value file; command line flags take precedence"),
+    "n_max": dict(type=int, help="occupation truncation override"),
+    "margin": dict(type=int, help="interior margin for matrix checks (default 2)"),
+    "theta": dict(type=float, help="transform rotation angle (default 0.3)"),
+    "branch": dict(choices=("+", "-"), help="transform branch sign"),
+    "n_cap": dict(type=int, help=f"largest n1+n2 listed (default 6, max {MAX_N_CAP})"),
+    "tol_scale": dict(type=float, help="multiply every check tolerance (default 1)"),
+    "approach": dict(choices=("ft", "is"),
+                     help="which construction: rotation (ft) or imaginary scale (is)"),
+    "seed": dict(type=int, help="seed for randomized cross-validation"),
+    "n1": dict(type=int, help="first occupation number (default 0)"),
+    "n2": dict(type=int, help="second occupation number (default 0)"),
+    "times": dict(help="comma separated time grid for evolve"),
+    "corrupt_check": dict(metavar="CHECK_ID",
+                          help="negative control: inflate the named check's deviation"),
+}
+
+
+def _add_flags(parser: argparse.ArgumentParser, *names: str) -> None:
+    """Register the shared flags plus the named ones; a subcommand gets only what it reads."""
+    for name in _SHARED_FLAGS + names:
+        parser.add_argument("--" + name.replace("_", "-"), dest=name, **_FLAGS[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -545,17 +546,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("spectrum", help="eigenvalue table for one construction and branch")
-    _add_common(sp)
+    _add_flags(sp, "approach", "branch", "n_cap")
     sp = sub.add_parser("norms", help="standard norms of the rotated basis and exponent fits")
-    _add_common(sp)
+    _add_flags(sp, "theta")
     sp = sub.add_parser("classify", help="stability class of a single (n1, n2) state")
-    _add_common(sp)
+    _add_flags(sp, "approach", "branch", "n1", "n2")
     sp = sub.add_parser("evolve", help="scalar evolution factor over a time grid")
-    _add_common(sp)
+    _add_flags(sp, "approach", "branch", "n1", "n2", "times")
     sp = sub.add_parser("verify", help="run a verification suite and report pass/fail")
     sp.add_argument("suite", nargs="?", default="all",
                     choices=("algebra", "ft", "is", "dynamics", "all"))
-    _add_common(sp)
+    _add_flags(sp, "n_max", "margin", "theta", "tol_scale", "seed", "corrupt_check")
     return parser
 
 
@@ -566,13 +567,16 @@ def main(argv=None) -> int:
         settings = _resolve(args)
         out = COMMANDS[args.command](settings)
         text = _render(out, settings.fmt)
+        if settings.out:
+            Path(settings.out).write_text(text)
+        else:
+            sys.stdout.write(text)
     except BatemanError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if settings.out:
-        Path(settings.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    except Exception as exc:  # exit 1 is reserved for failed checks
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
     return out.exit_code
 
 

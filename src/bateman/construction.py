@@ -1,0 +1,368 @@
+"""One description serves both diagonalizations of the damped/amplified pair.
+
+Each route mixes (a1, a2+) by a 2x2 matrix into two new operators, completes
+them with partners mixed from (a1+, a2), and ends at an affine integer map
+(n1, n2) -> (p, q) with eigenvalue p*hbar*omega + q*i*hbar*lambda.  The
+rotation route (`ft.FT`) and the imaginary-scale route (`imagscale.IS`)
+differ only in the data of a `Construction`; everything written here serves
+both: eigenvalue records, mixed-mode matrices and the H0/H1 identity report,
+the biorthogonal basis and its Gram, Heisenberg factors, x(t) and y(t), and
+the exact symbol substitution at the decoupling point.
+
+Two independent routes run through it: exact symbol algebra on abstract
+mixed modes (no truncation, no floats) and dense truncated matrices.
+Neither route knows about the other's results.
+"""
+
+from __future__ import annotations
+
+import cmath
+import math
+from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
+from numpy.linalg import matrix_power
+
+from .algebra import B1_ANN, B1_CRE, B2_ANN, B2_CRE, ExactScalar, LadderPoly, U_HW, U_IHL
+from .errors import DomainError, HeadroomError
+from .fock import FockSpace, LadderSet, interior_deviation
+from .params import PhysicalParams
+
+__all__ = [
+    "Construction",
+    "Eigen",
+    "MixedModes",
+    "IdentityReport",
+    "normalize_branch",
+    "eigenvalue",
+    "valid_angle",
+    "transform",
+    "mode2_split",
+    "identity_report",
+    "basis",
+    "gram",
+    "heisenberg_rate",
+    "heisenberg_factor",
+    "xy_operators",
+    "plain_in_modes",
+    "hamiltonian_formal",
+    "hamiltonian_from_plain",
+]
+
+Rows = tuple[tuple, tuple]          # 2x2 coefficients, one row per mixed operator
+Affine = tuple[int, int, int]       # (c1, c2, c0): c1*n1 + c2*n2 + c0
+
+
+@dataclass(frozen=True)
+class Construction:
+    """The data that tells the two quantization routes apart."""
+
+    angle_name: str                 # "theta" or "chi", for messages
+    imaginary_angle: bool           # the mixing angle must be purely imaginary
+    #: angle -> (M, P): (first, second) = M @ (a1, a2+), their partners = P @ (a1+, a2)
+    mixing: Callable[[complex], tuple[Rows, Rows]]
+    second_annihilates: bool        # second is ann2 (partner cre2), else cre2 (partner ann2)
+    p_map: Affine                   # p = p1*n1 + p2*n2 + p0
+    q_map: Affine                   # q = branch*(q1*n1 + q2*n2 + q0)
+    #: mode -> (w, l): the annihilator rate is w*i*omega + l*branch*lambda; creators negate it
+    rates: dict[int, tuple[int, int]]
+    quarter: Callable[[int], complex]   # branch -> decoupling angle
+    #: (modes, q number form, params) -> H1 in mixed operators at any angle
+    h1_mixed: Callable[["MixedModes", np.ndarray, PhysicalParams], np.ndarray]
+    #: branch -> exact inverse mixing at the decoupling angle, rows for (a1, a2+), (a1+, a2)
+    substitution: Callable[[int], tuple[Rows, Rows]]
+    xy_phase: complex               # weight of the mode-2 operator in x(t), y(t)
+
+
+def normalize_branch(branch) -> int:
+    if branch in (1, +1, "+", "plus"):
+        return 1
+    if branch in (-1, "-", "minus"):
+        return -1
+    raise DomainError(f"branch must be one of +1, -1, '+', '-', got {branch!r}")
+
+
+def _check_occupations(n1: int, n2: int) -> None:
+    if n1 < 0 or n2 < 0:
+        raise DomainError(f"occupation numbers must be >= 0, got ({n1}, {n2})")
+
+
+# ---------------------------------------------------------------------------
+# eigenvalues
+
+
+@dataclass(frozen=True)
+class Eigen:
+    """Eigenvalue record: value = p*hbar*omega + q*i*hbar*lambda."""
+
+    n1: int
+    n2: int
+    branch: int
+    p: int
+    q: int
+
+    def exact(self) -> ExactScalar:
+        return ExactScalar.unit(U_HW, self.p) + ExactScalar.unit(U_IHL, self.q)
+
+    def as_complex(self, params: PhysicalParams) -> complex:
+        return self.p * params.hbar * params.omega + 1j * self.q * params.hbar * params.lam
+
+
+def _affine(coeffs: Affine, x1, x2, one=1):
+    """c1*x1 + c2*x2 + c0*one, for occupations or for number-operator matrices."""
+    c1, c2, c0 = coeffs
+    return c1 * x1 + c2 * x2 + c0 * one
+
+
+def eigenvalue(con: Construction, n1: int, n2: int, branch) -> Eigen:
+    _check_occupations(n1, n2)
+    b = normalize_branch(branch)
+    return Eigen(n1=n1, n2=n2, branch=b, p=_affine(con.p_map, n1, n2),
+                 q=b * _affine(con.q_map, n1, n2))
+
+
+# ---------------------------------------------------------------------------
+# truncated-matrix route
+
+
+@dataclass(frozen=True)
+class MixedModes:
+    """Mixed-mode matrices at a fixed angle, in the original two-mode frame."""
+
+    angle: complex
+    ann1: np.ndarray
+    cre1: np.ndarray
+    ann2: np.ndarray
+    cre2: np.ndarray
+    ladder: LadderSet
+
+    @property
+    def space(self) -> FockSpace:
+        return self.ladder.space
+
+    @property
+    def headroom(self) -> int:
+        """Largest n1+n2 a basis vector may carry: any occupation of the space."""
+        return 2 * self.space.n_max
+
+
+def valid_angle(con: Construction, angle: complex) -> complex:
+    """angle as a complex number, checked against the route's domain."""
+    angle = complex(angle)
+    if not (math.isfinite(angle.real) and math.isfinite(angle.imag)):
+        raise DomainError(f"{con.angle_name} must be finite, got {angle}")
+    if con.imaginary_angle and abs(angle.real) > 1e-12:
+        raise DomainError(f"{con.angle_name} must be purely imaginary, got {angle}")
+    return angle
+
+
+def transform(con: Construction, angle: complex, ladder: LadderSet) -> MixedModes:
+    angle = valid_angle(con, angle)
+    (m1, m2), (p1, p2) = con.mixing(angle)
+    a1, a1d, a2, a2d = ladder.a1, ladder.a1_dag, ladder.a2, ladder.a2_dag
+    second = m2[0] * a1 + m2[1] * a2d
+    partner = p2[0] * a1d + p2[1] * a2
+    ann2, cre2 = (second, partner) if con.second_annihilates else (partner, second)
+    return MixedModes(
+        angle=angle,
+        ann1=m1[0] * a1 + m1[1] * a2d,
+        cre1=p1[0] * a1d + p1[1] * a2,
+        ann2=ann2,
+        cre2=cre2,
+        ladder=ladder,
+    )
+
+
+def mode2_split(con: Construction, modes: MixedModes) -> tuple[np.ndarray, np.ndarray]:
+    """(the mode-2 operator mixed from (a1, a2+), its partner mixed from (a1+, a2))."""
+    return (modes.ann2, modes.cre2) if con.second_annihilates else (modes.cre2, modes.ann2)
+
+
+@dataclass(frozen=True)
+class IdentityReport:
+    """Interior deviations of H0/H1 from their mixed-operator expressions."""
+
+    angle: complex
+    n_max: int
+    margin: int
+    h0_deviation: float
+    h1_deviation: float
+    reduced_deviation: float | None  # against the pure number-operator form; decoupling angles only
+
+
+def _quarter_branch(con: Construction, angle: complex, tol: float) -> int | None:
+    """The branch whose decoupling angle lies within tol of angle, if any."""
+    for b in (1, -1):
+        if abs(angle - con.quarter(b)) <= tol:
+            return b
+    return None
+
+
+def identity_report(con: Construction, modes: MixedModes, params: PhysicalParams,
+                    margin: int = 2) -> IdentityReport:
+    """Check H0 and H1 against their expressions in the mixed operators.
+
+    H0 is hbar*omega times the p number form at every angle; H1 carries the
+    route's general-angle expression, which at the decoupling angle of a
+    branch reduces to branch*i*hbar*lambda times the q number form.
+    """
+    space = modes.space
+    lad = modes.ladder
+    hbar, omega, lam = params.hbar, params.omega, params.lam
+    eye = np.eye(space.dim, dtype=complex)
+
+    h0 = hbar * omega * (lad.a1_dag @ lad.a1 - lad.a2_dag @ lad.a2)
+    h1 = 1j * hbar * lam * (lad.a1 @ lad.a2 - lad.a1_dag @ lad.a2_dag)
+
+    n1 = modes.cre1 @ modes.ann1
+    n2 = modes.cre2 @ modes.ann2
+    q_form = _affine(con.q_map, n1, n2, eye)
+
+    reduced = None
+    branch = _quarter_branch(con, modes.angle, 1e-9)
+    if branch is not None:
+        reduced = interior_deviation(h1, branch * 1j * hbar * lam * q_form, space, margin)
+
+    return IdentityReport(
+        angle=modes.angle,
+        n_max=space.n_max,
+        margin=margin,
+        h0_deviation=interior_deviation(h0, hbar * omega * _affine(con.p_map, n1, n2, eye),
+                                        space, margin),
+        h1_deviation=interior_deviation(h1, con.h1_mixed(modes, q_form, params), space, margin),
+        reduced_deviation=reduced,
+    )
+
+
+# ---------------------------------------------------------------------------
+# biorthogonal basis
+
+
+def basis(modes, n1: int, n2: int, vacuum: tuple[np.ndarray, np.ndarray]
+          ) -> tuple[np.ndarray, np.ndarray]:
+    """Pair: ket = cre1^n1 cre2^n2 |vac>> / sqrt(n1! n2!), bra = <<vac| ann1^n1 ann2^n2 / same.
+
+    modes is any frame holding the four mixed matrices and a headroom; the
+    bra is a plain row vector and pairings are bra @ ket with no conjugation.
+    """
+    _check_occupations(n1, n2)
+    if n1 + n2 > modes.headroom:
+        raise HeadroomError(f"n1+n2 = {n1 + n2} exceeds headroom {modes.headroom}")
+    ket0, bra0 = vacuum
+    norm = math.sqrt(math.factorial(n1) * math.factorial(n2))
+    ket = matrix_power(modes.cre1, n1) @ (matrix_power(modes.cre2, n2) @ ket0) / norm
+    bra = (bra0 @ matrix_power(modes.ann1, n1)) @ matrix_power(modes.ann2, n2) / norm
+    return ket, bra
+
+
+def gram(modes, vacuum: tuple[np.ndarray, np.ndarray], q_cap: int) -> np.ndarray:
+    """Pairing matrix <<m1,m2|n1,n2>> for all occupations <= q_cap per mode."""
+    side = (q_cap + 1) ** 2
+    kets = np.empty((side, modes.space.dim), dtype=complex)
+    bras = np.empty((side, modes.space.dim), dtype=complex)
+    i = 0
+    for m1 in range(q_cap + 1):
+        for m2 in range(q_cap + 1):
+            kets[i], bras[i] = basis(modes, m1, m2, vacuum)
+            i += 1
+    return bras @ kets.T
+
+
+# ---------------------------------------------------------------------------
+# dynamics-facing factors and x(t), y(t)
+
+
+def heisenberg_rate(con: Construction, mode: int, kind: str, branch,
+                    params: PhysicalParams) -> complex:
+    """r in d/dt op = r op for a mixed operator at the decoupling angle of branch."""
+    b = normalize_branch(branch)
+    if kind not in ("ann", "cre"):
+        raise DomainError(f"kind must be 'ann' or 'cre', got {kind!r}")
+    if mode not in con.rates:
+        raise DomainError(f"mode must be 1 or 2, got {mode}")
+    w, lam_sign = con.rates[mode]
+    rate = w * 1j * params.omega + lam_sign * b * params.lam
+    return -rate if kind == "cre" else rate
+
+
+def heisenberg_factor(con: Construction, mode: int, kind: str, branch, t: float,
+                      params: PhysicalParams) -> complex:
+    """Scalar factor multiplying the t=0 mixed operator under Heisenberg evolution."""
+    return cmath.exp(heisenberg_rate(con, mode, kind, branch, params) * t)
+
+
+def xy_operators(con: Construction, branch, t: float, modes: MixedModes,
+                 params: PhysicalParams) -> tuple[np.ndarray, np.ndarray]:
+    """x(t), y(t) assembled from mixed matrices with closed-form scalar factors.
+
+    modes must be built at the decoupling angle of branch.  x carries the
+    damped exponents -lambda +- i omega, y the amplified ones; each pairs a
+    mode-1 operator with the mode-2 operator mixed from the other side.
+    """
+    b = normalize_branch(branch)
+    if _quarter_branch(con, modes.angle, 1e-12) != b:
+        raise DomainError(f"transform built at {con.angle_name}={modes.angle}, "
+                          f"expected {con.quarter(b)}")
+    second, partner = mode2_split(con, modes)
+    pref = math.sqrt(params.hbar / (2.0 * params.m * params.omega))
+    lam, omega = params.lam, params.omega
+    decay = cmath.exp(-lam * t)
+    grow = cmath.exp(lam * t)
+    spin = cmath.exp(1j * omega * t)
+    k = con.xy_phase
+    if b > 0:
+        x_t = pref * decay * (modes.cre1 * spin + k * second / spin)
+        y_t = pref * grow * (modes.ann1 / spin - k * partner * spin)
+    else:
+        x_t = pref * decay * (modes.ann1 / spin + k * partner * spin)
+        y_t = pref * grow * (modes.cre1 * spin - k * second / spin)
+    return x_t, y_t
+
+
+# ---------------------------------------------------------------------------
+# exact symbol route
+
+_HW = ExactScalar.unit(U_HW)
+_IHL = ExactScalar.unit(U_IHL)
+
+
+def plain_in_modes(con: Construction, branch) -> dict[str, LadderPoly]:
+    """Plain modes written in mixed-mode symbols at the decoupling angle, exactly.
+
+    b1 stands for the first mixed operator and b2 or b2+ for the second,
+    whichever it is; their partners are b1+ and the other of b2, b2+.
+    """
+    (r1, r2), (s1, s2) = con.substitution(normalize_branch(branch))
+    first, partner1 = LadderPoly.symbol(B1_ANN), LadderPoly.symbol(B1_CRE)
+    second = LadderPoly.symbol(B2_ANN if con.second_annihilates else B2_CRE)
+    partner2 = LadderPoly.symbol(B2_CRE if con.second_annihilates else B2_ANN)
+    return {
+        "a1": first * r1[0] + second * r1[1],
+        "a2_dag": first * r2[0] + second * r2[1],
+        "a1_dag": partner1 * s1[0] + partner2 * s1[1],
+        "a2": partner1 * s2[0] + partner2 * s2[1],
+    }
+
+
+def hamiltonian_formal(con: Construction, branch) -> LadderPoly:
+    """H on the mixed basis from the eigen map: hw*(p number form) + branch*ihl*(q number form)."""
+    b = normalize_branch(branch)
+    num1 = LadderPoly.word((B1_CRE, B1_ANN))
+    num2 = LadderPoly.word((B2_CRE, B2_ANN))
+    one = LadderPoly.one()
+    return (_affine(con.p_map, num1, num2, one) * _HW
+            + _affine(con.q_map, num1, num2, one) * (_IHL * b))
+
+
+def hamiltonian_from_plain(con: Construction, branch) -> LadderPoly:
+    """H0 + H1 with the plain modes substituted by mixed symbols, normal ordered.
+
+    Equality with hamiltonian_formal is the exact operator-level
+    diagonalization statement; it is asserted in the verification suite, not
+    assumed here.
+    """
+    ops = plain_in_modes(con, branch)
+    h0 = (ops["a1_dag"] * ops["a1"] - ops["a2_dag"] * ops["a2"]) * _HW
+    h1 = (ops["a1"] * ops["a2"] - ops["a1_dag"] * ops["a2_dag"]) * _IHL
+    return (h0 + h1).normal_order()

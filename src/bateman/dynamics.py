@@ -13,12 +13,14 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
+from .construction import Construction, Eigen, eigenvalue, normalize_branch
 from .errors import DomainError
-from .ft import ft_eigenvalue, normalize_branch
-from .imagscale import is_eigenvalue
+from .ft import FT
+from .imagscale import IS
 from .params import PhysicalParams
 
 __all__ = [
+    "CONSTRUCTIONS",
     "StabilityClass",
     "StateEvolution",
     "eigen_record",
@@ -37,25 +39,20 @@ class StabilityClass(str, Enum):
     STABLE = "stable"
 
 
-def _normalize_approach(approach: str) -> str:
-    key = str(approach).lower()
-    if key not in ("ft", "is"):
+CONSTRUCTIONS: dict[str, Construction] = {"ft": FT, "is": IS}
+
+
+def eigen_record(approach: str, branch, n1: int, n2: int) -> Eigen:
+    """Eigenvalue record of either construction, by name."""
+    if approach not in CONSTRUCTIONS:
         raise DomainError(f"approach must be 'ft' or 'is', got {approach!r}")
-    return key
+    return eigenvalue(CONSTRUCTIONS[approach], n1, n2, branch)
 
 
-def eigen_record(approach: str, branch, n1: int, n2: int):
-    """Typed eigenvalue record for either construction."""
-    if _normalize_approach(approach) == "ft":
-        return ft_eigenvalue(n1, n2, branch)
-    return is_eigenvalue(n1, n2, branch)
-
-
-def classify(approach: str, branch, n1: int, n2: int, params: PhysicalParams | None = None) -> StabilityClass:
+def classify(approach: str, branch, n1: int, n2: int) -> StabilityClass:
     """Growth/decay/stability from the sign of the imaginary integer coefficient.
 
-    params is accepted for interface symmetry; validated parameter sets always
-    have lambda > 0, so the sign of q alone decides.
+    Validated parameter sets always have lambda > 0, so the sign of q alone decides.
     """
     q = eigen_record(approach, branch, n1, n2).q
     if q == 0:
@@ -82,7 +79,7 @@ class StateEvolution:
         record = eigen_record(approach, branch, n1, n2)
         ev = record.as_complex(params)
         return StateEvolution(
-            approach=_normalize_approach(approach),
+            approach=approach,
             branch=normalize_branch(branch),
             n1=n1,
             n2=n2,
@@ -90,7 +87,7 @@ class StateEvolution:
             hbar=params.hbar,
             amplitude_rate=ev.imag / params.hbar,
             phase_rate=-ev.real / params.hbar,
-            stability=classify(approach, branch, n1, n2, params),
+            stability=classify(approach, branch, n1, n2),
         )
 
     def factor(self, t: float) -> complex:

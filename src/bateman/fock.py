@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import IO, Iterator
+from typing import Iterator
 
 import numpy as np
 import scipy.linalg
@@ -31,7 +31,6 @@ __all__ = [
     "windowed_deviation",
     "matrix_exp",
     "position_operators",
-    "export_matrix_csv",
 ]
 
 #: default truncation for verification runs; unit tests mostly use 8
@@ -182,17 +181,3 @@ def position_operators(ladder: LadderSet, params: PhysicalParams) -> tuple[np.nd
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     return inv_sqrt2 * (x1 + x2), inv_sqrt2 * (x1 - x2)
 
-
-def export_matrix_csv(matrix: np.ndarray, stream: IO[str]) -> int:
-    """Write nonzero entries as (row, col, re, im) lines; returns the row count.
-
-    Debugging aid, not a stability contract.
-    """
-    stream.write("row,col,re,im\n")
-    count = 0
-    rows, cols = np.nonzero(matrix)
-    for r, c in zip(rows.tolist(), cols.tolist()):
-        v = matrix[r, c]
-        stream.write(f"{r},{c},{v.real!r},{v.imag!r}\n")
-        count += 1
-    return count

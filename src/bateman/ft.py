@@ -1,62 +1,41 @@
-"""Pseudo-Bogoliubov construction for the damped/amplified oscillator pair.
+"""Rotation route: the pseudo-Bogoliubov construction FT.
 
 The rotation generator X = a1 a2 + a1+ a2+ mixes a1 with a2+.  At the
-rotation angles +-pi/4 the interaction part of H becomes proportional to the
-total bar-mode number operator, so the full H is diagonal on the bar basis
-with complex eigenvalues hbar*omega*(n1-n2) +- i*hbar*lambda*(n1+n2+1).
+rotation angles theta = +-pi/4 the interaction part of H becomes proportional
+to the total bar-mode number operator, so the full H is diagonal on the bar
+basis with complex eigenvalues hbar*omega*(n1-n2) +- i*hbar*lambda*(n1+n2+1).
 
-Two independent routes are implemented throughout: exact symbol algebra on
-abstract bar modes (no truncation, no floats) and dense truncated matrices.
-Neither route knows about the other's results.
+`FT` holds the route's data for the generic machinery in `construction`
+(eigenvalues, bar matrices, basis and Gram, Heisenberg factors, x(t), y(t),
+the exact substitution).  What only this route has lives here: the
+similarity check against e^{theta X}, the geometric vacuum series, and the
+standard norms of the bar basis with their divergence at |Theta| = pi/2.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from numpy.linalg import matrix_power
 
-from .algebra import (
-    B1_ANN,
-    B1_CRE,
-    B2_ANN,
-    B2_CRE,
-    ExactScalar,
-    LadderPoly,
-    U_HW,
-    U_IHL,
-)
+from .algebra import B1_ANN, B1_CRE, B2_ANN, B2_CRE, ExactScalar, LadderPoly
+from .construction import Construction, MixedModes
 from .errors import DomainError, FitError, NumericalError, SeriesDivergence
-from .fock import FockSpace, LadderSet, interior_deviation, matrix_exp, windowed_deviation
+from .fock import FockSpace, LadderSet, matrix_exp, windowed_deviation
 from .params import PhysicalParams
 
 __all__ = [
-    "FtTransform",
-    "FtEigen",
-    "FtIdentityReport",
-    "ft_transform",
+    "FT",
     "generator_matrix",
     "similarity_deviation",
-    "h1_in_bar",
-    "ft_eigenvalue",
     "ft_vacuum_series",
-    "ft_basis",
     "ft_basis_similarity",
-    "ft_gram",
     "ft_norm_closed_forms",
     "ft_standard_norm",
     "ft_norm_exponent_fit",
-    "ft_heisenberg_factor",
-    "ft_xy_operators",
     "ft_generator_poly",
-    "ft_plain_in_bars",
-    "ft_hamiltonian_formal",
-    "ft_hamiltonian_from_plain",
-    "normalize_branch",
     "FIT_THETA_GRID",
     "TREND_THETA_GRID",
 ]
@@ -69,50 +48,49 @@ FIT_THETA_GRID = tuple(math.pi / 2 - 10.0 ** (-j) for j in (1, 2, 3))
 TREND_THETA_GRID = tuple(math.pi / 2 - 10.0 ** (-j) for j in (1, 2, 3, 4))
 
 
-def normalize_branch(branch) -> int:
-    if branch in (1, +1, "+", "plus"):
-        return 1
-    if branch in (-1, "-", "minus"):
-        return -1
-    raise DomainError(f"branch must be one of +1, -1, '+', '-', got {branch!r}")
+# ---------------------------------------------------------------------------
+# the construction
+
+
+def _rotation(theta: complex):
+    """(bar_ann1, bar_cre2) = [[c, -s], [s, c]] (a1, a2+);
+    (bar_cre1, bar_ann2) = [[c, s], [-s, c]] (a1+, a2)."""
+    c, s = cmath.cos(theta), cmath.sin(theta)
+    return ((c, -s), (s, c)), ((c, s), (-s, c))
+
+
+def _rotation_h1(bar: MixedModes, q_form: np.ndarray, params: PhysicalParams) -> np.ndarray:
+    """H1 = i hbar lambda [cos 2theta (b1 b2 - b1+ b2+) + sin 2theta (N1 + N2 + 1)]."""
+    c2, s2 = cmath.cos(2 * bar.angle), cmath.sin(2 * bar.angle)
+    return (1j * params.hbar * params.lam) * (
+        c2 * (bar.ann1 @ bar.ann2 - bar.cre1 @ bar.cre2) + s2 * q_form
+    )
+
+
+def _rotation_at_quarter(branch: int):
+    """Inverse rotation at theta = branch*pi/4: cos = sqrt2/2, sin = branch*sqrt2/2."""
+    c = ExactScalar.surd(Fraction(1, 2), 2)
+    s = c * branch
+    return ((c, s), (-s, c)), ((c, -s), (s, c))
+
+
+FT = Construction(
+    angle_name="theta",
+    imaginary_angle=False,
+    mixing=_rotation,
+    second_annihilates=False,
+    p_map=(1, -1, 0),
+    q_map=(1, 1, 1),
+    rates={1: (-1, 1), 2: (1, 1)},
+    quarter=lambda branch: branch * math.pi / 4,
+    h1_mixed=_rotation_h1,
+    substitution=_rotation_at_quarter,
+    xy_phase=1,
+)
 
 
 # ---------------------------------------------------------------------------
-# truncated-matrix route
-
-
-@dataclass(frozen=True)
-class FtTransform:
-    """Bar-mode matrices at a fixed rotation parameter theta."""
-
-    theta: complex
-    coeff: np.ndarray        # 2x2: (bar_ann1, bar_cre2) = coeff @ (a1, a2+)
-    ann1: np.ndarray
-    cre1: np.ndarray
-    ann2: np.ndarray
-    cre2: np.ndarray
-    ladder: LadderSet
-
-    @property
-    def space(self) -> FockSpace:
-        return self.ladder.space
-
-
-def ft_transform(theta: complex, ladder: LadderSet) -> FtTransform:
-    theta = complex(theta)
-    if not (math.isfinite(theta.real) and math.isfinite(theta.imag)):
-        raise DomainError(f"theta must be finite, got {theta}")
-    c, s = cmath.cos(theta), cmath.sin(theta)
-    a1, a1d, a2, a2d = ladder.a1, ladder.a1_dag, ladder.a2, ladder.a2_dag
-    return FtTransform(
-        theta=theta,
-        coeff=np.array([[c, -s], [s, c]], dtype=complex),
-        ann1=c * a1 - s * a2d,
-        cre2=s * a1 + c * a2d,
-        cre1=c * a1d + s * a2,
-        ann2=-s * a1d + c * a2,
-        ladder=ladder,
-    )
+# the generator and its similarity action
 
 
 def generator_matrix(ladder: LadderSet) -> np.ndarray:
@@ -120,7 +98,7 @@ def generator_matrix(ladder: LadderSet) -> np.ndarray:
     return ladder.a1 @ ladder.a2 + ladder.a1_dag @ ladder.a2_dag
 
 
-def similarity_deviation(ft: FtTransform, window: int = 6) -> float:
+def similarity_deviation(bar: MixedModes, window: int = 6) -> float:
     """Max low-occupation gap between e^{theta X} a e^{-theta X} and the linear combinations.
 
     Compared on the n1+n2 <= window block only: the truncated e^{theta X}
@@ -129,97 +107,18 @@ def similarity_deviation(ft: FtTransform, window: int = 6) -> float:
     stay several spreading lengths below n_max (machine precision at
     |theta| <= 0.3 with window 6 by n_max = 24).
     """
-    x = generator_matrix(ft.ladder)
-    u = matrix_exp(ft.theta * x)
-    u_inv = matrix_exp(-ft.theta * x)
+    x = generator_matrix(bar.ladder)
+    u = matrix_exp(bar.angle * x)
+    u_inv = matrix_exp(-bar.angle * x)
     pairs = [
-        (ft.ann1, ft.ladder.a1),
-        (ft.cre1, ft.ladder.a1_dag),
-        (ft.ann2, ft.ladder.a2),
-        (ft.cre2, ft.ladder.a2_dag),
+        (bar.ann1, bar.ladder.a1),
+        (bar.cre1, bar.ladder.a1_dag),
+        (bar.ann2, bar.ladder.a2),
+        (bar.cre2, bar.ladder.a2_dag),
     ]
     return max(
-        windowed_deviation(u @ plain @ u_inv, bar, ft.space, window) for bar, plain in pairs
+        windowed_deviation(u @ plain @ u_inv, mixed, bar.space, window) for mixed, plain in pairs
     )
-
-
-@dataclass(frozen=True)
-class FtIdentityReport:
-    """Interior deviations of H0/H1 from their bar-operator expressions."""
-
-    theta: complex
-    n_max: int
-    margin: int
-    h0_deviation: float
-    h1_deviation: float
-    reduced_deviation: float | None  # against the pure number-operator form; +-pi/4 only
-
-
-def h1_in_bar(ft: FtTransform, params: PhysicalParams, margin: int = 2) -> FtIdentityReport:
-    """Check H0 and H1 against their expressions in bar operators.
-
-    The general-theta H1 expression carries cos(2 theta) and sin(2 theta)
-    terms; at theta = +-pi/4 only the number-operator part survives.
-    """
-    space = ft.space
-    lad = ft.ladder
-    hbar, omega, lam = params.hbar, params.omega, params.lam
-    eye = np.eye(space.dim, dtype=complex)
-
-    h0 = hbar * omega * (lad.a1_dag @ lad.a1 - lad.a2_dag @ lad.a2)
-    h1 = 1j * hbar * lam * (lad.a1 @ lad.a2 - lad.a1_dag @ lad.a2_dag)
-
-    n1b = ft.cre1 @ ft.ann1
-    n2b = ft.cre2 @ ft.ann2
-    h0_bar = hbar * omega * (n1b - n2b)
-
-    c2, s2 = cmath.cos(2 * ft.theta), cmath.sin(2 * ft.theta)
-    h1_bar = (1j * hbar * lam) * (
-        c2 * (ft.ann1 @ ft.ann2 - ft.cre1 @ ft.cre2) + s2 * (n1b + n2b + eye)
-    )
-
-    reduced = None
-    if abs(c2) < 1e-9:
-        sign = 1 if s2.real > 0 else -1
-        h1_red = sign * 1j * hbar * lam * (n1b + n2b + eye)
-        reduced = interior_deviation(h1, h1_red, space, margin)
-
-    return FtIdentityReport(
-        theta=ft.theta,
-        n_max=space.n_max,
-        margin=margin,
-        h0_deviation=interior_deviation(h0, h0_bar, space, margin),
-        h1_deviation=interior_deviation(h1, h1_bar, space, margin),
-        reduced_deviation=reduced,
-    )
-
-
-# ---------------------------------------------------------------------------
-# eigenvalues
-
-
-@dataclass(frozen=True)
-class FtEigen:
-    """Eigenvalue record: value = p*hbar*omega + q*i*hbar*lambda."""
-
-    n1: int
-    n2: int
-    branch: int
-    p: int
-    q: int
-
-    def exact(self) -> ExactScalar:
-        return ExactScalar.unit(U_HW, self.p) + ExactScalar.unit(U_IHL, self.q)
-
-    def as_complex(self, params: PhysicalParams) -> complex:
-        return self.p * params.hbar * params.omega + 1j * self.q * params.hbar * params.lam
-
-
-def ft_eigenvalue(n1: int, n2: int, branch) -> FtEigen:
-    if n1 < 0 or n2 < 0:
-        raise DomainError(f"occupation numbers must be >= 0, got ({n1}, {n2})")
-    b = normalize_branch(branch)
-    return FtEigen(n1=n1, n2=n2, branch=b, p=n1 - n2, q=b * (n1 + n2 + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -251,51 +150,14 @@ def ft_vacuum_series(theta: complex, space: FockSpace) -> tuple[np.ndarray, np.n
     return ket, bra
 
 
-def ft_basis(
-    ft: FtTransform,
-    n1: int,
-    n2: int,
-    vacuum: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Biorthogonal pair: ket = cre1^n1 cre2^n2 |vac>> / sqrt(n1! n2!), bra analog.
-
-    The bra is a plain row vector; pairings are bra @ ket with no conjugation.
-    """
-    if n1 < 0 or n2 < 0:
-        raise DomainError(f"occupation numbers must be >= 0, got ({n1}, {n2})")
-    if vacuum is None:
-        vacuum = ft_vacuum_series(ft.theta, ft.space)
-    ket0, bra0 = vacuum
-    norm = math.sqrt(math.factorial(n1) * math.factorial(n2))
-    ket = matrix_power(ft.cre1, n1) @ (matrix_power(ft.cre2, n2) @ ket0) / norm
-    bra = (bra0 @ matrix_power(ft.ann1, n1)) @ matrix_power(ft.ann2, n2) / norm
+def ft_basis_similarity(bar: MixedModes, n1: int, n2: int) -> tuple[np.ndarray, np.ndarray]:
+    """The bar basis pair built as e^{theta X}|n1,n2> and <n1,n2|e^{-theta X}."""
+    x = generator_matrix(bar.ladder)
+    unit = np.zeros(bar.space.dim, dtype=complex)
+    unit[bar.space.index(n1, n2)] = 1.0
+    ket = matrix_exp(bar.angle * x) @ unit
+    bra = unit @ matrix_exp(-bar.angle * x)
     return ket, bra
-
-
-def ft_basis_similarity(ft: FtTransform, n1: int, n2: int) -> tuple[np.ndarray, np.ndarray]:
-    """Same pair built as e^{theta X}|n1,n2> and <n1,n2|e^{-theta X}."""
-    x = generator_matrix(ft.ladder)
-    unit = np.zeros(ft.space.dim, dtype=complex)
-    unit[ft.space.index(n1, n2)] = 1.0
-    ket = matrix_exp(ft.theta * x) @ unit
-    bra = unit @ matrix_exp(-ft.theta * x)
-    return ket, bra
-
-
-def ft_gram(ft: FtTransform, q_cap: int) -> np.ndarray:
-    """Pairing matrix <<m1,m2|n1,n2>> for all occupations <= q_cap per mode."""
-    vacuum = ft_vacuum_series(ft.theta, ft.space)
-    side = (q_cap + 1) ** 2
-    kets = np.empty((side, ft.space.dim), dtype=complex)
-    bras = np.empty((side, ft.space.dim), dtype=complex)
-    i = 0
-    for m1 in range(q_cap + 1):
-        for m2 in range(q_cap + 1):
-            ket, bra = ft_basis(ft, m1, m2, vacuum=vacuum)
-            kets[i] = ket
-            bras[i] = bra
-            i += 1
-    return bras @ kets.T
 
 
 # ---------------------------------------------------------------------------
@@ -408,103 +270,9 @@ def ft_norm_exponent_fit(thetas, n1: int, n2: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# dynamics-facing scalar factors and x(t), y(t)
-
-
-def ft_heisenberg_factor(mode: int, kind: str, branch, t: float, params: PhysicalParams) -> complex:
-    """Scalar factor multiplying the t=0 bar operator under Heisenberg evolution."""
-    b = normalize_branch(branch)
-    if kind not in ("ann", "cre"):
-        raise DomainError(f"kind must be 'ann' or 'cre', got {kind!r}")
-    if mode == 1:
-        rate = -1j * params.omega + b * params.lam
-    elif mode == 2:
-        rate = 1j * params.omega + b * params.lam
-    else:
-        raise DomainError(f"mode must be 1 or 2, got {mode}")
-    if kind == "cre":
-        rate = -rate
-    return cmath.exp(rate * t)
-
-
-def ft_xy_operators(
-    sign: int, t: float, ft: FtTransform, params: PhysicalParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """x(t), y(t) assembled from bar matrices with closed-form scalar factors.
-
-    sign selects the rotation branch theta = sign*pi/4 and must match the
-    supplied transform.  x carries the damped exponents -lambda +- i omega,
-    y the amplified ones.
-    """
-    sign = normalize_branch(sign)
-    if abs(ft.theta - sign * math.pi / 4) > 1e-12:
-        raise DomainError(
-            f"transform built at theta={ft.theta}, expected {sign * math.pi / 4:+.12g}"
-        )
-    pref = math.sqrt(params.hbar / (2.0 * params.m * params.omega))
-    lam, omega = params.lam, params.omega
-    decay = cmath.exp(-lam * t)
-    grow = cmath.exp(lam * t)
-    spin = cmath.exp(1j * omega * t)
-    if sign > 0:
-        x_t = pref * decay * (ft.cre1 * spin + ft.cre2 / spin)
-        y_t = pref * grow * (ft.ann1 / spin - ft.ann2 * spin)
-    else:
-        x_t = pref * decay * (ft.ann1 / spin + ft.ann2 * spin)
-        y_t = pref * grow * (ft.cre1 * spin - ft.cre2 / spin)
-    return x_t, y_t
-
-
-# ---------------------------------------------------------------------------
 # exact symbol route
-
-_HW = ExactScalar.unit(U_HW)
-_IHL = ExactScalar.unit(U_IHL)
-_HALF_SQRT2 = ExactScalar.surd(Fraction(1, 2), 2)
 
 
 def ft_generator_poly() -> LadderPoly:
     """X = b1 b2 + b1+ b2+ as an exact polynomial."""
     return LadderPoly.word((B1_ANN, B2_ANN)) + LadderPoly.word((B1_CRE, B2_CRE))
-
-
-def ft_plain_in_bars(branch) -> dict[str, LadderPoly]:
-    """Plain modes written in bar symbols at theta = branch*pi/4, exactly.
-
-    The b symbols stand for the bar modes here; the substitution inverts the
-    rotation with cos = sqrt2/2, sin = branch*sqrt2/2.
-    """
-    b = normalize_branch(branch)
-    c = _HALF_SQRT2
-    s = _HALF_SQRT2 * b
-    b1 = LadderPoly.symbol(B1_ANN)
-    b2 = LadderPoly.symbol(B2_ANN)
-    b1d = LadderPoly.symbol(B1_CRE)
-    b2d = LadderPoly.symbol(B2_CRE)
-    return {
-        "a1": b1 * c + b2d * s,
-        "a2_dag": b1 * (-s) + b2d * c,
-        "a1_dag": b1d * c + b2 * (-s),
-        "a2": b1d * s + b2 * c,
-    }
-
-
-def ft_hamiltonian_formal(branch) -> LadderPoly:
-    """H on the bar basis: hw*(N1 - N2) + branch*ihl*(N1 + N2 + 1)."""
-    b = normalize_branch(branch)
-    num1 = LadderPoly.word((B1_CRE, B1_ANN))
-    num2 = LadderPoly.word((B2_CRE, B2_ANN))
-    return (num1 - num2) * _HW + (num1 + num2 + LadderPoly.one()) * (_IHL * b)
-
-
-def ft_hamiltonian_from_plain(branch) -> LadderPoly:
-    """H0 + H1 with the plain modes substituted by bar symbols, normal ordered.
-
-    Equality with ft_hamiltonian_formal is the exact operator-level
-    diagonalization statement; it is asserted in the verification suite, not
-    assumed here.
-    """
-    ops = ft_plain_in_bars(branch)
-    h0 = (ops["a1_dag"] * ops["a1"] - ops["a2_dag"] * ops["a2"]) * _HW
-    h1 = (ops["a1"] * ops["a2"] - ops["a1_dag"] * ops["a2_dag"]) * _IHL
-    return (h0 + h1).normal_order()

@@ -1,10 +1,15 @@
-"""Imaginary-scaling construction: mode 2 is traded for its creator.
+"""Imaginary-scale route: the construction IS, mode 2 traded for its creator.
 
 A squeeze-type generator Y acting on mode 2 alone realizes, at parameter
 pi/2, the replacement a2 -> -i a2+, a2+ -> -i a2.  Composing with a
 hyperbolic mixing of (a1, a2+) at chi = +-i pi/4 yields check modes on which
 H becomes hbar*omega*(n1+n2+1) +- i*hbar*lambda*(n1-n2): real part bounded
 below by hbar*omega, imaginary part zero exactly on the diagonal n1 = n2.
+
+`IS` holds the route's data for the generic machinery in `construction`.
+What only this route has lives here: the generators Y and Z with the tilde
+and chi similarity checks, the SVD nullspace vacuum, the bounded frame
+`IsCheckRep`, and the symbolic x(t), y(t) conjugation.
 
 Two matrix realizations coexist on purpose.  In the original frame the
 check modes mix a1 with a2+, so the truncated joint nullspace of the two
@@ -30,53 +35,73 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from numpy.linalg import matrix_power
 
-from .algebra import (
-    B1_ANN,
-    B1_CRE,
-    B2_ANN,
-    B2_CRE,
-    CQ,
-    ExactScalar,
-    LadderPoly,
-    U_HW,
-    U_IHL,
-)
-from .errors import DomainError, HeadroomError, NullspaceError
-from .fock import FockSpace, LadderSet, interior_deviation, matrix_exp, windowed_deviation
-from .ft import normalize_branch
+from .algebra import B1_ANN, B1_CRE, B2_ANN, B2_CRE, CQ, ExactScalar, LadderPoly
+from .construction import Construction, MixedModes, normalize_branch, transform, valid_angle
+from .errors import DomainError, NullspaceError
+from .fock import FockSpace, LadderSet, matrix_exp, windowed_deviation
 from .params import PhysicalParams
 
 __all__ = [
-    "IsTransform",
+    "IS",
     "IsCheckRep",
-    "IsEigen",
-    "IsIdentityReport",
     "generator_y_matrix",
     "generator_z_matrix",
     "tilde_pair",
     "tilde_similarity_deviation",
     "chi_similarity_deviation",
-    "is_transform",
     "is_check_rep",
-    "h_in_check",
-    "is_eigenvalue",
     "is_vacuum",
     "is_check_vacuum",
-    "is_basis",
-    "is_gram",
-    "is_heisenberg_factor",
-    "is_xy_operators",
-    "is_plain_in_checks",
-    "is_hamiltonian_formal",
-    "is_hamiltonian_from_plain",
     "is_xy_symbolic",
     "conjugate_xy_terms",
 ]
 
 #: singular values below this fraction of the largest count as zero
 NULLSPACE_RTOL = 1e-10
+
+_I = CQ(Fraction(0), Fraction(1))
+
+
+# ---------------------------------------------------------------------------
+# the construction
+
+
+def _scale(chi: complex):
+    """(check_ann1, check_ann2) = [[ch, i sh], [-sh, -i ch]] (a1, a2+);
+    (check_cre1, check_cre2) = [[ch, -i sh], [sh, -i ch]] (a1+, a2)."""
+    ch, sh = cmath.cosh(chi), cmath.sinh(chi)
+    return ((ch, 1j * sh), (-sh, -1j * ch)), ((ch, -1j * sh), (sh, -1j * ch))
+
+
+def _scale_h1(check: MixedModes, q_form: np.ndarray, params: PhysicalParams) -> np.ndarray:
+    """H1 = hbar lambda [cosh 2chi (c1+ c2 - c2+ c1) + sinh 2chi (N1 - N2)]."""
+    c2, s2 = cmath.cosh(2 * check.angle), cmath.sinh(2 * check.angle)
+    return params.hbar * params.lam * (
+        c2 * (check.cre1 @ check.ann2 - check.cre2 @ check.ann1) + s2 * q_form
+    )
+
+
+def _scale_at_quarter(branch: int):
+    """Inverse mixing at chi = branch*i*pi/4: cosh = sqrt2/2, sinh = branch*i*sqrt2/2."""
+    c = ExactScalar.surd(Fraction(1, 2), 2)
+    i_c = ExactScalar.surd(_I * Fraction(1, 2), 2)
+    return ((c, i_c * branch), (c * (-branch), i_c)), ((c, -(i_c * branch)), (c * branch, i_c))
+
+
+IS = Construction(
+    angle_name="chi",
+    imaginary_angle=True,
+    mixing=_scale,
+    second_annihilates=True,
+    p_map=(1, 1, 1),
+    q_map=(1, -1, 0),
+    rates={1: (-1, 1), 2: (-1, -1)},
+    quarter=lambda branch: branch * 1j * math.pi / 4,
+    h1_mixed=_scale_h1,
+    substitution=_scale_at_quarter,
+    xy_phase=1j,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -136,137 +161,17 @@ def chi_similarity_deviation(chi: complex, ladder: LadderSet, window: int = 6) -
     z = generator_z_matrix(ladder)
     u = matrix_exp(chi * z)
     u_inv = matrix_exp(-chi * z)
-    ann1, cre1, ann2, cre2 = _check_matrices(chi, ladder)
+    check = transform(IS, chi, ladder)
     tilde = [
-        (ladder.a1, ann1),
-        (ladder.a1_dag, cre1),
-        (-1j * ladder.a2_dag, ann2),
-        (-1j * ladder.a2, cre2),
+        (ladder.a1, check.ann1),
+        (ladder.a1_dag, check.cre1),
+        (-1j * ladder.a2_dag, check.ann2),
+        (-1j * ladder.a2, check.cre2),
     ]
     return max(
         windowed_deviation(u @ plain @ u_inv, closed, ladder.space, window)
         for plain, closed in tilde
     )
-
-
-# ---------------------------------------------------------------------------
-# check transform
-
-
-@dataclass(frozen=True)
-class IsTransform:
-    """Check-mode matrices at fixed phi = pi/2 and hyperbolic parameter chi."""
-
-    phi: float
-    chi: complex
-    ann1: np.ndarray
-    cre1: np.ndarray
-    ann2: np.ndarray
-    cre2: np.ndarray
-    ladder: LadderSet
-
-    @property
-    def space(self) -> FockSpace:
-        return self.ladder.space
-
-
-def _check_matrices(chi: complex, ladder: LadderSet):
-    ch, sh = cmath.cosh(chi), cmath.sinh(chi)
-    a1, a1d, a2, a2d = ladder.a1, ladder.a1_dag, ladder.a2, ladder.a2_dag
-    ann1 = ch * a1 + 1j * sh * a2d
-    ann2 = -sh * a1 - 1j * ch * a2d
-    cre1 = ch * a1d - 1j * sh * a2
-    cre2 = sh * a1d - 1j * ch * a2
-    return ann1, cre1, ann2, cre2
-
-
-def is_transform(chi: complex, ladder: LadderSet) -> IsTransform:
-    """Headline transform; chi must be purely imaginary (generic chi is only
-    accepted by the identity-check routine)."""
-    chi = complex(chi)
-    if not (math.isfinite(chi.real) and math.isfinite(chi.imag)):
-        raise DomainError(f"chi must be finite, got {chi}")
-    if abs(chi.real) > 1e-12:
-        raise DomainError(f"chi must be purely imaginary, got {chi}")
-    ann1, cre1, ann2, cre2 = _check_matrices(chi, ladder)
-    return IsTransform(
-        phi=math.pi / 2, chi=chi, ann1=ann1, cre1=cre1, ann2=ann2, cre2=cre2, ladder=ladder
-    )
-
-
-@dataclass(frozen=True)
-class IsIdentityReport:
-    """Interior deviations of H0/H1 from their check-operator expressions."""
-
-    chi: complex
-    n_max: int
-    margin: int
-    h0_deviation: float
-    h1_deviation: float
-    reduced_deviation: float | None  # pure number-operator form; chi = +-i pi/4 only
-
-
-def h_in_check(
-    chi: complex, ladder: LadderSet, params: PhysicalParams, margin: int = 2
-) -> IsIdentityReport:
-    """Check H0 and H1 against their check-operator expressions; any complex chi."""
-    ann1, cre1, ann2, cre2 = _check_matrices(chi, ladder)
-    space = ladder.space
-    hbar, omega, lam = params.hbar, params.omega, params.lam
-    eye = np.eye(space.dim, dtype=complex)
-
-    h0 = hbar * omega * (ladder.a1_dag @ ladder.a1 - ladder.a2_dag @ ladder.a2)
-    h1 = 1j * hbar * lam * (ladder.a1 @ ladder.a2 - ladder.a1_dag @ ladder.a2_dag)
-
-    n1c = cre1 @ ann1
-    n2c = cre2 @ ann2
-    h0_check = hbar * omega * (n1c + n2c + eye)
-
-    c2, s2 = cmath.cosh(2 * chi), cmath.sinh(2 * chi)
-    h1_check = hbar * lam * (c2 * (cre1 @ ann2 - cre2 @ ann1) + s2 * (n1c - n2c))
-
-    reduced = None
-    if abs(c2) < 1e-9:
-        sign = 1 if (s2 / 1j).real > 0 else -1
-        h1_red = sign * 1j * hbar * lam * (n1c - n2c)
-        reduced = interior_deviation(h1, h1_red, space, margin)
-
-    return IsIdentityReport(
-        chi=chi,
-        n_max=space.n_max,
-        margin=margin,
-        h0_deviation=interior_deviation(h0, h0_check, space, margin),
-        h1_deviation=interior_deviation(h1, h1_check, space, margin),
-        reduced_deviation=reduced,
-    )
-
-
-# ---------------------------------------------------------------------------
-# eigenvalues
-
-
-@dataclass(frozen=True)
-class IsEigen:
-    """Eigenvalue record: value = p*hbar*omega + q*i*hbar*lambda, p >= 1."""
-
-    n1: int
-    n2: int
-    branch: int
-    p: int
-    q: int
-
-    def exact(self) -> ExactScalar:
-        return ExactScalar.unit(U_HW, self.p) + ExactScalar.unit(U_IHL, self.q)
-
-    def as_complex(self, params: PhysicalParams) -> complex:
-        return self.p * params.hbar * params.omega + 1j * self.q * params.hbar * params.lam
-
-
-def is_eigenvalue(n1: int, n2: int, branch) -> IsEigen:
-    if n1 < 0 or n2 < 0:
-        raise DomainError(f"occupation numbers must be >= 0, got ({n1}, {n2})")
-    b = normalize_branch(branch)
-    return IsEigen(n1=n1, n2=n2, branch=b, p=n1 + n2 + 1, q=b * (n1 - n2))
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +192,7 @@ class IsCheckRep:
     H non-normal with complex eigenvalues p*hbar*omega + i q*hbar*lambda.
     """
 
-    chi: complex
+    angle: complex
     ladder: LadderSet
     ann1: np.ndarray
     cre1: np.ndarray
@@ -302,14 +207,15 @@ class IsCheckRep:
     def space(self) -> FockSpace:
         return self.ladder.space
 
+    @property
+    def headroom(self) -> int:
+        """Largest n1+n2 whose basis vectors and H elements stay clear of the boundary."""
+        return self.space.n_max - 2
+
 
 def is_check_rep(chi: complex, ladder: LadderSet, params: PhysicalParams) -> IsCheckRep:
     """Bounded-frame realization at purely imaginary chi."""
-    chi = complex(chi)
-    if not (math.isfinite(chi.real) and math.isfinite(chi.imag)):
-        raise DomainError(f"chi must be finite, got {chi}")
-    if abs(chi.real) > 1e-12:
-        raise DomainError(f"chi must be purely imaginary, got {chi}")
+    chi = valid_angle(IS, chi)
     ch, sh = cmath.cosh(chi), cmath.sinh(chi)
     b1, b1d = ladder.a1, ladder.a1_dag
     b2, b2d = ladder.a2, ladder.a2_dag
@@ -317,7 +223,7 @@ def is_check_rep(chi: complex, ladder: LadderSet, params: PhysicalParams) -> IsC
     h0 = hbar * omega * (b1d @ b1 + b2 @ b2d)
     h1 = -hbar * lam * (b1 @ b2d - b1d @ b2)
     return IsCheckRep(
-        chi=chi,
+        angle=chi,
         ladder=ladder,
         ann1=ch * b1 - sh * b2,
         cre1=ch * b1d + sh * b2d,
@@ -331,10 +237,10 @@ def is_check_rep(chi: complex, ladder: LadderSet, params: PhysicalParams) -> IsC
 
 
 # ---------------------------------------------------------------------------
-# vacuum and basis
+# nullspace vacuum
 
 
-def _joint_null_vector(stacked: np.ndarray, label: str, n_max: int, chi: complex) -> np.ndarray:
+def _joint_null_vector(stacked: np.ndarray, label: str, frame) -> np.ndarray:
     """Unique right-nullspace vector of a stacked operator pair, via SVD."""
     _, sigma, vh = np.linalg.svd(stacked)
     cutoff = NULLSPACE_RTOL * sigma[0]
@@ -342,22 +248,16 @@ def _joint_null_vector(stacked: np.ndarray, label: str, n_max: int, chi: complex
     if null_count != 1:
         raise NullspaceError(
             f"{label} nullspace dimension {null_count}, expected 1 "
-            f"(n_max={n_max}, chi={chi})"
+            f"(n_max={frame.space.n_max}, chi={frame.angle})"
         )
     return vh[-1].conj()
 
 
-def _vacuum_pair(
-    ann1: np.ndarray,
-    ann2: np.ndarray,
-    cre1: np.ndarray,
-    cre2: np.ndarray,
-    n_max: int,
-    chi: complex,
-) -> tuple[np.ndarray, np.ndarray]:
+def _vacuum_pair(frame) -> tuple[np.ndarray, np.ndarray]:
     """Nullspace vacuum pair normalized so bra @ ket = 1, dominant ket entry positive."""
-    ket = _joint_null_vector(np.vstack([ann1, ann2]), "check annihilator", n_max, chi)
-    bra = _joint_null_vector(np.vstack([cre1.T, cre2.T]), "check creator (left)", n_max, chi)
+    ket = _joint_null_vector(np.vstack([frame.ann1, frame.ann2]), "check annihilator", frame)
+    bra = _joint_null_vector(np.vstack([frame.cre1.T, frame.cre2.T]), "check creator (left)",
+                             frame)
     lead = np.argmax(np.abs(ket))
     ket = ket * (abs(ket[lead]) / ket[lead])
     pairing = bra @ ket
@@ -367,7 +267,7 @@ def _vacuum_pair(
     return ket, bra
 
 
-def is_vacuum(ist: IsTransform) -> tuple[np.ndarray, np.ndarray]:
+def is_vacuum(check: MixedModes) -> tuple[np.ndarray, np.ndarray]:
     """Original-frame nullspace vacuum pair, normalized so bra @ ket = 1.
 
     Ket from the right nullspace of the stacked check annihilators, bra from
@@ -377,149 +277,16 @@ def is_vacuum(ist: IsTransform) -> tuple[np.ndarray, np.ndarray]:
     |0> x |n_max> for every chi: a diagnostic of where the original-frame
     vacuum lives, not a usable anchor for basis construction.
     """
-    return _vacuum_pair(
-        ist.ann1, ist.ann2, ist.cre1, ist.cre2, ist.space.n_max, ist.chi
-    )
+    return _vacuum_pair(check)
 
 
 def is_check_vacuum(rep: IsCheckRep) -> tuple[np.ndarray, np.ndarray]:
     """Bounded-frame nullspace vacuum pair; lands on the bottom corner state."""
-    return _vacuum_pair(
-        rep.ann1, rep.ann2, rep.cre1, rep.cre2, rep.space.n_max, rep.chi
-    )
-
-
-def is_basis(
-    rep: IsCheckRep,
-    n1: int,
-    n2: int,
-    vacuum: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pair: ket = cre1^n1 cre2^n2 |0)) / sqrt(n1! n2!), bra analog.
-
-    Bounded-frame creators only raise total occupation, so every touched
-    state stays at n1+n2; the headroom requirement keeps H matrix elements
-    on these states clear of boundary rows as well.
-    """
-    if n1 < 0 or n2 < 0:
-        raise DomainError(f"occupation numbers must be >= 0, got ({n1}, {n2})")
-    if n1 + n2 > rep.space.n_max - 2:
-        raise HeadroomError(
-            f"n1+n2 = {n1 + n2} exceeds headroom n_max-2 = {rep.space.n_max - 2}"
-        )
-    if vacuum is None:
-        vacuum = is_check_vacuum(rep)
-    ket0, bra0 = vacuum
-    norm = math.sqrt(math.factorial(n1) * math.factorial(n2))
-    ket = matrix_power(rep.cre1, n1) @ (matrix_power(rep.cre2, n2) @ ket0) / norm
-    bra = (bra0 @ matrix_power(rep.ann1, n1)) @ matrix_power(rep.ann2, n2) / norm
-    return ket, bra
-
-
-def is_gram(rep: IsCheckRep, q_cap: int) -> np.ndarray:
-    """Pairing matrix ((m1,m2|n1,n2)) for all occupations <= q_cap per mode."""
-    vacuum = is_check_vacuum(rep)
-    side = (q_cap + 1) ** 2
-    kets = np.empty((side, rep.space.dim), dtype=complex)
-    bras = np.empty((side, rep.space.dim), dtype=complex)
-    i = 0
-    for m1 in range(q_cap + 1):
-        for m2 in range(q_cap + 1):
-            ket, bra = is_basis(rep, m1, m2, vacuum=vacuum)
-            kets[i] = ket
-            bras[i] = bra
-            i += 1
-    return bras @ kets.T
-
-
-# ---------------------------------------------------------------------------
-# dynamics-facing factors and x(t), y(t)
-
-
-def is_heisenberg_factor(mode: int, kind: str, branch, t: float, params: PhysicalParams) -> complex:
-    """Scalar factor multiplying the t=0 check operator under Heisenberg evolution."""
-    b = normalize_branch(branch)
-    if kind not in ("ann", "cre"):
-        raise DomainError(f"kind must be 'ann' or 'cre', got {kind!r}")
-    if mode == 1:
-        rate = -1j * params.omega + b * params.lam
-    elif mode == 2:
-        rate = -1j * params.omega - b * params.lam
-    else:
-        raise DomainError(f"mode must be 1 or 2, got {mode}")
-    if kind == "cre":
-        rate = -rate
-    return cmath.exp(rate * t)
-
-
-def is_xy_operators(
-    sign: int, t: float, ist: IsTransform, params: PhysicalParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """x(t), y(t) assembled from check matrices with closed-form scalar factors."""
-    sign = normalize_branch(sign)
-    if abs(ist.chi - sign * 1j * math.pi / 4) > 1e-12:
-        raise DomainError(
-            f"transform built at chi={ist.chi}, expected {sign}*i*pi/4"
-        )
-    pref = math.sqrt(params.hbar / (2.0 * params.m * params.omega))
-    lam, omega = params.lam, params.omega
-    decay = cmath.exp(-lam * t)
-    grow = cmath.exp(lam * t)
-    spin = cmath.exp(1j * omega * t)
-    if sign > 0:
-        x_t = pref * decay * (ist.cre1 * spin + 1j * ist.ann2 / spin)
-        y_t = pref * grow * (ist.ann1 / spin - 1j * ist.cre2 * spin)
-    else:
-        x_t = pref * decay * (ist.ann1 / spin + 1j * ist.cre2 * spin)
-        y_t = pref * grow * (ist.cre1 * spin - 1j * ist.ann2 / spin)
-    return x_t, y_t
+    return _vacuum_pair(rep)
 
 
 # ---------------------------------------------------------------------------
 # exact symbol route
-
-_HW = ExactScalar.unit(U_HW)
-_IHL = ExactScalar.unit(U_IHL)
-_HALF_SQRT2 = ExactScalar.surd(Fraction(1, 2), 2)
-_I = CQ(Fraction(0), Fraction(1))
-
-
-def is_plain_in_checks(branch) -> dict[str, LadderPoly]:
-    """Plain modes written in check symbols at chi = branch*i*pi/4, exactly.
-
-    cosh chi = sqrt2/2 and sinh chi = branch*i*sqrt2/2, so every coefficient
-    lies in the Gaussian rationals times sqrt2.
-    """
-    b = normalize_branch(branch)
-    half_i_sqrt2 = ExactScalar.surd(_I * Fraction(b, 2), 2)  # branch*i*sqrt2/2
-    c = _HALF_SQRT2
-    b1 = LadderPoly.symbol(B1_ANN)
-    b2 = LadderPoly.symbol(B2_ANN)
-    b1d = LadderPoly.symbol(B1_CRE)
-    b2d = LadderPoly.symbol(B2_CRE)
-    return {
-        "a1": b1 * c + b2 * half_i_sqrt2,
-        "a2_dag": b1 * (c * (-b)) + b2 * (ExactScalar.surd(_I * Fraction(1, 2), 2)),
-        "a1_dag": b1d * c - b2d * half_i_sqrt2,
-        "a2": b1d * (c * b) + b2d * (ExactScalar.surd(_I * Fraction(1, 2), 2)),
-    }
-
-
-def is_hamiltonian_formal(branch) -> LadderPoly:
-    """H on the check basis: hw*(N1 + N2 + 1) + branch*ihl*(N1 - N2)."""
-    b = normalize_branch(branch)
-    num1 = LadderPoly.word((B1_CRE, B1_ANN))
-    num2 = LadderPoly.word((B2_CRE, B2_ANN))
-    return (num1 + num2 + LadderPoly.one()) * _HW + (num1 - num2) * (_IHL * b)
-
-
-def is_hamiltonian_from_plain(branch) -> LadderPoly:
-    """H0 + H1 with plain modes substituted by check symbols, normal ordered."""
-    ops = is_plain_in_checks(branch)
-    h0 = (ops["a1_dag"] * ops["a1"] - ops["a2_dag"] * ops["a2"]) * _HW
-    h1 = (ops["a1"] * ops["a2"] - ops["a1_dag"] * ops["a2_dag"]) * _IHL
-    return (h0 + h1).normal_order()
-
 
 XYTerms = dict[tuple[int, int], LadderPoly]
 

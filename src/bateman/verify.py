@@ -19,6 +19,19 @@ from functools import lru_cache, wraps
 import numpy as np
 
 from . import algebra, dynamics, ft, imagscale
+from .construction import (
+    Construction,
+    basis,
+    eigenvalue,
+    gram,
+    hamiltonian_formal,
+    hamiltonian_from_plain,
+    heisenberg_rate,
+    identity_report,
+    mode2_split,
+    transform,
+    xy_operators,
+)
 from .algebra import (
     B1_ANN,
     B1_CRE,
@@ -117,6 +130,25 @@ def _check(check_id: str):
     return declare
 
 
+def _twin(body, ft_args: dict, is_args: dict):
+    """Declare one check body under its ft id and its is id.
+
+    Each dict holds the check id and that route's own arguments, such as its
+    paper formula or angles; the body is called as body(cfg, construction, **args).
+    """
+    def declare(con: Construction, args: dict):
+        args = dict(args)
+        check_id = args.pop("check_id")
+
+        @wraps(body)
+        def run(cfg: VerifyConfig) -> tuple:
+            return body(cfg, con, **args)
+
+        return _check(check_id)(run)
+
+    return declare(ft.FT, ft_args), declare(imagscale.IS, is_args)
+
+
 # ---------------------------------------------------------------------------
 # algebra suite
 
@@ -160,7 +192,7 @@ def check_normal_order(cfg: VerifyConfig) -> tuple:
     )
     if quartic != expected:
         mismatch += 1
-    messy = ft.ft_generator_poly() * ft.ft_hamiltonian_formal("+") + LadderPoly.word(
+    messy = ft.ft_generator_poly() * hamiltonian_formal(ft.FT, "+") + LadderPoly.word(
         (B2_ANN, B1_ANN, B2_CRE, B1_CRE), Fraction(3, 7)
     )
     once = messy.normal_order()
@@ -205,7 +237,7 @@ def check_matrix_element_examples(cfg: VerifyConfig) -> tuple:
     number1 = LadderPoly.word((B1_CRE, B1_ANN))
     if algebra.basis_matrix_element(3, 2, number1, 3, 2) != ExactScalar.of(3):
         mismatch += 1
-    h_plus = ft.ft_hamiltonian_formal("+")
+    h_plus = hamiltonian_formal(ft.FT, "+")
     want = ExactScalar.unit(U_HW) + ExactScalar.unit(U_IHL, 2)
     if algebra.basis_matrix_element(1, 0, h_plus, 1, 0) != want:
         mismatch += 1
@@ -354,57 +386,241 @@ ALGEBRA_SUITE = [
 
 
 # ---------------------------------------------------------------------------
-# ft suite
+# checks shared by the ft and is suites
 
 
-def _ft_spectrum_sweep(branch: int) -> int:
-    h = ft.ft_hamiltonian_from_plain(branch)
-    mismatch = 0
-    states = [(n1, n2) for n1 in range(6) for n2 in range(6) if n1 + n2 <= 5]
-    for (n1, n2) in states:
-        want = ft.ft_eigenvalue(n1, n2, branch)
-        if (want.p, want.q) != (n1 - n2, branch * (n1 + n2 + 1)):
-            mismatch += 1
-        for (m1, m2) in states:
-            got = algebra.basis_matrix_element(m1, m2, h, n1, n2)
-            expect = want.exact() if (m1, m2) == (n1, n2) else ExactScalar.zero()
-            if got != expect:
-                mismatch += 1
-    return mismatch
+_SWEEP_STATES = [(n1, n2) for n1 in range(6) for n2 in range(6) if n1 + n2 <= 5]
 
 
-@_check("ft.spectrum")
-def check_ft_spectrum(cfg: VerifyConfig) -> tuple:
-    mismatch = _ft_spectrum_sweep(+1) + _ft_spectrum_sweep(-1)
-    return ("exact eigenvalues hw(n1-n2) +- ihl(n1+n2+1), n1+n2 <= 5, both branches",
-            mismatch, 0.0)
-
-
-@_check("ft.h-derivation")
-def check_ft_derivation(cfg: VerifyConfig) -> tuple:
+def _spectrum(cfg: VerifyConfig, con: Construction, description: str, law,
+              p_floor: int | None = None) -> tuple:
     mismatch = 0
     for branch in (+1, -1):
-        if ft.ft_hamiltonian_from_plain(branch) != ft.ft_hamiltonian_formal(branch):
+        h = hamiltonian_from_plain(con, branch)
+        for (n1, n2) in _SWEEP_STATES:
+            want = eigenvalue(con, n1, n2, branch)
+            if (want.p, want.q) != law(n1, n2, branch):
+                mismatch += 1
+            if p_floor is not None and want.p < p_floor:
+                mismatch += 1
+            for (m1, m2) in _SWEEP_STATES:
+                got = algebra.basis_matrix_element(m1, m2, h, n1, n2)
+                expect = want.exact() if (m1, m2) == (n1, n2) else ExactScalar.zero()
+                if got != expect:
+                    mismatch += 1
+    return (description, mismatch, 0.0)
+
+
+check_ft_spectrum, check_is_spectrum = _twin(
+    _spectrum,
+    {"check_id": "ft.spectrum",
+     "description": "exact eigenvalues hw(n1-n2) +- ihl(n1+n2+1), n1+n2 <= 5, both branches",
+     "law": lambda n1, n2, branch: (n1 - n2, branch * (n1 + n2 + 1))},
+    {"check_id": "is.spectrum",
+     "description": "exact eigenvalues hw(n1+n2+1) +- ihl(n1-n2), real part >= hw",
+     "law": lambda n1, n2, branch: (n1 + n2 + 1, branch * (n1 - n2)),
+     "p_floor": 1},  # real part bounded below by hbar omega
+)
+
+
+def _derivation(cfg: VerifyConfig, con: Construction, description: str) -> tuple:
+    mismatch = 0
+    for branch in (+1, -1):
+        if hamiltonian_from_plain(con, branch) != hamiltonian_formal(con, branch):
             mismatch += 1
-    return ("substituted H normal-orders to the diagonal bar form exactly", mismatch, 0.0)
+    return (description, mismatch, 0.0)
 
 
-@_check("ft.reconstruction")
-def check_ft_reconstruction(cfg: VerifyConfig) -> tuple:
+check_ft_derivation, check_is_derivation = _twin(
+    _derivation,
+    {"check_id": "ft.h-derivation",
+     "description": "substituted H normal-orders to the diagonal bar form exactly"},
+    {"check_id": "is.h-derivation",
+     "description": "substituted H normal-orders to the diagonal check form exactly"},
+)
+
+
+def _closed_form(cfg: VerifyConfig, con: Construction, description: str, at_zero) -> tuple:
     n_max = cfg.resolve(12)
     lad = _ladder(n_max)
-    t0 = ft.ft_transform(0.0, lad)
-    dev0 = max(
-        float(np.max(np.abs(t0.ann1 - lad.a1))),
-        float(np.max(np.abs(t0.cre2 - lad.a2_dag))),
-        float(np.max(np.abs(t0.cre1 - lad.a1_dag))),
-        float(np.max(np.abs(t0.ann2 - lad.a2))),
-    )
-    tq = ft.ft_transform(math.pi / 4, lad)
+    t0 = transform(con, 0.0, lad)
+    dev = max(float(np.max(np.abs(getattr(t0, name) - want)))
+              for name, want in at_zero(lad).items())
+    tq = transform(con, con.quarter(+1), lad)
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    devq = float(np.max(np.abs(tq.ann1 - inv_sqrt2 * (lad.a1 - lad.a2_dag))))
-    dev = max(dev0, devq)
-    return ("bar operators at theta=0 and theta=pi/4 match closed combinations", dev, 1e-14)
+    dev = max(dev, float(np.max(np.abs(tq.ann1 - inv_sqrt2 * (lad.a1 - lad.a2_dag)))))
+    return (description, dev, 1e-14)
+
+
+check_ft_reconstruction, check_is_closed_form = _twin(
+    _closed_form,
+    {"check_id": "ft.reconstruction",
+     "description": "bar operators at theta=0 and theta=pi/4 match closed combinations",
+     "at_zero": lambda lad: {"ann1": lad.a1, "cre2": lad.a2_dag,
+                             "cre1": lad.a1_dag, "ann2": lad.a2}},
+    {"check_id": "is.closed-form",
+     "description": "check operators at chi=0 and chi=i pi/4 match closed combinations",
+     # mode 2 is already swapped at chi = 0
+     "at_zero": lambda lad: {"ann1": lad.a1, "ann2": (-1j) * lad.a2_dag,
+                             "cre1": lad.a1_dag, "cre2": (-1j) * lad.a2}},
+)
+
+
+def _commutators(cfg: VerifyConfig, con: Construction, description: str, angle) -> tuple:
+    n_max = cfg.resolve(12)
+    lad = _ladder(n_max)
+    space = lad.space
+    eye = np.eye(space.dim, dtype=complex)
+    dev = 0.0
+    for a in (con.quarter(+1), con.quarter(-1), angle(cfg)):
+        tr = transform(con, a, lad)
+        # the two operators mixed from (a1, a2+) commute on the whole truncated space
+        same_side, cross = mode2_split(con, tr)
+        dev = max(dev, interior_deviation(commutator(tr.ann1, tr.cre1), eye, space, 1))
+        dev = max(dev, interior_deviation(commutator(tr.ann2, tr.cre2), eye, space, 1))
+        dev = max(dev, interior_deviation(commutator(tr.ann1, cross), 0 * eye, space, 1))
+        dev = max(dev, float(np.max(np.abs(commutator(tr.ann1, same_side)))))
+    return (description, dev, 1e-12)
+
+
+check_ft_commutators, check_is_commutators = _twin(
+    _commutators,
+    {"check_id": "ft.commutators",
+     "description": "bar-mode commutation relations on the interior",
+     "angle": lambda cfg: cfg.theta},
+    {"check_id": "is.commutators",
+     "description": "check-mode commutation relations on the interior",
+     "angle": lambda cfg: 0.37j},
+)
+
+
+def _identity_quarter(cfg: VerifyConfig, con: Construction, description: str) -> tuple:
+    n_max = cfg.resolve(12)
+    lad = _ladder(n_max)
+    margin = cfg.eff_margin(n_max)
+    dev = 0.0
+    for branch in (+1, -1):
+        rep = identity_report(con, transform(con, con.quarter(branch), lad), cfg.params, margin)
+        dev = max(dev, rep.h0_deviation, rep.h1_deviation, rep.reduced_deviation)
+    return (description, dev, 1e-10 * lad.space.dim)
+
+
+check_ft_identity_quarter, check_is_identity_quarter = _twin(
+    _identity_quarter,
+    {"check_id": "ft.h-identity.quarter",
+     "description": "H0/H1 equal their bar number-operator forms at theta=+-pi/4"},
+    {"check_id": "is.h-identity.quarter",
+     "description": "H0/H1 equal their check number-operator forms at chi=+-i pi/4"},
+)
+
+
+def _identity_generic(cfg: VerifyConfig, con: Construction, description: str, angle) -> tuple:
+    n_max = cfg.resolve(12)
+    lad = _ladder(n_max)
+    rep = identity_report(con, transform(con, angle(cfg), lad), cfg.params,
+                          cfg.eff_margin(n_max))
+    return (description, max(rep.h0_deviation, rep.h1_deviation), 1e-10 * lad.space.dim)
+
+
+check_ft_identity_generic, check_is_identity_generic = _twin(
+    _identity_generic,
+    {"check_id": "ft.h-identity.generic",
+     "description": "H0/H1 equal the full cos2theta/sin2theta bar expressions",
+     "angle": lambda cfg: cfg.theta},
+    {"check_id": "is.h-identity.generic",
+     "description": "H0/H1 equal the full cosh/sinh check expressions at generic chi",
+     "angle": lambda cfg: 0.2j},
+)
+
+
+def _gram(cfg: VerifyConfig, con: Construction, description: str, default_n_max: int,
+          frame, tolerance) -> tuple:
+    n_max = cfg.resolve(default_n_max)
+    lad = _ladder(n_max)
+    modes, vacuum = frame(cfg, lad)
+    q_cap = min(3, max(0, (n_max - 2) // 2))
+    pairing = gram(modes, vacuum, q_cap)
+    dev = float(np.max(np.abs(pairing - np.eye(pairing.shape[0]))))
+    return (description.format(q_cap=q_cap), dev, tolerance(cfg, n_max, q_cap))
+
+
+def _ft_frame(cfg: VerifyConfig, lad):
+    return transform(ft.FT, cfg.theta, lad), ft.ft_vacuum_series(cfg.theta, lad.space)
+
+
+def _ft_gram_tolerance(cfg: VerifyConfig, n_max: int, q_cap: int) -> float:
+    # the series tail per rung is tan^2, but the monomial normalization of the
+    # worst pair (2*q_cap rungs up) gives back roughly one power per rung;
+    # the single power with a x10 cushion bounds the measured gap at every n_max
+    tail = abs(math.tan(cfg.theta)) ** (n_max + 1 - 2 * q_cap)
+    return max(1e-10, 10.0 * tail)
+
+
+def _is_frame(cfg: VerifyConfig, lad):
+    rep = imagscale.is_check_rep(imagscale.IS.quarter(+1), lad, cfg.params)
+    return rep, imagscale.is_check_vacuum(rep)
+
+
+check_ft_gram, check_is_gram = _twin(
+    _gram,
+    {"check_id": "ft.gram",
+     "description": "biorthonormality Gram is identity for occupations <= {q_cap}",
+     "default_n_max": 24, "frame": _ft_frame, "tolerance": _ft_gram_tolerance},
+    {"check_id": "is.gram",
+     "description": "bounded-frame Gram is identity for occupations <= {q_cap}",
+     "default_n_max": 12, "frame": _is_frame, "tolerance": lambda cfg, n_max, q_cap: 1e-8},
+)
+
+
+def _heisenberg(cfg: VerifyConfig, con: Construction, description: str) -> tuple:
+    n_max = cfg.resolve(12)
+    lad = _ladder(n_max)
+    margin = cfg.eff_margin(n_max)
+    params = cfg.params
+    h = build_hamiltonian(lad, params).h
+    dev = 0.0
+    for branch in (+1, -1):
+        tr = transform(con, con.quarter(branch), lad)
+        for mode, kind, op in ((1, "ann", tr.ann1), (2, "ann", tr.ann2),
+                               (1, "cre", tr.cre1), (2, "cre", tr.cre2)):
+            lhs = commutator(op, h) / (1j * params.hbar)
+            rate = heisenberg_rate(con, mode, kind, branch, params)
+            dev = max(dev, interior_deviation(lhs, rate * op, lad.space, margin))
+    return (description, dev, 1e-10)
+
+
+check_ft_heisenberg, check_is_heisenberg = _twin(
+    _heisenberg,
+    {"check_id": "ft.heisenberg",
+     "description": "(i hbar)^-1 [bar op, H] equals the closed-form rate times the op"},
+    {"check_id": "is.heisenberg",
+     "description": "(i hbar)^-1 [check op, H] equals the closed-form rate times the op"},
+)
+
+
+def _xy(cfg: VerifyConfig, con: Construction, description: str) -> tuple:
+    n_max = cfg.resolve(12)
+    lad = _ladder(n_max)
+    x_ref, y_ref = position_operators(lad, cfg.params)
+    dev = 0.0
+    for branch in (+1, -1):
+        tr = transform(con, con.quarter(branch), lad)
+        x0, y0 = xy_operators(con, branch, 0.0, tr, cfg.params)
+        dev = max(dev, float(np.max(np.abs(x0 - x_ref))), float(np.max(np.abs(y0 - y_ref))))
+    return (description, dev, 1e-12)
+
+
+check_ft_xy, check_is_xy = _twin(
+    _xy,
+    {"check_id": "ft.xy-reconstruction",
+     "description": "x(0), y(0) reassemble the rotated position pair"},
+    {"check_id": "is.xy-reconstruction",
+     "description": "x(0), y(0) reassemble the rotated position pair"},
+)
+
+
+# ---------------------------------------------------------------------------
+# ft suite
 
 
 @_check("ft.similarity")
@@ -416,7 +632,7 @@ def check_ft_similarity(cfg: VerifyConfig) -> tuple:
     # comparable block shrinks with the resolution
     window = min(6, max(0, (n_max - 8) // 2))
     dev = max(
-        ft.similarity_deviation(ft.ft_transform(theta, lad), window=window)
+        ft.similarity_deviation(transform(ft.FT, theta, lad), window=window)
         for theta in thetas
     )
     return ("e^{theta X} a e^{-theta X} matches linear combinations (low block)",
@@ -437,46 +653,6 @@ def check_exp_inverse(cfg: VerifyConfig) -> tuple:
     kappa = float(np.linalg.norm(u, np.inf) * np.linalg.norm(u_inv, np.inf))
     return ("exp(theta X) exp(-theta X) = identity",
             raw / kappa, 1e-12, {"raw_deviation": raw, "kappa": kappa})
-
-
-@_check("ft.commutators")
-def check_ft_commutators(cfg: VerifyConfig) -> tuple:
-    n_max = cfg.resolve(12)
-    lad = _ladder(n_max)
-    space = lad.space
-    eye = np.eye(space.dim, dtype=complex)
-    dev = 0.0
-    for theta in (cfg.theta, math.pi / 4, -math.pi / 4):
-        tr = ft.ft_transform(theta, lad)
-        dev = max(dev, interior_deviation(commutator(tr.ann1, tr.cre1), eye, space, 1))
-        dev = max(dev, interior_deviation(commutator(tr.ann2, tr.cre2), eye, space, 1))
-        dev = max(dev, interior_deviation(commutator(tr.ann1, tr.cre2), 0 * eye, space, 1))
-        dev = max(dev, interior_deviation(commutator(tr.ann1, tr.ann2), 0 * eye, space, 1))
-    return ("bar-mode commutation relations on the interior", dev, 1e-12)
-
-
-@_check("ft.h-identity.quarter")
-def check_ft_identity_quarter(cfg: VerifyConfig) -> tuple:
-    n_max = cfg.resolve(12)
-    lad = _ladder(n_max)
-    margin = cfg.eff_margin(n_max)
-    dev = 0.0
-    for sign in (+1, -1):
-        tr = ft.ft_transform(sign * math.pi / 4, lad)
-        rep = ft.h1_in_bar(tr, cfg.params, margin=margin)
-        dev = max(dev, rep.h0_deviation, rep.h1_deviation, rep.reduced_deviation or 0.0)
-    return ("H0/H1 equal their bar number-operator forms at theta=+-pi/4",
-            dev, 1e-10 * lad.space.dim)
-
-
-@_check("ft.h-identity.generic")
-def check_ft_identity_generic(cfg: VerifyConfig) -> tuple:
-    n_max = cfg.resolve(12)
-    lad = _ladder(n_max)
-    tr = ft.ft_transform(cfg.theta, lad)
-    rep = ft.h1_in_bar(tr, cfg.params, margin=cfg.eff_margin(n_max))
-    dev = max(rep.h0_deviation, rep.h1_deviation)
-    return ("H0/H1 equal the full cos2theta/sin2theta bar expressions", dev, 1e-10 * lad.space.dim)
 
 
 @_check("ft.vacuum-series")
@@ -502,34 +678,19 @@ def check_ft_vacuum(cfg: VerifyConfig) -> tuple:
             {"geometric_tail": tail})
 
 
-@_check("ft.gram")
-def check_ft_gram(cfg: VerifyConfig) -> tuple:
-    n_max = cfg.resolve(24)
-    lad = _ladder(n_max)
-    tr = ft.ft_transform(cfg.theta, lad)
-    q_cap = min(3, max(0, (n_max - 2) // 2))
-    gram = ft.ft_gram(tr, q_cap)
-    dev = float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
-    # the series tail per rung is tan^2, but the monomial normalization of the
-    # worst pair (2*q_cap rungs up) gives back roughly one power per rung;
-    # the single power with a x10 cushion bounds the measured gap at every n_max
-    tail = abs(math.tan(cfg.theta)) ** (n_max + 1 - 2 * q_cap)
-    return (f"biorthonormality Gram is identity for occupations <= {q_cap}",
-            dev, max(1e-10, 10.0 * tail))
-
-
 @_check("ft.basis-two-route")
 def check_ft_two_route(cfg: VerifyConfig) -> tuple:
     n_max = cfg.resolve(24)
     lad = _ladder(n_max)
-    tr = ft.ft_transform(cfg.theta, lad)
+    tr = transform(ft.FT, cfg.theta, lad)
+    vacuum = ft.ft_vacuum_series(cfg.theta, lad.space)
     cut = n_max - 2
     mask = np.array(
         [1.0 if (n1 <= cut and n2 <= cut) else 0.0 for n1, n2 in lad.space.iter_occupations()]
     )
     dev = 0.0
     for (n1, n2) in ((0, 0), (1, 0), (2, 1)):
-        ket_a, bra_a = ft.ft_basis(tr, n1, n2)
+        ket_a, bra_a = basis(tr, n1, n2, vacuum)
         ket_b, bra_b = ft.ft_basis_similarity(tr, n1, n2)
         dev = max(dev, float(np.max(np.abs((ket_a - ket_b) * mask))))
         dev = max(dev, float(np.max(np.abs((bra_a - bra_b) * mask))))
@@ -585,41 +746,6 @@ def check_ft_norm_trend(cfg: VerifyConfig) -> tuple:
             mismatch, 0.0, {"values": values})
 
 
-@_check("ft.heisenberg")
-def check_ft_heisenberg(cfg: VerifyConfig) -> tuple:
-    n_max = cfg.resolve(12)
-    lad = _ladder(n_max)
-    margin = cfg.eff_margin(n_max)
-    params = cfg.params
-    h = build_hamiltonian(lad, params).h
-    dev = 0.0
-    for branch in (+1, -1):
-        tr = ft.ft_transform(branch * math.pi / 4, lad)
-        rates = {
-            "ann1": (tr.ann1, -1j * params.omega + branch * params.lam),
-            "ann2": (tr.ann2, 1j * params.omega + branch * params.lam),
-            "cre1": (tr.cre1, 1j * params.omega - branch * params.lam),
-            "cre2": (tr.cre2, -1j * params.omega - branch * params.lam),
-        }
-        for op, rate in rates.values():
-            lhs = commutator(op, h) / (1j * params.hbar)
-            dev = max(dev, interior_deviation(lhs, rate * op, lad.space, margin))
-    return ("(i hbar)^-1 [bar op, H] equals the closed-form rate times the op", dev, 1e-10)
-
-
-@_check("ft.xy-reconstruction")
-def check_ft_xy(cfg: VerifyConfig) -> tuple:
-    n_max = cfg.resolve(12)
-    lad = _ladder(n_max)
-    x_ref, y_ref = position_operators(lad, cfg.params)
-    dev = 0.0
-    for sign in (+1, -1):
-        tr = ft.ft_transform(sign * math.pi / 4, lad)
-        x0, y0 = ft.ft_xy_operators(sign, 0.0, tr, cfg.params)
-        dev = max(dev, float(np.max(np.abs(x0 - x_ref))), float(np.max(np.abs(y0 - y_ref))))
-    return ("x(0), y(0) reassemble the rotated position pair", dev, 1e-12)
-
-
 FT_SUITE = [
     check_ft_spectrum,
     check_ft_derivation,
@@ -642,56 +768,6 @@ FT_SUITE = [
 
 # ---------------------------------------------------------------------------
 # is suite
-
-
-def _is_spectrum_sweep(branch: int) -> int:
-    h = imagscale.is_hamiltonian_from_plain(branch)
-    mismatch = 0
-    states = [(n1, n2) for n1 in range(6) for n2 in range(6) if n1 + n2 <= 5]
-    for (n1, n2) in states:
-        want = imagscale.is_eigenvalue(n1, n2, branch)
-        if (want.p, want.q) != (n1 + n2 + 1, branch * (n1 - n2)):
-            mismatch += 1
-        if want.p < 1:  # real part bounded below by hbar omega
-            mismatch += 1
-        for (m1, m2) in states:
-            got = algebra.basis_matrix_element(m1, m2, h, n1, n2)
-            expect = want.exact() if (m1, m2) == (n1, n2) else ExactScalar.zero()
-            if got != expect:
-                mismatch += 1
-    return mismatch
-
-
-@_check("is.spectrum")
-def check_is_spectrum(cfg: VerifyConfig) -> tuple:
-    mismatch = _is_spectrum_sweep(+1) + _is_spectrum_sweep(-1)
-    return ("exact eigenvalues hw(n1+n2+1) +- ihl(n1-n2), real part >= hw", mismatch, 0.0)
-
-
-@_check("is.h-derivation")
-def check_is_derivation(cfg: VerifyConfig) -> tuple:
-    mismatch = 0
-    for branch in (+1, -1):
-        if imagscale.is_hamiltonian_from_plain(branch) != imagscale.is_hamiltonian_formal(branch):
-            mismatch += 1
-    return ("substituted H normal-orders to the diagonal check form exactly", mismatch, 0.0)
-
-
-@_check("is.closed-form")
-def check_is_closed_form(cfg: VerifyConfig) -> tuple:
-    n_max = cfg.resolve(12)
-    lad = _ladder(n_max)
-    t0 = imagscale.is_transform(0.0, lad)
-    dev = max(
-        float(np.max(np.abs(t0.ann1 - lad.a1))),
-        float(np.max(np.abs(t0.ann2 - (-1j) * lad.a2_dag))),
-        float(np.max(np.abs(t0.cre1 - lad.a1_dag))),
-        float(np.max(np.abs(t0.cre2 - (-1j) * lad.a2))),
-    )
-    tq = imagscale.is_transform(1j * math.pi / 4, lad)
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    dev = max(dev, float(np.max(np.abs(tq.ann1 - inv_sqrt2 * (lad.a1 - lad.a2_dag)))))
-    return ("check operators at chi=0 and chi=i pi/4 match closed combinations", dev, 1e-14)
 
 
 @_check("is.tilde")
@@ -719,72 +795,22 @@ def check_is_tilde(cfg: VerifyConfig) -> tuple:
              "z_composition": dev_z, "chi_similarity": dev_chi})
 
 
-@_check("is.commutators")
-def check_is_commutators(cfg: VerifyConfig) -> tuple:
-    n_max = cfg.resolve(12)
-    lad = _ladder(n_max)
-    space = lad.space
-    eye = np.eye(space.dim, dtype=complex)
-    dev = 0.0
-    for chi in (1j * math.pi / 4, -1j * math.pi / 4, 0.37j):
-        tr = imagscale.is_transform(chi, lad)
-        dev = max(dev, interior_deviation(commutator(tr.ann1, tr.cre1), eye, space, 1))
-        dev = max(dev, interior_deviation(commutator(tr.ann2, tr.cre2), eye, space, 1))
-        dev = max(dev, interior_deviation(commutator(tr.ann1, tr.cre2), 0 * eye, space, 1))
-        dev = max(dev, float(np.max(np.abs(commutator(tr.ann1, tr.ann2)))))
-    return ("check-mode commutation relations on the interior", dev, 1e-12)
-
-
-@_check("is.h-identity.quarter")
-def check_is_identity_quarter(cfg: VerifyConfig) -> tuple:
-    n_max = cfg.resolve(12)
-    lad = _ladder(n_max)
-    margin = cfg.eff_margin(n_max)
-    dev = 0.0
-    for sign in (+1, -1):
-        rep = imagscale.h_in_check(sign * 1j * math.pi / 4, lad, cfg.params, margin=margin)
-        dev = max(dev, rep.h0_deviation, rep.h1_deviation, rep.reduced_deviation or 0.0)
-    return ("H0/H1 equal their check number-operator forms at chi=+-i pi/4",
-            dev, 1e-10 * lad.space.dim)
-
-
-@_check("is.h-identity.generic")
-def check_is_identity_generic(cfg: VerifyConfig) -> tuple:
-    n_max = cfg.resolve(12)
-    lad = _ladder(n_max)
-    rep = imagscale.h_in_check(0.2j, lad, cfg.params, margin=cfg.eff_margin(n_max))
-    dev = max(rep.h0_deviation, rep.h1_deviation)
-    return ("H0/H1 equal the full cosh/sinh check expressions at generic chi",
-            dev, 1e-10 * lad.space.dim)
-
-
 @_check("is.vacuum")
 def check_is_vacuum(cfg: VerifyConfig) -> tuple:
     n_max = cfg.resolve(8)
     lad = _ladder(n_max)
-    t0 = imagscale.is_transform(0.0, lad)
+    t0 = transform(imagscale.IS, 0.0, lad)
     ket0, bra0 = imagscale.is_vacuum(t0)
     unit = np.zeros(lad.space.dim, dtype=complex)
     unit[lad.space.index(0, n_max)] = 1.0
     dev = max(float(np.max(np.abs(ket0 - unit))), float(np.max(np.abs(bra0 - unit))))
-    tq = imagscale.is_transform(1j * math.pi / 4, lad)
+    tq = transform(imagscale.IS, imagscale.IS.quarter(+1), lad)
     ketq, braq = imagscale.is_vacuum(tq)
     dev = max(dev, float(np.linalg.norm(tq.ann1 @ ketq)), float(np.linalg.norm(tq.ann2 @ ketq)))
     dev = max(dev, float(np.linalg.norm(braq @ tq.cre1)), float(np.linalg.norm(braq @ tq.cre2)))
     dev = max(dev, abs(braq @ ketq - 1.0))
     return ("nullspace vacuum: chi=0 is the mode-2 top state; defining relations at i pi/4",
             dev, 1e-10)
-
-
-@_check("is.gram")
-def check_is_gram(cfg: VerifyConfig) -> tuple:
-    n_max = cfg.resolve(12)
-    lad = _ladder(n_max)
-    rep = imagscale.is_check_rep(1j * math.pi / 4, lad, cfg.params)
-    q_cap = min(3, max(0, (n_max - 2) // 2))
-    gram = imagscale.is_gram(rep, q_cap)
-    dev = float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
-    return (f"bounded-frame Gram is identity for occupations <= {q_cap}", dev, 1e-8)
 
 
 @_check("is.matrix-element")
@@ -796,12 +822,12 @@ def check_is_matrix_element(cfg: VerifyConfig) -> tuple:
     witness = 0.0
     states = [s for s in ((0, 0), (1, 0), (1, 1), (2, 1)) if s[0] + s[1] <= n_max - 2]
     for branch in (+1, -1):
-        rep = imagscale.is_check_rep(branch * 1j * math.pi / 4, lad, params)
+        rep = imagscale.is_check_rep(imagscale.IS.quarter(branch), lad, params)
         vacuum = imagscale.is_check_vacuum(rep)
         for (n1, n2) in states:
-            ket, bra = imagscale.is_basis(rep, n1, n2, vacuum=vacuum)
+            ket, bra = basis(rep, n1, n2, vacuum)
             got = bra @ (rep.h @ ket)
-            want = imagscale.is_eigenvalue(n1, n2, branch).as_complex(params)
+            want = eigenvalue(imagscale.IS, n1, n2, branch).as_complex(params)
             dev = max(dev, abs(got - want))
         witness = max(
             witness,
@@ -813,41 +839,6 @@ def check_is_matrix_element(cfg: VerifyConfig) -> tuple:
     return ("bounded-frame H matrix elements match the spectrum (both branches)",
             dev, 1e-8 * scale,
             {"nonnormality_witness": witness})
-
-
-@_check("is.heisenberg")
-def check_is_heisenberg(cfg: VerifyConfig) -> tuple:
-    n_max = cfg.resolve(12)
-    lad = _ladder(n_max)
-    margin = cfg.eff_margin(n_max)
-    params = cfg.params
-    h = build_hamiltonian(lad, params).h
-    dev = 0.0
-    for branch in (+1, -1):
-        tr = imagscale.is_transform(branch * 1j * math.pi / 4, lad)
-        rates = {
-            "ann1": (tr.ann1, -1j * params.omega + branch * params.lam),
-            "ann2": (tr.ann2, -1j * params.omega - branch * params.lam),
-            "cre1": (tr.cre1, 1j * params.omega - branch * params.lam),
-            "cre2": (tr.cre2, 1j * params.omega + branch * params.lam),
-        }
-        for op, rate in rates.values():
-            lhs = commutator(op, h) / (1j * params.hbar)
-            dev = max(dev, interior_deviation(lhs, rate * op, lad.space, margin))
-    return ("(i hbar)^-1 [check op, H] equals the closed-form rate times the op", dev, 1e-10)
-
-
-@_check("is.xy-reconstruction")
-def check_is_xy(cfg: VerifyConfig) -> tuple:
-    n_max = cfg.resolve(12)
-    lad = _ladder(n_max)
-    x_ref, y_ref = position_operators(lad, cfg.params)
-    dev = 0.0
-    for sign in (+1, -1):
-        tr = imagscale.is_transform(sign * 1j * math.pi / 4, lad)
-        x0, y0 = imagscale.is_xy_operators(sign, 0.0, tr, cfg.params)
-        dev = max(dev, float(np.max(np.abs(x0 - x_ref))), float(np.max(np.abs(y0 - y_ref))))
-    return ("x(0), y(0) reassemble the rotated position pair", dev, 1e-12)
 
 
 @_check("is.xy-conjugation")
@@ -867,8 +858,8 @@ def check_contrast(cfg: VerifyConfig) -> tuple:
     mismatch = 0
     for n1 in range(5):
         for n2 in range(5):
-            ft_rec = ft.ft_eigenvalue(n1, n2, "+")
-            is_rec = imagscale.is_eigenvalue(n1, n2, "+")
+            ft_rec = eigenvalue(ft.FT, n1, n2, "+")
+            is_rec = eigenvalue(imagscale.IS, n1, n2, "+")
             if ft_rec.p != is_rec.q or ft_rec.q != is_rec.p:
                 mismatch += 1
     return ("integer pairs transpose between the two constructions", mismatch, 0.0)
@@ -902,7 +893,7 @@ def check_classification(cfg: VerifyConfig) -> tuple:
     for n1 in range(7):
         for n2 in range(7):
             for branch in (+1, -1):
-                c_ft = dynamics.classify("ft", branch, n1, n2, cfg.params)
+                c_ft = dynamics.classify("ft", branch, n1, n2)
                 if c_ft == dynamics.StabilityClass.STABLE:
                     mismatch += 1
                 want_ft = (
@@ -910,7 +901,7 @@ def check_classification(cfg: VerifyConfig) -> tuple:
                 )
                 if c_ft != want_ft:
                     mismatch += 1
-                c_is = dynamics.classify("is", branch, n1, n2, cfg.params)
+                c_is = dynamics.classify("is", branch, n1, n2)
                 if (n1 == n2) != (c_is == dynamics.StabilityClass.STABLE):
                     mismatch += 1
                 if n1 != n2:
@@ -936,8 +927,8 @@ def check_branch_antisymmetry(cfg: VerifyConfig) -> tuple:
     for approach in ("ft", "is"):
         for n1 in range(7):
             for n2 in range(7):
-                plus = dynamics.classify(approach, "+", n1, n2, cfg.params)
-                minus = dynamics.classify(approach, "-", n1, n2, cfg.params)
+                plus = dynamics.classify(approach, "+", n1, n2)
+                minus = dynamics.classify(approach, "-", n1, n2)
                 if swap[plus] != minus:
                     mismatch += 1
     return ("branches swap growing and decaying, stability is shared", mismatch, 0.0)
@@ -980,13 +971,13 @@ def check_eom_residuals(cfg: VerifyConfig) -> tuple:
 def check_factor_examples(cfg: VerifyConfig) -> tuple:
     params = cfg.params
     dev = 0.0
-    ev = ft.ft_eigenvalue(0, 0, "-").as_complex(params)
+    ev = eigenvalue(ft.FT, 0, 0, "-").as_complex(params)
     got = dynamics.schrodinger_factor(ev, 1.0 / params.lam, params.hbar)
     dev = max(dev, abs(got - math.exp(-1.0)))
-    ev_stable = imagscale.is_eigenvalue(0, 0, "+").as_complex(params)
+    ev_stable = eigenvalue(imagscale.IS, 0, 0, "+").as_complex(params)
     for t in (0.0, 1.0, 10.0):
         dev = max(dev, abs(abs(dynamics.schrodinger_factor(ev_stable, t, params.hbar)) - 1.0))
-    ev_mixed = imagscale.is_eigenvalue(1, 0, "+").as_complex(params)
+    ev_mixed = eigenvalue(imagscale.IS, 1, 0, "+").as_complex(params)
     for t in (0.0, 0.7, 3.0):
         prod = dynamics.schrodinger_factor(ev_mixed, t, params.hbar) * dynamics.dual_factor(
             ev_mixed, t, params.hbar

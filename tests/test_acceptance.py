@@ -14,6 +14,7 @@ import pytest
 
 from bateman import algebra, dynamics, ft, imagscale
 from bateman.algebra import LadderPoly
+from bateman.construction import gram, hamiltonian_formal, identity_report, transform, xy_operators
 from bateman.errors import BatemanError
 from bateman.fock import (
     build_ladder,
@@ -46,7 +47,7 @@ def test_exact_spectra_first_mixing(capsys):
     def body():
         checked = 0
         for branch in (1, -1):
-            h = ft.ft_hamiltonian_formal(branch)
+            h = hamiltonian_formal(ft.FT, branch)
             for n1 in range(6):
                 for n2 in range(6 - n1):
                     got = algebra.basis_matrix_element(n1, n2, h, n1, n2)
@@ -61,7 +62,7 @@ def test_exact_spectra_second_mixing(capsys):
     def body():
         checked = 0
         for branch in (1, -1):
-            h = imagscale.is_hamiltonian_formal(branch)
+            h = hamiltonian_formal(imagscale.IS, branch)
             for n1 in range(6):
                 for n2 in range(6 - n1):
                     got = algebra.basis_matrix_element(n1, n2, h, n1, n2)
@@ -80,11 +81,12 @@ def test_operator_identities_at_split_angles(capsys):
         bound = 1e-10 * lad.space.dim
         worst = 0.0
         for sign in (1, -1):
-            rep = ft.h1_in_bar(ft.ft_transform(sign * math.pi / 4, lad), PARAMS)
+            rep = identity_report(ft.FT, transform(ft.FT, sign * math.pi / 4, lad), PARAMS)
             for dev in (rep.h0_deviation, rep.h1_deviation, rep.reduced_deviation):
                 assert dev <= bound
                 worst = max(worst, dev)
-            rep = imagscale.h_in_check(sign * 1j * math.pi / 4, lad, PARAMS)
+            chi = sign * 1j * math.pi / 4
+            rep = identity_report(imagscale.IS, transform(imagscale.IS, chi, lad), PARAMS)
             for dev in (rep.h0_deviation, rep.h1_deviation, rep.reduced_deviation):
                 assert dev <= bound
                 worst = max(worst, dev)
@@ -141,12 +143,12 @@ def test_norm_closed_forms_and_exponent_fits(capsys):
 
 def test_biorthonormality_grams(capsys):
     def body():
-        tr = ft.ft_transform(0.3, build_ladder(24))
-        g1 = ft.ft_gram(tr, 3)
+        tr = transform(ft.FT, 0.3, build_ladder(24))
+        g1 = gram(tr, ft.ft_vacuum_series(0.3, tr.space), 3)
         dev1 = float(np.max(np.abs(g1 - np.eye(g1.shape[0]))))
         assert dev1 <= 1e-8
         rep = imagscale.is_check_rep(1j * math.pi / 4, build_ladder(12), PARAMS)
-        g2 = imagscale.is_gram(rep, 3)
+        g2 = gram(rep, imagscale.is_check_vacuum(rep), 3)
         dev2 = float(np.max(np.abs(g2 - np.eye(g2.shape[0]))))
         assert dev2 <= 1e-8
         return f"rotation {dev1:.2e}, imaginary-scale {dev2:.2e}, both <= 1e-8"
@@ -180,10 +182,12 @@ def test_eom_certification(capsys):
         xp, yp = position_operators(lad, PARAMS)
         worst_xy = 0.0
         for sign in (1, -1):
-            x, y = ft.ft_xy_operators(sign, 0.0, ft.ft_transform(sign * math.pi / 4, lad), PARAMS)
+            theta = sign * math.pi / 4
+            x, y = xy_operators(ft.FT, sign, 0.0, transform(ft.FT, theta, lad), PARAMS)
             worst_xy = max(worst_xy, interior_deviation(x, xp, lad.space, 2),
                            interior_deviation(y, yp, lad.space, 2))
-            x, y = imagscale.is_xy_operators(sign, 0.0, imagscale.is_transform(sign * 1j * math.pi / 4, lad), PARAMS)
+            chi = sign * 1j * math.pi / 4
+            x, y = xy_operators(imagscale.IS, sign, 0.0, transform(imagscale.IS, chi, lad), PARAMS)
             worst_xy = max(worst_xy, interior_deviation(x, xp, lad.space, 2),
                            interior_deviation(y, yp, lad.space, 2))
         assert worst_xy <= 1e-10

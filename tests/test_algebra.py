@@ -31,8 +31,9 @@ from bateman.algebra import (
 )
 from bateman.errors import MixedUnitError
 from bateman.fock import build_ladder
-from bateman.ft import ft_hamiltonian_formal
-from bateman.imagscale import is_hamiltonian_formal
+from bateman.construction import hamiltonian_formal
+from bateman.ft import FT
+from bateman.imagscale import IS
 
 
 def test_normal_order_single_commutation():
@@ -84,20 +85,20 @@ def test_number_operator_element():
 
 
 def test_hamiltonian_elements_exact():
-    h_plus = ft_hamiltonian_formal("+")
+    h_plus = hamiltonian_formal(FT, "+")
     got = basis_matrix_element(1, 0, h_plus, 1, 0)
     assert got == ExactScalar.unit(U_HW, 1) + ExactScalar.unit(U_IHL, 2)
     assert got.as_integer_pair() == (1, 2)
     assert basis_matrix_element(2, 0, h_plus, 1, 1).is_zero()
 
 
-@pytest.mark.parametrize("formal,expect", [
-    (ft_hamiltonian_formal, lambda n1, n2, b: (n1 - n2, b * (n1 + n2 + 1))),
-    (is_hamiltonian_formal, lambda n1, n2, b: (n1 + n2 + 1, b * (n1 - n2))),
-])
-def test_diagonal_spectra_oracle(formal, expect):
+@pytest.mark.parametrize("con,expect", [
+    (FT, lambda n1, n2, b: (n1 - n2, b * (n1 + n2 + 1))),
+    (IS, lambda n1, n2, b: (n1 + n2 + 1, b * (n1 - n2))),
+], ids=["ft", "is"])
+def test_diagonal_spectra_oracle(con, expect):
     for b in (+1, -1):
-        h = formal("+" if b > 0 else "-")
+        h = hamiltonian_formal(con, "+" if b > 0 else "-")
         for n1 in range(4):
             for n2 in range(4 - n1):
                 got = basis_matrix_element(n1, n2, h, n1, n2)

@@ -68,8 +68,7 @@ def test_json_output_deterministic(capsys):
 # --- norms -------------------------------------------------------------------
 
 def test_norms_explicit_theta_narrows_grid(capsys):
-    rc, out, _ = run(capsys, "norms", "--theta", "0.15", "--n-cap", "1",
-                     "--format", "csv")
+    rc, out, _ = run(capsys, "norms", "--theta", "0.15", "--format", "csv")
     assert rc == 0
     lines = out.splitlines()
     assert lines[0] == "n1,n2,big_theta,value,closed_form,rel_dev"
@@ -78,7 +77,7 @@ def test_norms_explicit_theta_narrows_grid(capsys):
 
 
 def test_norms_closed_forms_agree(capsys):
-    rc, out, _ = run(capsys, "norms", "--n-cap", "1", "--format", "csv")
+    rc, out, _ = run(capsys, "norms", "--format", "csv")
     assert rc == 0
     for line in out.splitlines()[1:]:
         parts = line.split(",")
@@ -222,3 +221,25 @@ def test_out_writes_file(tmp_path, capsys):
     assert out == ""
     _, stdout_doc, _ = run(capsys, "spectrum", "--n-cap", "1")
     assert target.read_text() == stdout_doc
+
+
+def test_unexpected_exception_exits_2_without_traceback(capsys):
+    rc, out, err = run(capsys, "evolve", "--times", "1e6")  # e^{lambda t} overflows
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: OverflowError: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_nonfinite_times_rejected(capsys, value):
+    rc, out, err = run(capsys, "evolve", "--times", f"0,{value}")
+    assert rc == 2
+    assert out == "" and "finite" in err
+
+
+@pytest.mark.parametrize("argv", [["norms", "--n-max", "3"], ["classify", "--times", "1"],
+                                  ["spectrum", "--chi-sign", "+"]])
+def test_flags_a_command_does_not_read_are_rejected(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2

@@ -1,0 +1,67 @@
+"""The generic machinery, once per construction: rotation (ft) and imaginary scale (is)."""
+
+import numpy as np
+import pytest
+
+from bateman import algebra
+from bateman.algebra import B1_ANN, B1_CRE, B2_ANN, B2_CRE
+from bateman.construction import (
+    basis,
+    eigenvalue,
+    hamiltonian_formal,
+    heisenberg_factor,
+    plain_in_modes,
+    transform,
+)
+from bateman.errors import DomainError, HeadroomError
+from bateman.ft import FT, ft_vacuum_series
+from bateman.imagscale import IS, is_check_rep, is_check_vacuum
+
+ROUTES = pytest.mark.parametrize("con", [FT, IS], ids=["ft", "is"])
+
+
+@ROUTES
+def test_eigenvalue_matches_formal_element(con):
+    for branch in ("+", "-"):
+        h = hamiltonian_formal(con, branch)
+        for n1 in range(4):
+            for n2 in range(4 - n1):
+                got = algebra.basis_matrix_element(n1, n2, h, n1, n2)
+                assert got == eigenvalue(con, n1, n2, branch).exact()
+
+
+@ROUTES
+@pytest.mark.parametrize("branch", [1, -1])
+def test_substitution_inverts_the_mixing(con, branch, ladder8):
+    # the exact plain-mode expressions, evaluated on the mixed matrices at the
+    # decoupling angle, must give back the plain ladder matrices
+    mixed = transform(con, con.quarter(branch), ladder8)
+    matrices = {B1_ANN: mixed.ann1, B1_CRE: mixed.cre1, B2_ANN: mixed.ann2, B2_CRE: mixed.cre2}
+    for name, poly in plain_in_modes(con, branch).items():
+        value = sum(coeff.to_complex() * matrices[word[0]] for word, coeff in poly.terms.items())
+        assert np.max(np.abs(value - getattr(ladder8, name))) <= 1e-14
+
+
+@ROUTES
+def test_heisenberg_factors_are_reciprocal(con, params):
+    t = 0.7
+    for mode in (1, 2):
+        for branch in (1, -1):
+            ann = heisenberg_factor(con, mode, "ann", branch, t, params)
+            cre = heisenberg_factor(con, mode, "cre", branch, t, params)
+            assert heisenberg_factor(con, mode, "ann", branch, 0.0, params) == 1.0
+            assert abs(ann * cre - 1.0) <= 1e-12
+    with pytest.raises(DomainError):
+        heisenberg_factor(con, 3, "ann", 1, t, params)
+
+
+def test_headroom_belongs_to_the_frame(params, ladder8):
+    # the original-frame rotation basis may use any occupation of the space;
+    # the bounded frame keeps two rungs clear of the boundary
+    bar = transform(FT, 0.3, ladder8)
+    ket, bra = basis(bar, 5, 4, ft_vacuum_series(0.3, ladder8.space))
+    assert ket.shape == bra.shape == (ladder8.space.dim,)
+    rep = is_check_rep(IS.quarter(1), ladder8, params)
+    basis(rep, 3, 3, is_check_vacuum(rep))
+    with pytest.raises(HeadroomError):
+        basis(rep, 4, 3, is_check_vacuum(rep))

@@ -1,6 +1,5 @@
 """Truncated two-mode ladder matrices: structure, commutators, exponentials."""
 
-import io
 import math
 
 import numpy as np
@@ -12,7 +11,6 @@ from bateman.fock import (
     build_hamiltonian,
     build_ladder,
     commutator,
-    export_matrix_csv,
     interior_deviation,
     interior_projector,
     matrix_exp,
@@ -136,11 +134,3 @@ def test_windowed_deviation_shape_guard(ladder8):
     with pytest.raises(DimensionMismatch):
         windowed_deviation(np.zeros((3, 3)), np.zeros((4, 4)), ladder8.space, 2)
 
-
-def test_export_matrix_csv():
-    buf = io.StringIO()
-    rows = export_matrix_csv(np.array([[0.0, 1.5], [2j, 0.0]]), buf)
-    assert rows == 2  # only nonzero entries are emitted
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "row,col,re,im"
-    assert len(lines) == 3

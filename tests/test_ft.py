@@ -6,44 +6,47 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bateman import algebra
+from bateman.construction import (
+    basis,
+    eigenvalue,
+    gram,
+    hamiltonian_formal,
+    hamiltonian_from_plain,
+    heisenberg_factor,
+    identity_report,
+    normalize_branch,
+    plain_in_modes,
+    transform,
+    xy_operators,
+)
 from bateman.errors import DomainError, FitError, NumericalError, SeriesDivergence
 from bateman.fock import FockSpace, build_ladder, position_operators
 from bateman.ft import (
     FIT_THETA_GRID,
+    FT,
     TREND_THETA_GRID,
     _chain_standard_norm,
-    ft_basis,
     ft_basis_similarity,
-    ft_eigenvalue,
-    ft_gram,
-    ft_hamiltonian_formal,
-    ft_hamiltonian_from_plain,
-    ft_heisenberg_factor,
     ft_norm_exponent_fit,
-    ft_plain_in_bars,
     ft_standard_norm,
-    ft_transform,
     ft_vacuum_series,
-    ft_xy_operators,
     generator_matrix,
-    h1_in_bar,
-    normalize_branch,
     similarity_deviation,
 )
+
 
 
 # --- transform ---------------------------------------------------------------
 
 def test_transform_identity_at_zero(ladder8):
-    ft = ft_transform(0.0, ladder8)
+    ft = transform(FT, 0.0, ladder8)
     assert np.array_equal(ft.ann1, ladder8.a1)
     assert np.array_equal(ft.cre2, ladder8.a2_dag)
 
 
 def test_transform_quarter_turn(ladder8):
     c, s = math.cos(math.pi / 4), math.sin(math.pi / 4)
-    ft = ft_transform(math.pi / 4, ladder8)
+    ft = transform(FT, math.pi / 4, ladder8)
     assert np.array_equal(ft.ann1, c * ladder8.a1 - s * ladder8.a2_dag)
     assert np.array_equal(ft.cre1, c * ladder8.a1_dag + s * ladder8.a2)
     assert np.array_equal(ft.ann2, c * ladder8.a2 - s * ladder8.a1_dag)
@@ -52,7 +55,7 @@ def test_transform_quarter_turn(ladder8):
 
 def test_transform_rejects_nonfinite(ladder8):
     with pytest.raises(DomainError):
-        ft_transform(float("nan"), ladder8)
+        transform(FT, float("nan"), ladder8)
 
 
 def test_generator_matrix(ladder8):
@@ -65,37 +68,27 @@ def test_similarity_on_low_window():
     # the low-occupation window is the convergent statement
     lad = build_ladder(24)
     for theta in (0.1, 0.3):
-        assert similarity_deviation(ft_transform(theta, lad)) <= 1e-10
+        assert similarity_deviation(transform(FT, theta, lad)) <= 1e-10
 
 
 # --- eigenvalues -------------------------------------------------------------
 
 def test_eigenvalue_examples(params):
-    assert (ft_eigenvalue(0, 0, "+").p, ft_eigenvalue(0, 0, "+").q) == (0, 1)
-    assert (ft_eigenvalue(0, 0, "-").p, ft_eigenvalue(0, 0, "-").q) == (0, -1)
-    e = ft_eigenvalue(2, 1, "+")
+    assert (eigenvalue(FT, 0, 0, "+").p, eigenvalue(FT, 0, 0, "+").q) == (0, 1)
+    assert (eigenvalue(FT, 0, 0, "-").p, eigenvalue(FT, 0, 0, "-").q) == (0, -1)
+    e = eigenvalue(FT, 2, 1, "+")
     assert (e.p, e.q) == (1, 4)
     assert e.as_complex(params) == 1.0 + 2.0j
 
 
-def test_eigenvalue_matches_formal_element():
-    for branch in ("+", "-"):
-        h = ft_hamiltonian_formal(branch)
-        for n1 in range(4):
-            for n2 in range(4 - n1):
-                want = ft_eigenvalue(n1, n2, branch).exact()
-                got = algebra.basis_matrix_element(n1, n2, h, n1, n2)
-                assert got == want
-
-
 def test_formal_two_routes_agree():
     for branch in ("+", "-"):
-        assert ft_hamiltonian_formal(branch) == ft_hamiltonian_from_plain(branch)
+        assert hamiltonian_formal(FT, branch) == hamiltonian_from_plain(FT, branch)
 
 
 def test_plain_in_bars_inverts():
     # substituting the bar expansion back must reproduce the plain symbols
-    d = ft_plain_in_bars("+")
+    d = plain_in_modes(FT, "+")
     assert sorted(d.keys()) == ["a1", "a1_dag", "a2", "a2_dag"]
     for expr in d.values():
         assert expr.degree() == 1
@@ -113,7 +106,7 @@ def test_branch_normalization():
 @pytest.mark.parametrize("sign", [+1, -1])
 def test_h1_reduces_at_quarter_turn(sign, params):
     lad = build_ladder(12)
-    rep = h1_in_bar(ft_transform(sign * math.pi / 4, lad), params)
+    rep = identity_report(FT, transform(FT, sign * math.pi / 4, lad), params)
     bound = 1e-10 * lad.space.dim
     assert rep.h0_deviation <= bound
     assert rep.h1_deviation <= bound
@@ -142,9 +135,10 @@ def test_vacuum_series_diverges_at_wall():
 
 
 def test_basis_two_routes():
-    ft = ft_transform(0.3, build_ladder(24))
+    ft = transform(FT, 0.3, build_ladder(24))
+    vacuum = ft_vacuum_series(0.3, ft.space)
     for n1, n2 in ((0, 0), (1, 0), (1, 1), (2, 1)):
-        k1, b1 = ft_basis(ft, n1, n2)
+        k1, b1 = basis(ft, n1, n2, vacuum)
         k2, b2 = ft_basis_similarity(ft, n1, n2)
         assert np.max(np.abs(k1 - k2)) <= 1e-10
         assert np.max(np.abs(b1 - b2)) <= 1e-10
@@ -152,8 +146,8 @@ def test_basis_two_routes():
 
 
 def test_gram_is_identity():
-    ft = ft_transform(0.3, build_ladder(24))
-    g = ft_gram(ft, 3)
+    ft = transform(FT, 0.3, build_ladder(24))
+    g = gram(ft, ft_vacuum_series(0.3, ft.space), 3)
     assert g.shape == (16, 16)
     assert np.max(np.abs(g - np.eye(16))) <= 1e-8
 
@@ -237,12 +231,12 @@ def test_heisenberg_factor_at_zero(params):
     for mode in (1, 2):
         for kind in ("ann", "cre"):
             for branch in (1, -1):
-                assert ft_heisenberg_factor(mode, kind, branch, 0.0, params) == 1.0
+                assert heisenberg_factor(FT, mode, kind, branch, 0.0, params) == 1.0
 
 
 def test_heisenberg_factor_closed_form(params):
     t = 0.7
-    got = ft_heisenberg_factor(1, "ann", -1, t, params)
+    got = heisenberg_factor(FT, 1, "ann", -1, t, params)
     want = np.exp((-1j * params.omega - params.lam) * t)
     assert abs(got - want) <= 1e-12
 
@@ -250,7 +244,7 @@ def test_heisenberg_factor_closed_form(params):
 def test_heisenberg_conjugate_product(params):
     # matched ann/cre factors carry opposite exponents
     t = 0.7
-    prod = ft_heisenberg_factor(1, "ann", 1, t, params) * ft_heisenberg_factor(
+    prod = heisenberg_factor(FT, 1, "ann", 1, t, params) * heisenberg_factor(FT, 
         1, "cre", 1, t, params
     )
     assert abs(prod - 1.0) <= 1e-12
@@ -262,15 +256,15 @@ def test_heisenberg_modulus(params, t, mode, branch):
     # modulus is set by branch and kind alone; mode only moves the phase
     rate = branch * params.lam
     for kind, s in (("ann", +1), ("cre", -1)):
-        got = abs(ft_heisenberg_factor(mode, kind, branch, t, params))
+        got = abs(heisenberg_factor(FT, mode, kind, branch, t, params))
         assert abs(got - math.exp(s * rate * t)) <= 1e-9 * math.exp(abs(rate) * t)
 
 
 @pytest.mark.parametrize("sign", [+1, -1])
 def test_xy_reconstruction_at_zero(sign, params):
     lad = build_ladder(12)
-    ft = ft_transform(sign * math.pi / 4, lad)
-    x, y = ft_xy_operators(sign, 0.0, ft, params)
+    ft = transform(FT, sign * math.pi / 4, lad)
+    x, y = xy_operators(FT, sign, 0.0, ft, params)
     xp, yp = position_operators(lad, params)
     assert np.max(np.abs(x - xp)) <= 1e-10
     assert np.max(np.abs(y - yp)) <= 1e-10
@@ -279,4 +273,4 @@ def test_xy_reconstruction_at_zero(sign, params):
 def test_xy_requires_decoupling_angle(params):
     lad = build_ladder(8)
     with pytest.raises(DomainError):
-        ft_xy_operators(+1, 0.0, ft_transform(0.3, lad), params)
+        xy_operators(FT, +1, 0.0, transform(FT, 0.3, lad), params)

@@ -10,28 +10,30 @@ import math
 import numpy as np
 import pytest
 
-from bateman import algebra
+from bateman.construction import (
+    basis,
+    eigenvalue,
+    gram,
+    hamiltonian_formal,
+    hamiltonian_from_plain,
+    heisenberg_factor,
+    identity_report,
+    plain_in_modes,
+    transform,
+    xy_operators,
+)
 from bateman.errors import DomainError, HeadroomError
 from bateman.fock import build_ladder, position_operators
-from bateman.ft import ft_eigenvalue
+from bateman.ft import FT
 from bateman.imagscale import (
+    IS,
     chi_similarity_deviation,
     conjugate_xy_terms,
     generator_y_matrix,
     generator_z_matrix,
-    h_in_check,
-    is_basis,
     is_check_rep,
     is_check_vacuum,
-    is_eigenvalue,
-    is_gram,
-    is_hamiltonian_formal,
-    is_hamiltonian_from_plain,
-    is_heisenberg_factor,
-    is_plain_in_checks,
-    is_transform,
     is_vacuum,
-    is_xy_operators,
     is_xy_symbolic,
     tilde_pair,
     tilde_similarity_deviation,
@@ -43,7 +45,7 @@ CHI_Q = 1j * math.pi / 4
 # --- transform ---------------------------------------------------------------
 
 def test_transform_at_zero(ladder8):
-    ist = is_transform(0j, ladder8)
+    ist = transform(IS, 0j, ladder8)
     assert np.array_equal(ist.ann1, ladder8.a1)
     assert np.array_equal(ist.cre1, ladder8.a1_dag)
     # mode 2 is already swapped: ann2 = -i a2+, cre2 = -i a2
@@ -53,7 +55,7 @@ def test_transform_at_zero(ladder8):
 
 def test_transform_quarter_mix(ladder8):
     r = 1.0 / math.sqrt(2)
-    ist = is_transform(CHI_Q, ladder8)
+    ist = transform(IS, CHI_Q, ladder8)
     a1, a1d = ladder8.a1, ladder8.a1_dag
     a2, a2d = ladder8.a2, ladder8.a2_dag
     assert np.max(np.abs(ist.ann1 - r * (a1 - a2d))) <= 1e-12
@@ -63,8 +65,9 @@ def test_transform_quarter_mix(ladder8):
 
 
 def test_transform_rejects_real_angle(ladder8):
-    with pytest.raises(DomainError):
-        is_transform(0.3, ladder8)
+    for chi in (0.3, complex(0.0, math.nan)):
+        with pytest.raises(DomainError):
+            transform(IS, chi, ladder8)
 
 
 def test_generators(ladder8):
@@ -91,20 +94,11 @@ def test_similarity_on_low_window():
 # --- eigenvalues -------------------------------------------------------------
 
 def test_eigenvalue_examples(params):
-    assert (is_eigenvalue(0, 0, "+").p, is_eigenvalue(0, 0, "+").q) == (1, 0)
-    assert (is_eigenvalue(1, 1, "+").p, is_eigenvalue(1, 1, "+").q) == (3, 0)
-    assert (is_eigenvalue(2, 0, "+").p, is_eigenvalue(2, 0, "+").q) == (3, 2)
-    assert (is_eigenvalue(2, 0, "-").p, is_eigenvalue(2, 0, "-").q) == (3, -2)
-    assert is_eigenvalue(1, 0, "+").as_complex(params) == 2.0 + 0.5j
-
-
-def test_eigenvalue_matches_formal_element():
-    for branch in ("+", "-"):
-        h = is_hamiltonian_formal(branch)
-        for n1 in range(4):
-            for n2 in range(4 - n1):
-                got = algebra.basis_matrix_element(n1, n2, h, n1, n2)
-                assert got == is_eigenvalue(n1, n2, branch).exact()
+    assert (eigenvalue(IS, 0, 0, "+").p, eigenvalue(IS, 0, 0, "+").q) == (1, 0)
+    assert (eigenvalue(IS, 1, 1, "+").p, eigenvalue(IS, 1, 1, "+").q) == (3, 0)
+    assert (eigenvalue(IS, 2, 0, "+").p, eigenvalue(IS, 2, 0, "+").q) == (3, 2)
+    assert (eigenvalue(IS, 2, 0, "-").p, eigenvalue(IS, 2, 0, "-").q) == (3, -2)
+    assert eigenvalue(IS, 1, 0, "+").as_complex(params) == 2.0 + 0.5j
 
 
 def test_spectra_swap_roles():
@@ -112,16 +106,16 @@ def test_spectra_swap_roles():
     for branch in (1, -1):
         for n1 in range(5):
             for n2 in range(5):
-                f = ft_eigenvalue(n1, n2, branch)
-                i = is_eigenvalue(n1, n2, branch)
+                f = eigenvalue(FT, n1, n2, branch)
+                i = eigenvalue(IS, n1, n2, branch)
                 assert i.p == branch * f.q
                 assert i.q == branch * f.p
 
 
 def test_formal_two_routes_agree():
     for branch in ("+", "-"):
-        assert is_hamiltonian_formal(branch) == is_hamiltonian_from_plain(branch)
-    d = is_plain_in_checks("+")
+        assert hamiltonian_formal(IS, branch) == hamiltonian_from_plain(IS, branch)
+    d = plain_in_modes(IS, "+")
     assert sorted(d.keys()) == ["a1", "a1_dag", "a2", "a2_dag"]
 
 
@@ -130,7 +124,7 @@ def test_formal_two_routes_agree():
 @pytest.mark.parametrize("chi", [0.2j, CHI_Q, -CHI_Q])
 def test_h_reduces_in_check_frame(chi, params):
     lad = build_ladder(12)
-    rep = h_in_check(chi, lad, params)
+    rep = identity_report(IS, transform(IS, chi, lad), params)
     bound = 1e-10 * lad.space.dim
     assert rep.h0_deviation <= bound
     assert rep.h1_deviation <= bound
@@ -141,14 +135,14 @@ def test_h_reduces_in_check_frame(chi, params):
 # --- original-frame vacuum (diagnostic only) ---------------------------------
 
 def test_plain_vacuum_sits_at_ladder_top(ladder8):
-    ket, bra = is_vacuum(is_transform(0j, ladder8))
+    ket, bra = is_vacuum(transform(IS, 0j, ladder8))
     peak = int(np.argmax(np.abs(ket)))
     assert peak == ladder8.space.index(0, 8)
     assert abs(bra @ ket - 1.0) <= 1e-12
 
 
 def test_plain_vacuum_defining_property(ladder8):
-    ist = is_transform(CHI_Q, ladder8)
+    ist = transform(IS, CHI_Q, ladder8)
     ket, _ = is_vacuum(ist)
     assert np.max(np.abs(ist.ann1 @ ket)) <= 1e-10
     assert np.max(np.abs(ist.ann2 @ ket)) <= 1e-10
@@ -175,7 +169,7 @@ def test_check_vacuum_at_corner(rep12):
 
 
 def test_check_gram_is_identity(rep12):
-    g = is_gram(rep12, 3)
+    g = gram(rep12, is_check_vacuum(rep12), 3)
     assert g.shape == (16, 16)
     assert np.max(np.abs(g - np.eye(16))) <= 1e-8
 
@@ -183,15 +177,15 @@ def test_check_gram_is_identity(rep12):
 def test_check_matrix_elements(rep12, params):
     for branch, rep in ((1, rep12), (-1, is_check_rep(-CHI_Q, rep12.ladder, params))):
         for n1, n2 in ((0, 0), (1, 0), (1, 1), (2, 1)):
-            ket, bra = is_basis(rep, n1, n2)
+            ket, bra = basis(rep, n1, n2, is_check_vacuum(rep))
             got = bra @ (rep.h @ ket)
-            want = is_eigenvalue(n1, n2, branch).as_complex(params)
+            want = eigenvalue(IS, n1, n2, branch).as_complex(params)
             assert abs(got - want) <= 1e-10
 
 
 def test_check_headroom_guard(rep12):
     with pytest.raises(HeadroomError):
-        is_basis(rep12, 6, 5)  # n1+n2 > n_max - 2
+        basis(rep12, 6, 5, is_check_vacuum(rep12))  # n1+n2 > n_max - 2
 
 
 def test_check_h_not_normal(rep12):
@@ -205,17 +199,17 @@ def test_check_h_not_normal(rep12):
 @pytest.mark.parametrize("sign", [+1, -1])
 def test_xy_reconstruction_at_zero(sign, params):
     lad = build_ladder(12)
-    ist = is_transform(sign * CHI_Q, lad)
-    x, y = is_xy_operators(sign, 0.0, ist, params)
+    ist = transform(IS, sign * CHI_Q, lad)
+    x, y = xy_operators(IS, sign, 0.0, ist, params)
     xp, yp = position_operators(lad, params)
     assert np.max(np.abs(x - xp)) <= 1e-10
     assert np.max(np.abs(y - yp)) <= 1e-10
 
 
 def test_heisenberg_factor(params):
-    assert is_heisenberg_factor(1, "ann", 1, 0.0, params) == 1.0
+    assert heisenberg_factor(IS, 1, "ann", 1, 0.0, params) == 1.0
     t = 0.7
-    got = is_heisenberg_factor(1, "ann", -1, t, params)
+    got = heisenberg_factor(IS, 1, "ann", -1, t, params)
     assert abs(got - np.exp((-1j * params.omega - params.lam) * t)) <= 1e-12
 
 

@@ -112,3 +112,14 @@ def test_tol_scale_loosens(params):
                        corrupt_check="dynamics.factor")
     results = run_suite("dynamics", cfg)
     assert not all_passed(results)
+
+
+@pytest.mark.parametrize("check", [fn for checks in SUITES.values() for fn in checks],
+                         ids=lambda fn: fn.check_id)
+def test_every_check_can_fail(params, check):
+    # each check passes at a coarse resolution and the negative control flips
+    # it under the id it declares
+    result = check(VerifyConfig(params=params, n_max=8))
+    assert result.passed and result.check_id == check.check_id
+    corrupted = check(VerifyConfig(params=params, n_max=8, corrupt_check=check.check_id))
+    assert not corrupted.passed and corrupted.check_id == check.check_id
