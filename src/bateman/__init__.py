@@ -32,7 +32,7 @@ from .fock import (
     build_ladder,
     commutator,
     interior_deviation,
-    interior_projector,
+    interior_mask,
     position_operators,
 )
 from .algebra import (
@@ -85,7 +85,7 @@ __all__ = [
     "build_ladder",
     "commutator",
     "interior_deviation",
-    "interior_projector",
+    "interior_mask",
     "position_operators",
     "CQ",
     "ExactScalar",

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from numpy.linalg import matrix_power
 
 from .algebra import B1_ANN, B1_CRE, B2_ANN, B2_CRE, ExactScalar, LadderPoly, U_HW, U_IHL
 from .errors import DomainError, HeadroomError
@@ -251,9 +250,12 @@ def basis(modes, n1: int, n2: int, vacuum: tuple[np.ndarray, np.ndarray]
         raise HeadroomError(f"n1+n2 = {n1 + n2} exceeds headroom {modes.headroom}")
     ket0, bra0 = vacuum
     norm = math.sqrt(math.factorial(n1) * math.factorial(n2))
-    ket = matrix_power(modes.cre1, n1) @ (matrix_power(modes.cre2, n2) @ ket0) / norm
-    bra = (bra0 @ matrix_power(modes.ann1, n1)) @ matrix_power(modes.ann2, n2) / norm
-    return ket, bra
+    ket, bra = ket0, bra0
+    for op in [modes.cre2] * n2 + [modes.cre1] * n1:
+        ket = op @ ket
+    for op in [modes.ann1] * n1 + [modes.ann2] * n2:
+        bra = bra @ op
+    return ket / norm, bra / norm
 
 
 def gram(modes, vacuum: tuple[np.ndarray, np.ndarray], q_cap: int) -> np.ndarray:

@@ -2,8 +2,14 @@
 
 Per-mode occupation is capped at n_max.  The flat index of |n1, n2> is
 n1*(n_max+1) + n2.  Truncation spoils canonical commutators only on the
-boundary layer; the interior projector selects the states where the
+boundary layer; the interior mask selects the states where the
 infinite-space identities hold exactly.
+
+Operators stay dense matrices, but the ones the constructions use conserve
+n1-n2, n1+n2 or a parity, so most of their entries are exact zeros.  The
+dense kernels (`matrix_exp`, and the nullspace SVD in `imagscale`) split
+their input into the connected blocks of its own nonzero pattern
+(`blocks`) and work block by block.
 """
 
 from __future__ import annotations
@@ -25,7 +31,8 @@ __all__ = [
     "build_ladder",
     "build_hamiltonian",
     "commutator",
-    "interior_projector",
+    "blocks",
+    "interior_mask",
     "interior_deviation",
     "window_mask",
     "windowed_deviation",
@@ -120,24 +127,20 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b - b @ a
 
 
-def interior_projector(space: FockSpace, margin: int) -> np.ndarray:
-    """Diagonal 0/1 projector onto occupations n_i <= n_max - margin."""
+def interior_mask(space: FockSpace, margin: int) -> np.ndarray:
+    """Boolean mask selecting basis states with occupations n_i <= n_max - margin."""
     if margin < 0 or margin > space.n_max:
         raise DomainError(f"margin must lie in [0, {space.n_max}], got {margin}")
-    cut = space.n_max - margin
-    diag = np.array(
-        [1.0 if (n1 <= cut and n2 <= cut) else 0.0 for n1, n2 in space.iter_occupations()],
-        dtype=complex,
-    )
-    return np.diag(diag)
+    low = np.arange(space.n_max + 1) <= space.n_max - margin
+    return np.logical_and.outer(low, low).ravel()
 
 
 def interior_deviation(a: np.ndarray, b: np.ndarray, space: FockSpace, margin: int) -> float:
-    """max |P (a - b) P| entrywise, P the interior projector for the margin."""
+    """max |a - b| entrywise over the interior block on both sides."""
     if a.shape != b.shape:
         raise DimensionMismatch(f"shape mismatch {a.shape} vs {b.shape}")
-    p = interior_projector(space, margin)
-    return float(np.max(np.abs(p @ (a - b) @ p)))
+    keep = interior_mask(space, margin)
+    return float(np.max(np.abs((a - b)[np.ix_(keep, keep)])))
 
 
 def window_mask(space: FockSpace, cap: int) -> np.ndarray:
@@ -161,13 +164,65 @@ def windowed_deviation(a: np.ndarray, b: np.ndarray, space: FockSpace, cap: int)
     return float(np.max(np.abs((a - b)[np.ix_(keep, keep)])))
 
 
+def blocks(pattern: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Connected (rows, cols) blocks of a matrix's nonzero pattern.
+
+    Rows and columns are the two sides of a bipartite graph with an edge at
+    every nonzero entry; each block is one connected component, so the
+    matrix vanishes outside the union of rows x cols over the blocks.  A row
+    or column with no nonzero entry is a block of its own whose other side
+    is empty.  Index arrays are ascending; blocks come in the order of their
+    smallest row, those without rows last, in the order of their column.
+    """
+    pattern = np.asarray(pattern)
+    if pattern.ndim != 2:
+        raise DimensionMismatch(f"blocks needs a matrix, got shape {pattern.shape}")
+    n_rows, n_cols = pattern.shape
+    rows, cols = np.nonzero(pattern)
+    cols = cols + n_rows  # nodes: rows first, then columns
+    # label every node by the smallest node of its component: pull the
+    # smaller label across each edge, then jump labels to their own labels
+    label = np.arange(n_rows + n_cols)
+    while True:
+        low = np.minimum(label[rows], label[cols])
+        pulled = label.copy()
+        np.minimum.at(pulled, rows, low)
+        np.minimum.at(pulled, cols, low)
+        pulled = pulled[pulled]
+        if np.array_equal(pulled, label):
+            break
+        label = pulled
+    _, component, sizes = np.unique(label, return_inverse=True, return_counts=True)
+    members = np.split(np.argsort(component, kind="stable"), np.cumsum(sizes))[:-1]
+    return [(nodes[nodes < n_rows], nodes[nodes >= n_rows] - n_rows) for nodes in members]
+
+
+def _closed_blocks(a: np.ndarray) -> list[np.ndarray]:
+    """Index sets closed under the square matrix a: the blocks of |a| + |a^T| + I.
+
+    Absolute values, not a + a^T, because a can be antisymmetric (Y + Y^T
+    is exactly 0); the diagonal puts row i and column i in the same block.
+    """
+    pattern = (a != 0) | (a.T != 0)
+    np.fill_diagonal(pattern, True)
+    return [rows for rows, _ in blocks(pattern)]
+
+
 def matrix_exp(a: np.ndarray) -> np.ndarray:
-    """scipy expm with finiteness guards on input and output."""
+    """scipy expm block by block, with finiteness guards on input and output.
+
+    e^a is the direct sum of the exponentials of a's closed blocks and
+    exactly 0 between them.
+    """
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"matrix_exp needs a square matrix, got {a.shape}")
     if not np.all(np.isfinite(a)):
         raise NumericalError("matrix_exp input contains non-finite entries")
-    result = scipy.linalg.expm(np.asarray(a, dtype=complex))
+    a = np.asarray(a, dtype=complex)
+    result = np.zeros_like(a)
+    for idx in _closed_blocks(a):
+        sub = np.ix_(idx, idx)
+        result[sub] = scipy.linalg.expm(a[sub])
     if not np.all(np.isfinite(result)):
         raise NumericalError("matrix_exp overflowed; argument norm too large")
     return result

@@ -39,7 +39,7 @@ import numpy as np
 from .algebra import B1_ANN, B1_CRE, B2_ANN, B2_CRE, CQ, ExactScalar, LadderPoly
 from .construction import Construction, MixedModes, normalize_branch, transform, valid_angle
 from .errors import DomainError, NullspaceError
-from .fock import FockSpace, LadderSet, matrix_exp, windowed_deviation
+from .fock import FockSpace, LadderSet, blocks, matrix_exp, windowed_deviation
 from .params import PhysicalParams
 
 __all__ = [
@@ -241,16 +241,34 @@ def is_check_rep(chi: complex, ladder: LadderSet, params: PhysicalParams) -> IsC
 
 
 def _joint_null_vector(stacked: np.ndarray, label: str, frame) -> np.ndarray:
-    """Unique right-nullspace vector of a stacked operator pair, via SVD."""
-    _, sigma, vh = np.linalg.svd(stacked)
-    cutoff = NULLSPACE_RTOL * sigma[0]
-    null_count = int(np.sum(sigma < cutoff)) + (stacked.shape[1] - len(sigma))
+    """Unique right-nullspace vector of a stacked operator pair, one SVD per block.
+
+    The stacked matrix is the direct sum of the blocks of its nonzero
+    pattern, so its singular values are those of the blocks; a column block
+    with no rows is null throughout.  The cutoff is global: NULLSPACE_RTOL
+    times the largest singular value over all blocks.
+    """
+    parts = []
+    for rows, cols in blocks(stacked):
+        if len(rows) == 0:
+            parts.append((cols, np.zeros(0), np.eye(len(cols), dtype=complex)))
+        elif len(cols):
+            _, sigma, vh = np.linalg.svd(stacked[np.ix_(rows, cols)])
+            parts.append((cols, sigma, vh))
+    cutoff = NULLSPACE_RTOL * max((sigma[0] for _, sigma, _ in parts if len(sigma)), default=0.0)
+    null_count = 0
+    vector = np.zeros(stacked.shape[1], dtype=complex)
+    for cols, sigma, vh in parts:
+        nulls = int(np.sum(sigma < cutoff)) + (len(cols) - len(sigma))
+        if nulls:
+            vector[cols] = vh[-1].conj()
+        null_count += nulls
     if null_count != 1:
         raise NullspaceError(
             f"{label} nullspace dimension {null_count}, expected 1 "
             f"(n_max={frame.space.n_max}, chi={frame.angle})"
         )
-    return vh[-1].conj()
+    return vector
 
 
 def _vacuum_pair(frame) -> tuple[np.ndarray, np.ndarray]:

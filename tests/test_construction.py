@@ -1,7 +1,10 @@
 """The generic machinery, once per construction: rotation (ft) and imaginary scale (is)."""
 
+import math
+
 import numpy as np
 import pytest
+from numpy.linalg import matrix_power
 
 from bateman import algebra
 from bateman.algebra import B1_ANN, B1_CRE, B2_ANN, B2_CRE
@@ -65,3 +68,19 @@ def test_headroom_belongs_to_the_frame(params, ladder8):
     basis(rep, 3, 3, is_check_vacuum(rep))
     with pytest.raises(HeadroomError):
         basis(rep, 4, 3, is_check_vacuum(rep))
+
+
+@pytest.mark.parametrize("n1,n2", [(0, 0), (2, 0), (0, 3), (3, 2)])
+def test_basis_matches_matrix_powers(n1, n2, params, ladder8):
+    # reference: the whole creator powers applied to the vacuum, as a product of matrices
+    bar = transform(FT, 0.3, ladder8)
+    rep = is_check_rep(IS.quarter(1), ladder8, params)
+    for modes, vacuum in ((bar, ft_vacuum_series(0.3, ladder8.space)),
+                          (rep, is_check_vacuum(rep))):
+        ket0, bra0 = vacuum
+        norm = math.sqrt(math.factorial(n1) * math.factorial(n2))
+        want_ket = matrix_power(modes.cre1, n1) @ matrix_power(modes.cre2, n2) @ ket0 / norm
+        want_bra = bra0 @ matrix_power(modes.ann1, n1) @ matrix_power(modes.ann2, n2) / norm
+        ket, bra = basis(modes, n1, n2, vacuum)
+        assert np.max(np.abs(ket - want_ket)) <= 1e-12 * np.max(np.abs(want_ket))
+        assert np.max(np.abs(bra - want_bra)) <= 1e-12 * np.max(np.abs(want_bra))

@@ -4,15 +4,17 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from bateman.errors import DimensionMismatch, DomainError
 from bateman.fock import (
     FockSpace,
+    blocks,
     build_hamiltonian,
     build_ladder,
     commutator,
     interior_deviation,
-    interior_projector,
+    interior_mask,
     matrix_exp,
     position_operators,
     window_mask,
@@ -75,11 +77,26 @@ def test_boundary_defect_corner():
 
 
 def test_interior_projector_margin(ladder8):
-    p = interior_projector(ladder8.space, 2)
-    kept = int(np.sum(np.real(np.diag(p))))
-    assert kept == 7 * 7
+    space = ladder8.space
+    keep = interior_mask(space, 2)
+    assert keep.dtype == bool and int(keep.sum()) == 7 * 7
+    p = np.diag(keep.astype(complex))
+    assert int(np.sum(np.real(np.diag(p)))) == 7 * 7
+    assert all(keep[space.index(n1, n2)] == (n1 <= 6 and n2 <= 6)
+               for n1, n2 in space.iter_occupations())
     with pytest.raises(DomainError):
-        interior_projector(ladder8.space, -1)
+        interior_mask(space, -1)
+    with pytest.raises(DomainError):
+        interior_mask(space, 9)
+
+
+def test_interior_deviation_equals_projected_product(ladder8):
+    # the mask restriction gives the value of max |P (a - b) P| with P the 0/1 projector
+    rng = np.random.default_rng(3)
+    dim = ladder8.space.dim
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    p = np.diag(interior_mask(ladder8.space, 3).astype(complex))
+    assert interior_deviation(a, 0 * a, ladder8.space, 3) == np.max(np.abs(p @ a @ p))
 
 
 def test_window_mask(ladder8):
@@ -87,6 +104,43 @@ def test_window_mask(ladder8):
     assert int(keep.sum()) == 10  # states with n1+n2 <= 3
     with pytest.raises(DomainError):
         window_mask(ladder8.space, -1)
+
+
+def test_blocks_partition_and_reassemble():
+    rng = np.random.default_rng(11)
+    m = np.zeros((7, 6), dtype=complex)
+    for i, j in ((0, 0), (2, 0), (2, 3), (4, 1), (5, 5), (6, 5)):
+        m[i, j] = rng.standard_normal() + 1j
+    parts = blocks(m)
+    rows = np.concatenate([r for r, _ in parts])
+    cols = np.concatenate([c for _, c in parts])
+    assert sorted(rows) == list(range(7)) and sorted(cols) == list(range(6))
+    assert [(list(r), list(c)) for r, c in parts] == [
+        ([0, 2], [0, 3]), ([1], []), ([3], []), ([4], [1]), ([5, 6], [5]),
+        ([], [2]), ([], [4]),
+    ]
+    rebuilt = np.zeros_like(m)
+    for r, c in parts:
+        rebuilt[np.ix_(r, c)] = m[np.ix_(r, c)]
+    assert np.array_equal(rebuilt, m)
+
+
+@pytest.mark.parametrize("n_max", [3, 8])
+def test_blocks_follow_conserved_quantities(n_max):
+    from bateman.ft import generator_matrix
+    from bateman.imagscale import generator_y_matrix
+
+    lad = build_ladder(n_max)
+    space = lad.space
+    # X conserves n1 - n2 and moves n1 + n2 by 2: one block per (n1 - n2, parity)
+    # on each side, both sides on the same sector
+    for rows, cols in blocks(generator_matrix(lad)):
+        sectors = {space.occupations(i)[0] - space.occupations(i)[1] for i in (*rows, *cols)}
+        assert len(sectors) == 1
+    # Y acts on mode 2 alone and conserves the parity of n2
+    for rows, cols in blocks(generator_y_matrix(lad)):
+        keys = {(space.occupations(i)[0], space.occupations(i)[1] % 2) for i in (*rows, *cols)}
+        assert len(keys) == 1
 
 
 def test_matrix_exp_basics():
@@ -106,6 +160,25 @@ def test_matrix_exp_against_taylor():
         term = term @ a / j
         series = series + term
     assert np.max(np.abs(matrix_exp(a) - series)) < 1e-12
+
+
+def test_matrix_exp_matches_dense_expm(ladder8, params):
+    from bateman.ft import generator_matrix
+    from bateman.imagscale import generator_y_matrix, generator_z_matrix, is_check_rep
+
+    y = generator_y_matrix(ladder8)
+    assert np.array_equal(y + y.T, 0 * y)  # a pattern from y + y.T would be empty
+    ops = {
+        "X": 0.3 * generator_matrix(ladder8),
+        "Y": 0.7j * y,
+        "Z": 0.25j * generator_z_matrix(ladder8),
+        "H": -0.4j * build_hamiltonian(ladder8, params).h,
+        "H check": -0.4j * is_check_rep(1j * math.pi / 4, ladder8, params).h,
+    }
+    for name, a in ops.items():
+        want = scipy.linalg.expm(a)
+        got = matrix_exp(a)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), name
 
 
 def test_exp_inverse_property(ladder8):

@@ -22,11 +22,12 @@ from bateman.construction import (
     transform,
     xy_operators,
 )
-from bateman.errors import DomainError, HeadroomError
+from bateman.errors import DomainError, HeadroomError, NullspaceError
 from bateman.fock import build_ladder, position_operators
 from bateman.ft import FT
 from bateman.imagscale import (
     IS,
+    _joint_null_vector,
     chi_similarity_deviation,
     conjugate_xy_terms,
     generator_y_matrix,
@@ -146,6 +147,39 @@ def test_plain_vacuum_defining_property(ladder8):
     ket, _ = is_vacuum(ist)
     assert np.max(np.abs(ist.ann1 @ ket)) <= 1e-10
     assert np.max(np.abs(ist.ann2 @ ket)) <= 1e-10
+
+
+def test_joint_null_vector_is_isolated_top_column(ladder8):
+    # both check annihilators vanish on |0, n_max> in the truncation, so its
+    # column of the stacked pair is a block with no rows
+    ist = transform(IS, CHI_Q, ladder8)
+    stacked = np.vstack([ist.ann1, ist.ann2])
+    top = ladder8.space.index(0, 8)
+    assert not np.any(stacked[:, top])
+    ket = _joint_null_vector(stacked, "check annihilator", ist)
+    unit = np.zeros(ladder8.space.dim)
+    unit[top] = 1.0
+    assert np.array_equal(np.abs(ket), unit)
+
+
+def test_joint_null_vector_rejects_nullity_nine(ladder8):
+    ist = transform(IS, 0, ladder8)  # ann1 = a1 kills every |0, n2>
+    with pytest.raises(NullspaceError, match="dimension 9"):
+        _joint_null_vector(ist.ann1, "check annihilator", ist)
+
+
+def test_joint_null_vector_matches_full_svd():
+    # a null direction inside a block that has rows, next to full-rank blocks
+    rng = np.random.default_rng(5)
+    stacked = np.zeros((9, 7), dtype=complex)
+    deficient = rng.standard_normal((4, 2)) @ rng.standard_normal((2, 3))
+    stacked[np.ix_([0, 3, 5, 8], [1, 4, 6])] = deficient
+    stacked[np.ix_([1, 2, 4, 6, 7], [0, 2, 3, 5])] = rng.standard_normal((5, 4)) + 1j
+    got = _joint_null_vector(stacked, "test", None)
+    want = np.linalg.svd(stacked)[2][-1].conj()
+    assert np.max(np.abs(stacked @ got)) <= 1e-13
+    assert abs(abs(np.vdot(want, got)) - 1.0) <= 1e-12
+    assert not np.any(got[[0, 2, 3, 5]])
 
 
 # --- bounded frame -----------------------------------------------------------
