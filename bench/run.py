@@ -1,6 +1,6 @@
 """Per-layer kernel timings: the dense kernels against their block-by-block form.
 
-    python bench/run.py [--repeats N] [--out FILE]
+    python bench/run.py [--out FILE]
 
 Times, in CPU seconds of this process with BLAS on one thread:
 
@@ -10,7 +10,7 @@ Times, in CPU seconds of this process with BLAS on one thread:
   `imagscale._joint_null_vector` in the original frame (chi = i pi/4) and
   the bounded frame at n_max in {12, 24}.
 
-Each kernel runs `--repeats` times (at least 5); the median, minimum and
+Each kernel runs REPEATS = 5 times; the median, minimum and
 maximum are reported with the block count, the size of the largest block
 and the gap between the two results (for expm the largest entrywise gap
 relative to the largest entry; for the SVD 1 - |<dense, block>| of the
@@ -53,14 +53,15 @@ from bateman.params import derive_params  # noqa: E402
 
 EXP_N_MAX = (12, 24, 32)
 SVD_N_MAX = (12, 24)
+REPEATS = 5
 CHI_Q = 1j * math.pi / 4
 GENERATORS = {"X": generator_matrix, "Y": generator_y_matrix, "Z": generator_z_matrix}
 
 
-def timed(fn, repeats: int) -> tuple[dict, object]:
-    """CPU seconds of repeats calls of fn: median, min, max; and the last result."""
+def timed(fn) -> tuple[dict, object]:
+    """CPU seconds of REPEATS calls of fn: median, min, max; and the last result."""
     times = []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         start = time.process_time()
         result = fn()
         times.append(time.process_time() - start)
@@ -68,14 +69,14 @@ def timed(fn, repeats: int) -> tuple[dict, object]:
             "max_s": max(times)}, result
 
 
-def exp_rows(repeats: int) -> list[dict]:
+def exp_rows() -> list[dict]:
     rows = []
     for n_max in EXP_N_MAX:
         lad = build_ladder(n_max)
         for name, generator in GENERATORS.items():
             a = 0.3 * generator(lad)
-            dense, want = timed(lambda: scipy.linalg.expm(a), repeats)
-            block, got = timed(lambda: matrix_exp(a), repeats)
+            dense, want = timed(lambda: scipy.linalg.expm(a))
+            block, got = timed(lambda: matrix_exp(a))
             parts = _closed_blocks(a)
             rows.append({
                 "kernel": "expm", "operator": name, "n_max": n_max, "dim": lad.space.dim,
@@ -87,7 +88,7 @@ def exp_rows(repeats: int) -> list[dict]:
     return rows
 
 
-def svd_rows(repeats: int) -> list[dict]:
+def svd_rows() -> list[dict]:
     params = derive_params(m=1.0, gamma=1.0, k=1.25)
     rows = []
     for n_max in SVD_N_MAX:
@@ -96,9 +97,9 @@ def svd_rows(repeats: int) -> list[dict]:
                   "bounded": is_check_rep(CHI_Q, lad, params)}
         for frame_name, frame in frames.items():
             stacked = np.vstack([frame.ann1, frame.ann2])
-            dense, (_, _, vh) = timed(lambda: np.linalg.svd(stacked), repeats)
+            dense, (_, _, vh) = timed(lambda: np.linalg.svd(stacked))
             block, got = timed(
-                lambda: _joint_null_vector(stacked, "check annihilator", frame), repeats)
+                lambda: _joint_null_vector(stacked, "check annihilator", frame))
             parts = blocks(stacked)
             rows.append({
                 "kernel": "nullspace_svd", "frame": frame_name, "n_max": n_max,
@@ -127,13 +128,9 @@ def machine() -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv)
-    if args.repeats < 5:
-        parser.error("--repeats must be at least 5: the report is a median of repeats")
-    record = {"machine": machine(), "repeats": args.repeats,
-              "kernels": exp_rows(args.repeats) + svd_rows(args.repeats)}
+    record = {"machine": machine(), "repeats": REPEATS, "kernels": exp_rows() + svd_rows()}
     text = json.dumps(record, indent=1) + "\n"
     if args.out is None:
         sys.stdout.write(text)

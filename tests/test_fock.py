@@ -80,8 +80,6 @@ def test_interior_projector_margin(ladder8):
     space = ladder8.space
     keep = interior_mask(space, 2)
     assert keep.dtype == bool and int(keep.sum()) == 7 * 7
-    p = np.diag(keep.astype(complex))
-    assert int(np.sum(np.real(np.diag(p)))) == 7 * 7
     assert all(keep[space.index(n1, n2)] == (n1 <= 6 and n2 <= 6)
                for n1, n2 in space.iter_occupations())
     with pytest.raises(DomainError):
