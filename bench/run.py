@@ -1,20 +1,28 @@
-"""Per-layer kernel timings: the dense kernels against their block-by-block form.
+"""Per-layer timings: the sparse operator route against the dense one it replaced.
 
     python bench/run.py [--out FILE]
 
 Times, in CPU seconds of this process with BLAS on one thread:
 
-- `scipy.linalg.expm` of the whole matrix against `fock.matrix_exp` for
-  0.3 X, 0.3 Y and 0.3 Z at n_max in {12, 24, 32};
-- `np.linalg.svd` of the whole stacked check-annihilator pair against
-  `imagscale._joint_null_vector` in the original frame (chi = i pi/4) and
-  the bounded frame at n_max in {12, 24}.
+- `scipy.linalg.expm` of the whole dense matrix against `fock.matrix_exp`
+  for 0.3 X, 0.3 Y and 0.3 Z at n_max in {12, 24, 32};
+- `np.linalg.svd` of the whole dense stacked check-annihilator pair against
+  `imagscale._joint_null_vector` on the sparse stack, in the original frame
+  (chi = i pi/4) and the bounded frame at n_max in {12, 24};
+- the operator layers at n_max in {12, 24, 32, 48}: the ladder and
+  Hamiltonian build, `transform` plus `identity_report` at the decoupling
+  angle of each route, and `commutator(H0, H1)`, each on the CSR ladder of
+  `fock.build_ladder` and on the dense np.kron ladder (`dense_ladder`, the
+  reference kept here only) fed through the same library functions; and
+  `ft_basis_similarity`, which has no dense counterpart left.  The dense
+  side stops at DENSE_N_MAX = 32: at 48 one dense operator is 92 MB and
+  `identity_report` holds more than ten of them.
 
-Each kernel runs REPEATS = 5 times; the median, minimum and
-maximum are reported with the block count, the size of the largest block
-and the gap between the two results (for expm the largest entrywise gap
-relative to the largest entry; for the SVD 1 - |<dense, block>| of the
-unit null vectors).
+Each timing runs REPEATS = 5 times; the median, minimum and maximum are
+reported with the gap between the two results (for expm the largest
+entrywise gap relative to the largest entry; for the SVD 1 - |<dense, block>|
+of the unit null vectors; for the layers the largest gap between the two
+results, relative for operators, absolute for the reported deviations).
 The JSON record goes to FILE, or to stdout without `--out`, and carries the
 machine: core count, Python, numpy, scipy and BLAS versions.
 """
@@ -36,12 +44,23 @@ from pathlib import Path  # noqa: E402
 import numpy as np  # noqa: E402
 import scipy  # noqa: E402
 import scipy.linalg  # noqa: E402
+import scipy.sparse as sp  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from bateman.construction import transform  # noqa: E402
-from bateman.fock import _closed_blocks, blocks, build_ladder, matrix_exp  # noqa: E402
-from bateman.ft import generator_matrix  # noqa: E402
+from bateman.construction import identity_report, transform  # noqa: E402
+from bateman.fock import (  # noqa: E402
+    FockSpace,
+    LadderSet,
+    _closed_blocks,
+    blocks,
+    build_hamiltonian,
+    build_ladder,
+    commutator,
+    matrix_exp,
+    max_abs,
+)
+from bateman.ft import FT, ft_basis_similarity, generator_matrix  # noqa: E402
 from bateman.imagscale import (  # noqa: E402
     IS,
     _joint_null_vector,
@@ -53,9 +72,12 @@ from bateman.params import derive_params  # noqa: E402
 
 EXP_N_MAX = (12, 24, 32)
 SVD_N_MAX = (12, 24)
+LAYER_N_MAX = (12, 24, 32, 48)
+DENSE_N_MAX = 32
 REPEATS = 5
 CHI_Q = 1j * math.pi / 4
 GENERATORS = {"X": generator_matrix, "Y": generator_y_matrix, "Z": generator_z_matrix}
+PARAMS = derive_params(m=1.0, gamma=1.0, k=1.25)
 
 
 def timed(fn) -> tuple[dict, object]:
@@ -75,12 +97,14 @@ def exp_rows() -> list[dict]:
         lad = build_ladder(n_max)
         for name, generator in GENERATORS.items():
             a = 0.3 * generator(lad)
-            dense, want = timed(lambda: scipy.linalg.expm(a))
+            whole = a.toarray()
+            dense, want = timed(lambda: scipy.linalg.expm(whole))
             block, got = timed(lambda: matrix_exp(a))
+            got = got.toarray()
             parts = _closed_blocks(a)
             rows.append({
                 "kernel": "expm", "operator": name, "n_max": n_max, "dim": lad.space.dim,
-                "blocks": len(parts), "largest_block_dim": max(len(idx) for idx in parts),
+                "blocks": len(parts), "largest_block_dim": max(len(idx) for idx, _ in parts),
                 "dense": dense, "block": block,
                 "speedup": dense["median_s"] / block["median_s"],
                 "max_rel_gap": float(np.max(np.abs(got - want)) / np.max(np.abs(want))),
@@ -89,18 +113,18 @@ def exp_rows() -> list[dict]:
 
 
 def svd_rows() -> list[dict]:
-    params = derive_params(m=1.0, gamma=1.0, k=1.25)
     rows = []
     for n_max in SVD_N_MAX:
         lad = build_ladder(n_max)
         frames = {"original": transform(IS, CHI_Q, lad),
-                  "bounded": is_check_rep(CHI_Q, lad, params)}
+                  "bounded": is_check_rep(CHI_Q, lad, PARAMS)}
         for frame_name, frame in frames.items():
-            stacked = np.vstack([frame.ann1, frame.ann2])
-            dense, (_, _, vh) = timed(lambda: np.linalg.svd(stacked))
+            stacked = sp.vstack([frame.ann1, frame.ann2], format="csr")
+            whole = stacked.toarray()
+            dense, (_, _, vh) = timed(lambda: np.linalg.svd(whole))
             block, got = timed(
                 lambda: _joint_null_vector(stacked, "check annihilator", frame))
-            parts = blocks(stacked)
+            parts = blocks(*stacked.nonzero(), stacked.shape)
             rows.append({
                 "kernel": "nullspace_svd", "frame": frame_name, "n_max": n_max,
                 "shape": list(stacked.shape), "blocks": len(parts),
@@ -109,6 +133,72 @@ def svd_rows() -> list[dict]:
                 "speedup": dense["median_s"] / block["median_s"],
                 "overlap_gap": float(1.0 - abs(np.vdot(vh[-1].conj(), got))),
             })
+    return rows
+
+
+def dense_ladder(n_max: int) -> LadderSet:
+    """Reference only: the dense np.kron ladder that build_ladder returned before."""
+    size = n_max + 1
+    a = np.diag(np.sqrt(np.arange(1.0, size)), k=1).astype(complex)
+    eye = np.eye(size, dtype=complex)
+    a1 = np.kron(a, eye)
+    a2 = np.kron(eye, a)
+    return LadderSet(space=FockSpace(n_max), a1=a1, a1_dag=a1.conj().T, a2=a2,
+                     a2_dag=a2.conj().T)
+
+
+def report_deviations(con, lad) -> np.ndarray:
+    rep = identity_report(con, transform(con, con.quarter(+1), lad), PARAMS)
+    return np.array([rep.h0_deviation, rep.h1_deviation, rep.reduced_deviation])
+
+
+def absolute_gap(got, want) -> float:
+    return max_abs(got - want)
+
+
+def relative_gap(got, want) -> float:
+    return max_abs(got - want) / max_abs(want)
+
+
+def layer_rows() -> list[dict]:
+    """Each layer: (sparse call, dense call, gap between their results) per n_max."""
+    rows = []
+    for n_max in LAYER_N_MAX:
+        sparse_lad = build_ladder(n_max)
+        dense_lad = dense_ladder(n_max) if n_max <= DENSE_N_MAX else None
+        ham = {"sparse": build_hamiltonian(sparse_lad, PARAMS)}
+        if dense_lad is not None:
+            ham["dense"] = build_hamiltonian(dense_lad, PARAMS)
+        layers = {
+            "ladder_and_hamiltonian": (
+                lambda: build_hamiltonian(build_ladder(n_max), PARAMS).h,
+                lambda: build_hamiltonian(dense_ladder(n_max), PARAMS).h,
+                relative_gap),
+            "transform_identity_report.ft": (
+                lambda: report_deviations(FT, sparse_lad),
+                lambda: report_deviations(FT, dense_lad),
+                absolute_gap),
+            "transform_identity_report.is": (
+                lambda: report_deviations(IS, sparse_lad),
+                lambda: report_deviations(IS, dense_lad),
+                absolute_gap),
+            "commutator_h0_h1": (
+                lambda: commutator(ham["sparse"].h0, ham["sparse"].h1),
+                lambda: commutator(ham["dense"].h0, ham["dense"].h1),
+                relative_gap),
+            "ft_basis_similarity": (
+                lambda: ft_basis_similarity(transform(FT, 0.3, sparse_lad), 2, 1)[0],
+                None, None),
+        }
+        for layer, (sparse_call, dense_call, gap) in layers.items():
+            sparse_t, got = timed(sparse_call)
+            row = {"layer": layer, "n_max": n_max, "dim": sparse_lad.space.dim,
+                   "sparse": sparse_t, "dense": None, "speedup": None, "gap": None}
+            if dense_call is not None and dense_lad is not None:
+                dense_t, want = timed(dense_call)
+                row.update(dense=dense_t, speedup=dense_t["median_s"] / sparse_t["median_s"],
+                           gap=gap(got, want))
+            rows.append(row)
     return rows
 
 
@@ -130,7 +220,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv)
-    record = {"machine": machine(), "repeats": REPEATS, "kernels": exp_rows() + svd_rows()}
+    record = {"machine": machine(), "repeats": REPEATS, "kernels": exp_rows() + svd_rows(),
+              "layers": layer_rows()}
     text = json.dumps(record, indent=1) + "\n"
     if args.out is None:
         sys.stdout.write(text)

@@ -43,9 +43,10 @@ def main(argv=None) -> int:
 
     for n_max in cfg.n_maxes:
         lad = build_ladder(n_max)
-        ham = build_hamiltonian(lad, params)
-        herm = float(np.max(np.abs(ham.h - ham.h.conj().T)))
-        evals = np.linalg.eigvalsh(ham.h)
+        # the dense eigensolver needs the whole matrix, not the sparse operator
+        h = build_hamiltonian(lad, params).h.toarray()
+        herm = float(np.max(np.abs(h - h.conj().T)))
+        evals = np.linalg.eigvalsh(h)
         # low edge of the spectrum, where convergence would show first
         low = np.sort(evals)[:6]
         print(f"n_max={n_max:3d} dim={lad.space.dim:4d} hermiticity={herm:.1e} "

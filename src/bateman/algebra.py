@@ -16,6 +16,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import DomainError, MixedUnitError, RadicalMismatch
 from .params import PhysicalParams
@@ -466,7 +467,7 @@ def basis_matrix_element(m1: int, m2: int, op: LadderPoly, n1: int, n2: int) -> 
     return amp * ExactScalar.surd(Fraction(s, ratio.denominator), d)
 
 
-def to_matrix(poly: LadderPoly, ladder, params: PhysicalParams | None = None) -> np.ndarray:
+def to_matrix(poly: LadderPoly, ladder, params: PhysicalParams | None = None) -> sp.csr_array:
     """Evaluate the poly on truncated matrices; the float cross-validation route."""
     symbol_map = {
         B1_CRE: ladder.a1_dag,
@@ -475,13 +476,15 @@ def to_matrix(poly: LadderPoly, ladder, params: PhysicalParams | None = None) ->
         B2_ANN: ladder.a2,
     }
     dim = ladder.space.dim
-    total = np.zeros((dim, dim), dtype=complex)
-    eye = np.eye(dim, dtype=complex)
+    total = sp.csr_array((dim, dim), dtype=complex)
     for word, coeff in poly.terms.items():
-        acc = eye
-        for sym in word:
-            acc = acc @ symbol_map[sym]
-        total += coeff.to_complex(params) * acc
+        if word:
+            acc = symbol_map[word[0]]
+            for sym in word[1:]:
+                acc = acc @ symbol_map[sym]
+        else:
+            acc = sp.eye_array(dim, dtype=complex, format="csr")
+        total = total + coeff.to_complex(params) * acc
     return total
 
 

@@ -10,7 +10,7 @@ the biorthogonal basis and its Gram, Heisenberg factors, x(t) and y(t), and
 the exact symbol substitution at the decoupling point.
 
 Two independent routes run through it: exact symbol algebra on abstract
-mixed modes (no truncation, no floats) and dense truncated matrices.
+mixed modes (no truncation, no floats) and sparse truncated matrices.
 Neither route knows about the other's results.
 """
 
@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+import scipy.sparse as sp
 
 from .algebra import B1_ANN, B1_CRE, B2_ANN, B2_CRE, ExactScalar, LadderPoly, U_HW, U_IHL
 from .errors import DomainError, HeadroomError
@@ -68,7 +69,7 @@ class Construction:
     rates: dict[int, tuple[int, int]]
     quarter: Callable[[int], complex]   # branch -> decoupling angle
     #: (modes, q number form, params) -> H1 in mixed operators at any angle
-    h1_mixed: Callable[["MixedModes", np.ndarray, PhysicalParams], np.ndarray]
+    h1_mixed: Callable[["MixedModes", sp.csr_array, PhysicalParams], sp.csr_array]
     #: branch -> exact inverse mixing at the decoupling angle, rows for (a1, a2+), (a1+, a2)
     substitution: Callable[[int], tuple[Rows, Rows]]
     xy_phase: complex               # weight of the mode-2 operator in x(t), y(t)
@@ -130,10 +131,10 @@ class MixedModes:
     """Mixed-mode matrices at a fixed angle, in the original two-mode frame."""
 
     angle: complex
-    ann1: np.ndarray
-    cre1: np.ndarray
-    ann2: np.ndarray
-    cre2: np.ndarray
+    ann1: sp.csr_array
+    cre1: sp.csr_array
+    ann2: sp.csr_array
+    cre2: sp.csr_array
     ladder: LadderSet
 
     @property
@@ -173,7 +174,7 @@ def transform(con: Construction, angle: complex, ladder: LadderSet) -> MixedMode
     )
 
 
-def mode2_split(con: Construction, modes: MixedModes) -> tuple[np.ndarray, np.ndarray]:
+def mode2_split(con: Construction, modes: MixedModes) -> tuple[sp.csr_array, sp.csr_array]:
     """(the mode-2 operator mixed from (a1, a2+), its partner mixed from (a1+, a2))."""
     return (modes.ann2, modes.cre2) if con.second_annihilates else (modes.cre2, modes.ann2)
 
@@ -209,7 +210,7 @@ def identity_report(con: Construction, modes: MixedModes, params: PhysicalParams
     space = modes.space
     lad = modes.ladder
     hbar, omega, lam = params.hbar, params.omega, params.lam
-    eye = np.eye(space.dim, dtype=complex)
+    eye = sp.eye_array(space.dim, dtype=complex, format="csr")
 
     h0 = hbar * omega * (lad.a1_dag @ lad.a1 - lad.a2_dag @ lad.a2)
     h1 = 1j * hbar * lam * (lad.a1 @ lad.a2 - lad.a1_dag @ lad.a2_dag)
@@ -295,7 +296,7 @@ def heisenberg_factor(con: Construction, mode: int, kind: str, branch, t: float,
 
 
 def xy_operators(con: Construction, branch, t: float, modes: MixedModes,
-                 params: PhysicalParams) -> tuple[np.ndarray, np.ndarray]:
+                 params: PhysicalParams) -> tuple[sp.csr_array, sp.csr_array]:
     """x(t), y(t) assembled from mixed matrices with closed-form scalar factors.
 
     modes must be built at the decoupling angle of branch.  x carries the

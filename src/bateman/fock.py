@@ -5,11 +5,13 @@ n1*(n_max+1) + n2.  Truncation spoils canonical commutators only on the
 boundary layer; the interior mask selects the states where the
 infinite-space identities hold exactly.
 
-Operators stay dense matrices, but the ones the constructions use conserve
-n1-n2, n1+n2 or a parity, so most of their entries are exact zeros.  The
-dense kernels (`matrix_exp`, and the nullspace SVD in `imagscale`) split
-their input into the connected blocks of its own nonzero pattern
-(`blocks`) and work block by block.
+Operators are `scipy.sparse` CSR arrays: the ones the constructions use
+conserve n1-n2, n1+n2 or a parity, so all but a few entries per row are
+exact zeros, and products, sums and commutators touch only the nonzeros.
+State vectors and Gram matrices stay dense numpy arrays.  The two cubic
+kernels (`matrix_exp`, and the nullspace SVD in `imagscale`) split their
+input into the connected blocks of its own nonzero pattern (`blocks`) and
+run dense numpy/scipy on each block alone.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from typing import Iterator
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 
 from .errors import DimensionMismatch, DomainError, NumericalError
 from .params import PhysicalParams
@@ -28,10 +31,13 @@ __all__ = [
     "FockSpace",
     "LadderSet",
     "HamiltonianSet",
+    "single_mode_lowering",
     "build_ladder",
     "build_hamiltonian",
     "commutator",
+    "max_abs",
     "blocks",
+    "dense_blocks",
     "interior_mask",
     "interior_deviation",
     "window_mask",
@@ -71,27 +77,29 @@ class FockSpace:
 
 @dataclass(frozen=True)
 class LadderSet:
-    """Dense annihilation/creation matrices for both modes."""
+    """Sparse (CSR) annihilation/creation matrices for both modes."""
 
     space: FockSpace
-    a1: np.ndarray
-    a1_dag: np.ndarray
-    a2: np.ndarray
-    a2_dag: np.ndarray
+    a1: sp.csr_array
+    a1_dag: sp.csr_array
+    a2: sp.csr_array
+    a2_dag: sp.csr_array
 
 
 @dataclass(frozen=True)
 class HamiltonianSet:
     """h0 (oscillator part), h1 (damping coupling) and their sum."""
 
-    h0: np.ndarray
-    h1: np.ndarray
-    h: np.ndarray
+    h0: sp.csr_array
+    h1: sp.csr_array
+    h: sp.csr_array
     params: PhysicalParams
 
 
-def _single_mode_lowering(size: int) -> np.ndarray:
-    return np.diag(np.sqrt(np.arange(1.0, size)), k=1).astype(complex)
+def single_mode_lowering(size: int) -> sp.csr_array:
+    """Lowering operator of one mode truncated to occupations 0 .. size-1."""
+    return sp.diags_array(np.sqrt(np.arange(1.0, size)), offsets=1, shape=(size, size),
+                          dtype=complex, format="csr")
 
 
 def build_ladder(n_max: int) -> LadderSet:
@@ -99,16 +107,16 @@ def build_ladder(n_max: int) -> LadderSet:
     if n_max < 2:
         raise DomainError(f"n_max must be >= 2, got {n_max}")
     size = n_max + 1
-    a = _single_mode_lowering(size)
-    eye = np.eye(size, dtype=complex)
-    a1 = np.kron(a, eye)
-    a2 = np.kron(eye, a)
+    a = single_mode_lowering(size)
+    eye = sp.eye_array(size, dtype=complex, format="csr")
+    a1 = sp.kron(a, eye, format="csr")
+    a2 = sp.kron(eye, a, format="csr")
     return LadderSet(
         space=FockSpace(n_max),
         a1=a1,
-        a1_dag=a1.conj().T,
+        a1_dag=a1.conj().T.tocsr(),
         a2=a2,
-        a2_dag=a2.conj().T,
+        a2_dag=a2.conj().T.tocsr(),
     )
 
 
@@ -121,10 +129,15 @@ def build_hamiltonian(ladder: LadderSet, params: PhysicalParams) -> HamiltonianS
     return HamiltonianSet(h0=h0, h1=h1, h=h0 + h1, params=params)
 
 
-def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def commutator(a: sp.csr_array, b: sp.csr_array) -> sp.csr_array:
     if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"incompatible shapes {a.shape} and {b.shape}")
     return a @ b - b @ a
+
+
+def max_abs(x) -> float:
+    """Largest entry modulus of a numpy or scipy.sparse array (implicit zeros count as 0)."""
+    return float(abs(x).max())
 
 
 def interior_mask(space: FockSpace, margin: int) -> np.ndarray:
@@ -135,12 +148,12 @@ def interior_mask(space: FockSpace, margin: int) -> np.ndarray:
     return np.logical_and.outer(low, low).ravel()
 
 
-def interior_deviation(a: np.ndarray, b: np.ndarray, space: FockSpace, margin: int) -> float:
+def interior_deviation(a: sp.csr_array, b: sp.csr_array, space: FockSpace, margin: int) -> float:
     """max |a - b| entrywise over the interior block on both sides."""
     if a.shape != b.shape:
         raise DimensionMismatch(f"shape mismatch {a.shape} vs {b.shape}")
     keep = interior_mask(space, margin)
-    return float(np.max(np.abs((a - b)[np.ix_(keep, keep)])))
+    return max_abs((a - b)[np.ix_(keep, keep)])
 
 
 def window_mask(space: FockSpace, cap: int) -> np.ndarray:
@@ -153,33 +166,36 @@ def window_mask(space: FockSpace, cap: int) -> np.ndarray:
     """
     if cap < 0:
         raise DomainError(f"window cap must be >= 0, got {cap}")
-    return np.array([n1 + n2 <= cap for n1, n2 in space.iter_occupations()], dtype=bool)
+    occupation = np.arange(space.n_max + 1)
+    return (np.add.outer(occupation, occupation) <= cap).ravel()
 
 
-def windowed_deviation(a: np.ndarray, b: np.ndarray, space: FockSpace, cap: int) -> float:
+def windowed_deviation(a: sp.csr_array, b: sp.csr_array, space: FockSpace, cap: int) -> float:
     """max |(a - b)| entrywise over the n1+n2 <= cap block on both sides."""
     if a.shape != b.shape:
         raise DimensionMismatch(f"shape mismatch {a.shape} vs {b.shape}")
     keep = window_mask(space, cap)
-    return float(np.max(np.abs((a - b)[np.ix_(keep, keep)])))
+    return max_abs((a - b)[np.ix_(keep, keep)])
 
 
-def blocks(pattern: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Connected (rows, cols) blocks of a matrix's nonzero pattern.
+def blocks(rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]
+           ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Connected (rows, cols) blocks of the matrix of the given shape and nonzero coordinates.
 
-    Rows and columns are the two sides of a bipartite graph with an edge at
-    every nonzero entry; each block is one connected component, so the
-    matrix vanishes outside the union of rows x cols over the blocks.  A row
-    or column with no nonzero entry is a block of its own whose other side
-    is empty.  Index arrays are ascending; blocks come in the order of their
-    smallest row, those without rows last, in the order of their column.
+    rows[k], cols[k] is the k-th nonzero entry (as from `a.nonzero()`; repeats
+    are harmless).  Rows and columns are the two sides of a bipartite graph
+    with an edge at every nonzero entry; each block is one connected
+    component, so the matrix vanishes outside the union of rows x cols over
+    the blocks.  A row or column with no nonzero entry is a block of its own
+    whose other side is empty.  Index arrays are ascending; blocks come in
+    the order of their smallest row, those without rows last, in the order
+    of their column.
     """
-    pattern = np.asarray(pattern)
-    if pattern.ndim != 2:
-        raise DimensionMismatch(f"blocks needs a matrix, got shape {pattern.shape}")
-    n_rows, n_cols = pattern.shape
-    rows, cols = np.nonzero(pattern)
-    cols = cols + n_rows  # nodes: rows first, then columns
+    if len(shape) != 2:
+        raise DimensionMismatch(f"blocks needs a matrix, got shape {shape}")
+    n_rows, n_cols = shape
+    rows = np.asarray(rows, dtype=np.intp)
+    cols = np.asarray(cols, dtype=np.intp) + n_rows  # nodes: rows first, then columns
     # label every node by the smallest node of its component: pull the
     # smaller label across each edge, then jump labels to their own labels
     label = np.arange(n_rows + n_cols)
@@ -197,38 +213,73 @@ def blocks(pattern: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     return [(nodes[nodes < n_rows], nodes[nodes >= n_rows] - n_rows) for nodes in members]
 
 
-def _closed_blocks(a: np.ndarray) -> list[np.ndarray]:
-    """Index sets closed under the square matrix a: the blocks of |a| + |a^T| + I.
+def dense_blocks(a: sp.csr_array, parts: list[tuple[np.ndarray, np.ndarray]]
+                 ) -> list[np.ndarray]:
+    """The dense submatrix a[np.ix_(rows, cols)] of every (rows, cols) block in parts.
 
-    Absolute values, not a + a^T, because a can be antisymmetric (Y + Y^T
-    is exactly 0); the diagonal puts row i and column i in the same block.
+    parts must be disjoint and hold every nonzero of a, as the blocks that
+    `blocks` returns do.  The entries are sorted into their blocks in one
+    pass over a's nonzeros, not one sparse slice per block.
     """
-    pattern = (a != 0) | (a.T != 0)
-    np.fill_diagonal(pattern, True)
-    return [rows for rows, _ in blocks(pattern)]
+    coo = a.tocoo()
+    nonzero = coo.data != 0
+    row, col, data = coo.row[nonzero], coo.col[nonzero], coo.data[nonzero]
+    owner = np.zeros(a.shape[0], dtype=np.intp)
+    local_row = np.zeros(a.shape[0], dtype=np.intp)
+    local_col = np.zeros(a.shape[1], dtype=np.intp)
+    for k, (rows, cols) in enumerate(parts):
+        owner[rows] = k
+        local_row[rows] = np.arange(len(rows))
+        local_col[cols] = np.arange(len(cols))
+    entry_owner = owner[row]
+    order = np.argsort(entry_owner, kind="stable")
+    counts = np.bincount(entry_owner, minlength=len(parts))
+    dense = []
+    for (rows, cols), end, count in zip(parts, np.cumsum(counts), counts):
+        block = np.zeros((len(rows), len(cols)), dtype=a.dtype)
+        mine = order[end - count:end]
+        block[local_row[row[mine]], local_col[col[mine]]] = data[mine]
+        dense.append(block)
+    return dense
 
 
-def matrix_exp(a: np.ndarray) -> np.ndarray:
+def _closed_blocks(a: sp.csr_array) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Blocks (idx, idx) closed under the square matrix a: the blocks of its pattern plus I.
+
+    The diagonal edges put row i and column i in the same block, so every
+    block has equal row and column sets and is closed under both a and a^T.
+    """
+    rows, cols = a.nonzero()
+    diagonal = np.arange(a.shape[0])
+    return blocks(np.concatenate([rows, diagonal]), np.concatenate([cols, diagonal]), a.shape)
+
+
+def matrix_exp(a: sp.csr_array) -> sp.csr_array:
     """scipy expm block by block, with finiteness guards on input and output.
 
     e^a is the direct sum of the exponentials of a's closed blocks and
-    exactly 0 between them.
+    exactly 0 between them: each block is read out of the CSR input as a
+    dense square, exponentiated, and scattered into the CSR result.
     """
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"matrix_exp needs a square matrix, got {a.shape}")
-    if not np.all(np.isfinite(a)):
+    a = sp.csr_array(a, dtype=complex)
+    if not np.all(np.isfinite(a.data)):
         raise NumericalError("matrix_exp input contains non-finite entries")
-    a = np.asarray(a, dtype=complex)
-    result = np.zeros_like(a)
-    for idx in _closed_blocks(a):
-        sub = np.ix_(idx, idx)
-        result[sub] = scipy.linalg.expm(a[sub])
-    if not np.all(np.isfinite(result)):
+    parts = _closed_blocks(a)
+    rows, cols, vals = [], [], []
+    for (idx, _), block in zip(parts, dense_blocks(a, parts)):
+        rows.append(np.repeat(idx, len(idx)))
+        cols.append(np.tile(idx, len(idx)))
+        vals.append(scipy.linalg.expm(block).ravel())
+    vals = np.concatenate(vals)
+    if not np.all(np.isfinite(vals)):
         raise NumericalError("matrix_exp overflowed; argument norm too large")
-    return result
+    return sp.csr_array((vals, (np.concatenate(rows), np.concatenate(cols))), shape=a.shape)
 
 
-def position_operators(ladder: LadderSet, params: PhysicalParams) -> tuple[np.ndarray, np.ndarray]:
+def position_operators(ladder: LadderSet, params: PhysicalParams
+                       ) -> tuple[sp.csr_array, sp.csr_array]:
     """(x, y) as matrices, from the rotated pair x = (x1+x2)/sqrt2, y = (x1-x2)/sqrt2."""
     scale = math.sqrt(params.hbar / (2.0 * params.m * params.omega))
     x1 = scale * (ladder.a1 + ladder.a1_dag)

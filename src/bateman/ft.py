@@ -19,6 +19,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+import scipy.sparse as sp
 
 from .algebra import B1_ANN, B1_CRE, B2_ANN, B2_CRE, ExactScalar, LadderPoly
 from .construction import Construction, MixedModes
@@ -59,7 +60,7 @@ def _rotation(theta: complex):
     return ((c, -s), (s, c)), ((c, s), (-s, c))
 
 
-def _rotation_h1(bar: MixedModes, q_form: np.ndarray, params: PhysicalParams) -> np.ndarray:
+def _rotation_h1(bar: MixedModes, q_form: sp.csr_array, params: PhysicalParams) -> sp.csr_array:
     """H1 = i hbar lambda [cos 2theta (b1 b2 - b1+ b2+) + sin 2theta (N1 + N2 + 1)]."""
     c2, s2 = cmath.cos(2 * bar.angle), cmath.sin(2 * bar.angle)
     return (1j * params.hbar * params.lam) * (
@@ -93,7 +94,7 @@ FT = Construction(
 # the generator and its similarity action
 
 
-def generator_matrix(ladder: LadderSet) -> np.ndarray:
+def generator_matrix(ladder: LadderSet) -> sp.csr_array:
     """X = a1 a2 + a1+ a2+ on the truncated space."""
     return ladder.a1 @ ladder.a2 + ladder.a1_dag @ ladder.a2_dag
 

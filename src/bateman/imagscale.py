@@ -35,11 +35,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+import scipy.sparse as sp
 
 from .algebra import B1_ANN, B1_CRE, B2_ANN, B2_CRE, CQ, ExactScalar, LadderPoly
 from .construction import Construction, MixedModes, normalize_branch, transform, valid_angle
 from .errors import DomainError, NullspaceError
-from .fock import FockSpace, LadderSet, blocks, matrix_exp, windowed_deviation
+from .fock import (
+    FockSpace,
+    LadderSet,
+    blocks,
+    dense_blocks,
+    matrix_exp,
+    max_abs,
+    single_mode_lowering,
+    windowed_deviation,
+)
 from .params import PhysicalParams
 
 __all__ = [
@@ -74,7 +84,7 @@ def _scale(chi: complex):
     return ((ch, 1j * sh), (-sh, -1j * ch)), ((ch, -1j * sh), (sh, -1j * ch))
 
 
-def _scale_h1(check: MixedModes, q_form: np.ndarray, params: PhysicalParams) -> np.ndarray:
+def _scale_h1(check: MixedModes, q_form: sp.csr_array, params: PhysicalParams) -> sp.csr_array:
     """H1 = hbar lambda [cosh 2chi (c1+ c2 - c2+ c1) + sinh 2chi (N1 - N2)]."""
     c2, s2 = cmath.cosh(2 * check.angle), cmath.sinh(2 * check.angle)
     return params.hbar * params.lam * (
@@ -108,17 +118,17 @@ IS = Construction(
 # generators and the phi-stage map
 
 
-def generator_y_matrix(ladder: LadderSet) -> np.ndarray:
+def generator_y_matrix(ladder: LadderSet) -> sp.csr_array:
     """Y = -(i/2)(a2^2 - a2+^2); Hermitian, so e^{phi Y} is unitary only for imaginary phi."""
     return -0.5j * (ladder.a2 @ ladder.a2 - ladder.a2_dag @ ladder.a2_dag)
 
 
-def generator_z_matrix(ladder: LadderSet) -> np.ndarray:
+def generator_z_matrix(ladder: LadderSet) -> sp.csr_array:
     """Z as a matrix at phi = pi/2; equals -i(a1 a2 + a1+ a2+)."""
     return -1j * (ladder.a1 @ ladder.a2 + ladder.a1_dag @ ladder.a2_dag)
 
 
-def tilde_pair(phi: complex, ladder: LadderSet) -> tuple[np.ndarray, np.ndarray]:
+def tilde_pair(phi: complex, ladder: LadderSet) -> tuple[sp.csr_array, sp.csr_array]:
     """Closed-form mode-2 images (a2-tilde, its partner) under the Y rotation."""
     c, s = cmath.cos(phi), cmath.sin(phi)
     tilde_ann = c * ladder.a2 - 1j * s * ladder.a2_dag
@@ -137,17 +147,16 @@ def tilde_similarity_deviation(phi: complex, n_max: int = 64, window: int = 6) -
     """
     if n_max < window + 2:
         raise DomainError(f"n_max={n_max} leaves no room beyond window={window}")
-    root = np.sqrt(np.arange(1, n_max + 1, dtype=float))
-    ann = np.diag(root, 1).astype(complex)
-    cre = np.diag(root, -1).astype(complex)
+    ann = single_mode_lowering(n_max + 1)
+    cre = ann.T.tocsr()
     y = -0.5j * (ann @ ann - cre @ cre)
     u = matrix_exp(phi * y)
     u_inv = matrix_exp(-phi * y)
     c, s = cmath.cos(phi), cmath.sin(phi)
     k = window + 1
-    dev_ann = np.max(np.abs((u @ ann @ u_inv - (c * ann - 1j * s * cre))[:k, :k]))
-    dev_cre = np.max(np.abs((u @ cre @ u_inv - (c * cre - 1j * s * ann))[:k, :k]))
-    return float(max(dev_ann, dev_cre))
+    dev_ann = max_abs((u @ ann @ u_inv - (c * ann - 1j * s * cre))[:k, :k])
+    dev_cre = max_abs((u @ cre @ u_inv - (c * cre - 1j * s * ann))[:k, :k])
+    return max(dev_ann, dev_cre)
 
 
 def chi_similarity_deviation(chi: complex, ladder: LadderSet, window: int = 6) -> float:
@@ -194,13 +203,13 @@ class IsCheckRep:
 
     angle: complex
     ladder: LadderSet
-    ann1: np.ndarray
-    cre1: np.ndarray
-    ann2: np.ndarray
-    cre2: np.ndarray
-    h0: np.ndarray
-    h1: np.ndarray
-    h: np.ndarray
+    ann1: sp.csr_array
+    cre1: sp.csr_array
+    ann2: sp.csr_array
+    cre2: sp.csr_array
+    h0: sp.csr_array
+    h1: sp.csr_array
+    h: sp.csr_array
     params: PhysicalParams
 
     @property
@@ -240,20 +249,22 @@ def is_check_rep(chi: complex, ladder: LadderSet, params: PhysicalParams) -> IsC
 # nullspace vacuum
 
 
-def _joint_null_vector(stacked: np.ndarray, label: str, frame) -> np.ndarray:
+def _joint_null_vector(stacked: sp.csr_array, label: str, frame) -> np.ndarray:
     """Unique right-nullspace vector of a stacked operator pair, one SVD per block.
 
     The stacked matrix is the direct sum of the blocks of its nonzero
     pattern, so its singular values are those of the blocks; a column block
-    with no rows is null throughout.  The cutoff is global: NULLSPACE_RTOL
-    times the largest singular value over all blocks.
+    with no rows is null throughout.  Each block is gathered out of the CSR
+    input as a dense matrix for its SVD.  The cutoff is global:
+    NULLSPACE_RTOL times the largest singular value over all blocks.
     """
+    found = blocks(*stacked.nonzero(), stacked.shape)
     parts = []
-    for rows, cols in blocks(stacked):
+    for (rows, cols), block in zip(found, dense_blocks(stacked, found)):
         if len(rows) == 0:
             parts.append((cols, np.zeros(0), np.eye(len(cols), dtype=complex)))
         elif len(cols):
-            _, sigma, vh = np.linalg.svd(stacked[np.ix_(rows, cols)])
+            _, sigma, vh = np.linalg.svd(block)
             parts.append((cols, sigma, vh))
     cutoff = NULLSPACE_RTOL * max((sigma[0] for _, sigma, _ in parts if len(sigma)), default=0.0)
     null_count = 0
@@ -273,9 +284,10 @@ def _joint_null_vector(stacked: np.ndarray, label: str, frame) -> np.ndarray:
 
 def _vacuum_pair(frame) -> tuple[np.ndarray, np.ndarray]:
     """Nullspace vacuum pair normalized so bra @ ket = 1, dominant ket entry positive."""
-    ket = _joint_null_vector(np.vstack([frame.ann1, frame.ann2]), "check annihilator", frame)
-    bra = _joint_null_vector(np.vstack([frame.cre1.T, frame.cre2.T]), "check creator (left)",
-                             frame)
+    ket = _joint_null_vector(sp.vstack([frame.ann1, frame.ann2], format="csr"),
+                             "check annihilator", frame)
+    bra = _joint_null_vector(sp.vstack([frame.cre1.T, frame.cre2.T], format="csr"),
+                             "check creator (left)", frame)
     lead = np.argmax(np.abs(ket))
     ket = ket * (abs(ket[lead]) / ket[lead])
     pairing = bra @ ket

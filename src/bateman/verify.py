@@ -17,6 +17,7 @@ from fractions import Fraction
 from functools import lru_cache, wraps
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import algebra, dynamics, ft, imagscale
 from .construction import (
@@ -50,6 +51,7 @@ from .fock import (
     interior_deviation,
     interior_mask,
     matrix_exp,
+    max_abs,
     position_operators,
 )
 from .params import PhysicalParams, derive_params
@@ -57,7 +59,9 @@ from .params import PhysicalParams, derive_params
 __all__ = ["CheckResult", "VerifyConfig", "SUITE_NAMES", "run_suite", "all_passed"]
 
 SUITE_NAMES = ("algebra", "ft", "is", "dynamics")
-#: largest accepted --n-max; one dense operator takes 16 (n_max+1)^4 bytes
+#: largest accepted --n-max.  Operators are sparse with a few entries per row; the
+#: largest allocation is an exponential, whose dense sector blocks (each of at most
+#: n_max+1 states) hold at most (n_max+1)^3 complex entries, 16 bytes each
 MAX_VERIFY_N_MAX = 48
 
 
@@ -86,7 +90,7 @@ class VerifyConfig:
             raise DomainError(f"verify needs n_max >= 4, got {self.n_max}")
         if self.n_max is not None and self.n_max > MAX_VERIFY_N_MAX:
             raise DomainError(f"verify needs n_max <= {MAX_VERIFY_N_MAX}, got {self.n_max}: one "
-                              f"dense operator would take {16 * (self.n_max + 1) ** 4:,} bytes")
+                              f"exponential could take {16 * (self.n_max + 1) ** 3:,} bytes")
         if self.tol_scale <= 0:
             raise DomainError(f"tol_scale must be positive, got {self.tol_scale}")
 
@@ -252,25 +256,25 @@ def check_commutators_interior(cfg: VerifyConfig) -> tuple:
     n_max = cfg.resolve(12)
     lad = _ladder(n_max)
     space = lad.space
-    eye = np.eye(space.dim, dtype=complex)
+    eye = sp.eye_array(space.dim, dtype=complex, format="csr")
+    zero = sp.csr_array((space.dim, space.dim), dtype=complex)
     a1 = lad.a1
     detail = {}
     if cfg.corrupt_check == "algebra.commutators.interior":
-        a1 = a1.copy()
-        a1[0, 1] += 1e-3
+        a1 = a1 + sp.csr_array(([1e-3], ([0], [1])), shape=a1.shape)
         detail["corrupted"] = True
     dev = 0.0
     pairs = {
         ("a1", "a1_dag"): (a1, lad.a1_dag, eye),
         ("a2", "a2_dag"): (lad.a2, lad.a2_dag, eye),
-        ("a1", "a2_dag"): (a1, lad.a2_dag, 0 * eye),
-        ("a2", "a1_dag"): (lad.a2, lad.a1_dag, 0 * eye),
-        ("a1", "a2"): (a1, lad.a2, 0 * eye),
-        ("a1_dag", "a2_dag"): (lad.a1_dag, lad.a2_dag, 0 * eye),
+        ("a1", "a2_dag"): (a1, lad.a2_dag, zero),
+        ("a2", "a1_dag"): (lad.a2, lad.a1_dag, zero),
+        ("a1", "a2"): (a1, lad.a2, zero),
+        ("a1_dag", "a2_dag"): (lad.a1_dag, lad.a2_dag, zero),
     }
     for (x, y, want) in pairs.values():
         dev = max(dev, interior_deviation(commutator(x, y), want, space, 1))
-    cross = float(np.max(np.abs(commutator(lad.a1, lad.a2_dag))))
+    cross = max_abs(commutator(lad.a1, lad.a2_dag))
     detail["cross_mode_exact"] = cross
     dev = max(dev, cross)
     return ("ladder commutators on the interior projection", dev, 1e-12, detail)
@@ -315,7 +319,7 @@ def check_boundary_defect(cfg: VerifyConfig) -> tuple:
     comm = low @ low.T - low.T @ low
     want = np.eye(n_top + 1)
     want[n_top, n_top] = -n_top
-    float_dev = float(np.max(np.abs(comm - want)))
+    float_dev = max_abs(comm - want)
     if float_dev > 1e-13:
         mismatch += 1
     return ("truncated [a, a+] equals I - (N+1)|N><N| exactly", mismatch, 0.0,
@@ -327,7 +331,7 @@ def check_h_structure(cfg: VerifyConfig) -> tuple:
     n_max = cfg.resolve(12)
     lad = _ladder(n_max)
     ham = build_hamiltonian(lad, cfg.params)
-    herm_dev = float(np.max(np.abs(ham.h - ham.h.conj().T)))
+    herm_dev = max_abs(ham.h - ham.h.conj().T)
     mismatch = 0
     if herm_dev > 1e-13:
         mismatch += 1
@@ -335,12 +339,13 @@ def check_h_structure(cfg: VerifyConfig) -> tuple:
     # basis change e^{theta X} is non-unitary (X itself is Hermitian)
     x = ft.generator_matrix(lad)
     s = matrix_exp(0.3 * x)
-    nonunitary = float(np.max(np.abs(s.conj().T @ s - np.eye(lad.space.dim))))
+    nonunitary = max_abs(s.conj().T @ s - sp.eye_array(lad.space.dim, format="csr"))
     if nonunitary < 0.1:
         mismatch += 1
     # H0 and H1 commute on the interior
     comm_dev = interior_deviation(
-        commutator(ham.h0, ham.h1), np.zeros_like(ham.h), lad.space, cfg.eff_margin(n_max)
+        commutator(ham.h0, ham.h1), sp.csr_array(ham.h.shape, dtype=complex), lad.space,
+        cfg.eff_margin(n_max)
     )
     dev = mismatch + (comm_dev if comm_dev > 1e-10 else 0.0)
     return ("H Hermitian when truncated; basis change non-unitary; [H0,H1]=0",
@@ -445,11 +450,10 @@ def _closed_form(cfg: VerifyConfig, con: Construction, description: str, at_zero
     n_max = cfg.resolve(12)
     lad = _ladder(n_max)
     t0 = transform(con, 0.0, lad)
-    dev = max(float(np.max(np.abs(getattr(t0, name) - want)))
-              for name, want in at_zero(lad).items())
+    dev = max(max_abs(getattr(t0, name) - want) for name, want in at_zero(lad).items())
     tq = transform(con, con.quarter(+1), lad)
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    dev = max(dev, float(np.max(np.abs(tq.ann1 - inv_sqrt2 * (lad.a1 - lad.a2_dag)))))
+    dev = max(dev, max_abs(tq.ann1 - inv_sqrt2 * (lad.a1 - lad.a2_dag)))
     return (description, dev, 1e-14)
 
 
@@ -471,7 +475,8 @@ def _commutators(cfg: VerifyConfig, con: Construction, description: str, angle) 
     n_max = cfg.resolve(12)
     lad = _ladder(n_max)
     space = lad.space
-    eye = np.eye(space.dim, dtype=complex)
+    eye = sp.eye_array(space.dim, dtype=complex, format="csr")
+    zero = sp.csr_array((space.dim, space.dim), dtype=complex)
     dev = 0.0
     for a in (con.quarter(+1), con.quarter(-1), angle(cfg)):
         tr = transform(con, a, lad)
@@ -479,8 +484,8 @@ def _commutators(cfg: VerifyConfig, con: Construction, description: str, angle) 
         same_side, cross = mode2_split(con, tr)
         dev = max(dev, interior_deviation(commutator(tr.ann1, tr.cre1), eye, space, 1))
         dev = max(dev, interior_deviation(commutator(tr.ann2, tr.cre2), eye, space, 1))
-        dev = max(dev, interior_deviation(commutator(tr.ann1, cross), 0 * eye, space, 1))
-        dev = max(dev, float(np.max(np.abs(commutator(tr.ann1, same_side)))))
+        dev = max(dev, interior_deviation(commutator(tr.ann1, cross), zero, space, 1))
+        dev = max(dev, max_abs(commutator(tr.ann1, same_side)))
     return (description, dev, 1e-12)
 
 
@@ -541,7 +546,7 @@ def _gram(cfg: VerifyConfig, con: Construction, description: str, default_n_max:
     modes, vacuum = frame(cfg, lad)
     q_cap = min(3, max(0, (n_max - 2) // 2))
     pairing = gram(modes, vacuum, q_cap)
-    dev = float(np.max(np.abs(pairing - np.eye(pairing.shape[0]))))
+    dev = max_abs(pairing - np.eye(pairing.shape[0]))
     return (description.format(q_cap=q_cap), dev, tolerance(cfg, n_max, q_cap))
 
 
@@ -607,7 +612,7 @@ def _xy(cfg: VerifyConfig, con: Construction, description: str) -> tuple:
     for branch in (+1, -1):
         tr = transform(con, con.quarter(branch), lad)
         x0, y0 = xy_operators(con, branch, 0.0, tr, cfg.params)
-        dev = max(dev, float(np.max(np.abs(x0 - x_ref))), float(np.max(np.abs(y0 - y_ref))))
+        dev = max(dev, max_abs(x0 - x_ref), max_abs(y0 - y_ref))
     return (description, dev, 1e-12)
 
 
@@ -648,10 +653,10 @@ def check_exp_inverse(cfg: VerifyConfig) -> tuple:
     x = ft.generator_matrix(lad)
     u = matrix_exp(cfg.theta * x)
     u_inv = matrix_exp(-cfg.theta * x)
-    raw = float(np.max(np.abs(u @ u_inv - np.eye(lad.space.dim))))
+    raw = max_abs(u @ u_inv - sp.eye_array(lad.space.dim, format="csr"))
     # ||e^{theta X}|| grows like e^{theta n_max}; the resolution-independent
-    # statement is the residual relative to the factor norms
-    kappa = float(np.linalg.norm(u, np.inf) * np.linalg.norm(u_inv, np.inf))
+    # statement is the residual relative to the factor norms (max row sums)
+    kappa = max_abs(abs(u).sum(axis=1)) * max_abs(abs(u_inv).sum(axis=1))
     return ("exp(theta X) exp(-theta X) = identity",
             raw / kappa, 1e-12, {"raw_deviation": raw, "kappa": kappa})
 
@@ -667,7 +672,7 @@ def check_ft_vacuum(cfg: VerifyConfig) -> tuple:
     k0, b0 = ft.ft_vacuum_series(0.0, lad.space)
     unit = np.zeros(lad.space.dim)
     unit[lad.space.index(0, 0)] = 1.0
-    if np.max(np.abs(k0 - unit)) != 0.0 or np.max(np.abs(b0 - unit)) != 0.0:
+    if max_abs(k0 - unit) != 0.0 or max_abs(b0 - unit) != 0.0:
         mismatch += 1
     try:
         ft.ft_vacuum_series(math.pi / 4, lad.space)
@@ -690,8 +695,7 @@ def check_ft_two_route(cfg: VerifyConfig) -> tuple:
     for (n1, n2) in ((0, 0), (1, 0), (2, 1)):
         ket_a, bra_a = basis(tr, n1, n2, vacuum)
         ket_b, bra_b = ft.ft_basis_similarity(tr, n1, n2)
-        dev = max(dev, float(np.max(np.abs((ket_a - ket_b)[keep]))))
-        dev = max(dev, float(np.max(np.abs((bra_a - bra_b)[keep]))))
+        dev = max(dev, max_abs((ket_a - ket_b)[keep]), max_abs((bra_a - bra_b)[keep]))
     # both routes truncate the same series; the measured gap decays like a
     # single power of tan per rung (normalization eats the other power)
     tail = abs(math.tan(cfg.theta)) ** (n_max - 2)
@@ -776,12 +780,9 @@ def check_is_tilde(cfg: VerifyConfig) -> tuple:
         imagscale.tilde_similarity_deviation(phi) for phi in (0.2j, 0.3j)
     )
     t_ann, t_cre = imagscale.tilde_pair(math.pi / 2, lad)
-    dev_cf = max(
-        float(np.max(np.abs(t_ann - (-1j) * lad.a2_dag))),
-        float(np.max(np.abs(t_cre - (-1j) * lad.a2))),
-    )
+    dev_cf = max(max_abs(t_ann - (-1j) * lad.a2_dag), max_abs(t_cre - (-1j) * lad.a2))
     z_built = lad.a1_dag @ t_ann + t_cre @ lad.a1
-    dev_z = float(np.max(np.abs(z_built - imagscale.generator_z_matrix(lad))))
+    dev_z = max_abs(z_built - imagscale.generator_z_matrix(lad))
     # the e^{chi Z} top-corner weight must stay clear of the compared block,
     # so the window shrinks with n_max as in check_ft_similarity
     chi_n_max = cfg.resolve(24)
@@ -801,7 +802,7 @@ def check_is_vacuum(cfg: VerifyConfig) -> tuple:
     ket0, bra0 = imagscale.is_vacuum(t0)
     unit = np.zeros(lad.space.dim, dtype=complex)
     unit[lad.space.index(0, n_max)] = 1.0
-    dev = max(float(np.max(np.abs(ket0 - unit))), float(np.max(np.abs(bra0 - unit))))
+    dev = max(max_abs(ket0 - unit), max_abs(bra0 - unit))
     tq = transform(imagscale.IS, imagscale.IS.quarter(+1), lad)
     ketq, braq = imagscale.is_vacuum(tq)
     dev = max(dev, float(np.linalg.norm(tq.ann1 @ ketq)), float(np.linalg.norm(tq.ann2 @ ketq)))
@@ -827,10 +828,7 @@ def check_is_matrix_element(cfg: VerifyConfig) -> tuple:
             got = bra @ (rep.h @ ket)
             want = eigenvalue(imagscale.IS, n1, n2, branch).as_complex(params)
             dev = max(dev, abs(got - want))
-        witness = max(
-            witness,
-            float(np.max(np.abs(rep.h @ rep.h.conj().T - rep.h.conj().T @ rep.h))),
-        )
+        witness = max(witness, max_abs(rep.h @ rep.h.conj().T - rep.h.conj().T @ rep.h))
     scale = params.hbar * (params.omega + params.lam)
     if params.gamma > 0 and witness <= 1e-6:
         dev = max(dev, 1.0)  # H must fail to be normal once damping is on

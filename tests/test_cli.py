@@ -130,6 +130,13 @@ def test_verify_adapts_to_coarse_truncation(capsys):
     assert rc == 0
 
 
+@pytest.mark.parametrize("suite,count", [("ft", 16), ("is", 14)])
+def test_verify_passes_at_the_largest_n_max(capsys, suite, count):
+    rc, out, _ = run(capsys, "verify", suite, "--n-max", "48")
+    assert rc == 0
+    assert json.loads(out)["counts"] == {"total": count, "passed": count, "failed": 0}
+
+
 def test_verify_corrupt_check_fails(capsys):
     rc, out, _ = run(capsys, "verify", "algebra", "--corrupt-check",
                      "algebra.boundary-defect", "--format", "text")
@@ -153,7 +160,7 @@ def test_verify_rejects_huge_n_max_before_building(monkeypatch, capsys):
     rc, out, err = run(capsys, "verify", "ft", "--n-max", "1000")
     assert rc == 2
     assert out == ""
-    assert "n_max <= 48" in err and "16,064,096,064,016 bytes" in err
+    assert "n_max <= 48" in err and "16,048,048,016 bytes" in err
 
 
 def test_verify_crash_is_a_failed_check_not_a_traceback(monkeypatch, capsys):

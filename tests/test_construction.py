@@ -79,8 +79,10 @@ def test_basis_matches_matrix_powers(n1, n2, params, ladder8):
                           (rep, is_check_vacuum(rep))):
         ket0, bra0 = vacuum
         norm = math.sqrt(math.factorial(n1) * math.factorial(n2))
-        want_ket = matrix_power(modes.cre1, n1) @ matrix_power(modes.cre2, n2) @ ket0 / norm
-        want_bra = bra0 @ matrix_power(modes.ann1, n1) @ matrix_power(modes.ann2, n2) / norm
+        cre1, cre2 = modes.cre1.toarray(), modes.cre2.toarray()
+        ann1, ann2 = modes.ann1.toarray(), modes.ann2.toarray()
+        want_ket = matrix_power(cre1, n1) @ matrix_power(cre2, n2) @ ket0 / norm
+        want_bra = bra0 @ matrix_power(ann1, n1) @ matrix_power(ann2, n2) / norm
         ket, bra = basis(modes, n1, n2, vacuum)
         assert np.max(np.abs(ket - want_ket)) <= 1e-12 * np.max(np.abs(want_ket))
         assert np.max(np.abs(bra - want_bra)) <= 1e-12 * np.max(np.abs(want_bra))

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 
 from bateman.errors import DimensionMismatch, DomainError
 from bateman.fock import (
@@ -13,6 +14,7 @@ from bateman.fock import (
     build_hamiltonian,
     build_ladder,
     commutator,
+    dense_blocks,
     interior_deviation,
     interior_mask,
     matrix_exp,
@@ -47,8 +49,8 @@ def test_ladder_action(ladder8):
     out = ladder8.a2_dag @ ket
     assert out[space.index(2, 4)] == pytest.approx(2.0)
     # adjoint structure holds exactly for the truncated matrices
-    assert np.array_equal(ladder8.a1_dag, ladder8.a1.conj().T)
-    assert np.array_equal(ladder8.a2_dag, ladder8.a2.conj().T)
+    assert np.array_equal(ladder8.a1_dag.toarray(), ladder8.a1.toarray().conj().T)
+    assert np.array_equal(ladder8.a2_dag.toarray(), ladder8.a2.toarray().conj().T)
 
 
 def test_commutators_interior(ladder8):
@@ -100,6 +102,9 @@ def test_interior_deviation_equals_projected_product(ladder8):
 def test_window_mask(ladder8):
     keep = window_mask(ladder8.space, 3)
     assert int(keep.sum()) == 10  # states with n1+n2 <= 3
+    # reference: the mask state by state in flat-index order
+    want = [n1 + n2 <= 3 for n1, n2 in ladder8.space.iter_occupations()]
+    assert keep.dtype == bool and keep.tolist() == want
     with pytest.raises(DomainError):
         window_mask(ladder8.space, -1)
 
@@ -109,7 +114,7 @@ def test_blocks_partition_and_reassemble():
     m = np.zeros((7, 6), dtype=complex)
     for i, j in ((0, 0), (2, 0), (2, 3), (4, 1), (5, 5), (6, 5)):
         m[i, j] = rng.standard_normal() + 1j
-    parts = blocks(m)
+    parts = blocks(*sp.csr_array(m).nonzero(), m.shape)
     rows = np.concatenate([r for r, _ in parts])
     cols = np.concatenate([c for _, c in parts])
     assert sorted(rows) == list(range(7)) and sorted(cols) == list(range(6))
@@ -123,6 +128,24 @@ def test_blocks_partition_and_reassemble():
     assert np.array_equal(rebuilt, m)
 
 
+@pytest.mark.parametrize("n_max", [2, 5, 8])
+def test_blocks_of_csr_match_dense_pattern(n_max, params):
+    # the coordinates of a CSR operator and of its dense pattern give one partition
+    from bateman.ft import generator_matrix
+    from bateman.imagscale import generator_y_matrix, is_check_rep
+
+    lad = build_ladder(n_max)
+    rep = is_check_rep(1j * math.pi / 4, lad, params)
+    for op in (generator_matrix(lad), generator_y_matrix(lad), rep.h,
+               sp.vstack([rep.ann1, rep.ann2], format="csr")):
+        dense = op.toarray()
+        got = blocks(*op.nonzero(), op.shape)
+        want = blocks(*np.nonzero(dense), dense.shape)
+        assert [(list(r), list(c)) for r, c in got] == [(list(r), list(c)) for r, c in want]
+        for (r, c), block in zip(got, dense_blocks(op, got)):
+            assert np.array_equal(block, dense[np.ix_(r, c)])
+
+
 @pytest.mark.parametrize("n_max", [3, 8])
 def test_blocks_follow_conserved_quantities(n_max):
     from bateman.ft import generator_matrix
@@ -132,21 +155,24 @@ def test_blocks_follow_conserved_quantities(n_max):
     space = lad.space
     # X conserves n1 - n2 and moves n1 + n2 by 2: one block per (n1 - n2, parity)
     # on each side, both sides on the same sector
-    for rows, cols in blocks(generator_matrix(lad)):
+    x = generator_matrix(lad)
+    for rows, cols in blocks(*x.nonzero(), x.shape):
         sectors = {space.occupations(i)[0] - space.occupations(i)[1] for i in (*rows, *cols)}
         assert len(sectors) == 1
     # Y acts on mode 2 alone and conserves the parity of n2
-    for rows, cols in blocks(generator_y_matrix(lad)):
+    y = generator_y_matrix(lad)
+    for rows, cols in blocks(*y.nonzero(), y.shape):
         keys = {(space.occupations(i)[0], space.occupations(i)[1] % 2) for i in (*rows, *cols)}
         assert len(keys) == 1
 
 
 def test_matrix_exp_basics():
-    assert np.allclose(matrix_exp(np.zeros((4, 4))), np.eye(4))
+    assert np.allclose(matrix_exp(sp.csr_array((4, 4))).toarray(), np.eye(4))
     d = np.diag([0.3, -1.2, 2.0 + 0.5j])
-    assert np.allclose(matrix_exp(d), np.diag(np.exp(np.diag(d))), atol=1e-14)
+    got = matrix_exp(sp.csr_array(d)).toarray()
+    assert np.allclose(got, np.diag(np.exp(np.diag(d))), atol=1e-14)
     with pytest.raises(DimensionMismatch):
-        matrix_exp(np.zeros((2, 3)))
+        matrix_exp(sp.csr_array((2, 3)))
 
 
 def test_matrix_exp_against_taylor():
@@ -157,7 +183,7 @@ def test_matrix_exp_against_taylor():
     for j in range(1, 40):
         term = term @ a / j
         series = series + term
-    assert np.max(np.abs(matrix_exp(a) - series)) < 1e-12
+    assert np.max(np.abs(matrix_exp(sp.csr_array(a)).toarray() - series)) < 1e-12
 
 
 def test_matrix_exp_matches_dense_expm(ladder8, params):
@@ -165,7 +191,8 @@ def test_matrix_exp_matches_dense_expm(ladder8, params):
     from bateman.imagscale import generator_y_matrix, generator_z_matrix, is_check_rep
 
     y = generator_y_matrix(ladder8)
-    assert np.array_equal(y + y.T, 0 * y)  # a pattern from y + y.T would be empty
+    # a pattern from y + y.T would be empty
+    assert np.array_equal((y + y.T).toarray(), 0 * y.toarray())
     ops = {
         "X": 0.3 * generator_matrix(ladder8),
         "Y": 0.7j * y,
@@ -174,8 +201,10 @@ def test_matrix_exp_matches_dense_expm(ladder8, params):
         "H check": -0.4j * is_check_rep(1j * math.pi / 4, ladder8, params).h,
     }
     for name, a in ops.items():
-        want = scipy.linalg.expm(a)
+        want = scipy.linalg.expm(a.toarray())
         got = matrix_exp(a)
+        assert isinstance(got, sp.csr_array), name
+        got = got.toarray()
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), name
 
 

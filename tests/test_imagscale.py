@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from bateman.construction import (
     basis,
@@ -47,11 +48,11 @@ CHI_Q = 1j * math.pi / 4
 
 def test_transform_at_zero(ladder8):
     ist = transform(IS, 0j, ladder8)
-    assert np.array_equal(ist.ann1, ladder8.a1)
-    assert np.array_equal(ist.cre1, ladder8.a1_dag)
+    assert np.array_equal(ist.ann1.toarray(), ladder8.a1.toarray())
+    assert np.array_equal(ist.cre1.toarray(), ladder8.a1_dag.toarray())
     # mode 2 is already swapped: ann2 = -i a2+, cre2 = -i a2
-    assert np.array_equal(ist.ann2, -1j * ladder8.a2_dag)
-    assert np.array_equal(ist.cre2, -1j * ladder8.a2)
+    assert np.array_equal(ist.ann2.toarray(), -1j * ladder8.a2_dag.toarray())
+    assert np.array_equal(ist.cre2.toarray(), -1j * ladder8.a2.toarray())
 
 
 def test_transform_quarter_mix(ladder8):
@@ -74,10 +75,10 @@ def test_transform_rejects_real_angle(ladder8):
 def test_generators(ladder8):
     y = generator_y_matrix(ladder8)
     want_y = -0.5j * (ladder8.a2 @ ladder8.a2 - ladder8.a2_dag @ ladder8.a2_dag)
-    assert np.array_equal(y, want_y)
+    assert np.array_equal(y.toarray(), want_y.toarray())
     z = generator_z_matrix(ladder8)
     want_z = -1j * (ladder8.a1 @ ladder8.a2 + ladder8.a1_dag @ ladder8.a2_dag)
-    assert np.array_equal(z, want_z)
+    assert np.array_equal(z.toarray(), want_z.toarray())
 
 
 def test_tilde_pair_half_turn(ladder8):
@@ -153,9 +154,9 @@ def test_joint_null_vector_is_isolated_top_column(ladder8):
     # both check annihilators vanish on |0, n_max> in the truncation, so its
     # column of the stacked pair is a block with no rows
     ist = transform(IS, CHI_Q, ladder8)
-    stacked = np.vstack([ist.ann1, ist.ann2])
+    stacked = sp.vstack([ist.ann1, ist.ann2], format="csr")
     top = ladder8.space.index(0, 8)
-    assert not np.any(stacked[:, top])
+    assert not np.any(stacked.toarray()[:, top])
     ket = _joint_null_vector(stacked, "check annihilator", ist)
     unit = np.zeros(ladder8.space.dim)
     unit[top] = 1.0
@@ -175,7 +176,7 @@ def test_joint_null_vector_matches_full_svd():
     deficient = rng.standard_normal((4, 2)) @ rng.standard_normal((2, 3))
     stacked[np.ix_([0, 3, 5, 8], [1, 4, 6])] = deficient
     stacked[np.ix_([1, 2, 4, 6, 7], [0, 2, 3, 5])] = rng.standard_normal((5, 4)) + 1j
-    got = _joint_null_vector(stacked, "test", None)
+    got = _joint_null_vector(sp.csr_array(stacked), "test", None)
     want = np.linalg.svd(stacked)[2][-1].conj()
     assert np.max(np.abs(stacked @ got)) <= 1e-13
     assert abs(abs(np.vdot(want, got)) - 1.0) <= 1e-12

@@ -1,0 +1,26 @@
+"""Smoke test: every experiment under scripts/ runs to completion."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
+
+
+def test_three_scripts_found():
+    assert [p.name for p in SCRIPTS] == [
+        "norm_divergence.py", "spectrum_contrast.py", "truncated_matrix_spectrum.py",
+    ]
+
+
+@pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: p.stem)
+def test_script_exits_zero(script):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                          timeout=120, env=dict(os.environ, PYTHONPATH=path))
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout

@@ -1,0 +1,103 @@
+"""The sparse operators equal, entry for entry, the dense np.kron formulas they replace.
+
+Every operator below has at most one nonzero term per entry in each product
+and each sum (or sums the same terms in the same order), so the CSR result
+and the dense reference must agree exactly, not within a tolerance.
+"""
+
+import cmath
+import math
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+
+from bateman.construction import transform
+from bateman.fock import build_hamiltonian, build_ladder
+from bateman.ft import FT, generator_matrix
+from bateman.imagscale import IS, generator_y_matrix, generator_z_matrix, is_check_rep
+
+N_MAXES = pytest.mark.parametrize("n_max", [2, 5, 8])
+
+
+def dense_ladder(n_max: int) -> dict[str, np.ndarray]:
+    """Reference: the single-mode ladder tensored with np.kron."""
+    size = n_max + 1
+    a = np.diag(np.sqrt(np.arange(1.0, size)), k=1).astype(complex)
+    eye = np.eye(size, dtype=complex)
+    a1 = np.kron(a, eye)
+    a2 = np.kron(eye, a)
+    return {"a1": a1, "a1_dag": a1.conj().T, "a2": a2, "a2_dag": a2.conj().T}
+
+
+def assert_csr_equal(got, want: np.ndarray) -> None:
+    assert isinstance(got, sp.csr_array)
+    assert np.array_equal(got.toarray(), want)
+
+
+@N_MAXES
+def test_ladder_matches_kron(n_max):
+    lad = build_ladder(n_max)
+    for name, want in dense_ladder(n_max).items():
+        assert_csr_equal(getattr(lad, name), want)
+
+
+@N_MAXES
+def test_hamiltonian_matches_kron(n_max, params):
+    d = dense_ladder(n_max)
+    hw = params.hbar * params.omega
+    coupling = 1j * params.hbar * params.gamma / (2.0 * params.m)
+    h0 = hw * (d["a1_dag"] @ d["a1"] - d["a2_dag"] @ d["a2"])
+    h1 = coupling * (d["a1"] @ d["a2"] - d["a1_dag"] @ d["a2_dag"])
+    ham = build_hamiltonian(build_ladder(n_max), params)
+    assert_csr_equal(ham.h0, h0)
+    assert_csr_equal(ham.h1, h1)
+    assert_csr_equal(ham.h, h0 + h1)
+
+
+@N_MAXES
+def test_generators_match_kron(n_max):
+    d = dense_ladder(n_max)
+    lad = build_ladder(n_max)
+    x = d["a1"] @ d["a2"] + d["a1_dag"] @ d["a2_dag"]
+    assert_csr_equal(generator_matrix(lad), x)
+    assert_csr_equal(generator_y_matrix(lad),
+                     -0.5j * (d["a2"] @ d["a2"] - d["a2_dag"] @ d["a2_dag"]))
+    assert_csr_equal(generator_z_matrix(lad), -1j * x)
+
+
+@N_MAXES
+@pytest.mark.parametrize("con,angle", [
+    (FT, 0.3), (FT, math.pi / 4), (FT, -math.pi / 4),
+    (IS, 0.2j), (IS, 1j * math.pi / 4), (IS, -1j * math.pi / 4),
+], ids=["ft-0.3", "ft-quarter", "ft-minus-quarter", "is-0.2i", "is-quarter", "is-minus-quarter"])
+def test_transform_matches_kron(n_max, con, angle):
+    # reference: the mixing rows applied to the dense ladder, as transform did on dense arrays
+    d = dense_ladder(n_max)
+    (m1, m2), (p1, p2) = con.mixing(complex(angle))
+    second = m2[0] * d["a1"] + m2[1] * d["a2_dag"]
+    partner = p2[0] * d["a1_dag"] + p2[1] * d["a2"]
+    ann2, cre2 = (second, partner) if con.second_annihilates else (partner, second)
+    modes = transform(con, angle, build_ladder(n_max))
+    assert_csr_equal(modes.ann1, m1[0] * d["a1"] + m1[1] * d["a2_dag"])
+    assert_csr_equal(modes.cre1, p1[0] * d["a1_dag"] + p1[1] * d["a2"])
+    assert_csr_equal(modes.ann2, ann2)
+    assert_csr_equal(modes.cre2, cre2)
+
+
+@N_MAXES
+@pytest.mark.parametrize("chi", [0.2j, 1j * math.pi / 4, -1j * math.pi / 4])
+def test_check_rep_matches_kron(n_max, chi, params):
+    d = dense_ladder(n_max)
+    b1, b1d, b2, b2d = d["a1"], d["a1_dag"], d["a2"], d["a2_dag"]
+    ch, sh = cmath.cosh(chi), cmath.sinh(chi)
+    h0 = params.hbar * params.omega * (b1d @ b1 + b2 @ b2d)
+    h1 = -params.hbar * params.lam * (b1 @ b2d - b1d @ b2)
+    rep = is_check_rep(chi, build_ladder(n_max), params)
+    assert_csr_equal(rep.ann1, ch * b1 - sh * b2)
+    assert_csr_equal(rep.cre1, ch * b1d + sh * b2d)
+    assert_csr_equal(rep.ann2, -sh * b1 + ch * b2)
+    assert_csr_equal(rep.cre2, sh * b1d + ch * b2d)
+    assert_csr_equal(rep.h0, h0)
+    assert_csr_equal(rep.h1, h1)
+    assert_csr_equal(rep.h, h0 + h1)
