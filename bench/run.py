@@ -18,11 +18,23 @@ Times, in CPU seconds of this process with BLAS on one thread:
   side stops at DENSE_N_MAX = 32: at 48 one dense operator is 92 MB and
   `identity_report` holds more than ten of them.
 
+- the exact-algebra layers: the `ft.spectrum` and `is.spectrum` sweeps
+  (2 branches x 21 x 21 elements of H) and the 256-element
+  `algebra.biorthonormality` sweep, each read from one `basis_column` per
+  ket and, as the reference kept here only, element by element with the
+  per-symbol ExactScalar walk that `basis_matrix_element` used before
+  (`per_element`, run on the current scalar arithmetic); `vacuum_pairing`
+  on the 200 seeded polynomials of `algebra.cross-validation`; and the
+  exact and the matrix half of that check, on the same polynomials and
+  elements.
+
 Each timing runs REPEATS = 5 times; the median, minimum and maximum are
 reported with the gap between the two results (for expm the largest
 entrywise gap relative to the largest entry; for the SVD 1 - |<dense, block>|
 of the unit null vectors; for the layers the largest gap between the two
-results, relative for operators, absolute for the reported deviations).
+results, relative for operators, absolute for the reported deviations; for
+the exact sweeps the number of elements on which the two routes differ; for
+the cross-validation halves the largest gap between them).
 The JSON record goes to FILE, or to stdout without `--out`, and carries the
 machine: core count, Python, numpy, scipy and BLAS versions.
 """
@@ -36,9 +48,11 @@ import argparse  # noqa: E402
 import json  # noqa: E402
 import math  # noqa: E402
 import platform  # noqa: E402
+import random  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
+from fractions import Fraction  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -48,7 +62,21 @@ import scipy.sparse as sp  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from bateman.construction import identity_report, transform  # noqa: E402
+from bateman import verify  # noqa: E402
+from bateman.algebra import (  # noqa: E402
+    B1_ANN,
+    B1_CRE,
+    B2_ANN,
+    ExactScalar,
+    LadderPoly,
+    basis_column,
+    basis_matrix_element,
+    matrix_vacuum_pairing,
+    random_poly,
+    to_matrix,
+    vacuum_pairing,
+)
+from bateman.construction import hamiltonian_from_plain, identity_report, transform  # noqa: E402
 from bateman.fock import (  # noqa: E402
     FockSpace,
     LadderSet,
@@ -202,6 +230,130 @@ def layer_rows() -> list[dict]:
     return rows
 
 
+def per_symbol_apply(op: LadderPoly, n1: int, n2: int) -> dict:
+    """Reference only: the per-symbol walk, an ExactScalar multiply per symbol and state."""
+    result: dict = {}
+    for word, coeff in op.terms.items():
+        states = {(n1, n2): ExactScalar.of(1)}
+        for sym in reversed(word):
+            nxt: dict = {}
+            for (k1, k2), amp in states.items():
+                if sym == B1_ANN:
+                    if not k1:
+                        continue
+                    occ, amp = (k1 - 1, k2), amp * ExactScalar.of(k1)
+                elif sym == B2_ANN:
+                    if not k2:
+                        continue
+                    occ, amp = (k1, k2 - 1), amp * ExactScalar.of(k2)
+                else:
+                    occ = (k1 + 1, k2) if sym == B1_CRE else (k1, k2 + 1)
+                nxt[occ] = nxt.get(occ, ExactScalar.zero()) + amp
+            states = nxt
+        for occ, amp in states.items():
+            result[occ] = result.get(occ, ExactScalar.zero()) + amp * coeff
+    return result
+
+
+def per_element(m1: int, m2: int, op: LadderPoly, n1: int, n2: int) -> ExactScalar:
+    """Reference only: one element, re-walking the ket for every bra."""
+    amp = per_symbol_apply(op, n1, n2).get((m1, m2))
+    if amp is None or amp.is_zero():
+        return ExactScalar.zero()
+    ratio = Fraction(math.factorial(m1) * math.factorial(m2),
+                     math.factorial(n1) * math.factorial(n2))
+    return amp * ExactScalar.surd(Fraction(1, ratio.denominator),
+                                  ratio.numerator * ratio.denominator)
+
+
+def column_sweep(ops, bras, kets) -> list:
+    """Every <<m| op |n>>, one basis_column per (op, ket)."""
+    zero = ExactScalar.zero()
+    out = []
+    for op in ops:
+        for n in kets:
+            column = basis_column(op, *n)
+            out += [column.get(m, zero) for m in bras]
+    return out
+
+
+def per_element_sweep(ops, bras, kets) -> list:
+    return [per_element(*m, op, *n) for op in ops for n in kets for m in bras]
+
+
+def oracle_inputs(seed: int) -> list[tuple]:
+    """The (poly, bra, ket) draws of algebra.cross-validation, in its rng order."""
+    rng = random.Random(seed)
+    draws = []
+    for trial in range(200):
+        poly = random_poly(rng, max_degree=6)
+        element = None
+        if trial % 10 == 0:
+            element = ((rng.randint(0, 2), rng.randint(0, 2)),
+                       (rng.randint(0, 2), rng.randint(0, 2)))
+        draws.append((poly, element))
+    return draws
+
+
+def oracle_exact_half(draws) -> list[complex]:
+    one = LadderPoly.one()
+    values = []
+    for poly, element in draws:
+        values.append(vacuum_pairing(one, poly).to_complex())
+        if element is not None:
+            (m1, m2), (n1, n2) = element
+            values.append(basis_matrix_element(m1, m2, poly, n1, n2).to_complex())
+    return values
+
+
+def oracle_matrix_half(draws) -> list[complex]:
+    verify._ladder.cache_clear()  # the check starts from an empty ladder cache
+    values = []
+    for poly, element in draws:
+        degree = max(poly.degree(), 0)
+        values.append(matrix_vacuum_pairing(poly, verify._ladder(max(2, degree + 2))))
+        if element is not None:
+            m, n = element
+            big = verify._ladder(degree + 5)
+            mat = to_matrix(poly, big)
+            ket = np.zeros(big.space.dim, dtype=complex)
+            ket[big.space.index(*n)] = 1.0
+            bra = np.zeros(big.space.dim, dtype=complex)
+            bra[big.space.index(*m)] = 1.0
+            values.append(bra @ (mat @ ket))
+    return values
+
+
+def algebra_rows() -> list[dict]:
+    """Exact-algebra layers: the column route against the per-element reference."""
+    rows = []
+    states = verify._SWEEP_STATES
+    occupations = [(a, b) for a in range(4) for b in range(4)]
+    sweeps = {f"spectrum_sweep.{name}": ([hamiltonian_from_plain(con, b) for b in (+1, -1)],
+                                         states, states)
+              for name, con in (("ft", FT), ("is", IS))}
+    sweeps["biorthonormality_sweep"] = ([LadderPoly.one()], occupations, occupations)
+    for layer, (ops, bras, kets) in sweeps.items():
+        column_t, got = timed(lambda: column_sweep(ops, bras, kets))
+        reference_t, want = timed(lambda: per_element_sweep(ops, bras, kets))
+        rows.append({"layer": layer, "elements": len(got), "column": column_t,
+                     "per_element": reference_t,
+                     "speedup": reference_t["median_s"] / column_t["median_s"],
+                     "elements_differing": sum(g != w for g, w in zip(got, want))})
+    draws = oracle_inputs(verify.VerifyConfig.seed)
+    one = LadderPoly.one()
+    pairing_t, _ = timed(lambda: [vacuum_pairing(one, poly) for poly, _ in draws])
+    rows.append({"layer": "vacuum_pairing.seeded_200", "polys": len(draws),
+                 "exact": pairing_t})
+    exact_t, exact = timed(lambda: oracle_exact_half(draws))
+    matrix_t, numeric = timed(lambda: oracle_matrix_half(draws))
+    rows.append({"layer": "cross_validation_halves", "polys": len(draws),
+                 "elements": sum(e is not None for _, e in draws), "exact": exact_t,
+                 "matrix": matrix_t,
+                 "gap": max(abs(complex(a) - complex(b)) for a, b in zip(exact, numeric))})
+    return rows
+
+
 def machine() -> dict:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
@@ -221,7 +373,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv)
     record = {"machine": machine(), "repeats": REPEATS, "kernels": exp_rows() + svd_rows(),
-              "layers": layer_rows()}
+              "layers": layer_rows(), "algebra": algebra_rows()}
     text = json.dumps(record, indent=1) + "\n"
     if args.out is None:
         sys.stdout.write(text)

@@ -39,6 +39,7 @@ from .algebra import (
     CQ,
     ExactScalar,
     LadderPoly,
+    basis_column,
     basis_matrix_element,
     normal_order,
     vacuum_pairing,
@@ -90,6 +91,7 @@ __all__ = [
     "CQ",
     "ExactScalar",
     "LadderPoly",
+    "basis_column",
     "basis_matrix_element",
     "normal_order",
     "vacuum_pairing",

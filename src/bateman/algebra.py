@@ -37,6 +37,7 @@ __all__ = [
     "normal_order",
     "vacuum_pairing",
     "apply_to_monomial_ket",
+    "basis_column",
     "basis_matrix_element",
     "to_matrix",
     "matrix_vacuum_pairing",
@@ -91,6 +92,8 @@ class CQ:
         return CQ(-self.re, -self.im)
 
     def __mul__(self, other: "CQ | Fraction | int") -> "CQ":
+        if isinstance(other, (int, Fraction)):
+            return CQ(self.re * other, self.im * other)
         other = CQ.of(other)
         return CQ(
             self.re * other.re - self.im * other.im,
@@ -212,18 +215,23 @@ class ExactScalar:
     def __mul__(self, other: "ExactScalar | CQ | Fraction | int") -> "ExactScalar":
         if isinstance(other, LadderPoly):
             return NotImplemented
+        if isinstance(other, (int, Fraction)):
+            # a real rational factor, such as a walk weight: scale each coefficient
+            if not other:
+                return ExactScalar.zero()
+            return ExactScalar({u: c * other for u, c in self._coeffs.items()}, self.root)
         other = ExactScalar.of(other)
         if self.is_zero() or other.is_zero():
             return ExactScalar.zero()
-        s, d = _square_split(self.root * other.root)
-        scale = CQ(Fraction(s))
+        s, d = (1, 1) if self.root == other.root == 1 else _square_split(self.root * other.root)
         out: dict[str, CQ] = {}
         for u1, c1 in self._coeffs.items():
             for u2, c2 in other._coeffs.items():
                 if u1 != U_ONE and u2 != U_ONE:
                     raise MixedUnitError(f"product of unit tags {u1!r} and {u2!r}")
                 tag = u2 if u1 == U_ONE else u1
-                out[tag] = out.get(tag, CQ()) + c1 * c2 * scale
+                term = c1 * c2 if s == 1 else c1 * c2 * s
+                out[tag] = out[tag] + term if tag in out else term
         return ExactScalar(out, d)
 
     __rmul__ = __mul__
@@ -268,12 +276,13 @@ ScalarLike = "ExactScalar | CQ | Fraction | int"
 Word = tuple[int, ...]
 
 
-def _accumulate(target: dict[Word, ExactScalar], word: Word, coeff: ExactScalar) -> None:
-    new = target.get(word, ExactScalar.zero()) + coeff
+def _accumulate(target: dict, key: tuple, coeff: ExactScalar) -> None:
+    """Add coeff at key (a word or an occupation pair), dropping a zero sum."""
+    new = target.get(key, ExactScalar.zero()) + coeff
     if new.is_zero():
-        target.pop(word, None)
+        target.pop(key, None)
     else:
-        target[word] = new
+        target[key] = new
 
 
 class LadderPoly:
@@ -414,57 +423,59 @@ def vacuum_pairing(bra: LadderPoly, ket: LadderPoly) -> ExactScalar:
 def apply_to_monomial_ket(op: LadderPoly, n1: int, n2: int) -> dict[tuple[int, int], ExactScalar]:
     """Amplitudes of op b1+^n1 b2+^n2 |vac> on the monomial states b1+^k1 b2+^k2 |vac>.
 
-    Monomial states keep all coefficients rational: b lowers with weight k,
-    b+ raises with weight 1.
+    A word keeps a monomial state one monomial: b lowers with integer weight
+    k, b+ raises with weight 1, and a zero weight ends the walk.  So each word
+    is walked as (k1, k2, weight) and its exact coefficient is multiplied once.
     """
     if n1 < 0 or n2 < 0:
         raise DomainError(f"occupation numbers must be >= 0, got ({n1}, {n2})")
     result: dict[tuple[int, int], ExactScalar] = {}
-    for word, coeff in op.terms.items():
-        states: dict[tuple[int, int], ExactScalar] = {(n1, n2): ExactScalar.of(1)}
+    for word, coeff in op._terms.items():
+        k1, k2, weight = n1, n2, 1
         for sym in reversed(word):
-            nxt: dict[tuple[int, int], ExactScalar] = {}
-            for (k1, k2), amp in states.items():
-                if sym == B1_ANN:
-                    if k1 > 0:
-                        _acc_state(nxt, (k1 - 1, k2), amp * Fraction(k1))
-                elif sym == B2_ANN:
-                    if k2 > 0:
-                        _acc_state(nxt, (k1, k2 - 1), amp * Fraction(k2))
-                elif sym == B1_CRE:
-                    _acc_state(nxt, (k1 + 1, k2), amp)
-                else:
-                    _acc_state(nxt, (k1, k2 + 1), amp)
-            states = nxt
-        for occ, amp in states.items():
-            _acc_state(result, occ, amp * coeff)
-    return {occ: amp for occ, amp in result.items() if not amp.is_zero()}
+            if sym == B1_ANN:
+                weight *= k1
+                k1 -= 1
+            elif sym == B2_ANN:
+                weight *= k2
+                k2 -= 1
+            elif sym == B1_CRE:
+                k1 += 1
+            else:
+                k2 += 1
+            if not weight:
+                break
+        if weight:
+            _accumulate(result, (k1, k2), coeff * weight)
+    return result
 
 
-def _acc_state(target: dict, occ: tuple[int, int], amp: ExactScalar) -> None:
-    new = target.get(occ, ExactScalar.zero()) + amp
-    if new.is_zero():
-        target.pop(occ, None)
-    else:
-        target[occ] = new
+def basis_column(op: LadderPoly, n1: int, n2: int) -> dict[tuple[int, int], ExactScalar]:
+    """{(m1, m2): <<m1, m2| op |n1, n2>>}, the nonzero elements of one ket's column.
+
+    The normalized basis vectors are the creator monomials over
+    sqrt(n1! n2!), so each monomial amplitude is scaled by the surd
+    sqrt(m1! m2! / n1! n2!).  The dual bra carries the same normalization as
+    the ket, not a complex conjugate; the surd bookkeeping keeps the elements
+    exact when the factorial ratio is not a perfect square.
+    """
+    amplitudes = apply_to_monomial_ket(op, n1, n2)
+    ket_norm = math.factorial(n1) * math.factorial(n2)
+    column: dict[tuple[int, int], ExactScalar] = {}
+    for (m1, m2), amp in amplitudes.items():
+        ratio = Fraction(math.factorial(m1) * math.factorial(m2), ket_norm)
+        # sqrt(p/q) = sqrt(p*q)/q
+        s, d = _square_split(ratio.numerator * ratio.denominator)
+        norm = Fraction(s, ratio.denominator)
+        column[(m1, m2)] = amp * norm if d == 1 else amp * ExactScalar.surd(norm, d)
+    return column
 
 
 def basis_matrix_element(m1: int, m2: int, op: LadderPoly, n1: int, n2: int) -> ExactScalar:
-    """<<m1, m2| op |n1, n2>> for normalized creator-monomial basis vectors.
-
-    The dual bra carries the same 1/sqrt(m1! m2!) normalization as the ket,
-    not a complex conjugate.  The surd bookkeeping keeps results exact even
-    when the factorial ratio is not a perfect square.
-    """
+    """<<m1, m2| op |n1, n2>>: one lookup in basis_column(op, n1, n2)."""
     if min(m1, m2, n1, n2) < 0:
         raise DomainError("occupation numbers must be >= 0")
-    amp = apply_to_monomial_ket(op, n1, n2).get((m1, m2))
-    if amp is None:
-        return ExactScalar.zero()
-    ratio = Fraction(math.factorial(m1) * math.factorial(m2), math.factorial(n1) * math.factorial(n2))
-    # sqrt(p/q) = sqrt(p*q)/q
-    s, d = _square_split(ratio.numerator * ratio.denominator)
-    return amp * ExactScalar.surd(Fraction(s, ratio.denominator), d)
+    return basis_column(op, n1, n2).get((m1, m2), ExactScalar.zero())
 
 
 def to_matrix(poly: LadderPoly, ladder, params: PhysicalParams | None = None) -> sp.csr_array:

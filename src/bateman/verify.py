@@ -91,14 +91,18 @@ class VerifyConfig:
         if self.n_max is not None and self.n_max > MAX_VERIFY_N_MAX:
             raise DomainError(f"verify needs n_max <= {MAX_VERIFY_N_MAX}, got {self.n_max}: one "
                               f"exponential could take {16 * (self.n_max + 1) ** 3:,} bytes")
-        if self.tol_scale <= 0:
-            raise DomainError(f"tol_scale must be positive, got {self.tol_scale}")
+        if not (math.isfinite(self.tol_scale) and self.tol_scale > 0):
+            raise DomainError(f"tol_scale must be positive and finite, got {self.tol_scale}")
+        if not math.isfinite(self.theta):
+            raise DomainError(f"theta must be finite, got {self.theta}")
+        if self.margin < 1:
+            raise DomainError(f"margin must be >= 1, got {self.margin}")
 
     def resolve(self, default_n_max: int) -> int:
         return self.n_max if self.n_max is not None else default_n_max
 
     def eff_margin(self, n_max: int) -> int:
-        return max(1, min(self.margin, n_max - 2))
+        return min(self.margin, n_max - 2)
 
 
 @lru_cache(maxsize=16)
@@ -224,15 +228,14 @@ def check_vacuum_pairing(cfg: VerifyConfig) -> tuple:
 @_check("algebra.biorthonormality")
 def check_biorthonormality(cfg: VerifyConfig) -> tuple:
     one = LadderPoly.one()
+    occupations = [(a, b) for a in range(4) for b in range(4)]
     mismatch = 0
-    for m1 in range(4):
-        for m2 in range(4):
-            for n1 in range(4):
-                for n2 in range(4):
-                    got = algebra.basis_matrix_element(m1, m2, one, n1, n2)
-                    want = ExactScalar.of(1 if (m1, m2) == (n1, n2) else 0)
-                    if got != want:
-                        mismatch += 1
+    for ket in occupations:
+        column = algebra.basis_column(one, *ket)
+        for bra in occupations:
+            want = ExactScalar.of(1 if bra == ket else 0)
+            if column.get(bra, ExactScalar.zero()) != want:
+                mismatch += 1
     return ("pairing of basis monomials is Kronecker delta", mismatch, 0.0)
 
 
@@ -409,8 +412,9 @@ def _spectrum(cfg: VerifyConfig, con: Construction, description: str, law,
                 mismatch += 1
             if p_floor is not None and want.p < p_floor:
                 mismatch += 1
+            column = algebra.basis_column(h, n1, n2)
             for (m1, m2) in _SWEEP_STATES:
-                got = algebra.basis_matrix_element(m1, m2, h, n1, n2)
+                got = column.get((m1, m2), ExactScalar.zero())
                 expect = want.exact() if (m1, m2) == (n1, n2) else ExactScalar.zero()
                 if got != expect:
                     mismatch += 1

@@ -5,6 +5,7 @@ purpose. The cross-check against truncated matrices at n_max = degree+2 is
 the one place floats enter, bounded by 1e-12.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -22,6 +23,9 @@ from bateman.algebra import (
     LadderPoly,
     U_HW,
     U_IHL,
+    U_ONE,
+    apply_to_monomial_ket,
+    basis_column,
     basis_matrix_element,
     matrix_vacuum_pairing,
     normal_order,
@@ -31,9 +35,10 @@ from bateman.algebra import (
 )
 from bateman.errors import MixedUnitError
 from bateman.fock import build_ladder
-from bateman.construction import hamiltonian_formal
+from bateman.construction import hamiltonian_formal, hamiltonian_from_plain
 from bateman.ft import FT
 from bateman.imagscale import IS
+from bateman.verify import _SWEEP_STATES
 
 
 def test_normal_order_single_commutation():
@@ -154,3 +159,136 @@ def test_to_matrix_round_trip(ladder8):
     num = LadderPoly.word((B1_CRE, B1_ANN))
     mat = to_matrix(num, ladder8)
     assert np.allclose(mat.toarray(), (ladder8.a1_dag @ ladder8.a1).toarray())
+
+
+# --- the integer-weight column kernel against a per-symbol reference ----------
+
+def _reference_apply(op, n1, n2):
+    """The per-symbol walk: every state amplitude an ExactScalar at every step."""
+    result = {}
+    for word, coeff in op.terms.items():
+        states = {(n1, n2): ExactScalar.of(1)}
+        for sym in reversed(word):
+            nxt = {}
+            for (k1, k2), amp in states.items():
+                if sym == B1_ANN:
+                    occ, amp = ((k1 - 1, k2), amp * ExactScalar.of(k1)) if k1 else (None, None)
+                elif sym == B2_ANN:
+                    occ, amp = ((k1, k2 - 1), amp * ExactScalar.of(k2)) if k2 else (None, None)
+                elif sym == B1_CRE:
+                    occ = (k1 + 1, k2)
+                else:
+                    occ = (k1, k2 + 1)
+                if occ is not None:
+                    nxt[occ] = nxt.get(occ, ExactScalar.zero()) + amp
+            states = nxt
+        for occ, amp in states.items():
+            result[occ] = result.get(occ, ExactScalar.zero()) + amp * coeff
+    return {occ: amp for occ, amp in result.items() if not amp.is_zero()}
+
+
+def _reference_element(m1, m2, op, n1, n2):
+    """<<m1, m2| op |n1, n2>> from the reference walk and its own normalization."""
+    amp = _reference_apply(op, n1, n2).get((m1, m2))
+    if amp is None:
+        return ExactScalar.zero()
+    ratio = Fraction(math.factorial(m1) * math.factorial(m2),
+                     math.factorial(n1) * math.factorial(n2))
+    # sqrt(p/q) = sqrt(p*q)/q; surd() takes the square part out of p*q
+    return amp * ExactScalar.surd(Fraction(1, ratio.denominator),
+                                  ratio.numerator * ratio.denominator)
+
+
+_KETS = [(n1, n2) for n1 in range(4) for n2 in range(4)]
+
+
+def test_monomial_walk_matches_reference_on_seeded_polys():
+    rng = random.Random(20260823)
+    for _ in range(200):
+        poly = random_poly(rng, max_degree=6)
+        for n1, n2 in _KETS:
+            assert apply_to_monomial_ket(poly, n1, n2) == _reference_apply(poly, n1, n2)
+
+
+@pytest.mark.parametrize("word,ket", [
+    ((B1_ANN, B1_ANN), (1, 0)),                   # second b1 meets k1 = 0
+    ((B1_CRE, B1_CRE, B1_ANN, B1_ANN), (1, 2)),   # creators after the walk died
+    ((B2_CRE, B2_ANN, B2_ANN, B2_ANN), (3, 2)),
+    ((B1_ANN, B2_CRE, B2_ANN), (0, 0)),
+])
+def test_walk_past_zero_stays_zero(word, ket):
+    poly = LadderPoly.word(word, CQ(Fraction(2, 3), Fraction(-1, 5))) + LadderPoly.one()
+    got = apply_to_monomial_ket(poly, *ket)
+    assert got == _reference_apply(poly, *ket) == {ket: ExactScalar.of(1)}
+
+
+def _surd_poly():
+    # coefficients with sqrt(2), and words whose factorial ratios are not squares
+    return (LadderPoly.word((B1_CRE, B2_ANN), ExactScalar.surd(Fraction(1, 3), 2))
+            + LadderPoly.word((B1_ANN, B1_ANN, B2_CRE), ExactScalar.surd(-2, 8))
+            + LadderPoly.word((B2_CRE, B2_ANN), ExactScalar.surd(5, 2))
+            + LadderPoly.word((B1_CRE,), Fraction(1, 2)))
+
+
+_COLUMN_OPS = {
+    **{f"{label}{b}": (con, b) for label, con in (("ft", FT), ("is", IS)) for b in "+-"},
+    "surd": None,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_COLUMN_OPS))
+def test_basis_column_matches_per_element(name):
+    op = _surd_poly() if name == "surd" else hamiltonian_from_plain(*_COLUMN_OPS[name])
+    for n1, n2 in _SWEEP_STATES:
+        column = basis_column(op, n1, n2)
+        assert all(not v.is_zero() for v in column.values())
+        for m1, m2 in _SWEEP_STATES:
+            want = _reference_element(m1, m2, op, n1, n2)
+            assert column.get((m1, m2), ExactScalar.zero()) == want
+            assert basis_matrix_element(m1, m2, op, n1, n2) == want
+
+
+def test_basis_column_surd_elements():
+    op = _surd_poly()
+    # b1+ b2 from (0, 1) to (1, 0): weight 1, factorial ratio 1
+    assert basis_column(op, 0, 1)[(1, 0)] == ExactScalar.surd(Fraction(1, 3), 2)
+    # b1 b1 b2+ from (2, 0) to (0, 1): weight 2, ratio 1/2, coefficient -4 sqrt2
+    assert basis_column(op, 2, 0)[(0, 1)] == ExactScalar.of(-8)
+    # b1+ / 2 from (1, 0) to (2, 0): weight 1, ratio 2
+    assert basis_column(op, 1, 0)[(2, 0)] == ExactScalar.surd(Fraction(1, 2), 2)
+
+
+# --- exact fast paths of the scalar products ---------------------------------
+
+_SCALARS = [
+    *[ExactScalar.unit(tag, CQ(Fraction(3, 4), Fraction(-2, 5))) for tag in (U_ONE, U_HW, U_IHL)],
+    *[ExactScalar.surd(CQ(Fraction(-1, 6), Fraction(1, 2)), 2) * ExactScalar.unit(tag)
+      for tag in (U_ONE, U_HW, U_IHL)],
+    ExactScalar.unit(U_HW, 2) + ExactScalar.unit(U_IHL, -1) + ExactScalar.of(Fraction(1, 3)),
+    ExactScalar.zero(),
+]
+
+
+@pytest.mark.parametrize("k", [0, 1, -3, 7, Fraction(-2, 3)])
+@pytest.mark.parametrize("x", _SCALARS, ids=repr)
+def test_rational_factor_fast_path(x, k):
+    got = x * k
+    assert got == x * ExactScalar.of(k) == k * x
+    if k == 0 or x.is_zero():
+        assert got.is_zero() and got.root == 1 and got == ExactScalar.zero()
+    else:
+        assert got.root == x.root
+
+
+def test_root_one_products_and_cq_factors():
+    sqrt2 = ExactScalar.surd(1, 2)
+    assert sqrt2.root == 2
+    assert sqrt2 * sqrt2 == ExactScalar.of(2)
+    assert (sqrt2 * sqrt2).root == 1
+    # (1/2 + 3i)(-2/7 + i/3) = -8/7 - 29/42 i, on the hw tag
+    a = ExactScalar.unit(U_HW, CQ(Fraction(1, 2), Fraction(3)))
+    b = ExactScalar.of(CQ(Fraction(-2, 7), Fraction(1, 3)))
+    assert a * b == b * a == ExactScalar.unit(U_HW, CQ(Fraction(-8, 7), Fraction(-29, 42)))
+    c = CQ(Fraction(2, 3), Fraction(-5, 4))
+    for k in (0, 1, -3, 7, Fraction(-2, 3)):
+        assert c * k == c * CQ.of(k) == k * c

@@ -244,6 +244,16 @@ def test_nonfinite_times_rejected(capsys, value):
     assert out == "" and "finite" in err
 
 
+@pytest.mark.parametrize("flags", [["--tol-scale", "nan"], ["--tol-scale", "inf"],
+                                   ["--theta", "nan"], ["--margin", "0"], ["--margin", "-3"]])
+def test_verify_rejects_bad_config_with_exit_2(capsys, flags):
+    # exit 1 means a check failed; a config no check can pass under is a usage error
+    rc, out, err = run(capsys, "verify", "algebra", *flags)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [["norms", "--n-max", "3"], ["classify", "--times", "1"],
                                   ["spectrum", "--chi-sign", "+"]])
 def test_flags_a_command_does_not_read_are_rejected(argv):

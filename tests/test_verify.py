@@ -1,10 +1,12 @@
 """Verification harness: suite dispatch, corrupt-control hook, crash capture."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
-from bateman import ft
+from bateman import ft, verify
+from bateman.algebra import B1_CRE, B2_ANN, LadderPoly
 from bateman.errors import DomainError
 from bateman.verify import (
     SUITE_NAMES,
@@ -13,6 +15,8 @@ from bateman.verify import (
     _check,
     all_passed,
     check_ft_norm_closed_forms,
+    check_ft_spectrum,
+    check_is_spectrum,
     run_suite,
 )
 
@@ -103,6 +107,28 @@ def test_norm_closed_forms_check_catches_a_wrong_norm(params, monkeypatch, state
     result = check_ft_norm_closed_forms(cfg)
     assert not result.passed
     assert 5e-7 < result.deviation < 2e-6
+
+
+@pytest.mark.parametrize("check", [check_ft_spectrum, check_is_spectrum],
+                         ids=lambda fn: fn.check_id)
+def test_spectrum_sweep_sees_an_off_diagonal_term(params, monkeypatch, check):
+    # b1+ b2 keeps n1 + n2, so its element lands inside the swept block but
+    # off the diagonal; the column lookups must report it as a mismatch
+    exact = verify.hamiltonian_from_plain
+    cfg = VerifyConfig(params=params)
+    assert check(cfg).deviation == 0
+    monkeypatch.setattr(verify, "hamiltonian_from_plain", lambda con, branch: (
+        exact(con, branch) + LadderPoly.word((B1_CRE, B2_ANN), Fraction(1, 7))))
+    result = check(cfg)
+    assert result.deviation > 0 and not result.passed
+
+
+@pytest.mark.parametrize("field,value", [("tol_scale", math.nan), ("tol_scale", math.inf),
+                                         ("tol_scale", 0.0), ("theta", math.nan),
+                                         ("theta", -math.inf), ("margin", 0), ("margin", -3)])
+def test_config_rejects_non_finite_and_bad_margin(params, field, value):
+    with pytest.raises(DomainError, match=field):
+        VerifyConfig(params=params, **{field: value})
 
 
 def test_tol_scale_loosens(params):
