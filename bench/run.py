@@ -26,7 +26,13 @@ Times, in CPU seconds of this process with BLAS on one thread:
   (`per_element`, run on the current scalar arithmetic); `vacuum_pairing`
   on the 200 seeded polynomials of `algebra.cross-validation`; and the
   exact and the matrix half of that check, on the same polynomials and
-  elements.
+  elements, the matrix half read through `algebra.matrix_element` as the
+  check reads it;
+
+- `fock.build_ladder`, which builds each CSR ladder as one shift of the
+  flat index, against the scipy.sparse Kronecker construction it replaced
+  (`kron_ladder`, the reference kept here only) at n_max in
+  {2, 8, 12, 24, 48}, per build over BUILD_CALLS = 100 builds a repeat.
 
 Each timing runs REPEATS = 5 times; the median, minimum and maximum are
 reported with the gap between the two results (for expm the largest
@@ -34,7 +40,9 @@ entrywise gap relative to the largest entry; for the SVD 1 - |<dense, block>|
 of the unit null vectors; for the layers the largest gap between the two
 results, relative for operators, absolute for the reported deviations; for
 the exact sweeps the number of elements on which the two routes differ; for
-the cross-validation halves the largest gap between them).
+the cross-validation halves the largest gap between them; for the ladder
+build the number of the four ladders whose CSR arrays are not byte for
+byte those of the reference).
 The JSON record goes to FILE, or to stdout without `--out`, and carries the
 machine: core count, Python, numpy, scipy and BLAS versions.
 """
@@ -71,9 +79,9 @@ from bateman.algebra import (  # noqa: E402
     LadderPoly,
     basis_column,
     basis_matrix_element,
+    matrix_element,
     matrix_vacuum_pairing,
     random_poly,
-    to_matrix,
     vacuum_pairing,
 )
 from bateman.construction import hamiltonian_from_plain, identity_report, transform  # noqa: E402
@@ -87,6 +95,7 @@ from bateman.fock import (  # noqa: E402
     commutator,
     matrix_exp,
     max_abs,
+    single_mode_lowering,
 )
 from bateman.ft import FT, ft_basis_similarity, generator_matrix  # noqa: E402
 from bateman.imagscale import (  # noqa: E402
@@ -102,6 +111,8 @@ EXP_N_MAX = (12, 24, 32)
 SVD_N_MAX = (12, 24)
 LAYER_N_MAX = (12, 24, 32, 48)
 DENSE_N_MAX = 32
+BUILD_N_MAX = (2, 8, 12, 24, 48)
+BUILD_CALLS = 100  # ladder builds per timed repeat; the times are per build
 REPEATS = 5
 CHI_Q = 1j * math.pi / 4
 GENERATORS = {"X": generator_matrix, "Y": generator_y_matrix, "Z": generator_z_matrix}
@@ -313,14 +324,8 @@ def oracle_matrix_half(draws) -> list[complex]:
         degree = max(poly.degree(), 0)
         values.append(matrix_vacuum_pairing(poly, verify._ladder(max(2, degree + 2))))
         if element is not None:
-            m, n = element
-            big = verify._ladder(degree + 5)
-            mat = to_matrix(poly, big)
-            ket = np.zeros(big.space.dim, dtype=complex)
-            ket[big.space.index(*n)] = 1.0
-            bra = np.zeros(big.space.dim, dtype=complex)
-            bra[big.space.index(*m)] = 1.0
-            values.append(bra @ (mat @ ket))
+            bra, ket = element
+            values.append(matrix_element(poly, verify._ladder(degree + 5), bra, ket))
     return values
 
 
@@ -354,6 +359,44 @@ def algebra_rows() -> list[dict]:
     return rows
 
 
+def kron_ladder(n_max: int) -> LadderSet:
+    """Reference only: the scipy.sparse Kronecker ladder that build_ladder returned before."""
+    size = n_max + 1
+    a = single_mode_lowering(size)
+    eye = sp.eye_array(size, dtype=complex, format="csr")
+    a1 = sp.kron(a, eye, format="csr")
+    a2 = sp.kron(eye, a, format="csr")
+    return LadderSet(space=FockSpace(n_max), a1=a1, a1_dag=a1.conj().T.tocsr(), a2=a2,
+                     a2_dag=a2.conj().T.tocsr())
+
+
+def per_call(fn) -> tuple[dict, object]:
+    """timed() of BUILD_CALLS calls of fn, scaled to one call; and the last result."""
+    stats, results = timed(lambda: [fn() for _ in range(BUILD_CALLS)])
+    return {key: value / BUILD_CALLS for key, value in stats.items()}, results[-1]
+
+
+def same_csr(got, want) -> bool:
+    return all(getattr(got, part).dtype == getattr(want, part).dtype
+               and getattr(got, part).tobytes() == getattr(want, part).tobytes()
+               for part in ("indptr", "indices", "data"))
+
+
+def build_rows() -> list[dict]:
+    """fock.build_ladder against the Kronecker reference, per n_max."""
+    rows = []
+    for n_max in BUILD_N_MAX:
+        direct_t, got = per_call(lambda: build_ladder(n_max))
+        kron_t, want = per_call(lambda: kron_ladder(n_max))
+        rows.append({"layer": "build_ladder", "n_max": n_max, "dim": got.space.dim,
+                     "direct": direct_t, "kron": kron_t,
+                     "speedup": kron_t["median_s"] / direct_t["median_s"],
+                     "ladders_differing": sum(
+                         not same_csr(getattr(got, name), getattr(want, name))
+                         for name in ("a1", "a1_dag", "a2", "a2_dag"))})
+    return rows
+
+
 def machine() -> dict:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
@@ -373,7 +416,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv)
     record = {"machine": machine(), "repeats": REPEATS, "kernels": exp_rows() + svd_rows(),
-              "layers": layer_rows(), "algebra": algebra_rows()}
+              "layers": layer_rows(), "algebra": algebra_rows(), "ladder_build": build_rows()}
     text = json.dumps(record, indent=1) + "\n"
     if args.out is None:
         sys.stdout.write(text)

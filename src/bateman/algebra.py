@@ -4,8 +4,9 @@ Symbols b1, b2, b1+, b2+ obey [b_i, b_j+] = delta_ij with all other pairs
 commuting.  Scalars are exact: complex rationals attached to unit tags
 {1, hbar*omega, i*hbar*lambda}, optionally times the square root of a
 squarefree integer (needed for the pi/4 rotation coefficients).  Nothing in
-this module touches floating point except the explicit to_complex/to_matrix
-evaluators, which exist to cross-validate against the truncated matrices.
+this module touches floating point except the explicit to_complex, to_matrix
+and matrix_element evaluators, which exist to cross-validate against the
+truncated matrices.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ __all__ = [
     "basis_column",
     "basis_matrix_element",
     "to_matrix",
+    "matrix_element",
     "matrix_vacuum_pairing",
     "random_poly",
 ]
@@ -478,17 +480,16 @@ def basis_matrix_element(m1: int, m2: int, op: LadderPoly, n1: int, n2: int) -> 
     return basis_column(op, n1, n2).get((m1, m2), ExactScalar.zero())
 
 
+def _symbol_matrices(ladder) -> dict[int, sp.csr_array]:
+    return {B1_CRE: ladder.a1_dag, B2_CRE: ladder.a2_dag, B1_ANN: ladder.a1, B2_ANN: ladder.a2}
+
+
 def to_matrix(poly: LadderPoly, ladder, params: PhysicalParams | None = None) -> sp.csr_array:
-    """Evaluate the poly on truncated matrices; the float cross-validation route."""
-    symbol_map = {
-        B1_CRE: ladder.a1_dag,
-        B2_CRE: ladder.a2_dag,
-        B1_ANN: ladder.a1,
-        B2_ANN: ladder.a2,
-    }
+    """Evaluate the poly on truncated matrices as one whole matrix."""
+    symbol_map = _symbol_matrices(ladder)
     dim = ladder.space.dim
     total = sp.csr_array((dim, dim), dtype=complex)
-    for word, coeff in poly.terms.items():
+    for word, coeff in poly._terms.items():
         if word:
             acc = symbol_map[word[0]]
             for sym in word[1:]:
@@ -499,23 +500,30 @@ def to_matrix(poly: LadderPoly, ladder, params: PhysicalParams | None = None) ->
     return total
 
 
-def matrix_vacuum_pairing(poly: LadderPoly, ladder, params: PhysicalParams | None = None) -> complex:
-    """<vac| poly |vac> evaluated by applying the word matrices to the vacuum vector."""
-    symbol_map = {
-        B1_CRE: ladder.a1_dag,
-        B2_CRE: ladder.a2_dag,
-        B1_ANN: ladder.a1,
-        B2_ANN: ladder.a2,
-    }
-    vac = np.zeros(ladder.space.dim, dtype=complex)
-    vac[ladder.space.index(0, 0)] = 1.0
+def matrix_element(poly: LadderPoly, ladder, bra: tuple[int, int], ket: tuple[int, int],
+                   params: PhysicalParams | None = None) -> complex:
+    """<bra| poly |ket> on the truncated matrices; the float cross-validation route.
+
+    bra and ket are occupation pairs.  Each word's ladder matrices are applied
+    right to left to the basis vector of ket and the bra component is read
+    off, so no product matrix is formed.
+    """
+    symbol_map = _symbol_matrices(ladder)
+    start = np.zeros(ladder.space.dim, dtype=complex)
+    start[ladder.space.index(*ket)] = 1.0
+    row = ladder.space.index(*bra)
     total = 0.0 + 0.0j
-    for word, coeff in poly.terms.items():
-        vec = vac
+    for word, coeff in poly._terms.items():
+        vec = start
         for sym in reversed(word):
             vec = symbol_map[sym] @ vec
-        total += coeff.to_complex(params) * vec[ladder.space.index(0, 0)]
+        total += coeff.to_complex(params) * vec[row]
     return total
+
+
+def matrix_vacuum_pairing(poly: LadderPoly, ladder, params: PhysicalParams | None = None) -> complex:
+    """<vac| poly |vac> on the truncated matrices: the (0, 0), (0, 0) matrix_element."""
+    return matrix_element(poly, ladder, (0, 0), (0, 0), params)
 
 
 def random_poly(rng, max_degree: int = 6, max_terms: int = 5) -> LadderPoly:

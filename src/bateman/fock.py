@@ -8,6 +8,10 @@ infinite-space identities hold exactly.
 Operators are `scipy.sparse` CSR arrays: the ones the constructions use
 conserve n1-n2, n1+n2 or a parity, so all but a few entries per row are
 exact zeros, and products, sums and commutators touch only the nonzeros.
+Each ladder is built directly as its CSR arrays: a shift of the flat index
+by n_max+1 (mode 1) or 1 (mode 2) weighted by sqrt(occupation), one
+`indptr`/`indices`/`data` triple from index arithmetic, with no Kronecker
+product or transpose.
 State vectors and Gram matrices stay dense numpy arrays.  The two cubic
 kernels (`matrix_exp`, and the nullspace SVD in `imagscale`) split their
 input into the connected blocks of its own nonzero pattern (`blocks`) and
@@ -102,21 +106,34 @@ def single_mode_lowering(size: int) -> sp.csr_array:
                           dtype=complex, format="csr")
 
 
+def _shift(keep: np.ndarray, offset: int, weight: np.ndarray) -> sp.csr_array:
+    """CSR matrix with the one entry weight[r] at (r, r + offset) on every row r where keep[r]."""
+    rows = np.flatnonzero(keep)
+    indptr = np.zeros(len(keep) + 1, dtype=np.int32)
+    np.cumsum(keep, out=indptr[1:])
+    return sp.csr_array((weight[rows], (rows + offset).astype(np.int32), indptr),
+                        shape=(len(keep), len(keep)))
+
+
 def build_ladder(n_max: int) -> LadderSet:
-    """Tensor the single-mode ladder into both factors; requires n_max >= 2."""
+    """Both modes' ladders as CSR shifts of the flat index; requires n_max >= 2.
+
+    a1 moves |n1, n2> by the stride n_max+1 and a2 by 1, each weighted by
+    sqrt of the higher occupation of the pair.  The creators carry the
+    conjugated weights (imaginary part -0.0), so every array is bit for bit
+    the Kronecker product of `single_mode_lowering` with the identity and
+    its conjugate transpose.
+    """
     if n_max < 2:
         raise DomainError(f"n_max must be >= 2, got {n_max}")
     size = n_max + 1
-    a = single_mode_lowering(size)
-    eye = sp.eye_array(size, dtype=complex, format="csr")
-    a1 = sp.kron(a, eye, format="csr")
-    a2 = sp.kron(eye, a, format="csr")
+    n1, n2 = np.divmod(np.arange(size * size), size)
     return LadderSet(
         space=FockSpace(n_max),
-        a1=a1,
-        a1_dag=a1.conj().T.tocsr(),
-        a2=a2,
-        a2_dag=a2.conj().T.tocsr(),
+        a1=_shift(n1 < n_max, size, np.sqrt(n1 + 1.0).astype(complex)),
+        a1_dag=_shift(n1 > 0, -size, np.sqrt(n1).astype(complex).conj()),
+        a2=_shift(n2 < n_max, 1, np.sqrt(n2 + 1.0).astype(complex)),
+        a2_dag=_shift(n2 > 0, -1, np.sqrt(n2).astype(complex).conj()),
     )
 
 

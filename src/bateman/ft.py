@@ -126,6 +126,11 @@ def similarity_deviation(bar: MixedModes, window: int = 6) -> float:
 # vectors
 
 
+#: the vacuum series needs |tan theta| < 1; fl(tan(pi/4)) rounds to 0.999...9 < 1,
+#: so the bound keeps a float cushion below 1
+VACUUM_TAN_LIMIT = 1.0 - 1e-12
+
+
 def ft_vacuum_series(theta: complex, space: FockSpace) -> tuple[np.ndarray, np.ndarray]:
     """Truncated bar vacuum pair: ket (tan^n/cos) and bra ((-tan)^n/cos) on |n,n>.
 
@@ -134,8 +139,7 @@ def ft_vacuum_series(theta: complex, space: FockSpace) -> tuple[np.ndarray, np.n
     """
     theta = complex(theta)
     t = cmath.tan(theta)
-    # fl(tan(pi/4)) rounds to 0.999...9 < 1, so guard with a float cushion
-    if abs(t) >= 1.0 - 1e-12:
+    if abs(t) >= VACUUM_TAN_LIMIT:
         raise SeriesDivergence(
             f"|tan theta| = {abs(t):.6g} >= 1: vacuum series diverges at theta={theta}"
         )

@@ -95,6 +95,9 @@ class VerifyConfig:
             raise DomainError(f"tol_scale must be positive and finite, got {self.tol_scale}")
         if not math.isfinite(self.theta):
             raise DomainError(f"theta must be finite, got {self.theta}")
+        if abs(math.tan(self.theta)) >= ft.VACUUM_TAN_LIMIT:
+            raise DomainError(f"|tan theta| = {abs(math.tan(self.theta)):.6g} >= 1: vacuum series "
+                              f"diverges at theta={self.theta}")
         if self.margin < 1:
             raise DomainError(f"margin must be >= 1, got {self.margin}")
 
@@ -368,16 +371,11 @@ def check_oracle_cross_validation(cfg: VerifyConfig) -> tuple:
         numeric = algebra.matrix_vacuum_pairing(poly, lad)
         dev = max(dev, abs(exact - numeric))
         if trial % 10 == 0:
-            m = (rng.randint(0, 2), rng.randint(0, 2))
-            n = (rng.randint(0, 2), rng.randint(0, 2))
-            elem = algebra.basis_matrix_element(m[0], m[1], poly, n[0], n[1]).to_complex()
-            big = _ladder(degree + 5)
-            mat = algebra.to_matrix(poly, big)
-            ket = np.zeros(big.space.dim, dtype=complex)
-            ket[big.space.index(*n)] = 1.0
-            bra = np.zeros(big.space.dim, dtype=complex)
-            bra[big.space.index(*m)] = 1.0
-            dev = max(dev, abs(elem - bra @ (mat @ ket)))
+            bra = (rng.randint(0, 2), rng.randint(0, 2))
+            ket = (rng.randint(0, 2), rng.randint(0, 2))
+            elem = algebra.basis_matrix_element(*bra, poly, *ket).to_complex()
+            numeric = algebra.matrix_element(poly, _ladder(degree + 5), bra, ket)
+            dev = max(dev, abs(elem - numeric))
     return ("200 random polynomials: exact oracle vs truncated matrices", dev, 1e-12)
 
 

@@ -27,13 +27,14 @@ from bateman.algebra import (
     apply_to_monomial_ket,
     basis_column,
     basis_matrix_element,
+    matrix_element,
     matrix_vacuum_pairing,
     normal_order,
     random_poly,
     to_matrix,
     vacuum_pairing,
 )
-from bateman.errors import MixedUnitError
+from bateman.errors import DomainError, MixedUnitError
 from bateman.fock import build_ladder
 from bateman.construction import hamiltonian_formal, hamiltonian_from_plain
 from bateman.ft import FT
@@ -159,6 +160,40 @@ def test_to_matrix_round_trip(ladder8):
     num = LadderPoly.word((B1_CRE, B1_ANN))
     mat = to_matrix(num, ladder8)
     assert np.allclose(mat.toarray(), (ladder8.a1_dag @ ladder8.a1).toarray())
+
+
+# --- matrix_element: word-by-vector products against the whole matrix ---------
+
+_LOW_OCCUPATIONS = [(a, b) for a in range(3) for b in range(3)]
+
+
+def test_matrix_element_matches_whole_matrix_on_seeded_polys():
+    rng = random.Random(20260823)
+    for _ in range(200):
+        poly = random_poly(rng, max_degree=6)
+        ladder = build_ladder(poly.degree() + 5)
+        mat = to_matrix(poly, ladder)
+        for m in _LOW_OCCUPATIONS:
+            bra = np.zeros(ladder.space.dim, dtype=complex)
+            bra[ladder.space.index(*m)] = 1.0
+            for n in _LOW_OCCUPATIONS:
+                ket = np.zeros(ladder.space.dim, dtype=complex)
+                ket[ladder.space.index(*n)] = 1.0
+                assert abs(matrix_element(poly, ladder, m, n) - bra @ (mat @ ket)) <= 1e-14
+        assert matrix_vacuum_pairing(poly, ladder) == matrix_element(poly, ladder, (0, 0), (0, 0))
+
+
+def test_matrix_element_reads_bra_row_and_ket_column(ladder8, params):
+    # b1+ b2: <1, 0| b1+ b2 |0, 1> = 1 but <0, 1| b1+ b2 |1, 0> = 0; the hw tag needs params
+    poly = LadderPoly.word((B1_CRE, B2_ANN), ExactScalar.unit(U_HW, 3))
+    hw = params.hbar * params.omega
+    assert matrix_element(poly, ladder8, (1, 0), (0, 1), params) == 3 * hw
+    assert matrix_element(poly, ladder8, (0, 1), (1, 0), params) == 0
+    # b1 b1+ b1+ |0, 0> = 2 |1, 0>: the words act right to left
+    word = LadderPoly.word((B1_ANN, B1_CRE, B1_CRE))
+    assert matrix_element(word, ladder8, (1, 0), (0, 0)) == pytest.approx(2.0, abs=1e-15)
+    with pytest.raises(DomainError):
+        matrix_element(poly, ladder8, (9, 0), (0, 0), params)
 
 
 # --- the integer-weight column kernel against a per-symbol reference ----------

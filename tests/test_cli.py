@@ -254,6 +254,16 @@ def test_verify_rejects_bad_config_with_exit_2(capsys, flags):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("theta", ["0.9", "-0.9"])
+def test_verify_rejects_a_divergent_theta_with_exit_2(capsys, theta):
+    # |tan theta| > 1: the ft vacuum series diverges, as norms rejects its own out-of-range angle
+    rc, out, err = run(capsys, "verify", "ft", "--theta", theta)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and "vacuum series diverges" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [["norms", "--n-max", "3"], ["classify", "--times", "1"],
                                   ["spectrum", "--chi-sign", "+"]])
 def test_flags_a_command_does_not_read_are_rejected(argv):

@@ -2,7 +2,10 @@
 
 Every operator below has at most one nonzero term per entry in each product
 and each sum (or sums the same terms in the same order), so the CSR result
-and the dense reference must agree exactly, not within a tolerance.
+and the dense reference must agree exactly, not within a tolerance.  The
+ladder itself is also compared, array for array, with the scipy.sparse
+Kronecker construction that `build_ladder` used before it built the shifts
+directly.
 """
 
 import cmath
@@ -13,7 +16,7 @@ import pytest
 import scipy.sparse as sp
 
 from bateman.construction import transform
-from bateman.fock import build_hamiltonian, build_ladder
+from bateman.fock import build_hamiltonian, build_ladder, interior_deviation, single_mode_lowering
 from bateman.ft import FT, generator_matrix
 from bateman.imagscale import IS, generator_y_matrix, generator_z_matrix, is_check_rep
 
@@ -40,6 +43,37 @@ def test_ladder_matches_kron(n_max):
     lad = build_ladder(n_max)
     for name, want in dense_ladder(n_max).items():
         assert_csr_equal(getattr(lad, name), want)
+
+
+def kron_ladder(n_max: int) -> dict[str, sp.csr_array]:
+    """Reference: the single-mode CSR ladder tensored with sp.kron, creators by conj().T."""
+    size = n_max + 1
+    a = single_mode_lowering(size)
+    eye = sp.eye_array(size, dtype=complex, format="csr")
+    a1 = sp.kron(a, eye, format="csr")
+    a2 = sp.kron(eye, a, format="csr")
+    return {"a1": a1, "a1_dag": a1.conj().T.tocsr(), "a2": a2, "a2_dag": a2.conj().T.tocsr()}
+
+
+@pytest.mark.parametrize("n_max", range(2, 25))
+def test_direct_ladder_matches_sparse_kron(n_max):
+    lad = build_ladder(n_max)
+    for name, want in kron_ladder(n_max).items():
+        got = getattr(lad, name)
+        assert isinstance(got, sp.csr_array) and got.shape == want.shape
+        for part in ("indptr", "indices", "data"):
+            g, w = getattr(got, part), getattr(want, part)
+            # bytes, not values: the creators' -0.0 imaginary parts must match too
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), (name, part)
+
+
+@pytest.mark.parametrize("n_max", [2, 8, 24])
+def test_direct_ladder_commutators_are_identity_inside(n_max):
+    lad = build_ladder(n_max)
+    eye = sp.eye_array(lad.space.dim, dtype=complex, format="csr")
+    for ann, cre in ((lad.a1, lad.a1_dag), (lad.a2, lad.a2_dag)):
+        # sqrt(n+1)^2 - sqrt(n)^2 is 1 up to rounding, the tolerance of the interior check
+        assert interior_deviation(ann @ cre - cre @ ann, eye, lad.space, 1) <= 1e-12
 
 
 @N_MAXES

@@ -1,5 +1,6 @@
 """Verification harness: suite dispatch, corrupt-control hook, crash capture."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import pytest
 from bateman import ft, verify
 from bateman.algebra import B1_CRE, B2_ANN, LadderPoly
 from bateman.errors import DomainError
+from bateman.fock import build_ladder
 from bateman.verify import (
     SUITE_NAMES,
     SUITES,
@@ -17,6 +19,7 @@ from bateman.verify import (
     check_ft_norm_closed_forms,
     check_ft_spectrum,
     check_is_spectrum,
+    check_oracle_cross_validation,
     run_suite,
 )
 
@@ -129,6 +132,34 @@ def test_spectrum_sweep_sees_an_off_diagonal_term(params, monkeypatch, check):
 def test_config_rejects_non_finite_and_bad_margin(params, field, value):
     with pytest.raises(DomainError, match=field):
         VerifyConfig(params=params, **{field: value})
+
+
+@pytest.mark.parametrize("theta", [0.9, -0.9, math.pi / 4, -math.pi / 4, 2.0])
+def test_config_rejects_a_divergent_vacuum_series(params, theta):
+    # |tan theta| >= 1: the ft vacuum series has no limit, so no ft check can pass
+    with pytest.raises(DomainError, match="vacuum series diverges"):
+        VerifyConfig(params=params, theta=theta)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.3, -0.78, 3.0])
+def test_config_accepts_a_convergent_vacuum_series(params, theta):
+    assert VerifyConfig(params=params, theta=theta).theta == theta
+
+
+def test_cross_validation_catches_a_ladder_entry_off_by_1e9(params, monkeypatch):
+    # <0,0| a1 |1,0> off by 1e-9 relative, a1_dag left alone: a defect no corrupt hook makes
+    def skewed(n_max):
+        lad = build_ladder(n_max)
+        a1 = lad.a1.copy()
+        a1[lad.space.index(0, 0), lad.space.index(1, 0)] *= 1.0 + 1e-9
+        return dataclasses.replace(lad, a1=a1)
+
+    cfg = VerifyConfig(params=params)
+    assert cfg.corrupt_check is None
+    assert check_oracle_cross_validation(cfg).passed
+    monkeypatch.setattr(verify, "_ladder", skewed)
+    result = check_oracle_cross_validation(cfg)
+    assert result.deviation > 1e-10 and not result.passed
 
 
 def test_tol_scale_loosens(params):
