@@ -33,8 +33,6 @@ __all__ = [
     "B2_CRE",
     "B1_ANN",
     "B2_ANN",
-    "cre",
-    "ann",
     "normal_order",
     "vacuum_pairing",
     "apply_to_monomial_ket",
@@ -57,18 +55,6 @@ B1_CRE, B2_CRE, B1_ANN, B2_ANN = 0, 1, 2, 3
 
 _SYMBOL_NAMES = {B1_CRE: "b1+", B2_CRE: "b2+", B1_ANN: "b1", B2_ANN: "b2"}
 _CONJ_MAP = {B1_CRE: B1_ANN, B2_CRE: B2_ANN, B1_ANN: B1_CRE, B2_ANN: B2_CRE}
-
-
-def cre(mode: int) -> int:
-    if mode not in (1, 2):
-        raise DomainError(f"mode must be 1 or 2, got {mode}")
-    return B1_CRE if mode == 1 else B2_CRE
-
-
-def ann(mode: int) -> int:
-    if mode not in (1, 2):
-        raise DomainError(f"mode must be 1 or 2, got {mode}")
-    return B1_ANN if mode == 1 else B2_ANN
 
 
 @dataclass(frozen=True)

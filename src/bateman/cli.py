@@ -14,11 +14,10 @@ import csv
 import io
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import __version__, dynamics, ft
-from .construction import normalize_branch
 from .dynamics import StateEvolution, classify, eigen_record
 from .errors import BatemanError, DomainError
 from .params import PhysicalParams, derive_params
@@ -26,35 +25,9 @@ from .verify import VerifyConfig, all_passed, run_suite
 
 __all__ = ["main", "build_parser"]
 
-DEFAULT_TIMES = "0,0.25,0.5,0.75,1,1.25,1.5,1.75,2"
 MODERATE_GRID = (0.3, 0.6, 1.0, 1.4)
 EDGE_EPSILONS = (1e-1, 1e-2, 1e-3, 1e-4)
 MAX_N_CAP = 16
-
-_FLOAT_KEYS = ("m", "gamma", "k", "hbar", "theta", "tol_scale")
-_INT_KEYS = ("n_max", "margin", "n_cap", "seed", "n1", "n2")
-_STR_KEYS = ("branch", "format", "out", "approach", "times", "corrupt_check")
-
-_DEFAULTS = {
-    "m": 1.0,
-    "gamma": 1.0,
-    "k": 1.25,
-    "hbar": 1.0,
-    "theta": 0.3,
-    "tol_scale": 1.0,
-    "n_max": None,
-    "margin": 2,
-    "n_cap": 6,
-    "seed": 20260823,
-    "n1": 0,
-    "n2": 0,
-    "branch": None,
-    "format": "json",
-    "out": None,
-    "approach": "ft",
-    "times": DEFAULT_TIMES,
-    "corrupt_check": None,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -126,33 +99,13 @@ def _csv_cell(value) -> str:
 
 
 # ---------------------------------------------------------------------------
-# settings
+# settings: command line, then the --config file, then the flag's default
 
 
-@dataclass
-class Settings:
-    params: PhysicalParams
-    n_max: int | None
-    margin: int
-    theta: float
-    tol_scale: float
-    n_cap: int
-    seed: int
-    n1: int
-    n2: int
-    branch: int
-    fmt: str
-    out: str | None
-    approach: str
-    times: tuple[float, ...]
-    corrupt_check: str | None
-    theta_explicit: bool = False
-    suite: str = "all"
-
-
-def _load_config(path: str) -> dict[str, str]:
+def _load_config(path: str, names: tuple[str, ...]) -> dict:
+    """Read key=value lines; each key must be one of `names`, each value pass its flag."""
     text = Path(path).read_text()
-    values: dict[str, str] = {}
+    values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -161,21 +114,29 @@ def _load_config(path: str) -> dict[str, str]:
             raise DomainError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         key = key.strip().lower().replace("-", "_")
-        if key not in _DEFAULTS:
+        value = value.strip()
+        if key not in names or key == "config":
             raise DomainError(f"{path}:{lineno}: unknown config key {key!r}")
-        values[key] = value.strip()
+        spec = _FLAGS[key]
+        try:
+            values[key] = spec.get("type", str)(value)
+        except ValueError as exc:
+            raise DomainError(f"{path}:{lineno}: config value for {key!r} is not valid: "
+                              f"{value!r}") from exc
+        if "choices" in spec and values[key] not in spec["choices"]:
+            raise DomainError(f"{path}:{lineno}: config value for {key!r} must be one of "
+                              f"{', '.join(spec['choices'])}, got {value!r}")
     return values
 
 
-def _convert(key: str, raw: str):
-    try:
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _INT_KEYS:
-            return int(raw)
-        return raw
-    except ValueError as exc:
-        raise DomainError(f"config value for {key!r} is not valid: {raw!r}") from exc
+def _resolve(args: argparse.Namespace) -> None:
+    """Fill every flag the subcommand registered, then derive the physical parameters."""
+    config = _load_config(args.config, args.flags) if args.config else {}
+    args.theta_explicit = getattr(args, "theta", None) is not None or "theta" in config
+    for name in args.flags:
+        if getattr(args, name) is None:
+            setattr(args, name, config.get(name, _FLAGS[name]["default"]))
+    args.params = derive_params(args.m, args.gamma, args.k, hbar=args.hbar)
 
 
 def _parse_times(raw: str) -> tuple[float, ...]:
@@ -190,49 +151,6 @@ def _parse_times(raw: str) -> tuple[float, ...]:
     return values
 
 
-def _resolve(args: argparse.Namespace) -> Settings:
-    config = _load_config(args.config) if args.config else {}
-    merged = {}
-    for key, default in _DEFAULTS.items():
-        cli_value = getattr(args, key, None)
-        if cli_value is not None:
-            merged[key] = cli_value
-        elif key in config:
-            merged[key] = _convert(key, config[key])
-        else:
-            merged[key] = default
-
-    branch = normalize_branch(merged["branch"] or "+")
-
-    if merged["format"] not in ("json", "csv", "text"):
-        raise DomainError(f"--format must be json, csv, or text, got {merged['format']!r}")
-    if merged["approach"] not in ("ft", "is"):
-        raise DomainError(f"--approach must be 'ft' or 'is', got {merged['approach']!r}")
-    if not (0 <= merged["n_cap"] <= MAX_N_CAP):
-        raise DomainError(f"--n-cap must lie in [0, {MAX_N_CAP}], got {merged['n_cap']}")
-
-    params = derive_params(merged["m"], merged["gamma"], merged["k"], hbar=merged["hbar"])
-    return Settings(
-        params=params,
-        n_max=merged["n_max"],
-        margin=merged["margin"],
-        theta=merged["theta"],
-        tol_scale=merged["tol_scale"],
-        n_cap=merged["n_cap"],
-        seed=merged["seed"],
-        n1=merged["n1"],
-        n2=merged["n2"],
-        branch=branch,
-        fmt=merged["format"],
-        out=merged["out"],
-        approach=merged["approach"],
-        times=_parse_times(merged["times"]),
-        corrupt_check=merged["corrupt_check"],
-        theta_explicit=getattr(args, "theta", None) is not None or "theta" in config,
-        suite=getattr(args, "suite", "all"),
-    )
-
-
 def _params_payload(params: PhysicalParams) -> dict:
     return {
         "m": params.m,
@@ -244,62 +162,53 @@ def _params_payload(params: PhysicalParams) -> dict:
     }
 
 
-def _header_payload(command: str, settings: Settings) -> dict:
+def _header_payload(command: str, args: argparse.Namespace) -> dict:
     return {
         "command": command,
         "version": __version__,
-        "params": _params_payload(settings.params),
+        "params": _params_payload(args.params),
     }
-
-
-def _branch_label(branch: int) -> str:
-    return "+" if branch > 0 else "-"
 
 
 # ---------------------------------------------------------------------------
 # commands
 
+_EIGEN_HEADER = ("n1", "n2", "p", "q", "re", "im", "class")
 
-def cmd_spectrum(settings: Settings) -> CommandOutput:
+
+def _eigen_row(args: argparse.Namespace, n1: int, n2: int) -> dict:
+    """The (n1, n2, p, q, re, im, class) record of one eigenstate."""
+    rec = eigen_record(args.approach, args.branch, n1, n2)
+    value = rec.as_complex(args.params)
+    label = classify(args.approach, args.branch, n1, n2).value
+    return dict(zip(_EIGEN_HEADER, (n1, n2, rec.p, rec.q, value.real, value.imag, label)))
+
+
+def cmd_spectrum(args: argparse.Namespace) -> CommandOutput:
+    if not (0 <= args.n_cap <= MAX_N_CAP):
+        raise DomainError(f"--n-cap must lie in [0, {MAX_N_CAP}], got {args.n_cap}")
     states = sorted(
         (
             (n1, n2)
-            for n1 in range(settings.n_cap + 1)
-            for n2 in range(settings.n_cap + 1)
-            if n1 + n2 <= settings.n_cap
+            for n1 in range(args.n_cap + 1)
+            for n2 in range(args.n_cap + 1)
+            if n1 + n2 <= args.n_cap
         ),
         key=lambda pair: (pair[0] + pair[1], pair[0]),
     )
-    rows = []
-    for (n1, n2) in states:
-        rec = eigen_record(settings.approach, settings.branch, n1, n2)
-        value = rec.as_complex(settings.params)
-        label = classify(settings.approach, settings.branch, n1, n2).value
-        rows.append(
-            {
-                "n1": n1,
-                "n2": n2,
-                "p": rec.p,
-                "q": rec.q,
-                "re": value.real,
-                "im": value.imag,
-                "class": label,
-            }
-        )
-    payload = _header_payload("spectrum", settings)
+    rows = [_eigen_row(args, n1, n2) for (n1, n2) in states]
+    payload = _header_payload("spectrum", args)
     payload.update(
         {
-            "approach": settings.approach,
-            "branch": _branch_label(settings.branch),
-            "n_cap": settings.n_cap,
+            "approach": args.approach,
+            "branch": args.branch,
+            "n_cap": args.n_cap,
             "rows": rows,
         }
     )
-    header = ("n1", "n2", "p", "q", "re", "im", "class")
-    csv_rows = [tuple(r[k] for k in header) for r in rows]
+    csv_rows = [tuple(r.values()) for r in rows]
     lines = [
-        f"spectrum approach={settings.approach} branch={_branch_label(settings.branch)} "
-        f"n_cap={settings.n_cap}",
+        f"spectrum approach={args.approach} branch={args.branch} n_cap={args.n_cap}",
         f"{'n1':>3} {'n2':>3} {'p':>4} {'q':>4} {'re':>12} {'im':>12}  class",
     ]
     for r in rows:
@@ -307,15 +216,15 @@ def cmd_spectrum(settings: Settings) -> CommandOutput:
             f"{r['n1']:>3} {r['n2']:>3} {r['p']:>4} {r['q']:>4} "
             f"{r['re']:>12.6g} {r['im']:>12.6g}  {r['class']}"
         )
-    return CommandOutput(payload, header, csv_rows, lines)
+    return CommandOutput(payload, _EIGEN_HEADER, csv_rows, lines)
 
 
 _CLOSED_FORM_PAIRS = ((0, 0), (1, 0), (1, 1), (2, 1))
 
 
-def cmd_norms(settings: Settings) -> CommandOutput:
-    if settings.theta_explicit:
-        grid = (2.0 * settings.theta,)
+def cmd_norms(args: argparse.Namespace) -> CommandOutput:
+    if args.theta_explicit:
+        grid = (2.0 * args.theta,)
     else:
         grid = tuple(MODERATE_GRID) + tuple(math.pi / 2 - eps for eps in EDGE_EPSILONS)
     rows = []
@@ -338,7 +247,7 @@ def cmd_norms(settings: Settings) -> CommandOutput:
     for (n1, n2) in _CLOSED_FORM_PAIRS:
         slope = ft.ft_norm_exponent_fit(ft.FIT_THETA_GRID, n1, n2)
         fits.append({"n1": n1, "n2": n2, "slope": slope, "expected": n1 + n2 + 1})
-    payload = _header_payload("norms", settings)
+    payload = _header_payload("norms", args)
     payload.update({"rows": rows, "fits": fits})
     header = ("n1", "n2", "big_theta", "value", "closed_form", "rel_dev")
     csv_rows = [tuple(r[k] for k in header) for r in rows]
@@ -356,42 +265,29 @@ def cmd_norms(settings: Settings) -> CommandOutput:
     return CommandOutput(payload, header, csv_rows, lines)
 
 
-def cmd_classify(settings: Settings) -> CommandOutput:
-    rec = eigen_record(settings.approach, settings.branch, settings.n1, settings.n2)
-    value = rec.as_complex(settings.params)
-    label = classify(settings.approach, settings.branch, settings.n1, settings.n2)
-    payload = _header_payload("classify", settings)
+def cmd_classify(args: argparse.Namespace) -> CommandOutput:
+    row = _eigen_row(args, args.n1, args.n2)
+    payload = _header_payload("classify", args)
     payload.update(
         {
-            "approach": settings.approach,
-            "branch": _branch_label(settings.branch),
-            "n1": settings.n1,
-            "n2": settings.n2,
-            "p": rec.p,
-            "q": rec.q,
-            "re": value.real,
-            "im": value.imag,
-            "class": label.value,
-            "stable": label == dynamics.StabilityClass.STABLE,
+            "approach": args.approach,
+            "branch": args.branch,
+            **row,
+            "stable": row["class"] == dynamics.StabilityClass.STABLE.value,
         }
     )
-    header = ("n1", "n2", "p", "q", "re", "im", "class")
-    csv_rows = [
-        (settings.n1, settings.n2, rec.p, rec.q, value.real, value.imag, label.value)
-    ]
     lines = [
-        f"({settings.n1},{settings.n2}) approach={settings.approach} "
-        f"branch={_branch_label(settings.branch)}: p={rec.p} q={rec.q} class={label.value}"
+        f"({args.n1},{args.n2}) approach={args.approach} "
+        f"branch={args.branch}: p={row['p']} q={row['q']} class={row['class']}"
     ]
-    return CommandOutput(payload, header, csv_rows, lines)
+    return CommandOutput(payload, _EIGEN_HEADER, [tuple(row.values())], lines)
 
 
-def cmd_evolve(settings: Settings) -> CommandOutput:
-    evo = StateEvolution.create(
-        settings.approach, settings.branch, settings.n1, settings.n2, settings.params
-    )
+def cmd_evolve(args: argparse.Namespace) -> CommandOutput:
+    times = _parse_times(args.times)
+    evo = StateEvolution.create(args.approach, args.branch, args.n1, args.n2, args.params)
     rows = []
-    for t in settings.times:
+    for t in times:
         factor = evo.factor(t)
         rows.append(
             {
@@ -402,20 +298,15 @@ def cmd_evolve(settings: Settings) -> CommandOutput:
             }
         )
     pairing = dynamics.pairing_norm_in_time(
-        settings.approach,
-        settings.branch,
-        settings.n1,
-        settings.n2,
-        settings.times,
-        settings.params,
+        args.approach, args.branch, args.n1, args.n2, times, args.params
     )
-    payload = _header_payload("evolve", settings)
+    payload = _header_payload("evolve", args)
     payload.update(
         {
-            "approach": settings.approach,
-            "branch": _branch_label(settings.branch),
-            "n1": settings.n1,
-            "n2": settings.n2,
+            "approach": args.approach,
+            "branch": args.branch,
+            "n1": args.n1,
+            "n2": args.n2,
             "stability": evo.stability.value,
             "amplitude_rate": evo.amplitude_rate,
             "phase_rate": evo.phase_rate,
@@ -426,8 +317,8 @@ def cmd_evolve(settings: Settings) -> CommandOutput:
     header = ("t", "re_factor", "im_factor", "abs2_factor")
     csv_rows = [tuple(r[k] for k in header) for r in rows]
     lines = [
-        f"evolution ({settings.n1},{settings.n2}) approach={settings.approach} "
-        f"branch={_branch_label(settings.branch)}: {evo.stability.value}",
+        f"evolution ({args.n1},{args.n2}) approach={args.approach} "
+        f"branch={args.branch}: {evo.stability.value}",
     ]
     for r in rows:
         lines.append(
@@ -437,39 +328,28 @@ def cmd_evolve(settings: Settings) -> CommandOutput:
     return CommandOutput(payload, header, csv_rows, lines)
 
 
-def cmd_verify(settings: Settings) -> CommandOutput:
+def cmd_verify(args: argparse.Namespace) -> CommandOutput:
     cfg = VerifyConfig(
-        params=settings.params,
-        n_max=settings.n_max,
-        margin=settings.margin,
-        tol_scale=settings.tol_scale,
-        theta=settings.theta,
-        seed=settings.seed,
-        corrupt_check=settings.corrupt_check,
+        params=args.params,
+        n_max=args.n_max,
+        margin=args.margin,
+        tol_scale=args.tol_scale,
+        theta=args.theta,
+        seed=args.seed,
+        corrupt_check=args.corrupt_check,
     )
-    results = run_suite(settings.suite, cfg)
+    results = run_suite(args.suite, cfg)
     ok = all_passed(results)
-    checks = [
-        {
-            "check_id": r.check_id,
-            "description": r.description,
-            "deviation": r.deviation,
-            "tolerance": r.tolerance,
-            "passed": r.passed,
-            "detail": r.detail,
-        }
-        for r in results
-    ]
-    payload = _header_payload("verify", settings)
+    payload = _header_payload("verify", args)
     payload.update(
         {
-            "suite": settings.suite,
-            "n_max": settings.n_max,
-            "margin": settings.margin,
-            "tol_scale": settings.tol_scale,
-            "theta": settings.theta,
-            "seed": settings.seed,
-            "checks": checks,
+            "suite": args.suite,
+            "n_max": args.n_max,
+            "margin": args.margin,
+            "tol_scale": args.tol_scale,
+            "theta": args.theta,
+            "seed": args.seed,
+            "checks": [asdict(r) for r in results],
             "counts": {
                 "total": len(results),
                 "passed": sum(1 for r in results if r.passed),
@@ -480,7 +360,7 @@ def cmd_verify(settings: Settings) -> CommandOutput:
     )
     header = ("check_id", "passed", "deviation", "tolerance")
     csv_rows = [(r.check_id, r.passed, r.deviation, r.tolerance) for r in results]
-    lines = [f"verify suite={settings.suite}"]
+    lines = [f"verify suite={args.suite}"]
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         lines.append(
@@ -506,35 +386,45 @@ COMMANDS = {
 #: flags every subcommand reads: the physical parameters and the report's form
 _SHARED_FLAGS = ("m", "gamma", "k", "hbar", "format", "out", "config")
 
+#: every flag once: its argparse keywords plus the default `_resolve` falls back to
 _FLAGS = {
-    "m": dict(type=float, help="oscillator mass (default 1)"),
-    "gamma": dict(type=float, help="damping coefficient (default 1)"),
-    "k": dict(type=float, help="spring constant (default 1.25)"),
-    "hbar": dict(type=float, help="Planck constant over 2 pi (default 1)"),
-    "format": dict(choices=("json", "csv", "text"), help="output format (default json)"),
-    "out": dict(help="write the report to this file instead of stdout"),
-    "config": dict(help="key=value file; command line flags take precedence"),
-    "n_max": dict(type=int, help="occupation truncation override"),
-    "margin": dict(type=int, help="interior margin for matrix checks (default 2)"),
-    "theta": dict(type=float, help="transform rotation angle (default 0.3)"),
-    "branch": dict(choices=("+", "-"), help="transform branch sign"),
-    "n_cap": dict(type=int, help=f"largest n1+n2 listed (default 6, max {MAX_N_CAP})"),
-    "tol_scale": dict(type=float, help="multiply every check tolerance (default 1)"),
-    "approach": dict(choices=("ft", "is"),
+    "m": dict(type=float, default=1.0, help="oscillator mass (default 1)"),
+    "gamma": dict(type=float, default=1.0, help="damping coefficient (default 1)"),
+    "k": dict(type=float, default=1.25, help="spring constant (default 1.25)"),
+    "hbar": dict(type=float, default=1.0, help="Planck constant over 2 pi (default 1)"),
+    "format": dict(choices=("json", "csv", "text"), default="json",
+                   help="output format (default json)"),
+    "out": dict(default=None, help="write the report to this file instead of stdout"),
+    "config": dict(default=None, help="key=value file; command line flags take precedence"),
+    "n_max": dict(type=int, default=None, help="occupation truncation override"),
+    "margin": dict(type=int, default=2, help="interior margin for matrix checks (default 2)"),
+    "theta": dict(type=float, default=0.3, help="transform rotation angle (default 0.3)"),
+    "branch": dict(choices=("+", "-"), default="+", help="transform branch sign"),
+    "n_cap": dict(type=int, default=6, help=f"largest n1+n2 listed (default 6, max {MAX_N_CAP})"),
+    "tol_scale": dict(type=float, default=1.0,
+                      help="multiply every check tolerance (default 1)"),
+    "approach": dict(choices=("ft", "is"), default="ft",
                      help="which construction: rotation (ft) or imaginary scale (is)"),
-    "seed": dict(type=int, help="seed for randomized cross-validation"),
-    "n1": dict(type=int, help="first occupation number (default 0)"),
-    "n2": dict(type=int, help="second occupation number (default 0)"),
-    "times": dict(help="comma separated time grid for evolve"),
-    "corrupt_check": dict(metavar="CHECK_ID",
+    "seed": dict(type=int, default=20260823, help="seed for randomized cross-validation"),
+    "n1": dict(type=int, default=0, help="first occupation number (default 0)"),
+    "n2": dict(type=int, default=0, help="second occupation number (default 0)"),
+    "times": dict(default="0,0.25,0.5,0.75,1,1.25,1.5,1.75,2",
+                  help="comma separated time grid for evolve"),
+    "corrupt_check": dict(default=None, metavar="CHECK_ID",
                           help="negative control: inflate the named check's deviation"),
 }
 
 
 def _add_flags(parser: argparse.ArgumentParser, *names: str) -> None:
-    """Register the shared flags plus the named ones; a subcommand gets only what it reads."""
+    """Register the shared flags plus the named ones; a subcommand gets only what it reads.
+
+    Argparse leaves an absent flag at None, so `_resolve` can tell it from a
+    given one and look in the config file before falling back to the default.
+    """
     for name in _SHARED_FLAGS + names:
-        parser.add_argument("--" + name.replace("_", "-"), dest=name, **_FLAGS[name])
+        parser.add_argument("--" + name.replace("_", "-"), dest=name,
+                            **{**_FLAGS[name], "default": None})
+    parser.set_defaults(flags=_SHARED_FLAGS + names)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -564,11 +454,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        settings = _resolve(args)
-        out = COMMANDS[args.command](settings)
-        text = _render(out, settings.fmt)
-        if settings.out:
-            Path(settings.out).write_text(text)
+        _resolve(args)
+        out = COMMANDS[args.command](args)
+        text = _render(out, args.format)
+        if args.out:
+            Path(args.out).write_text(text)
         else:
             sys.stdout.write(text)
     except BatemanError as exc:

@@ -26,7 +26,7 @@ import scipy.sparse as sp
 
 from .algebra import B1_ANN, B1_CRE, B2_ANN, B2_CRE, ExactScalar, LadderPoly, U_HW, U_IHL
 from .errors import DomainError, HeadroomError
-from .fock import FockSpace, LadderSet, interior_deviation
+from .fock import FockSpace, LadderSet, build_hamiltonian, interior_deviation
 from .params import PhysicalParams
 
 __all__ = [
@@ -208,12 +208,10 @@ def identity_report(con: Construction, modes: MixedModes, params: PhysicalParams
     branch reduces to branch*i*hbar*lambda times the q number form.
     """
     space = modes.space
-    lad = modes.ladder
     hbar, omega, lam = params.hbar, params.omega, params.lam
     eye = sp.eye_array(space.dim, dtype=complex, format="csr")
-
-    h0 = hbar * omega * (lad.a1_dag @ lad.a1 - lad.a2_dag @ lad.a2)
-    h1 = 1j * hbar * lam * (lad.a1 @ lad.a2 - lad.a1_dag @ lad.a2_dag)
+    ham = build_hamiltonian(modes.ladder, params)
+    h0, h1 = ham.h0, ham.h1
 
     n1 = modes.cre1 @ modes.ann1
     n2 = modes.cre2 @ modes.ann2

@@ -50,11 +50,6 @@ __all__ = [
     "position_operators",
 ]
 
-#: default truncation for verification runs; unit tests mostly use 8
-DEFAULT_N_MAX = 16
-FAST_N_MAX = 8
-
-
 @dataclass(frozen=True)
 class FockSpace:
     """Index bookkeeping for the (n_max+1)**2 dimensional product space."""

@@ -50,6 +50,7 @@ from .fock import (
     single_mode_lowering,
     windowed_deviation,
 )
+from .ft import generator_matrix
 from .params import PhysicalParams
 
 __all__ = [
@@ -62,7 +63,6 @@ __all__ = [
     "chi_similarity_deviation",
     "is_check_rep",
     "is_vacuum",
-    "is_check_vacuum",
     "is_xy_symbolic",
     "conjugate_xy_terms",
 ]
@@ -124,8 +124,8 @@ def generator_y_matrix(ladder: LadderSet) -> sp.csr_array:
 
 
 def generator_z_matrix(ladder: LadderSet) -> sp.csr_array:
-    """Z as a matrix at phi = pi/2; equals -i(a1 a2 + a1+ a2+)."""
-    return -1j * (ladder.a1 @ ladder.a2 + ladder.a1_dag @ ladder.a2_dag)
+    """Z as a matrix at phi = pi/2; equals -i X = -i(a1 a2 + a1+ a2+)."""
+    return -1j * generator_matrix(ladder)
 
 
 def tilde_pair(phi: complex, ladder: LadderSet) -> tuple[sp.csr_array, sp.csr_array]:
@@ -282,8 +282,18 @@ def _joint_null_vector(stacked: sp.csr_array, label: str, frame) -> np.ndarray:
     return vector
 
 
-def _vacuum_pair(frame) -> tuple[np.ndarray, np.ndarray]:
-    """Nullspace vacuum pair normalized so bra @ ket = 1, dominant ket entry positive."""
+def is_vacuum(frame: MixedModes | IsCheckRep) -> tuple[np.ndarray, np.ndarray]:
+    """Nullspace vacuum pair of either frame, normalized so bra @ ket = 1.
+
+    Ket from the right nullspace of the stacked check annihilators, bra from
+    the right nullspace of the stacked transposed check creators (plain
+    transpose: the pairing carries no conjugation); the dominant ket entry
+    is made positive.  In the original frame (`MixedModes`) the check modes
+    mix a1 with a2+ through an invertible matrix, so the truncated nullspace
+    is |0> x |n_max> for every chi: a diagnostic of where the original-frame
+    vacuum lives, not a usable anchor for basis construction.  In the bounded
+    frame (`IsCheckRep`) it lands on the bottom corner state.
+    """
     ket = _joint_null_vector(sp.vstack([frame.ann1, frame.ann2], format="csr"),
                              "check annihilator", frame)
     bra = _joint_null_vector(sp.vstack([frame.cre1.T, frame.cre2.T], format="csr"),
@@ -295,24 +305,6 @@ def _vacuum_pair(frame) -> tuple[np.ndarray, np.ndarray]:
         raise NullspaceError("vacuum bra/ket pairing is numerically degenerate")
     bra = bra / pairing
     return ket, bra
-
-
-def is_vacuum(check: MixedModes) -> tuple[np.ndarray, np.ndarray]:
-    """Original-frame nullspace vacuum pair, normalized so bra @ ket = 1.
-
-    Ket from the right nullspace of the stacked check annihilators, bra from
-    the right nullspace of the stacked transposed check creators (plain
-    transpose: the pairing carries no conjugation).  Because the check modes
-    mix a1 with a2+ through an invertible matrix, the truncated nullspace is
-    |0> x |n_max> for every chi: a diagnostic of where the original-frame
-    vacuum lives, not a usable anchor for basis construction.
-    """
-    return _vacuum_pair(check)
-
-
-def is_check_vacuum(rep: IsCheckRep) -> tuple[np.ndarray, np.ndarray]:
-    """Bounded-frame nullspace vacuum pair; lands on the bottom corner state."""
-    return _vacuum_pair(rep)
 
 
 # ---------------------------------------------------------------------------

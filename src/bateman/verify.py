@@ -566,7 +566,7 @@ def _ft_gram_tolerance(cfg: VerifyConfig, n_max: int, q_cap: int) -> float:
 
 def _is_frame(cfg: VerifyConfig, lad):
     rep = imagscale.is_check_rep(imagscale.IS.quarter(+1), lad, cfg.params)
-    return rep, imagscale.is_check_vacuum(rep)
+    return rep, imagscale.is_vacuum(rep)
 
 
 check_ft_gram, check_is_gram = _twin(
@@ -824,7 +824,7 @@ def check_is_matrix_element(cfg: VerifyConfig) -> tuple:
     states = [s for s in ((0, 0), (1, 0), (1, 1), (2, 1)) if s[0] + s[1] <= n_max - 2]
     for branch in (+1, -1):
         rep = imagscale.is_check_rep(imagscale.IS.quarter(branch), lad, params)
-        vacuum = imagscale.is_check_vacuum(rep)
+        vacuum = imagscale.is_vacuum(rep)
         for (n1, n2) in states:
             ket, bra = basis(rep, n1, n2, vacuum)
             got = bra @ (rep.h @ ket)

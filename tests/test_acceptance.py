@@ -148,7 +148,7 @@ def test_biorthonormality_grams(capsys):
         dev1 = float(np.max(np.abs(g1 - np.eye(g1.shape[0]))))
         assert dev1 <= 1e-8
         rep = imagscale.is_check_rep(1j * math.pi / 4, build_ladder(12), PARAMS)
-        g2 = gram(rep, imagscale.is_check_vacuum(rep), 3)
+        g2 = gram(rep, imagscale.is_vacuum(rep), 3)
         dev2 = float(np.max(np.abs(g2 - np.eye(g2.shape[0]))))
         assert dev2 <= 1e-8
         return f"rotation {dev1:.2e}, imaginary-scale {dev2:.2e}, both <= 1e-8"

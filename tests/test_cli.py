@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from bateman.cli import main
+from bateman.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -270,3 +270,61 @@ def test_flags_a_command_does_not_read_are_rejected(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+# --- config keys are the subcommand's own flags -------------------------------
+
+@pytest.mark.parametrize("command,text,key", [
+    ("spectrum", "n_max=3\n", "n_max"),      # a verify flag
+    ("norms", "n_cap=99\n", "n_cap"),        # a spectrum flag, out of spectrum's range too
+    ("spectrum", "times=1,nan\n", "times"),  # an evolve flag, not even a valid value there
+])
+def test_config_key_of_another_subcommand_exits_2(tmp_path, capsys, command, text, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    rc, out, err = run(capsys, command, "--config", str(cfg))
+    assert rc == 2
+    assert out == ""
+    assert f"unknown config key {key!r}" in err
+
+
+@pytest.mark.parametrize("text,words", [
+    ("times=1,nan\n", "finite"),
+    ("branch=plus\n", "'branch' must be one of +, -"),
+    ("format=xml\n", "'format' must be one of json, csv, text"),
+    ("n1=1.5\n", "'n1' is not valid"),
+])
+def test_config_value_failing_its_flag_exits_2(tmp_path, capsys, text, words):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    rc, out, err = run(capsys, "evolve", "--config", str(cfg))
+    assert rc == 2
+    assert out == ""
+    assert words in err and "Traceback" not in err
+
+
+_DEFAULT_CONFIGS = {
+    "spectrum": "approach=ft\nbranch=+\nn_cap=6\n",
+    "norms": "theta=0.3\n",
+    "classify": "approach=ft\nbranch=+\nn1=0\nn2=0\n",
+    "evolve": "approach=ft\nbranch=+\nn1=0\nn2=0\ntimes=0,0.25,0.5,0.75,1,1.25,1.5,1.75,2\n",
+    # n_max and corrupt_check default to unset, which a config file cannot write
+    "verify": "margin=2\ntheta=0.3\ntol_scale=1\nseed=20260823\n",
+}
+
+
+@pytest.mark.parametrize("command", sorted(_DEFAULT_CONFIGS))
+def test_config_of_defaults_matches_no_config(tmp_path, capsys, command):
+    argv = [command, "dynamics"] if command == "verify" else [command]
+    written = "m=1\ngamma=1\nk=1.25\nhbar=1\nformat=json\n" + _DEFAULT_CONFIGS[command]
+    keys = {line.partition("=")[0] for line in written.splitlines()}
+    unset = {"out", "config"} | ({"n_max", "corrupt_check"} if command == "verify" else set())
+    assert keys | unset == set(build_parser().parse_args(argv).flags)
+    cfg = tmp_path / "defaults.cfg"
+    cfg.write_text(written)
+    rc, from_file, _ = run(capsys, *argv, "--config", str(cfg))
+    # a theta given at all narrows the norms grid, so its reference names it too
+    reference = argv + ["--theta", "0.3"] if command == "norms" else argv
+    rc_ref, expected, _ = run(capsys, *reference)
+    assert rc == rc_ref == 0
+    assert from_file == expected

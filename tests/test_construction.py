@@ -18,7 +18,7 @@ from bateman.construction import (
 )
 from bateman.errors import DomainError, HeadroomError
 from bateman.ft import FT, ft_vacuum_series
-from bateman.imagscale import IS, is_check_rep, is_check_vacuum
+from bateman.imagscale import IS, is_check_rep, is_vacuum
 
 ROUTES = pytest.mark.parametrize("con", [FT, IS], ids=["ft", "is"])
 
@@ -65,9 +65,9 @@ def test_headroom_belongs_to_the_frame(params, ladder8):
     ket, bra = basis(bar, 5, 4, ft_vacuum_series(0.3, ladder8.space))
     assert ket.shape == bra.shape == (ladder8.space.dim,)
     rep = is_check_rep(IS.quarter(1), ladder8, params)
-    basis(rep, 3, 3, is_check_vacuum(rep))
+    basis(rep, 3, 3, is_vacuum(rep))
     with pytest.raises(HeadroomError):
-        basis(rep, 4, 3, is_check_vacuum(rep))
+        basis(rep, 4, 3, is_vacuum(rep))
 
 
 @pytest.mark.parametrize("n1,n2", [(0, 0), (2, 0), (0, 3), (3, 2)])
@@ -76,7 +76,7 @@ def test_basis_matches_matrix_powers(n1, n2, params, ladder8):
     bar = transform(FT, 0.3, ladder8)
     rep = is_check_rep(IS.quarter(1), ladder8, params)
     for modes, vacuum in ((bar, ft_vacuum_series(0.3, ladder8.space)),
-                          (rep, is_check_vacuum(rep))):
+                          (rep, is_vacuum(rep))):
         ket0, bra0 = vacuum
         norm = math.sqrt(math.factorial(n1) * math.factorial(n2))
         cre1, cre2 = modes.cre1.toarray(), modes.cre2.toarray()

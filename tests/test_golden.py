@@ -1,8 +1,12 @@
 """Byte-for-byte regression of the subcommands whose output involves no BLAS.
 
-Each expected file under tests/golden/ is the exact stdout of one invocation.
-`verify` is left out: its deviations are rounding residues of BLAS and
-LAPACK calls, so their last digits depend on the linked library.
+Each expected file under tests/golden/ is the exact stdout of one invocation;
+the `*_config` cases read their settings from the `.cfg` file beside it.
+`verify` is left out except for the `dynamics` suite: the other suites'
+deviations are rounding residues of BLAS and LAPACK calls, so their last
+digits depend on the linked library, while the dynamics checks are integer
+eigenvalue maps and scalar `math`/`cmath` arithmetic on a few exponentials,
+with no BLAS or LAPACK call at all.
 """
 
 from pathlib import Path
@@ -28,6 +32,9 @@ CASES = {
                             "--branch", "-"],
     "norms": ["norms"],
     "norms_theta_0.7": ["norms", "--theta", "0.7"],
+    "spectrum_config": ["spectrum", "--config", str(GOLDEN / "spectrum_config.cfg")],
+    "norms_config": ["norms", "--config", str(GOLDEN / "norms_config.cfg")],
+    "verify_dynamics": ["verify", "dynamics"],
 }
 
 

@@ -34,7 +34,6 @@ from bateman.imagscale import (
     generator_y_matrix,
     generator_z_matrix,
     is_check_rep,
-    is_check_vacuum,
     is_vacuum,
     is_xy_symbolic,
     tilde_pair,
@@ -196,7 +195,7 @@ def test_check_rep_rejects_real_angle(ladder8, params):
 
 
 def test_check_vacuum_at_corner(rep12):
-    ket, bra = is_check_vacuum(rep12)
+    ket, bra = is_vacuum(rep12)
     assert int(np.argmax(np.abs(ket))) == rep12.space.index(0, 0)
     assert abs(bra @ ket - 1.0) <= 1e-12
     assert np.max(np.abs(rep12.ann1 @ ket)) <= 1e-12
@@ -204,7 +203,7 @@ def test_check_vacuum_at_corner(rep12):
 
 
 def test_check_gram_is_identity(rep12):
-    g = gram(rep12, is_check_vacuum(rep12), 3)
+    g = gram(rep12, is_vacuum(rep12), 3)
     assert g.shape == (16, 16)
     assert np.max(np.abs(g - np.eye(16))) <= 1e-8
 
@@ -212,7 +211,7 @@ def test_check_gram_is_identity(rep12):
 def test_check_matrix_elements(rep12, params):
     for branch, rep in ((1, rep12), (-1, is_check_rep(-CHI_Q, rep12.ladder, params))):
         for n1, n2 in ((0, 0), (1, 0), (1, 1), (2, 1)):
-            ket, bra = basis(rep, n1, n2, is_check_vacuum(rep))
+            ket, bra = basis(rep, n1, n2, is_vacuum(rep))
             got = bra @ (rep.h @ ket)
             want = eigenvalue(IS, n1, n2, branch).as_complex(params)
             assert abs(got - want) <= 1e-10
@@ -220,7 +219,7 @@ def test_check_matrix_elements(rep12, params):
 
 def test_check_headroom_guard(rep12):
     with pytest.raises(HeadroomError):
-        basis(rep12, 6, 5, is_check_vacuum(rep12))  # n1+n2 > n_max - 2
+        basis(rep12, 6, 5, is_vacuum(rep12))  # n1+n2 > n_max - 2
 
 
 def test_check_h_not_normal(rep12):
