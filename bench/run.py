@@ -1,14 +1,17 @@
-"""Per-layer timings: the sparse operator route against the dense one it replaced.
+"""Per-layer timings: each kernel and operator layer against the route it replaced.
 
     python bench/run.py [--out FILE]
 
 Times, in CPU seconds of this process with BLAS on one thread:
 
-- `scipy.linalg.expm` of the whole dense matrix against `fock.matrix_exp`
-  for 0.3 X, 0.3 Y and 0.3 Z at n_max in {12, 24, 32};
-- `np.linalg.svd` of the whole dense stacked check-annihilator pair against
-  `imagscale._joint_null_vector` on the sparse stack, in the original frame
-  (chi = i pi/4) and the bounded frame at n_max in {12, 24};
+- `fock.matrix_exp`, which runs one stacked Padé kernel per block size,
+  against the same gather and scatter with `scipy.linalg.expm` run block by
+  block (`per_block_expm`, the reference kept here only), for 0.3 X, Y and
+  i pi/4 Z at n_max in KERNEL_N_MAX;
+- `imagscale._joint_null_vector`, one batched SVD per block shape, against
+  one `np.linalg.svd` per block (`per_block_null_vector`, the reference kept
+  here only) on the stacked check-annihilator pair, in the original frame
+  and the bounded frame (chi = i pi/4) at n_max in KERNEL_N_MAX;
 - the operator layers at n_max in {12, 24, 32, 48}: the ladder and
   Hamiltonian build, `transform` plus `identity_report` at the decoupling
   angle of each route, and `commutator(H0, H1)`, each on the CSR ladder of
@@ -36,13 +39,13 @@ Times, in CPU seconds of this process with BLAS on one thread:
 
 Each timing runs REPEATS = 5 times; the median, minimum and maximum are
 reported with the gap between the two results (for expm the largest
-entrywise gap relative to the largest entry; for the SVD 1 - |<dense, block>|
-of the unit null vectors; for the layers the largest gap between the two
-results, relative for operators, absolute for the reported deviations; for
-the exact sweeps the number of elements on which the two routes differ; for
-the cross-validation halves the largest gap between them; for the ladder
-build the number of the four ladders whose CSR arrays are not byte for
-byte those of the reference).
+entrywise gap relative to the largest entry; for the SVD the largest
+entrywise gap between the two null vectors; for the layers the largest gap
+between the two results, relative for operators, absolute for the reported
+deviations; for the exact sweeps the number of elements on which the two
+routes differ; for the cross-validation halves the largest gap between them;
+for the ladder build the number of the four ladders whose CSR arrays are not
+byte for byte those of the reference).
 The JSON record goes to FILE, or to stdout without `--out`, and carries the
 machine: core count, Python, numpy, scipy and BLAS versions.
 """
@@ -89,6 +92,7 @@ from bateman.fock import (  # noqa: E402
     FockSpace,
     LadderSet,
     _closed_blocks,
+    block_stacks,
     blocks,
     build_hamiltonian,
     build_ladder,
@@ -100,6 +104,7 @@ from bateman.fock import (  # noqa: E402
 from bateman.ft import FT, ft_basis_similarity, generator_matrix  # noqa: E402
 from bateman.imagscale import (  # noqa: E402
     IS,
+    NULLSPACE_RTOL,
     _joint_null_vector,
     generator_y_matrix,
     generator_z_matrix,
@@ -107,15 +112,16 @@ from bateman.imagscale import (  # noqa: E402
 )
 from bateman.params import derive_params  # noqa: E402
 
-EXP_N_MAX = (12, 24, 32)
-SVD_N_MAX = (12, 24)
+KERNEL_N_MAX = (8, 12, 24, 32, 48)
 LAYER_N_MAX = (12, 24, 32, 48)
 DENSE_N_MAX = 32
 BUILD_N_MAX = (2, 8, 12, 24, 48)
 BUILD_CALLS = 100  # ladder builds per timed repeat; the times are per build
 REPEATS = 5
 CHI_Q = 1j * math.pi / 4
-GENERATORS = {"X": generator_matrix, "Y": generator_y_matrix, "Z": generator_z_matrix}
+EXP_OPERATORS = {"0.3 X": lambda lad: 0.3 * generator_matrix(lad),
+                 "Y": generator_y_matrix,
+                 "i pi/4 Z": lambda lad: 1j * math.pi / 4 * generator_z_matrix(lad)}
 PARAMS = derive_params(m=1.0, gamma=1.0, k=1.25)
 
 
@@ -130,47 +136,79 @@ def timed(fn) -> tuple[dict, object]:
             "max_s": max(times)}, result
 
 
+def per_block_expm(a) -> sp.csr_array:
+    """Reference only: matrix_exp's gather and scatter around scipy.linalg.expm per block."""
+    a = sp.csr_array(a, dtype=complex)
+    rows, cols, vals = [], [], []
+    for idx, _, stack in block_stacks(a, _closed_blocks(a)):
+        n = idx.shape[1]
+        rows.append(np.repeat(idx, n, axis=1).ravel())
+        cols.append(np.repeat(idx[:, None, :], n, axis=1).ravel())
+        vals.append(np.array([scipy.linalg.expm(block) for block in stack]).ravel())
+    return sp.csr_array((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                        shape=a.shape)
+
+
 def exp_rows() -> list[dict]:
     rows = []
-    for n_max in EXP_N_MAX:
+    for n_max in KERNEL_N_MAX:
         lad = build_ladder(n_max)
-        for name, generator in GENERATORS.items():
-            a = 0.3 * generator(lad)
-            whole = a.toarray()
-            dense, want = timed(lambda: scipy.linalg.expm(whole))
-            block, got = timed(lambda: matrix_exp(a))
-            got = got.toarray()
+        for name, operator in EXP_OPERATORS.items():
+            a = operator(lad)
+            reference, want = timed(lambda: per_block_expm(a))
+            stacked, got = timed(lambda: matrix_exp(a))
+            want = want.toarray()
             parts = _closed_blocks(a)
             rows.append({
                 "kernel": "expm", "operator": name, "n_max": n_max, "dim": lad.space.dim,
-                "blocks": len(parts), "largest_block_dim": max(len(idx) for idx, _ in parts),
-                "dense": dense, "block": block,
-                "speedup": dense["median_s"] / block["median_s"],
-                "max_rel_gap": float(np.max(np.abs(got - want)) / np.max(np.abs(want))),
+                "blocks": len(parts), "stacks": len(block_stacks(a, parts)),
+                "largest_block_dim": max(len(idx) for idx, _ in parts),
+                "per_block": reference, "stacked": stacked,
+                "speedup": reference["median_s"] / stacked["median_s"],
+                "max_rel_gap": float(np.max(np.abs(got.toarray() - want))
+                                     / np.max(np.abs(want))),
             })
     return rows
 
 
+def per_block_null_vector(stacked: sp.csr_array) -> np.ndarray:
+    """Reference only: the nullspace vector from one np.linalg.svd per block."""
+    parts = []
+    for _, cols, stack in block_stacks(stacked, blocks(*stacked.nonzero(), stacked.shape)):
+        for c, block in zip(cols, stack):
+            if len(block) == 0:
+                parts.append((c, np.zeros(0), np.eye(len(c), dtype=complex)))
+            elif len(c):
+                _, sigma, vh = np.linalg.svd(block)
+                parts.append((c, sigma, vh))
+    cutoff = NULLSPACE_RTOL * max(sigma[0] for _, sigma, _ in parts if len(sigma))
+    vector = np.zeros(stacked.shape[1], dtype=complex)
+    for c, sigma, vh in parts:
+        if np.sum(sigma < cutoff) + len(c) - len(sigma):
+            vector[c] = vh[-1].conj()
+    return vector
+
+
 def svd_rows() -> list[dict]:
     rows = []
-    for n_max in SVD_N_MAX:
+    for n_max in KERNEL_N_MAX:
         lad = build_ladder(n_max)
         frames = {"original": transform(IS, CHI_Q, lad),
                   "bounded": is_check_rep(CHI_Q, lad, PARAMS)}
         for frame_name, frame in frames.items():
             stacked = sp.vstack([frame.ann1, frame.ann2], format="csr")
-            whole = stacked.toarray()
-            dense, (_, _, vh) = timed(lambda: np.linalg.svd(whole))
-            block, got = timed(
+            reference, want = timed(lambda: per_block_null_vector(stacked))
+            batched, got = timed(
                 lambda: _joint_null_vector(stacked, "check annihilator", frame))
             parts = blocks(*stacked.nonzero(), stacked.shape)
             rows.append({
                 "kernel": "nullspace_svd", "frame": frame_name, "n_max": n_max,
                 "shape": list(stacked.shape), "blocks": len(parts),
+                "stacks": len(block_stacks(stacked, parts)),
                 "largest_block_entries": max(len(r) * len(c) for r, c in parts),
-                "dense": dense, "block": block,
-                "speedup": dense["median_s"] / block["median_s"],
-                "overlap_gap": float(1.0 - abs(np.vdot(vh[-1].conj(), got))),
+                "per_block": reference, "stacked": batched,
+                "speedup": reference["median_s"] / batched["median_s"],
+                "max_abs_gap": float(np.max(np.abs(got - want))),
             })
     return rows
 

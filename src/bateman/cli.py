@@ -398,7 +398,9 @@ _FLAGS = {
     "config": dict(default=None, help="key=value file; command line flags take precedence"),
     "n_max": dict(type=int, default=None, help="occupation truncation override"),
     "margin": dict(type=int, default=2, help="interior margin for matrix checks (default 2)"),
-    "theta": dict(type=float, default=0.3, help="transform rotation angle (default 0.3)"),
+    "theta": dict(type=float, default=0.3,
+                  help="transform rotation angle (verify: default 0.3; norms: without it, "
+                       "the 8-angle grid, with it that one angle)"),
     "branch": dict(choices=("+", "-"), default="+", help="transform branch sign"),
     "n_cap": dict(type=int, default=6, help=f"largest n1+n2 listed (default 6, max {MAX_N_CAP})"),
     "tol_scale": dict(type=float, default=1.0,

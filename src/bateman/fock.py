@@ -14,18 +14,23 @@ by n_max+1 (mode 1) or 1 (mode 2) weighted by sqrt(occupation), one
 product or transpose.
 State vectors and Gram matrices stay dense numpy arrays.  The two cubic
 kernels (`matrix_exp`, and the nullspace SVD in `imagscale`) split their
-input into the connected blocks of its own nonzero pattern (`blocks`) and
-run dense numpy/scipy on each block alone.
+input into the connected blocks of its own nonzero pattern (`blocks`),
+gather the blocks of each shape into one dense (k, r, c) numpy stack
+(`block_stacks`) and run one batched numpy call per stack: scaling and
+squaring with a Padé approximant for the exponential, `np.linalg.svd` for
+the nullspace.  Batching by shape keeps the many small blocks from paying
+one LAPACK call (and one BLAS thread start-up) each, and scipy is used for
+`scipy.sparse` only.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 
 from .errors import DimensionMismatch, DomainError, NumericalError
@@ -41,7 +46,7 @@ __all__ = [
     "commutator",
     "max_abs",
     "blocks",
-    "dense_blocks",
+    "block_stacks",
     "interior_mask",
     "interior_deviation",
     "window_mask",
@@ -225,34 +230,46 @@ def blocks(rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]
     return [(nodes[nodes < n_rows], nodes[nodes >= n_rows] - n_rows) for nodes in members]
 
 
-def dense_blocks(a: sp.csr_array, parts: list[tuple[np.ndarray, np.ndarray]]
-                 ) -> list[np.ndarray]:
-    """The dense submatrix a[np.ix_(rows, cols)] of every (rows, cols) block in parts.
+def block_stacks(a: sp.csr_array, parts: list[tuple[np.ndarray, np.ndarray]]
+                 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The (rows, cols) blocks in parts, grouped by shape and gathered as dense stacks.
 
-    parts must be disjoint and hold every nonzero of a, as the blocks that
-    `blocks` returns do.  The entries are sorted into their blocks in one
-    pass over a's nonzeros, not one sparse slice per block.
+    One (rows, cols, dense) triple per distinct block shape (r, c), in
+    ascending order of r, then c: rows is (k, r), cols is (k, c) and dense is
+    (k, r, c) with dense[j] = a[np.ix_(rows[j], cols[j])], for the k blocks of
+    that shape in the order of parts.  parts must be disjoint and hold every
+    nonzero of a, as the blocks that `blocks` returns do.  Every stack is a
+    view of one buffer that a single scatter of a's nonzeros fills.
     """
+    n_rows = np.array([len(rows) for rows, _ in parts], dtype=np.intp)
+    n_cols = np.array([len(cols) for _, cols in parts], dtype=np.intp)
+    _, kind, count = np.unique(n_rows * (a.shape[1] + 1) + n_cols,
+                               return_inverse=True, return_counts=True)
+    order = np.argsort(kind, kind="stable")
+    n_rows, n_cols = n_rows[order], n_cols[order]
+    row_idx = np.concatenate([parts[j][0] for j in order])
+    col_idx = np.concatenate([parts[j][1] for j in order])
+    # buffer offset of each block, and of its first index in row_idx and col_idx
+    size = n_rows * n_cols
+    start, row_start, col_start = (np.cumsum(n) - n for n in (size, n_rows, n_cols))
+    # entry (i, j) of a lands at row_base[i] + col_local[j]
+    owner = np.repeat(np.arange(len(order)), n_rows)
+    row_base = np.zeros(a.shape[0], dtype=np.intp)
+    row_base[row_idx] = (start[owner]
+                         + (np.arange(len(row_idx)) - row_start[owner]) * n_cols[owner])
+    col_local = np.zeros(a.shape[1], dtype=np.intp)
+    col_local[col_idx] = np.arange(len(col_idx)) - np.repeat(col_start, n_cols)
     coo = a.tocoo()
     nonzero = coo.data != 0
-    row, col, data = coo.row[nonzero], coo.col[nonzero], coo.data[nonzero]
-    owner = np.zeros(a.shape[0], dtype=np.intp)
-    local_row = np.zeros(a.shape[0], dtype=np.intp)
-    local_col = np.zeros(a.shape[1], dtype=np.intp)
-    for k, (rows, cols) in enumerate(parts):
-        owner[rows] = k
-        local_row[rows] = np.arange(len(rows))
-        local_col[cols] = np.arange(len(cols))
-    entry_owner = owner[row]
-    order = np.argsort(entry_owner, kind="stable")
-    counts = np.bincount(entry_owner, minlength=len(parts))
-    dense = []
-    for (rows, cols), end, count in zip(parts, np.cumsum(counts), counts):
-        block = np.zeros((len(rows), len(cols)), dtype=a.dtype)
-        mine = order[end - count:end]
-        block[local_row[row[mine]], local_col[col[mine]]] = data[mine]
-        dense.append(block)
-    return dense
+    buffer = np.zeros(size.sum(), dtype=a.dtype)
+    buffer[row_base[coo.row[nonzero]] + col_local[coo.col[nonzero]]] = coo.data[nonzero]
+    stacks = []
+    for j, k in zip(np.cumsum(count) - count, count):
+        r, c = n_rows[j], n_cols[j]
+        stacks.append((row_idx[row_start[j]:row_start[j] + k * r].reshape(k, r),
+                       col_idx[col_start[j]:col_start[j] + k * c].reshape(k, c),
+                       buffer[start[j]:start[j] + k * r * c].reshape(k, r, c)))
+    return stacks
 
 
 def _closed_blocks(a: sp.csr_array) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -266,28 +283,125 @@ def _closed_blocks(a: sp.csr_array) -> list[tuple[np.ndarray, np.ndarray]]:
     return blocks(np.concatenate([rows, diagonal]), np.concatenate([cols, diagonal]), a.shape)
 
 
+#: Padé degree m -> largest 1-norm at which the [m/m] approximant of e^A is exact to double
+#: precision in backward error (Higham, SIAM J. Matrix Anal. Appl. 26 (2005), Table 2.3)
+_PADE_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1, 7: 9.504178996162932e-1,
+               9: 2.097847961257068, 13: 5.371920351148152}
+
+
+def _pade_rows(m: int) -> np.ndarray:
+    """Coefficients of the [m/m] approximant's U/A (row 0) and V (row 1) on I, A^2, A^4, ...
+
+    The coefficients are b_j = (2m-j)! / (j! (m-j)!), Higham's times the
+    common factor (2m)!/m!, which cancels in V^-1 U.  Degree 13 evaluates on
+    I, A^2, A^4, A^6 only, as U/A = A^6 row 2 + row 0 and V = A^6 row 3 +
+    row 1, so it gets four rows.
+    """
+    b = [math.factorial(2 * m - j) // (math.factorial(j) * math.factorial(m - j))
+         for j in range(m + 1)]
+    if m < 13:
+        return np.array([b[1::2], b[0::2]], dtype=float)
+    return np.array([b[1:8:2], b[0:7:2], [0, *b[9::2]], [0, *b[8::2]]], dtype=float)
+
+
+_PADE_ROWS = {m: _pade_rows(m) for m in _PADE_THETA}
+
+
+def _polynomials(rows: np.ndarray, powers: list[np.ndarray]) -> np.ndarray:
+    """Every row applied to (I, A^2, A^4, ...), as one (len(rows), k, n, n) array.
+
+    The terms are summed from the highest power down, as Higham writes them.
+    """
+    coeff = rows[:, :, None, None, None]
+    out = coeff[:, -1] * powers[-1]
+    for j in range(len(powers) - 1, 0, -1):
+        out += coeff[:, j] * powers[j - 1]
+    out.reshape(*out.shape[:2], -1)[..., ::out.shape[-1] + 1] += rows[:, :1, None]
+    return out
+
+
+def _pade_exp(a: np.ndarray, m: int, s: int) -> np.ndarray:
+    """e^a for a (k, n, n) stack: the [m/m] Padé approximant of a / 2^s, squared s times."""
+    if s:
+        a = a * 2.0 ** -s
+    rows = _PADE_ROWS[m].astype(a.dtype)  # a stack times rows of its own dtype needs no cast
+    powers = [a @ a]  # A^2, A^4, ...
+    while len(powers) < rows.shape[1] - 1:
+        powers.append(powers[-1] @ powers[0])
+    terms = _polynomials(rows, powers)
+    u_in, v = powers[2] @ terms[2:] + terms[:2] if m == 13 else terms
+    u = a @ u_in
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
+    return r
+
+
+def _pade_choice(norm: float) -> tuple[int, int]:
+    """(m, s) for a matrix of 1-norm norm (Higham 2005, Algorithm 2.3).
+
+    The lowest degree m whose theta bounds the norm, with s = 0; past
+    theta_13, degree 13 and the fewest halvings s that bring it under.
+    """
+    for m, theta in _PADE_THETA.items():
+        if norm <= theta:
+            return m, 0
+    if not math.isfinite(norm):
+        raise NumericalError("matrix_exp overflowed; argument norm too large")
+    return 13, math.ceil(math.log2(norm / _PADE_THETA[13]))
+
+
+def _stack_exp(a: np.ndarray) -> np.ndarray:
+    """e^a for a (k, n, n) stack by scaling and squaring, degree and scaling per matrix.
+
+    When the smallest and the largest 1-norm in the stack get the same
+    (m, s), as the equal-norm blocks of one sector pair do, the stack runs
+    at once; otherwise each run of equal (m, s) in 1-norm order does.
+    """
+    norm = np.abs(a).sum(axis=1).max(axis=1)
+    choice = _pade_choice(norm.min())
+    if choice == _pade_choice(norm.max()):
+        return _pade_exp(a, *choice)
+    order = np.argsort(norm, kind="stable")
+    choices = [_pade_choice(x) for x in norm[order].tolist()]
+    out = np.empty_like(a)
+    start = 0
+    for choice, run in itertools.groupby(choices):
+        mine = order[start:start + len(list(run))]
+        out[mine] = _pade_exp(a[mine], *choice)
+        start += len(mine)
+    return out
+
+
 def matrix_exp(a: sp.csr_array) -> sp.csr_array:
-    """scipy expm block by block, with finiteness guards on input and output.
+    """e^a block by block, with finiteness guards on input and output.
 
     e^a is the direct sum of the exponentials of a's closed blocks and
-    exactly 0 between them: each block is read out of the CSR input as a
-    dense square, exponentiated, and scattered into the CSR result.
+    exactly 0 between them.  The blocks are gathered as one dense stack per
+    block size (`block_stacks`), each stack is exponentiated at once
+    (`_stack_exp`), and every block is scattered into the complex CSR
+    result.  A real a (every imaginary part 0) has a real e^a, so its blocks
+    run in real arithmetic.
     """
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"matrix_exp needs a square matrix, got {a.shape}")
     a = sp.csr_array(a, dtype=complex)
     if not np.all(np.isfinite(a.data)):
         raise NumericalError("matrix_exp input contains non-finite entries")
-    parts = _closed_blocks(a)
+    if not a.data.imag.any():
+        a = a.real
     rows, cols, vals = [], [], []
-    for (idx, _), block in zip(parts, dense_blocks(a, parts)):
-        rows.append(np.repeat(idx, len(idx)))
-        cols.append(np.tile(idx, len(idx)))
-        vals.append(scipy.linalg.expm(block).ravel())
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is caught below
+        for idx, _, stack in block_stacks(a, _closed_blocks(a)):
+            n = idx.shape[1]
+            rows.append(np.repeat(idx, n, axis=1).ravel())
+            cols.append(np.repeat(idx[:, None, :], n, axis=1).ravel())
+            vals.append(_stack_exp(stack).ravel())
     vals = np.concatenate(vals)
     if not np.all(np.isfinite(vals)):
         raise NumericalError("matrix_exp overflowed; argument norm too large")
-    return sp.csr_array((vals, (np.concatenate(rows), np.concatenate(cols))), shape=a.shape)
+    return sp.csr_array((vals, (np.concatenate(rows), np.concatenate(cols))), shape=a.shape,
+                        dtype=complex)
 
 
 def position_operators(ladder: LadderSet, params: PhysicalParams

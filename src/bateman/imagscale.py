@@ -43,8 +43,8 @@ from .errors import DomainError, NullspaceError
 from .fock import (
     FockSpace,
     LadderSet,
+    block_stacks,
     blocks,
-    dense_blocks,
     matrix_exp,
     max_abs,
     single_mode_lowering,
@@ -250,30 +250,34 @@ def is_check_rep(chi: complex, ladder: LadderSet, params: PhysicalParams) -> IsC
 
 
 def _joint_null_vector(stacked: sp.csr_array, label: str, frame) -> np.ndarray:
-    """Unique right-nullspace vector of a stacked operator pair, one SVD per block.
+    """Unique right-nullspace vector of a stacked operator pair, one SVD per block shape.
 
     The stacked matrix is the direct sum of the blocks of its nonzero
     pattern, so its singular values are those of the blocks; a column block
-    with no rows is null throughout.  Each block is gathered out of the CSR
-    input as a dense matrix for its SVD.  The cutoff is global:
-    NULLSPACE_RTOL times the largest singular value over all blocks.
+    with no rows is null throughout.  The blocks are gathered as one dense
+    stack per shape (`block_stacks`) and each stack goes through one batched
+    SVD.  The cutoff is global: NULLSPACE_RTOL times the largest singular
+    value over all blocks.
     """
-    found = blocks(*stacked.nonzero(), stacked.shape)
     parts = []
-    for (rows, cols), block in zip(found, dense_blocks(stacked, found)):
-        if len(rows) == 0:
-            parts.append((cols, np.zeros(0), np.eye(len(cols), dtype=complex)))
-        elif len(cols):
-            _, sigma, vh = np.linalg.svd(block)
-            parts.append((cols, sigma, vh))
-    cutoff = NULLSPACE_RTOL * max((sigma[0] for _, sigma, _ in parts if len(sigma)), default=0.0)
+    for _, cols, stack in block_stacks(stacked, blocks(*stacked.nonzero(), stacked.shape)):
+        k, r, c = stack.shape
+        if r == 0:
+            sigma, vh = np.zeros((k, 0)), np.broadcast_to(np.eye(c, dtype=complex), (k, c, c))
+        elif c:
+            _, sigma, vh = np.linalg.svd(stack)
+        else:
+            continue
+        parts.append((cols, sigma, vh))
+    cutoff = NULLSPACE_RTOL * max((sigma.max() for _, sigma, _ in parts if sigma.size),
+                                  default=0.0)
     null_count = 0
     vector = np.zeros(stacked.shape[1], dtype=complex)
     for cols, sigma, vh in parts:
-        nulls = int(np.sum(sigma < cutoff)) + (len(cols) - len(sigma))
-        if nulls:
-            vector[cols] = vh[-1].conj()
-        null_count += nulls
+        nulls = np.sum(sigma < cutoff, axis=1) + (cols.shape[1] - sigma.shape[1])
+        for j in np.flatnonzero(nulls):
+            vector[cols[j]] = vh[j, -1].conj()
+        null_count += int(nulls.sum())
     if null_count != 1:
         raise NullspaceError(
             f"{label} nullspace dimension {null_count}, expected 1 "

@@ -5,10 +5,16 @@ command layer catches itself comes back as a plain return code.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from bateman.cli import build_parser, main
+from bateman.cli import EDGE_EPSILONS, MODERATE_GRID, build_parser, main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -93,6 +99,17 @@ def test_norms_report_has_no_truncation(capsys):
     assert len(doc["rows"]) == 32
     _, text, _ = run(capsys, "norms", "--format", "text")
     assert text.splitlines()[0] == "standard norms"
+
+
+def test_theta_help_states_both_defaults(capsys):
+    # one declaration serves verify and norms, so its help names both defaults
+    assert len(MODERATE_GRID) + len(EDGE_EPSILONS) == 8
+    for command in ("norms", "verify"):
+        with pytest.raises(SystemExit) as done:
+            main([command, "--help"])
+        assert done.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "(verify: default 0.3; norms: without it, the 8-angle grid, " in text
 
 
 # --- classify / evolve -------------------------------------------------------
@@ -328,3 +345,24 @@ def test_config_of_defaults_matches_no_config(tmp_path, capsys, command):
     rc_ref, expected, _ = run(capsys, *reference)
     assert rc == rc_ref == 0
     assert from_file == expected
+
+
+# --- imports ------------------------------------------------------------------
+
+def test_scipy_linalg_never_imported():
+    # the block kernels are numpy only: scipy serves scipy.sparse alone
+    code = (
+        "import contextlib, io, json, sys\n"
+        "def linalg():\n"
+        "    return [m for m in sys.modules if m.split('.')[:2] == ['scipy', 'linalg']]\n"
+        "import bateman.cli\n"
+        "imported = linalg()\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    rc = bateman.cli.main(['verify', 'all'])\n"
+        "print(json.dumps([imported, rc, linalg()]))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env=dict(os.environ, PYTHONPATH=path))
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [[], 0, []]

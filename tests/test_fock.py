@@ -7,14 +7,16 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
-from bateman.errors import DimensionMismatch, DomainError
+from bateman.errors import DimensionMismatch, DomainError, NumericalError
 from bateman.fock import (
     FockSpace,
+    _closed_blocks,
+    _pade_choice,
+    block_stacks,
     blocks,
     build_hamiltonian,
     build_ladder,
     commutator,
-    dense_blocks,
     interior_deviation,
     interior_mask,
     matrix_exp,
@@ -142,7 +144,11 @@ def test_blocks_of_csr_match_dense_pattern(n_max, params):
         got = blocks(*op.nonzero(), op.shape)
         want = blocks(*np.nonzero(dense), dense.shape)
         assert [(list(r), list(c)) for r, c in got] == [(list(r), list(c)) for r, c in want]
-        for (r, c), block in zip(got, dense_blocks(op, got)):
+        stacked = [(list(r), list(c), block) for rows, cols, stack in block_stacks(op, got)
+                   for r, c, block in zip(rows, cols, stack)]
+        assert sorted((r, c) for r, c, _ in stacked) == sorted(
+            (list(r), list(c)) for r, c in got)
+        for r, c, block in stacked:
             assert np.array_equal(block, dense[np.ix_(r, c)])
 
 
@@ -186,26 +192,83 @@ def test_matrix_exp_against_taylor():
     assert np.max(np.abs(matrix_exp(sp.csr_array(a)).toarray() - series)) < 1e-12
 
 
-def test_matrix_exp_matches_dense_expm(ladder8, params):
+def test_matrix_exp_matches_dense_expm(params):
     from bateman.ft import generator_matrix
     from bateman.imagscale import generator_y_matrix, generator_z_matrix, is_check_rep
 
-    y = generator_y_matrix(ladder8)
-    # a pattern from y + y.T would be empty
-    assert np.array_equal((y + y.T).toarray(), 0 * y.toarray())
-    ops = {
-        "X": 0.3 * generator_matrix(ladder8),
-        "Y": 0.7j * y,
-        "Z": 0.25j * generator_z_matrix(ladder8),
-        "H": -0.4j * build_hamiltonian(ladder8, params).h,
-        "H check": -0.4j * is_check_rep(1j * math.pi / 4, ladder8, params).h,
-    }
-    for name, a in ops.items():
+    for n_max in (8, 24):
+        lad = build_ladder(n_max)
+        y = generator_y_matrix(lad)
+        # a pattern from y + y.T would be empty
+        assert np.array_equal((y + y.T).toarray(), 0 * y.toarray())
+        ops = {
+            "X": 0.3 * generator_matrix(lad),
+            "Y": 0.7j * y,
+            "Z quarter": 1j * math.pi / 4 * generator_z_matrix(lad),
+            "H": -0.4j * build_hamiltonian(lad, params).h,
+        }
+        if n_max == 8:
+            ops["Z"] = 0.25j * generator_z_matrix(lad)
+            ops["H check"] = -0.4j * is_check_rep(1j * math.pi / 4, lad, params).h
+        for name, a in ops.items():
+            want = scipy.linalg.expm(a.toarray())
+            got = matrix_exp(a)
+            assert isinstance(got, sp.csr_array) and got.dtype == complex, (n_max, name)
+            got = got.toarray()
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (n_max, name)
+
+
+def test_matrix_exp_squares_large_norm_blocks():
+    from bateman.ft import generator_matrix
+
+    for n_max in (8, 12):
+        a = 3.0 * generator_matrix(build_ladder(n_max))
+        # the largest sector block is past theta_13, so it is scaled and squared
+        norm = max(abs(a).sum(axis=0))
+        assert _pade_choice(norm)[1] >= 2
         want = scipy.linalg.expm(a.toarray())
-        got = matrix_exp(a)
-        assert isinstance(got, sp.csr_array), name
-        got = got.toarray()
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), name
+        got = matrix_exp(a).toarray()
+        assert np.max(want) > 1e10
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), n_max
+
+
+def test_matrix_exp_varies_degree_and_scaling_inside_one_stack():
+    # seven 5x5 blocks in one stack, listed out of 1-norm order: every degree,
+    # two scalings of degree 13, and two norms that share (m, s)
+    rng = np.random.default_rng(11)
+    norms = [40.0, 0.01, 1.5, 0.2, 0.6, 12.0, 0.8]
+    blocks_ = []
+    for norm in norms:
+        block = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+        blocks_.append(block * (norm / np.abs(block).sum(axis=0).max()))
+    choices = [_pade_choice(norm) for norm in norms]
+    assert len(set(choices)) == 6 and len({m for m, _ in choices}) == 5
+    assert len({s for _, s in choices}) == 3
+    a = sp.csr_array(scipy.linalg.block_diag(*blocks_))
+    (_, _, stack), = block_stacks(a, _closed_blocks(a))
+    assert stack.shape == (7, 5, 5)
+    got = matrix_exp(a).toarray()
+    for k, block in enumerate(blocks_):
+        want = scipy.linalg.expm(block)
+        part = got[5 * k:5 * k + 5, 5 * k:5 * k + 5]
+        assert np.max(np.abs(part - want)) <= 1e-13 * np.max(np.abs(want)), norms[k]
+    off_block = got.copy()
+    for k in range(len(blocks_)):
+        off_block[5 * k:5 * k + 5, 5 * k:5 * k + 5] = 0
+    assert not np.any(off_block)
+
+
+def test_matrix_exp_numerical_errors():
+    bad = np.eye(3, dtype=complex)
+    bad[1, 2] = np.nan
+    with pytest.raises(NumericalError, match="non-finite"):
+        matrix_exp(sp.csr_array(bad))
+    # e^800 is past the largest double
+    with pytest.raises(NumericalError, match="overflowed"):
+        matrix_exp(sp.csr_array(np.diag([800.0, 1.0])))
+    # finite entries whose column sum overflows
+    with pytest.raises(NumericalError, match="overflowed"):
+        matrix_exp(sp.csr_array(np.full((2, 2), 1e308)))
 
 
 def test_exp_inverse_property(ladder8):

@@ -24,10 +24,11 @@ from bateman.construction import (
     xy_operators,
 )
 from bateman.errors import DomainError, HeadroomError, NullspaceError
-from bateman.fock import build_ladder, position_operators
+from bateman.fock import blocks, build_ladder, position_operators
 from bateman.ft import FT
 from bateman.imagscale import (
     IS,
+    NULLSPACE_RTOL,
     _joint_null_vector,
     chi_similarity_deviation,
     conjugate_xy_terms,
@@ -180,6 +181,57 @@ def test_joint_null_vector_matches_full_svd():
     assert np.max(np.abs(stacked @ got)) <= 1e-13
     assert abs(abs(np.vdot(want, got)) - 1.0) <= 1e-12
     assert not np.any(got[[0, 2, 3, 5]])
+
+
+def _per_block_null_vector(stacked: sp.csr_array) -> np.ndarray:
+    """Reference: the null vector from one SVD per block, with the same global cutoff."""
+    dense = stacked.toarray()
+    parts = []
+    for rows, cols in blocks(*stacked.nonzero(), stacked.shape):
+        if len(rows) == 0:
+            parts.append((cols, np.zeros(0), np.eye(len(cols), dtype=complex)))
+        elif len(cols):
+            _, sigma, vh = np.linalg.svd(dense[np.ix_(rows, cols)])
+            parts.append((cols, sigma, vh))
+    cutoff = NULLSPACE_RTOL * max(sigma[0] for _, sigma, _ in parts if len(sigma))
+    vector = np.zeros(stacked.shape[1], dtype=complex)
+    for cols, sigma, vh in parts:
+        if np.sum(sigma < cutoff) + len(cols) - len(sigma):
+            vector[cols] = vh[-1].conj()
+    return vector
+
+
+@pytest.mark.parametrize("n_max", [8, 12])
+def test_joint_null_vector_matches_per_block_svd(n_max, params):
+    # the stacked SVD runs the same LAPACK call on each block: bit for bit equal
+    lad = build_ladder(n_max)
+    for frame in (transform(IS, CHI_Q, lad), is_check_rep(CHI_Q, lad, params),
+                  is_check_rep(-0.3j, lad, params)):
+        for label, pair in (("ket", [frame.ann1, frame.ann2]),
+                            ("bra", [frame.cre1.T, frame.cre2.T])):
+            stacked = sp.vstack(pair, format="csr")
+            got = _joint_null_vector(stacked, label, frame)
+            assert np.array_equal(got, _per_block_null_vector(stacked)), (type(frame), label)
+
+
+def test_joint_null_vector_batches_same_shape_blocks():
+    # three complex 4x3 blocks in one stack, one of rank 2, beside a 2x2 block:
+    # the null vector is complex and comes out of a batched SVD
+    rng = np.random.default_rng(8)
+    stacked = np.zeros((14, 11), dtype=complex)
+    rows, cols = [0, 4, 5, 13], [1, 2, 7]
+    for j, (r, c) in enumerate(((rows, cols), ([1, 2, 3, 6], [0, 3, 4]),
+                                ([7, 8, 9, 10], [5, 6, 8]))):
+        block = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+        if j == 0:
+            block[:, 2] = block[:, :2] @ (rng.standard_normal(2) + 1j * rng.standard_normal(2))
+        stacked[np.ix_(r, c)] = block
+    stacked[np.ix_([11, 12], [9, 10])] = rng.standard_normal((2, 2))
+    stacked = sp.csr_array(stacked)
+    got = _joint_null_vector(stacked, "test", None)
+    assert np.array_equal(got, _per_block_null_vector(stacked))
+    assert np.max(np.abs(stacked @ got)) <= 1e-14 and np.any(got.imag)
+    assert not np.any(np.delete(got, cols))
 
 
 # --- bounded frame -----------------------------------------------------------

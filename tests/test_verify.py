@@ -4,9 +4,10 @@ import dataclasses
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from bateman import ft, verify
+from bateman import ft, imagscale, verify
 from bateman.algebra import B1_CRE, B2_ANN, LadderPoly
 from bateman.errors import DomainError
 from bateman.fock import build_ladder
@@ -160,6 +161,41 @@ def test_cross_validation_catches_a_ladder_entry_off_by_1e9(params, monkeypatch)
     monkeypatch.setattr(verify, "_ladder", skewed)
     result = check_oracle_cross_validation(cfg)
     assert result.deviation > 1e-10 and not result.passed
+
+
+def test_exp_inverse_catches_a_matrix_exp_entry_off_by_1e9(cfg, monkeypatch):
+    # the largest entry of one block of every e^{theta X} off by 1e-9 relative
+    exact = verify.matrix_exp
+
+    def skewed(a):
+        u = exact(a)
+        k = int(np.argmax(abs(u.data)))
+        u.data[k] *= 1.0 + 1e-9
+        return u
+
+    assert verify.check_exp_inverse(cfg).passed
+    monkeypatch.setattr(verify, "matrix_exp", skewed)
+    result = verify.check_exp_inverse(cfg)
+    assert result.deviation > 1e-10 and not result.passed
+
+
+def test_is_checks_catch_a_bounded_frame_vacuum_entry_off_by_1e8(cfg, monkeypatch):
+    # the vacuum ket's dominant entry off by 1e-8 relative after the bra was
+    # normalized against it; at 1e-9 every is check still passes (is.gram
+    # reads 1.0e-9 against 1e-8, is.matrix-element 4.0e-9 against 1.5e-8)
+    exact = imagscale.is_vacuum
+
+    def skewed(frame):
+        ket, bra = exact(frame)
+        if isinstance(frame, imagscale.IsCheckRep):
+            ket = ket.copy()
+            ket[np.argmax(np.abs(ket))] *= 1.0 + 1e-8
+        return ket, bra
+
+    assert verify.check_is_matrix_element(cfg).passed
+    monkeypatch.setattr(imagscale, "is_vacuum", skewed)
+    result = verify.check_is_matrix_element(cfg)
+    assert result.deviation > 3e-8 and not result.passed
 
 
 def test_tol_scale_loosens(params):
