@@ -264,7 +264,7 @@ def layer_rows() -> list[dict]:
                 lambda: commutator(ham["dense"].h0, ham["dense"].h1),
                 relative_gap),
             "ft_basis_similarity": (
-                lambda: ft_basis_similarity(transform(FT, 0.3, sparse_lad), 2, 1)[0],
+                lambda: ft_basis_similarity(transform(FT, 0.3, sparse_lad), [(2, 1)])[0][0],
                 None, None),
         }
         for layer, (sparse_call, dense_call, gap) in layers.items():

@@ -6,8 +6,9 @@ them with partners mixed from (a1+, a2), and ends at an affine integer map
 rotation route (`ft.FT`) and the imaginary-scale route (`imagscale.IS`)
 differ only in the data of a `Construction`; everything written here serves
 both: eigenvalue records, mixed-mode matrices and the H0/H1 identity report,
-the biorthogonal basis and its Gram, Heisenberg factors, x(t) and y(t), and
-the exact symbol substitution at the decoupling point.
+the similarity check u a = m u of the mixed modes against the route's
+exponential u, the biorthogonal basis and its Gram, Heisenberg factors, x(t)
+and y(t), and the exact symbol substitution at the decoupling point.
 
 Two independent routes run through it: exact symbol algebra on abstract
 mixed modes (no truncation, no floats) and sparse truncated matrices.
@@ -26,7 +27,8 @@ import scipy.sparse as sp
 
 from .algebra import B1_ANN, B1_CRE, B2_ANN, B2_CRE, ExactScalar, LadderPoly, U_HW, U_IHL
 from .errors import DomainError, HeadroomError
-from .fock import FockSpace, LadderSet, build_hamiltonian, interior_deviation
+from .fock import (FockSpace, LadderSet, build_hamiltonian, interior_deviation, matrix_exp,
+                   max_abs, window_mask, windowed_deviation)
 from .params import PhysicalParams
 
 __all__ = [
@@ -39,6 +41,7 @@ __all__ = [
     "valid_angle",
     "transform",
     "mode2_split",
+    "similarity_deviation",
     "identity_report",
     "basis",
     "gram",
@@ -177,6 +180,25 @@ def transform(con: Construction, angle: complex, ladder: LadderSet) -> MixedMode
 def mode2_split(con: Construction, modes: MixedModes) -> tuple[sp.csr_array, sp.csr_array]:
     """(the mode-2 operator mixed from (a1, a2+), its partner mixed from (a1+, a2))."""
     return (modes.ann2, modes.cre2) if con.second_annihilates else (modes.cre2, modes.ann2)
+
+
+def similarity_deviation(con: Construction, modes: MixedModes, generator: sp.csr_array,
+                         window: int = 6) -> float:
+    """Low-block gap of u a = m u with u = e^{angle G}, relative to the largest |u| there.
+
+    a runs over the four operators of the route at angle 0 and m over their
+    images in modes, so u a u^{-1} = m is checked without u^{-1}.  Compared
+    on the n1+n2 <= window block, where both products read u only one rung
+    past the window: the truncated u is exact there once n_max lies a few
+    spreading lengths deeper, whatever weight it carries near the top corner.
+    """
+    u = matrix_exp(modes.angle * generator)
+    plain = transform(con, 0.0, modes.ladder)
+    space = modes.space
+    gap = max(windowed_deviation(u @ getattr(plain, name), getattr(modes, name) @ u, space, window)
+              for name in ("ann1", "cre1", "ann2", "cre2"))
+    keep = window_mask(space, window)
+    return gap / max_abs(u[np.ix_(keep, keep)])
 
 
 @dataclass(frozen=True)

@@ -6,10 +6,11 @@ to the total bar-mode number operator, so the full H is diagonal on the bar
 basis with complex eigenvalues hbar*omega*(n1-n2) +- i*hbar*lambda*(n1+n2+1).
 
 `FT` holds the route's data for the generic machinery in `construction`
-(eigenvalues, bar matrices, basis and Gram, Heisenberg factors, x(t), y(t),
-the exact substitution).  What only this route has lives here: the
-similarity check against e^{theta X}, the geometric vacuum series, and the
-standard norms of the bar basis with their divergence at |Theta| = pi/2.
+(eigenvalues, bar matrices, the similarity check against e^{theta X}, basis
+and Gram, Heisenberg factors, x(t), y(t), the exact substitution).  What only
+this route has lives here: the generator X, the geometric vacuum series, the
+bar basis read off e^{+-theta X}, and the standard norms of the bar basis
+with their divergence at |Theta| = pi/2.
 """
 
 from __future__ import annotations
@@ -24,13 +25,12 @@ import scipy.sparse as sp
 from .algebra import B1_ANN, B1_CRE, B2_ANN, B2_CRE, ExactScalar, LadderPoly
 from .construction import Construction, MixedModes
 from .errors import DomainError, FitError, NumericalError, SeriesDivergence
-from .fock import FockSpace, LadderSet, matrix_exp, windowed_deviation
+from .fock import FockSpace, LadderSet, matrix_exp
 from .params import PhysicalParams
 
 __all__ = [
     "FT",
     "generator_matrix",
-    "similarity_deviation",
     "ft_vacuum_series",
     "ft_basis_similarity",
     "ft_norm_closed_forms",
@@ -91,35 +91,12 @@ FT = Construction(
 
 
 # ---------------------------------------------------------------------------
-# the generator and its similarity action
+# the generator
 
 
 def generator_matrix(ladder: LadderSet) -> sp.csr_array:
     """X = a1 a2 + a1+ a2+ on the truncated space."""
     return ladder.a1 @ ladder.a2 + ladder.a1_dag @ ladder.a2_dag
-
-
-def similarity_deviation(bar: MixedModes, window: int = 6) -> float:
-    """Max low-occupation gap between e^{theta X} a e^{-theta X} and the linear combinations.
-
-    Compared on the n1+n2 <= window block only: the truncated e^{theta X}
-    carries e^{O(|theta| n_max)} weight near the top corner, so the
-    conjugation reproduces the closed forms on a fixed low block that must
-    stay several spreading lengths below n_max (machine precision at
-    |theta| <= 0.3 with window 6 by n_max = 24).
-    """
-    x = generator_matrix(bar.ladder)
-    u = matrix_exp(bar.angle * x)
-    u_inv = matrix_exp(-bar.angle * x)
-    pairs = [
-        (bar.ann1, bar.ladder.a1),
-        (bar.cre1, bar.ladder.a1_dag),
-        (bar.ann2, bar.ladder.a2),
-        (bar.cre2, bar.ladder.a2_dag),
-    ]
-    return max(
-        windowed_deviation(u @ plain @ u_inv, mixed, bar.space, window) for mixed, plain in pairs
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -155,14 +132,17 @@ def ft_vacuum_series(theta: complex, space: FockSpace) -> tuple[np.ndarray, np.n
     return ket, bra
 
 
-def ft_basis_similarity(bar: MixedModes, n1: int, n2: int) -> tuple[np.ndarray, np.ndarray]:
-    """The bar basis pair built as e^{theta X}|n1,n2> and <n1,n2|e^{-theta X}."""
+def ft_basis_similarity(bar: MixedModes, states) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The bar basis pairs e^{theta X}|n1,n2> and <n1,n2|e^{-theta X}, one per (n1, n2) in states.
+
+    Each ket is a column of e^{theta X} and each bra a row of e^{-theta X};
+    both exponentials are built once for all states.
+    """
     x = generator_matrix(bar.ladder)
-    unit = np.zeros(bar.space.dim, dtype=complex)
-    unit[bar.space.index(n1, n2)] = 1.0
-    ket = matrix_exp(bar.angle * x) @ unit
-    bra = unit @ matrix_exp(-bar.angle * x)
-    return ket, bra
+    idx = [bar.space.index(n1, n2) for n1, n2 in states]
+    kets = matrix_exp(bar.angle * x)[:, idx].toarray().T
+    bras = matrix_exp(-bar.angle * x)[idx].toarray()
+    return list(zip(kets, bras))
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,11 @@ H becomes hbar*omega*(n1+n2+1) +- i*hbar*lambda*(n1-n2): real part bounded
 below by hbar*omega, imaginary part zero exactly on the diagonal n1 = n2.
 
 `IS` holds the route's data for the generic machinery in `construction`.
-What only this route has lives here: the generators Y and Z with the tilde
-and chi similarity checks, the SVD nullspace vacuum, the bounded frame
-`IsCheckRep`, and the symbolic x(t), y(t) conjugation.
+What only this route has lives here: the generators Y and Z, the squeeze
+similarity check on a single-mode chain, the SVD nullspace vacuum, the
+bounded frame `IsCheckRep`, and the symbolic x(t), y(t) conjugation.  The chi
+similarity e^{chi Z} is checked by `construction.similarity_deviation`, as
+the rotation route's e^{theta X} is.
 
 Two matrix realizations coexist on purpose.  In the original frame the
 check modes mix a1 with a2+, so the truncated joint nullspace of the two
@@ -38,7 +40,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .algebra import B1_ANN, B1_CRE, B2_ANN, B2_CRE, CQ, ExactScalar, LadderPoly
-from .construction import Construction, MixedModes, normalize_branch, transform, valid_angle
+from .construction import Construction, MixedModes, normalize_branch, valid_angle
 from .errors import DomainError, NullspaceError
 from .fock import (
     FockSpace,
@@ -48,7 +50,6 @@ from .fock import (
     matrix_exp,
     max_abs,
     single_mode_lowering,
-    windowed_deviation,
 )
 from .ft import generator_matrix
 from .params import PhysicalParams
@@ -60,7 +61,6 @@ __all__ = [
     "generator_z_matrix",
     "tilde_pair",
     "tilde_similarity_deviation",
-    "chi_similarity_deviation",
     "is_check_rep",
     "is_vacuum",
     "is_xy_symbolic",
@@ -137,13 +137,14 @@ def tilde_pair(phi: complex, ladder: LadderSet) -> tuple[sp.csr_array, sp.csr_ar
 
 
 def tilde_similarity_deviation(phi: complex, n_max: int = 64, window: int = 6) -> float:
-    """Low-occupation gap between e^{phi Y} (a2, a2+) e^{-phi Y} and the closed forms.
+    """Low-block gap of u a = m u for u = e^{phi Y}, relative to the largest |u| there.
 
+    a runs over (a2, a2+) and m over their closed forms under the Y rotation.
     Y acts on mode 2 alone, so the comparison runs on a dedicated single-mode
-    chain where a long truncation is cheap.  For purely imaginary phi the
-    rotation is unitary and the n <= window block converges to the closed
-    forms at machine precision once n_max is a few spreading lengths deep;
-    real phi = pi/2 itself is served by the closed form only.
+    chain where a long truncation is cheap.  On the n <= window block both
+    products read u one rung past the window, where the truncated u is exact
+    once n_max is a few spreading lengths deeper; real phi = pi/2 itself is
+    served by the closed form only.
     """
     if n_max < window + 2:
         raise DomainError(f"n_max={n_max} leaves no room beyond window={window}")
@@ -151,36 +152,11 @@ def tilde_similarity_deviation(phi: complex, n_max: int = 64, window: int = 6) -
     cre = ann.T.tocsr()
     y = -0.5j * (ann @ ann - cre @ cre)
     u = matrix_exp(phi * y)
-    u_inv = matrix_exp(-phi * y)
     c, s = cmath.cos(phi), cmath.sin(phi)
     k = window + 1
-    dev_ann = max_abs((u @ ann @ u_inv - (c * ann - 1j * s * cre))[:k, :k])
-    dev_cre = max_abs((u @ cre @ u_inv - (c * cre - 1j * s * ann))[:k, :k])
-    return max(dev_ann, dev_cre)
-
-
-def chi_similarity_deviation(chi: complex, ladder: LadderSet, window: int = 6) -> float:
-    """Low-occupation gap between e^{chi Z} tilde-ops e^{-chi Z} and the check closed forms.
-
-    All four check operators are similarity images of the post-squeeze pair
-    under the same e^{chi Z}; the windowed block converges as n_max grows
-    because e^{chi Z} at imaginary chi is a real amplifying exponential whose
-    top-corner weight must be kept away from the compared entries.
-    """
-    z = generator_z_matrix(ladder)
-    u = matrix_exp(chi * z)
-    u_inv = matrix_exp(-chi * z)
-    check = transform(IS, chi, ladder)
-    tilde = [
-        (ladder.a1, check.ann1),
-        (ladder.a1_dag, check.cre1),
-        (-1j * ladder.a2_dag, check.ann2),
-        (-1j * ladder.a2, check.cre2),
-    ]
-    return max(
-        windowed_deviation(u @ plain @ u_inv, closed, ladder.space, window)
-        for plain, closed in tilde
-    )
+    gap = max(max_abs((u @ ann - (c * ann - 1j * s * cre) @ u)[:k, :k]),
+              max_abs((u @ cre - (c * cre - 1j * s * ann) @ u)[:k, :k]))
+    return gap / max_abs(u[:k, :k])
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from .construction import (
     heisenberg_rate,
     identity_report,
     mode2_split,
+    similarity_deviation,
     transform,
     xy_operators,
 )
@@ -98,6 +99,11 @@ class VerifyConfig:
         if abs(math.tan(self.theta)) >= ft.VACUUM_TAN_LIMIT:
             raise DomainError(f"|tan theta| = {abs(math.tan(self.theta)):.6g} >= 1: vacuum series "
                               f"diverges at theta={self.theta}")
+        if abs(self.theta) >= math.pi / 4:
+            # |tan| repeats with period pi, but e^{theta X} does not: past the
+            # quarter turn it is no longer the rotation that the series sums
+            raise DomainError(f"|theta| = {abs(self.theta):.6g} >= pi/4: e^{{theta X}} is not the "
+                              f"rotation the vacuum series describes")
         if self.margin < 1:
             raise DomainError(f"margin must be >= 1, got {self.margin}")
 
@@ -576,7 +582,7 @@ check_ft_gram, check_is_gram = _twin(
      "default_n_max": 24, "frame": _ft_frame, "tolerance": _ft_gram_tolerance},
     {"check_id": "is.gram",
      "description": "bounded-frame Gram is identity for occupations <= {q_cap}",
-     "default_n_max": 12, "frame": _is_frame, "tolerance": lambda cfg, n_max, q_cap: 1e-8},
+     "default_n_max": 12, "frame": _is_frame, "tolerance": lambda cfg, n_max, q_cap: 1e-12},
 )
 
 
@@ -636,14 +642,14 @@ def check_ft_similarity(cfg: VerifyConfig) -> tuple:
     n_max = cfg.resolve(24)
     lad = _ladder(n_max)
     thetas = sorted({0.1, cfg.theta})
-    # top-corner truncation error decays like tan^{2(n_max-1-w)}, so the
-    # comparable block shrinks with the resolution
+    # the products read e^{theta X} one rung past the window, and the
+    # truncated exponential matches the untruncated one only on a low block a
+    # few spreading lengths below n_max, so the window shrinks with the resolution
     window = min(6, max(0, (n_max - 8) // 2))
-    dev = max(
-        ft.similarity_deviation(transform(ft.FT, theta, lad), window=window)
-        for theta in thetas
-    )
-    return ("e^{theta X} a e^{-theta X} matches linear combinations (low block)",
+    x = ft.generator_matrix(lad)
+    dev = max(similarity_deviation(ft.FT, transform(ft.FT, theta, lad), x, window)
+              for theta in thetas)
+    return ("e^{theta X} a = (bar a) e^{theta X} on the low block",
             dev, 1e-8, {"thetas": list(thetas), "window": window,
                         "n_max": n_max})
 
@@ -693,10 +699,10 @@ def check_ft_two_route(cfg: VerifyConfig) -> tuple:
     tr = transform(ft.FT, cfg.theta, lad)
     vacuum = ft.ft_vacuum_series(cfg.theta, lad.space)
     keep = interior_mask(lad.space, 2)
+    states = ((0, 0), (1, 0), (2, 1))
     dev = 0.0
-    for (n1, n2) in ((0, 0), (1, 0), (2, 1)):
+    for (n1, n2), (ket_b, bra_b) in zip(states, ft.ft_basis_similarity(tr, states)):
         ket_a, bra_a = basis(tr, n1, n2, vacuum)
-        ket_b, bra_b = ft.ft_basis_similarity(tr, n1, n2)
         dev = max(dev, max_abs((ket_a - ket_b)[keep]), max_abs((bra_a - bra_b)[keep]))
     # both routes truncate the same series; the measured gap decays like a
     # single power of tan per rung (normalization eats the other power)
@@ -785,11 +791,13 @@ def check_is_tilde(cfg: VerifyConfig) -> tuple:
     dev_cf = max(max_abs(t_ann - (-1j) * lad.a2_dag), max_abs(t_cre - (-1j) * lad.a2))
     z_built = lad.a1_dag @ t_ann + t_cre @ lad.a1
     dev_z = max_abs(z_built - imagscale.generator_z_matrix(lad))
-    # the e^{chi Z} top-corner weight must stay clear of the compared block,
-    # so the window shrinks with n_max as in check_ft_similarity
-    chi_n_max = cfg.resolve(24)
-    window = min(6, max(0, (chi_n_max - 8) // 2))
-    dev_chi = imagscale.chi_similarity_deviation(0.3j, _ladder(chi_n_max), window=window)
+    # the products read e^{chi Z} one rung past the window, where the
+    # truncated exponential is exact only a few spreading lengths below
+    # n_max, so the window shrinks with n_max as in check_ft_similarity
+    chi_lad = _ladder(cfg.resolve(24))
+    window = min(6, max(0, (chi_lad.space.n_max - 8) // 2))
+    dev_chi = similarity_deviation(imagscale.IS, transform(imagscale.IS, 0.3j, chi_lad),
+                                   imagscale.generator_z_matrix(chi_lad), window)
     return ("mode-2 squeeze: similarity routes, pi/2 closed form, Z composition",
             max(dev_sim, dev_cf, dev_z, dev_chi), 1e-8,
             {"squeeze_similarity": dev_sim, "closed_form": dev_cf,

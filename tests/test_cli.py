@@ -281,6 +281,15 @@ def test_verify_rejects_a_divergent_theta_with_exit_2(capsys, theta):
     assert "Traceback" not in err
 
 
+def test_verify_rejects_theta_past_the_quarter_turn_with_exit_2(capsys):
+    # |tan 3.0| = 0.14, yet e^{3X} is not the rotation that the vacuum series sums
+    rc, out, err = run(capsys, "verify", "ft", "--theta", "3.0")
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and "pi/4" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [["norms", "--n-max", "3"], ["classify", "--times", "1"],
                                   ["spectrum", "--chi-sign", "+"]])
 def test_flags_a_command_does_not_read_are_rejected(argv):

@@ -16,6 +16,7 @@ from bateman.construction import (
     identity_report,
     normalize_branch,
     plain_in_modes,
+    similarity_deviation,
     transform,
     xy_operators,
 )
@@ -31,7 +32,6 @@ from bateman.ft import (
     ft_standard_norm,
     ft_vacuum_series,
     generator_matrix,
-    similarity_deviation,
 )
 
 
@@ -64,11 +64,11 @@ def test_generator_matrix(ladder8):
 
 
 def test_similarity_on_low_window():
-    # margin-style comparison diverges with n_max for this conjugation;
+    # margin-style comparison diverges with n_max for this similarity;
     # the low-occupation window is the convergent statement
     lad = build_ladder(24)
     for theta in (0.1, 0.3):
-        assert similarity_deviation(transform(FT, theta, lad)) <= 1e-10
+        assert similarity_deviation(FT, transform(FT, theta, lad), generator_matrix(lad)) <= 1e-10
 
 
 # --- eigenvalues -------------------------------------------------------------
@@ -137,9 +137,9 @@ def test_vacuum_series_diverges_at_wall():
 def test_basis_two_routes():
     ft = transform(FT, 0.3, build_ladder(24))
     vacuum = ft_vacuum_series(0.3, ft.space)
-    for n1, n2 in ((0, 0), (1, 0), (1, 1), (2, 1)):
+    states = ((0, 0), (1, 0), (1, 1), (2, 1))
+    for (n1, n2), (k2, b2) in zip(states, ft_basis_similarity(ft, states), strict=True):
         k1, b1 = basis(ft, n1, n2, vacuum)
-        k2, b2 = ft_basis_similarity(ft, n1, n2)
         assert np.max(np.abs(k1 - k2)) <= 1e-10
         assert np.max(np.abs(b1 - b2)) <= 1e-10
         assert abs(b1 @ k1 - 1.0) <= 1e-12

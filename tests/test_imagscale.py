@@ -20,6 +20,7 @@ from bateman.construction import (
     heisenberg_factor,
     identity_report,
     plain_in_modes,
+    similarity_deviation,
     transform,
     xy_operators,
 )
@@ -30,7 +31,6 @@ from bateman.imagscale import (
     IS,
     NULLSPACE_RTOL,
     _joint_null_vector,
-    chi_similarity_deviation,
     conjugate_xy_terms,
     generator_y_matrix,
     generator_z_matrix,
@@ -90,7 +90,8 @@ def test_tilde_pair_half_turn(ladder8):
 def test_similarity_on_low_window():
     for phi in (0.2j, 0.3j):
         assert tilde_similarity_deviation(phi) <= 1e-10
-    assert chi_similarity_deviation(0.3j, build_ladder(24)) <= 1e-10
+    lad = build_ladder(24)
+    assert similarity_deviation(IS, transform(IS, 0.3j, lad), generator_z_matrix(lad)) <= 1e-10
 
 
 # --- eigenvalues -------------------------------------------------------------

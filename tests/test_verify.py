@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bateman import ft, imagscale, verify
+from bateman import construction, ft, imagscale, verify
 from bateman.algebra import B1_CRE, B2_ANN, LadderPoly
 from bateman.errors import DomainError
 from bateman.fock import build_ladder
@@ -135,14 +135,16 @@ def test_config_rejects_non_finite_and_bad_margin(params, field, value):
         VerifyConfig(params=params, **{field: value})
 
 
-@pytest.mark.parametrize("theta", [0.9, -0.9, math.pi / 4, -math.pi / 4, 2.0])
+@pytest.mark.parametrize("theta", [0.9, -0.9, math.pi / 4, -math.pi / 4, 2.0, 3.0, -2.5])
 def test_config_rejects_a_divergent_vacuum_series(params, theta):
-    # |tan theta| >= 1: the ft vacuum series has no limit, so no ft check can pass
-    with pytest.raises(DomainError, match="vacuum series diverges"):
+    # |tan theta| >= 1: the ft vacuum series has no limit, so no ft check can
+    # pass; |tan 3.0| and |tan 2.5| are below 1, but past the quarter turn
+    # e^{theta X} is not the rotation that the series sums
+    with pytest.raises(DomainError, match="vacuum series (diverges|describes)"):
         VerifyConfig(params=params, theta=theta)
 
 
-@pytest.mark.parametrize("theta", [0.0, 0.3, -0.78, 3.0])
+@pytest.mark.parametrize("theta", [0.0, 0.3, -0.78])
 def test_config_accepts_a_convergent_vacuum_series(params, theta):
     assert VerifyConfig(params=params, theta=theta).theta == theta
 
@@ -179,23 +181,46 @@ def test_exp_inverse_catches_a_matrix_exp_entry_off_by_1e9(cfg, monkeypatch):
     assert result.deviation > 1e-10 and not result.passed
 
 
-def test_is_checks_catch_a_bounded_frame_vacuum_entry_off_by_1e8(cfg, monkeypatch):
-    # the vacuum ket's dominant entry off by 1e-8 relative after the bra was
-    # normalized against it; at 1e-9 every is check still passes (is.gram
-    # reads 1.0e-9 against 1e-8, is.matrix-element 4.0e-9 against 1.5e-8)
+def test_is_gram_catches_a_bounded_frame_vacuum_entry_off_by_1e9(cfg, monkeypatch):
+    # the vacuum ket's dominant entry off by 1e-9 relative after the bra was
+    # normalized against it: is.gram reads 1.0e-9 against 1e-12
+    # (is.matrix-element, 4.0e-9 against 1.5e-8, lets it pass)
     exact = imagscale.is_vacuum
 
     def skewed(frame):
         ket, bra = exact(frame)
         if isinstance(frame, imagscale.IsCheckRep):
             ket = ket.copy()
-            ket[np.argmax(np.abs(ket))] *= 1.0 + 1e-8
+            ket[np.argmax(np.abs(ket))] *= 1.0 + 1e-9
         return ket, bra
 
-    assert verify.check_is_matrix_element(cfg).passed
+    assert verify.check_is_gram(cfg).passed
     monkeypatch.setattr(imagscale, "is_vacuum", skewed)
-    result = verify.check_is_matrix_element(cfg)
-    assert result.deviation > 3e-8 and not result.passed
+    result = verify.check_is_gram(cfg)
+    assert result.deviation > 5e-10 and not result.passed
+
+
+@pytest.mark.parametrize("theta", [-0.3, 0.5, 0.6, 0.7, 0.78])
+def test_ft_similarity_passes_up_to_the_quarter_turn(params, theta):
+    # u a = bar_a u reads only the low block of the truncated e^{theta X},
+    # which stays exact up to |tan theta| near 1; u a u^-1 read 1.04 at 0.6
+    result = verify.check_ft_similarity(VerifyConfig(params=params, theta=theta))
+    assert result.passed and result.deviation <= 1e-9
+
+
+def test_similarity_checks_catch_an_exponential_at_a_skewed_angle(cfg, monkeypatch):
+    # every e^{angle G} built at (1 + 1e-7) angle: the intertwining form must fail
+    exact = construction.matrix_exp
+
+    def skewed(a):
+        return exact(a * (1.0 + 1e-7))
+
+    assert verify.check_ft_similarity(cfg).passed and verify.check_is_tilde(cfg).passed
+    monkeypatch.setattr(construction, "matrix_exp", skewed)
+    monkeypatch.setattr(imagscale, "matrix_exp", skewed)
+    for check in (verify.check_ft_similarity, verify.check_is_tilde):
+        result = check(cfg)
+        assert result.deviation > 1e-8 and not result.passed
 
 
 def test_tol_scale_loosens(params):
