@@ -1,4 +1,4 @@
-"""Per-layer timings: each kernel and operator layer against the route it replaced.
+"""Per-layer timings: each kernel against its reference route, and the operator layers.
 
     python bench/run.py [--out FILE]
 
@@ -14,12 +14,16 @@ Times, in CPU seconds of this process with BLAS on one thread:
   and the bounded frame (chi = i pi/4) at n_max in KERNEL_N_MAX;
 - the operator layers at n_max in {12, 24, 32, 48}: the ladder and
   Hamiltonian build, `transform` plus `identity_report` at the decoupling
-  angle of each route, and `commutator(H0, H1)`, each on the CSR ladder of
-  `fock.build_ladder` and on the dense np.kron ladder (`dense_ladder`, the
-  reference kept here only) fed through the same library functions; and
-  `ft_basis_similarity`, which has no dense counterpart left.  The dense
-  side stops at DENSE_N_MAX = 32: at 48 one dense operator is 92 MB and
-  `identity_report` holds more than ten of them.
+  angle of each route, `commutator(H0, H1)` and `ft_basis_similarity`;
+- the `fock.Operator` kernels at n_max in OPERATOR_N_MAX: a ladder product
+  a1 @ a2, u @ a1 and u @ u_inv with u = e^{0.3 X}, and the ladder
+  mat-vec a1 @ v, each against the same product of `scipy.sparse` CSR
+  arrays holding the same entries (the reference kept here only), per
+  call over OPERATOR_CALLS calls a repeat;
+- `import bateman.cli` in a fresh interpreter (CPU time of the import and
+  peak RSS of the process), against `import scipy.sparse` followed by the
+  same import, the import set of a CLI that holds its operators in
+  scipy.sparse;
 
 - the exact-algebra layers: the `ft.spectrum` and `is.spectrum` sweeps
   (2 branches x 21 x 21 elements of H) and the 256-element
@@ -32,20 +36,20 @@ Times, in CPU seconds of this process with BLAS on one thread:
   elements, the matrix half read through `algebra.matrix_element` as the
   check reads it;
 
-- `fock.build_ladder`, which builds each CSR ladder as one shift of the
-  flat index, against the scipy.sparse Kronecker construction it replaced
+- `fock.build_ladder`, which builds each ladder as one diagonal at its
+  shift of the flat index, against the scipy.sparse Kronecker construction
   (`kron_ladder`, the reference kept here only) at n_max in
   {2, 8, 12, 24, 48}, per build over BUILD_CALLS = 100 builds a repeat.
 
 Each timing runs REPEATS = 5 times; the median, minimum and maximum are
 reported with the gap between the two results (for expm the largest
 entrywise gap relative to the largest entry; for the SVD the largest
-entrywise gap between the two null vectors; for the layers the largest gap
-between the two results, relative for operators, absolute for the reported
-deviations; for the exact sweeps the number of elements on which the two
-routes differ; for the cross-validation halves the largest gap between them;
-for the ladder build the number of the four ladders whose CSR arrays are not
-byte for byte those of the reference).
+entrywise gap between the two null vectors; for the operator kernels the
+largest entrywise gap between the two products; for the exact sweeps the
+number of elements on which the two routes differ; for the cross-validation
+halves the largest gap between them; for the ladder build the number of the
+four ladders whose nonzero entries are not byte for byte those of the
+reference).
 The JSON record goes to FILE, or to stdout without `--out`, and carries the
 machine: core count, Python, numpy, scipy and BLAS versions.
 """
@@ -61,6 +65,7 @@ import math  # noqa: E402
 import platform  # noqa: E402
 import random  # noqa: E402
 import statistics  # noqa: E402
+import subprocess  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
 from fractions import Fraction  # noqa: E402
@@ -71,7 +76,8 @@ import scipy  # noqa: E402
 import scipy.linalg  # noqa: E402
 import scipy.sparse as sp  # noqa: E402
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+SRC = Path(__file__).resolve().parents[1] / "src"
+sys.path.insert(0, str(SRC))
 
 from bateman import verify  # noqa: E402
 from bateman.algebra import (  # noqa: E402
@@ -89,23 +95,23 @@ from bateman.algebra import (  # noqa: E402
 )
 from bateman.construction import hamiltonian_from_plain, identity_report, transform  # noqa: E402
 from bateman.fock import (  # noqa: E402
-    FockSpace,
-    LadderSet,
     _closed_blocks,
     block_stacks,
     blocks,
     build_hamiltonian,
     build_ladder,
     commutator,
+    coordinates,
+    dense,
+    from_coordinates,
     matrix_exp,
-    max_abs,
-    single_mode_lowering,
 )
 from bateman.ft import FT, ft_basis_similarity, generator_matrix  # noqa: E402
 from bateman.imagscale import (  # noqa: E402
     IS,
     NULLSPACE_RTOL,
     _joint_null_vector,
+    _stacked,
     generator_y_matrix,
     generator_z_matrix,
     is_check_rep,
@@ -114,7 +120,17 @@ from bateman.params import derive_params  # noqa: E402
 
 KERNEL_N_MAX = (8, 12, 24, 32, 48)
 LAYER_N_MAX = (12, 24, 32, 48)
-DENSE_N_MAX = 32
+OPERATOR_N_MAX = (12, 24, 48)
+#: calls per timed repeat of each operator kernel; the times are per call
+OPERATOR_CALLS = {"ladder_product": 100, "u_at_a": 10, "u_at_u_inv": 1, "ladder_matvec": 100}
+#: the child's own peak RSS is VmHWM: ru_maxrss would carry this process's peak over the exec
+IMPORT_CODE = ("import time\n"
+               "start = time.process_time()\n"
+               "{pre}import bateman.cli\n"
+               "cpu = time.process_time() - start\n"
+               "hwm = [line.split()[1] for line in open('/proc/self/status')"
+               " if line.startswith('VmHWM')][0]\n"
+               "print(cpu, int(hwm) / 1024)\n")
 BUILD_N_MAX = (2, 8, 12, 24, 48)
 BUILD_CALLS = 100  # ladder builds per timed repeat; the times are per build
 REPEATS = 5
@@ -136,17 +152,17 @@ def timed(fn) -> tuple[dict, object]:
             "max_s": max(times)}, result
 
 
-def per_block_expm(a) -> sp.csr_array:
+def per_block_expm(a):
     """Reference only: matrix_exp's gather and scatter around scipy.linalg.expm per block."""
-    a = sp.csr_array(a, dtype=complex)
+    coords = coordinates(a)
     rows, cols, vals = [], [], []
-    for idx, _, stack in block_stacks(a, _closed_blocks(a)):
+    for idx, _, stack in block_stacks(coords, a.shape, _closed_blocks(*coords[:2], a.shape[0])):
         n = idx.shape[1]
         rows.append(np.repeat(idx, n, axis=1).ravel())
         cols.append(np.repeat(idx[:, None, :], n, axis=1).ravel())
         vals.append(np.array([scipy.linalg.expm(block) for block in stack]).ravel())
-    return sp.csr_array((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                        shape=a.shape)
+    return from_coordinates(np.concatenate(rows), np.concatenate(cols),
+                            np.concatenate(vals).astype(complex), a.shape[0])
 
 
 def exp_rows() -> list[dict]:
@@ -157,24 +173,25 @@ def exp_rows() -> list[dict]:
             a = operator(lad)
             reference, want = timed(lambda: per_block_expm(a))
             stacked, got = timed(lambda: matrix_exp(a))
-            want = want.toarray()
-            parts = _closed_blocks(a)
+            want = dense(want)
+            coords = coordinates(a)
+            parts = _closed_blocks(*coords[:2], a.shape[0])
             rows.append({
                 "kernel": "expm", "operator": name, "n_max": n_max, "dim": lad.space.dim,
-                "blocks": len(parts), "stacks": len(block_stacks(a, parts)),
+                "blocks": len(parts), "stacks": len(block_stacks(coords, a.shape, parts)),
                 "largest_block_dim": max(len(idx) for idx, _ in parts),
                 "per_block": reference, "stacked": stacked,
                 "speedup": reference["median_s"] / stacked["median_s"],
-                "max_rel_gap": float(np.max(np.abs(got.toarray() - want))
+                "max_rel_gap": float(np.max(np.abs(dense(got) - want))
                                      / np.max(np.abs(want))),
             })
     return rows
 
 
-def per_block_null_vector(stacked: sp.csr_array) -> np.ndarray:
+def per_block_null_vector(coords, shape) -> np.ndarray:
     """Reference only: the nullspace vector from one np.linalg.svd per block."""
     parts = []
-    for _, cols, stack in block_stacks(stacked, blocks(*stacked.nonzero(), stacked.shape)):
+    for _, cols, stack in block_stacks(coords, shape, blocks(*coords[:2], shape)):
         for c, block in zip(cols, stack):
             if len(block) == 0:
                 parts.append((c, np.zeros(0), np.eye(len(c), dtype=complex)))
@@ -182,7 +199,7 @@ def per_block_null_vector(stacked: sp.csr_array) -> np.ndarray:
                 _, sigma, vh = np.linalg.svd(block)
                 parts.append((c, sigma, vh))
     cutoff = NULLSPACE_RTOL * max(sigma[0] for _, sigma, _ in parts if len(sigma))
-    vector = np.zeros(stacked.shape[1], dtype=complex)
+    vector = np.zeros(shape[1], dtype=complex)
     for c, sigma, vh in parts:
         if np.sum(sigma < cutoff) + len(c) - len(sigma):
             vector[c] = vh[-1].conj()
@@ -196,15 +213,15 @@ def svd_rows() -> list[dict]:
         frames = {"original": transform(IS, CHI_Q, lad),
                   "bounded": is_check_rep(CHI_Q, lad, PARAMS)}
         for frame_name, frame in frames.items():
-            stacked = sp.vstack([frame.ann1, frame.ann2], format="csr")
-            reference, want = timed(lambda: per_block_null_vector(stacked))
+            coords, shape = _stacked(frame.ann1, frame.ann2)
+            reference, want = timed(lambda: per_block_null_vector(coords, shape))
             batched, got = timed(
-                lambda: _joint_null_vector(stacked, "check annihilator", frame))
-            parts = blocks(*stacked.nonzero(), stacked.shape)
+                lambda: _joint_null_vector(coords, shape, "check annihilator", frame))
+            parts = blocks(*coords[:2], shape)
             rows.append({
                 "kernel": "nullspace_svd", "frame": frame_name, "n_max": n_max,
-                "shape": list(stacked.shape), "blocks": len(parts),
-                "stacks": len(block_stacks(stacked, parts)),
+                "shape": list(shape), "blocks": len(parts),
+                "stacks": len(block_stacks(coords, shape, parts)),
                 "largest_block_entries": max(len(r) * len(c) for r, c in parts),
                 "per_block": reference, "stacked": batched,
                 "speedup": reference["median_s"] / batched["median_s"],
@@ -213,69 +230,81 @@ def svd_rows() -> list[dict]:
     return rows
 
 
-def dense_ladder(n_max: int) -> LadderSet:
-    """Reference only: the dense np.kron ladder that build_ladder returned before."""
-    size = n_max + 1
-    a = np.diag(np.sqrt(np.arange(1.0, size)), k=1).astype(complex)
-    eye = np.eye(size, dtype=complex)
-    a1 = np.kron(a, eye)
-    a2 = np.kron(eye, a)
-    return LadderSet(space=FockSpace(n_max), a1=a1, a1_dag=a1.conj().T, a2=a2,
-                     a2_dag=a2.conj().T)
-
-
 def report_deviations(con, lad) -> np.ndarray:
     rep = identity_report(con, transform(con, con.quarter(+1), lad), PARAMS)
     return np.array([rep.h0_deviation, rep.h1_deviation, rep.reduced_deviation])
 
 
-def absolute_gap(got, want) -> float:
-    return max_abs(got - want)
-
-
-def relative_gap(got, want) -> float:
-    return max_abs(got - want) / max_abs(want)
-
-
 def layer_rows() -> list[dict]:
-    """Each layer: (sparse call, dense call, gap between their results) per n_max."""
+    """Each operator layer, timed per n_max."""
     rows = []
     for n_max in LAYER_N_MAX:
-        sparse_lad = build_ladder(n_max)
-        dense_lad = dense_ladder(n_max) if n_max <= DENSE_N_MAX else None
-        ham = {"sparse": build_hamiltonian(sparse_lad, PARAMS)}
-        if dense_lad is not None:
-            ham["dense"] = build_hamiltonian(dense_lad, PARAMS)
+        lad = build_ladder(n_max)
+        ham = build_hamiltonian(lad, PARAMS)
         layers = {
-            "ladder_and_hamiltonian": (
-                lambda: build_hamiltonian(build_ladder(n_max), PARAMS).h,
-                lambda: build_hamiltonian(dense_ladder(n_max), PARAMS).h,
-                relative_gap),
-            "transform_identity_report.ft": (
-                lambda: report_deviations(FT, sparse_lad),
-                lambda: report_deviations(FT, dense_lad),
-                absolute_gap),
-            "transform_identity_report.is": (
-                lambda: report_deviations(IS, sparse_lad),
-                lambda: report_deviations(IS, dense_lad),
-                absolute_gap),
-            "commutator_h0_h1": (
-                lambda: commutator(ham["sparse"].h0, ham["sparse"].h1),
-                lambda: commutator(ham["dense"].h0, ham["dense"].h1),
-                relative_gap),
-            "ft_basis_similarity": (
-                lambda: ft_basis_similarity(transform(FT, 0.3, sparse_lad), [(2, 1)])[0][0],
-                None, None),
+            "ladder_and_hamiltonian": lambda: build_hamiltonian(build_ladder(n_max), PARAMS).h,
+            "transform_identity_report.ft": lambda: report_deviations(FT, lad),
+            "transform_identity_report.is": lambda: report_deviations(IS, lad),
+            "commutator_h0_h1": lambda: commutator(ham.h0, ham.h1),
+            "ft_basis_similarity": lambda: ft_basis_similarity(transform(FT, 0.3, lad),
+                                                               [(2, 1)])[0][0],
         }
-        for layer, (sparse_call, dense_call, gap) in layers.items():
-            sparse_t, got = timed(sparse_call)
-            row = {"layer": layer, "n_max": n_max, "dim": sparse_lad.space.dim,
-                   "sparse": sparse_t, "dense": None, "speedup": None, "gap": None}
-            if dense_call is not None and dense_lad is not None:
-                dense_t, want = timed(dense_call)
-                row.update(dense=dense_t, speedup=dense_t["median_s"] / sparse_t["median_s"],
-                           gap=gap(got, want))
-            rows.append(row)
+        for layer, call in layers.items():
+            stats, _ = timed(call)
+            rows.append({"layer": layer, "n_max": n_max, "dim": lad.space.dim, "time": stats})
+    return rows
+
+
+def as_csr(a) -> sp.csr_array:
+    """Reference only: the same entries as a scipy.sparse CSR array."""
+    rows, cols, values = coordinates(a)
+    return sp.csr_array((values, (rows, cols)), shape=a.shape)
+
+
+def operator_rows() -> list[dict]:
+    """fock.Operator products and mat-vec against scipy.sparse on the same entries, per n_max."""
+    rows = []
+    for n_max in OPERATOR_N_MAX:
+        lad = build_ladder(n_max)
+        x = generator_matrix(lad)
+        u, u_inv = matrix_exp(0.3 * x), matrix_exp(-0.3 * x)
+        vector = np.linspace(-1.0, 1.0, lad.space.dim) * (1 + 0.5j)
+        kernels = {"ladder_product": (lad.a1, lad.a2), "u_at_a": (u, lad.a1),
+                   "u_at_u_inv": (u, u_inv), "ladder_matvec": (lad.a1, vector)}
+        for kernel, (left, right) in kernels.items():
+            csr_left = as_csr(left)
+            csr_right = right if isinstance(right, np.ndarray) else as_csr(right)
+            calls = OPERATOR_CALLS[kernel]
+            offset_t, got = per_call(lambda: left @ right, calls)
+            csr_t, want = per_call(lambda: csr_left @ csr_right, calls)
+            if not isinstance(got, np.ndarray):
+                got, want = dense(got), want.toarray()
+            rows.append({"kernel": kernel, "n_max": n_max, "dim": lad.space.dim,
+                         "offsets": [len(left.diagonals), len(getattr(right, "diagonals", ()))],
+                         "calls": calls, "offset": offset_t, "csr": csr_t,
+                         "speedup": csr_t["median_s"] / offset_t["median_s"],
+                         "max_abs_gap": float(np.max(np.abs(got - want)))})
+    return rows
+
+
+def import_rows() -> list[dict]:
+    """CPU time and peak RSS of `import bateman.cli` in REPEATS fresh interpreters."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    rows = []
+    for name, pre in (("bateman.cli", ""), ("scipy.sparse, bateman.cli",
+                                            "import scipy.sparse\n")):
+        cpu, rss = [], []
+        for _ in range(REPEATS):
+            done = subprocess.run([sys.executable, "-c", IMPORT_CODE.format(pre=pre)],
+                                  capture_output=True, text=True, env=env, check=True)
+            t, mb = map(float, done.stdout.split())
+            cpu.append(t)
+            rss.append(mb)
+        rows.append({"layer": f"import {name}",
+                     "cpu": {"median_s": statistics.median(cpu), "min_s": min(cpu),
+                             "max_s": max(cpu)},
+                     "peak_rss_mb": {"median": statistics.median(rss), "min": min(rss),
+                                     "max": max(rss)}})
     return rows
 
 
@@ -397,27 +426,31 @@ def algebra_rows() -> list[dict]:
     return rows
 
 
-def kron_ladder(n_max: int) -> LadderSet:
-    """Reference only: the scipy.sparse Kronecker ladder that build_ladder returned before."""
+def kron_ladder(n_max: int) -> dict[str, sp.csr_array]:
+    """Reference only: the scipy.sparse Kronecker construction of the ladders."""
     size = n_max + 1
-    a = single_mode_lowering(size)
+    a = sp.diags_array(np.sqrt(np.arange(1.0, size)), offsets=1, shape=(size, size),
+                       dtype=complex, format="csr")
     eye = sp.eye_array(size, dtype=complex, format="csr")
     a1 = sp.kron(a, eye, format="csr")
     a2 = sp.kron(eye, a, format="csr")
-    return LadderSet(space=FockSpace(n_max), a1=a1, a1_dag=a1.conj().T.tocsr(), a2=a2,
-                     a2_dag=a2.conj().T.tocsr())
+    return {"a1": a1, "a1_dag": a1.conj().T.tocsr(), "a2": a2, "a2_dag": a2.conj().T.tocsr()}
 
 
-def per_call(fn) -> tuple[dict, object]:
-    """timed() of BUILD_CALLS calls of fn, scaled to one call; and the last result."""
-    stats, results = timed(lambda: [fn() for _ in range(BUILD_CALLS)])
-    return {key: value / BUILD_CALLS for key, value in stats.items()}, results[-1]
+def per_call(fn, calls: int = BUILD_CALLS) -> tuple[dict, object]:
+    """timed() of calls calls of fn, scaled to one call; and the last result."""
+    stats, results = timed(lambda: [fn() for _ in range(calls)])
+    return {key: value / calls for key, value in stats.items()}, results[-1]
 
 
-def same_csr(got, want) -> bool:
-    return all(getattr(got, part).dtype == getattr(want, part).dtype
-               and getattr(got, part).tobytes() == getattr(want, part).tobytes()
-               for part in ("indptr", "indices", "data"))
+def same_entries(got, want: sp.csr_array) -> bool:
+    """The nonzero entries of got are those of want, value bytes included."""
+    rows, cols, values = coordinates(got)
+    order = np.lexsort((cols, rows))
+    want = want.tocoo()
+    return (np.array_equal(rows[order], want.row) and np.array_equal(cols[order], want.col)
+            and values.dtype == want.data.dtype
+            and values[order].tobytes() == want.data.tobytes())
 
 
 def build_rows() -> list[dict]:
@@ -429,9 +462,8 @@ def build_rows() -> list[dict]:
         rows.append({"layer": "build_ladder", "n_max": n_max, "dim": got.space.dim,
                      "direct": direct_t, "kron": kron_t,
                      "speedup": kron_t["median_s"] / direct_t["median_s"],
-                     "ladders_differing": sum(
-                         not same_csr(getattr(got, name), getattr(want, name))
-                         for name in ("a1", "a1_dag", "a2", "a2_dag"))})
+                     "ladders_differing": sum(not same_entries(getattr(got, name), csr)
+                                              for name, csr in want.items())})
     return rows
 
 
@@ -453,7 +485,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv)
-    record = {"machine": machine(), "repeats": REPEATS, "kernels": exp_rows() + svd_rows(),
+    record = {"machine": machine(), "repeats": REPEATS, "import": import_rows(),
+              "kernels": exp_rows() + svd_rows(), "operators": operator_rows(),
               "layers": layer_rows(), "algebra": algebra_rows(), "ladder_build": build_rows()}
     text = json.dumps(record, indent=1) + "\n"
     if args.out is None:

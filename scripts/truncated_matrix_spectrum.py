@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from bateman.dynamics import eigen_record
-from bateman.fock import build_hamiltonian, build_ladder
+from bateman.fock import build_hamiltonian, build_ladder, dense
 from bateman.params import derive_params
 
 
@@ -44,7 +44,7 @@ def main(argv=None) -> int:
     for n_max in cfg.n_maxes:
         lad = build_ladder(n_max)
         # the dense eigensolver needs the whole matrix, not the sparse operator
-        h = build_hamiltonian(lad, params).h.toarray()
+        h = dense(build_hamiltonian(lad, params).h)
         herm = float(np.max(np.abs(h - h.conj().T)))
         evals = np.linalg.eigvalsh(h)
         # low edge of the spectrum, where convergence would show first

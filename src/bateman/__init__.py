@@ -28,6 +28,7 @@ from .fock import (
     FockSpace,
     HamiltonianSet,
     LadderSet,
+    Operator,
     build_hamiltonian,
     build_ladder,
     commutator,
@@ -82,6 +83,7 @@ __all__ = [
     "FockSpace",
     "HamiltonianSet",
     "LadderSet",
+    "Operator",
     "build_hamiltonian",
     "build_ladder",
     "commutator",

@@ -17,9 +17,9 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import DomainError, MixedUnitError, RadicalMismatch
+from .fock import Operator, identity
 from .params import PhysicalParams
 
 __all__ = [
@@ -466,22 +466,22 @@ def basis_matrix_element(m1: int, m2: int, op: LadderPoly, n1: int, n2: int) -> 
     return basis_column(op, n1, n2).get((m1, m2), ExactScalar.zero())
 
 
-def _symbol_matrices(ladder) -> dict[int, sp.csr_array]:
+def _symbol_matrices(ladder) -> dict[int, Operator]:
     return {B1_CRE: ladder.a1_dag, B2_CRE: ladder.a2_dag, B1_ANN: ladder.a1, B2_ANN: ladder.a2}
 
 
-def to_matrix(poly: LadderPoly, ladder, params: PhysicalParams | None = None) -> sp.csr_array:
+def to_matrix(poly: LadderPoly, ladder, params: PhysicalParams | None = None) -> Operator:
     """Evaluate the poly on truncated matrices as one whole matrix."""
     symbol_map = _symbol_matrices(ladder)
     dim = ladder.space.dim
-    total = sp.csr_array((dim, dim), dtype=complex)
+    total = Operator(dim, {})
     for word, coeff in poly._terms.items():
         if word:
             acc = symbol_map[word[0]]
             for sym in word[1:]:
                 acc = acc @ symbol_map[sym]
         else:
-            acc = sp.eye_array(dim, dtype=complex, format="csr")
+            acc = identity(dim)
         total = total + coeff.to_complex(params) * acc
     return total
 

@@ -12,6 +12,9 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+# argparse's gettext imports locale on first use; importing it here keeps that cost
+# in the import instead of inside every command
+import locale  # noqa: F401
 import math
 import sys
 from dataclasses import asdict, dataclass

@@ -11,7 +11,7 @@ exponential u, the biorthogonal basis and its Gram, Heisenberg factors, x(t)
 and y(t), and the exact symbol substitution at the decoupling point.
 
 Two independent routes run through it: exact symbol algebra on abstract
-mixed modes (no truncation, no floats) and sparse truncated matrices.
+mixed modes (no truncation, no floats) and truncated `fock.Operator` matrices.
 Neither route knows about the other's results.
 """
 
@@ -23,12 +23,11 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
 
 from .algebra import B1_ANN, B1_CRE, B2_ANN, B2_CRE, ExactScalar, LadderPoly, U_HW, U_IHL
 from .errors import DomainError, HeadroomError
-from .fock import (FockSpace, LadderSet, build_hamiltonian, interior_deviation, matrix_exp,
-                   max_abs, window_mask, windowed_deviation)
+from .fock import (FockSpace, LadderSet, Operator, build_hamiltonian, dense, identity,
+                   interior_deviation, matrix_exp, max_abs, window_mask, windowed_deviation)
 from .params import PhysicalParams
 
 __all__ = [
@@ -72,7 +71,7 @@ class Construction:
     rates: dict[int, tuple[int, int]]
     quarter: Callable[[int], complex]   # branch -> decoupling angle
     #: (modes, q number form, params) -> H1 in mixed operators at any angle
-    h1_mixed: Callable[["MixedModes", sp.csr_array, PhysicalParams], sp.csr_array]
+    h1_mixed: Callable[["MixedModes", Operator, PhysicalParams], Operator]
     #: branch -> exact inverse mixing at the decoupling angle, rows for (a1, a2+), (a1+, a2)
     substitution: Callable[[int], tuple[Rows, Rows]]
     xy_phase: complex               # weight of the mode-2 operator in x(t), y(t)
@@ -134,10 +133,10 @@ class MixedModes:
     """Mixed-mode matrices at a fixed angle, in the original two-mode frame."""
 
     angle: complex
-    ann1: sp.csr_array
-    cre1: sp.csr_array
-    ann2: sp.csr_array
-    cre2: sp.csr_array
+    ann1: Operator
+    cre1: Operator
+    ann2: Operator
+    cre2: Operator
     ladder: LadderSet
 
     @property
@@ -177,12 +176,12 @@ def transform(con: Construction, angle: complex, ladder: LadderSet) -> MixedMode
     )
 
 
-def mode2_split(con: Construction, modes: MixedModes) -> tuple[sp.csr_array, sp.csr_array]:
+def mode2_split(con: Construction, modes: MixedModes) -> tuple[Operator, Operator]:
     """(the mode-2 operator mixed from (a1, a2+), its partner mixed from (a1+, a2))."""
     return (modes.ann2, modes.cre2) if con.second_annihilates else (modes.cre2, modes.ann2)
 
 
-def similarity_deviation(con: Construction, modes: MixedModes, generator: sp.csr_array,
+def similarity_deviation(con: Construction, modes: MixedModes, generator: Operator,
                          window: int = 6) -> float:
     """Low-block gap of u a = m u with u = e^{angle G}, relative to the largest |u| there.
 
@@ -198,7 +197,7 @@ def similarity_deviation(con: Construction, modes: MixedModes, generator: sp.csr
     gap = max(windowed_deviation(u @ getattr(plain, name), getattr(modes, name) @ u, space, window)
               for name in ("ann1", "cre1", "ann2", "cre2"))
     keep = window_mask(space, window)
-    return gap / max_abs(u[np.ix_(keep, keep)])
+    return gap / max_abs(dense(u, keep, keep))
 
 
 @dataclass(frozen=True)
@@ -231,7 +230,7 @@ def identity_report(con: Construction, modes: MixedModes, params: PhysicalParams
     """
     space = modes.space
     hbar, omega, lam = params.hbar, params.omega, params.lam
-    eye = sp.eye_array(space.dim, dtype=complex, format="csr")
+    eye = identity(space.dim)
     ham = build_hamiltonian(modes.ladder, params)
     h0, h1 = ham.h0, ham.h1
 
@@ -316,7 +315,7 @@ def heisenberg_factor(con: Construction, mode: int, kind: str, branch, t: float,
 
 
 def xy_operators(con: Construction, branch, t: float, modes: MixedModes,
-                 params: PhysicalParams) -> tuple[sp.csr_array, sp.csr_array]:
+                 params: PhysicalParams) -> tuple[Operator, Operator]:
     """x(t), y(t) assembled from mixed matrices with closed-form scalar factors.
 
     modes must be built at the decoupling angle of branch.  x carries the

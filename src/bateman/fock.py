@@ -5,41 +5,49 @@ n1*(n_max+1) + n2.  Truncation spoils canonical commutators only on the
 boundary layer; the interior mask selects the states where the
 infinite-space identities hold exactly.
 
-Operators are `scipy.sparse` CSR arrays: the ones the constructions use
-conserve n1-n2, n1+n2 or a parity, so all but a few entries per row are
-exact zeros, and products, sums and commutators touch only the nonzeros.
-Each ladder is built directly as its CSR arrays: a shift of the flat index
-by n_max+1 (mode 1) or 1 (mode 2) weighted by sqrt(occupation), one
-`indptr`/`indices`/`data` triple from index arithmetic, with no Kronecker
-product or transpose.
+Operators are `Operator`s: square matrices held as their stored diagonals,
+{offset k: np.diagonal(dense, k)}.  A ladder shifts the flat index by one
+fixed offset, n_max+1 for mode 1 and 1 for mode 2, weighted by sqrt of the
+higher occupation, so it is a single diagonal; the generators, both
+Hamiltonians and the mixed modes are sums of products of ladders and hold a
+few.  Sums, products and matrix-vector products are loops over offsets with
+numpy slices: no index arrays are stored, sorted or merged.  Every entry of a
+product sums its terms in ascending offset of the left factor, and every
+entry of a matrix-vector product in ascending offset, the column order in
+which a CSR product sums them.
 State vectors and Gram matrices stay dense numpy arrays.  The two cubic
-kernels (`matrix_exp`, and the nullspace SVD in `imagscale`) split their
-input into the connected blocks of its own nonzero pattern (`blocks`),
-gather the blocks of each shape into one dense (k, r, c) numpy stack
-(`block_stacks`) and run one batched numpy call per stack: scaling and
-squaring with a Padé approximant for the exponential, `np.linalg.svd` for
-the nullspace.  Batching by shape keeps the many small blocks from paying
-one LAPACK call (and one BLAS thread start-up) each, and scipy is used for
-`scipy.sparse` only.
+kernels (`matrix_exp`, and the nullspace SVD in `imagscale`) take the
+`coordinates` of their input's nonzero entries, split them into the
+connected blocks of that pattern (`blocks`), gather the blocks of each
+shape into one dense (k, r, c) numpy stack (`block_stacks`) and run one
+batched numpy call per stack: scaling and squaring with a Padé approximant
+for the exponential, `np.linalg.svd` for the nullspace.  Batching by shape
+keeps the many small blocks from paying one LAPACK call (and one BLAS thread
+start-up) each.  numpy is the only numerical dependency.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import DimensionMismatch, DomainError, NumericalError
 from .params import PhysicalParams
 
 __all__ = [
     "FockSpace",
+    "Operator",
     "LadderSet",
     "HamiltonianSet",
+    "identity",
+    "coordinates",
+    "from_coordinates",
+    "dense",
     "single_mode_lowering",
     "build_ladder",
     "build_hamiltonian",
@@ -79,61 +87,238 @@ class FockSpace:
                 yield n1, n2
 
 
+def _rows(k: int, n: int) -> tuple[int, int]:
+    """First and one-past-last row of diagonal k of an n x n matrix."""
+    return max(0, -k), n - max(0, k)
+
+
+class Operator:
+    """An n x n matrix held as its stored diagonals.
+
+    diagonals maps each stored offset k, in ascending order, to the n - |k|
+    entries (r, r + k) in ascending row r, as `np.diagonal(dense, k)` lists
+    them; every offset not stored is zero.  The arrays are never written
+    after construction, so operators share them (the transpose does).
+    Supported: `@` with an operator or a vector on either side, `+`, `-`,
+    scalar `*` and `/`, `.T`, `.conj()`, `abs()` and `row_sums()`.
+    """
+
+    __slots__ = ("shape", "diagonals")
+    ndim = 2
+    __array_ufunc__ = None  # numpy hands `vector @ op` and `scalar * op` to this class
+
+    def __init__(self, n: int, diagonals: dict[int, np.ndarray]):
+        self.shape = (n, n)
+        self.diagonals = diagonals
+
+    @property
+    def dtype(self) -> np.dtype:
+        return np.result_type(*self.diagonals.values()) if self.diagonals else np.dtype(complex)
+
+    def _map(self, fn) -> Operator:
+        return Operator(self.shape[0], {k: fn(w) for k, w in self.diagonals.items()})
+
+    def _same_shape(self, other: Operator) -> int:
+        if other.shape != self.shape:
+            raise DimensionMismatch(f"shape mismatch {self.shape} vs {other.shape}")
+        return self.shape[0]
+
+    def __add__(self, other):
+        if not isinstance(other, Operator):
+            return NotImplemented
+        n = self._same_shape(other)
+        out = dict(self.diagonals)
+        for k, w in other.diagonals.items():
+            out[k] = w if k not in out else out[k] + w
+        return Operator(n, dict(sorted(out.items())))
+
+    def __sub__(self, other):
+        if not isinstance(other, Operator):
+            return NotImplemented
+        n = self._same_shape(other)
+        out = dict(self.diagonals)
+        for k, w in other.diagonals.items():
+            out[k] = -w if k not in out else out[k] - w
+        return Operator(n, dict(sorted(out.items())))
+
+    def __neg__(self) -> Operator:
+        return self._map(np.negative)
+
+    def __mul__(self, scalar):
+        if not isinstance(scalar, numbers.Number):
+            return NotImplemented
+        return self._map(lambda w: w * scalar)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, scalar):
+        if not isinstance(scalar, numbers.Number):
+            return NotImplemented
+        return self * (1 / scalar)  # as a CSR array divides: one reciprocal, then multiplies
+
+    def __abs__(self) -> Operator:
+        return self._map(np.abs)
+
+    def conj(self) -> Operator:
+        return self._map(np.conj)
+
+    @property
+    def T(self) -> Operator:
+        # diagonal -k of the transpose lists the entries of diagonal k in the same order
+        return Operator(self.shape[0], {-k: w for k, w in reversed(self.diagonals.items())})
+
+    def row_sums(self) -> np.ndarray:
+        n = self.shape[0]
+        out = np.zeros(n, dtype=self.dtype)
+        for k, w in self.diagonals.items():
+            lo, hi = _rows(k, n)
+            out[lo:hi] += w
+        return out
+
+    def __matmul__(self, other):
+        if isinstance(other, Operator):
+            return self._product(other)
+        return self._apply(np.asarray(other))
+
+    def __rmatmul__(self, other):
+        # v @ A = A^T v: ascending offsets of A^T sum each entry in ascending row of A
+        return self.T._apply(np.asarray(other))
+
+    def _apply(self, x: np.ndarray) -> np.ndarray:
+        n = self.shape[0]
+        if x.shape != (n,):
+            raise DimensionMismatch(f"cannot apply a {self.shape} operator to shape {x.shape}")
+        out = np.zeros(n, dtype=np.result_type(x, *self.diagonals.values()))
+        for k, w in self.diagonals.items():
+            lo, hi = _rows(k, n)
+            out[lo:hi] += w * x[lo + k:hi + k]
+        return out
+
+    def _product(self, other: Operator) -> Operator:
+        """self @ other, one slice product per pair of offsets (i, k), on the rows they share.
+
+        Diagonal i + k of the product gathers the terms of every such pair;
+        the left offsets run in ascending order, so each entry sums them in
+        ascending i.
+        """
+        n = self._same_shape(other)
+        if not (self.diagonals and other.diagonals):
+            return Operator(n, {})
+        dtype = np.result_type(*self.diagonals.values(), *other.diagonals.values())
+        sums: dict[int, np.ndarray] = {}
+        for i, w in self.diagonals.items():
+            first_i = max(0, -i)
+            for k, v in other.diagonals.items():
+                m = i + k
+                lo, hi = max(first_i, -m), min(n - max(0, i), n - m)
+                if lo >= hi:
+                    continue
+                if m not in sums:
+                    sums[m] = np.zeros(n - abs(m), dtype=dtype)
+                first_k, first_m = max(0, -k), max(0, -m)
+                sums[m][lo - first_m:hi - first_m] += (
+                    w[lo - first_i:hi - first_i] * v[lo + i - first_k:hi + i - first_k])
+        return Operator(n, dict(sorted(sums.items())))
+
+
+def identity(n: int) -> Operator:
+    return Operator(n, {0: np.ones(n, dtype=complex)})
+
+
+def coordinates(a: Operator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, cols, values) of the nonzero entries of a, diagonal by diagonal."""
+    n = a.shape[0]
+    rows, cols, values = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)], [
+        np.zeros(0, dtype=a.dtype)]
+    for k, w in a.diagonals.items():
+        hit = np.flatnonzero(w)
+        rows.append(hit + _rows(k, n)[0])
+        cols.append(rows[-1] + k)
+        values.append(w[hit])
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(values)
+
+
+def from_coordinates(rows, cols, values, n: int) -> Operator:
+    """The n x n operator with values[j] at (rows[j], cols[j]); coordinates must not repeat."""
+    rows, cols, values = np.asarray(rows), np.asarray(cols), np.asarray(values)
+    shift = cols - rows + n - 1  # offset k at shift k + n - 1, so no sort is needed
+    stored = np.zeros(2 * n - 1, dtype=bool)
+    stored[shift] = True
+    offsets = np.flatnonzero(stored) - (n - 1)
+    full = np.zeros((len(offsets), n), dtype=values.dtype)  # row r of diagonal k at [., r]
+    full[(np.cumsum(stored) - 1)[shift], rows] = values
+    return Operator(n, {k: full[j, slice(*_rows(k, n))]
+                        for j, k in enumerate(offsets.tolist())})
+
+
+def dense(a: Operator, rows=None, cols=None) -> np.ndarray:
+    """a[np.ix_(rows, cols)] as a dense array.
+
+    rows and cols are index arrays without repeats or boolean masks; None takes them all.
+    """
+    n = a.shape[0]
+    everything = np.arange(n)
+    rows = everything if rows is None else everything[rows]
+    cols = everything if cols is None else everything[cols]
+    where = np.full(n, -1)
+    where[cols] = np.arange(len(cols))
+    out = np.zeros((len(rows), len(cols)), dtype=a.dtype)
+    for k, w in a.diagonals.items():
+        lo, hi = _rows(k, n)
+        i = np.flatnonzero((rows >= lo) & (rows < hi))
+        i = i[where[rows[i] + k] >= 0]
+        out[i, where[rows[i] + k]] = w[rows[i] - lo]
+    return out
+
+
 @dataclass(frozen=True)
 class LadderSet:
-    """Sparse (CSR) annihilation/creation matrices for both modes."""
+    """Annihilation/creation operators for both modes, one diagonal each."""
 
     space: FockSpace
-    a1: sp.csr_array
-    a1_dag: sp.csr_array
-    a2: sp.csr_array
-    a2_dag: sp.csr_array
+    a1: Operator
+    a1_dag: Operator
+    a2: Operator
+    a2_dag: Operator
 
 
 @dataclass(frozen=True)
 class HamiltonianSet:
     """h0 (oscillator part), h1 (damping coupling) and their sum."""
 
-    h0: sp.csr_array
-    h1: sp.csr_array
-    h: sp.csr_array
+    h0: Operator
+    h1: Operator
+    h: Operator
     params: PhysicalParams
 
 
-def single_mode_lowering(size: int) -> sp.csr_array:
+def single_mode_lowering(size: int) -> Operator:
     """Lowering operator of one mode truncated to occupations 0 .. size-1."""
-    return sp.diags_array(np.sqrt(np.arange(1.0, size)), offsets=1, shape=(size, size),
-                          dtype=complex, format="csr")
-
-
-def _shift(keep: np.ndarray, offset: int, weight: np.ndarray) -> sp.csr_array:
-    """CSR matrix with the one entry weight[r] at (r, r + offset) on every row r where keep[r]."""
-    rows = np.flatnonzero(keep)
-    indptr = np.zeros(len(keep) + 1, dtype=np.int32)
-    np.cumsum(keep, out=indptr[1:])
-    return sp.csr_array((weight[rows], (rows + offset).astype(np.int32), indptr),
-                        shape=(len(keep), len(keep)))
+    return Operator(size, {1: np.sqrt(np.arange(1.0, size)).astype(complex)})
 
 
 def build_ladder(n_max: int) -> LadderSet:
-    """Both modes' ladders as CSR shifts of the flat index; requires n_max >= 2.
+    """Both modes' ladders as shifts of the flat index; requires n_max >= 2.
 
     a1 moves |n1, n2> by the stride n_max+1 and a2 by 1, each weighted by
-    sqrt of the higher occupation of the pair.  The creators carry the
-    conjugated weights (imaginary part -0.0), so every array is bit for bit
-    the Kronecker product of `single_mode_lowering` with the identity and
-    its conjugate transpose.
+    sqrt of the higher occupation of the pair (0 where a2 would carry n2 past
+    n_max into the next n1).  The creators carry the conjugated weights
+    (imaginary part -0.0), so every operator is bit for bit the Kronecker
+    product of `single_mode_lowering` with the identity and its conjugate
+    transpose.
     """
     if n_max < 2:
         raise DomainError(f"n_max must be >= 2, got {n_max}")
     size = n_max + 1
-    n1, n2 = np.divmod(np.arange(size * size), size)
+    dim = size * size
+    n1, n2 = np.divmod(np.arange(dim), size)
+    up2 = np.where(n2 < n_max, np.sqrt(n2 + 1.0), 0.0)
     return LadderSet(
         space=FockSpace(n_max),
-        a1=_shift(n1 < n_max, size, np.sqrt(n1 + 1.0).astype(complex)),
-        a1_dag=_shift(n1 > 0, -size, np.sqrt(n1).astype(complex).conj()),
-        a2=_shift(n2 < n_max, 1, np.sqrt(n2 + 1.0).astype(complex)),
-        a2_dag=_shift(n2 > 0, -1, np.sqrt(n2).astype(complex).conj()),
+        a1=Operator(dim, {size: np.sqrt(n1[:-size] + 1.0).astype(complex)}),
+        a1_dag=Operator(dim, {-size: np.sqrt(n1[size:]).astype(complex).conj()}),
+        a2=Operator(dim, {1: up2[:-1].astype(complex)}),
+        a2_dag=Operator(dim, {-1: up2[:-1].astype(complex).conj()}),
     )
 
 
@@ -146,15 +331,29 @@ def build_hamiltonian(ladder: LadderSet, params: PhysicalParams) -> HamiltonianS
     return HamiltonianSet(h0=h0, h1=h1, h=h0 + h1, params=params)
 
 
-def commutator(a: sp.csr_array, b: sp.csr_array) -> sp.csr_array:
+def commutator(a, b):
     if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"incompatible shapes {a.shape} and {b.shape}")
     return a @ b - b @ a
 
 
 def max_abs(x) -> float:
-    """Largest entry modulus of a numpy or scipy.sparse array (implicit zeros count as 0)."""
-    return float(abs(x).max())
+    """Largest entry modulus of a numpy array or an Operator (entries not stored count as 0)."""
+    if isinstance(x, Operator):
+        return float(np.max([np.abs(w).max() for w in x.diagonals.values()], initial=0.0))
+    return float(np.abs(x).max())
+
+
+def _masked_max_abs(a: Operator, keep: np.ndarray) -> float:
+    """Largest entry modulus of a over the rows and columns that the boolean mask keeps."""
+    n = a.shape[0]
+    peaks = []
+    for k, w in a.diagonals.items():
+        lo, hi = _rows(k, n)
+        inside = keep[lo:hi] & keep[lo + k:hi + k]
+        if inside.any():
+            peaks.append(np.abs(w[inside]).max())
+    return float(np.max(peaks, initial=0.0))
 
 
 def interior_mask(space: FockSpace, margin: int) -> np.ndarray:
@@ -165,12 +364,11 @@ def interior_mask(space: FockSpace, margin: int) -> np.ndarray:
     return np.logical_and.outer(low, low).ravel()
 
 
-def interior_deviation(a: sp.csr_array, b: sp.csr_array, space: FockSpace, margin: int) -> float:
+def interior_deviation(a: Operator, b: Operator, space: FockSpace, margin: int) -> float:
     """max |a - b| entrywise over the interior block on both sides."""
     if a.shape != b.shape:
         raise DimensionMismatch(f"shape mismatch {a.shape} vs {b.shape}")
-    keep = interior_mask(space, margin)
-    return max_abs((a - b)[np.ix_(keep, keep)])
+    return _masked_max_abs(a - b, interior_mask(space, margin))
 
 
 def window_mask(space: FockSpace, cap: int) -> np.ndarray:
@@ -187,26 +385,25 @@ def window_mask(space: FockSpace, cap: int) -> np.ndarray:
     return (np.add.outer(occupation, occupation) <= cap).ravel()
 
 
-def windowed_deviation(a: sp.csr_array, b: sp.csr_array, space: FockSpace, cap: int) -> float:
+def windowed_deviation(a: Operator, b: Operator, space: FockSpace, cap: int) -> float:
     """max |(a - b)| entrywise over the n1+n2 <= cap block on both sides."""
     if a.shape != b.shape:
         raise DimensionMismatch(f"shape mismatch {a.shape} vs {b.shape}")
-    keep = window_mask(space, cap)
-    return max_abs((a - b)[np.ix_(keep, keep)])
+    return _masked_max_abs(a - b, window_mask(space, cap))
 
 
 def blocks(rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]
            ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Connected (rows, cols) blocks of the matrix of the given shape and nonzero coordinates.
 
-    rows[k], cols[k] is the k-th nonzero entry (as from `a.nonzero()`; repeats
-    are harmless).  Rows and columns are the two sides of a bipartite graph
-    with an edge at every nonzero entry; each block is one connected
-    component, so the matrix vanishes outside the union of rows x cols over
-    the blocks.  A row or column with no nonzero entry is a block of its own
-    whose other side is empty.  Index arrays are ascending; blocks come in
-    the order of their smallest row, those without rows last, in the order
-    of their column.
+    rows[k], cols[k] is the k-th nonzero entry (as from `coordinates`; order
+    does not matter and repeats are harmless).  Rows and columns are the two
+    sides of a bipartite graph with an edge at every nonzero entry; each
+    block is one connected component, so the matrix vanishes outside the
+    union of rows x cols over the blocks.  A row or column with no nonzero
+    entry is a block of its own whose other side is empty.  Index arrays are
+    ascending; blocks come in the order of their smallest row, those without
+    rows last, in the order of their column.
     """
     if len(shape) != 2:
         raise DimensionMismatch(f"blocks needs a matrix, got shape {shape}")
@@ -230,20 +427,23 @@ def blocks(rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]
     return [(nodes[nodes < n_rows], nodes[nodes >= n_rows] - n_rows) for nodes in members]
 
 
-def block_stacks(a: sp.csr_array, parts: list[tuple[np.ndarray, np.ndarray]]
+def block_stacks(coords: tuple[np.ndarray, np.ndarray, np.ndarray], shape: tuple[int, int],
+                 parts: list[tuple[np.ndarray, np.ndarray]]
                  ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The (rows, cols) blocks in parts, grouped by shape and gathered as dense stacks.
 
-    One (rows, cols, dense) triple per distinct block shape (r, c), in
-    ascending order of r, then c: rows is (k, r), cols is (k, c) and dense is
-    (k, r, c) with dense[j] = a[np.ix_(rows[j], cols[j])], for the k blocks of
-    that shape in the order of parts.  parts must be disjoint and hold every
-    nonzero of a, as the blocks that `blocks` returns do.  Every stack is a
-    view of one buffer that a single scatter of a's nonzeros fills.
+    coords is (rows, cols, values) of the nonzero entries of a matrix of the
+    given shape, as `coordinates` returns them.  One (rows, cols, dense)
+    triple per distinct block shape (r, c), in ascending order of r, then c:
+    rows is (k, r), cols is (k, c) and dense is (k, r, c), the matrix on
+    np.ix_(rows[j], cols[j]) at dense[j], for the k blocks of that shape in
+    the order of parts.  parts must be disjoint and hold every nonzero
+    entry, as the blocks that `blocks` returns do.  Every stack is a view of
+    one buffer that a single scatter of the values fills.
     """
     n_rows = np.array([len(rows) for rows, _ in parts], dtype=np.intp)
     n_cols = np.array([len(cols) for _, cols in parts], dtype=np.intp)
-    _, kind, count = np.unique(n_rows * (a.shape[1] + 1) + n_cols,
+    _, kind, count = np.unique(n_rows * (shape[1] + 1) + n_cols,
                                return_inverse=True, return_counts=True)
     order = np.argsort(kind, kind="stable")
     n_rows, n_cols = n_rows[order], n_cols[order]
@@ -252,17 +452,16 @@ def block_stacks(a: sp.csr_array, parts: list[tuple[np.ndarray, np.ndarray]]
     # buffer offset of each block, and of its first index in row_idx and col_idx
     size = n_rows * n_cols
     start, row_start, col_start = (np.cumsum(n) - n for n in (size, n_rows, n_cols))
-    # entry (i, j) of a lands at row_base[i] + col_local[j]
+    # entry (i, j) of the matrix lands at row_base[i] + col_local[j]
     owner = np.repeat(np.arange(len(order)), n_rows)
-    row_base = np.zeros(a.shape[0], dtype=np.intp)
+    row_base = np.zeros(shape[0], dtype=np.intp)
     row_base[row_idx] = (start[owner]
                          + (np.arange(len(row_idx)) - row_start[owner]) * n_cols[owner])
-    col_local = np.zeros(a.shape[1], dtype=np.intp)
+    col_local = np.zeros(shape[1], dtype=np.intp)
     col_local[col_idx] = np.arange(len(col_idx)) - np.repeat(col_start, n_cols)
-    coo = a.tocoo()
-    nonzero = coo.data != 0
-    buffer = np.zeros(size.sum(), dtype=a.dtype)
-    buffer[row_base[coo.row[nonzero]] + col_local[coo.col[nonzero]]] = coo.data[nonzero]
+    rows, cols, values = coords
+    buffer = np.zeros(size.sum(), dtype=values.dtype)
+    buffer[row_base[rows] + col_local[cols]] = values
     stacks = []
     for j, k in zip(np.cumsum(count) - count, count):
         r, c = n_rows[j], n_cols[j]
@@ -272,15 +471,16 @@ def block_stacks(a: sp.csr_array, parts: list[tuple[np.ndarray, np.ndarray]]
     return stacks
 
 
-def _closed_blocks(a: sp.csr_array) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Blocks (idx, idx) closed under the square matrix a: the blocks of its pattern plus I.
+def _closed_blocks(rows: np.ndarray, cols: np.ndarray, n: int
+                   ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Blocks (idx, idx) closed under the n x n matrix with these nonzero coordinates, plus I.
 
     The diagonal edges put row i and column i in the same block, so every
-    block has equal row and column sets and is closed under both a and a^T.
+    block has equal row and column sets and is closed under both the matrix
+    and its transpose.
     """
-    rows, cols = a.nonzero()
-    diagonal = np.arange(a.shape[0])
-    return blocks(np.concatenate([rows, diagonal]), np.concatenate([cols, diagonal]), a.shape)
+    diagonal = np.arange(n)
+    return blocks(np.concatenate([rows, diagonal]), np.concatenate([cols, diagonal]), (n, n))
 
 
 #: Padé degree m -> largest 1-norm at which the [m/m] approximant of e^A is exact to double
@@ -373,43 +573,42 @@ def _stack_exp(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def matrix_exp(a: sp.csr_array) -> sp.csr_array:
+def matrix_exp(a: Operator) -> Operator:
     """e^a block by block, with finiteness guards on input and output.
 
     e^a is the direct sum of the exponentials of a's closed blocks and
     exactly 0 between them.  The blocks are gathered as one dense stack per
     block size (`block_stacks`), each stack is exponentiated at once
-    (`_stack_exp`), and every block is scattered into the complex CSR
-    result.  A real a (every imaginary part 0) has a real e^a, so its blocks
-    run in real arithmetic.
+    (`_stack_exp`), and every block is scattered into the complex result.
+    A real a (every imaginary part 0) has a real e^a, so its blocks run in
+    real arithmetic.
     """
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"matrix_exp needs a square matrix, got {a.shape}")
-    a = sp.csr_array(a, dtype=complex)
-    if not np.all(np.isfinite(a.data)):
+    n = a.shape[0]
+    rows, cols, values = coordinates(a)
+    values = values.astype(complex)
+    if not np.all(np.isfinite(values)):
         raise NumericalError("matrix_exp input contains non-finite entries")
-    if not a.data.imag.any():
-        a = a.real
-    rows, cols, vals = [], [], []
+    if not values.imag.any():
+        values = values.real
+    out_rows, out_cols, out_values = [], [], []
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is caught below
-        for idx, _, stack in block_stacks(a, _closed_blocks(a)):
-            n = idx.shape[1]
-            rows.append(np.repeat(idx, n, axis=1).ravel())
-            cols.append(np.repeat(idx[:, None, :], n, axis=1).ravel())
-            vals.append(_stack_exp(stack).ravel())
-    vals = np.concatenate(vals)
-    if not np.all(np.isfinite(vals)):
+        for idx, _, stack in block_stacks((rows, cols, values), a.shape,
+                                          _closed_blocks(rows, cols, n)):
+            size = idx.shape[1]
+            out_rows.append(np.repeat(idx, size, axis=1).ravel())
+            out_cols.append(np.repeat(idx[:, None, :], size, axis=1).ravel())
+            out_values.append(_stack_exp(stack).ravel())
+    out_values = np.concatenate(out_values).astype(complex)
+    if not np.all(np.isfinite(out_values)):
         raise NumericalError("matrix_exp overflowed; argument norm too large")
-    return sp.csr_array((vals, (np.concatenate(rows), np.concatenate(cols))), shape=a.shape,
-                        dtype=complex)
+    return from_coordinates(np.concatenate(out_rows), np.concatenate(out_cols), out_values, n)
 
 
 def position_operators(ladder: LadderSet, params: PhysicalParams
-                       ) -> tuple[sp.csr_array, sp.csr_array]:
+                       ) -> tuple[Operator, Operator]:
     """(x, y) as matrices, from the rotated pair x = (x1+x2)/sqrt2, y = (x1-x2)/sqrt2."""
     scale = math.sqrt(params.hbar / (2.0 * params.m * params.omega))
     x1 = scale * (ladder.a1 + ladder.a1_dag)
     x2 = scale * (ladder.a2 + ladder.a2_dag)
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     return inv_sqrt2 * (x1 + x2), inv_sqrt2 * (x1 - x2)
-

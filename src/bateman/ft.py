@@ -20,12 +20,11 @@ import math
 from fractions import Fraction
 
 import numpy as np
-import scipy.sparse as sp
 
 from .algebra import B1_ANN, B1_CRE, B2_ANN, B2_CRE, ExactScalar, LadderPoly
 from .construction import Construction, MixedModes
 from .errors import DomainError, FitError, NumericalError, SeriesDivergence
-from .fock import FockSpace, LadderSet, matrix_exp
+from .fock import FockSpace, LadderSet, Operator, dense, matrix_exp
 from .params import PhysicalParams
 
 __all__ = [
@@ -60,7 +59,7 @@ def _rotation(theta: complex):
     return ((c, -s), (s, c)), ((c, s), (-s, c))
 
 
-def _rotation_h1(bar: MixedModes, q_form: sp.csr_array, params: PhysicalParams) -> sp.csr_array:
+def _rotation_h1(bar: MixedModes, q_form: Operator, params: PhysicalParams) -> Operator:
     """H1 = i hbar lambda [cos 2theta (b1 b2 - b1+ b2+) + sin 2theta (N1 + N2 + 1)]."""
     c2, s2 = cmath.cos(2 * bar.angle), cmath.sin(2 * bar.angle)
     return (1j * params.hbar * params.lam) * (
@@ -94,7 +93,7 @@ FT = Construction(
 # the generator
 
 
-def generator_matrix(ladder: LadderSet) -> sp.csr_array:
+def generator_matrix(ladder: LadderSet) -> Operator:
     """X = a1 a2 + a1+ a2+ on the truncated space."""
     return ladder.a1 @ ladder.a2 + ladder.a1_dag @ ladder.a2_dag
 
@@ -140,8 +139,8 @@ def ft_basis_similarity(bar: MixedModes, states) -> list[tuple[np.ndarray, np.nd
     """
     x = generator_matrix(bar.ladder)
     idx = [bar.space.index(n1, n2) for n1, n2 in states]
-    kets = matrix_exp(bar.angle * x)[:, idx].toarray().T
-    bras = matrix_exp(-bar.angle * x)[idx].toarray()
+    kets = dense(matrix_exp(bar.angle * x), cols=idx).T
+    bras = dense(matrix_exp(-bar.angle * x), rows=idx)
     return list(zip(kets, bras))
 
 

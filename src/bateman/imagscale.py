@@ -37,7 +37,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import scipy.sparse as sp
 
 from .algebra import B1_ANN, B1_CRE, B2_ANN, B2_CRE, CQ, ExactScalar, LadderPoly
 from .construction import Construction, MixedModes, normalize_branch, valid_angle
@@ -45,8 +44,11 @@ from .errors import DomainError, NullspaceError
 from .fock import (
     FockSpace,
     LadderSet,
+    Operator,
     block_stacks,
     blocks,
+    coordinates,
+    dense,
     matrix_exp,
     max_abs,
     single_mode_lowering,
@@ -84,7 +86,7 @@ def _scale(chi: complex):
     return ((ch, 1j * sh), (-sh, -1j * ch)), ((ch, -1j * sh), (sh, -1j * ch))
 
 
-def _scale_h1(check: MixedModes, q_form: sp.csr_array, params: PhysicalParams) -> sp.csr_array:
+def _scale_h1(check: MixedModes, q_form: Operator, params: PhysicalParams) -> Operator:
     """H1 = hbar lambda [cosh 2chi (c1+ c2 - c2+ c1) + sinh 2chi (N1 - N2)]."""
     c2, s2 = cmath.cosh(2 * check.angle), cmath.sinh(2 * check.angle)
     return params.hbar * params.lam * (
@@ -118,17 +120,17 @@ IS = Construction(
 # generators and the phi-stage map
 
 
-def generator_y_matrix(ladder: LadderSet) -> sp.csr_array:
+def generator_y_matrix(ladder: LadderSet) -> Operator:
     """Y = -(i/2)(a2^2 - a2+^2); Hermitian, so e^{phi Y} is unitary only for imaginary phi."""
     return -0.5j * (ladder.a2 @ ladder.a2 - ladder.a2_dag @ ladder.a2_dag)
 
 
-def generator_z_matrix(ladder: LadderSet) -> sp.csr_array:
+def generator_z_matrix(ladder: LadderSet) -> Operator:
     """Z as a matrix at phi = pi/2; equals -i X = -i(a1 a2 + a1+ a2+)."""
     return -1j * generator_matrix(ladder)
 
 
-def tilde_pair(phi: complex, ladder: LadderSet) -> tuple[sp.csr_array, sp.csr_array]:
+def tilde_pair(phi: complex, ladder: LadderSet) -> tuple[Operator, Operator]:
     """Closed-form mode-2 images (a2-tilde, its partner) under the Y rotation."""
     c, s = cmath.cos(phi), cmath.sin(phi)
     tilde_ann = c * ladder.a2 - 1j * s * ladder.a2_dag
@@ -149,14 +151,14 @@ def tilde_similarity_deviation(phi: complex, n_max: int = 64, window: int = 6) -
     if n_max < window + 2:
         raise DomainError(f"n_max={n_max} leaves no room beyond window={window}")
     ann = single_mode_lowering(n_max + 1)
-    cre = ann.T.tocsr()
+    cre = ann.T
     y = -0.5j * (ann @ ann - cre @ cre)
     u = matrix_exp(phi * y)
     c, s = cmath.cos(phi), cmath.sin(phi)
-    k = window + 1
-    gap = max(max_abs((u @ ann - (c * ann - 1j * s * cre) @ u)[:k, :k]),
-              max_abs((u @ cre - (c * cre - 1j * s * ann) @ u)[:k, :k]))
-    return gap / max_abs(u[:k, :k])
+    low = np.arange(window + 1)
+    gap = max(max_abs(dense(u @ ann - (c * ann - 1j * s * cre) @ u, low, low)),
+              max_abs(dense(u @ cre - (c * cre - 1j * s * ann) @ u, low, low)))
+    return gap / max_abs(dense(u, low, low))
 
 
 # ---------------------------------------------------------------------------
@@ -179,13 +181,13 @@ class IsCheckRep:
 
     angle: complex
     ladder: LadderSet
-    ann1: sp.csr_array
-    cre1: sp.csr_array
-    ann2: sp.csr_array
-    cre2: sp.csr_array
-    h0: sp.csr_array
-    h1: sp.csr_array
-    h: sp.csr_array
+    ann1: Operator
+    cre1: Operator
+    ann2: Operator
+    cre2: Operator
+    h0: Operator
+    h1: Operator
+    h: Operator
     params: PhysicalParams
 
     @property
@@ -225,18 +227,29 @@ def is_check_rep(chi: complex, ladder: LadderSet, params: PhysicalParams) -> IsC
 # nullspace vacuum
 
 
-def _joint_null_vector(stacked: sp.csr_array, label: str, frame) -> np.ndarray:
+def _stacked(top: Operator, bottom: Operator) -> tuple[tuple, tuple[int, int]]:
+    """Coordinates and shape of the (2n, n) matrix that puts top over bottom."""
+    n = top.shape[0]
+    (r1, c1, v1), (r2, c2, v2) = coordinates(top), coordinates(bottom)
+    return ((np.concatenate([r1, r2 + n]), np.concatenate([c1, c2]), np.concatenate([v1, v2])),
+            (2 * n, n))
+
+
+def _joint_null_vector(coords: tuple, shape: tuple[int, int], label: str,
+                       frame) -> np.ndarray:
     """Unique right-nullspace vector of a stacked operator pair, one SVD per block shape.
 
-    The stacked matrix is the direct sum of the blocks of its nonzero
-    pattern, so its singular values are those of the blocks; a column block
-    with no rows is null throughout.  The blocks are gathered as one dense
-    stack per shape (`block_stacks`) and each stack goes through one batched
-    SVD.  The cutoff is global: NULLSPACE_RTOL times the largest singular
-    value over all blocks.
+    coords is (rows, cols, values) of the nonzero entries of the stacked
+    matrix of the given shape, as `_stacked` returns them.  That matrix is
+    the direct sum of the blocks of its nonzero pattern, so its singular
+    values are those of the blocks; a column block with no rows is null
+    throughout.  The blocks are gathered as one dense stack per shape
+    (`block_stacks`) and each stack goes through one batched SVD.  The
+    cutoff is global: NULLSPACE_RTOL times the largest singular value over
+    all blocks.
     """
     parts = []
-    for _, cols, stack in block_stacks(stacked, blocks(*stacked.nonzero(), stacked.shape)):
+    for _, cols, stack in block_stacks(coords, shape, blocks(*coords[:2], shape)):
         k, r, c = stack.shape
         if r == 0:
             sigma, vh = np.zeros((k, 0)), np.broadcast_to(np.eye(c, dtype=complex), (k, c, c))
@@ -248,7 +261,7 @@ def _joint_null_vector(stacked: sp.csr_array, label: str, frame) -> np.ndarray:
     cutoff = NULLSPACE_RTOL * max((sigma.max() for _, sigma, _ in parts if sigma.size),
                                   default=0.0)
     null_count = 0
-    vector = np.zeros(stacked.shape[1], dtype=complex)
+    vector = np.zeros(shape[1], dtype=complex)
     for cols, sigma, vh in parts:
         nulls = np.sum(sigma < cutoff, axis=1) + (cols.shape[1] - sigma.shape[1])
         for j in np.flatnonzero(nulls):
@@ -274,10 +287,9 @@ def is_vacuum(frame: MixedModes | IsCheckRep) -> tuple[np.ndarray, np.ndarray]:
     vacuum lives, not a usable anchor for basis construction.  In the bounded
     frame (`IsCheckRep`) it lands on the bottom corner state.
     """
-    ket = _joint_null_vector(sp.vstack([frame.ann1, frame.ann2], format="csr"),
-                             "check annihilator", frame)
-    bra = _joint_null_vector(sp.vstack([frame.cre1.T, frame.cre2.T], format="csr"),
-                             "check creator (left)", frame)
+    ket = _joint_null_vector(*_stacked(frame.ann1, frame.ann2), "check annihilator", frame)
+    bra = _joint_null_vector(*_stacked(frame.cre1.T, frame.cre2.T), "check creator (left)",
+                             frame)
     lead = np.argmax(np.abs(ket))
     ket = ket * (abs(ket[lead]) / ket[lead])
     pairing = bra @ ket

@@ -17,7 +17,6 @@ from fractions import Fraction
 from functools import lru_cache, wraps
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import algebra, dynamics, ft, imagscale
 from .construction import (
@@ -46,9 +45,12 @@ from .algebra import (
 )
 from .errors import BatemanError, DomainError, SeriesDivergence
 from .fock import (
+    Operator,
     build_hamiltonian,
     build_ladder,
     commutator,
+    from_coordinates,
+    identity,
     interior_deviation,
     interior_mask,
     matrix_exp,
@@ -60,9 +62,9 @@ from .params import PhysicalParams, derive_params
 __all__ = ["CheckResult", "VerifyConfig", "SUITE_NAMES", "run_suite", "all_passed"]
 
 SUITE_NAMES = ("algebra", "ft", "is", "dynamics")
-#: largest accepted --n-max.  Operators are sparse with a few entries per row; the
-#: largest allocation is an exponential, whose dense sector blocks (each of at most
-#: n_max+1 states) hold at most (n_max+1)^3 complex entries, 16 bytes each
+#: largest accepted --n-max.  Operators are stored as their diagonals, offsets x dim
+#: complex entries of 16 bytes; most hold a few offsets, the largest is an exponential
+#: of X or Z, whose sector blocks fill 2 n_max + 1 offsets of the (n_max+1)^2 states
 MAX_VERIFY_N_MAX = 48
 
 
@@ -90,8 +92,10 @@ class VerifyConfig:
         if self.n_max is not None and self.n_max < 4:
             raise DomainError(f"verify needs n_max >= 4, got {self.n_max}")
         if self.n_max is not None and self.n_max > MAX_VERIFY_N_MAX:
+            offsets, dim = 2 * self.n_max + 1, (self.n_max + 1) ** 2
             raise DomainError(f"verify needs n_max <= {MAX_VERIFY_N_MAX}, got {self.n_max}: one "
-                              f"exponential could take {16 * (self.n_max + 1) ** 3:,} bytes")
+                              f"exponential could take {offsets} offsets x {dim:,} states x 16 "
+                              f"= {16 * offsets * dim:,} bytes")
         if not (math.isfinite(self.tol_scale) and self.tol_scale > 0):
             raise DomainError(f"tol_scale must be positive and finite, got {self.tol_scale}")
         if not math.isfinite(self.theta):
@@ -268,12 +272,12 @@ def check_commutators_interior(cfg: VerifyConfig) -> tuple:
     n_max = cfg.resolve(12)
     lad = _ladder(n_max)
     space = lad.space
-    eye = sp.eye_array(space.dim, dtype=complex, format="csr")
-    zero = sp.csr_array((space.dim, space.dim), dtype=complex)
+    eye = identity(space.dim)
+    zero = Operator(space.dim, {})
     a1 = lad.a1
     detail = {}
     if cfg.corrupt_check == "algebra.commutators.interior":
-        a1 = a1 + sp.csr_array(([1e-3], ([0], [1])), shape=a1.shape)
+        a1 = a1 + from_coordinates([0], [1], [1e-3], space.dim)
         detail["corrupted"] = True
     dev = 0.0
     pairs = {
@@ -351,12 +355,12 @@ def check_h_structure(cfg: VerifyConfig) -> tuple:
     # basis change e^{theta X} is non-unitary (X itself is Hermitian)
     x = ft.generator_matrix(lad)
     s = matrix_exp(0.3 * x)
-    nonunitary = max_abs(s.conj().T @ s - sp.eye_array(lad.space.dim, format="csr"))
+    nonunitary = max_abs(s.conj().T @ s - identity(lad.space.dim))
     if nonunitary < 0.1:
         mismatch += 1
     # H0 and H1 commute on the interior
     comm_dev = interior_deviation(
-        commutator(ham.h0, ham.h1), sp.csr_array(ham.h.shape, dtype=complex), lad.space,
+        commutator(ham.h0, ham.h1), Operator(lad.space.dim, {}), lad.space,
         cfg.eff_margin(n_max)
     )
     dev = mismatch + (comm_dev if comm_dev > 1e-10 else 0.0)
@@ -483,8 +487,8 @@ def _commutators(cfg: VerifyConfig, con: Construction, description: str, angle) 
     n_max = cfg.resolve(12)
     lad = _ladder(n_max)
     space = lad.space
-    eye = sp.eye_array(space.dim, dtype=complex, format="csr")
-    zero = sp.csr_array((space.dim, space.dim), dtype=complex)
+    eye = identity(space.dim)
+    zero = Operator(space.dim, {})
     dev = 0.0
     for a in (con.quarter(+1), con.quarter(-1), angle(cfg)):
         tr = transform(con, a, lad)
@@ -661,10 +665,10 @@ def check_exp_inverse(cfg: VerifyConfig) -> tuple:
     x = ft.generator_matrix(lad)
     u = matrix_exp(cfg.theta * x)
     u_inv = matrix_exp(-cfg.theta * x)
-    raw = max_abs(u @ u_inv - sp.eye_array(lad.space.dim, format="csr"))
+    raw = max_abs(u @ u_inv - identity(lad.space.dim))
     # ||e^{theta X}|| grows like e^{theta n_max}; the resolution-independent
     # statement is the residual relative to the factor norms (max row sums)
-    kappa = max_abs(abs(u).sum(axis=1)) * max_abs(abs(u_inv).sum(axis=1))
+    kappa = max_abs(abs(u).row_sums()) * max_abs(abs(u_inv).row_sums())
     return ("exp(theta X) exp(-theta X) = identity",
             raw / kappa, 1e-12, {"raw_deviation": raw, "kappa": kappa})
 
@@ -1021,6 +1025,11 @@ def run_suite(name: str, cfg: VerifyConfig) -> list[CheckResult]:
         checks = SUITES[name]
     else:
         raise DomainError(f"unknown suite {name!r}; choose from {SUITE_NAMES + ('all',)}")
+    ids = [fn.check_id for fn in checks]
+    if cfg.corrupt_check is not None and cfg.corrupt_check not in ids:
+        # a negative control that inflates nothing would report a clean pass
+        raise DomainError(f"corrupt check {cfg.corrupt_check!r} is no check of suite {name!r}; "
+                          f"its checks are {', '.join(ids)}")
     results = []
     for fn in checks:
         try:

@@ -17,8 +17,10 @@ from bateman.algebra import LadderPoly
 from bateman.construction import gram, hamiltonian_formal, identity_report, transform, xy_operators
 from bateman.errors import BatemanError
 from bateman.fock import (
+    Operator,
     build_ladder,
     commutator,
+    identity,
     interior_deviation,
     position_operators,
 )
@@ -99,14 +101,14 @@ def test_commutator_algebra_and_boundary_defect(capsys):
     def body():
         lad = build_ladder(12)
         space = lad.space
-        eye = np.eye(space.dim)
+        eye, zero = identity(space.dim), Operator(space.dim, {})
         worst = 0.0
         pairs = [
             (lad.a1, lad.a1_dag, eye),
             (lad.a2, lad.a2_dag, eye),
-            (lad.a1, lad.a2_dag, 0 * eye),
-            (lad.a1, lad.a2, 0 * eye),
-            (lad.a1_dag, lad.a2_dag, 0 * eye),
+            (lad.a1, lad.a2_dag, zero),
+            (lad.a1, lad.a2, zero),
+            (lad.a1_dag, lad.a2_dag, zero),
         ]
         for a, b, want in pairs:
             dev = interior_deviation(commutator(a, b), want, space, 1)

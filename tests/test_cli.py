@@ -177,7 +177,18 @@ def test_verify_rejects_huge_n_max_before_building(monkeypatch, capsys):
     rc, out, err = run(capsys, "verify", "ft", "--n-max", "1000")
     assert rc == 2
     assert out == ""
-    assert "n_max <= 48" in err and "16,048,048,016 bytes" in err
+    # 2 n_max + 1 = 2001 stored diagonals of the 1001^2 states, 16 bytes an entry
+    assert "n_max <= 48" in err
+    assert "2001 offsets x 1,002,001 states x 16 = 32,080,064,016 bytes" in err
+
+
+@pytest.mark.parametrize("check_id", ["nosuch", "ft.gram"])
+def test_verify_rejects_a_corrupt_check_outside_the_suite(capsys, check_id):
+    # the negative control must run: an id no check of the suite carries exits 2
+    rc, out, err = run(capsys, "verify", "is", "--corrupt-check", check_id)
+    assert rc == 2
+    assert out == ""
+    assert repr(check_id) in err and "is.gram" in err and "is.tilde" in err
 
 
 def test_verify_crash_is_a_failed_check_not_a_traceback(monkeypatch, capsys):
@@ -359,19 +370,29 @@ def test_config_of_defaults_matches_no_config(tmp_path, capsys, command):
 # --- imports ------------------------------------------------------------------
 
 def test_scipy_linalg_never_imported():
-    # the block kernels are numpy only: scipy serves scipy.sparse alone
+    # numpy is the only numerical dependency at run time: no scipy module is
+    # loaded by the import, by `norms` or by `verify all`, and `verify all`
+    # does not load numpy.ma either.  The benchmark tracer wraps the layer
+    # modules that `import bateman.cli` loaded, so each must still be loaded.
     code = (
         "import contextlib, io, json, sys\n"
-        "def linalg():\n"
-        "    return [m for m in sys.modules if m.split('.')[:2] == ['scipy', 'linalg']]\n"
+        f"sys.path.insert(0, {str(ROOT / 'perfbench')!r})\n"
+        "from tracer import LAYERS\n"
+        "def scipy():\n"
+        "    return [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
         "import bateman.cli\n"
-        "imported = linalg()\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    rc = bateman.cli.main(['verify', 'all'])\n"
-        "print(json.dumps([imported, rc, linalg()]))\n"
+        "report = {'import': scipy(),\n"
+        "          'layers': [x for x in LAYERS if 'bateman.' + x not in sys.modules]}\n"
+        "for argv in (['norms'], ['verify', 'all']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        report[argv[0] + ' rc'] = bateman.cli.main(argv)\n"
+        "    report[argv[0]] = scipy()\n"
+        "report['numpy.ma'] = 'numpy.ma' in sys.modules\n"
+        "print(json.dumps(report))\n"
     )
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=120, env=dict(os.environ, PYTHONPATH=path))
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout) == [[], 0, []]
+    assert json.loads(done.stdout) == {"import": [], "layers": [], "norms rc": 0, "norms": [],
+                                       "verify rc": 0, "verify": [], "numpy.ma": False}

@@ -5,11 +5,11 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse as sp
 
 from bateman.errors import DimensionMismatch, DomainError, NumericalError
 from bateman.fock import (
     FockSpace,
+    Operator,
     _closed_blocks,
     _pade_choice,
     block_stacks,
@@ -17,13 +17,23 @@ from bateman.fock import (
     build_hamiltonian,
     build_ladder,
     commutator,
+    coordinates,
+    dense,
+    from_coordinates,
+    identity,
     interior_deviation,
     interior_mask,
     matrix_exp,
+    max_abs,
     position_operators,
     window_mask,
     windowed_deviation,
 )
+
+
+def as_operator(m: np.ndarray) -> Operator:
+    rows, cols = np.nonzero(m)
+    return from_coordinates(rows, cols, m[rows, cols], len(m))
 
 
 def test_space_indexing():
@@ -51,18 +61,18 @@ def test_ladder_action(ladder8):
     out = ladder8.a2_dag @ ket
     assert out[space.index(2, 4)] == pytest.approx(2.0)
     # adjoint structure holds exactly for the truncated matrices
-    assert np.array_equal(ladder8.a1_dag.toarray(), ladder8.a1.toarray().conj().T)
-    assert np.array_equal(ladder8.a2_dag.toarray(), ladder8.a2.toarray().conj().T)
+    assert np.array_equal(dense(ladder8.a1_dag), dense(ladder8.a1).conj().T)
+    assert np.array_equal(dense(ladder8.a2_dag), dense(ladder8.a2).conj().T)
 
 
 def test_commutators_interior(ladder8):
     space = ladder8.space
-    eye = np.eye(space.dim, dtype=complex)
+    eye, zero = identity(space.dim), Operator(space.dim, {})
     pairs = [
         (ladder8.a1, ladder8.a1_dag, eye),
         (ladder8.a2, ladder8.a2_dag, eye),
-        (ladder8.a1, ladder8.a2_dag, 0 * eye),
-        (ladder8.a1, ladder8.a2, 0 * eye),
+        (ladder8.a1, ladder8.a2_dag, zero),
+        (ladder8.a1, ladder8.a2, zero),
     ]
     for a, b, want in pairs:
         assert interior_deviation(commutator(a, b), want, space, 1) <= 1e-13
@@ -98,7 +108,8 @@ def test_interior_deviation_equals_projected_product(ladder8):
     dim = ladder8.space.dim
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     p = np.diag(interior_mask(ladder8.space, 3).astype(complex))
-    assert interior_deviation(a, 0 * a, ladder8.space, 3) == np.max(np.abs(p @ a @ p))
+    got = interior_deviation(as_operator(a), Operator(dim, {}), ladder8.space, 3)
+    assert got == np.max(np.abs(p @ a @ p))
 
 
 def test_window_mask(ladder8):
@@ -116,7 +127,7 @@ def test_blocks_partition_and_reassemble():
     m = np.zeros((7, 6), dtype=complex)
     for i, j in ((0, 0), (2, 0), (2, 3), (4, 1), (5, 5), (6, 5)):
         m[i, j] = rng.standard_normal() + 1j
-    parts = blocks(*sp.csr_array(m).nonzero(), m.shape)
+    parts = blocks(*np.nonzero(m), m.shape)
     rows = np.concatenate([r for r, _ in parts])
     cols = np.concatenate([c for _, c in parts])
     assert sorted(rows) == list(range(7)) and sorted(cols) == list(range(6))
@@ -132,24 +143,26 @@ def test_blocks_partition_and_reassemble():
 
 @pytest.mark.parametrize("n_max", [2, 5, 8])
 def test_blocks_of_csr_match_dense_pattern(n_max, params):
-    # the coordinates of a CSR operator and of its dense pattern give one partition
+    # the coordinates of an operator and of its dense pattern give one partition
     from bateman.ft import generator_matrix
-    from bateman.imagscale import generator_y_matrix, is_check_rep
+    from bateman.imagscale import _stacked, generator_y_matrix, is_check_rep
 
     lad = build_ladder(n_max)
     rep = is_check_rep(1j * math.pi / 4, lad, params)
-    for op in (generator_matrix(lad), generator_y_matrix(lad), rep.h,
-               sp.vstack([rep.ann1, rep.ann2], format="csr")):
-        dense = op.toarray()
-        got = blocks(*op.nonzero(), op.shape)
-        want = blocks(*np.nonzero(dense), dense.shape)
+    cases = [(coordinates(op), op.shape, dense(op))
+             for op in (generator_matrix(lad), generator_y_matrix(lad), rep.h)]
+    cases.append((*_stacked(rep.ann1, rep.ann2), np.vstack([dense(rep.ann1), dense(rep.ann2)])))
+    for coords, shape, full in cases:
+        got = blocks(*coords[:2], shape)
+        want = blocks(*np.nonzero(full), full.shape)
         assert [(list(r), list(c)) for r, c in got] == [(list(r), list(c)) for r, c in want]
-        stacked = [(list(r), list(c), block) for rows, cols, stack in block_stacks(op, got)
+        stacked = [(list(r), list(c), block)
+                   for rows, cols, stack in block_stacks(coords, shape, got)
                    for r, c, block in zip(rows, cols, stack)]
         assert sorted((r, c) for r, c, _ in stacked) == sorted(
             (list(r), list(c)) for r, c in got)
         for r, c, block in stacked:
-            assert np.array_equal(block, dense[np.ix_(r, c)])
+            assert np.array_equal(block, full[np.ix_(r, c)])
 
 
 @pytest.mark.parametrize("n_max", [3, 8])
@@ -162,23 +175,23 @@ def test_blocks_follow_conserved_quantities(n_max):
     # X conserves n1 - n2 and moves n1 + n2 by 2: one block per (n1 - n2, parity)
     # on each side, both sides on the same sector
     x = generator_matrix(lad)
-    for rows, cols in blocks(*x.nonzero(), x.shape):
+    for rows, cols in blocks(*coordinates(x)[:2], x.shape):
         sectors = {space.occupations(i)[0] - space.occupations(i)[1] for i in (*rows, *cols)}
         assert len(sectors) == 1
     # Y acts on mode 2 alone and conserves the parity of n2
     y = generator_y_matrix(lad)
-    for rows, cols in blocks(*y.nonzero(), y.shape):
+    for rows, cols in blocks(*coordinates(y)[:2], y.shape):
         keys = {(space.occupations(i)[0], space.occupations(i)[1] % 2) for i in (*rows, *cols)}
         assert len(keys) == 1
 
 
 def test_matrix_exp_basics():
-    assert np.allclose(matrix_exp(sp.csr_array((4, 4))).toarray(), np.eye(4))
+    assert np.allclose(dense(matrix_exp(Operator(4, {}))), np.eye(4))
     d = np.diag([0.3, -1.2, 2.0 + 0.5j])
-    got = matrix_exp(sp.csr_array(d)).toarray()
+    got = dense(matrix_exp(as_operator(d)))
     assert np.allclose(got, np.diag(np.exp(np.diag(d))), atol=1e-14)
     with pytest.raises(DimensionMismatch):
-        matrix_exp(sp.csr_array((2, 3)))
+        matrix_exp(Operator(2, {})) @ Operator(3, {})
 
 
 def test_matrix_exp_against_taylor():
@@ -189,7 +202,7 @@ def test_matrix_exp_against_taylor():
     for j in range(1, 40):
         term = term @ a / j
         series = series + term
-    assert np.max(np.abs(matrix_exp(sp.csr_array(a)).toarray() - series)) < 1e-12
+    assert np.max(np.abs(dense(matrix_exp(as_operator(a))) - series)) < 1e-12
 
 
 def test_matrix_exp_matches_dense_expm(params):
@@ -200,7 +213,7 @@ def test_matrix_exp_matches_dense_expm(params):
         lad = build_ladder(n_max)
         y = generator_y_matrix(lad)
         # a pattern from y + y.T would be empty
-        assert np.array_equal((y + y.T).toarray(), 0 * y.toarray())
+        assert np.array_equal(dense(y + y.T), 0 * dense(y))
         ops = {
             "X": 0.3 * generator_matrix(lad),
             "Y": 0.7j * y,
@@ -211,10 +224,10 @@ def test_matrix_exp_matches_dense_expm(params):
             ops["Z"] = 0.25j * generator_z_matrix(lad)
             ops["H check"] = -0.4j * is_check_rep(1j * math.pi / 4, lad, params).h
         for name, a in ops.items():
-            want = scipy.linalg.expm(a.toarray())
+            want = scipy.linalg.expm(dense(a))
             got = matrix_exp(a)
-            assert isinstance(got, sp.csr_array) and got.dtype == complex, (n_max, name)
-            got = got.toarray()
+            assert isinstance(got, Operator) and got.dtype == complex, (n_max, name)
+            got = dense(got)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (n_max, name)
 
 
@@ -224,10 +237,10 @@ def test_matrix_exp_squares_large_norm_blocks():
     for n_max in (8, 12):
         a = 3.0 * generator_matrix(build_ladder(n_max))
         # the largest sector block is past theta_13, so it is scaled and squared
-        norm = max(abs(a).sum(axis=0))
+        norm = max(abs(a).T.row_sums())  # the largest column sum
         assert _pade_choice(norm)[1] >= 2
-        want = scipy.linalg.expm(a.toarray())
-        got = matrix_exp(a).toarray()
+        want = scipy.linalg.expm(dense(a))
+        got = dense(matrix_exp(a))
         assert np.max(want) > 1e10
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), n_max
 
@@ -244,10 +257,11 @@ def test_matrix_exp_varies_degree_and_scaling_inside_one_stack():
     choices = [_pade_choice(norm) for norm in norms]
     assert len(set(choices)) == 6 and len({m for m, _ in choices}) == 5
     assert len({s for _, s in choices}) == 3
-    a = sp.csr_array(scipy.linalg.block_diag(*blocks_))
-    (_, _, stack), = block_stacks(a, _closed_blocks(a))
+    a = as_operator(scipy.linalg.block_diag(*blocks_))
+    coords = coordinates(a)
+    (_, _, stack), = block_stacks(coords, a.shape, _closed_blocks(*coords[:2], a.shape[0]))
     assert stack.shape == (7, 5, 5)
-    got = matrix_exp(a).toarray()
+    got = dense(matrix_exp(a))
     for k, block in enumerate(blocks_):
         want = scipy.linalg.expm(block)
         part = got[5 * k:5 * k + 5, 5 * k:5 * k + 5]
@@ -262,13 +276,13 @@ def test_matrix_exp_numerical_errors():
     bad = np.eye(3, dtype=complex)
     bad[1, 2] = np.nan
     with pytest.raises(NumericalError, match="non-finite"):
-        matrix_exp(sp.csr_array(bad))
+        matrix_exp(as_operator(bad))
     # e^800 is past the largest double
     with pytest.raises(NumericalError, match="overflowed"):
-        matrix_exp(sp.csr_array(np.diag([800.0, 1.0])))
+        matrix_exp(as_operator(np.diag([800.0, 1.0])))
     # finite entries whose column sum overflows
     with pytest.raises(NumericalError, match="overflowed"):
-        matrix_exp(sp.csr_array(np.full((2, 2), 1e308)))
+        matrix_exp(as_operator(np.full((2, 2), 1e308)))
 
 
 def test_exp_inverse_property(ladder8):
@@ -276,12 +290,12 @@ def test_exp_inverse_property(ladder8):
 
     x = generator_matrix(ladder8)
     prod = matrix_exp(0.3 * x) @ matrix_exp(-0.3 * x)
-    assert np.max(np.abs(prod - np.eye(ladder8.space.dim))) < 1e-10
+    assert max_abs(prod - identity(ladder8.space.dim)) < 1e-10
 
 
 def test_hamiltonian_hermitian_and_commuting(ladder8, params):
     ham = build_hamiltonian(ladder8, params)
-    assert np.max(np.abs(ham.h - ham.h.conj().T)) == 0.0
+    assert max_abs(ham.h - ham.h.conj().T) == 0.0
     # H0 and H1 commute away from the truncation boundary
     dev = interior_deviation(commutator(ham.h0, ham.h1), 0 * ham.h, ladder8.space, 2)
     assert dev < 1e-13
@@ -289,11 +303,11 @@ def test_hamiltonian_hermitian_and_commuting(ladder8, params):
 
 def test_position_operators_hermitian(ladder8, params):
     x, y = position_operators(ladder8, params)
-    assert np.max(np.abs(x - x.conj().T)) < 1e-14
-    assert np.max(np.abs(y - y.conj().T)) < 1e-14
+    assert max_abs(x - x.conj().T) < 1e-14
+    assert max_abs(y - y.conj().T) < 1e-14
 
 
 def test_windowed_deviation_shape_guard(ladder8):
     with pytest.raises(DimensionMismatch):
-        windowed_deviation(np.zeros((3, 3)), np.zeros((4, 4)), ladder8.space, 2)
+        windowed_deviation(Operator(3, {}), Operator(4, {}), ladder8.space, 2)
 

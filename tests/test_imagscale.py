@@ -9,7 +9,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from bateman.construction import (
     basis,
@@ -25,12 +24,13 @@ from bateman.construction import (
     xy_operators,
 )
 from bateman.errors import DomainError, HeadroomError, NullspaceError
-from bateman.fock import blocks, build_ladder, position_operators
+from bateman.fock import blocks, build_ladder, coordinates, dense, max_abs, position_operators
 from bateman.ft import FT
 from bateman.imagscale import (
     IS,
     NULLSPACE_RTOL,
     _joint_null_vector,
+    _stacked,
     conjugate_xy_terms,
     generator_y_matrix,
     generator_z_matrix,
@@ -48,11 +48,11 @@ CHI_Q = 1j * math.pi / 4
 
 def test_transform_at_zero(ladder8):
     ist = transform(IS, 0j, ladder8)
-    assert np.array_equal(ist.ann1.toarray(), ladder8.a1.toarray())
-    assert np.array_equal(ist.cre1.toarray(), ladder8.a1_dag.toarray())
+    assert np.array_equal(dense(ist.ann1), dense(ladder8.a1))
+    assert np.array_equal(dense(ist.cre1), dense(ladder8.a1_dag))
     # mode 2 is already swapped: ann2 = -i a2+, cre2 = -i a2
-    assert np.array_equal(ist.ann2.toarray(), -1j * ladder8.a2_dag.toarray())
-    assert np.array_equal(ist.cre2.toarray(), -1j * ladder8.a2.toarray())
+    assert np.array_equal(dense(ist.ann2), -1j * dense(ladder8.a2_dag))
+    assert np.array_equal(dense(ist.cre2), -1j * dense(ladder8.a2))
 
 
 def test_transform_quarter_mix(ladder8):
@@ -60,10 +60,10 @@ def test_transform_quarter_mix(ladder8):
     ist = transform(IS, CHI_Q, ladder8)
     a1, a1d = ladder8.a1, ladder8.a1_dag
     a2, a2d = ladder8.a2, ladder8.a2_dag
-    assert np.max(np.abs(ist.ann1 - r * (a1 - a2d))) <= 1e-12
-    assert np.max(np.abs(ist.ann2 - (-1j) * r * (a1 + a2d))) <= 1e-12
-    assert np.max(np.abs(ist.cre1 - r * (a1d + a2))) <= 1e-12
-    assert np.max(np.abs(ist.cre2 - 1j * r * (a1d - a2))) <= 1e-12
+    assert max_abs(ist.ann1 - r * (a1 - a2d)) <= 1e-12
+    assert max_abs(ist.ann2 - (-1j) * r * (a1 + a2d)) <= 1e-12
+    assert max_abs(ist.cre1 - r * (a1d + a2)) <= 1e-12
+    assert max_abs(ist.cre2 - 1j * r * (a1d - a2)) <= 1e-12
 
 
 def test_transform_rejects_real_angle(ladder8):
@@ -75,16 +75,16 @@ def test_transform_rejects_real_angle(ladder8):
 def test_generators(ladder8):
     y = generator_y_matrix(ladder8)
     want_y = -0.5j * (ladder8.a2 @ ladder8.a2 - ladder8.a2_dag @ ladder8.a2_dag)
-    assert np.array_equal(y.toarray(), want_y.toarray())
+    assert np.array_equal(dense(y), dense(want_y))
     z = generator_z_matrix(ladder8)
     want_z = -1j * (ladder8.a1 @ ladder8.a2 + ladder8.a1_dag @ ladder8.a2_dag)
-    assert np.array_equal(z.toarray(), want_z.toarray())
+    assert np.array_equal(dense(z), dense(want_z))
 
 
 def test_tilde_pair_half_turn(ladder8):
     t_ann, t_cre = tilde_pair(math.pi / 2, ladder8)
-    assert np.max(np.abs(t_ann - (-1j) * ladder8.a2_dag)) <= 1e-12
-    assert np.max(np.abs(t_cre - (-1j) * ladder8.a2)) <= 1e-12
+    assert max_abs(t_ann - (-1j) * ladder8.a2_dag) <= 1e-12
+    assert max_abs(t_cre - (-1j) * ladder8.a2) <= 1e-12
 
 
 def test_similarity_on_low_window():
@@ -155,10 +155,10 @@ def test_joint_null_vector_is_isolated_top_column(ladder8):
     # both check annihilators vanish on |0, n_max> in the truncation, so its
     # column of the stacked pair is a block with no rows
     ist = transform(IS, CHI_Q, ladder8)
-    stacked = sp.vstack([ist.ann1, ist.ann2], format="csr")
+    coords, shape = _stacked(ist.ann1, ist.ann2)
     top = ladder8.space.index(0, 8)
-    assert not np.any(stacked.toarray()[:, top])
-    ket = _joint_null_vector(stacked, "check annihilator", ist)
+    assert top not in coords[1]
+    ket = _joint_null_vector(coords, shape, "check annihilator", ist)
     unit = np.zeros(ladder8.space.dim)
     unit[top] = 1.0
     assert np.array_equal(np.abs(ket), unit)
@@ -167,7 +167,7 @@ def test_joint_null_vector_is_isolated_top_column(ladder8):
 def test_joint_null_vector_rejects_nullity_nine(ladder8):
     ist = transform(IS, 0, ladder8)  # ann1 = a1 kills every |0, n2>
     with pytest.raises(NullspaceError, match="dimension 9"):
-        _joint_null_vector(ist.ann1, "check annihilator", ist)
+        _joint_null_vector(coordinates(ist.ann1), ist.ann1.shape, "check annihilator", ist)
 
 
 def test_joint_null_vector_matches_full_svd():
@@ -177,22 +177,27 @@ def test_joint_null_vector_matches_full_svd():
     deficient = rng.standard_normal((4, 2)) @ rng.standard_normal((2, 3))
     stacked[np.ix_([0, 3, 5, 8], [1, 4, 6])] = deficient
     stacked[np.ix_([1, 2, 4, 6, 7], [0, 2, 3, 5])] = rng.standard_normal((5, 4)) + 1j
-    got = _joint_null_vector(sp.csr_array(stacked), "test", None)
+    got = _joint_null_vector(*matrix_coordinates(stacked), "test", None)
     want = np.linalg.svd(stacked)[2][-1].conj()
     assert np.max(np.abs(stacked @ got)) <= 1e-13
     assert abs(abs(np.vdot(want, got)) - 1.0) <= 1e-12
     assert not np.any(got[[0, 2, 3, 5]])
 
 
-def _per_block_null_vector(stacked: sp.csr_array) -> np.ndarray:
+def matrix_coordinates(m: np.ndarray) -> tuple[tuple, tuple[int, int]]:
+    """(rows, cols, values) of the nonzero entries of a dense matrix, and its shape."""
+    rows, cols = np.nonzero(m)
+    return (rows, cols, m[rows, cols]), m.shape
+
+
+def _per_block_null_vector(stacked: np.ndarray) -> np.ndarray:
     """Reference: the null vector from one SVD per block, with the same global cutoff."""
-    dense = stacked.toarray()
     parts = []
-    for rows, cols in blocks(*stacked.nonzero(), stacked.shape):
+    for rows, cols in blocks(*np.nonzero(stacked), stacked.shape):
         if len(rows) == 0:
             parts.append((cols, np.zeros(0), np.eye(len(cols), dtype=complex)))
         elif len(cols):
-            _, sigma, vh = np.linalg.svd(dense[np.ix_(rows, cols)])
+            _, sigma, vh = np.linalg.svd(stacked[np.ix_(rows, cols)])
             parts.append((cols, sigma, vh))
     cutoff = NULLSPACE_RTOL * max(sigma[0] for _, sigma, _ in parts if len(sigma))
     vector = np.zeros(stacked.shape[1], dtype=complex)
@@ -208,11 +213,11 @@ def test_joint_null_vector_matches_per_block_svd(n_max, params):
     lad = build_ladder(n_max)
     for frame in (transform(IS, CHI_Q, lad), is_check_rep(CHI_Q, lad, params),
                   is_check_rep(-0.3j, lad, params)):
-        for label, pair in (("ket", [frame.ann1, frame.ann2]),
-                            ("bra", [frame.cre1.T, frame.cre2.T])):
-            stacked = sp.vstack(pair, format="csr")
-            got = _joint_null_vector(stacked, label, frame)
-            assert np.array_equal(got, _per_block_null_vector(stacked)), (type(frame), label)
+        for label, (top, bottom) in (("ket", (frame.ann1, frame.ann2)),
+                                     ("bra", (frame.cre1.T, frame.cre2.T))):
+            got = _joint_null_vector(*_stacked(top, bottom), label, frame)
+            want = _per_block_null_vector(np.vstack([dense(top), dense(bottom)]))
+            assert np.array_equal(got, want), (type(frame), label)
 
 
 def test_joint_null_vector_batches_same_shape_blocks():
@@ -228,8 +233,7 @@ def test_joint_null_vector_batches_same_shape_blocks():
             block[:, 2] = block[:, :2] @ (rng.standard_normal(2) + 1j * rng.standard_normal(2))
         stacked[np.ix_(r, c)] = block
     stacked[np.ix_([11, 12], [9, 10])] = rng.standard_normal((2, 2))
-    stacked = sp.csr_array(stacked)
-    got = _joint_null_vector(stacked, "test", None)
+    got = _joint_null_vector(*matrix_coordinates(stacked), "test", None)
     assert np.array_equal(got, _per_block_null_vector(stacked))
     assert np.max(np.abs(stacked @ got)) <= 1e-14 and np.any(got.imag)
     assert not np.any(np.delete(got, cols))
@@ -277,7 +281,7 @@ def test_check_headroom_guard(rep12):
 
 def test_check_h_not_normal(rep12):
     h = rep12.h
-    witness = np.max(np.abs(h @ h.conj().T - h.conj().T @ h))
+    witness = max_abs(h @ h.conj().T - h.conj().T @ h)
     assert witness > 1e-6
 
 
@@ -289,8 +293,8 @@ def test_xy_reconstruction_at_zero(sign, params):
     ist = transform(IS, sign * CHI_Q, lad)
     x, y = xy_operators(IS, sign, 0.0, ist, params)
     xp, yp = position_operators(lad, params)
-    assert np.max(np.abs(x - xp)) <= 1e-10
-    assert np.max(np.abs(y - yp)) <= 1e-10
+    assert max_abs(x - xp) <= 1e-10
+    assert max_abs(y - yp) <= 1e-10
 
 
 def test_heisenberg_factor(params):

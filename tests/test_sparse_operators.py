@@ -1,11 +1,12 @@
-"""The sparse operators equal, entry for entry, the dense np.kron formulas they replace.
+"""The offset-diagonal operators equal, entry for entry, the dense np.kron formulas.
 
 Every operator below has at most one nonzero term per entry in each product
-and each sum (or sums the same terms in the same order), so the CSR result
+and each sum (or sums the same terms in the same order), so the operator
 and the dense reference must agree exactly, not within a tolerance.  The
-ladder itself is also compared, array for array, with the scipy.sparse
-Kronecker construction that `build_ladder` used before it built the shifts
-directly.
+ladder itself is also compared, entry for entry and byte for byte, with the
+scipy.sparse Kronecker construction of the same ladder.  The operator
+algebra itself is checked against dense numpy on random operators whose
+entries are small integers, where every sum is exact.
 """
 
 import cmath
@@ -14,9 +15,22 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bateman.construction import transform
-from bateman.fock import build_hamiltonian, build_ladder, interior_deviation, single_mode_lowering
+from bateman.errors import DimensionMismatch
+from bateman.fock import (
+    Operator,
+    build_hamiltonian,
+    build_ladder,
+    coordinates,
+    dense,
+    from_coordinates,
+    identity,
+    interior_deviation,
+    single_mode_lowering,
+)
 from bateman.ft import FT, generator_matrix
 from bateman.imagscale import IS, generator_y_matrix, generator_z_matrix, is_check_rep
 
@@ -34,8 +48,8 @@ def dense_ladder(n_max: int) -> dict[str, np.ndarray]:
 
 
 def assert_csr_equal(got, want: np.ndarray) -> None:
-    assert isinstance(got, sp.csr_array)
-    assert np.array_equal(got.toarray(), want)
+    assert isinstance(got, Operator)
+    assert np.array_equal(dense(got), want)
 
 
 @N_MAXES
@@ -48,7 +62,9 @@ def test_ladder_matches_kron(n_max):
 def kron_ladder(n_max: int) -> dict[str, sp.csr_array]:
     """Reference: the single-mode CSR ladder tensored with sp.kron, creators by conj().T."""
     size = n_max + 1
-    a = single_mode_lowering(size)
+    a = sp.diags_array(np.sqrt(np.arange(1.0, size)), offsets=1, shape=(size, size),
+                       dtype=complex, format="csr")
+    assert np.array_equal(dense(single_mode_lowering(size)), a.toarray())
     eye = sp.eye_array(size, dtype=complex, format="csr")
     a1 = sp.kron(a, eye, format="csr")
     a2 = sp.kron(eye, a, format="csr")
@@ -60,17 +76,21 @@ def test_direct_ladder_matches_sparse_kron(n_max):
     lad = build_ladder(n_max)
     for name, want in kron_ladder(n_max).items():
         got = getattr(lad, name)
-        assert isinstance(got, sp.csr_array) and got.shape == want.shape
-        for part in ("indptr", "indices", "data"):
-            g, w = getattr(got, part), getattr(want, part)
-            # bytes, not values: the creators' -0.0 imaginary parts must match too
-            assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), (name, part)
+        assert isinstance(got, Operator) and got.shape == want.shape
+        rows, cols, values = coordinates(got)
+        order = np.lexsort((cols, rows))  # the row-major order of the CSR reference
+        want = want.tocoo()
+        assert np.array_equal(rows[order], want.row), name
+        assert np.array_equal(cols[order], want.col), name
+        # bytes, not values: the creators' -0.0 imaginary parts must match too
+        assert values.dtype == want.data.dtype, name
+        assert values[order].tobytes() == want.data.tobytes(), name
 
 
 @pytest.mark.parametrize("n_max", [2, 8, 24])
 def test_direct_ladder_commutators_are_identity_inside(n_max):
     lad = build_ladder(n_max)
-    eye = sp.eye_array(lad.space.dim, dtype=complex, format="csr")
+    eye = identity(lad.space.dim)
     for ann, cre in ((lad.a1, lad.a1_dag), (lad.a2, lad.a2_dag)):
         # sqrt(n+1)^2 - sqrt(n)^2 is 1 up to rounding, the tolerance of the interior check
         assert interior_deviation(ann @ cre - cre @ ann, eye, lad.space, 1) <= 1e-12
@@ -135,3 +155,45 @@ def test_check_rep_matches_kron(n_max, chi, params):
     assert_csr_equal(rep.h0, h0)
     assert_csr_equal(rep.h1, h1)
     assert_csr_equal(rep.h, h0 + h1)
+
+
+def random_operator(rng, n: int) -> Operator:
+    """Random n x n operator with small-integer complex entries on random diagonals.
+
+    Some stored entries are zero, as on a ladder's diagonal, so stored zeros
+    are exercised too.
+    """
+    stored = [k for k in range(1 - n, n) if rng.random() < 0.5]
+    return Operator(n, {k: (rng.integers(-3, 4, n - abs(k))
+                            + 1j * rng.integers(-3, 4, n - abs(k))) for k in stored})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 7), st.integers(0, 2**32 - 1))
+def test_operator_algebra_matches_dense(n, seed):
+    # integer entries keep every sum exact, so each result must equal numpy's
+    rng = np.random.default_rng(seed)
+    a, b = random_operator(rng, n), random_operator(rng, n)
+    da, db = dense(a), dense(b)
+    v = rng.integers(-3, 4, n) + 1j * rng.integers(-3, 4, n)
+    assert np.array_equal(dense(a @ b), da @ db)
+    assert np.array_equal(a @ v, da @ v)
+    assert np.array_equal(v @ a, v @ da)
+    assert np.array_equal(dense(a + b), da + db)
+    assert np.array_equal(dense(a - b), da - db)
+    assert np.array_equal(dense(-a), -da)
+    assert np.array_equal(dense(2j * a), 2j * da) and np.array_equal(dense(a / 2), da / 2)
+    assert np.array_equal(dense(a.T), da.T) and np.array_equal(dense(a.conj()), da.conj())
+    assert np.array_equal(dense(abs(a)), np.abs(da))
+    assert np.array_equal(a.row_sums(), da.sum(axis=1))
+    rows = rng.random(n) < 0.5                   # a mask
+    cols = rng.permutation(n)[:rng.integers(0, n + 1)]  # indices in any order
+    assert np.array_equal(dense(a, rows, cols), da[np.ix_(rows, cols)])
+    assert np.array_equal(dense(a, cols=cols), da[:, cols])
+    r, c, values = coordinates(a)
+    assert np.array_equal(da[r, c], values) and np.count_nonzero(da) == len(values)
+    assert np.array_equal(dense(from_coordinates(r, c, values, n)), da)
+    with pytest.raises(DimensionMismatch):
+        a @ Operator(n + 1, {})
+    with pytest.raises(DimensionMismatch):
+        a @ np.zeros(n + 1)

@@ -10,7 +10,7 @@ import pytest
 from bateman import construction, ft, imagscale, verify
 from bateman.algebra import B1_CRE, B2_ANN, LadderPoly
 from bateman.errors import DomainError
-from bateman.fock import build_ladder
+from bateman.fock import Operator, build_ladder
 from bateman.verify import (
     SUITE_NAMES,
     SUITES,
@@ -153,9 +153,10 @@ def test_cross_validation_catches_a_ladder_entry_off_by_1e9(params, monkeypatch)
     # <0,0| a1 |1,0> off by 1e-9 relative, a1_dag left alone: a defect no corrupt hook makes
     def skewed(n_max):
         lad = build_ladder(n_max)
-        a1 = lad.a1.copy()
-        a1[lad.space.index(0, 0), lad.space.index(1, 0)] *= 1.0 + 1e-9
-        return dataclasses.replace(lad, a1=a1)
+        stride = lad.space.index(1, 0)
+        weights = lad.a1.diagonals[stride].copy()  # a1 is the one diagonal at offset n_max+1
+        weights[lad.space.index(0, 0)] *= 1.0 + 1e-9
+        return dataclasses.replace(lad, a1=Operator(lad.space.dim, {stride: weights}))
 
     cfg = VerifyConfig(params=params)
     assert cfg.corrupt_check is None
@@ -171,9 +172,10 @@ def test_exp_inverse_catches_a_matrix_exp_entry_off_by_1e9(cfg, monkeypatch):
 
     def skewed(a):
         u = exact(a)
-        k = int(np.argmax(abs(u.data)))
-        u.data[k] *= 1.0 + 1e-9
-        return u
+        offset = max(u.diagonals, key=lambda k: np.abs(u.diagonals[k]).max())
+        weights = u.diagonals[offset].copy()
+        weights[np.argmax(np.abs(weights))] *= 1.0 + 1e-9
+        return Operator(u.shape[0], {**u.diagonals, offset: weights})
 
     assert verify.check_exp_inverse(cfg).passed
     monkeypatch.setattr(verify, "matrix_exp", skewed)
