@@ -112,9 +112,9 @@ from bateman.imagscale import (  # noqa: E402
     NULLSPACE_RTOL,
     _joint_null_vector,
     _stacked,
+    bounded_frame,
     generator_y_matrix,
     generator_z_matrix,
-    is_check_rep,
 )
 from bateman.params import derive_params  # noqa: E402
 
@@ -136,7 +136,7 @@ BUILD_CALLS = 100  # ladder builds per timed repeat; the times are per build
 REPEATS = 5
 CHI_Q = 1j * math.pi / 4
 EXP_OPERATORS = {"0.3 X": lambda lad: 0.3 * generator_matrix(lad),
-                 "Y": generator_y_matrix,
+                 "Y": lambda lad: generator_y_matrix(lad.a2, lad.a2_dag),
                  "i pi/4 Z": lambda lad: 1j * math.pi / 4 * generator_z_matrix(lad)}
 PARAMS = derive_params(m=1.0, gamma=1.0, k=1.25)
 
@@ -211,7 +211,7 @@ def svd_rows() -> list[dict]:
     for n_max in KERNEL_N_MAX:
         lad = build_ladder(n_max)
         frames = {"original": transform(IS, CHI_Q, lad),
-                  "bounded": is_check_rep(CHI_Q, lad, PARAMS)}
+                  "bounded": bounded_frame(CHI_Q, lad)}
         for frame_name, frame in frames.items():
             coords, shape = _stacked(frame.ann1, frame.ann2)
             reference, want = timed(lambda: per_block_null_vector(coords, shape))

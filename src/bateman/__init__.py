@@ -55,7 +55,7 @@ from .construction import (
     transform,
 )
 from .ft import FT, ft_norm_exponent_fit, ft_standard_norm, ft_vacuum_series
-from .imagscale import IS, IsCheckRep, is_check_rep, is_vacuum
+from .imagscale import IS, bounded_frame, is_vacuum
 from .dynamics import (
     StabilityClass,
     StateEvolution,
@@ -109,8 +109,7 @@ __all__ = [
     "ft_standard_norm",
     "ft_vacuum_series",
     "IS",
-    "IsCheckRep",
-    "is_check_rep",
+    "bounded_frame",
     "is_vacuum",
     "StabilityClass",
     "StateEvolution",

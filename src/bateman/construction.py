@@ -26,8 +26,8 @@ import numpy as np
 
 from .algebra import B1_ANN, B1_CRE, B2_ANN, B2_CRE, ExactScalar, LadderPoly, U_HW, U_IHL
 from .errors import DomainError, HeadroomError
-from .fock import (FockSpace, LadderSet, Operator, build_hamiltonian, dense, identity,
-                   interior_deviation, matrix_exp, max_abs, window_mask, windowed_deviation)
+from .fock import (FockSpace, LadderSet, Operator, build_hamiltonian, identity,
+                   interior_deviation, intertwining_deviation, matrix_exp, window_mask)
 from .params import PhysicalParams
 
 __all__ = [
@@ -130,7 +130,12 @@ def eigenvalue(con: Construction, n1: int, n2: int, branch) -> Eigen:
 
 @dataclass(frozen=True)
 class MixedModes:
-    """Mixed-mode matrices at a fixed angle, in the original two-mode frame."""
+    """Mixed-mode matrices at a fixed angle, built from the modes of ladder.
+
+    headroom is the largest n1+n2 a basis vector may carry: any occupation of
+    the space (2 n_max) in the original frame, two rungs below n_max in the
+    bounded frame (`imagscale.bounded_frame`).
+    """
 
     angle: complex
     ann1: Operator
@@ -138,15 +143,11 @@ class MixedModes:
     ann2: Operator
     cre2: Operator
     ladder: LadderSet
+    headroom: int
 
     @property
     def space(self) -> FockSpace:
         return self.ladder.space
-
-    @property
-    def headroom(self) -> int:
-        """Largest n1+n2 a basis vector may carry: any occupation of the space."""
-        return 2 * self.space.n_max
 
 
 def valid_angle(con: Construction, angle: complex) -> complex:
@@ -173,6 +174,7 @@ def transform(con: Construction, angle: complex, ladder: LadderSet) -> MixedMode
         ann2=ann2,
         cre2=cre2,
         ladder=ladder,
+        headroom=2 * ladder.space.n_max,
     )
 
 
@@ -191,13 +193,11 @@ def similarity_deviation(con: Construction, modes: MixedModes, generator: Operat
     past the window: the truncated u is exact there once n_max lies a few
     spreading lengths deeper, whatever weight it carries near the top corner.
     """
-    u = matrix_exp(modes.angle * generator)
     plain = transform(con, 0.0, modes.ladder)
-    space = modes.space
-    gap = max(windowed_deviation(u @ getattr(plain, name), getattr(modes, name) @ u, space, window)
-              for name in ("ann1", "cre1", "ann2", "cre2"))
-    keep = window_mask(space, window)
-    return gap / max_abs(dense(u, keep, keep))
+    names = ("ann1", "cre1", "ann2", "cre2")
+    return intertwining_deviation(matrix_exp(modes.angle * generator),
+                                  [(getattr(plain, n), getattr(modes, n)) for n in names],
+                                  window_mask(modes.space, window))
 
 
 @dataclass(frozen=True)
@@ -262,8 +262,8 @@ def basis(modes, n1: int, n2: int, vacuum: tuple[np.ndarray, np.ndarray]
           ) -> tuple[np.ndarray, np.ndarray]:
     """Pair: ket = cre1^n1 cre2^n2 |vac>> / sqrt(n1! n2!), bra = <<vac| ann1^n1 ann2^n2 / same.
 
-    modes is any frame holding the four mixed matrices and a headroom; the
-    bra is a plain row vector and pairings are bra @ ket with no conjugation.
+    modes is either frame, original or bounded; the bra is a plain row
+    vector and pairings are bra @ ket with no conjugation.
     """
     _check_occupations(n1, n2)
     if n1 + n2 > modes.headroom:

@@ -58,7 +58,7 @@ __all__ = [
     "interior_mask",
     "interior_deviation",
     "window_mask",
-    "windowed_deviation",
+    "intertwining_deviation",
     "matrix_exp",
     "position_operators",
 ]
@@ -385,11 +385,14 @@ def window_mask(space: FockSpace, cap: int) -> np.ndarray:
     return (np.add.outer(occupation, occupation) <= cap).ravel()
 
 
-def windowed_deviation(a: Operator, b: Operator, space: FockSpace, cap: int) -> float:
-    """max |(a - b)| entrywise over the n1+n2 <= cap block on both sides."""
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"shape mismatch {a.shape} vs {b.shape}")
-    return _masked_max_abs(a - b, window_mask(space, cap))
+def intertwining_deviation(u: Operator, pairs, keep: np.ndarray) -> float:
+    """max |u a - m u| over (a, m) in pairs on the kept block, over max |u| there.
+
+    keep is a boolean mask of the basis states; both sides of each entry must
+    be kept.  Checks u a u^{-1} = m without forming u^{-1}.
+    """
+    gap = max(_masked_max_abs(u @ a - m @ u, keep) for a, m in pairs)
+    return gap / _masked_max_abs(u, keep)
 
 
 def blocks(rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]

@@ -9,22 +9,23 @@ below by hbar*omega, imaginary part zero exactly on the diagonal n1 = n2.
 `IS` holds the route's data for the generic machinery in `construction`.
 What only this route has lives here: the generators Y and Z, the squeeze
 similarity check on a single-mode chain, the SVD nullspace vacuum, the
-bounded frame `IsCheckRep`, and the symbolic x(t), y(t) conjugation.  The chi
-similarity e^{chi Z} is checked by `construction.similarity_deviation`, as
-the rotation route's e^{theta X} is.
+bounded frame, and the symbolic x(t), y(t) conjugation.  The chi similarity
+e^{chi Z} is checked by `construction.similarity_deviation`, as the rotation
+route's e^{theta X} is.
 
 Two matrix realizations coexist on purpose.  In the original frame the
 check modes mix a1 with a2+, so the truncated joint nullspace of the two
 check annihilators sits at the top of the mode-2 ladder and every basis
 pairing built over it is dominated by truncation-boundary defects: with
 vacuum at mode-2 occupation N, the (1,0) self-pairing evaluates to
-(1-N)/2 exactly instead of 1.  The post-squeeze pair (a2-tilde, a2-tilde
-section) obeys standard commutation relations, so storing it as the ladder
-of a fresh Fock space (the "bounded frame", IsCheckRep) turns the chi
-mixing into a bounded, for imaginary chi unitary, mode rotation whose
-vacuum sits at the safe bottom corner.  Operator identities and closed
-forms are checked in the original frame; basis vectors, Gram pairings, and
-eigen matrix elements live in the bounded frame.  Both regularizations are
+(1-N)/2 exactly instead of 1.  The bounded frame (`bounded_frame`) is the
+same construction IS on the swapped ladder a2 -> i b2+, a2+ -> i b2, the
+post-squeeze pair stored as the ladder of a fresh Fock space: the chi
+mixing becomes a bounded, for imaginary chi unitary, mode rotation whose
+vacuum sits at the safe bottom corner, and `fock.build_hamiltonian` on the
+swapped ladder gives H there.  Operator identities and closed forms are
+checked in the original frame; basis vectors, Gram pairings, and eigen
+matrix elements live in the bounded frame.  Both regularizations are
 implementation choices documented in the README, not statements about the
 untruncated theory.
 """
@@ -33,24 +34,22 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 
 from .algebra import B1_ANN, B1_CRE, B2_ANN, B2_CRE, CQ, ExactScalar, LadderPoly
-from .construction import Construction, MixedModes, normalize_branch, valid_angle
+from .construction import Construction, MixedModes, normalize_branch, transform
 from .errors import DomainError, NullspaceError
 from .fock import (
-    FockSpace,
     LadderSet,
     Operator,
     block_stacks,
     blocks,
     coordinates,
-    dense,
+    intertwining_deviation,
     matrix_exp,
-    max_abs,
     single_mode_lowering,
 )
 from .ft import generator_matrix
@@ -58,12 +57,11 @@ from .params import PhysicalParams
 
 __all__ = [
     "IS",
-    "IsCheckRep",
     "generator_y_matrix",
     "generator_z_matrix",
     "tilde_pair",
     "tilde_similarity_deviation",
-    "is_check_rep",
+    "bounded_frame",
     "is_vacuum",
     "is_xy_symbolic",
     "conjugate_xy_terms",
@@ -120,9 +118,12 @@ IS = Construction(
 # generators and the phi-stage map
 
 
-def generator_y_matrix(ladder: LadderSet) -> Operator:
-    """Y = -(i/2)(a2^2 - a2+^2); Hermitian, so e^{phi Y} is unitary only for imaginary phi."""
-    return -0.5j * (ladder.a2 @ ladder.a2 - ladder.a2_dag @ ladder.a2_dag)
+def generator_y_matrix(ann: Operator, cre: Operator) -> Operator:
+    """Y = -(i/2)(a^2 - a+^2) of one mode pair, (a2, a2+) or a single-mode chain.
+
+    Y is Hermitian, so e^{phi Y} is unitary only for imaginary phi.
+    """
+    return -0.5j * (ann @ ann - cre @ cre)
 
 
 def generator_z_matrix(ladder: LadderSet) -> Operator:
@@ -130,12 +131,10 @@ def generator_z_matrix(ladder: LadderSet) -> Operator:
     return -1j * generator_matrix(ladder)
 
 
-def tilde_pair(phi: complex, ladder: LadderSet) -> tuple[Operator, Operator]:
-    """Closed-form mode-2 images (a2-tilde, its partner) under the Y rotation."""
+def tilde_pair(phi: complex, ann: Operator, cre: Operator) -> tuple[Operator, Operator]:
+    """Closed-form images (a-tilde, its partner) of the mode pair (a, a+) under the Y rotation."""
     c, s = cmath.cos(phi), cmath.sin(phi)
-    tilde_ann = c * ladder.a2 - 1j * s * ladder.a2_dag
-    tilde_cre = c * ladder.a2_dag - 1j * s * ladder.a2
-    return tilde_ann, tilde_cre
+    return c * ann - 1j * s * cre, c * cre - 1j * s * ann
 
 
 def tilde_similarity_deviation(phi: complex, n_max: int = 64, window: int = 6) -> float:
@@ -152,75 +151,29 @@ def tilde_similarity_deviation(phi: complex, n_max: int = 64, window: int = 6) -
         raise DomainError(f"n_max={n_max} leaves no room beyond window={window}")
     ann = single_mode_lowering(n_max + 1)
     cre = ann.T
-    y = -0.5j * (ann @ ann - cre @ cre)
-    u = matrix_exp(phi * y)
-    c, s = cmath.cos(phi), cmath.sin(phi)
-    low = np.arange(window + 1)
-    gap = max(max_abs(dense(u @ ann - (c * ann - 1j * s * cre) @ u, low, low)),
-              max_abs(dense(u @ cre - (c * cre - 1j * s * ann) @ u, low, low)))
-    return gap / max_abs(dense(u, low, low))
+    u = matrix_exp(phi * generator_y_matrix(ann, cre))
+    return intertwining_deviation(u, zip((ann, cre), tilde_pair(phi, ann, cre)),
+                                  np.arange(n_max + 1) <= window)
 
 
 # ---------------------------------------------------------------------------
 # bounded frame (post-squeeze ladder realization)
 
 
-@dataclass(frozen=True)
-class IsCheckRep:
-    """Check modes realized as bounded matrices on a standard two-mode ladder.
+def bounded_frame(chi: complex, ladder: LadderSet) -> MixedModes:
+    """IS at purely imaginary chi on the swapped ladder a2 -> i b2+, a2+ -> i b2.
 
-    The post-squeeze mode-2 pair obeys standard commutation relations, so it
-    can be stored as the ladder of a fresh Fock space.  There the chi mixing
-    is a bounded mode rotation (unitary for purely imaginary chi), the joint
-    annihilator nullspace sits at the bottom corner, and creator monomials
-    never touch the truncation boundary while n1+n2 stays within headroom.
-    H carries over by substituting a1 -> b1, a1+ -> b1+, a2 -> i b2+,
-    a2+ -> i b2; its gamma part is anti-Hermitian here, which is what makes
-    H non-normal with complex eigenvalues p*hbar*omega + i q*hbar*lambda.
+    The swapped pair obeys standard commutation relations, so the check modes
+    come out as a bounded mode rotation of (b1, b2) (unitary for imaginary
+    chi): ann1 = ch b1 - sh b2, ann2 = -sh b1 + ch b2.  The joint annihilator
+    nullspace sits at the bottom corner, and creator monomials never touch
+    the truncation boundary while n1+n2 stays two rungs below n_max.  H on
+    the returned ladder (`build_hamiltonian`) is H with the same swap; its
+    gamma part is anti-Hermitian there, which is what makes H non-normal with
+    complex eigenvalues p*hbar*omega + i q*hbar*lambda.
     """
-
-    angle: complex
-    ladder: LadderSet
-    ann1: Operator
-    cre1: Operator
-    ann2: Operator
-    cre2: Operator
-    h0: Operator
-    h1: Operator
-    h: Operator
-    params: PhysicalParams
-
-    @property
-    def space(self) -> FockSpace:
-        return self.ladder.space
-
-    @property
-    def headroom(self) -> int:
-        """Largest n1+n2 whose basis vectors and H elements stay clear of the boundary."""
-        return self.space.n_max - 2
-
-
-def is_check_rep(chi: complex, ladder: LadderSet, params: PhysicalParams) -> IsCheckRep:
-    """Bounded-frame realization at purely imaginary chi."""
-    chi = valid_angle(IS, chi)
-    ch, sh = cmath.cosh(chi), cmath.sinh(chi)
-    b1, b1d = ladder.a1, ladder.a1_dag
-    b2, b2d = ladder.a2, ladder.a2_dag
-    hbar, omega, lam = params.hbar, params.omega, params.lam
-    h0 = hbar * omega * (b1d @ b1 + b2 @ b2d)
-    h1 = -hbar * lam * (b1 @ b2d - b1d @ b2)
-    return IsCheckRep(
-        angle=chi,
-        ladder=ladder,
-        ann1=ch * b1 - sh * b2,
-        cre1=ch * b1d + sh * b2d,
-        ann2=-sh * b1 + ch * b2,
-        cre2=sh * b1d + ch * b2d,
-        h0=h0,
-        h1=h1,
-        h=h0 + h1,
-        params=params,
-    )
+    swapped = replace(ladder, a2=1j * ladder.a2_dag, a2_dag=1j * ladder.a2)
+    return replace(transform(IS, chi, swapped), headroom=ladder.space.n_max - 2)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +228,7 @@ def _joint_null_vector(coords: tuple, shape: tuple[int, int], label: str,
     return vector
 
 
-def is_vacuum(frame: MixedModes | IsCheckRep) -> tuple[np.ndarray, np.ndarray]:
+def is_vacuum(frame: MixedModes) -> tuple[np.ndarray, np.ndarray]:
     """Nullspace vacuum pair of either frame, normalized so bra @ ket = 1.
 
     Ket from the right nullspace of the stacked check annihilators, bra from
@@ -285,7 +238,7 @@ def is_vacuum(frame: MixedModes | IsCheckRep) -> tuple[np.ndarray, np.ndarray]:
     mix a1 with a2+ through an invertible matrix, so the truncated nullspace
     is |0> x |n_max> for every chi: a diagnostic of where the original-frame
     vacuum lives, not a usable anchor for basis construction.  In the bounded
-    frame (`IsCheckRep`) it lands on the bottom corner state.
+    frame (`bounded_frame`) it lands on the bottom corner state.
     """
     ket = _joint_null_vector(*_stacked(frame.ann1, frame.ann2), "check annihilator", frame)
     bra = _joint_null_vector(*_stacked(frame.cre1.T, frame.cre2.T), "check creator (left)",

@@ -190,9 +190,9 @@ def check_params_examples(cfg: VerifyConfig) -> tuple:
         pass
     for q in (cfg.params, derive_params(1.3, 0.7, 2.1)):
         for s in (-q.lam + 1j * q.omega, -q.lam - 1j * q.omega):
-            dev = max(dev, abs(q.m * s * s + q.gamma * s + q.k))
+            dev = max(dev, abs(q.m * s * s + q.gamma * s + q.k) / q.k)
         for s in (q.lam + 1j * q.omega, q.lam - 1j * q.omega):
-            dev = max(dev, abs(q.m * s * s - q.gamma * s + q.k))
+            dev = max(dev, abs(q.m * s * s - q.gamma * s + q.k) / q.k)
         dev = max(dev, abs(q.omega**2 + q.lam**2 - q.k / q.m) / (q.k / q.m))
     return ("parameter derivation and quadratic roots", dev + mismatch, 1e-10)
 
@@ -363,7 +363,8 @@ def check_h_structure(cfg: VerifyConfig) -> tuple:
         commutator(ham.h0, ham.h1), Operator(lad.space.dim, {}), lad.space,
         cfg.eff_margin(n_max)
     )
-    dev = mismatch + (comm_dev if comm_dev > 1e-10 else 0.0)
+    comm_scale = max_abs(ham.h0) * max_abs(ham.h1)
+    dev = mismatch + (comm_dev if comm_dev > 1e-10 * comm_scale else 0.0)
     return ("H Hermitian when truncated; basis change non-unitary; [H0,H1]=0",
             dev, 0.0, {"hermiticity": herm_dev, "nonunitarity": nonunitary,
                        "h0_h1_commutator": comm_dev})
@@ -575,8 +576,8 @@ def _ft_gram_tolerance(cfg: VerifyConfig, n_max: int, q_cap: int) -> float:
 
 
 def _is_frame(cfg: VerifyConfig, lad):
-    rep = imagscale.is_check_rep(imagscale.IS.quarter(+1), lad, cfg.params)
-    return rep, imagscale.is_vacuum(rep)
+    frame = imagscale.bounded_frame(imagscale.IS.quarter(+1), lad)
+    return frame, imagscale.is_vacuum(frame)
 
 
 check_ft_gram, check_is_gram = _twin(
@@ -791,7 +792,7 @@ def check_is_tilde(cfg: VerifyConfig) -> tuple:
     dev_sim = max(
         imagscale.tilde_similarity_deviation(phi) for phi in (0.2j, 0.3j)
     )
-    t_ann, t_cre = imagscale.tilde_pair(math.pi / 2, lad)
+    t_ann, t_cre = imagscale.tilde_pair(math.pi / 2, lad.a2, lad.a2_dag)
     dev_cf = max(max_abs(t_ann - (-1j) * lad.a2_dag), max_abs(t_cre - (-1j) * lad.a2))
     z_built = lad.a1_dag @ t_ann + t_cre @ lad.a1
     dev_z = max_abs(z_built - imagscale.generator_z_matrix(lad))
@@ -835,16 +836,18 @@ def check_is_matrix_element(cfg: VerifyConfig) -> tuple:
     witness = 0.0
     states = [s for s in ((0, 0), (1, 0), (1, 1), (2, 1)) if s[0] + s[1] <= n_max - 2]
     for branch in (+1, -1):
-        rep = imagscale.is_check_rep(imagscale.IS.quarter(branch), lad, params)
-        vacuum = imagscale.is_vacuum(rep)
+        frame = imagscale.bounded_frame(imagscale.IS.quarter(branch), lad)
+        vacuum = imagscale.is_vacuum(frame)
+        h = build_hamiltonian(frame.ladder, params).h
         for (n1, n2) in states:
-            ket, bra = basis(rep, n1, n2, vacuum)
-            got = bra @ (rep.h @ ket)
+            ket, bra = basis(frame, n1, n2, vacuum)
+            got = bra @ (h @ ket)
             want = eigenvalue(imagscale.IS, n1, n2, branch).as_complex(params)
             dev = max(dev, abs(got - want))
-        witness = max(witness, max_abs(rep.h @ rep.h.conj().T - rep.h.conj().T @ rep.h))
+        witness = max(witness, max_abs(h @ h.conj().T - h.conj().T @ h))
     scale = params.hbar * (params.omega + params.lam)
-    if params.gamma > 0 and witness <= 1e-6:
+    # the witness scales as hbar^2 omega lambda (312 of it at n_max 12)
+    if params.gamma > 0 and witness <= 1e-6 * params.hbar**2 * params.omega * params.lam:
         dev = max(dev, 1.0)  # H must fail to be normal once damping is on
     return ("bounded-frame H matrix elements match the spectrum (both branches)",
             dev, 1e-8 * scale,

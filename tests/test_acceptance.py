@@ -149,7 +149,7 @@ def test_biorthonormality_grams(capsys):
         g1 = gram(tr, ft.ft_vacuum_series(0.3, tr.space), 3)
         dev1 = float(np.max(np.abs(g1 - np.eye(g1.shape[0]))))
         assert dev1 <= 1e-8
-        rep = imagscale.is_check_rep(1j * math.pi / 4, build_ladder(12), PARAMS)
+        rep = imagscale.bounded_frame(1j * math.pi / 4, build_ladder(12))
         g2 = gram(rep, imagscale.is_vacuum(rep), 3)
         dev2 = float(np.max(np.abs(g2 - np.eye(g2.shape[0]))))
         assert dev2 <= 1e-8

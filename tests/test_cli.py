@@ -154,6 +154,16 @@ def test_verify_passes_at_the_largest_n_max(capsys, suite, count):
     assert json.loads(out)["counts"] == {"total": count, "passed": count, "failed": 0}
 
 
+@pytest.mark.parametrize("flags", [["--hbar", "1e-8"], ["--gamma", "1e-6", "--k", "1e-8"],
+                                   ["--hbar", "1e6"], ["--k", "1e8"], ["--k", "1e6"]])
+def test_verify_all_passes_at_far_physical_scales(capsys, flags):
+    # the non-normality witness, [H0, H1] and the quadratic-root residual are
+    # gated relative to the scale of H and of k, not against absolute numbers
+    rc, out, _ = run(capsys, "verify", "all", *flags)
+    failed = [c["check_id"] for c in json.loads(out)["checks"] if not c["passed"]]
+    assert rc == 0 and failed == []
+
+
 def test_verify_corrupt_check_fails(capsys):
     rc, out, _ = run(capsys, "verify", "algebra", "--corrupt-check",
                      "algebra.boundary-defect", "--format", "text")

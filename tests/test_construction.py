@@ -19,7 +19,7 @@ from bateman.construction import (
 from bateman.errors import DomainError, HeadroomError
 from bateman.fock import Operator, dense, max_abs
 from bateman.ft import FT, ft_vacuum_series
-from bateman.imagscale import IS, is_check_rep, is_vacuum
+from bateman.imagscale import IS, bounded_frame, is_vacuum
 
 ROUTES = pytest.mark.parametrize("con", [FT, IS], ids=["ft", "is"])
 
@@ -60,23 +60,23 @@ def test_heisenberg_factors_are_reciprocal(con, params):
         heisenberg_factor(con, 3, "ann", 1, t, params)
 
 
-def test_headroom_belongs_to_the_frame(params, ladder8):
+def test_headroom_belongs_to_the_frame(ladder8):
     # the original-frame rotation basis may use any occupation of the space;
     # the bounded frame keeps two rungs clear of the boundary
     bar = transform(FT, 0.3, ladder8)
     ket, bra = basis(bar, 5, 4, ft_vacuum_series(0.3, ladder8.space))
     assert ket.shape == bra.shape == (ladder8.space.dim,)
-    rep = is_check_rep(IS.quarter(1), ladder8, params)
+    rep = bounded_frame(IS.quarter(1), ladder8)
     basis(rep, 3, 3, is_vacuum(rep))
     with pytest.raises(HeadroomError):
         basis(rep, 4, 3, is_vacuum(rep))
 
 
 @pytest.mark.parametrize("n1,n2", [(0, 0), (2, 0), (0, 3), (3, 2)])
-def test_basis_matches_matrix_powers(n1, n2, params, ladder8):
+def test_basis_matches_matrix_powers(n1, n2, ladder8):
     # reference: the whole creator powers applied to the vacuum, as a product of matrices
     bar = transform(FT, 0.3, ladder8)
-    rep = is_check_rep(IS.quarter(1), ladder8, params)
+    rep = bounded_frame(IS.quarter(1), ladder8)
     for modes, vacuum in ((bar, ft_vacuum_series(0.3, ladder8.space)),
                           (rep, is_vacuum(rep))):
         ket0, bra0 = vacuum

@@ -23,11 +23,11 @@ from bateman.fock import (
     identity,
     interior_deviation,
     interior_mask,
+    intertwining_deviation,
     matrix_exp,
     max_abs,
     position_operators,
     window_mask,
-    windowed_deviation,
 )
 
 
@@ -145,12 +145,13 @@ def test_blocks_partition_and_reassemble():
 def test_blocks_of_csr_match_dense_pattern(n_max, params):
     # the coordinates of an operator and of its dense pattern give one partition
     from bateman.ft import generator_matrix
-    from bateman.imagscale import _stacked, generator_y_matrix, is_check_rep
+    from bateman.imagscale import _stacked, bounded_frame, generator_y_matrix
 
     lad = build_ladder(n_max)
-    rep = is_check_rep(1j * math.pi / 4, lad, params)
+    rep = bounded_frame(1j * math.pi / 4, lad)
     cases = [(coordinates(op), op.shape, dense(op))
-             for op in (generator_matrix(lad), generator_y_matrix(lad), rep.h)]
+             for op in (generator_matrix(lad), generator_y_matrix(lad.a2, lad.a2_dag),
+                        build_hamiltonian(rep.ladder, params).h)]
     cases.append((*_stacked(rep.ann1, rep.ann2), np.vstack([dense(rep.ann1), dense(rep.ann2)])))
     for coords, shape, full in cases:
         got = blocks(*coords[:2], shape)
@@ -179,7 +180,7 @@ def test_blocks_follow_conserved_quantities(n_max):
         sectors = {space.occupations(i)[0] - space.occupations(i)[1] for i in (*rows, *cols)}
         assert len(sectors) == 1
     # Y acts on mode 2 alone and conserves the parity of n2
-    y = generator_y_matrix(lad)
+    y = generator_y_matrix(lad.a2, lad.a2_dag)
     for rows, cols in blocks(*coordinates(y)[:2], y.shape):
         keys = {(space.occupations(i)[0], space.occupations(i)[1] % 2) for i in (*rows, *cols)}
         assert len(keys) == 1
@@ -207,11 +208,11 @@ def test_matrix_exp_against_taylor():
 
 def test_matrix_exp_matches_dense_expm(params):
     from bateman.ft import generator_matrix
-    from bateman.imagscale import generator_y_matrix, generator_z_matrix, is_check_rep
+    from bateman.imagscale import bounded_frame, generator_y_matrix, generator_z_matrix
 
     for n_max in (8, 24):
         lad = build_ladder(n_max)
-        y = generator_y_matrix(lad)
+        y = generator_y_matrix(lad.a2, lad.a2_dag)
         # a pattern from y + y.T would be empty
         assert np.array_equal(dense(y + y.T), 0 * dense(y))
         ops = {
@@ -222,7 +223,8 @@ def test_matrix_exp_matches_dense_expm(params):
         }
         if n_max == 8:
             ops["Z"] = 0.25j * generator_z_matrix(lad)
-            ops["H check"] = -0.4j * is_check_rep(1j * math.pi / 4, lad, params).h
+            check = bounded_frame(1j * math.pi / 4, lad)
+            ops["H check"] = -0.4j * build_hamiltonian(check.ladder, params).h
         for name, a in ops.items():
             want = scipy.linalg.expm(dense(a))
             got = matrix_exp(a)
@@ -307,7 +309,8 @@ def test_position_operators_hermitian(ladder8, params):
     assert max_abs(y - y.conj().T) < 1e-14
 
 
-def test_windowed_deviation_shape_guard(ladder8):
+def test_intertwining_deviation_shape_guard(ladder8):
+    keep = window_mask(ladder8.space, 2)
     with pytest.raises(DimensionMismatch):
-        windowed_deviation(Operator(3, {}), Operator(4, {}), ladder8.space, 2)
+        intertwining_deviation(Operator(3, {}), [(Operator(4, {}), Operator(4, {}))], keep)
 

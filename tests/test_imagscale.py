@@ -24,17 +24,18 @@ from bateman.construction import (
     xy_operators,
 )
 from bateman.errors import DomainError, HeadroomError, NullspaceError
-from bateman.fock import blocks, build_ladder, coordinates, dense, max_abs, position_operators
+from bateman.fock import (blocks, build_hamiltonian, build_ladder, coordinates, dense, max_abs,
+                          position_operators)
 from bateman.ft import FT
 from bateman.imagscale import (
     IS,
     NULLSPACE_RTOL,
     _joint_null_vector,
     _stacked,
+    bounded_frame,
     conjugate_xy_terms,
     generator_y_matrix,
     generator_z_matrix,
-    is_check_rep,
     is_vacuum,
     is_xy_symbolic,
     tilde_pair,
@@ -73,7 +74,7 @@ def test_transform_rejects_real_angle(ladder8):
 
 
 def test_generators(ladder8):
-    y = generator_y_matrix(ladder8)
+    y = generator_y_matrix(ladder8.a2, ladder8.a2_dag)
     want_y = -0.5j * (ladder8.a2 @ ladder8.a2 - ladder8.a2_dag @ ladder8.a2_dag)
     assert np.array_equal(dense(y), dense(want_y))
     z = generator_z_matrix(ladder8)
@@ -82,7 +83,7 @@ def test_generators(ladder8):
 
 
 def test_tilde_pair_half_turn(ladder8):
-    t_ann, t_cre = tilde_pair(math.pi / 2, ladder8)
+    t_ann, t_cre = tilde_pair(math.pi / 2, ladder8.a2, ladder8.a2_dag)
     assert max_abs(t_ann - (-1j) * ladder8.a2_dag) <= 1e-12
     assert max_abs(t_cre - (-1j) * ladder8.a2) <= 1e-12
 
@@ -126,13 +127,18 @@ def test_formal_two_routes_agree():
 
 @pytest.mark.parametrize("chi", [0.2j, CHI_Q, -CHI_Q])
 def test_h_reduces_in_check_frame(chi, params):
-    lad = build_ladder(12)
-    rep = identity_report(IS, transform(IS, chi, lad), params)
-    bound = 1e-10 * lad.space.dim
-    assert rep.h0_deviation <= bound
-    assert rep.h1_deviation <= bound
-    if rep.reduced_deviation is not None:  # populated only at the split points
-        assert rep.reduced_deviation <= bound
+    # in the bounded frame too, with H built on its swapped ladder: there H is
+    # checked as an operator, not only through the matrix elements of a few states
+    for n_max in (8, 12, 24):
+        lad = build_ladder(n_max)
+        bound = 1e-10 * lad.space.dim
+        for frame in (transform(IS, chi, lad), bounded_frame(chi, lad)):
+            rep = identity_report(IS, frame, params, 2)
+            assert rep.h0_deviation <= bound
+            assert rep.h1_deviation <= bound
+            # populated only at the split points
+            assert (rep.reduced_deviation is None) == (chi == 0.2j)
+            assert rep.reduced_deviation is None or rep.reduced_deviation <= bound
 
 
 # --- original-frame vacuum (diagnostic only) ---------------------------------
@@ -208,11 +214,11 @@ def _per_block_null_vector(stacked: np.ndarray) -> np.ndarray:
 
 
 @pytest.mark.parametrize("n_max", [8, 12])
-def test_joint_null_vector_matches_per_block_svd(n_max, params):
+def test_joint_null_vector_matches_per_block_svd(n_max):
     # the stacked SVD runs the same LAPACK call on each block: bit for bit equal
     lad = build_ladder(n_max)
-    for frame in (transform(IS, CHI_Q, lad), is_check_rep(CHI_Q, lad, params),
-                  is_check_rep(-0.3j, lad, params)):
+    for frame in (transform(IS, CHI_Q, lad), bounded_frame(CHI_Q, lad),
+                  bounded_frame(-0.3j, lad)):
         for label, (top, bottom) in (("ket", (frame.ann1, frame.ann2)),
                                      ("bra", (frame.cre1.T, frame.cre2.T))):
             got = _joint_null_vector(*_stacked(top, bottom), label, frame)
@@ -242,13 +248,13 @@ def test_joint_null_vector_batches_same_shape_blocks():
 # --- bounded frame -----------------------------------------------------------
 
 @pytest.fixture(scope="module")
-def rep12(params):
-    return is_check_rep(CHI_Q, build_ladder(12), params)
+def rep12():
+    return bounded_frame(CHI_Q, build_ladder(12))
 
 
-def test_check_rep_rejects_real_angle(ladder8, params):
+def test_check_rep_rejects_real_angle(ladder8):
     with pytest.raises(DomainError):
-        is_check_rep(0.5, ladder8, params)
+        bounded_frame(0.5, ladder8)
 
 
 def test_check_vacuum_at_corner(rep12):
@@ -265,11 +271,14 @@ def test_check_gram_is_identity(rep12):
     assert np.max(np.abs(g - np.eye(16))) <= 1e-8
 
 
-def test_check_matrix_elements(rep12, params):
-    for branch, rep in ((1, rep12), (-1, is_check_rep(-CHI_Q, rep12.ladder, params))):
+def test_check_matrix_elements(params):
+    lad = build_ladder(12)
+    for branch in (1, -1):
+        rep = bounded_frame(IS.quarter(branch), lad)
+        h = build_hamiltonian(rep.ladder, params).h
         for n1, n2 in ((0, 0), (1, 0), (1, 1), (2, 1)):
             ket, bra = basis(rep, n1, n2, is_vacuum(rep))
-            got = bra @ (rep.h @ ket)
+            got = bra @ (h @ ket)
             want = eigenvalue(IS, n1, n2, branch).as_complex(params)
             assert abs(got - want) <= 1e-10
 
@@ -279,8 +288,8 @@ def test_check_headroom_guard(rep12):
         basis(rep12, 6, 5, is_vacuum(rep12))  # n1+n2 > n_max - 2
 
 
-def test_check_h_not_normal(rep12):
-    h = rep12.h
+def test_check_h_not_normal(rep12, params):
+    h = build_hamiltonian(rep12.ladder, params).h
     witness = max_abs(h @ h.conj().T - h.conj().T @ h)
     assert witness > 1e-6
 

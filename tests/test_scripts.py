@@ -1,4 +1,4 @@
-"""Smoke test: every experiment under scripts/ runs to completion."""
+"""Smoke test: every experiment under scripts/ runs to completion, and bench/run.py starts."""
 
 import os
 import subprocess
@@ -11,14 +11,27 @@ ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 
 
+def _run(argv: list[str], timeout: float) -> subprocess.CompletedProcess:
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                          timeout=timeout, env=dict(os.environ, PYTHONPATH=path))
+
+
 def test_one_script_found():
     assert [p.name for p in SCRIPTS] == ["truncated_matrix_spectrum.py"]
 
 
 @pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: p.stem)
 def test_script_exits_zero(script):
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
-                          timeout=120, env=dict(os.environ, PYTHONPATH=path))
+    done = _run([str(script)], 120)
     assert done.returncode == 0, done.stderr[-2000:]
     assert done.stdout
+
+
+def test_bench_help_exits_zero():
+    # the layer benchmark imports private kernels of the package at start-up;
+    # --help runs those imports and nothing else
+    pytest.importorskip("scipy")
+    done = _run([str(ROOT / "bench" / "run.py"), "--help"], 60)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert "--out" in done.stdout

@@ -32,7 +32,7 @@ from bateman.fock import (
     single_mode_lowering,
 )
 from bateman.ft import FT, generator_matrix
-from bateman.imagscale import IS, generator_y_matrix, generator_z_matrix, is_check_rep
+from bateman.imagscale import IS, bounded_frame, generator_y_matrix, generator_z_matrix
 
 N_MAXES = pytest.mark.parametrize("n_max", [2, 5, 8])
 
@@ -115,7 +115,7 @@ def test_generators_match_kron(n_max):
     lad = build_ladder(n_max)
     x = d["a1"] @ d["a2"] + d["a1_dag"] @ d["a2_dag"]
     assert_csr_equal(generator_matrix(lad), x)
-    assert_csr_equal(generator_y_matrix(lad),
+    assert_csr_equal(generator_y_matrix(lad.a2, lad.a2_dag),
                      -0.5j * (d["a2"] @ d["a2"] - d["a2_dag"] @ d["a2_dag"]))
     assert_csr_equal(generator_z_matrix(lad), -1j * x)
 
@@ -147,14 +147,15 @@ def test_check_rep_matches_kron(n_max, chi, params):
     ch, sh = cmath.cosh(chi), cmath.sinh(chi)
     h0 = params.hbar * params.omega * (b1d @ b1 + b2 @ b2d)
     h1 = -params.hbar * params.lam * (b1 @ b2d - b1d @ b2)
-    rep = is_check_rep(chi, build_ladder(n_max), params)
+    rep = bounded_frame(chi, build_ladder(n_max))
+    ham = build_hamiltonian(rep.ladder, params)
     assert_csr_equal(rep.ann1, ch * b1 - sh * b2)
     assert_csr_equal(rep.cre1, ch * b1d + sh * b2d)
     assert_csr_equal(rep.ann2, -sh * b1 + ch * b2)
     assert_csr_equal(rep.cre2, sh * b1d + ch * b2d)
-    assert_csr_equal(rep.h0, h0)
-    assert_csr_equal(rep.h1, h1)
-    assert_csr_equal(rep.h, h0 + h1)
+    assert_csr_equal(ham.h0, h0)
+    assert_csr_equal(ham.h1, h1)
+    assert_csr_equal(ham.h, h0 + h1)
 
 
 def random_operator(rng, n: int) -> Operator:
