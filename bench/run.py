@@ -31,10 +31,13 @@ Times, in CPU seconds of this process with BLAS on one thread:
   ket and, as the reference kept here only, element by element with the
   per-symbol ExactScalar walk that `basis_matrix_element` used before
   (`per_element`, run on the current scalar arithmetic); `vacuum_pairing`
-  on the 200 seeded polynomials of `algebra.cross-validation`; and the
-  exact and the matrix half of that check, on the same polynomials and
-  elements, the matrix half read through `algebra.matrix_element` as the
-  check reads it;
+  on the 200 seeded polynomials of `algebra.cross-validation`; the exact
+  and the matrix half of that check, on the same polynomials and elements,
+  each as the check runs it; the matrix half, one batched
+  `algebra.matrix_elements` walk per ladder size plus one call per element,
+  against the one-word-at-a-time walk it replaced (`per_word_element`, the
+  reference kept here only); and the exact half split into its vacuum
+  pairings, its basis elements and the float evaluation of their values;
 
 - `fock.build_ladder`, which builds each ladder as one diagonal at its
   shift of the flat index, against the scipy.sparse Kronecker construction
@@ -47,9 +50,10 @@ entrywise gap relative to the largest entry; for the SVD the largest
 entrywise gap between the two null vectors; for the operator kernels the
 largest entrywise gap between the two products; for the exact sweeps the
 number of elements on which the two routes differ; for the cross-validation
-halves the largest gap between them; for the ladder build the number of the
-four ladders whose nonzero entries are not byte for byte those of the
-reference).
+halves the largest gap between them; for the batched matrix half the number
+of values whose bytes differ from the reference's; for the ladder build the
+number of the four ladders whose nonzero entries are not byte for byte those
+of the reference).
 The JSON record goes to FILE, or to stdout without `--out`, and carries the
 machine: core count, Python, numpy, scipy and BLAS versions.
 """
@@ -63,7 +67,6 @@ import argparse  # noqa: E402
 import json  # noqa: E402
 import math  # noqa: E402
 import platform  # noqa: E402
-import random  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
@@ -84,13 +87,11 @@ from bateman.algebra import (  # noqa: E402
     B1_ANN,
     B1_CRE,
     B2_ANN,
+    B2_CRE,
     ExactScalar,
     LadderPoly,
     basis_column,
     basis_matrix_element,
-    matrix_element,
-    matrix_vacuum_pairing,
-    random_poly,
     vacuum_pairing,
 )
 from bateman.construction import hamiltonian_from_plain, identity_report, transform  # noqa: E402
@@ -359,40 +360,37 @@ def per_element_sweep(ops, bras, kets) -> list:
     return [per_element(*m, op, *n) for op in ops for n in kets for m in bras]
 
 
-def oracle_inputs(seed: int) -> list[tuple]:
-    """The (poly, bra, ket) draws of algebra.cross-validation, in its rng order."""
-    rng = random.Random(seed)
-    draws = []
-    for trial in range(200):
-        poly = random_poly(rng, max_degree=6)
-        element = None
-        if trial % 10 == 0:
-            element = ((rng.randint(0, 2), rng.randint(0, 2)),
-                       (rng.randint(0, 2), rng.randint(0, 2)))
-        draws.append((poly, element))
-    return draws
-
-
-def oracle_exact_half(draws) -> list[complex]:
-    one = LadderPoly.one()
-    values = []
-    for poly, element in draws:
-        values.append(vacuum_pairing(one, poly).to_complex())
-        if element is not None:
-            (m1, m2), (n1, n2) = element
-            values.append(basis_matrix_element(m1, m2, poly, n1, n2).to_complex())
-    return values
-
-
 def oracle_matrix_half(draws) -> list[complex]:
     verify._ladder.cache_clear()  # the check starts from an empty ladder cache
+    return verify._oracle_numeric(draws)
+
+
+def per_word_element(poly: LadderPoly, ladder, bra, ket) -> complex:
+    """Reference only: each word's ladders applied right to left to its own vector."""
+    symbol_map = {B1_CRE: ladder.a1_dag, B2_CRE: ladder.a2_dag, B1_ANN: ladder.a1,
+                  B2_ANN: ladder.a2}
+    start = np.zeros(ladder.space.dim, dtype=complex)
+    start[ladder.space.index(*ket)] = 1.0
+    row = ladder.space.index(*bra)
+    total = 0.0 + 0.0j
+    for word, coeff in poly.terms.items():
+        vec = start
+        for sym in reversed(word):
+            vec = symbol_map[sym] @ vec
+        total += coeff.to_complex() * vec[row]
+    return total
+
+
+def oracle_matrix_half_per_word(draws) -> list[complex]:
+    """Reference only: the matrix half with one walk per word."""
+    verify._ladder.cache_clear()
     values = []
     for poly, element in draws:
-        degree = max(poly.degree(), 0)
-        values.append(matrix_vacuum_pairing(poly, verify._ladder(max(2, degree + 2))))
+        degree = poly.degree()
+        values.append(per_word_element(poly, verify._ladder(max(2, degree + 2)), (0, 0), (0, 0)))
         if element is not None:
             bra, ket = element
-            values.append(matrix_element(poly, verify._ladder(degree + 5), bra, ket))
+            values.append(per_word_element(poly, verify._ladder(degree + 5), bra, ket))
     return values
 
 
@@ -412,17 +410,29 @@ def algebra_rows() -> list[dict]:
                      "per_element": reference_t,
                      "speedup": reference_t["median_s"] / column_t["median_s"],
                      "elements_differing": sum(g != w for g, w in zip(got, want))})
-    draws = oracle_inputs(verify.VerifyConfig.seed)
+    draws = verify._oracle_draws(verify.VerifyConfig.seed)
     one = LadderPoly.one()
-    pairing_t, _ = timed(lambda: [vacuum_pairing(one, poly) for poly, _ in draws])
+    pairing_t, pairings = timed(lambda: [vacuum_pairing(one, poly) for poly, _ in draws])
     rows.append({"layer": "vacuum_pairing.seeded_200", "polys": len(draws),
                  "exact": pairing_t})
-    exact_t, exact = timed(lambda: oracle_exact_half(draws))
+    exact_t, exact = timed(lambda: verify._oracle_exact(draws))
     matrix_t, numeric = timed(lambda: oracle_matrix_half(draws))
+    elements = [(poly, element) for poly, element in draws if element is not None]
     rows.append({"layer": "cross_validation_halves", "polys": len(draws),
-                 "elements": sum(e is not None for _, e in draws), "exact": exact_t,
-                 "matrix": matrix_t,
+                 "elements": len(elements), "exact": exact_t, "matrix": matrix_t,
                  "gap": max(abs(complex(a) - complex(b)) for a, b in zip(exact, numeric))})
+    per_word_t, reference = timed(lambda: oracle_matrix_half_per_word(draws))
+    rows.append({"layer": "cross_validation.matrix_half", "values": len(numeric),
+                 "batched": matrix_t, "per_word": per_word_t,
+                 "speedup": per_word_t["median_s"] / matrix_t["median_s"],
+                 "values_differing": sum(np.complex128(a).tobytes() != np.complex128(b).tobytes()
+                                         for a, b in zip(numeric, reference))})
+    elements_t, picked = timed(lambda: [basis_matrix_element(*bra, poly, *ket)
+                                        for poly, (bra, ket) in elements])
+    floats_t, _ = timed(lambda: [x.to_complex() for x in pairings + picked])
+    rows.append({"layer": "cross_validation.exact_half", "values": len(exact),
+                 "whole": exact_t, "vacuum_pairing": pairing_t,
+                 "basis_matrix_element": elements_t, "to_complex": floats_t})
     return rows
 
 

@@ -5,7 +5,7 @@ commuting.  Scalars are exact: complex rationals attached to unit tags
 {1, hbar*omega, i*hbar*lambda}, optionally times the square root of a
 squarefree integer (needed for the pi/4 rotation coefficients).  Nothing in
 this module touches floating point except the explicit to_complex, to_matrix
-and matrix_element evaluators, which exist to cross-validate against the
+and matrix_elements evaluators, which exist to cross-validate against the
 truncated matrices.
 """
 
@@ -40,6 +40,7 @@ __all__ = [
     "basis_matrix_element",
     "to_matrix",
     "matrix_element",
+    "matrix_elements",
     "matrix_vacuum_pairing",
     "random_poly",
 ]
@@ -122,21 +123,28 @@ class ExactScalar:
 
     root is a squarefree positive integer; 1 in almost every in-scope value.
     Sums of scalars with different roots are rejected rather than widened.
+    No stored coefficient is zero.
     """
 
     __slots__ = ("_coeffs", "root")
 
     def __init__(self, coeffs: Mapping[str, CQ] | None = None, root: int = 1):
-        clean = {u: c for u, c in (coeffs or {}).items() if not c.is_zero()}
-        for u in clean:
-            if u not in (U_ONE, U_HW, U_IHL):
+        for u, c in (coeffs or {}).items():
+            if u not in (U_ONE, U_HW, U_IHL) and not c.is_zero():
                 raise DomainError(f"unknown unit tag {u!r}")
         if root < 1:
             raise DomainError(f"root must be positive, got {root}")
-        if not clean:
-            root = 1
-        self._coeffs: dict[str, CQ] = clean
-        self.root = root
+        self._set(coeffs or {}, root)
+
+    def _set(self, coeffs: Mapping[str, CQ], root: int) -> "ExactScalar":
+        self._coeffs: dict[str, CQ] = {u: c for u, c in coeffs.items() if not c.is_zero()}
+        self.root = root if self._coeffs else 1
+        return self
+
+    @staticmethod
+    def _checked(coeffs: Mapping[str, CQ], root: int) -> "ExactScalar":
+        """A result of arithmetic on scalars: its tags and root are valid, so only zeros drop."""
+        return object.__new__(ExactScalar)._set(coeffs, root)
 
     # -- constructors ------------------------------------------------------
     @staticmethod
@@ -168,6 +176,14 @@ class ExactScalar:
     def key(self) -> tuple:
         return (tuple(sorted(self._coeffs.items())), self.root)
 
+    def _rational(self) -> Fraction | None:
+        """The value when it is a real rational (root 1, unit tag 1 alone), else None."""
+        if self.root == 1 and len(self._coeffs) == 1:
+            c = self._coeffs.get(U_ONE)
+            if c is not None and c.im == 0:
+                return c.re
+        return None
+
     def as_integer_pair(self) -> tuple[int, int]:
         """Interpret as p*hw + q*ihl with integer p, q; raises otherwise."""
         if self.root != 1 or not self.coeff(U_ONE).is_zero():
@@ -191,24 +207,38 @@ class ExactScalar:
             raise RadicalMismatch(f"cannot add sqrt({self.root}) and sqrt({other.root}) terms")
         merged = dict(self._coeffs)
         for u, c in other._coeffs.items():
-            merged[u] = merged.get(u, CQ()) + c
-        return ExactScalar(merged, self.root)
+            merged[u] = merged[u] + c if u in merged else c
+        return ExactScalar._checked(merged, self.root)
 
     def __neg__(self) -> "ExactScalar":
-        return ExactScalar({u: -c for u, c in self._coeffs.items()}, self.root)
+        return ExactScalar._checked({u: -c for u, c in self._coeffs.items()}, self.root)
 
     def __sub__(self, other: "ExactScalar") -> "ExactScalar":
         return self + (-ExactScalar.of(other))
+
+    def _scaled(self, k: int | Fraction) -> "ExactScalar":
+        """self times the real rational k: each coefficient scaled, the tags and root kept."""
+        if k == 1:
+            return self
+        if not k:
+            return ExactScalar.zero()
+        return ExactScalar._checked({u: c * k for u, c in self._coeffs.items()}, self.root)
 
     def __mul__(self, other: "ExactScalar | CQ | Fraction | int") -> "ExactScalar":
         if isinstance(other, LadderPoly):
             return NotImplemented
         if isinstance(other, (int, Fraction)):
-            # a real rational factor, such as a walk weight: scale each coefficient
-            if not other:
-                return ExactScalar.zero()
-            return ExactScalar({u: c * other for u, c in self._coeffs.items()}, self.root)
+            # a real rational factor, such as a walk weight
+            return self._scaled(other)
         other = ExactScalar.of(other)
+        # a real rational scalar on either side, such as LadderPoly.one()'s
+        # coefficient, scales the other: the same value as the general product
+        k = other._rational()
+        if k is not None:
+            return self._scaled(k)
+        k = self._rational()
+        if k is not None:
+            return other._scaled(k)
         if self.is_zero() or other.is_zero():
             return ExactScalar.zero()
         s, d = (1, 1) if self.root == other.root == 1 else _square_split(self.root * other.root)
@@ -220,15 +250,19 @@ class ExactScalar:
                 tag = u2 if u1 == U_ONE else u1
                 term = c1 * c2 if s == 1 else c1 * c2 * s
                 out[tag] = out[tag] + term if tag in out else term
-        return ExactScalar(out, d)
+        return ExactScalar._checked(out, d)
 
     __rmul__ = __mul__
 
     def conjugated(self) -> "ExactScalar":
         """i -> -i together with gamma -> -gamma; both unit tags are invariant."""
-        return ExactScalar({u: c.conjugate() for u, c in self._coeffs.items()}, self.root)
+        return ExactScalar._checked({u: c.conjugate() for u, c in self._coeffs.items()},
+                                    self.root)
 
     def to_complex(self, params: PhysicalParams | None = None) -> complex:
+        if len(self._coeffs) == 1 and U_ONE in self._coeffs:
+            # the general expression below with both unit-tag terms skipped
+            return self._coeffs[U_ONE].to_complex() * math.sqrt(self.root)
         total = self.coeff(U_ONE).to_complex()
         for tag in (U_HW, U_IHL):
             c = self.coeff(tag)
@@ -266,7 +300,8 @@ Word = tuple[int, ...]
 
 def _accumulate(target: dict, key: tuple, coeff: ExactScalar) -> None:
     """Add coeff at key (a word or an occupation pair), dropping a zero sum."""
-    new = target.get(key, ExactScalar.zero()) + coeff
+    old = target.get(key)
+    new = coeff if old is None else old + coeff
     if new.is_zero():
         target.pop(key, None)
     else:
@@ -274,7 +309,10 @@ def _accumulate(target: dict, key: tuple, coeff: ExactScalar) -> None:
 
 
 class LadderPoly:
-    """Finite linear combination of ladder words with exact coefficients."""
+    """Finite linear combination of ladder words with exact coefficients.
+
+    No stored coefficient is zero, and every word holds symbol codes only.
+    """
 
     __slots__ = ("_terms",)
 
@@ -289,6 +327,13 @@ class LadderPoly:
                     raise DomainError(f"unknown symbol code {sym!r}")
             _accumulate(clean, tuple(word), coeff)
         self._terms = clean
+
+    @staticmethod
+    def _checked(terms: dict[Word, ExactScalar]) -> "LadderPoly":
+        """A poly that owns terms, a dict already built as __init__ would build it."""
+        out = object.__new__(LadderPoly)
+        out._terms = terms
+        return out
 
     # -- constructors ------------------------------------------------------
     @staticmethod
@@ -326,7 +371,7 @@ class LadderPoly:
         merged = dict(self._terms)
         for word, coeff in other._terms.items():
             _accumulate(merged, word, coeff)
-        return LadderPoly(merged)
+        return LadderPoly._checked(merged)
 
     def __sub__(self, other: "LadderPoly") -> "LadderPoly":
         return self + (-other)
@@ -342,7 +387,7 @@ class LadderPoly:
         for w1, c1 in self._terms.items():
             for w2, c2 in other._terms.items():
                 _accumulate(out, w1 + w2, c1 * c2)
-        return LadderPoly(out)
+        return LadderPoly._checked(out)
 
     def __rmul__(self, other: "ScalarLike") -> "LadderPoly":
         return self.__mul__(other)
@@ -379,7 +424,7 @@ class LadderPoly:
                 if (a, b) in ((B1_ANN, B1_CRE), (B2_ANN, B2_CRE)):
                     _accumulate(nxt, word[:idx] + word[idx + 2 :], coeff)
             pending = nxt
-        return LadderPoly(done)
+        return LadderPoly._checked(done)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LadderPoly):
@@ -486,25 +531,45 @@ def to_matrix(poly: LadderPoly, ladder, params: PhysicalParams | None = None) ->
     return total
 
 
-def matrix_element(poly: LadderPoly, ladder, bra: tuple[int, int], ket: tuple[int, int],
-                   params: PhysicalParams | None = None) -> complex:
-    """<bra| poly |ket> on the truncated matrices; the float cross-validation route.
+def matrix_elements(polys: list[LadderPoly], ladder, bra: tuple[int, int],
+                    ket: tuple[int, int], params: PhysicalParams | None = None) -> list[complex]:
+    """[<bra| poly |ket> for poly in polys] on the truncated matrices; the float route.
 
-    bra and ket are occupation pairs.  Each word's ladder matrices are applied
-    right to left to the basis vector of ket and the bra component is read
-    off, so no product matrix is formed.
+    bra and ket are occupation pairs.  Every word of every poly is one column
+    of a (dim, words) block that starts as the basis vector of ket.  The
+    ladder matrices act right to left: for each position from the right and
+    each symbol, one operator-block product advances the columns whose word
+    has that symbol there.  A column takes every product of its word, even
+    on a vector that an annihilator has zeroed, so a non-finite ladder entry
+    still shows.  No product matrix is formed.  Each poly sums its words'
+    bra components in its term order.
     """
     symbol_map = _symbol_matrices(ladder)
-    start = np.zeros(ladder.space.dim, dtype=complex)
-    start[ladder.space.index(*ket)] = 1.0
+    words = [word for poly in polys for word in poly._terms]
+    # column-major, so that gathering the columns of one step copies whole columns
+    block = np.zeros((ladder.space.dim, len(words)), dtype=complex, order="F")
+    block[ladder.space.index(*ket)] = 1.0
     row = ladder.space.index(*bra)
-    total = 0.0 + 0.0j
-    for word, coeff in poly._terms.items():
-        vec = start
-        for sym in reversed(word):
-            vec = symbol_map[sym] @ vec
-        total += coeff.to_complex(params) * vec[row]
-    return total
+    steps: dict[tuple[int, int], list[int]] = {}  # (position from the right, symbol) -> columns
+    for col, word in enumerate(words):
+        for step in enumerate(reversed(word)):
+            steps.setdefault(step, []).append(col)
+    for (_, sym), cols in sorted(steps.items()):
+        block[:, cols] = symbol_map[sym] @ block[:, cols]
+    read = iter(block[row])
+    out = []
+    for poly in polys:
+        total = 0.0 + 0.0j
+        for coeff in poly._terms.values():
+            total += coeff.to_complex(params) * next(read)
+        out.append(total)
+    return out
+
+
+def matrix_element(poly: LadderPoly, ladder, bra: tuple[int, int], ket: tuple[int, int],
+                   params: PhysicalParams | None = None) -> complex:
+    """<bra| poly |ket> on the truncated matrices: matrix_elements of the one poly."""
+    return matrix_elements([poly], ladder, bra, ket, params)[0]
 
 
 def matrix_vacuum_pairing(poly: LadderPoly, ladder, params: PhysicalParams | None = None) -> complex:
@@ -523,4 +588,4 @@ def random_poly(rng, max_degree: int = 6, max_terms: int = 5) -> LadderPoly:
             Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
         )
         _accumulate(terms, word, ExactScalar.of(coeff))
-    return LadderPoly(terms)
+    return LadderPoly._checked(terms)

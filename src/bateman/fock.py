@@ -14,7 +14,11 @@ few.  Sums, products and matrix-vector products are loops over offsets with
 numpy slices: no index arrays are stored, sorted or merged.  Every entry of a
 product sums its terms in ascending offset of the left factor, and every
 entry of a matrix-vector product in ascending offset, the column order in
-which a CSR product sums them.
+which a CSR product sums them.  An operator also applies to a block of
+column vectors, shape (n, k), in one pass per offset: each column gets the
+same multiplies and adds, in the same order, as it would alone, so a block
+product is bit for bit its columns' products.  A vector may stand on the
+left (`v @ A`), a block may not.
 State vectors and Gram matrices stay dense numpy arrays.  The two cubic
 kernels (`matrix_exp`, and the nullspace SVD in `imagscale`) take the
 `coordinates` of their input's nonzero entries, split them into the
@@ -99,8 +103,9 @@ class Operator:
     entries (r, r + k) in ascending row r, as `np.diagonal(dense, k)` lists
     them; every offset not stored is zero.  The arrays are never written
     after construction, so operators share them (the transpose does).
-    Supported: `@` with an operator or a vector on either side, `+`, `-`,
-    scalar `*` and `/`, `.T`, `.conj()`, `abs()` and `row_sums()`.
+    Supported: `@` with an operator or a vector on either side or a block of
+    columns on the right, `+`, `-`, scalar `*` and `/`, `.T`, `.conj()`,
+    `abs()` and `row_sums()`.
     """
 
     __slots__ = ("shape", "diagonals")
@@ -182,16 +187,21 @@ class Operator:
 
     def __rmatmul__(self, other):
         # v @ A = A^T v: ascending offsets of A^T sum each entry in ascending row of A
-        return self.T._apply(np.asarray(other))
+        other = np.asarray(other)
+        if other.ndim != 1:
+            raise DimensionMismatch(f"cannot apply shape {other.shape} to a {self.shape} operator "
+                                    f"from the left; only a vector can stand there")
+        return self.T._apply(other)
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
+        """self @ x for a vector x of shape (n,) or a block of columns of shape (n, k)."""
         n = self.shape[0]
-        if x.shape != (n,):
+        if x.shape[:1] != (n,) or x.ndim > 2:
             raise DimensionMismatch(f"cannot apply a {self.shape} operator to shape {x.shape}")
-        out = np.zeros(n, dtype=np.result_type(x, *self.diagonals.values()))
+        out = np.zeros(x.shape, dtype=np.result_type(x, *self.diagonals.values()))
         for k, w in self.diagonals.items():
             lo, hi = _rows(k, n)
-            out[lo:hi] += w * x[lo + k:hi + k]
+            out[lo:hi] += (w if x.ndim == 1 else w[:, None]) * x[lo + k:hi + k]
         return out
 
     def _product(self, other: Operator) -> Operator:
@@ -391,8 +401,8 @@ def intertwining_deviation(u: Operator, pairs, keep: np.ndarray) -> float:
     keep is a boolean mask of the basis states; both sides of each entry must
     be kept.  Checks u a u^{-1} = m without forming u^{-1}.
     """
-    gap = max(_masked_max_abs(u @ a - m @ u, keep) for a, m in pairs)
-    return gap / _masked_max_abs(u, keep)
+    gap = np.max([_masked_max_abs(u @ a - m @ u, keep) for a, m in pairs])  # keeps a NaN
+    return float(gap) / _masked_max_abs(u, keep)
 
 
 def blocks(rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]

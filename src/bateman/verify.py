@@ -123,6 +123,13 @@ def _ladder(n_max: int):
     return build_ladder(n_max)
 
 
+def _worst(*deviations: float) -> float:
+    """The largest deviation, or NaN when any is NaN; max() drops a NaN that is not first."""
+    if any(math.isnan(d) for d in deviations):
+        return math.nan
+    return max(deviations)
+
+
 def _finish(cfg: VerifyConfig, check_id: str, description: str, deviation: float,
             tolerance: float, detail: dict | None = None) -> CheckResult:
     tolerance = tolerance * cfg.tol_scale
@@ -180,9 +187,9 @@ def check_params_examples(cfg: VerifyConfig) -> tuple:
     dev = 0.0
     mismatch = 0
     p = derive_params(1.0, 1e-9, 1.0)
-    dev = max(dev, abs(p.omega - 1.0), abs(p.lam - 5e-10))
+    dev = _worst(dev, abs(p.omega - 1.0), abs(p.lam - 5e-10))
     p = derive_params(1.0, 1.0, 1.25)
-    dev = max(dev, abs(p.omega - 1.0), abs(p.lam - 0.5))
+    dev = _worst(dev, abs(p.omega - 1.0), abs(p.lam - 0.5))
     try:
         derive_params(1.0, 2.0, 1.0)  # 4mk == gamma^2 boundary must be rejected
         mismatch += 1
@@ -190,10 +197,10 @@ def check_params_examples(cfg: VerifyConfig) -> tuple:
         pass
     for q in (cfg.params, derive_params(1.3, 0.7, 2.1)):
         for s in (-q.lam + 1j * q.omega, -q.lam - 1j * q.omega):
-            dev = max(dev, abs(q.m * s * s + q.gamma * s + q.k) / q.k)
+            dev = _worst(dev, abs(q.m * s * s + q.gamma * s + q.k) / q.k)
         for s in (q.lam + 1j * q.omega, q.lam - 1j * q.omega):
-            dev = max(dev, abs(q.m * s * s - q.gamma * s + q.k) / q.k)
-        dev = max(dev, abs(q.omega**2 + q.lam**2 - q.k / q.m) / (q.k / q.m))
+            dev = _worst(dev, abs(q.m * s * s - q.gamma * s + q.k) / q.k)
+        dev = _worst(dev, abs(q.omega**2 + q.lam**2 - q.k / q.m) / (q.k / q.m))
     return ("parameter derivation and quadratic roots", dev + mismatch, 1e-10)
 
 
@@ -289,10 +296,10 @@ def check_commutators_interior(cfg: VerifyConfig) -> tuple:
         ("a1_dag", "a2_dag"): (lad.a1_dag, lad.a2_dag, zero),
     }
     for (x, y, want) in pairs.values():
-        dev = max(dev, interior_deviation(commutator(x, y), want, space, 1))
+        dev = _worst(dev, interior_deviation(commutator(x, y), want, space, 1))
     cross = max_abs(commutator(lad.a1, lad.a2_dag))
     detail["cross_mode_exact"] = cross
-    dev = max(dev, cross)
+    dev = _worst(dev, cross)
     return ("ladder commutators on the interior projection", dev, 1e-12, detail)
 
 
@@ -370,24 +377,55 @@ def check_h_structure(cfg: VerifyConfig) -> tuple:
                        "h0_h1_commutator": comm_dev})
 
 
-@_check("algebra.cross-validation")
-def check_oracle_cross_validation(cfg: VerifyConfig) -> tuple:
-    rng = random.Random(cfg.seed)
-    dev = 0.0
+def _oracle_draws(seed: int) -> list[tuple]:
+    """200 (poly, element) draws; every tenth poly also gets a (bra, ket) pair, else None."""
+    rng = random.Random(seed)
+    draws = []
     for trial in range(200):
         poly = algebra.random_poly(rng, max_degree=6)
-        degree = max(poly.degree(), 0)
-        lad = _ladder(max(2, degree + 2))
-        exact = algebra.vacuum_pairing(LadderPoly.one(), poly).to_complex()
-        numeric = algebra.matrix_vacuum_pairing(poly, lad)
-        dev = max(dev, abs(exact - numeric))
+        element = None
         if trial % 10 == 0:
-            bra = (rng.randint(0, 2), rng.randint(0, 2))
-            ket = (rng.randint(0, 2), rng.randint(0, 2))
-            elem = algebra.basis_matrix_element(*bra, poly, *ket).to_complex()
-            numeric = algebra.matrix_element(poly, _ladder(degree + 5), bra, ket)
-            dev = max(dev, abs(elem - numeric))
-    return ("200 random polynomials: exact oracle vs truncated matrices", dev, 1e-12)
+            element = ((rng.randint(0, 2), rng.randint(0, 2)),
+                       (rng.randint(0, 2), rng.randint(0, 2)))
+        draws.append((poly, element))
+    return draws
+
+
+def _oracle_exact(draws: list[tuple]) -> list[complex]:
+    """Each draw's vacuum pairing, then its element if it has one, from the exact algebra."""
+    one = LadderPoly.one()
+    values = []
+    for poly, element in draws:
+        values.append(algebra.vacuum_pairing(one, poly).to_complex())
+        if element is not None:
+            (m1, m2), (n1, n2) = element
+            values.append(algebra.basis_matrix_element(m1, m2, poly, n1, n2).to_complex())
+    return values
+
+
+def _oracle_numeric(draws: list[tuple]) -> list[complex]:
+    """The same values on ladders of n_max = degree + 2 (at least 2) for the pairings, degree
+    + 5 for the elements: one batched walk per ladder for the pairings, one per element."""
+    by_size: dict[int, list[LadderPoly]] = {}
+    for poly, _ in draws:
+        by_size.setdefault(max(2, poly.degree() + 2), []).append(poly)
+    pairings = {size: iter(algebra.matrix_elements(polys, _ladder(size), (0, 0), (0, 0)))
+                for size, polys in by_size.items()}
+    values = []
+    for poly, element in draws:
+        values.append(next(pairings[max(2, poly.degree() + 2)]))
+        if element is not None:
+            bra, ket = element
+            values.append(algebra.matrix_element(poly, _ladder(poly.degree() + 5), bra, ket))
+    return values
+
+
+@_check("algebra.cross-validation")
+def check_oracle_cross_validation(cfg: VerifyConfig) -> tuple:
+    draws = _oracle_draws(cfg.seed)
+    gaps = [abs(exact - numeric)
+            for exact, numeric in zip(_oracle_exact(draws), _oracle_numeric(draws))]
+    return ("200 random polynomials: exact oracle vs truncated matrices", _worst(*gaps), 1e-12)
 
 
 ALGEBRA_SUITE = [
@@ -463,10 +501,10 @@ def _closed_form(cfg: VerifyConfig, con: Construction, description: str, at_zero
     n_max = cfg.resolve(12)
     lad = _ladder(n_max)
     t0 = transform(con, 0.0, lad)
-    dev = max(max_abs(getattr(t0, name) - want) for name, want in at_zero(lad).items())
+    dev = _worst(*(max_abs(getattr(t0, name) - want) for name, want in at_zero(lad).items()))
     tq = transform(con, con.quarter(+1), lad)
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    dev = max(dev, max_abs(tq.ann1 - inv_sqrt2 * (lad.a1 - lad.a2_dag)))
+    dev = _worst(dev, max_abs(tq.ann1 - inv_sqrt2 * (lad.a1 - lad.a2_dag)))
     return (description, dev, 1e-14)
 
 
@@ -495,10 +533,10 @@ def _commutators(cfg: VerifyConfig, con: Construction, description: str, angle) 
         tr = transform(con, a, lad)
         # the two operators mixed from (a1, a2+) commute on the whole truncated space
         same_side, cross = mode2_split(con, tr)
-        dev = max(dev, interior_deviation(commutator(tr.ann1, tr.cre1), eye, space, 1))
-        dev = max(dev, interior_deviation(commutator(tr.ann2, tr.cre2), eye, space, 1))
-        dev = max(dev, interior_deviation(commutator(tr.ann1, cross), zero, space, 1))
-        dev = max(dev, max_abs(commutator(tr.ann1, same_side)))
+        dev = _worst(dev, interior_deviation(commutator(tr.ann1, tr.cre1), eye, space, 1))
+        dev = _worst(dev, interior_deviation(commutator(tr.ann2, tr.cre2), eye, space, 1))
+        dev = _worst(dev, interior_deviation(commutator(tr.ann1, cross), zero, space, 1))
+        dev = _worst(dev, max_abs(commutator(tr.ann1, same_side)))
     return (description, dev, 1e-12)
 
 
@@ -520,7 +558,7 @@ def _identity_quarter(cfg: VerifyConfig, con: Construction, description: str) ->
     dev = 0.0
     for branch in (+1, -1):
         rep = identity_report(con, transform(con, con.quarter(branch), lad), cfg.params, margin)
-        dev = max(dev, rep.h0_deviation, rep.h1_deviation, rep.reduced_deviation)
+        dev = _worst(dev, rep.h0_deviation, rep.h1_deviation, rep.reduced_deviation)
     return (description, dev, 1e-10 * lad.space.dim)
 
 
@@ -538,7 +576,7 @@ def _identity_generic(cfg: VerifyConfig, con: Construction, description: str, an
     lad = _ladder(n_max)
     rep = identity_report(con, transform(con, angle(cfg), lad), cfg.params,
                           cfg.eff_margin(n_max))
-    return (description, max(rep.h0_deviation, rep.h1_deviation), 1e-10 * lad.space.dim)
+    return (description, _worst(rep.h0_deviation, rep.h1_deviation), 1e-10 * lad.space.dim)
 
 
 check_ft_identity_generic, check_is_identity_generic = _twin(
@@ -604,7 +642,7 @@ def _heisenberg(cfg: VerifyConfig, con: Construction, description: str) -> tuple
                                (1, "cre", tr.cre1), (2, "cre", tr.cre2)):
             lhs = commutator(op, h) / (1j * params.hbar)
             rate = heisenberg_rate(con, mode, kind, branch, params)
-            dev = max(dev, interior_deviation(lhs, rate * op, lad.space, margin))
+            dev = _worst(dev, interior_deviation(lhs, rate * op, lad.space, margin))
     return (description, dev, 1e-10)
 
 
@@ -625,7 +663,7 @@ def _xy(cfg: VerifyConfig, con: Construction, description: str) -> tuple:
     for branch in (+1, -1):
         tr = transform(con, con.quarter(branch), lad)
         x0, y0 = xy_operators(con, branch, 0.0, tr, cfg.params)
-        dev = max(dev, max_abs(x0 - x_ref), max_abs(y0 - y_ref))
+        dev = _worst(dev, max_abs(x0 - x_ref), max_abs(y0 - y_ref))
     return (description, dev, 1e-12)
 
 
@@ -652,8 +690,8 @@ def check_ft_similarity(cfg: VerifyConfig) -> tuple:
     # few spreading lengths below n_max, so the window shrinks with the resolution
     window = min(6, max(0, (n_max - 8) // 2))
     x = ft.generator_matrix(lad)
-    dev = max(similarity_deviation(ft.FT, transform(ft.FT, theta, lad), x, window)
-              for theta in thetas)
+    dev = _worst(*(similarity_deviation(ft.FT, transform(ft.FT, theta, lad), x, window)
+                   for theta in thetas))
     return ("e^{theta X} a = (bar a) e^{theta X} on the low block",
             dev, 1e-8, {"thetas": list(thetas), "window": window,
                         "n_max": n_max})
@@ -708,7 +746,7 @@ def check_ft_two_route(cfg: VerifyConfig) -> tuple:
     dev = 0.0
     for (n1, n2), (ket_b, bra_b) in zip(states, ft.ft_basis_similarity(tr, states)):
         ket_a, bra_a = basis(tr, n1, n2, vacuum)
-        dev = max(dev, max_abs((ket_a - ket_b)[keep]), max_abs((bra_a - bra_b)[keep]))
+        dev = _worst(dev, max_abs((ket_a - ket_b)[keep]), max_abs((bra_a - bra_b)[keep]))
     # both routes truncate the same series; the measured gap decays like a
     # single power of tan per rung (normalization eats the other power)
     tail = abs(math.tan(cfg.theta)) ** (n_max - 2)
@@ -729,7 +767,7 @@ def check_ft_norm_closed_forms(cfg: VerifyConfig) -> tuple:
                 wants["closed_form"] = closed[(n1, n2)]
             for route, want in wants.items():
                 rel = abs(got - want) / abs(want)
-                if rel > dev:
+                if not rel <= dev and not math.isnan(dev):  # a NaN is the worst, and stays
                     dev = rel
                     worst = {"Theta": big_theta, "n1": n1, "n2": n2, "route": route,
                              "got": got, "want": want}
@@ -744,7 +782,7 @@ def check_ft_norm_fits(cfg: VerifyConfig) -> tuple:
     for (n1, n2) in ((0, 0), (1, 0), (1, 1), (2, 1)):
         slope = ft.ft_norm_exponent_fit(ft.FIT_THETA_GRID, n1, n2)
         slopes[f"({n1},{n2})"] = slope
-        dev = max(dev, abs(slope - (n1 + n2 + 1)))
+        dev = _worst(dev, abs(slope - (n1 + n2 + 1)))
     return ("divergence exponents fit to n1+n2+1", dev, 0.1, slopes)
 
 
@@ -789,11 +827,9 @@ FT_SUITE = [
 def check_is_tilde(cfg: VerifyConfig) -> tuple:
     n_max = cfg.resolve(12)
     lad = _ladder(n_max)
-    dev_sim = max(
-        imagscale.tilde_similarity_deviation(phi) for phi in (0.2j, 0.3j)
-    )
+    dev_sim = _worst(*(imagscale.tilde_similarity_deviation(phi) for phi in (0.2j, 0.3j)))
     t_ann, t_cre = imagscale.tilde_pair(math.pi / 2, lad.a2, lad.a2_dag)
-    dev_cf = max(max_abs(t_ann - (-1j) * lad.a2_dag), max_abs(t_cre - (-1j) * lad.a2))
+    dev_cf = _worst(max_abs(t_ann - (-1j) * lad.a2_dag), max_abs(t_cre - (-1j) * lad.a2))
     z_built = lad.a1_dag @ t_ann + t_cre @ lad.a1
     dev_z = max_abs(z_built - imagscale.generator_z_matrix(lad))
     # the products read e^{chi Z} one rung past the window, where the
@@ -804,7 +840,7 @@ def check_is_tilde(cfg: VerifyConfig) -> tuple:
     dev_chi = similarity_deviation(imagscale.IS, transform(imagscale.IS, 0.3j, chi_lad),
                                    imagscale.generator_z_matrix(chi_lad), window)
     return ("mode-2 squeeze: similarity routes, pi/2 closed form, Z composition",
-            max(dev_sim, dev_cf, dev_z, dev_chi), 1e-8,
+            _worst(dev_sim, dev_cf, dev_z, dev_chi), 1e-8,
             {"squeeze_similarity": dev_sim, "closed_form": dev_cf,
              "z_composition": dev_z, "chi_similarity": dev_chi})
 
@@ -817,12 +853,12 @@ def check_is_vacuum(cfg: VerifyConfig) -> tuple:
     ket0, bra0 = imagscale.is_vacuum(t0)
     unit = np.zeros(lad.space.dim, dtype=complex)
     unit[lad.space.index(0, n_max)] = 1.0
-    dev = max(max_abs(ket0 - unit), max_abs(bra0 - unit))
+    dev = _worst(max_abs(ket0 - unit), max_abs(bra0 - unit))
     tq = transform(imagscale.IS, imagscale.IS.quarter(+1), lad)
     ketq, braq = imagscale.is_vacuum(tq)
-    dev = max(dev, float(np.linalg.norm(tq.ann1 @ ketq)), float(np.linalg.norm(tq.ann2 @ ketq)))
-    dev = max(dev, float(np.linalg.norm(braq @ tq.cre1)), float(np.linalg.norm(braq @ tq.cre2)))
-    dev = max(dev, abs(braq @ ketq - 1.0))
+    dev = _worst(dev, float(np.linalg.norm(tq.ann1 @ ketq)), float(np.linalg.norm(tq.ann2 @ ketq)))
+    dev = _worst(dev, float(np.linalg.norm(braq @ tq.cre1)), float(np.linalg.norm(braq @ tq.cre2)))
+    dev = _worst(dev, abs(braq @ ketq - 1.0))
     return ("nullspace vacuum: chi=0 is the mode-2 top state; defining relations at i pi/4",
             dev, 1e-10)
 
@@ -843,12 +879,12 @@ def check_is_matrix_element(cfg: VerifyConfig) -> tuple:
             ket, bra = basis(frame, n1, n2, vacuum)
             got = bra @ (h @ ket)
             want = eigenvalue(imagscale.IS, n1, n2, branch).as_complex(params)
-            dev = max(dev, abs(got - want))
-        witness = max(witness, max_abs(h @ h.conj().T - h.conj().T @ h))
+            dev = _worst(dev, abs(got - want))
+        witness = _worst(witness, max_abs(h @ h.conj().T - h.conj().T @ h))
     scale = params.hbar * (params.omega + params.lam)
     # the witness scales as hbar^2 omega lambda (312 of it at n_max 12)
     if params.gamma > 0 and witness <= 1e-6 * params.hbar**2 * params.omega * params.lam:
-        dev = max(dev, 1.0)  # H must fail to be normal once damping is on
+        dev = _worst(dev, 1.0)  # H must fail to be normal once damping is on
     return ("bounded-frame H matrix elements match the spectrum (both branches)",
             dev, 1e-8 * scale,
             {"nonnormality_witness": witness})
@@ -969,9 +1005,9 @@ def check_eom_residuals(cfg: VerifyConfig) -> tuple:
     exps = dynamics.xy_mode_exponents(params)
     dev = 0.0
     for s in exps["damped"]:
-        dev = max(dev, abs(dynamics.eom_residual(s, "damped", params)))
+        dev = _worst(dev, abs(dynamics.eom_residual(s, "damped", params)))
     for s in exps["amplified"]:
-        dev = max(dev, abs(dynamics.eom_residual(s, "amplified", params)))
+        dev = _worst(dev, abs(dynamics.eom_residual(s, "amplified", params)))
     mismatch = 0
     undamped = abs(dynamics.eom_residual(1j * params.omega, "damped", params))
     if undamped <= 0.5 * params.gamma * params.omega:
@@ -986,20 +1022,23 @@ def check_factor_examples(cfg: VerifyConfig) -> tuple:
     dev = 0.0
     ev = eigenvalue(ft.FT, 0, 0, "-").as_complex(params)
     got = dynamics.schrodinger_factor(ev, 1.0 / params.lam, params.hbar)
-    dev = max(dev, abs(got - math.exp(-1.0)))
+    dev = _worst(dev, abs(got - math.exp(-1.0)))
     ev_stable = eigenvalue(imagscale.IS, 0, 0, "+").as_complex(params)
     for t in (0.0, 1.0, 10.0):
-        dev = max(dev, abs(abs(dynamics.schrodinger_factor(ev_stable, t, params.hbar)) - 1.0))
+        dev = _worst(dev, abs(abs(dynamics.schrodinger_factor(ev_stable, t, params.hbar)) - 1.0))
     ev_mixed = eigenvalue(imagscale.IS, 1, 0, "+").as_complex(params)
-    for t in (0.0, 0.7, 3.0):
+    # |factor|^2 = e^{2 lambda t} must stay finite: past lambda = 1/2 the times shrink
+    # with 1/lambda (the scale is exactly 1 below it)
+    scale = 0.5 / max(params.lam, 0.5)
+    for t in (0.0, 0.7 * scale, 3.0 * scale):
         prod = dynamics.schrodinger_factor(ev_mixed, t, params.hbar) * dynamics.dual_factor(
             ev_mixed, t, params.hbar
         )
-        dev = max(dev, abs(prod - 1.0))
+        dev = _worst(dev, abs(prod - 1.0))
         evo = dynamics.StateEvolution.create("is", "+", 1, 0, params)
         lhs = abs(evo.factor(t)) ** 2
         rhs = math.exp(2.0 * evo.amplitude_rate * t)
-        dev = max(dev, abs(lhs - rhs) / max(rhs, 1.0))
+        dev = _worst(dev, abs(lhs - rhs) / max(rhs, 1.0))
     return ("scalar evolution factors: decay value, unit modulus, reciprocal pair", dev, 1e-12)
 
 

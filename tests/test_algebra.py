@@ -28,6 +28,7 @@ from bateman.algebra import (
     basis_column,
     basis_matrix_element,
     matrix_element,
+    matrix_elements,
     matrix_vacuum_pairing,
     normal_order,
     random_poly,
@@ -162,25 +163,41 @@ def test_to_matrix_round_trip(ladder8):
     assert np.allclose(dense(mat), dense(ladder8.a1_dag @ ladder8.a1))
 
 
-# --- matrix_element: word-by-vector products against the whole matrix ---------
+# --- matrix_elements: batched word walks against the whole matrix -------------
 
 _LOW_OCCUPATIONS = [(a, b) for a in range(3) for b in range(3)]
 
 
-def test_matrix_element_matches_whole_matrix_on_seeded_polys():
+def _bits(values) -> bytes:
+    return np.array(values, dtype=complex).tobytes()
+
+
+def _seeded_polys(count=200):
     rng = random.Random(20260823)
-    for _ in range(200):
-        poly = random_poly(rng, max_degree=6)
-        ladder = build_ladder(poly.degree() + 5)
-        mat = to_matrix(poly, ladder)
+    return [random_poly(rng, max_degree=6) for _ in range(count)]
+
+
+def _by_ladder_size(polys, size):
+    groups = {}
+    for poly in polys:
+        groups.setdefault(size(poly.degree()), []).append(poly)
+    return {n_max: (build_ladder(n_max), group) for n_max, group in groups.items()}
+
+
+def test_matrix_element_matches_whole_matrix_on_seeded_polys():
+    for ladder, polys in _by_ladder_size(_seeded_polys(), lambda d: d + 5).values():
+        mats = [to_matrix(poly, ladder) for poly in polys]
         for m in _LOW_OCCUPATIONS:
             bra = np.zeros(ladder.space.dim, dtype=complex)
             bra[ladder.space.index(*m)] = 1.0
             for n in _LOW_OCCUPATIONS:
                 ket = np.zeros(ladder.space.dim, dtype=complex)
                 ket[ladder.space.index(*n)] = 1.0
-                assert abs(matrix_element(poly, ladder, m, n) - bra @ (mat @ ket)) <= 1e-14
-        assert matrix_vacuum_pairing(poly, ladder) == matrix_element(poly, ladder, (0, 0), (0, 0))
+                for got, mat in zip(matrix_elements(polys, ladder, m, n), mats):
+                    assert abs(got - bra @ (mat @ ket)) <= 1e-14
+        for poly in polys:
+            assert (matrix_vacuum_pairing(poly, ladder)
+                    == matrix_element(poly, ladder, (0, 0), (0, 0)))
 
 
 def test_matrix_element_reads_bra_row_and_ket_column(ladder8, params):
@@ -194,6 +211,43 @@ def test_matrix_element_reads_bra_row_and_ket_column(ladder8, params):
     assert matrix_element(word, ladder8, (1, 0), (0, 0)) == pytest.approx(2.0, abs=1e-15)
     with pytest.raises(DomainError):
         matrix_element(poly, ladder8, (9, 0), (0, 0), params)
+
+
+# --- the batched walk against the one-word-at-a-time walk ---------------------
+
+def _per_word_element(poly, ladder, bra, ket, params=None):
+    """Reference: each word's ladder matrices applied right to left to its own vector."""
+    symbol_map = {B1_CRE: ladder.a1_dag, B2_CRE: ladder.a2_dag,
+                  B1_ANN: ladder.a1, B2_ANN: ladder.a2}
+    start = np.zeros(ladder.space.dim, dtype=complex)
+    start[ladder.space.index(*ket)] = 1.0
+    row = ladder.space.index(*bra)
+    total = 0.0 + 0.0j
+    for word, coeff in poly.terms.items():
+        vec = start
+        for sym in reversed(word):
+            vec = symbol_map[sym] @ vec
+        total += coeff.to_complex(params) * vec[row]
+    return total
+
+
+def test_matrix_elements_equal_the_per_word_walk_at_the_vacuum():
+    # the cross-validation's batches: one walk per ladder size, bit for bit the per-word walk
+    for ladder, polys in _by_ladder_size(_seeded_polys(), lambda d: max(2, d + 2)).values():
+        got = matrix_elements(polys, ladder, (0, 0), (0, 0))
+        assert _bits(got) == _bits([_per_word_element(p, ladder, (0, 0), (0, 0)) for p in polys])
+        assert _bits(got) == _bits([matrix_vacuum_pairing(p, ladder) for p in polys])
+
+
+def test_matrix_elements_equal_the_per_word_walk_on_low_occupations(params):
+    polys = _seeded_polys(60) + [LadderPoly.word((B1_CRE, B2_ANN), ExactScalar.unit(U_HW, 3))]
+    ladder = build_ladder(6 + 5)
+    for bra in _LOW_OCCUPATIONS:
+        for ket in _LOW_OCCUPATIONS:
+            got = matrix_elements(polys, ladder, bra, ket, params)
+            want = [_per_word_element(p, ladder, bra, ket, params) for p in polys]
+            assert _bits(got) == _bits(want)
+    assert matrix_elements([], ladder, (0, 0), (0, 0)) == []
 
 
 # --- the integer-weight column kernel against a per-symbol reference ----------
@@ -313,6 +367,43 @@ def test_rational_factor_fast_path(x, k):
         assert got.is_zero() and got.root == 1 and got == ExactScalar.zero()
     else:
         assert got.root == x.root
+
+
+@pytest.mark.parametrize("root", [1, 2])
+@pytest.mark.parametrize("tag", [U_ONE, U_HW, U_IHL])
+def test_real_scalar_product_equals_the_general_product(tag, root):
+    c = CQ(Fraction(3, 4), Fraction(-2, 5))
+    x = ExactScalar({tag: c}, root)
+    for k in (Fraction(-2, 3), Fraction(5), Fraction(1)):
+        real = ExactScalar.of(k)
+        # the four-multiply complex product, on x's tag and root
+        want = ExactScalar({tag: c * CQ(k, Fraction(0))}, root)
+        assert x * real == real * x == want
+        assert (x * real).root == root
+    assert x * ExactScalar.of(1) is x and ExactScalar.of(1) * x is x and x * 1 is x
+
+
+def _stores_no_zero(poly):
+    return all(not coeff.is_zero() and all(not c.is_zero() for c in coeff._coeffs.values())
+               for coeff in poly._terms.values())
+
+
+def test_rebuilt_polys_equal_the_results_of_arithmetic():
+    # sums, products, normal orders and random_poly skip __init__: each result must
+    # equal its rebuild through __init__, hash alike and store no zero
+    one = LadderPoly.one()
+    polys = _seeded_polys()
+    for p, q in zip(polys, polys[1:]):
+        for result in (p, one * p, p * one, p + q, p * q, (p * q).normal_order(), -p,
+                       p.conjugated(), p * ExactScalar.of(Fraction(-2, 3))):
+            rebuilt = LadderPoly(result.terms)
+            assert rebuilt == result and hash(rebuilt) == hash(result)
+            assert _stores_no_zero(result)
+        for empty in (p + (-p), p - p, p * 0, (p - p).normal_order()):
+            assert empty.is_zero() and empty._terms == {}
+    scalar = ExactScalar.unit(U_HW, 2) + ExactScalar.of(Fraction(1, 3))
+    assert (scalar - ExactScalar.unit(U_HW, 2))._coeffs == {U_ONE: CQ(Fraction(1, 3))}
+    assert (scalar - scalar)._coeffs == {} and (scalar - scalar).root == 1
 
 
 def test_root_one_products_and_cq_factors():

@@ -155,10 +155,14 @@ def test_verify_passes_at_the_largest_n_max(capsys, suite, count):
 
 
 @pytest.mark.parametrize("flags", [["--hbar", "1e-8"], ["--gamma", "1e-6", "--k", "1e-8"],
-                                   ["--hbar", "1e6"], ["--k", "1e8"], ["--k", "1e6"]])
+                                   ["--hbar", "1e6"], ["--k", "1e8"], ["--k", "1e6"],
+                                   ["--gamma", "300", "--k", "1e5"],
+                                   ["--gamma", "1000", "--k", "1e6"],
+                                   ["--m", "1e-4", "--k", "1e4"]])
 def test_verify_all_passes_at_far_physical_scales(capsys, flags):
     # the non-normality witness, [H0, H1] and the quadratic-root residual are
-    # gated relative to the scale of H and of k, not against absolute numbers
+    # gated relative to the scale of H and of k, not against absolute numbers;
+    # dynamics.factor samples e^{2 lambda t} at times that shrink with 1/lambda
     rc, out, _ = run(capsys, "verify", "all", *flags)
     failed = [c["check_id"] for c in json.loads(out)["checks"] if not c["passed"]]
     assert rc == 0 and failed == []

@@ -198,3 +198,16 @@ def test_operator_algebra_matches_dense(n, seed):
         a @ Operator(n + 1, {})
     with pytest.raises(DimensionMismatch):
         a @ np.zeros(n + 1)
+    # a block of columns on the right: each column as the vector product makes it
+    k = int(rng.integers(0, 4))
+    block = rng.integers(-3, 4, (n, k)) + 1j * rng.integers(-3, 4, (n, k))
+    assert np.array_equal(a @ block, da @ block)
+    floats = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+    columns = np.array([a @ floats[:, j] for j in range(k)]).T.reshape(n, k)
+    assert (a @ floats).tobytes() == columns.tobytes()
+    with pytest.raises(DimensionMismatch):
+        block.T @ a  # only a vector may stand on the left; this is not read as A^T X
+    with pytest.raises(DimensionMismatch):
+        a @ np.zeros((n + 1, 2))
+    with pytest.raises(DimensionMismatch):
+        a @ np.zeros((n, 2, 2))

@@ -149,21 +149,48 @@ def test_config_accepts_a_convergent_vacuum_series(params, theta):
     assert VerifyConfig(params=params, theta=theta).theta == theta
 
 
+def _ladder_with_vacuum_entry(name, change):
+    """verify._ladder with ladder `name`'s entry in the row of |0,0> set to change(entry).
+
+    Each ladder is one diagonal, and that entry is its first: <0,0| a1 |1,0>
+    or <0,0| a2 |0,1>.  The conjugate ladder is left alone.
+    """
+    def ladder(n_max):
+        lad = build_ladder(n_max)
+        (offset, weights), = getattr(lad, name).diagonals.items()
+        weights = weights.copy()
+        weights[lad.space.index(0, 0)] = change(weights[lad.space.index(0, 0)])
+        return dataclasses.replace(lad, **{name: Operator(lad.space.dim, {offset: weights})})
+
+    return ladder
+
+
 def test_cross_validation_catches_a_ladder_entry_off_by_1e9(params, monkeypatch):
     # <0,0| a1 |1,0> off by 1e-9 relative, a1_dag left alone: a defect no corrupt hook makes
-    def skewed(n_max):
-        lad = build_ladder(n_max)
-        stride = lad.space.index(1, 0)
-        weights = lad.a1.diagonals[stride].copy()  # a1 is the one diagonal at offset n_max+1
-        weights[lad.space.index(0, 0)] *= 1.0 + 1e-9
-        return dataclasses.replace(lad, a1=Operator(lad.space.dim, {stride: weights}))
-
     cfg = VerifyConfig(params=params)
     assert cfg.corrupt_check is None
     assert check_oracle_cross_validation(cfg).passed
+    skewed = _ladder_with_vacuum_entry("a1", lambda w: w * (1.0 + 1e-9))
     monkeypatch.setattr(verify, "_ladder", skewed)
     result = check_oracle_cross_validation(cfg)
     assert result.deviation > 1e-10 and not result.passed
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf * 0
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_cross_validation_fails_on_a_non_finite_ladder_entry(params, monkeypatch, value):
+    # the walk multiplies the entry into zeros too (inf * 0 is NaN), and a NaN
+    # deviation must not be dropped by the running maximum
+    monkeypatch.setattr(verify, "_ladder", _ladder_with_vacuum_entry("a1", lambda w: value))
+    result = check_oracle_cross_validation(VerifyConfig(params=params))
+    assert math.isnan(result.deviation) and not result.passed
+
+
+def test_commutators_fail_on_a_nan_ladder_entry(params, monkeypatch):
+    # [a2, a2+] is NaN at |0,0>, inside the interior; the other pairs read round-off
+    monkeypatch.setattr(verify, "_ladder", _ladder_with_vacuum_entry("a2", lambda w: math.nan))
+    result = verify.check_commutators_interior(VerifyConfig(params=params))
+    assert math.isnan(result.deviation) and not result.passed
 
 
 def test_exp_inverse_catches_a_matrix_exp_entry_off_by_1e9(cfg, monkeypatch):
