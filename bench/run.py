@@ -4,14 +4,26 @@
 
 Times, in CPU seconds of this process with BLAS on one thread:
 
-- `fock.matrix_exp`, which runs one stacked Padé kernel per block size,
-  against the same gather and scatter with `scipy.linalg.expm` run block by
-  block (`per_block_expm`, the reference kept here only), for 0.3 X, Y and
-  i pi/4 Z at n_max in KERNEL_N_MAX;
-- `imagscale._joint_null_vector`, one batched SVD per block shape, against
-  one `np.linalg.svd` per block (`per_block_null_vector`, the reference kept
-  here only) on the stacked check-annihilator pair, in the original frame
-  and the bounded frame (chi = i pi/4) at n_max in KERNEL_N_MAX;
+- `fock.matrix_exp`, which runs one stacked Padé kernel per sector size,
+  against the same gather and scatter with `scipy.linalg.expm` run sector by
+  sector (`per_block_expm`, the reference kept here only), for 0.3 X, Y and
+  i pi/4 Z at n_max in KERNEL_N_MAX, each on the sectors of its charge;
+- `imagscale._joint_null_vector`, singular values of each stack of declared
+  sectors, against one full `np.linalg.svd` per connected block
+  (`per_block_null_vector`, the reference kept here only) on the stacked
+  check-annihilator pair, in the original frame and the bounded frame
+  (chi = i pi/4) at n_max in KERNEL_N_MAX;
+- at n_max in SECTOR_N_MAX, for the exponentials above and the stacked
+  check-annihilator pairs of the original frame at chi = 0 and i pi/4 and
+  of the bounded frame at i pi/4: the declared partition (`fock.sectors`
+  on the charge labels) against the connected blocks that label
+  propagation finds (`propagated_blocks`, the reference kept here only,
+  which `fock.blocks` used to be; for an exponent, on its pattern plus the
+  diagonal, as `matrix_exp` used it), with the number of connected blocks that
+  straddle two sectors (0 when every sector is a union of blocks); the
+  rank test of the pair's stacks, singular values alone
+  (`compute_uv=False`) against the full SVD; and `imagscale.is_vacuum` of
+  each of the three frames;
 - the operator layers at n_max in {12, 24, 32, 48}: the ladder and
   Hamiltonian build, `transform` plus `identity_report` at the decoupling
   angle of each route, `commutator(H0, H1)` and `ft_basis_similarity`;
@@ -50,7 +62,8 @@ entrywise gap relative to the largest entry; for the SVD the largest
 entrywise gap between the two null vectors; for the operator kernels the
 largest entrywise gap between the two products; for the exact sweeps the
 number of elements on which the two routes differ; for the cross-validation
-halves the largest gap between them; for the batched matrix half the number
+halves the largest gap between them; for the rank test the largest gap
+between the two routes' singular values; for the batched matrix half the number
 of values whose bytes differ from the reference's; for the ladder build the
 number of the four ladders whose nonzero entries are not byte for byte those
 of the reference).
@@ -96,9 +109,7 @@ from bateman.algebra import (  # noqa: E402
 )
 from bateman.construction import hamiltonian_from_plain, identity_report, transform  # noqa: E402
 from bateman.fock import (  # noqa: E402
-    _closed_blocks,
     block_stacks,
-    blocks,
     build_hamiltonian,
     build_ladder,
     commutator,
@@ -106,6 +117,7 @@ from bateman.fock import (  # noqa: E402
     dense,
     from_coordinates,
     matrix_exp,
+    sectors,
 )
 from bateman.ft import FT, ft_basis_similarity, generator_matrix  # noqa: E402
 from bateman.imagscale import (  # noqa: E402
@@ -116,10 +128,12 @@ from bateman.imagscale import (  # noqa: E402
     bounded_frame,
     generator_y_matrix,
     generator_z_matrix,
+    is_vacuum,
 )
 from bateman.params import derive_params  # noqa: E402
 
 KERNEL_N_MAX = (8, 12, 24, 32, 48)
+SECTOR_N_MAX = (12, 24, 48)
 LAYER_N_MAX = (12, 24, 32, 48)
 OPERATOR_N_MAX = (12, 24, 48)
 #: calls per timed repeat of each operator kernel; the times are per call
@@ -136,9 +150,17 @@ BUILD_N_MAX = (2, 8, 12, 24, 48)
 BUILD_CALLS = 100  # ladder builds per timed repeat; the times are per build
 REPEATS = 5
 CHI_Q = 1j * math.pi / 4
-EXP_OPERATORS = {"0.3 X": lambda lad: 0.3 * generator_matrix(lad),
-                 "Y": lambda lad: generator_y_matrix(lad.a2, lad.a2_dag),
-                 "i pi/4 Z": lambda lad: 1j * math.pi / 4 * generator_z_matrix(lad)}
+#: each exponent with the charge it conserves: n1 - n2, or n1 and the parity of n2 for Y
+EXP_OPERATORS = {"0.3 X": lambda lad: (0.3 * generator_matrix(lad), lad.space.difference),
+                 "Y": lambda lad: (generator_y_matrix(lad.a2, lad.a2_dag),
+                                   lad.space.total + lad.space.difference
+                                   + np.arange(lad.space.dim) % (lad.space.n_max + 1) % 2),
+                 "i pi/4 Z": lambda lad: (1j * math.pi / 4 * generator_z_matrix(lad),
+                                          lad.space.difference)}
+#: the frames whose stacked check-annihilator pair the sector rows time
+FRAMES = {"chi 0": lambda lad: transform(IS, 0j, lad),
+          "chi i pi/4": lambda lad: transform(IS, CHI_Q, lad),
+          "bounded i pi/4": lambda lad: bounded_frame(CHI_Q, lad)}
 PARAMS = derive_params(m=1.0, gamma=1.0, k=1.25)
 
 
@@ -153,11 +175,11 @@ def timed(fn) -> tuple[dict, object]:
             "max_s": max(times)}, result
 
 
-def per_block_expm(a):
-    """Reference only: matrix_exp's gather and scatter around scipy.linalg.expm per block."""
+def per_block_expm(a, charge):
+    """Reference only: matrix_exp's gather and scatter around scipy.linalg.expm per sector."""
     coords = coordinates(a)
     rows, cols, vals = [], [], []
-    for idx, _, stack in block_stacks(coords, a.shape, _closed_blocks(*coords[:2], a.shape[0])):
+    for idx, _, stack in block_stacks(coords, a.shape, sectors(*coords[:2], charge, charge)):
         n = idx.shape[1]
         rows.append(np.repeat(idx, n, axis=1).ravel())
         cols.append(np.repeat(idx[:, None, :], n, axis=1).ravel())
@@ -171,16 +193,16 @@ def exp_rows() -> list[dict]:
     for n_max in KERNEL_N_MAX:
         lad = build_ladder(n_max)
         for name, operator in EXP_OPERATORS.items():
-            a = operator(lad)
-            reference, want = timed(lambda: per_block_expm(a))
-            stacked, got = timed(lambda: matrix_exp(a))
+            a, charge = operator(lad)
+            reference, want = timed(lambda: per_block_expm(a, charge))
+            stacked, got = timed(lambda: matrix_exp(a, charge))
             want = dense(want)
             coords = coordinates(a)
-            parts = _closed_blocks(*coords[:2], a.shape[0])
+            parts = sectors(*coords[:2], charge, charge)
             rows.append({
                 "kernel": "expm", "operator": name, "n_max": n_max, "dim": lad.space.dim,
-                "blocks": len(parts), "stacks": len(block_stacks(coords, a.shape, parts)),
-                "largest_block_dim": max(len(idx) for idx, _ in parts),
+                "sectors": len(parts), "stacks": len(block_stacks(coords, a.shape, parts)),
+                "largest_sector_dim": max(len(idx) for idx, _ in parts),
                 "per_block": reference, "stacked": stacked,
                 "speedup": reference["median_s"] / stacked["median_s"],
                 "max_rel_gap": float(np.max(np.abs(dense(got) - want))
@@ -189,10 +211,36 @@ def exp_rows() -> list[dict]:
     return rows
 
 
+def propagated_blocks(rows, cols, shape) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Reference only: the connected (rows, cols) blocks of the nonzero pattern.
+
+    Rows and columns are the two sides of a bipartite graph with an edge at
+    every nonzero entry; every node is labelled by the smallest node of its
+    component, by pulling the smaller label across each edge and jumping
+    labels to their own labels until nothing moves.
+    """
+    n_rows, n_cols = shape
+    rows = np.asarray(rows, dtype=np.intp)
+    cols = np.asarray(cols, dtype=np.intp) + n_rows
+    label = np.arange(n_rows + n_cols)
+    while True:
+        low = np.minimum(label[rows], label[cols])
+        pulled = label.copy()
+        np.minimum.at(pulled, rows, low)
+        np.minimum.at(pulled, cols, low)
+        pulled = pulled[pulled]
+        if np.array_equal(pulled, label):
+            break
+        label = pulled
+    _, component, sizes = np.unique(label, return_inverse=True, return_counts=True)
+    members = np.split(np.argsort(component, kind="stable"), np.cumsum(sizes))[:-1]
+    return [(nodes[nodes < n_rows], nodes[nodes >= n_rows] - n_rows) for nodes in members]
+
+
 def per_block_null_vector(coords, shape) -> np.ndarray:
-    """Reference only: the nullspace vector from one np.linalg.svd per block."""
+    """Reference only: the nullspace vector from one full np.linalg.svd per connected block."""
     parts = []
-    for _, cols, stack in block_stacks(coords, shape, blocks(*coords[:2], shape)):
+    for _, cols, stack in block_stacks(coords, shape, propagated_blocks(*coords[:2], shape)):
         for c, block in zip(cols, stack):
             if len(block) == 0:
                 parts.append((c, np.zeros(0), np.eye(len(c), dtype=complex)))
@@ -214,20 +262,75 @@ def svd_rows() -> list[dict]:
         frames = {"original": transform(IS, CHI_Q, lad),
                   "bounded": bounded_frame(CHI_Q, lad)}
         for frame_name, frame in frames.items():
-            coords, shape = _stacked(frame.ann1, frame.ann2)
+            coords, shape, charge = _stacked(frame.ann1, frame.ann2, frame.charge)
             reference, want = timed(lambda: per_block_null_vector(coords, shape))
             batched, got = timed(
-                lambda: _joint_null_vector(coords, shape, "check annihilator", frame))
-            parts = blocks(*coords[:2], shape)
+                lambda: _joint_null_vector(coords, shape, charge, "check annihilator", frame))
+            parts = sectors(*coords[:2], charge[0], charge[1] - 1)
             rows.append({
                 "kernel": "nullspace_svd", "frame": frame_name, "n_max": n_max,
-                "shape": list(shape), "blocks": len(parts),
+                "shape": list(shape), "sectors": len(parts),
+                "blocks": len(propagated_blocks(*coords[:2], shape)),
                 "stacks": len(block_stacks(coords, shape, parts)),
-                "largest_block_entries": max(len(r) * len(c) for r, c in parts),
+                "largest_sector_entries": max(len(r) * len(c) for r, c in parts),
                 "per_block": reference, "stacked": batched,
                 "speedup": reference["median_s"] / batched["median_s"],
                 "max_abs_gap": float(np.max(np.abs(got - want))),
             })
+    return rows
+
+
+def straddling(blocks, row_charge, col_charge) -> int:
+    """How many of the connected blocks hold more than one charge (0: sectors are unions)."""
+    return sum(len({*row_charge[rows].tolist(), *col_charge[cols].tolist()}) > 1
+               for rows, cols in blocks)
+
+
+def sector_rows() -> list[dict]:
+    """Declared sectors against label propagation, the rank test, and is_vacuum per frame."""
+    rows = []
+    for n_max in SECTOR_N_MAX:
+        lad = build_ladder(n_max)
+        cases = {}
+        diagonal = np.arange(lad.space.dim)
+        for name, operator in EXP_OPERATORS.items():
+            a, charge = operator(lad)
+            entry_rows, entry_cols, _ = coordinates(a)
+            # the blocks closed under a and the identity, as matrix_exp used to find them
+            closed = (np.concatenate([entry_rows, diagonal]),
+                      np.concatenate([entry_cols, diagonal]))
+            cases[f"expm {name}"] = (closed, a.shape, (charge, charge))
+        frames = {name: build(lad) for name, build in FRAMES.items()}
+        for name, frame in frames.items():
+            coords, shape, (row_charge, col_charge) = _stacked(frame.ann1, frame.ann2,
+                                                               frame.charge)
+            cases[f"nullspace {name}"] = (coords, shape, (row_charge, col_charge - 1))
+        for case, (coords, shape, (row_charge, col_charge)) in cases.items():
+            declared_t, parts = timed(lambda: sectors(*coords[:2], row_charge, col_charge))
+            propagated_t, blocks = timed(lambda: propagated_blocks(*coords[:2], shape))
+            rows.append({"layer": "partition", "case": case, "n_max": n_max,
+                         "sectors": len(parts), "blocks": len(blocks),
+                         "declared": declared_t, "propagated": propagated_t,
+                         "speedup": propagated_t["median_s"] / declared_t["median_s"],
+                         "blocks_straddling_sectors": straddling(blocks, row_charge,
+                                                                 col_charge)})
+        for name, frame in frames.items():
+            coords, shape, (row_charge, col_charge) = _stacked(frame.ann1, frame.ann2,
+                                                               frame.charge)
+            stacks = [stack for _, _, stack in block_stacks(
+                coords, shape, sectors(*coords[:2], row_charge, col_charge - 1))
+                      if min(stack.shape[1:])]
+            values_t, values = timed(lambda: [np.linalg.svd(stack, compute_uv=False)
+                                              for stack in stacks])
+            full_t, full = timed(lambda: [np.linalg.svd(stack) for stack in stacks])
+            rows.append({"layer": "rank_test", "frame": name, "n_max": n_max,
+                         "stacks": len(stacks), "compute_uv_false": values_t, "full_svd": full_t,
+                         "speedup": full_t["median_s"] / values_t["median_s"],
+                         "max_sigma_gap": float(max(np.max(np.abs(v - f[1]))
+                                                    for v, f in zip(values, full)))})
+            vacuum_t, _ = timed(lambda: is_vacuum(frame))
+            rows.append({"layer": "is_vacuum", "frame": name, "n_max": n_max,
+                         "dim": lad.space.dim, "time": vacuum_t})
     return rows
 
 
@@ -268,7 +371,7 @@ def operator_rows() -> list[dict]:
     for n_max in OPERATOR_N_MAX:
         lad = build_ladder(n_max)
         x = generator_matrix(lad)
-        u, u_inv = matrix_exp(0.3 * x), matrix_exp(-0.3 * x)
+        u, u_inv = (matrix_exp(theta * x, lad.space.difference) for theta in (0.3, -0.3))
         vector = np.linspace(-1.0, 1.0, lad.space.dim) * (1 + 0.5j)
         kernels = {"ladder_product": (lad.a1, lad.a2), "u_at_a": (u, lad.a1),
                    "u_at_u_inv": (u, u_inv), "ladder_matvec": (lad.a1, vector)}
@@ -496,7 +599,8 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv)
     record = {"machine": machine(), "repeats": REPEATS, "import": import_rows(),
-              "kernels": exp_rows() + svd_rows(), "operators": operator_rows(),
+              "kernels": exp_rows() + svd_rows(), "sectors": sector_rows(),
+              "operators": operator_rows(),
               "layers": layer_rows(), "algebra": algebra_rows(), "ladder_build": build_rows()}
     text = json.dumps(record, indent=1) + "\n"
     if args.out is None:

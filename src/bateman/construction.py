@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -134,7 +134,9 @@ class MixedModes:
 
     headroom is the largest n1+n2 a basis vector may carry: any occupation of
     the space (2 n_max) in the original frame, two rungs below n_max in the
-    bounded frame (`imagscale.bounded_frame`).
+    bounded frame (`imagscale.bounded_frame`).  charge labels the states by
+    the charge that the annihilators lower by 1: n1 - n2 in the original
+    frame, n1 + n2 in the bounded frame.
     """
 
     angle: complex
@@ -144,6 +146,7 @@ class MixedModes:
     cre2: Operator
     ladder: LadderSet
     headroom: int
+    charge: np.ndarray = field(compare=False)  # an array: kept out of == and hash
 
     @property
     def space(self) -> FockSpace:
@@ -175,6 +178,7 @@ def transform(con: Construction, angle: complex, ladder: LadderSet) -> MixedMode
         cre2=cre2,
         ladder=ladder,
         headroom=2 * ladder.space.n_max,
+        charge=ladder.space.difference,
     )
 
 
@@ -188,14 +192,15 @@ def similarity_deviation(con: Construction, modes: MixedModes, generator: Operat
     """Low-block gap of u a = m u with u = e^{angle G}, relative to the largest |u| there.
 
     a runs over the four operators of the route at angle 0 and m over their
-    images in modes, so u a u^{-1} = m is checked without u^{-1}.  Compared
-    on the n1+n2 <= window block, where both products read u only one rung
-    past the window: the truncated u is exact there once n_max lies a few
-    spreading lengths deeper, whatever weight it carries near the top corner.
+    images in modes (whose charge G conserves), so u a u^{-1} = m is checked
+    without u^{-1}.  Compared on the n1+n2 <= window block, where both
+    products read u only one rung past the window: the truncated u is exact
+    there once n_max lies a few spreading lengths deeper, whatever weight it
+    carries near the top corner.
     """
     plain = transform(con, 0.0, modes.ladder)
     names = ("ann1", "cre1", "ann2", "cre2")
-    return intertwining_deviation(matrix_exp(modes.angle * generator),
+    return intertwining_deviation(matrix_exp(modes.angle * generator, modes.charge),
                                   [(getattr(plain, n), getattr(modes, n)) for n in names],
                                   window_mask(modes.space, window))
 

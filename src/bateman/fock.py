@@ -20,14 +20,14 @@ same multiplies and adds, in the same order, as it would alone, so a block
 product is bit for bit its columns' products.  A vector may stand on the
 left (`v @ A`), a block may not.
 State vectors and Gram matrices stay dense numpy arrays.  The two cubic
-kernels (`matrix_exp`, and the nullspace SVD in `imagscale`) take the
-`coordinates` of their input's nonzero entries, split them into the
-connected blocks of that pattern (`blocks`), gather the blocks of each
-shape into one dense (k, r, c) numpy stack (`block_stacks`) and run one
-batched numpy call per stack: scaling and squaring with a Padé approximant
-for the exponential, `np.linalg.svd` for the nullspace.  Batching by shape
-keeps the many small blocks from paying one LAPACK call (and one BLAS thread
-start-up) each.  numpy is the only numerical dependency.
+kernels (`matrix_exp`, and the nullspace in `imagscale`) run on the sectors
+of a charge that the caller declares, one label per state (`FockSpace`
+holds n1 - n2 and n1 + n2); `sectors` checks that every nonzero entry lies
+inside one, nothing is discovered from the pattern.  `block_stacks` gathers
+the sectors of each shape into one dense (k, r, c) stack, and each kernel
+makes one batched numpy call per stack (a Padé scaling and squaring, or
+singular values), so small blocks do not pay one LAPACK call (and one BLAS
+thread start-up) each.  numpy is the only numerical dependency.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -57,7 +58,7 @@ __all__ = [
     "build_hamiltonian",
     "commutator",
     "max_abs",
-    "blocks",
+    "sectors",
     "block_stacks",
     "interior_mask",
     "interior_deviation",
@@ -89,6 +90,16 @@ class FockSpace:
         for n1 in range(self.n_max + 1):
             for n2 in range(self.n_max + 1):
                 yield n1, n2
+
+    @cached_property
+    def difference(self) -> np.ndarray:
+        """n1 - n2 of every state: the charge of X, Z and every mixing of a1 with a2+."""
+        return np.subtract(*np.divmod(np.arange(self.dim), self.n_max + 1))
+
+    @cached_property
+    def total(self) -> np.ndarray:
+        """n1 + n2 of every state: the charge of every mixing of a1 with a2 (bounded frame)."""
+        return np.add(*np.divmod(np.arange(self.dim), self.n_max + 1))
 
 
 def _rows(k: int, n: int) -> tuple[int, int]:
@@ -391,8 +402,7 @@ def window_mask(space: FockSpace, cap: int) -> np.ndarray:
     """
     if cap < 0:
         raise DomainError(f"window cap must be >= 0, got {cap}")
-    occupation = np.arange(space.n_max + 1)
-    return (np.add.outer(occupation, occupation) <= cap).ravel()
+    return space.total <= cap
 
 
 def intertwining_deviation(u: Operator, pairs, keep: np.ndarray) -> float:
@@ -405,39 +415,29 @@ def intertwining_deviation(u: Operator, pairs, keep: np.ndarray) -> float:
     return float(gap) / _masked_max_abs(u, keep)
 
 
-def blocks(rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]
-           ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Connected (rows, cols) blocks of the matrix of the given shape and nonzero coordinates.
+def sectors(rows: np.ndarray, cols: np.ndarray, row_charge: np.ndarray,
+            col_charge: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The (rows, cols) of each charge of a matrix that joins only equal charges.
 
-    rows[k], cols[k] is the k-th nonzero entry (as from `coordinates`; order
-    does not matter and repeats are harmless).  Rows and columns are the two
-    sides of a bipartite graph with an edge at every nonzero entry; each
-    block is one connected component, so the matrix vanishes outside the
-    union of rows x cols over the blocks.  A row or column with no nonzero
-    entry is a block of its own whose other side is empty.  Index arrays are
-    ascending; blocks come in the order of their smallest row, those without
-    rows last, in the order of their column.
+    rows[k], cols[k] is the k-th nonzero entry (as from `coordinates`); row i
+    carries row_charge[i] and column j col_charge[j].  One vectorized
+    comparison checks that every entry joins equal charges, and raises
+    DomainError if one does not.  One pair per charge, ascending, with
+    ascending indices; a charge that only rows (or columns) carry gets an
+    empty other side.
     """
-    if len(shape) != 2:
-        raise DimensionMismatch(f"blocks needs a matrix, got shape {shape}")
-    n_rows, n_cols = shape
-    rows = np.asarray(rows, dtype=np.intp)
-    cols = np.asarray(cols, dtype=np.intp) + n_rows  # nodes: rows first, then columns
-    # label every node by the smallest node of its component: pull the
-    # smaller label across each edge, then jump labels to their own labels
-    label = np.arange(n_rows + n_cols)
-    while True:
-        low = np.minimum(label[rows], label[cols])
-        pulled = label.copy()
-        np.minimum.at(pulled, rows, low)
-        np.minimum.at(pulled, cols, low)
-        pulled = pulled[pulled]
-        if np.array_equal(pulled, label):
-            break
-        label = pulled
-    _, component, sizes = np.unique(label, return_inverse=True, return_counts=True)
-    members = np.split(np.argsort(component, kind="stable"), np.cumsum(sizes))[:-1]
-    return [(nodes[nodes < n_rows], nodes[nodes >= n_rows] - n_rows) for nodes in members]
+    crossing = np.flatnonzero(row_charge[rows] != col_charge[cols])
+    if crossing.size:
+        r, c = rows[crossing[0]], cols[crossing[0]]
+        raise DomainError(f"{crossing.size} entries lie outside the declared sectors, first "
+                          f"({r}, {c}): row label {row_charge[r]}, column label {col_charge[c]}")
+    labels, owner = np.unique(np.concatenate([row_charge, col_charge]), return_inverse=True)
+    sides = []
+    for side in np.split(owner, [len(row_charge)]):
+        ends = np.cumsum(np.bincount(side, minlength=len(labels))).tolist()
+        order = np.argsort(side, kind="stable")
+        sides.append([order[start:end] for start, end in zip([0, *ends], ends)])
+    return list(zip(*sides))
 
 
 def block_stacks(coords: tuple[np.ndarray, np.ndarray, np.ndarray], shape: tuple[int, int],
@@ -451,7 +451,7 @@ def block_stacks(coords: tuple[np.ndarray, np.ndarray, np.ndarray], shape: tuple
     rows is (k, r), cols is (k, c) and dense is (k, r, c), the matrix on
     np.ix_(rows[j], cols[j]) at dense[j], for the k blocks of that shape in
     the order of parts.  parts must be disjoint and hold every nonzero
-    entry, as the blocks that `blocks` returns do.  Every stack is a view of
+    entry, as the pairs that `sectors` returns do.  Every stack is a view of
     one buffer that a single scatter of the values fills.
     """
     n_rows = np.array([len(rows) for rows, _ in parts], dtype=np.intp)
@@ -482,18 +482,6 @@ def block_stacks(coords: tuple[np.ndarray, np.ndarray, np.ndarray], shape: tuple
                        col_idx[col_start[j]:col_start[j] + k * c].reshape(k, c),
                        buffer[start[j]:start[j] + k * r * c].reshape(k, r, c)))
     return stacks
-
-
-def _closed_blocks(rows: np.ndarray, cols: np.ndarray, n: int
-                   ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Blocks (idx, idx) closed under the n x n matrix with these nonzero coordinates, plus I.
-
-    The diagonal edges put row i and column i in the same block, so every
-    block has equal row and column sets and is closed under both the matrix
-    and its transpose.
-    """
-    diagonal = np.arange(n)
-    return blocks(np.concatenate([rows, diagonal]), np.concatenate([cols, diagonal]), (n, n))
 
 
 #: Padé degree m -> largest 1-norm at which the [m/m] approximant of e^A is exact to double
@@ -586,17 +574,19 @@ def _stack_exp(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def matrix_exp(a: Operator) -> Operator:
-    """e^a block by block, with finiteness guards on input and output.
+def matrix_exp(a: Operator, charge: np.ndarray) -> Operator:
+    """e^a sector by sector, with finiteness guards on input and output.
 
-    e^a is the direct sum of the exponentials of a's closed blocks and
-    exactly 0 between them.  The blocks are gathered as one dense stack per
-    block size (`block_stacks`), each stack is exponentiated at once
-    (`_stack_exp`), and every block is scattered into the complex result.
-    A real a (every imaginary part 0) has a real e^a, so its blocks run in
-    real arithmetic.
+    a must join only states of equal charge (`sectors` checks it), so e^a is
+    the direct sum of the exponentials of its sectors and exactly 0 between
+    them.  The sectors are gathered as one dense stack per size
+    (`block_stacks`), each stack is exponentiated at once (`_stack_exp`), and
+    every sector is scattered into the complex result.  A real a (every
+    imaginary part 0) has a real e^a, so its sectors run in real arithmetic.
     """
     n = a.shape[0]
+    if len(charge) != n:
+        raise DimensionMismatch(f"{len(charge)} charge labels for a {a.shape} operator")
     rows, cols, values = coordinates(a)
     values = values.astype(complex)
     if not np.all(np.isfinite(values)):
@@ -606,7 +596,7 @@ def matrix_exp(a: Operator) -> Operator:
     out_rows, out_cols, out_values = [], [], []
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is caught below
         for idx, _, stack in block_stacks((rows, cols, values), a.shape,
-                                          _closed_blocks(rows, cols, n)):
+                                          sectors(rows, cols, charge, charge)):
             size = idx.shape[1]
             out_rows.append(np.repeat(idx, size, axis=1).ravel())
             out_cols.append(np.repeat(idx[:, None, :], size, axis=1).ravel())

@@ -139,8 +139,8 @@ def ft_basis_similarity(bar: MixedModes, states) -> list[tuple[np.ndarray, np.nd
     """
     x = generator_matrix(bar.ladder)
     idx = [bar.space.index(n1, n2) for n1, n2 in states]
-    kets = dense(matrix_exp(bar.angle * x), cols=idx).T
-    bras = dense(matrix_exp(-bar.angle * x), rows=idx)
+    kets = dense(matrix_exp(bar.angle * x, bar.charge), cols=idx).T
+    bras = dense(matrix_exp(-bar.angle * x, bar.charge), rows=idx)
     return list(zip(kets, bras))
 
 

@@ -8,10 +8,11 @@ below by hbar*omega, imaginary part zero exactly on the diagonal n1 = n2.
 
 `IS` holds the route's data for the generic machinery in `construction`.
 What only this route has lives here: the generators Y and Z, the squeeze
-similarity check on a single-mode chain, the SVD nullspace vacuum, the
+similarity check on a single-mode chain, the nullspace vacuum, the
 bounded frame, and the symbolic x(t), y(t) conjugation.  The chi similarity
 e^{chi Z} is checked by `construction.similarity_deviation`, as the rotation
-route's e^{theta X} is.
+route's e^{theta X} is.  The vacuum is read off the sectors of the frame's
+declared charge, each sector's rank tested from its singular values alone.
 
 Two matrix realizations coexist on purpose.  In the original frame the
 check modes mix a1 with a2+, so the truncated joint nullspace of the two
@@ -46,10 +47,10 @@ from .fock import (
     LadderSet,
     Operator,
     block_stacks,
-    blocks,
     coordinates,
     intertwining_deviation,
     matrix_exp,
+    sectors,
     single_mode_lowering,
 )
 from .ft import generator_matrix
@@ -142,16 +143,16 @@ def tilde_similarity_deviation(phi: complex, n_max: int = 64, window: int = 6) -
 
     a runs over (a2, a2+) and m over their closed forms under the Y rotation.
     Y acts on mode 2 alone, so the comparison runs on a dedicated single-mode
-    chain where a long truncation is cheap.  On the n <= window block both
-    products read u one rung past the window, where the truncated u is exact
-    once n_max is a few spreading lengths deeper; real phi = pi/2 itself is
-    served by the closed form only.
+    chain where a long truncation is cheap; Y conserves the parity of n.  On
+    the n <= window block both products read u one rung past the window,
+    where the truncated u is exact once n_max is a few spreading lengths
+    deeper; real phi = pi/2 itself is served by the closed form only.
     """
     if n_max < window + 2:
         raise DomainError(f"n_max={n_max} leaves no room beyond window={window}")
     ann = single_mode_lowering(n_max + 1)
     cre = ann.T
-    u = matrix_exp(phi * generator_y_matrix(ann, cre))
+    u = matrix_exp(phi * generator_y_matrix(ann, cre), np.arange(n_max + 1) % 2)
     return intertwining_deviation(u, zip((ann, cre), tilde_pair(phi, ann, cre)),
                                   np.arange(n_max + 1) <= window)
 
@@ -170,61 +171,58 @@ def bounded_frame(chi: complex, ladder: LadderSet) -> MixedModes:
     the truncation boundary while n1+n2 stays two rungs below n_max.  H on
     the returned ladder (`build_hamiltonian`) is H with the same swap; its
     gamma part is anti-Hermitian there, which is what makes H non-normal with
-    complex eigenvalues p*hbar*omega + i q*hbar*lambda.
+    complex eigenvalues p*hbar*omega + i q*hbar*lambda.  The check modes mix
+    b1 with b2, so the frame's charge is n1 + n2.
     """
     swapped = replace(ladder, a2=1j * ladder.a2_dag, a2_dag=1j * ladder.a2)
-    return replace(transform(IS, chi, swapped), headroom=ladder.space.n_max - 2)
+    return replace(transform(IS, chi, swapped), headroom=ladder.space.n_max - 2,
+                   charge=ladder.space.total)
 
 
 # ---------------------------------------------------------------------------
 # nullspace vacuum
 
 
-def _stacked(top: Operator, bottom: Operator) -> tuple[tuple, tuple[int, int]]:
-    """Coordinates and shape of the (2n, n) matrix that puts top over bottom."""
+def _stacked(top: Operator, bottom: Operator, charge: np.ndarray) -> tuple[tuple, tuple, tuple]:
+    """Coordinates, shape and (row, column) charges of the (2n, n) matrix of top over bottom."""
     n = top.shape[0]
     (r1, c1, v1), (r2, c2, v2) = coordinates(top), coordinates(bottom)
     return ((np.concatenate([r1, r2 + n]), np.concatenate([c1, c2]), np.concatenate([v1, v2])),
-            (2 * n, n))
+            (2 * n, n), (np.tile(charge, 2), charge))
 
 
-def _joint_null_vector(coords: tuple, shape: tuple[int, int], label: str,
-                       frame) -> np.ndarray:
-    """Unique right-nullspace vector of a stacked operator pair, one SVD per block shape.
+def _joint_null_vector(coords: tuple, shape: tuple[int, int], charge: tuple,
+                       label: str, frame) -> np.ndarray:
+    """Unique right-nullspace vector of a stacked operator pair, sector by sector.
 
-    coords is (rows, cols, values) of the nonzero entries of the stacked
-    matrix of the given shape, as `_stacked` returns them.  That matrix is
-    the direct sum of the blocks of its nonzero pattern, so its singular
-    values are those of the blocks; a column block with no rows is null
-    throughout.  The blocks are gathered as one dense stack per shape
-    (`block_stacks`) and each stack goes through one batched SVD.  The
-    cutoff is global: NULLSPACE_RTOL times the largest singular value over
-    all blocks.
+    coords, shape and charge are the stacked matrix's nonzero entries, shape
+    and (row, column) charges, as `_stacked` returns them.  The matrix must
+    lower the charge by 1, joining columns of charge q to rows of charge q - 1
+    (`sectors` checks it), so its singular values are those of its sectors; a
+    sector with columns but no rows is null throughout.  Each stack of
+    equal-shape sectors (`block_stacks`) gets one batched SVD without vectors,
+    and NULLSPACE_RTOL times the largest singular value is the cutoff.  Only a
+    stack in which a sector with rows has a null runs the full SVD.
     """
-    parts = []
-    for _, cols, stack in block_stacks(coords, shape, blocks(*coords[:2], shape)):
-        k, r, c = stack.shape
-        if r == 0:
-            sigma, vh = np.zeros((k, 0)), np.broadcast_to(np.eye(c, dtype=complex), (k, c, c))
-        elif c:
-            _, sigma, vh = np.linalg.svd(stack)
-        else:
-            continue
-        parts.append((cols, sigma, vh))
-    cutoff = NULLSPACE_RTOL * max((sigma.max() for _, sigma, _ in parts if sigma.size),
-                                  default=0.0)
+    row_charge, col_charge = charge
+    stacks = block_stacks(coords, shape, sectors(*coords[:2], row_charge, col_charge - 1))
+    sigmas = [np.linalg.svd(stack, compute_uv=False) if min(stack.shape[1:])
+              else np.zeros((len(stack), 0)) for _, _, stack in stacks]
+    cutoff = NULLSPACE_RTOL * max((sigma.max() for sigma in sigmas if sigma.size), default=0.0)
     null_count = 0
     vector = np.zeros(shape[1], dtype=complex)
-    for cols, sigma, vh in parts:
-        nulls = np.sum(sigma < cutoff, axis=1) + (cols.shape[1] - sigma.shape[1])
-        for j in np.flatnonzero(nulls):
-            vector[cols[j]] = vh[j, -1].conj()
+    for (_, cols, stack), sigma in zip(stacks, sigmas):
+        k, r, c = stack.shape
+        nulls = np.sum(sigma < cutoff, axis=1) + (c - sigma.shape[1])
+        if nulls.any():
+            vh = (np.linalg.svd(stack)[2] if r
+                  else np.broadcast_to(np.eye(c, dtype=complex), (k, c, c)))
+            for j in np.flatnonzero(nulls):
+                vector[cols[j]] = vh[j, -1].conj()
         null_count += int(nulls.sum())
     if null_count != 1:
-        raise NullspaceError(
-            f"{label} nullspace dimension {null_count}, expected 1 "
-            f"(n_max={frame.space.n_max}, chi={frame.angle})"
-        )
+        raise NullspaceError(f"{label} nullspace dimension {null_count}, expected 1 "
+                             f"(n_max={frame.space.n_max}, chi={frame.angle})")
     return vector
 
 
@@ -240,9 +238,10 @@ def is_vacuum(frame: MixedModes) -> tuple[np.ndarray, np.ndarray]:
     vacuum lives, not a usable anchor for basis construction.  In the bounded
     frame (`bounded_frame`) it lands on the bottom corner state.
     """
-    ket = _joint_null_vector(*_stacked(frame.ann1, frame.ann2), "check annihilator", frame)
-    bra = _joint_null_vector(*_stacked(frame.cre1.T, frame.cre2.T), "check creator (left)",
-                             frame)
+    ket = _joint_null_vector(*_stacked(frame.ann1, frame.ann2, frame.charge),
+                             "check annihilator", frame)
+    bra = _joint_null_vector(*_stacked(frame.cre1.T, frame.cre2.T, frame.charge),
+                             "check creator (left)", frame)
     lead = np.argmax(np.abs(ket))
     ket = ket * (abs(ket[lead]) / ket[lead])
     pairing = bra @ ket

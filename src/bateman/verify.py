@@ -304,32 +304,29 @@ def check_commutators_interior(cfg: VerifyConfig) -> tuple:
 
 
 def _exact_single_mode_defect(n_top: int) -> int:
-    """Mismatch count for [a, a+] = I - (N+1)|N><N| in exact radical arithmetic."""
+    """Mismatch count for [a, a+] = I - (N+1)|N><N| in exact radical arithmetic;
+    matrices hold only their nonzero entries, {(row, col): entry}."""
     size = n_top + 1
     zero = ExactScalar.zero()
-    low = [[zero] * size for _ in range(size)]
-    for m in range(size - 1):
-        low[m][m + 1] = ExactScalar.surd(1, m + 1)
-    raise_ = [[low[c][r] for c in range(size)] for r in range(size)]
+    low = {(m, m + 1): ExactScalar.surd(1, m + 1) for m in range(size - 1)}
+    raise_ = {(c, r): value for (r, c), value in low.items()}
 
     def mul(a, b):
-        return [
-            [sum((a[r][k] * b[k][c] for k in range(size)), zero) for c in range(size)]
-            for r in range(size)
-        ]
+        out = {}
+        for (r, k), left in a.items():
+            for (j, c), right in b.items():
+                if j == k:
+                    out[r, c] = out.get((r, c), zero) + left * right
+        return out
 
     comm_lr = mul(low, raise_)
     comm_rl = mul(raise_, low)
     mismatch = 0
     for r in range(size):
         for c in range(size):
-            got = comm_lr[r][c] - comm_rl[r][c]
-            if r == c:
-                want = ExactScalar.of(-n_top if r == n_top else 1)
-            else:
-                want = zero
-            if got != want:
-                mismatch += 1
+            got = comm_lr.get((r, c), zero) - comm_rl.get((r, c), zero)
+            want = ExactScalar.of(-n_top if r == n_top else 1) if r == c else zero
+            mismatch += got != want
     return mismatch
 
 
@@ -361,7 +358,7 @@ def check_h_structure(cfg: VerifyConfig) -> tuple:
     # complex eigenvalues coexist with a Hermitian truncation because the
     # basis change e^{theta X} is non-unitary (X itself is Hermitian)
     x = ft.generator_matrix(lad)
-    s = matrix_exp(0.3 * x)
+    s = matrix_exp(0.3 * x, lad.space.difference)
     nonunitary = max_abs(s.conj().T @ s - identity(lad.space.dim))
     if nonunitary < 0.1:
         mismatch += 1
@@ -551,6 +548,10 @@ check_ft_commutators, check_is_commutators = _twin(
 )
 
 
+def _h_scale(params: PhysicalParams) -> float:
+    return max(1, params.hbar * max(params.omega, params.lam))  # H's entries; 1 by default
+
+
 def _identity_quarter(cfg: VerifyConfig, con: Construction, description: str) -> tuple:
     n_max = cfg.resolve(12)
     lad = _ladder(n_max)
@@ -559,7 +560,7 @@ def _identity_quarter(cfg: VerifyConfig, con: Construction, description: str) ->
     for branch in (+1, -1):
         rep = identity_report(con, transform(con, con.quarter(branch), lad), cfg.params, margin)
         dev = _worst(dev, rep.h0_deviation, rep.h1_deviation, rep.reduced_deviation)
-    return (description, dev, 1e-10 * lad.space.dim)
+    return (description, dev, 1e-10 * lad.space.dim * _h_scale(cfg.params))
 
 
 check_ft_identity_quarter, check_is_identity_quarter = _twin(
@@ -576,7 +577,8 @@ def _identity_generic(cfg: VerifyConfig, con: Construction, description: str, an
     lad = _ladder(n_max)
     rep = identity_report(con, transform(con, angle(cfg), lad), cfg.params,
                           cfg.eff_margin(n_max))
-    return (description, _worst(rep.h0_deviation, rep.h1_deviation), 1e-10 * lad.space.dim)
+    return (description, _worst(rep.h0_deviation, rep.h1_deviation),
+            1e-10 * lad.space.dim * _h_scale(cfg.params))
 
 
 check_ft_identity_generic, check_is_identity_generic = _twin(
@@ -643,7 +645,8 @@ def _heisenberg(cfg: VerifyConfig, con: Construction, description: str) -> tuple
             lhs = commutator(op, h) / (1j * params.hbar)
             rate = heisenberg_rate(con, mode, kind, branch, params)
             dev = _worst(dev, interior_deviation(lhs, rate * op, lad.space, margin))
-    return (description, dev, 1e-10)
+    # the rates, and the round-off of [op, H] / hbar, grow with omega and lambda
+    return (description, dev, 1e-10 * max(1, params.omega, params.lam))
 
 
 check_ft_heisenberg, check_is_heisenberg = _twin(
@@ -664,7 +667,9 @@ def _xy(cfg: VerifyConfig, con: Construction, description: str) -> tuple:
         tr = transform(con, con.quarter(branch), lad)
         x0, y0 = xy_operators(con, branch, 0.0, tr, cfg.params)
         dev = _worst(dev, max_abs(x0 - x_ref), max_abs(y0 - y_ref))
-    return (description, dev, 1e-12)
+    # x and y carry the length scale sqrt(hbar / m omega)
+    length = math.sqrt(cfg.params.hbar / (cfg.params.m * cfg.params.omega))
+    return (description, dev, 1e-12 * max(1, length))
 
 
 check_ft_xy, check_is_xy = _twin(
@@ -702,8 +707,8 @@ def check_exp_inverse(cfg: VerifyConfig) -> tuple:
     n_max = cfg.resolve(8)
     lad = _ladder(n_max)
     x = ft.generator_matrix(lad)
-    u = matrix_exp(cfg.theta * x)
-    u_inv = matrix_exp(-cfg.theta * x)
+    u = matrix_exp(cfg.theta * x, lad.space.difference)
+    u_inv = matrix_exp(-cfg.theta * x, lad.space.difference)
     raw = max_abs(u @ u_inv - identity(lad.space.dim))
     # ||e^{theta X}|| grows like e^{theta n_max}; the resolution-independent
     # statement is the residual relative to the factor norms (max row sums)

@@ -158,11 +158,15 @@ def test_verify_passes_at_the_largest_n_max(capsys, suite, count):
                                    ["--hbar", "1e6"], ["--k", "1e8"], ["--k", "1e6"],
                                    ["--gamma", "300", "--k", "1e5"],
                                    ["--gamma", "1000", "--k", "1e6"],
-                                   ["--m", "1e-4", "--k", "1e4"]])
+                                   ["--m", "1e-4", "--k", "1e4"],
+                                   ["--k", "1e10"], ["--hbar", "1e10"],
+                                   ["--gamma", "1e4", "--k", "1e9"]])
 def test_verify_all_passes_at_far_physical_scales(capsys, flags):
     # the non-normality witness, [H0, H1] and the quadratic-root residual are
     # gated relative to the scale of H and of k, not against absolute numbers;
-    # dynamics.factor samples e^{2 lambda t} at times that shrink with 1/lambda
+    # dynamics.factor samples e^{2 lambda t} at times that shrink with 1/lambda;
+    # the Heisenberg rates scale with omega and lambda, the H identities with
+    # hbar max(omega, lambda) and x, y with sqrt(hbar / m omega)
     rc, out, _ = run(capsys, "verify", "all", *flags)
     failed = [c["check_id"] for c in json.loads(out)["checks"] if not c["passed"]]
     assert rc == 0 and failed == []

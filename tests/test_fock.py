@@ -10,10 +10,8 @@ from bateman.errors import DimensionMismatch, DomainError, NumericalError
 from bateman.fock import (
     FockSpace,
     Operator,
-    _closed_blocks,
     _pade_choice,
     block_stacks,
-    blocks,
     build_hamiltonian,
     build_ladder,
     commutator,
@@ -27,6 +25,8 @@ from bateman.fock import (
     matrix_exp,
     max_abs,
     position_operators,
+    sectors,
+    single_mode_lowering,
     window_mask,
 )
 
@@ -34,6 +34,12 @@ from bateman.fock import (
 def as_operator(m: np.ndarray) -> Operator:
     rows, cols = np.nonzero(m)
     return from_coordinates(rows, cols, m[rows, cols], len(m))
+
+
+def n1_and_n2_parity(space: FockSpace) -> np.ndarray:
+    """2 n1 + (n2 mod 2) of every state: the charge of the two-mode Y."""
+    n1, n2 = np.divmod(np.arange(space.dim), space.n_max + 1)
+    return 2 * n1 + n2 % 2
 
 
 def test_space_indexing():
@@ -122,12 +128,20 @@ def test_window_mask(ladder8):
         window_mask(ladder8.space, -1)
 
 
-def test_blocks_partition_and_reassemble():
+def test_space_charges():
+    space = FockSpace(3)
+    for i, (n1, n2) in enumerate(space.iter_occupations()):
+        assert (space.difference[i], space.total[i]) == (n1 - n2, n1 + n2)
+    assert space.difference is space.difference  # computed once per space
+
+
+def test_blocks_partition_and_reassemble(connected_blocks):
+    # the label-propagation reference that the declared sectors are checked against
     rng = np.random.default_rng(11)
     m = np.zeros((7, 6), dtype=complex)
     for i, j in ((0, 0), (2, 0), (2, 3), (4, 1), (5, 5), (6, 5)):
         m[i, j] = rng.standard_normal() + 1j
-    parts = blocks(*np.nonzero(m), m.shape)
+    parts = connected_blocks(*np.nonzero(m), m.shape)
     rows = np.concatenate([r for r, _ in parts])
     cols = np.concatenate([c for _, c in parts])
     assert sorted(rows) == list(range(7)) and sorted(cols) == list(range(6))
@@ -142,57 +156,92 @@ def test_blocks_partition_and_reassemble():
 
 
 @pytest.mark.parametrize("n_max", [2, 5, 8])
-def test_blocks_of_csr_match_dense_pattern(n_max, params):
-    # the coordinates of an operator and of its dense pattern give one partition
+def test_blocks_of_csr_match_dense_pattern(n_max, params, connected_blocks):
+    # the coordinates of an operator and of its dense pattern give one partition,
+    # and block_stacks gathers every declared sector as its dense block
     from bateman.ft import generator_matrix
     from bateman.imagscale import _stacked, bounded_frame, generator_y_matrix
 
     lad = build_ladder(n_max)
+    space = lad.space
     rep = bounded_frame(1j * math.pi / 4, lad)
-    cases = [(coordinates(op), op.shape, dense(op))
-             for op in (generator_matrix(lad), generator_y_matrix(lad.a2, lad.a2_dag),
-                        build_hamiltonian(rep.ladder, params).h)]
-    cases.append((*_stacked(rep.ann1, rep.ann2), np.vstack([dense(rep.ann1), dense(rep.ann2)])))
-    for coords, shape, full in cases:
-        got = blocks(*coords[:2], shape)
-        want = blocks(*np.nonzero(full), full.shape)
+    cases = [(coordinates(op), op.shape, dense(op), (charge, charge))
+             for op, charge in ((generator_matrix(lad), space.difference),
+                                (generator_y_matrix(lad.a2, lad.a2_dag), n1_and_n2_parity(space)),
+                                (build_hamiltonian(rep.ladder, params).h, space.total))]
+    coords, shape, (row_charge, col_charge) = _stacked(rep.ann1, rep.ann2, rep.charge)
+    cases.append((coords, shape, np.vstack([dense(rep.ann1), dense(rep.ann2)]),
+                  (row_charge, col_charge - 1)))
+    for coords, shape, full, (row_charge, col_charge) in cases:
+        got = connected_blocks(*coords[:2], shape)
+        want = connected_blocks(*np.nonzero(full), full.shape)
         assert [(list(r), list(c)) for r, c in got] == [(list(r), list(c)) for r, c in want]
+        parts = sectors(*coords[:2], row_charge, col_charge)
+        assert sorted(np.concatenate([r for r, _ in parts])) == list(range(shape[0]))
+        assert sorted(np.concatenate([c for _, c in parts])) == list(range(shape[1]))
         stacked = [(list(r), list(c), block)
-                   for rows, cols, stack in block_stacks(coords, shape, got)
+                   for rows, cols, stack in block_stacks(coords, shape, parts)
                    for r, c, block in zip(rows, cols, stack)]
         assert sorted((r, c) for r, c, _ in stacked) == sorted(
-            (list(r), list(c)) for r, c in got)
+            (list(r), list(c)) for r, c in parts)
         for r, c, block in stacked:
             assert np.array_equal(block, full[np.ix_(r, c)])
 
 
 @pytest.mark.parametrize("n_max", [3, 8])
-def test_blocks_follow_conserved_quantities(n_max):
+def test_blocks_follow_conserved_quantities(n_max, connected_blocks):
+    # every declared sector is a union of the connected blocks of the pattern:
+    # X and Z conserve n1 - n2, the single-mode Y chain the parity (the two-mode
+    # Y n1 and the parity of n2), and the stacked check pairs of both frames
+    # lower their frame's charge by 1
+    from bateman.construction import transform
     from bateman.ft import generator_matrix
-    from bateman.imagscale import generator_y_matrix
+    from bateman.imagscale import (IS, _stacked, bounded_frame, generator_y_matrix,
+                                   generator_z_matrix)
 
     lad = build_ladder(n_max)
-    space = lad.space
-    # X conserves n1 - n2 and moves n1 + n2 by 2: one block per (n1 - n2, parity)
-    # on each side, both sides on the same sector
-    x = generator_matrix(lad)
-    for rows, cols in blocks(*coordinates(x)[:2], x.shape):
-        sectors = {space.occupations(i)[0] - space.occupations(i)[1] for i in (*rows, *cols)}
-        assert len(sectors) == 1
-    # Y acts on mode 2 alone and conserves the parity of n2
-    y = generator_y_matrix(lad.a2, lad.a2_dag)
-    for rows, cols in blocks(*coordinates(y)[:2], y.shape):
-        keys = {(space.occupations(i)[0], space.occupations(i)[1] % 2) for i in (*rows, *cols)}
-        assert len(keys) == 1
+    ann = single_mode_lowering(n_max + 1)
+    parity = np.arange(n_max + 1) % 2
+    cases = [(coordinates(op), op.shape, (charge, charge))
+             for op, charge in ((generator_matrix(lad), lad.space.difference),
+                                (generator_z_matrix(lad), lad.space.difference),
+                                (generator_y_matrix(ann, ann.T), parity),
+                                (generator_y_matrix(lad.a2, lad.a2_dag),
+                                 n1_and_n2_parity(lad.space)))]
+    for chi in (0j, 1j * math.pi / 4):
+        for frame in (transform(IS, chi, lad), bounded_frame(chi, lad)):
+            for top, bottom in ((frame.ann1, frame.ann2), (frame.cre1.T, frame.cre2.T)):
+                coords, shape, (row_charge, col_charge) = _stacked(top, bottom, frame.charge)
+                cases.append((coords, shape, (row_charge, col_charge - 1)))
+    for coords, shape, (row_charge, col_charge) in cases:
+        parts = sectors(*coords[:2], row_charge, col_charge)
+        assert len(parts) == len(np.unique(np.concatenate([row_charge, col_charge])))
+        for rows, cols in connected_blocks(*coords[:2], shape):
+            assert len({*row_charge[rows].tolist(), *col_charge[cols].tolist()}) == 1
+
+
+def test_sectors_reject_an_entry_between_charges(ladder8):
+    from bateman.ft import generator_matrix
+
+    space = ladder8.space
+    rows, cols, values = coordinates(generator_matrix(ladder8))
+    # one entry of X from |0, 0> (n1 - n2 = 0) to |0, 1> (n1 - n2 = -1)
+    crossed = from_coordinates(np.append(rows, space.index(0, 0)),
+                               np.append(cols, space.index(0, 1)),
+                               np.append(values, 0.5), space.dim)
+    with pytest.raises(DomainError, match="row label 0, column label -1"):
+        matrix_exp(0.3 * crossed, space.difference)
+    with pytest.raises(DimensionMismatch):
+        matrix_exp(0.3 * generator_matrix(ladder8), space.difference[:-1])
 
 
 def test_matrix_exp_basics():
-    assert np.allclose(dense(matrix_exp(Operator(4, {}))), np.eye(4))
+    assert np.allclose(dense(matrix_exp(Operator(4, {}), np.zeros(4))), np.eye(4))
     d = np.diag([0.3, -1.2, 2.0 + 0.5j])
-    got = dense(matrix_exp(as_operator(d)))
+    got = dense(matrix_exp(as_operator(d), np.arange(3)))
     assert np.allclose(got, np.diag(np.exp(np.diag(d))), atol=1e-14)
     with pytest.raises(DimensionMismatch):
-        matrix_exp(Operator(2, {})) @ Operator(3, {})
+        matrix_exp(Operator(2, {}), np.zeros(2)) @ Operator(3, {})
 
 
 def test_matrix_exp_against_taylor():
@@ -203,7 +252,7 @@ def test_matrix_exp_against_taylor():
     for j in range(1, 40):
         term = term @ a / j
         series = series + term
-    assert np.max(np.abs(dense(matrix_exp(as_operator(a))) - series)) < 1e-12
+    assert np.max(np.abs(dense(matrix_exp(as_operator(a), np.zeros(6))) - series)) < 1e-12
 
 
 def test_matrix_exp_matches_dense_expm(params):
@@ -215,19 +264,20 @@ def test_matrix_exp_matches_dense_expm(params):
         y = generator_y_matrix(lad.a2, lad.a2_dag)
         # a pattern from y + y.T would be empty
         assert np.array_equal(dense(y + y.T), 0 * dense(y))
+        difference = lad.space.difference
         ops = {
-            "X": 0.3 * generator_matrix(lad),
-            "Y": 0.7j * y,
-            "Z quarter": 1j * math.pi / 4 * generator_z_matrix(lad),
-            "H": -0.4j * build_hamiltonian(lad, params).h,
+            "X": (0.3 * generator_matrix(lad), difference),
+            "Y": (0.7j * y, n1_and_n2_parity(lad.space)),
+            "Z quarter": (1j * math.pi / 4 * generator_z_matrix(lad), difference),
+            "H": (-0.4j * build_hamiltonian(lad, params).h, difference),
         }
         if n_max == 8:
-            ops["Z"] = 0.25j * generator_z_matrix(lad)
+            ops["Z"] = (0.25j * generator_z_matrix(lad), difference)
             check = bounded_frame(1j * math.pi / 4, lad)
-            ops["H check"] = -0.4j * build_hamiltonian(check.ladder, params).h
-        for name, a in ops.items():
+            ops["H check"] = (-0.4j * build_hamiltonian(check.ladder, params).h, check.charge)
+        for name, (a, charge) in ops.items():
             want = scipy.linalg.expm(dense(a))
-            got = matrix_exp(a)
+            got = matrix_exp(a, charge)
             assert isinstance(got, Operator) and got.dtype == complex, (n_max, name)
             got = dense(got)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (n_max, name)
@@ -237,12 +287,13 @@ def test_matrix_exp_squares_large_norm_blocks():
     from bateman.ft import generator_matrix
 
     for n_max in (8, 12):
-        a = 3.0 * generator_matrix(build_ladder(n_max))
+        lad = build_ladder(n_max)
+        a = 3.0 * generator_matrix(lad)
         # the largest sector block is past theta_13, so it is scaled and squared
         norm = max(abs(a).T.row_sums())  # the largest column sum
         assert _pade_choice(norm)[1] >= 2
         want = scipy.linalg.expm(dense(a))
-        got = dense(matrix_exp(a))
+        got = dense(matrix_exp(a, lad.space.difference))
         assert np.max(want) > 1e10
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), n_max
 
@@ -260,10 +311,11 @@ def test_matrix_exp_varies_degree_and_scaling_inside_one_stack():
     assert len(set(choices)) == 6 and len({m for m, _ in choices}) == 5
     assert len({s for _, s in choices}) == 3
     a = as_operator(scipy.linalg.block_diag(*blocks_))
+    charge = np.repeat(np.arange(7), 5)
     coords = coordinates(a)
-    (_, _, stack), = block_stacks(coords, a.shape, _closed_blocks(*coords[:2], a.shape[0]))
+    (_, _, stack), = block_stacks(coords, a.shape, sectors(*coords[:2], charge, charge))
     assert stack.shape == (7, 5, 5)
-    got = dense(matrix_exp(a))
+    got = dense(matrix_exp(a, charge))
     for k, block in enumerate(blocks_):
         want = scipy.linalg.expm(block)
         part = got[5 * k:5 * k + 5, 5 * k:5 * k + 5]
@@ -278,20 +330,21 @@ def test_matrix_exp_numerical_errors():
     bad = np.eye(3, dtype=complex)
     bad[1, 2] = np.nan
     with pytest.raises(NumericalError, match="non-finite"):
-        matrix_exp(as_operator(bad))
+        matrix_exp(as_operator(bad), np.zeros(3))
     # e^800 is past the largest double
     with pytest.raises(NumericalError, match="overflowed"):
-        matrix_exp(as_operator(np.diag([800.0, 1.0])))
+        matrix_exp(as_operator(np.diag([800.0, 1.0])), np.zeros(2))
     # finite entries whose column sum overflows
     with pytest.raises(NumericalError, match="overflowed"):
-        matrix_exp(as_operator(np.full((2, 2), 1e308)))
+        matrix_exp(as_operator(np.full((2, 2), 1e308)), np.zeros(2))
 
 
 def test_exp_inverse_property(ladder8):
     from bateman.ft import generator_matrix
 
     x = generator_matrix(ladder8)
-    prod = matrix_exp(0.3 * x) @ matrix_exp(-0.3 * x)
+    charge = ladder8.space.difference
+    prod = matrix_exp(0.3 * x, charge) @ matrix_exp(-0.3 * x, charge)
     assert max_abs(prod - identity(ladder8.space.dim)) < 1e-10
 
 

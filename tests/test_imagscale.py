@@ -24,8 +24,8 @@ from bateman.construction import (
     xy_operators,
 )
 from bateman.errors import DomainError, HeadroomError, NullspaceError
-from bateman.fock import (blocks, build_hamiltonian, build_ladder, coordinates, dense, max_abs,
-                          position_operators)
+from bateman.fock import (Operator, build_hamiltonian, build_ladder, coordinates, dense,
+                          max_abs, position_operators)
 from bateman.ft import FT
 from bateman.imagscale import (
     IS,
@@ -161,10 +161,10 @@ def test_joint_null_vector_is_isolated_top_column(ladder8):
     # both check annihilators vanish on |0, n_max> in the truncation, so its
     # column of the stacked pair is a block with no rows
     ist = transform(IS, CHI_Q, ladder8)
-    coords, shape = _stacked(ist.ann1, ist.ann2)
+    coords, shape, charge = _stacked(ist.ann1, ist.ann2, ist.charge)
     top = ladder8.space.index(0, 8)
     assert top not in coords[1]
-    ket = _joint_null_vector(coords, shape, "check annihilator", ist)
+    ket = _joint_null_vector(coords, shape, charge, "check annihilator", ist)
     unit = np.zeros(ladder8.space.dim)
     unit[top] = 1.0
     assert np.array_equal(np.abs(ket), unit)
@@ -172,8 +172,30 @@ def test_joint_null_vector_is_isolated_top_column(ladder8):
 
 def test_joint_null_vector_rejects_nullity_nine(ladder8):
     ist = transform(IS, 0, ladder8)  # ann1 = a1 kills every |0, n2>
+    # each |0, n2> lies in a sector with rows, so the count comes from singular values
+    charge = (ist.charge, ist.charge)
     with pytest.raises(NullspaceError, match="dimension 9"):
-        _joint_null_vector(coordinates(ist.ann1), ist.ann1.shape, "check annihilator", ist)
+        _joint_null_vector(coordinates(ist.ann1), ist.ann1.shape, charge, "check annihilator",
+                           ist)
+
+
+def test_joint_null_vector_rejects_a_pair_that_breaks_its_charge(ladder8):
+    # one entry of ann1 from |0, 0> to itself keeps n1 - n2 instead of lowering it
+    ist = transform(IS, CHI_Q, ladder8)
+    zero = ladder8.space.index(0, 0)
+    stray = Operator(ladder8.space.dim, {0: np.where(np.arange(ladder8.space.dim) == zero,
+                                                     0.5, 0.0).astype(complex)})
+    with pytest.raises(DomainError, match=r"outside the declared sectors, first \(0, 0\)"):
+        _joint_null_vector(*_stacked(ist.ann1 + stray, ist.ann2, ist.charge),
+                           "check annihilator", ist)
+
+
+def declared(stacked: np.ndarray, parts) -> tuple:
+    """(row, column) charges that declare each (rows, cols) in parts a sector, lowered by 1."""
+    row_charge, col_charge = np.empty(stacked.shape[0]), np.empty(stacked.shape[1])
+    for q, (rows, cols) in enumerate(parts):
+        row_charge[rows], col_charge[cols] = q - 1, q
+    return row_charge, col_charge
 
 
 def test_joint_null_vector_matches_full_svd():
@@ -181,9 +203,12 @@ def test_joint_null_vector_matches_full_svd():
     rng = np.random.default_rng(5)
     stacked = np.zeros((9, 7), dtype=complex)
     deficient = rng.standard_normal((4, 2)) @ rng.standard_normal((2, 3))
-    stacked[np.ix_([0, 3, 5, 8], [1, 4, 6])] = deficient
-    stacked[np.ix_([1, 2, 4, 6, 7], [0, 2, 3, 5])] = rng.standard_normal((5, 4)) + 1j
-    got = _joint_null_vector(*matrix_coordinates(stacked), "test", None)
+    a_rows, a_cols = [0, 3, 5, 8], [1, 4, 6]
+    b_rows, b_cols = [1, 2, 4, 6, 7], [0, 2, 3, 5]
+    stacked[np.ix_(a_rows, a_cols)] = deficient
+    stacked[np.ix_(b_rows, b_cols)] = rng.standard_normal((5, 4)) + 1j
+    charge = declared(stacked, [(a_rows, a_cols), (b_rows, b_cols)])
+    got = _joint_null_vector(*matrix_coordinates(stacked), charge, "test", None)
     want = np.linalg.svd(stacked)[2][-1].conj()
     assert np.max(np.abs(stacked @ got)) <= 1e-13
     assert abs(abs(np.vdot(want, got)) - 1.0) <= 1e-12
@@ -196,8 +221,8 @@ def matrix_coordinates(m: np.ndarray) -> tuple[tuple, tuple[int, int]]:
     return (rows, cols, m[rows, cols]), m.shape
 
 
-def _per_block_null_vector(stacked: np.ndarray) -> np.ndarray:
-    """Reference: the null vector from one SVD per block, with the same global cutoff."""
+def _per_block_null_vector(stacked: np.ndarray, blocks) -> np.ndarray:
+    """Reference: the null vector from one SVD per connected block, with the same global cutoff."""
     parts = []
     for rows, cols in blocks(*np.nonzero(stacked), stacked.shape):
         if len(rows) == 0:
@@ -214,33 +239,36 @@ def _per_block_null_vector(stacked: np.ndarray) -> np.ndarray:
 
 
 @pytest.mark.parametrize("n_max", [8, 12])
-def test_joint_null_vector_matches_per_block_svd(n_max):
-    # the stacked SVD runs the same LAPACK call on each block: bit for bit equal
+def test_joint_null_vector_matches_per_block_svd(n_max, connected_blocks):
+    # the declared sectors give the null vector of one SVD per connected block,
+    # bit for bit: it comes from a sector with columns and no rows
     lad = build_ladder(n_max)
     for frame in (transform(IS, CHI_Q, lad), bounded_frame(CHI_Q, lad),
                   bounded_frame(-0.3j, lad)):
         for label, (top, bottom) in (("ket", (frame.ann1, frame.ann2)),
                                      ("bra", (frame.cre1.T, frame.cre2.T))):
-            got = _joint_null_vector(*_stacked(top, bottom), label, frame)
-            want = _per_block_null_vector(np.vstack([dense(top), dense(bottom)]))
+            got = _joint_null_vector(*_stacked(top, bottom, frame.charge), label, frame)
+            want = _per_block_null_vector(np.vstack([dense(top), dense(bottom)]),
+                                          connected_blocks)
             assert np.array_equal(got, want), (type(frame), label)
 
 
-def test_joint_null_vector_batches_same_shape_blocks():
+def test_joint_null_vector_batches_same_shape_blocks(connected_blocks):
     # three complex 4x3 blocks in one stack, one of rank 2, beside a 2x2 block:
     # the null vector is complex and comes out of a batched SVD
     rng = np.random.default_rng(8)
     stacked = np.zeros((14, 11), dtype=complex)
     rows, cols = [0, 4, 5, 13], [1, 2, 7]
-    for j, (r, c) in enumerate(((rows, cols), ([1, 2, 3, 6], [0, 3, 4]),
-                                ([7, 8, 9, 10], [5, 6, 8]))):
+    parts = [(rows, cols), ([1, 2, 3, 6], [0, 3, 4]), ([7, 8, 9, 10], [5, 6, 8]),
+             ([11, 12], [9, 10])]
+    for j, (r, c) in enumerate(parts[:3]):
         block = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
         if j == 0:
             block[:, 2] = block[:, :2] @ (rng.standard_normal(2) + 1j * rng.standard_normal(2))
         stacked[np.ix_(r, c)] = block
     stacked[np.ix_([11, 12], [9, 10])] = rng.standard_normal((2, 2))
-    got = _joint_null_vector(*matrix_coordinates(stacked), "test", None)
-    assert np.array_equal(got, _per_block_null_vector(stacked))
+    got = _joint_null_vector(*matrix_coordinates(stacked), declared(stacked, parts), "test", None)
+    assert np.array_equal(got, _per_block_null_vector(stacked, connected_blocks))
     assert np.max(np.abs(stacked @ got)) <= 1e-14 and np.any(got.imag)
     assert not np.any(np.delete(got, cols))
 

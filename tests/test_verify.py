@@ -193,12 +193,22 @@ def test_commutators_fail_on_a_nan_ladder_entry(params, monkeypatch):
     assert math.isnan(result.deviation) and not result.passed
 
 
+def test_boundary_defect_counts_a_wrong_ladder_weight(monkeypatch):
+    # the sparse exact product still sees every entry: a weight sqrt(3) -> sqrt(4)
+    # spoils [a, a+] at |1><1| and |2><2| of the n_top = 8 chain
+    assert verify._exact_single_mode_defect(8) == 0
+    exact = verify.ExactScalar.surd
+    monkeypatch.setattr(verify.ExactScalar, "surd",
+                        staticmethod(lambda coeff, root: exact(coeff, 4 if root == 3 else root)))
+    assert verify._exact_single_mode_defect(8) == 2
+
+
 def test_exp_inverse_catches_a_matrix_exp_entry_off_by_1e9(cfg, monkeypatch):
     # the largest entry of one block of every e^{theta X} off by 1e-9 relative
     exact = verify.matrix_exp
 
-    def skewed(a):
-        u = exact(a)
+    def skewed(a, charge):
+        u = exact(a, charge)
         offset = max(u.diagonals, key=lambda k: np.abs(u.diagonals[k]).max())
         weights = u.diagonals[offset].copy()
         weights[np.argmax(np.abs(weights))] *= 1.0 + 1e-9
@@ -240,8 +250,8 @@ def test_similarity_checks_catch_an_exponential_at_a_skewed_angle(cfg, monkeypat
     # every e^{angle G} built at (1 + 1e-7) angle: the intertwining form must fail
     exact = construction.matrix_exp
 
-    def skewed(a):
-        return exact(a * (1.0 + 1e-7))
+    def skewed(a, charge):
+        return exact(a * (1.0 + 1e-7), charge)
 
     assert verify.check_ft_similarity(cfg).passed and verify.check_is_tilde(cfg).passed
     monkeypatch.setattr(construction, "matrix_exp", skewed)
