@@ -41,7 +41,6 @@ __all__ = [
     "to_matrix",
     "matrix_element",
     "matrix_elements",
-    "matrix_vacuum_pairing",
     "random_poly",
 ]
 
@@ -570,11 +569,6 @@ def matrix_element(poly: LadderPoly, ladder, bra: tuple[int, int], ket: tuple[in
                    params: PhysicalParams | None = None) -> complex:
     """<bra| poly |ket> on the truncated matrices: matrix_elements of the one poly."""
     return matrix_elements([poly], ladder, bra, ket, params)[0]
-
-
-def matrix_vacuum_pairing(poly: LadderPoly, ladder, params: PhysicalParams | None = None) -> complex:
-    """<vac| poly |vac> on the truncated matrices: the (0, 0), (0, 0) matrix_element."""
-    return matrix_element(poly, ladder, (0, 0), (0, 0), params)
 
 
 def random_poly(rng, max_degree: int = 6, max_terms: int = 5) -> LadderPoly:

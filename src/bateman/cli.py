@@ -335,8 +335,6 @@ def cmd_verify(args: argparse.Namespace) -> CommandOutput:
     cfg = VerifyConfig(
         params=args.params,
         n_max=args.n_max,
-        margin=args.margin,
-        tol_scale=args.tol_scale,
         theta=args.theta,
         seed=args.seed,
         corrupt_check=args.corrupt_check,
@@ -348,8 +346,6 @@ def cmd_verify(args: argparse.Namespace) -> CommandOutput:
         {
             "suite": args.suite,
             "n_max": args.n_max,
-            "margin": args.margin,
-            "tol_scale": args.tol_scale,
             "theta": args.theta,
             "seed": args.seed,
             "checks": [asdict(r) for r in results],
@@ -400,14 +396,11 @@ _FLAGS = {
     "out": dict(default=None, help="write the report to this file instead of stdout"),
     "config": dict(default=None, help="key=value file; command line flags take precedence"),
     "n_max": dict(type=int, default=None, help="occupation truncation override"),
-    "margin": dict(type=int, default=2, help="interior margin for matrix checks (default 2)"),
     "theta": dict(type=float, default=0.3,
                   help="transform rotation angle (verify: default 0.3; norms: without it, "
                        "the 8-angle grid, with it that one angle)"),
     "branch": dict(choices=("+", "-"), default="+", help="transform branch sign"),
     "n_cap": dict(type=int, default=6, help=f"largest n1+n2 listed (default 6, max {MAX_N_CAP})"),
-    "tol_scale": dict(type=float, default=1.0,
-                      help="multiply every check tolerance (default 1)"),
     "approach": dict(choices=("ft", "is"), default="ft",
                      help="which construction: rotation (ft) or imaginary scale (is)"),
     "seed": dict(type=int, default=20260823, help="seed for randomized cross-validation"),
@@ -451,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="run a verification suite and report pass/fail")
     sp.add_argument("suite", nargs="?", default="all",
                     choices=("algebra", "ft", "is", "dynamics", "all"))
-    _add_flags(sp, "n_max", "margin", "theta", "tol_scale", "seed", "corrupt_check")
+    _add_flags(sp, "n_max", "theta", "seed", "corrupt_check")
     return parser
 
 

@@ -7,7 +7,7 @@ rotation route (`ft.FT`) and the imaginary-scale route (`imagscale.IS`)
 differ only in the data of a `Construction`; everything written here serves
 both: eigenvalue records, mixed-mode matrices and the H0/H1 identity report,
 the similarity check u a = m u of the mixed modes against the route's
-exponential u, the biorthogonal basis and its Gram, Heisenberg factors, x(t)
+exponential u, the biorthogonal basis and its Gram, Heisenberg rates, x(t)
 and y(t), and the exact symbol substitution at the decoupling point.
 
 Two independent routes run through it: exact symbol algebra on abstract
@@ -27,7 +27,8 @@ import numpy as np
 from .algebra import B1_ANN, B1_CRE, B2_ANN, B2_CRE, ExactScalar, LadderPoly, U_HW, U_IHL
 from .errors import DomainError, HeadroomError
 from .fock import (FockSpace, LadderSet, Operator, build_hamiltonian, identity,
-                   interior_deviation, intertwining_deviation, matrix_exp, window_mask)
+                   interior_deviation, intertwining_deviation, low_block, matrix_exp,
+                   window_mask)
 from .params import PhysicalParams
 
 __all__ = [
@@ -45,7 +46,6 @@ __all__ = [
     "basis",
     "gram",
     "heisenberg_rate",
-    "heisenberg_factor",
     "xy_operators",
     "plain_in_modes",
     "hamiltonian_formal",
@@ -187,22 +187,21 @@ def mode2_split(con: Construction, modes: MixedModes) -> tuple[Operator, Operato
     return (modes.ann2, modes.cre2) if con.second_annihilates else (modes.cre2, modes.ann2)
 
 
-def similarity_deviation(con: Construction, modes: MixedModes, generator: Operator,
-                         window: int = 6) -> float:
+def similarity_deviation(con: Construction, modes: MixedModes, generator: Operator) -> float:
     """Low-block gap of u a = m u with u = e^{angle G}, relative to the largest |u| there.
 
     a runs over the four operators of the route at angle 0 and m over their
     images in modes (whose charge G conserves), so u a u^{-1} = m is checked
-    without u^{-1}.  Compared on the n1+n2 <= window block, where both
-    products read u only one rung past the window: the truncated u is exact
-    there once n_max lies a few spreading lengths deeper, whatever weight it
-    carries near the top corner.
+    without u^{-1}.  Compared on the n1+n2 <= `low_block(n_max)` block,
+    where both products read u only one rung past the block: the truncated u
+    is exact there once n_max lies a few spreading lengths deeper, whatever
+    weight it carries near the top corner.
     """
     plain = transform(con, 0.0, modes.ladder)
     names = ("ann1", "cre1", "ann2", "cre2")
     return intertwining_deviation(matrix_exp(modes.angle * generator, modes.charge),
                                   [(getattr(plain, n), getattr(modes, n)) for n in names],
-                                  window_mask(modes.space, window))
+                                  window_mask(modes.space, low_block(modes.space.n_max)))
 
 
 @dataclass(frozen=True)
@@ -211,7 +210,6 @@ class IdentityReport:
 
     angle: complex
     n_max: int
-    margin: int
     h0_deviation: float
     h1_deviation: float
     reduced_deviation: float | None  # against the pure number-operator form; decoupling angles only
@@ -225,8 +223,7 @@ def _quarter_branch(con: Construction, angle: complex, tol: float) -> int | None
     return None
 
 
-def identity_report(con: Construction, modes: MixedModes, params: PhysicalParams,
-                    margin: int = 2) -> IdentityReport:
+def identity_report(con: Construction, modes: MixedModes, params: PhysicalParams) -> IdentityReport:
     """Check H0 and H1 against their expressions in the mixed operators.
 
     H0 is hbar*omega times the p number form at every angle; H1 carries the
@@ -246,15 +243,14 @@ def identity_report(con: Construction, modes: MixedModes, params: PhysicalParams
     reduced = None
     branch = _quarter_branch(con, modes.angle, 1e-9)
     if branch is not None:
-        reduced = interior_deviation(h1, branch * 1j * hbar * lam * q_form, space, margin)
+        reduced = interior_deviation(h1, branch * 1j * hbar * lam * q_form, space)
 
     return IdentityReport(
         angle=modes.angle,
         n_max=space.n_max,
-        margin=margin,
         h0_deviation=interior_deviation(h0, hbar * omega * _affine(con.p_map, n1, n2, eye),
-                                        space, margin),
-        h1_deviation=interior_deviation(h1, con.h1_mixed(modes, q_form, params), space, margin),
+                                        space),
+        h1_deviation=interior_deviation(h1, con.h1_mixed(modes, q_form, params), space),
         reduced_deviation=reduced,
     )
 
@@ -311,12 +307,6 @@ def heisenberg_rate(con: Construction, mode: int, kind: str, branch,
     w, lam_sign = con.rates[mode]
     rate = w * 1j * params.omega + lam_sign * b * params.lam
     return -rate if kind == "cre" else rate
-
-
-def heisenberg_factor(con: Construction, mode: int, kind: str, branch, t: float,
-                      params: PhysicalParams) -> complex:
-    """Scalar factor multiplying the t=0 mixed operator under Heisenberg evolution."""
-    return cmath.exp(heisenberg_rate(con, mode, kind, branch, params) * t)
 
 
 def xy_operators(con: Construction, branch, t: float, modes: MixedModes,

@@ -2,8 +2,8 @@
 
 Per-mode occupation is capped at n_max.  The flat index of |n1, n2> is
 n1*(n_max+1) + n2.  Truncation spoils canonical commutators only on the
-boundary layer; the interior mask selects the states where the
-infinite-space identities hold exactly.
+top rung n_max of each mode; `interior_deviation` compares off that rung,
+where products of up to three ladders equal their infinite-space values.
 
 Operators are `Operator`s: square matrices held as their stored diagonals,
 {offset k: np.diagonal(dense, k)}.  A ladder shifts the flat index by one
@@ -62,6 +62,7 @@ __all__ = [
     "block_stacks",
     "interior_mask",
     "interior_deviation",
+    "low_block",
     "window_mask",
     "intertwining_deviation",
     "matrix_exp",
@@ -385,17 +386,36 @@ def interior_mask(space: FockSpace, margin: int) -> np.ndarray:
     return np.logical_and.outer(low, low).ravel()
 
 
-def interior_deviation(a: Operator, b: Operator, space: FockSpace, margin: int) -> float:
-    """max |a - b| entrywise over the interior block on both sides."""
+def interior_deviation(a: Operator, b: Operator, space: FockSpace) -> float:
+    """max |a - b| entrywise off the top rung of each mode, on both sides.
+
+    A truncated product of ladders differs from its infinite-space value only
+    in the terms that pass through occupation n_max + 1.  From a state below
+    the top rung that takes two raising steps, so a product of at most three
+    ladders (a commutator of mixed modes, [op, H]) can come back no lower
+    than n_max: dropping exactly the top rung (`interior_mask(space, 1)`)
+    leaves the entries where the identity holds, and no more is dropped.
+    """
     if a.shape != b.shape:
         raise DimensionMismatch(f"shape mismatch {a.shape} vs {b.shape}")
-    return _masked_max_abs(a - b, interior_mask(space, margin))
+    return _masked_max_abs(a - b, interior_mask(space, 1))
+
+
+def low_block(n_max: int) -> int:
+    """Largest total occupation on which a truncated exponential is compared.
+
+    The products read e^{angle G} one rung past the block, and the truncated
+    exponential matches the untruncated one only a few spreading lengths below
+    n_max, so the block shrinks with the resolution: 6 from n_max 20 up, 0 at
+    n_max 9 and below.
+    """
+    return min(6, max(0, (n_max - 8) // 2))
 
 
 def window_mask(space: FockSpace, cap: int) -> np.ndarray:
     """Boolean mask selecting basis states with total occupation n1+n2 <= cap.
 
-    Exponential-map comparisons need this instead of a margin: the truncated
+    Exponential-map comparisons need this instead of the interior: the truncated
     e^{theta X} carries exponentially large weight near the top corner, so
     agreement with closed forms holds on a fixed low-occupation block that
     stays put while n_max grows.

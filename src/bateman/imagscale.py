@@ -42,13 +42,14 @@ import numpy as np
 
 from .algebra import B1_ANN, B1_CRE, B2_ANN, B2_CRE, CQ, ExactScalar, LadderPoly
 from .construction import Construction, MixedModes, normalize_branch, transform
-from .errors import DomainError, NullspaceError
+from .errors import NullspaceError
 from .fock import (
     LadderSet,
     Operator,
     block_stacks,
     coordinates,
     intertwining_deviation,
+    low_block,
     matrix_exp,
     sectors,
     single_mode_lowering,
@@ -138,23 +139,21 @@ def tilde_pair(phi: complex, ann: Operator, cre: Operator) -> tuple[Operator, Op
     return c * ann - 1j * s * cre, c * cre - 1j * s * ann
 
 
-def tilde_similarity_deviation(phi: complex, n_max: int = 64, window: int = 6) -> float:
+def tilde_similarity_deviation(phi: complex, n_max: int = 64) -> float:
     """Low-block gap of u a = m u for u = e^{phi Y}, relative to the largest |u| there.
 
     a runs over (a2, a2+) and m over their closed forms under the Y rotation.
     Y acts on mode 2 alone, so the comparison runs on a dedicated single-mode
     chain where a long truncation is cheap; Y conserves the parity of n.  On
-    the n <= window block both products read u one rung past the window,
-    where the truncated u is exact once n_max is a few spreading lengths
-    deeper; real phi = pi/2 itself is served by the closed form only.
+    the n <= `low_block(n_max)` block both products read u one rung past the
+    block, where the truncated u is exact once n_max is a few spreading
+    lengths deeper; real phi = pi/2 itself is served by the closed form only.
     """
-    if n_max < window + 2:
-        raise DomainError(f"n_max={n_max} leaves no room beyond window={window}")
     ann = single_mode_lowering(n_max + 1)
     cre = ann.T
     u = matrix_exp(phi * generator_y_matrix(ann, cre), np.arange(n_max + 1) % 2)
     return intertwining_deviation(u, zip((ann, cre), tilde_pair(phi, ann, cre)),
-                                  np.arange(n_max + 1) <= window)
+                                  np.arange(n_max + 1) <= low_block(n_max))
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,7 @@ from .fock import (
     identity,
     interior_deviation,
     interior_mask,
+    low_block,
     matrix_exp,
     max_abs,
     position_operators,
@@ -82,8 +83,6 @@ class CheckResult:
 class VerifyConfig:
     params: PhysicalParams
     n_max: int | None = None      # overrides each check's default truncation
-    margin: int = 2
-    tol_scale: float = 1.0
     theta: float = 0.3            # series-safe rotation angle for vacuum/Gram checks
     seed: int = 20260823
     corrupt_check: str | None = None
@@ -96,8 +95,6 @@ class VerifyConfig:
             raise DomainError(f"verify needs n_max <= {MAX_VERIFY_N_MAX}, got {self.n_max}: one "
                               f"exponential could take {offsets} offsets x {dim:,} states x 16 "
                               f"= {16 * offsets * dim:,} bytes")
-        if not (math.isfinite(self.tol_scale) and self.tol_scale > 0):
-            raise DomainError(f"tol_scale must be positive and finite, got {self.tol_scale}")
         if not math.isfinite(self.theta):
             raise DomainError(f"theta must be finite, got {self.theta}")
         if abs(math.tan(self.theta)) >= ft.VACUUM_TAN_LIMIT:
@@ -108,14 +105,9 @@ class VerifyConfig:
             # quarter turn it is no longer the rotation that the series sums
             raise DomainError(f"|theta| = {abs(self.theta):.6g} >= pi/4: e^{{theta X}} is not the "
                               f"rotation the vacuum series describes")
-        if self.margin < 1:
-            raise DomainError(f"margin must be >= 1, got {self.margin}")
 
     def resolve(self, default_n_max: int) -> int:
         return self.n_max if self.n_max is not None else default_n_max
-
-    def eff_margin(self, n_max: int) -> int:
-        return min(self.margin, n_max - 2)
 
 
 @lru_cache(maxsize=16)
@@ -132,7 +124,6 @@ def _worst(*deviations: float) -> float:
 
 def _finish(cfg: VerifyConfig, check_id: str, description: str, deviation: float,
             tolerance: float, detail: dict | None = None) -> CheckResult:
-    tolerance = tolerance * cfg.tol_scale
     if cfg.corrupt_check == check_id:
         deviation = deviation + 10.0 * tolerance + 1.0
         detail = dict(detail or {}, corrupted=True)
@@ -296,7 +287,7 @@ def check_commutators_interior(cfg: VerifyConfig) -> tuple:
         ("a1_dag", "a2_dag"): (lad.a1_dag, lad.a2_dag, zero),
     }
     for (x, y, want) in pairs.values():
-        dev = _worst(dev, interior_deviation(commutator(x, y), want, space, 1))
+        dev = _worst(dev, interior_deviation(commutator(x, y), want, space))
     cross = max_abs(commutator(lad.a1, lad.a2_dag))
     detail["cross_mode_exact"] = cross
     dev = _worst(dev, cross)
@@ -362,11 +353,9 @@ def check_h_structure(cfg: VerifyConfig) -> tuple:
     nonunitary = max_abs(s.conj().T @ s - identity(lad.space.dim))
     if nonunitary < 0.1:
         mismatch += 1
-    # H0 and H1 commute on the interior
-    comm_dev = interior_deviation(
-        commutator(ham.h0, ham.h1), Operator(lad.space.dim, {}), lad.space,
-        cfg.eff_margin(n_max)
-    )
+    # H0 is diagonal and H1 normal ordered, so the truncated [H0, H1] is exact
+    # and vanishes on the whole matrix
+    comm_dev = max_abs(commutator(ham.h0, ham.h1))
     comm_scale = max_abs(ham.h0) * max_abs(ham.h1)
     dev = mismatch + (comm_dev if comm_dev > 1e-10 * comm_scale else 0.0)
     return ("H Hermitian when truncated; basis change non-unitary; [H0,H1]=0",
@@ -530,9 +519,9 @@ def _commutators(cfg: VerifyConfig, con: Construction, description: str, angle) 
         tr = transform(con, a, lad)
         # the two operators mixed from (a1, a2+) commute on the whole truncated space
         same_side, cross = mode2_split(con, tr)
-        dev = _worst(dev, interior_deviation(commutator(tr.ann1, tr.cre1), eye, space, 1))
-        dev = _worst(dev, interior_deviation(commutator(tr.ann2, tr.cre2), eye, space, 1))
-        dev = _worst(dev, interior_deviation(commutator(tr.ann1, cross), zero, space, 1))
+        dev = _worst(dev, interior_deviation(commutator(tr.ann1, tr.cre1), eye, space))
+        dev = _worst(dev, interior_deviation(commutator(tr.ann2, tr.cre2), eye, space))
+        dev = _worst(dev, interior_deviation(commutator(tr.ann1, cross), zero, space))
         dev = _worst(dev, max_abs(commutator(tr.ann1, same_side)))
     return (description, dev, 1e-12)
 
@@ -555,10 +544,9 @@ def _h_scale(params: PhysicalParams) -> float:
 def _identity_quarter(cfg: VerifyConfig, con: Construction, description: str) -> tuple:
     n_max = cfg.resolve(12)
     lad = _ladder(n_max)
-    margin = cfg.eff_margin(n_max)
     dev = 0.0
     for branch in (+1, -1):
-        rep = identity_report(con, transform(con, con.quarter(branch), lad), cfg.params, margin)
+        rep = identity_report(con, transform(con, con.quarter(branch), lad), cfg.params)
         dev = _worst(dev, rep.h0_deviation, rep.h1_deviation, rep.reduced_deviation)
     return (description, dev, 1e-10 * lad.space.dim * _h_scale(cfg.params))
 
@@ -575,8 +563,7 @@ check_ft_identity_quarter, check_is_identity_quarter = _twin(
 def _identity_generic(cfg: VerifyConfig, con: Construction, description: str, angle) -> tuple:
     n_max = cfg.resolve(12)
     lad = _ladder(n_max)
-    rep = identity_report(con, transform(con, angle(cfg), lad), cfg.params,
-                          cfg.eff_margin(n_max))
+    rep = identity_report(con, transform(con, angle(cfg), lad), cfg.params)
     return (description, _worst(rep.h0_deviation, rep.h1_deviation),
             1e-10 * lad.space.dim * _h_scale(cfg.params))
 
@@ -634,7 +621,6 @@ check_ft_gram, check_is_gram = _twin(
 def _heisenberg(cfg: VerifyConfig, con: Construction, description: str) -> tuple:
     n_max = cfg.resolve(12)
     lad = _ladder(n_max)
-    margin = cfg.eff_margin(n_max)
     params = cfg.params
     h = build_hamiltonian(lad, params).h
     dev = 0.0
@@ -644,7 +630,7 @@ def _heisenberg(cfg: VerifyConfig, con: Construction, description: str) -> tuple
                                (1, "cre", tr.cre1), (2, "cre", tr.cre2)):
             lhs = commutator(op, h) / (1j * params.hbar)
             rate = heisenberg_rate(con, mode, kind, branch, params)
-            dev = _worst(dev, interior_deviation(lhs, rate * op, lad.space, margin))
+            dev = _worst(dev, interior_deviation(lhs, rate * op, lad.space))
     # the rates, and the round-off of [op, H] / hbar, grow with omega and lambda
     return (description, dev, 1e-10 * max(1, params.omega, params.lam))
 
@@ -690,15 +676,11 @@ def check_ft_similarity(cfg: VerifyConfig) -> tuple:
     n_max = cfg.resolve(24)
     lad = _ladder(n_max)
     thetas = sorted({0.1, cfg.theta})
-    # the products read e^{theta X} one rung past the window, and the
-    # truncated exponential matches the untruncated one only on a low block a
-    # few spreading lengths below n_max, so the window shrinks with the resolution
-    window = min(6, max(0, (n_max - 8) // 2))
     x = ft.generator_matrix(lad)
-    dev = _worst(*(similarity_deviation(ft.FT, transform(ft.FT, theta, lad), x, window)
+    dev = _worst(*(similarity_deviation(ft.FT, transform(ft.FT, theta, lad), x)
                    for theta in thetas))
     return ("e^{theta X} a = (bar a) e^{theta X} on the low block",
-            dev, 1e-8, {"thetas": list(thetas), "window": window,
+            dev, 1e-8, {"thetas": list(thetas), "window": low_block(n_max),
                         "n_max": n_max})
 
 
@@ -837,13 +819,9 @@ def check_is_tilde(cfg: VerifyConfig) -> tuple:
     dev_cf = _worst(max_abs(t_ann - (-1j) * lad.a2_dag), max_abs(t_cre - (-1j) * lad.a2))
     z_built = lad.a1_dag @ t_ann + t_cre @ lad.a1
     dev_z = max_abs(z_built - imagscale.generator_z_matrix(lad))
-    # the products read e^{chi Z} one rung past the window, where the
-    # truncated exponential is exact only a few spreading lengths below
-    # n_max, so the window shrinks with n_max as in check_ft_similarity
     chi_lad = _ladder(cfg.resolve(24))
-    window = min(6, max(0, (chi_lad.space.n_max - 8) // 2))
     dev_chi = similarity_deviation(imagscale.IS, transform(imagscale.IS, 0.3j, chi_lad),
-                                   imagscale.generator_z_matrix(chi_lad), window)
+                                   imagscale.generator_z_matrix(chi_lad))
     return ("mode-2 squeeze: similarity routes, pi/2 closed form, Z composition",
             _worst(dev_sim, dev_cf, dev_z, dev_chi), 1e-8,
             {"squeeze_similarity": dev_sim, "closed_form": dev_cf,

@@ -92,7 +92,7 @@ def test_operator_identities_at_split_angles(capsys):
             for dev in (rep.h0_deviation, rep.h1_deviation, rep.reduced_deviation):
                 assert dev <= bound
                 worst = max(worst, dev)
-        return f"max deviation {worst:.2e} <= {bound:.2e} (n_max=12, margin=2)"
+        return f"max deviation {worst:.2e} <= {bound:.2e} (n_max=12, off the top rung)"
 
     _gate(capsys, "operator identities at the split angles", 10.0, body)
 
@@ -111,7 +111,7 @@ def test_commutator_algebra_and_boundary_defect(capsys):
             (lad.a1_dag, lad.a2_dag, zero),
         ]
         for a, b, want in pairs:
-            dev = interior_deviation(commutator(a, b), want, space, 1)
+            dev = interior_deviation(commutator(a, b), want, space)
             assert dev <= 1e-12
             worst = max(worst, dev)
         mismatches = _exact_single_mode_defect(8)
@@ -186,12 +186,12 @@ def test_eom_certification(capsys):
         for sign in (1, -1):
             theta = sign * math.pi / 4
             x, y = xy_operators(ft.FT, sign, 0.0, transform(ft.FT, theta, lad), PARAMS)
-            worst_xy = max(worst_xy, interior_deviation(x, xp, lad.space, 2),
-                           interior_deviation(y, yp, lad.space, 2))
+            worst_xy = max(worst_xy, interior_deviation(x, xp, lad.space),
+                           interior_deviation(y, yp, lad.space))
             chi = sign * 1j * math.pi / 4
             x, y = xy_operators(imagscale.IS, sign, 0.0, transform(imagscale.IS, chi, lad), PARAMS)
-            worst_xy = max(worst_xy, interior_deviation(x, xp, lad.space, 2),
-                           interior_deviation(y, yp, lad.space, 2))
+            worst_xy = max(worst_xy, interior_deviation(x, xp, lad.space),
+                           interior_deviation(y, yp, lad.space))
         assert worst_xy <= 1e-10
         return f"residuals {worst_res:.2e} <= 1e-12*k; t=0 x,y deviation {worst_xy:.2e} <= 1e-10"
 
@@ -223,7 +223,7 @@ def test_oracle_matrix_cross_validation(capsys):
             poly = algebra.random_poly(rng, max_degree=6)
             lad = build_ladder(max(2, poly.degree() + 2))
             exact = algebra.vacuum_pairing(LadderPoly.one(), poly).to_complex()
-            numeric = algebra.matrix_vacuum_pairing(poly, lad)
+            numeric = algebra.matrix_element(poly, lad, (0, 0), (0, 0))
             dev = abs(exact - numeric)
             assert dev <= 1e-12
             worst = max(worst, dev)

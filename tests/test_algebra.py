@@ -29,7 +29,6 @@ from bateman.algebra import (
     basis_matrix_element,
     matrix_element,
     matrix_elements,
-    matrix_vacuum_pairing,
     normal_order,
     random_poly,
     to_matrix,
@@ -152,7 +151,7 @@ def test_oracle_matches_matrices(seed):
     poly = random_poly(rng, max_degree=5, max_terms=4)
     ladder = build_ladder(poly.degree() + 2)
     exact = vacuum_pairing(LadderPoly.one(), poly).to_complex()
-    numeric = matrix_vacuum_pairing(poly, ladder)
+    numeric = matrix_element(poly, ladder, (0, 0), (0, 0))
     assert abs(exact - numeric) <= 1e-12
 
 
@@ -195,9 +194,6 @@ def test_matrix_element_matches_whole_matrix_on_seeded_polys():
                 ket[ladder.space.index(*n)] = 1.0
                 for got, mat in zip(matrix_elements(polys, ladder, m, n), mats):
                     assert abs(got - bra @ (mat @ ket)) <= 1e-14
-        for poly in polys:
-            assert (matrix_vacuum_pairing(poly, ladder)
-                    == matrix_element(poly, ladder, (0, 0), (0, 0)))
 
 
 def test_matrix_element_reads_bra_row_and_ket_column(ladder8, params):
@@ -236,7 +232,7 @@ def test_matrix_elements_equal_the_per_word_walk_at_the_vacuum():
     for ladder, polys in _by_ladder_size(_seeded_polys(), lambda d: max(2, d + 2)).values():
         got = matrix_elements(polys, ladder, (0, 0), (0, 0))
         assert _bits(got) == _bits([_per_word_element(p, ladder, (0, 0), (0, 0)) for p in polys])
-        assert _bits(got) == _bits([matrix_vacuum_pairing(p, ladder) for p in polys])
+        assert _bits(got) == _bits([matrix_element(p, ladder, (0, 0), (0, 0)) for p in polys])
 
 
 def test_matrix_elements_equal_the_per_word_walk_on_low_occupations(params):

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from bateman.cli import EDGE_EPSILONS, MODERATE_GRID, build_parser, main
+from bateman.verify import SUITES
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -290,8 +291,8 @@ def test_nonfinite_times_rejected(capsys, value):
     assert out == "" and "finite" in err
 
 
-@pytest.mark.parametrize("flags", [["--tol-scale", "nan"], ["--tol-scale", "inf"],
-                                   ["--theta", "nan"], ["--margin", "0"], ["--margin", "-3"]])
+@pytest.mark.parametrize("flags", [["--theta", "nan"], ["--theta", "inf"], ["--theta=-inf"],
+                                   ["--n-max", "3"], ["--n-max", "49"]])
 def test_verify_rejects_bad_config_with_exit_2(capsys, flags):
     # exit 1 means a check failed; a config no check can pass under is a usage error
     rc, out, err = run(capsys, "verify", "algebra", *flags)
@@ -320,11 +321,22 @@ def test_verify_rejects_theta_past_the_quarter_turn_with_exit_2(capsys):
 
 
 @pytest.mark.parametrize("argv", [["norms", "--n-max", "3"], ["classify", "--times", "1"],
-                                  ["spectrum", "--chi-sign", "+"]])
+                                  ["spectrum", "--chi-sign", "+"], ["verify", "--margin", "2"],
+                                  ["verify", "--tol-scale", "1"]])
 def test_flags_a_command_does_not_read_are_rejected(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("suite,check_id", [pytest.param(suite, fn.check_id, id=fn.check_id)
+                                            for suite, checks in SUITES.items() for fn in checks])
+def test_corrupt_check_exits_1_through_the_cli(capsys, suite, check_id):
+    # the negative control end to end: the named check, and only it, fails the run
+    rc, out, _ = run(capsys, "verify", suite, "--n-max", "8", "--corrupt-check", check_id)
+    assert rc == 1
+    failed = [c["check_id"] for c in json.loads(out)["checks"] if not c["passed"]]
+    assert failed == [check_id]
 
 
 # --- config keys are the subcommand's own flags -------------------------------
@@ -338,6 +350,17 @@ def test_config_key_of_another_subcommand_exits_2(tmp_path, capsys, command, tex
     cfg = tmp_path / "run.cfg"
     cfg.write_text(text)
     rc, out, err = run(capsys, command, "--config", str(cfg))
+    assert rc == 2
+    assert out == ""
+    assert f"unknown config key {key!r}" in err
+
+
+@pytest.mark.parametrize("key,value", [("margin", "2"), ("tol_scale", "1")])
+def test_verify_takes_no_window_or_tolerance_key(tmp_path, capsys, key, value):
+    # the truncation sets every comparison window, and no tolerance can be loosened
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key}={value}\n")
+    rc, out, err = run(capsys, "verify", "--config", str(cfg))
     assert rc == 2
     assert out == ""
     assert f"unknown config key {key!r}" in err
@@ -364,7 +387,7 @@ _DEFAULT_CONFIGS = {
     "classify": "approach=ft\nbranch=+\nn1=0\nn2=0\n",
     "evolve": "approach=ft\nbranch=+\nn1=0\nn2=0\ntimes=0,0.25,0.5,0.75,1,1.25,1.5,1.75,2\n",
     # n_max and corrupt_check default to unset, which a config file cannot write
-    "verify": "margin=2\ntheta=0.3\ntol_scale=1\nseed=20260823\n",
+    "verify": "theta=0.3\nseed=20260823\n",
 }
 
 

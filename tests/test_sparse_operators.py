@@ -93,7 +93,7 @@ def test_direct_ladder_commutators_are_identity_inside(n_max):
     eye = identity(lad.space.dim)
     for ann, cre in ((lad.a1, lad.a1_dag), (lad.a2, lad.a2_dag)):
         # sqrt(n+1)^2 - sqrt(n)^2 is 1 up to rounding, the tolerance of the interior check
-        assert interior_deviation(ann @ cre - cre @ ann, eye, lad.space, 1) <= 1e-12
+        assert interior_deviation(ann @ cre - cre @ ann, eye, lad.space) <= 1e-12
 
 
 @N_MAXES
