@@ -51,6 +51,21 @@ Times, in CPU seconds of this process with BLAS on one thread:
   reference kept here only); and the exact half split into its vacuum
   pairings, its basis elements and the float evaluation of their values;
 
+- the sector reads at n_max in READ_N_MAX: `construction.similarity_deviation`
+  for e^{0.3 X} and e^{0.3i Z}, which exponentiates only the sectors that meet
+  the low block and forms dense block products, against the full
+  `matrix_exp` with the offset products u @ a and m @ u masked to the block
+  (`full_similarity`, the reference kept here only); and
+  `ft_basis_similarity` for the states (0,0), (1,0), (2,1), which
+  exponentiates only their sectors, against columns and rows read off both
+  full exponentials (`full_basis_columns`, the reference kept here only);
+- the chain route `ft._chain_standard_norms`, one linear-space batch for the
+  four `norms` states at each Theta in CHAIN_THETAS (the check's grid and
+  two angles near the wall) and for the check's 16 chains at once, against
+  the log-space Taylor loop it replaced run chain by chain
+  (`log_chain_standard_norm`, the reference kept here only), with each
+  route's largest relative gap to `ft_standard_norm`;
+
 - `fock.build_ladder`, which builds each ladder as one diagonal at its
   shift of the flat index, against the scipy.sparse Kronecker construction
   (`kron_ladder`, the reference kept here only) at n_max in
@@ -66,7 +81,8 @@ halves the largest gap between them; for the rank test the largest gap
 between the two routes' singular values; for the batched matrix half the number
 of values whose bytes differ from the reference's; for the ladder build the
 number of the four ladders whose nonzero entries are not byte for byte those
-of the reference).
+of the reference; for the sector reads the largest gap between the two
+deviations or basis vectors).
 The JSON record goes to FILE, or to stdout without `--out`, and carries the
 machine: core count, Python, numpy, scipy and BLAS versions.
 """
@@ -107,7 +123,12 @@ from bateman.algebra import (  # noqa: E402
     basis_matrix_element,
     vacuum_pairing,
 )
-from bateman.construction import hamiltonian_from_plain, identity_report, transform  # noqa: E402
+from bateman.construction import (  # noqa: E402
+    hamiltonian_from_plain,
+    identity_report,
+    similarity_deviation,
+    transform,
+)
 from bateman.fock import (  # noqa: E402
     block_stacks,
     build_hamiltonian,
@@ -116,10 +137,19 @@ from bateman.fock import (  # noqa: E402
     coordinates,
     dense,
     from_coordinates,
+    low_block,
     matrix_exp,
+    max_abs,
     sectors,
+    window_mask,
 )
-from bateman.ft import FT, ft_basis_similarity, generator_matrix  # noqa: E402
+from bateman.ft import (  # noqa: E402
+    FT,
+    _chain_standard_norms,
+    ft_basis_similarity,
+    ft_standard_norm,
+    generator_matrix,
+)
 from bateman.imagscale import (  # noqa: E402
     IS,
     NULLSPACE_RTOL,
@@ -146,6 +176,11 @@ IMPORT_CODE = ("import time\n"
                "hwm = [line.split()[1] for line in open('/proc/self/status')"
                " if line.startswith('VmHWM')][0]\n"
                "print(cpu, int(hwm) / 1024)\n")
+READ_N_MAX = (12, 24, 48)
+BASIS_STATES = ((0, 0), (1, 0), (2, 1))
+CHECK_THETAS = (0.3, 0.6, 1.0, 1.4)  # the Theta grid of ft.norm.closed-forms
+CHAIN_THETAS = CHECK_THETAS + (math.pi / 2 - 10.0 ** -1, math.pi / 2 - 10.0 ** -1.5)
+NORMS_STATES = ((0, 0), (1, 0), (1, 1), (2, 1))
 BUILD_N_MAX = (2, 8, 12, 24, 48)
 BUILD_CALLS = 100  # ladder builds per timed repeat; the times are per build
 REPEATS = 5
@@ -539,6 +574,105 @@ def algebra_rows() -> list[dict]:
     return rows
 
 
+def full_similarity(con, modes, generator) -> float:
+    """Reference only: the full exponential, and u @ a and m @ u as offset products."""
+    plain = transform(con, 0.0, modes.ladder)
+    u = matrix_exp(modes.angle * generator, modes.charge)
+    keep = np.flatnonzero(window_mask(modes.space, low_block(modes.space.n_max)))
+    gap = max(max_abs(dense(u @ getattr(plain, n) - getattr(modes, n) @ u, keep, keep))
+              for n in ("ann1", "cre1", "ann2", "cre2"))
+    return gap / max_abs(dense(u, keep, keep))
+
+
+def full_basis_columns(bar, states) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Reference only: kets and bras read off both full exponentials."""
+    x = generator_matrix(bar.ladder)
+    idx = [bar.space.index(n1, n2) for n1, n2 in states]
+    kets = dense(matrix_exp(bar.angle * x, bar.charge), cols=idx).T
+    bras = dense(matrix_exp(-bar.angle * x, bar.charge), rows=idx)
+    return list(zip(kets, bras))
+
+
+def read_rows() -> list[dict]:
+    """Sector reads against the full exponential plus offset products, per n_max."""
+    rows = []
+    for n_max in READ_N_MAX:
+        lad = build_ladder(n_max)
+        cases = {"similarity 0.3 X": (FT, transform(FT, 0.3, lad), generator_matrix(lad)),
+                 "similarity 0.3i Z": (IS, transform(IS, 0.3j, lad), generator_z_matrix(lad))}
+        for case, args in cases.items():
+            read_t, got = timed(lambda: similarity_deviation(*args))
+            full_t, want = timed(lambda: full_similarity(*args))
+            rows.append({"layer": case, "n_max": n_max, "dim": lad.space.dim,
+                         "sector_read": read_t, "full": full_t,
+                         "speedup": full_t["median_s"] / read_t["median_s"],
+                         "deviation": got, "deviation_gap": abs(got - want)})
+        bar = transform(FT, 0.3, lad)
+        read_t, got = timed(lambda: ft_basis_similarity(bar, BASIS_STATES))
+        full_t, want = timed(lambda: full_basis_columns(bar, BASIS_STATES))
+        rows.append({"layer": "ft_basis_similarity", "n_max": n_max, "dim": lad.space.dim,
+                     "states": len(BASIS_STATES), "sector_read": read_t, "full": full_t,
+                     "speedup": full_t["median_s"] / read_t["median_s"],
+                     "max_abs_gap": float(max(np.max(np.abs(g - w))
+                                              for pair_g, pair_w in zip(got, want)
+                                              for g, w in zip(pair_g, pair_w)))})
+    return rows
+
+
+def log_chain_exp(q0: int, s: float, couplings: np.ndarray) -> np.ndarray:
+    """Reference only: log of e^{s T} e_q0, the Taylor series summed in log space."""
+    size = len(couplings) + 1
+    log_t = np.log(couplings)
+    acc = np.full(size, -np.inf)
+    acc[q0] = 0.0
+    term = acc.copy()
+    log_s = math.log(s)
+    max_iter = int(4.4 * s * float(couplings.max())) + 200
+    for m in range(1, max_iter + 1):
+        nxt = np.full(size, -np.inf)
+        nxt[1:] = term[:-1] + log_t
+        np.logaddexp(nxt[:-1], term[1:] + log_t, out=nxt[:-1])
+        nxt += log_s - math.log(m)
+        term = nxt
+        acc = np.logaddexp(acc, term)
+        if term.max() < acc.max() + math.log(1e-19):
+            return acc
+    raise RuntimeError("chain exponential series did not converge")
+
+
+def log_chain_standard_norm(big_theta: float, n1: int, n2: int) -> float:
+    """Reference only: the chain route as one log-space loop per chain, same sizing."""
+    s_half = abs(big_theta) / 2.0
+    ratio = math.tan(s_half) ** 2
+    log_ratio = math.log(ratio)
+    geometric = (math.log(1e-19) + math.log1p(-ratio)) / log_ratio
+    sites = int(geometric - (n1 + n2) * math.log(geometric + n1 + n2 + 1) / log_ratio) + 24
+    q = np.arange(sites - 1, dtype=float)
+    couplings = np.sqrt((q + abs(n1 - n2) + 1.0) * (q + 1.0))
+    log_u2 = 2.0 * log_chain_exp(min(n1, n2), s_half, couplings)
+    return math.exp(float(np.logaddexp.reduce(log_u2)))
+
+
+def chain_rows() -> list[dict]:
+    """The batched linear-space chain against the log-space loop, per Theta and for the check."""
+    grids = {f"Theta {theta!r}": [(theta, n1, n2) for n1, n2 in NORMS_STATES]
+             for theta in CHAIN_THETAS}
+    grids["ft.norm.closed-forms grid"] = [(theta, n1, n2) for theta in CHECK_THETAS
+                                          for n1, n2 in NORMS_STATES]
+    rows = []
+    for name, cases in grids.items():
+        law = [ft_standard_norm(theta / 2.0, n1, n2) for theta, n1, n2 in cases]
+        batched_t, got = timed(lambda: _chain_standard_norms(cases))
+        log_t, want = timed(lambda: [log_chain_standard_norm(*case) for case in cases])
+        rows.append({"layer": "chain", "grid": name, "chains": len(cases),
+                     "batched_linear": batched_t, "log_space": log_t,
+                     "speedup": log_t["median_s"] / batched_t["median_s"],
+                     "max_rel_gap_to_law": {
+                         "batched_linear": max(abs(g - x) / x for g, x in zip(got, law)),
+                         "log_space": max(abs(w - x) / x for w, x in zip(want, law))}})
+    return rows
+
+
 def kron_ladder(n_max: int) -> dict[str, sp.csr_array]:
     """Reference only: the scipy.sparse Kronecker construction of the ladders."""
     size = n_max + 1
@@ -600,7 +734,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     record = {"machine": machine(), "repeats": REPEATS, "import": import_rows(),
               "kernels": exp_rows() + svd_rows(), "sectors": sector_rows(),
-              "operators": operator_rows(),
+              "operators": operator_rows(), "reads": read_rows(), "chain": chain_rows(),
               "layers": layer_rows(), "algebra": algebra_rows(), "ladder_build": build_rows()}
     text = json.dumps(record, indent=1) + "\n"
     if args.out is None:

@@ -20,15 +20,15 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from .algebra import B1_ANN, B1_CRE, B2_ANN, B2_CRE, ExactScalar, LadderPoly, U_HW, U_IHL
 from .errors import DomainError, HeadroomError
-from .fock import (FockSpace, LadderSet, Operator, build_hamiltonian, identity,
-                   interior_deviation, intertwining_deviation, low_block, matrix_exp,
-                   window_mask)
+from .fock import (FockSpace, LadderSet, Operator, build_hamiltonian, exp_block, identity,
+                   interior_deviation, intertwining_deviation, low_block, window_mask)
 from .params import PhysicalParams
 
 __all__ = [
@@ -192,14 +192,16 @@ def similarity_deviation(con: Construction, modes: MixedModes, generator: Operat
 
     a runs over the four operators of the route at angle 0 and m over their
     images in modes (whose charge G conserves), so u a u^{-1} = m is checked
-    without u^{-1}.  Compared on the n1+n2 <= `low_block(n_max)` block,
-    where both products read u only one rung past the block: the truncated u
-    is exact there once n_max lies a few spreading lengths deeper, whatever
-    weight it carries near the top corner.
+    without u^{-1}.  Compared on the n1+n2 <= `low_block(n_max)` block B,
+    where both products read u only one rung past it: the truncated u is
+    exact there once n_max lies a few spreading lengths deeper, whatever
+    weight it carries near the top corner.  Only the sectors of u that meet
+    that rung are exponentiated (`fock.exp_block`), 15 of the 49 sectors of
+    n1 - n2 at n_max 24, and the products are dense on B and the rung.
     """
     plain = transform(con, 0.0, modes.ladder)
     names = ("ann1", "cre1", "ann2", "cre2")
-    return intertwining_deviation(matrix_exp(modes.angle * generator, modes.charge),
+    return intertwining_deviation(partial(exp_block, modes.angle * generator, modes.charge),
                                   [(getattr(plain, n), getattr(modes, n)) for n in names],
                                   window_mask(modes.space, low_block(modes.space.n_max)))
 

@@ -20,14 +20,19 @@ same multiplies and adds, in the same order, as it would alone, so a block
 product is bit for bit its columns' products.  A vector may stand on the
 left (`v @ A`), a block may not.
 State vectors and Gram matrices stay dense numpy arrays.  The two cubic
-kernels (`matrix_exp`, and the nullspace in `imagscale`) run on the sectors
-of a charge that the caller declares, one label per state (`FockSpace`
-holds n1 - n2 and n1 + n2); `sectors` checks that every nonzero entry lies
-inside one, nothing is discovered from the pattern.  `block_stacks` gathers
-the sectors of each shape into one dense (k, r, c) stack, and each kernel
-makes one batched numpy call per stack (a Padé scaling and squaring, or
-singular values), so small blocks do not pay one LAPACK call (and one BLAS
-thread start-up) each.  numpy is the only numerical dependency.
+kernels (the exponential, and the nullspace in `imagscale`) run on the
+sectors of a charge that the caller declares, one label per state
+(`FockSpace` holds n1 - n2 and n1 + n2); `sectors` checks that every nonzero
+entry lies inside one, nothing is discovered from the pattern.
+`block_stacks` gathers the sectors of each shape into one dense (k, r, c)
+stack, and each kernel makes one batched numpy call per stack (a Padé
+scaling and squaring, or singular values), so small blocks do not pay one
+LAPACK call (and one BLAS thread start-up) each.  The exponential has one
+kernel, `sector_exp`, which exponentiates only the sectors that hold the
+states a caller reads: `exp_block` reads a dense block of e^a from them,
+`intertwining_deviation` the block around a low-occupation window, and
+`matrix_exp` runs it over every sector.  numpy is the only numerical
+dependency.
 """
 
 from __future__ import annotations
@@ -65,7 +70,9 @@ __all__ = [
     "low_block",
     "window_mask",
     "intertwining_deviation",
+    "sector_exp",
     "matrix_exp",
+    "exp_block",
     "position_operators",
 ]
 
@@ -116,8 +123,8 @@ class Operator:
     them; every offset not stored is zero.  The arrays are never written
     after construction, so operators share them (the transpose does).
     Supported: `@` with an operator or a vector on either side or a block of
-    columns on the right, `+`, `-`, scalar `*` and `/`, `.T`, `.conj()`,
-    `abs()` and `row_sums()`.
+    columns on the right, `+`, `-`, scalar `*` and `/`, `.T`, `.conj()` and
+    `abs()`.
     """
 
     __slots__ = ("shape", "diagonals")
@@ -183,14 +190,6 @@ class Operator:
     def T(self) -> Operator:
         # diagonal -k of the transpose lists the entries of diagonal k in the same order
         return Operator(self.shape[0], {-k: w for k, w in reversed(self.diagonals.items())})
-
-    def row_sums(self) -> np.ndarray:
-        n = self.shape[0]
-        out = np.zeros(n, dtype=self.dtype)
-        for k, w in self.diagonals.items():
-            lo, hi = _rows(k, n)
-            out[lo:hi] += w
-        return out
 
     def __matmul__(self, other):
         if isinstance(other, Operator):
@@ -285,7 +284,12 @@ def dense(a: Operator, rows=None, cols=None) -> np.ndarray:
     where = np.full(n, -1)
     where[cols] = np.arange(len(cols))
     out = np.zeros((len(rows), len(cols)), dtype=a.dtype)
+    if not (len(rows) and len(cols)):
+        return out
+    reach = (int(cols.min() - rows.max()), int(cols.max() - rows.min()))
     for k, w in a.diagonals.items():
+        if not reach[0] <= k <= reach[1]:  # the diagonal misses the block
+            continue
         lo, hi = _rows(k, n)
         i = np.flatnonzero((rows >= lo) & (rows < hi))
         i = i[where[rows[i] + k] >= 0]
@@ -425,14 +429,36 @@ def window_mask(space: FockSpace, cap: int) -> np.ndarray:
     return space.total <= cap
 
 
-def intertwining_deviation(u: Operator, pairs, keep: np.ndarray) -> float:
-    """max |u a - m u| over (a, m) in pairs on the kept block, over max |u| there.
+def intertwining_deviation(read, pairs, keep: np.ndarray) -> float:
+    """max |u a - m u| over (a, m) in pairs on the kept block B, over max |u| on B.
 
-    keep is a boolean mask of the basis states; both sides of each entry must
-    be kept.  Checks u a u^{-1} = m without forming u^{-1}.
+    keep is a boolean mask of the basis states, B.  u a and m u on B read u
+    only between B and the states B1 that some a or m joins to B (B itself
+    included), so they are formed as dense products u[B, B1] a[B1, B] and
+    m[B, B1] u[B1, B], each entry summing its terms in ascending state index,
+    the order of an `Operator` product.  read(rows, cols) returns
+    u[np.ix_(rows, cols)] as a dense array: `partial(exp_block, generator,
+    charge)` exponentiates only the sectors that B1 reaches, `partial(dense,
+    u)` reads a u already built.  Checks u a u^{-1} = m without forming u^{-1}.
     """
-    gap = np.max([_masked_max_abs(u @ a - m @ u, keep) for a, m in pairs])  # keeps a NaN
-    return float(gap) / _masked_max_abs(u, keep)
+    pairs = list(pairs)
+    mask = keep.astype(float)
+    reach = keep.copy()
+    for a, m in pairs:  # != 0 also keeps a state joined through a NaN
+        reach |= (abs(a) @ mask != 0) | (mask @ abs(m) != 0)
+    block, near = np.flatnonzero(keep), np.flatnonzero(reach)
+    u = read(near, near)
+    inner = keep[near]
+    u_out, u_in = u[inner], u[:, inner]  # u[B, B1], u[B1, B]
+    gap = np.max([np.abs(_ascending_product(u_out, dense(a, near, block))
+                         - _ascending_product(dense(m, block, near), u_in)).max()
+                  for a, m in pairs])  # keeps a NaN
+    return float(gap) / float(np.abs(u_out[:, inner]).max())
+
+
+def _ascending_product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """left @ right with every entry summing its terms in ascending inner index."""
+    return np.add.reduce(left.T[:, :, None] * right[:, None, :], axis=0)
 
 
 def sectors(rows: np.ndarray, cols: np.ndarray, row_charge: np.ndarray,
@@ -594,37 +620,84 @@ def _stack_exp(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def matrix_exp(a: Operator, charge: np.ndarray) -> Operator:
-    """e^a sector by sector, with finiteness guards on input and output.
-
-    a must join only states of equal charge (`sectors` checks it), so e^a is
-    the direct sum of the exponentials of its sectors and exactly 0 between
-    them.  The sectors are gathered as one dense stack per size
-    (`block_stacks`), each stack is exponentiated at once (`_stack_exp`), and
-    every sector is scattered into the complex result.  A real a (every
-    imaginary part 0) has a real e^a, so its sectors run in real arithmetic.
-    """
-    n = a.shape[0]
-    if len(charge) != n:
+def _check_charge(a: Operator, charge: np.ndarray) -> None:
+    if len(charge) != a.shape[0]:
         raise DimensionMismatch(f"{len(charge)} charge labels for a {a.shape} operator")
+
+
+def sector_exp(a: Operator, charge: np.ndarray, states=None
+               ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """e^a on the sectors of charge that hold one of states (every sector for None).
+
+    a must join only states of equal charge (`sectors` checks every nonzero
+    entry, those outside the sectors read too), so e^a is the direct sum of
+    the exponentials of its sectors and exactly 0 between them.  The sectors
+    read are gathered as one dense stack per size (`block_stacks`) and each
+    stack is exponentiated at once (`_stack_exp`), with finiteness guards on
+    input and output.  One (indices, blocks) pair per stack: indices is
+    (k, r) and blocks[j] is e^a on np.ix_(indices[j], indices[j]).  A real a
+    (every imaginary part 0) runs in real arithmetic and gives real blocks.
+    Each block is computed from its own sector alone, so it is bit for bit
+    the same whichever other sectors are read with it.
+    """
+    _check_charge(a, charge)
     rows, cols, values = coordinates(a)
     values = values.astype(complex)
     if not np.all(np.isfinite(values)):
         raise NumericalError("matrix_exp input contains non-finite entries")
     if not values.imag.any():
         values = values.real
-    out_rows, out_cols, out_values = [], [], []
+    parts = sectors(rows, cols, charge, charge)
+    if states is not None:
+        hot = np.isin(charge, charge[states])  # the states of the sectors read
+        parts = [part for part in parts if hot[part[0][0]]]
+        inside = hot[rows]
+        rows, cols, values = rows[inside], cols[inside], values[inside]
+    if not parts:
+        return []
+    out = []
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is caught below
-        for idx, _, stack in block_stacks((rows, cols, values), a.shape,
-                                          sectors(rows, cols, charge, charge)):
-            size = idx.shape[1]
-            out_rows.append(np.repeat(idx, size, axis=1).ravel())
-            out_cols.append(np.repeat(idx[:, None, :], size, axis=1).ravel())
-            out_values.append(_stack_exp(stack).ravel())
-    out_values = np.concatenate(out_values).astype(complex)
-    if not np.all(np.isfinite(out_values)):
-        raise NumericalError("matrix_exp overflowed; argument norm too large")
-    return from_coordinates(np.concatenate(out_rows), np.concatenate(out_cols), out_values, n)
+        for idx, _, stack in block_stacks((rows, cols, values), a.shape, parts):
+            blocks = _stack_exp(stack)
+            if not np.all(np.isfinite(blocks)):
+                raise NumericalError("matrix_exp overflowed; argument norm too large")
+            out.append((idx, blocks))
+    return out
+
+
+def matrix_exp(a: Operator, charge: np.ndarray) -> Operator:
+    """e^a as a complex Operator: every sector of `sector_exp`, scattered."""
+    rows, cols, values = [], [], []
+    for idx, blocks in sector_exp(a, charge):
+        size = idx.shape[1]
+        rows.append(np.repeat(idx, size, axis=1).ravel())
+        cols.append(np.repeat(idx[:, None, :], size, axis=1).ravel())
+        values.append(blocks.ravel())
+    return from_coordinates(np.concatenate(rows), np.concatenate(cols),
+                            np.concatenate(values).astype(complex), a.shape[0])
+
+
+def exp_block(a: Operator, charge: np.ndarray, rows=None, cols=None) -> np.ndarray:
+    """e^a[np.ix_(rows, cols)] as a dense complex array, as `dense` reads an Operator.
+
+    rows and cols are index arrays without repeats; None takes them all.
+    e^a is 0 between sectors, so only the sectors of charges that rows and
+    cols share are exponentiated (`sector_exp`).
+    """
+    _check_charge(a, charge)
+    n = a.shape[0]
+    everything = np.arange(n)
+    rows = everything if rows is None else everything[rows]
+    cols = everything if cols is None else everything[cols]
+    shared = rows[np.isin(charge[rows], charge[cols])]
+    row_at, col_at = np.full(n, -1), np.full(n, -1)
+    row_at[rows], col_at[cols] = np.arange(len(rows)), np.arange(len(cols))
+    out = np.zeros((len(rows), len(cols)), dtype=complex)
+    for idx, blocks in sector_exp(a, charge, shared):
+        r, c = row_at[idx][:, :, None], col_at[idx][:, None, :]
+        hit = (r >= 0) & (c >= 0)
+        out[np.broadcast_to(r, hit.shape)[hit], np.broadcast_to(c, hit.shape)[hit]] = blocks[hit]
+    return out
 
 
 def position_operators(ladder: LadderSet, params: PhysicalParams

@@ -24,7 +24,7 @@ import numpy as np
 from .algebra import B1_ANN, B1_CRE, B2_ANN, B2_CRE, ExactScalar, LadderPoly
 from .construction import Construction, MixedModes
 from .errors import DomainError, FitError, NumericalError, SeriesDivergence
-from .fock import FockSpace, LadderSet, Operator, dense, matrix_exp
+from .fock import FockSpace, LadderSet, Operator, exp_block
 from .params import PhysicalParams
 
 __all__ = [
@@ -41,7 +41,10 @@ __all__ = [
 ]
 
 #: relative size below which a chain Taylor term, or the chain's neglected tail, is negligible
-_CONV_LOG = math.log(1e-19)
+_CONV = 1e-19
+_CONV_LOG = math.log(_CONV)
+#: a chain row whose sum passes this is scaled down by a power of two, far from overflow
+_CHAIN_CEILING = 2.0 ** 600
 
 #: Theta grids for the divergence study: pi/2 - 10^-j
 FIT_THETA_GRID = tuple(math.pi / 2 - 10.0 ** (-j) for j in (1, 2, 3))
@@ -135,12 +138,12 @@ def ft_basis_similarity(bar: MixedModes, states) -> list[tuple[np.ndarray, np.nd
     """The bar basis pairs e^{theta X}|n1,n2> and <n1,n2|e^{-theta X}, one per (n1, n2) in states.
 
     Each ket is a column of e^{theta X} and each bra a row of e^{-theta X};
-    both exponentials are built once for all states.
+    only the sectors that hold the states are exponentiated (`fock.exp_block`).
     """
     x = generator_matrix(bar.ladder)
     idx = [bar.space.index(n1, n2) for n1, n2 in states]
-    kets = dense(matrix_exp(bar.angle * x, bar.charge), cols=idx).T
-    bras = dense(matrix_exp(-bar.angle * x, bar.charge), rows=idx)
+    kets = exp_block(bar.angle * x, bar.charge, cols=idx).T
+    bras = exp_block(-bar.angle * x, bar.charge, rows=idx)
     return list(zip(kets, bras))
 
 
@@ -188,58 +191,106 @@ def ft_standard_norm(theta: complex, n1: int, n2: int) -> float:
     return math.exp(log_norm)
 
 
-def _log_chain_exp(q0: int, s: float, couplings: np.ndarray) -> np.ndarray:
-    """log of e^{s T} e_q0 for the nonnegative tridiagonal chain T.
+def _chain_exp(starts: np.ndarray, s: np.ndarray, couplings: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """e^{s_i T_i} e_{starts_i} for a batch of nonnegative tridiagonal chains T_i.
 
-    All Taylor terms are componentwise nonnegative, so the whole iteration
-    lives in log space (logaddexp) and large amplitudes cannot overflow.
+    Row i of couplings holds the couplings of chain i, zero past its end.
+    All Taylor terms are componentwise nonnegative, so the series is summed
+    in linear space and nothing cancels.  Returns (mantissas, exponents):
+    row i of the result is mantissas[i] * 2**exponents[i], since a row whose
+    sum nears overflow is scaled by a power of two, which rounds nothing.
+    A row freezes once its term falls below _CONV of its sum; every step
+    acts on each row alone, so a chain gets the same values in any batch.
     """
-    size = len(couplings) + 1
-    log_t = np.log(couplings)
-    acc = np.full(size, -np.inf)
-    acc[q0] = 0.0
-    term = acc.copy()
-    log_s = math.log(s)
-    max_iter = int(4.4 * s * float(couplings.max())) + 200
-    for m in range(1, max_iter + 1):
-        nxt = np.full(size, -np.inf)
-        nxt[1:] = term[:-1] + log_t
-        np.logaddexp(nxt[:-1], term[1:] + log_t, out=nxt[:-1])
-        nxt += log_s - math.log(m)
-        term = nxt
-        acc = np.logaddexp(acc, term)
-        if term.max() < acc.max() + _CONV_LOG:
-            return acc
+    rows = np.arange(len(starts))
+    term = np.zeros((len(starts), couplings.shape[1] + 1))
+    term[rows, starts] = 1.0
+    acc = term.copy()
+    exponents = np.zeros(len(starts), dtype=int)
+    out = acc.copy()
+    max_iter = (4.4 * s * couplings.max(axis=1)).astype(int) + 200
+    for m in range(1, int(max_iter.max()) + 1):
+        width = min(term.shape[1], int(starts.max()) + m + 1)  # no term reaches further yet
+        t, c = term[:, :width], couplings[:, :width - 1]
+        down = c * t[:, 1:]
+        np.multiply(c, t[:, :-1], out=t[:, 1:])  # numpy buffers the overlapping operands
+        t[:, 0] = 0.0
+        t[:, :-1] += down
+        t *= (s / m)[:, None]
+        acc[:, :width] += t
+        top = acc.max(axis=1)
+        if top.max() > _CHAIN_CEILING:
+            big = top > _CHAIN_CEILING
+            shift = np.frexp(top[big])[1]
+            acc[big] = np.ldexp(acc[big], -shift[:, None])
+            term[big] = np.ldexp(term[big], -shift[:, None])
+            exponents[rows[big]] += shift
+            top = acc.max(axis=1)
+        done = term.max(axis=1) < _CONV * top
+        if m >= max_iter.min() and (~done & (m >= max_iter)).any():
+            raise NumericalError("chain exponential series did not converge")
+        if done.any():
+            out[rows[done]] = acc[done]
+            live = ~done
+            rows, starts, s, max_iter = rows[live], starts[live], s[live], max_iter[live]
+            term, acc, couplings = term[live], acc[live], couplings[live]
+            if not len(rows):
+                return out, exponents
     raise NumericalError("chain exponential series did not converge")
 
 
-def _chain_standard_norm(big_theta: float, n1: int, n2: int) -> float:
+def _chain_standard_norms(cases) -> list[float]:
     """Independent route to ft_standard_norm: ||e^{(Theta/2) T} e_q0||^2 on a finite chain.
 
-    T is X restricted to the occupation-difference chain through (n1, n2).
-    The amplitudes decay like tan^q(Theta/2) per site, so the chain is sized
-    from that geometric tail and never capped; its cost grows like
-    (pi/2 - |Theta|)^-2, so it is meant for moderate Theta.  If the tail is not
-    resolved (the decay ratio rounds to 1, or the measured end amplitude is not
-    negligible) it raises NumericalError instead of returning a truncated value.
+    One value per (Theta, n1, n2) in cases, all chains summed as one batch
+    (`_chain_exp`).  T is X restricted to the occupation-difference chain
+    through (n1, n2).  The amplitudes decay like tan^q(Theta/2) per site, so
+    the chain is sized from that geometric tail and never capped; its cost
+    grows like (pi/2 - |Theta|)^-2, so it is meant for moderate Theta.  If
+    the tail is not resolved (the decay ratio rounds to 1, or the measured
+    end amplitude is not negligible) it raises NumericalError instead of
+    returning a truncated value.
     """
-    s_half = abs(big_theta) / 2.0  # diagonal elements of exp are even in Theta
-    ratio = math.tan(s_half) ** 2
-    if not 0.0 < ratio < 1.0:
-        raise NumericalError(f"no geometric chain tail to resolve at Theta={big_theta!r}")
-    log_ratio = math.log(ratio)
-    # squared amplitudes fall like q^(n1+n2) ratio^q along the chain
-    geometric = (_CONV_LOG + math.log1p(-ratio)) / log_ratio
-    sites = int(geometric - (n1 + n2) * math.log(geometric + n1 + n2 + 1) / log_ratio) + 24
-    q = np.arange(sites - 1, dtype=float)
-    couplings = np.sqrt((q + abs(n1 - n2) + 1.0) * (q + 1.0))
-    log_u2 = 2.0 * _log_chain_exp(min(n1, n2), s_half, couplings)
-    log_norm = float(np.logaddexp.reduce(log_u2))
-    log_tail = log_u2[-1] + log_ratio - math.log1p(-ratio)
-    if log_tail > log_norm + _CONV_LOG:
-        raise NumericalError(f"chain of {sites} sites leaves a relative tail of "
-                             f"{math.exp(log_tail - log_norm):.3g} at Theta={big_theta!r}")
-    return math.exp(log_norm)
+    starts, steps, ratios, sizes, rows = [], [], [], [], []
+    for big_theta, n1, n2 in cases:
+        s_half = abs(big_theta) / 2.0  # diagonal elements of exp are even in Theta
+        ratio = math.tan(s_half) ** 2
+        if not 0.0 < ratio < 1.0:
+            raise NumericalError(f"no geometric chain tail to resolve at Theta={big_theta!r}")
+        log_ratio = math.log(ratio)
+        # squared amplitudes fall like q^(n1+n2) ratio^q along the chain
+        geometric = (_CONV_LOG + math.log1p(-ratio)) / log_ratio
+        sites = int(geometric - (n1 + n2) * math.log(geometric + n1 + n2 + 1) / log_ratio) + 24
+        q = np.arange(sites - 1, dtype=float)
+        rows.append(np.sqrt((q + abs(n1 - n2) + 1.0) * (q + 1.0)))
+        starts.append(min(n1, n2))
+        steps.append(s_half)
+        ratios.append(ratio)
+        sizes.append(sites)
+    couplings = np.zeros((len(rows), max(sizes) - 1))
+    for padded, row in zip(couplings, rows):
+        padded[:len(row)] = row
+    mantissas, exponents = _chain_exp(np.array(starts), np.array(steps), couplings)
+    norms = []
+    for (big_theta, _, _), ratio, sites, u, exponent in zip(cases, ratios, sizes, mantissas,
+                                                           exponents.tolist()):
+        peak = int(np.frexp(u.max())[1])
+        u = np.ldexp(u[:sites], -peak)  # largest entry in [1/2, 1): its square cannot overflow
+        norm = float(np.sum(u * u))
+        tail = u[-1] ** 2 * ratio / (1.0 - ratio)
+        if not tail <= norm * _CONV:
+            raise NumericalError(f"chain of {sites} sites leaves a relative tail of "
+                                 f"{tail / norm:.3g} at Theta={big_theta!r}")
+        if math.log2(norm) + 2 * (exponent + peak) >= 1024:
+            raise NumericalError(f"chain norm overflows float64 at Theta={big_theta!r}")
+        norms.append(math.ldexp(norm, 2 * (exponent + peak)))
+    return norms
+
+
+def _chain_standard_norm(big_theta: float, n1: int, n2: int) -> float:
+    """The chain route (`_chain_standard_norms`) for one state."""
+    return _chain_standard_norms([(big_theta, n1, n2)])[0]
 
 
 def ft_norm_exponent_fit(thetas, n1: int, n2: int) -> float:

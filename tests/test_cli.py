@@ -311,6 +311,14 @@ def test_verify_rejects_a_divergent_theta_with_exit_2(capsys, theta):
     assert "Traceback" not in err
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 10: ft.gram reads the truncated Gram "
+                   "(1.73 at n_max 8, theta 0.5) against a tail model of 1.63")
+def test_verify_ft_exits_0_or_2_at_n_max_8_and_theta_half(capsys):
+    # an accepted input must pass or be rejected, never fail verification
+    rc, _, err = run(capsys, "verify", "ft", "--n-max", "8", "--theta", "0.5")
+    assert rc in (0, 2) and "Traceback" not in err
+
+
 def test_verify_rejects_theta_past_the_quarter_turn_with_exit_2(capsys):
     # |tan 3.0| = 0.14, yet e^{3X} is not the rotation that the vacuum series sums
     rc, out, err = run(capsys, "verify", "ft", "--theta", "3.0")

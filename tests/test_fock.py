@@ -1,6 +1,7 @@
 """Truncated two-mode ladder matrices: structure, commutators, exponentials."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from bateman.fock import (
     commutator,
     coordinates,
     dense,
+    exp_block,
     from_coordinates,
     identity,
     interior_deviation,
@@ -26,6 +28,7 @@ from bateman.fock import (
     matrix_exp,
     max_abs,
     position_operators,
+    sector_exp,
     sectors,
     single_mode_lowering,
     window_mask,
@@ -241,6 +244,68 @@ def test_sectors_reject_an_entry_between_charges(ladder8):
         matrix_exp(0.3 * generator_matrix(ladder8), space.difference[:-1])
 
 
+def _kernel_cases():
+    from bateman.ft import generator_matrix
+    from bateman.imagscale import bounded_frame, generator_z_matrix
+
+    for n_max in (4, 8, 12, 24, 48):
+        lad = build_ladder(n_max)
+        for name, g in (("X", generator_matrix(lad)), ("Z", generator_z_matrix(lad))):
+            for angle in (0.3, 0.3j):
+                yield pytest.param(n_max, angle * g, lad.space.difference,
+                                   id=f"{name}-{angle}-{n_max}")
+    for n_max in (8, 24):
+        frame = bounded_frame(1j * math.pi / 4, build_ladder(n_max))
+        g = generator_matrix(frame.ladder)
+        yield pytest.param(n_max, -0.4j * g, frame.charge, id=f"bounded-{n_max}")
+
+
+@pytest.mark.parametrize("n_max,a,charge", list(_kernel_cases()))
+def test_sector_reads_equal_the_full_exponential_bit_for_bit(n_max, a, charge):
+    full = matrix_exp(a, charge)
+    space = FockSpace(n_max)
+    rng = np.random.default_rng(n_max)
+    reads = [np.flatnonzero(space.total <= low_block(n_max) + 1),  # a similarity block
+             np.array([space.index(0, 0), space.index(1, 0), space.index(2, 1)]),
+             np.sort(rng.choice(space.dim, size=5, replace=False))]
+    for states in reads:
+        stacks = sector_exp(a, charge, states)
+        # exactly the sectors that hold a state read
+        read = np.concatenate([idx.ravel() for idx, _ in stacks])
+        assert set(charge[read].tolist()) == set(charge[states].tolist())
+        assert len(read) == np.isin(charge, charge[states]).sum()
+        for idx, blocks in stacks:
+            for rows, block in zip(idx, blocks):
+                assert np.array_equal(block, dense(full, rows, rows))
+        assert np.array_equal(exp_block(a, charge, states, states), dense(full, states, states))
+        assert np.array_equal(exp_block(a, charge, cols=states), dense(full, cols=states))
+        assert np.array_equal(exp_block(a, charge, rows=states), dense(full, rows=states))
+    # every sector when nothing is named, and a real input stays real
+    stacks = sector_exp(a, charge)
+    assert sum(idx.size for idx, _ in stacks) == space.dim
+    real = not any(w.imag.any() for w in a.diagonals.values())
+    assert all(blocks.dtype == (float if real else complex) for _, blocks in stacks)
+
+
+def test_sector_reads_reject_an_entry_outside_the_sectors_read(ladder8):
+    from bateman.ft import generator_matrix
+
+    space = ladder8.space
+    rows, cols, values = coordinates(generator_matrix(ladder8))
+    # one entry from |3, 0> (n1 - n2 = 3) to |3, 1> (n1 - n2 = 2); the state read,
+    # |0, 0>, lies in neither sector
+    crossed = from_coordinates(np.append(rows, space.index(3, 0)),
+                               np.append(cols, space.index(3, 1)),
+                               np.append(values, 0.5), space.dim)
+    vacuum = np.array([space.index(0, 0)])
+    with pytest.raises(DomainError, match="row label 3, column label 2"):
+        sector_exp(0.3 * crossed, space.difference, vacuum)
+    with pytest.raises(DomainError, match="row label 3, column label 2"):
+        exp_block(0.3 * crossed, space.difference, vacuum, vacuum)
+    with pytest.raises(DimensionMismatch):
+        exp_block(0.3 * generator_matrix(ladder8), space.difference[:-1], vacuum, vacuum)
+
+
 def test_matrix_exp_basics():
     assert np.allclose(dense(matrix_exp(Operator(4, {}), np.zeros(4))), np.eye(4))
     d = np.diag([0.3, -1.2, 2.0 + 0.5j])
@@ -296,7 +361,7 @@ def test_matrix_exp_squares_large_norm_blocks():
         lad = build_ladder(n_max)
         a = 3.0 * generator_matrix(lad)
         # the largest sector block is past theta_13, so it is scaled and squared
-        norm = max(abs(a).T.row_sums())  # the largest column sum
+        norm = np.abs(dense(a)).sum(axis=0).max()  # the largest column sum
         assert _pade_choice(norm)[1] >= 2
         want = scipy.linalg.expm(dense(a))
         got = dense(matrix_exp(a, lad.space.difference))
@@ -370,5 +435,31 @@ def test_position_operators_hermitian(ladder8, params):
 def test_intertwining_deviation_shape_guard(ladder8):
     keep = window_mask(ladder8.space, 2)
     with pytest.raises(DimensionMismatch):
-        intertwining_deviation(Operator(3, {}), [(Operator(4, {}), Operator(4, {}))], keep)
+        intertwining_deviation(partial(dense, Operator(3, {})),
+                               [(Operator(4, {}), Operator(4, {}))], keep)
+
+
+@pytest.mark.parametrize("n_max", [8, 12, 24])
+def test_intertwining_block_equals_the_full_products(n_max):
+    # the dense block products sum each entry in the order of the Operator
+    # products u @ a and m @ u, so the deviation is bit for bit the one read
+    # off the full products, kept here as the reference
+    from bateman.construction import transform
+    from bateman.ft import FT, generator_matrix
+    from bateman.imagscale import IS, generator_z_matrix
+
+    lad = build_ladder(n_max)
+    keep = window_mask(lad.space, low_block(n_max))
+    block = np.flatnonzero(keep)
+    names = ("ann1", "cre1", "ann2", "cre2")
+    for con, g, angle in ((FT, generator_matrix(lad), 0.3), (FT, generator_matrix(lad), -0.6),
+                          (IS, generator_z_matrix(lad), 0.3j)):
+        plain, modes = transform(con, 0.0, lad), transform(con, angle, lad)
+        pairs = [(getattr(plain, n), getattr(modes, n)) for n in names]
+        u = matrix_exp(angle * g, lad.space.difference)
+        gap = max(np.abs(dense(u @ a - m @ u, block, block)).max() for a, m in pairs)
+        want = gap / np.abs(dense(u, block, block)).max()
+        assert intertwining_deviation(partial(dense, u), pairs, keep) == want
+        assert intertwining_deviation(partial(exp_block, angle * g, lad.space.difference),
+                                      pairs, keep) == want
 

@@ -27,7 +27,9 @@ from bateman.ft import (
     FIT_THETA_GRID,
     FT,
     TREND_THETA_GRID,
+    _chain_exp,
     _chain_standard_norm,
+    _chain_standard_norms,
     ft_basis_similarity,
     ft_norm_exponent_fit,
     ft_standard_norm,
@@ -213,7 +215,46 @@ def test_standard_norm_is_even_and_rejects_bad_input():
 def test_chain_route_agrees_with_the_sum(n1, n2):
     for big in (0.3, 1.0, 1.4):
         chain = _chain_standard_norm(big, n1, n2)
-        assert abs(chain - ft_standard_norm(big / 2.0, n1, n2)) <= 1e-12 * chain
+        assert abs(chain - ft_standard_norm(big / 2.0, n1, n2)) <= 1e-14 * chain
+
+
+NEAR_WALL = (math.pi / 2 - 10.0 ** -1, math.pi / 2 - 10.0 ** -1.5)
+NORMS_STATES = ((0, 0), (1, 0), (1, 1), (2, 1))
+
+
+@pytest.mark.parametrize("n1,n2", NORMS_STATES)
+def test_chain_route_agrees_with_the_sum_near_the_wall(n1, n2):
+    # the linear-space sum rescales by powers of two and cancels nothing, so
+    # it holds round-off where the norms grow like cos^-(n1+n2+1)
+    for big in NEAR_WALL:
+        chain = _chain_standard_norm(big, n1, n2)
+        assert abs(chain - ft_standard_norm(big / 2.0, n1, n2)) <= 1e-14 * chain
+
+
+def test_batched_chains_equal_each_chain_alone():
+    # chains of different lengths, starts and steps share one padded batch;
+    # every row freezes on its own test, so each value is bit for bit its own
+    cases = [(big, n1, n2) for big in (0.3, 1.4, *NEAR_WALL) for n1, n2 in NORMS_STATES]
+    cases.append((-1.0, 6, 4))
+    assert _chain_standard_norms(cases) == [_chain_standard_norm(*case) for case in cases]
+
+
+def test_chain_rescales_without_rounding():
+    # e^{s T} e_0 on two sites joined by c is (cosh sc, sinh sc): at sc = 1000
+    # its sum passes the rescaling ceiling, and far past the largest double
+    starts, s = np.array([0, 3]), np.array([1.0, 0.5])
+    couplings = np.zeros((2, 20))
+    couplings[0, 0] = 1000.0
+    couplings[1] = 1.0
+    mantissas, exponents = _chain_exp(starts, s, couplings)
+    assert exponents[0] > 600 and exponents[1] == 0
+    assert np.all(np.isfinite(mantissas)) and mantissas.max() < 2.0 ** 600
+    log_u = np.log(mantissas[0, :2]) + exponents[0] * math.log(2.0)
+    assert np.allclose(log_u, 1000.0 - math.log(2.0), rtol=1e-14, atol=0)
+    assert not mantissas[0, 2:].any()
+    # the other row gets its own values, as alone
+    alone, shift = _chain_exp(starts[1:], s[1:], couplings[1:])
+    assert shift[0] == 0 and np.array_equal(alone[0], mantissas[1])
 
 
 def test_chain_route_raises_without_a_tail_to_resolve():

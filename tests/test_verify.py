@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bateman import construction, ft, imagscale, verify
+from bateman import fock, ft, imagscale, verify
 from bateman.algebra import B1_CRE, B2_ANN, LadderPoly
 from bateman.errors import DomainError
 from bateman.fock import Operator, build_ladder
@@ -226,18 +226,21 @@ def test_boundary_defect_counts_a_wrong_ladder_weight(monkeypatch):
 
 
 def test_exp_inverse_catches_a_matrix_exp_entry_off_by_1e9(cfg, monkeypatch):
-    # the largest entry of one block of every e^{theta X} off by 1e-9 relative
-    exact = verify.matrix_exp
+    # the largest entry of one sector block of every e^{theta X} off by 1e-9
+    # relative; the check reads its exponentials stack by stack from sector_exp
+    exact = verify.sector_exp
 
-    def skewed(a, charge):
-        u = exact(a, charge)
-        offset = max(u.diagonals, key=lambda k: np.abs(u.diagonals[k]).max())
-        weights = u.diagonals[offset].copy()
-        weights[np.argmax(np.abs(weights))] *= 1.0 + 1e-9
-        return Operator(u.shape[0], {**u.diagonals, offset: weights})
+    def skewed(a, charge, states=None):
+        stacks = exact(a, charge, states)
+        j = max(range(len(stacks)), key=lambda j: np.abs(stacks[j][1]).max())
+        idx, blocks = stacks[j]
+        blocks = blocks.copy()
+        flat = blocks.reshape(-1)
+        flat[np.argmax(np.abs(flat))] *= 1.0 + 1e-9
+        return [*stacks[:j], (idx, blocks), *stacks[j + 1:]]
 
     assert verify.check_exp_inverse(cfg).passed
-    monkeypatch.setattr(verify, "matrix_exp", skewed)
+    monkeypatch.setattr(verify, "sector_exp", skewed)
     result = verify.check_exp_inverse(cfg)
     assert result.deviation > 1e-10 and not result.passed
 
@@ -269,18 +272,20 @@ def test_ft_similarity_passes_up_to_the_quarter_turn(params, theta):
 
 
 def test_similarity_checks_catch_an_exponential_at_a_skewed_angle(cfg, monkeypatch):
-    # every e^{angle G} built at (1 + 1e-7) angle: the intertwining form must fail
-    exact = construction.matrix_exp
+    # every e^{angle G} built at (1 + 1e-7) angle, in the sector kernel that
+    # the full exponential, the similarity blocks and the basis columns share:
+    # the intertwining form and the two-route basis must fail
+    exact = fock.sector_exp
 
-    def skewed(a, charge):
-        return exact(a * (1.0 + 1e-7), charge)
+    def skewed(a, charge, states=None):
+        return exact(a * (1.0 + 1e-7), charge, states)
 
-    assert verify.check_ft_similarity(cfg).passed and verify.check_is_tilde(cfg).passed
-    monkeypatch.setattr(construction, "matrix_exp", skewed)
-    monkeypatch.setattr(imagscale, "matrix_exp", skewed)
-    for check in (verify.check_ft_similarity, verify.check_is_tilde):
+    checks = (verify.check_ft_similarity, verify.check_is_tilde, verify.check_ft_two_route)
+    assert all(check(cfg).passed for check in checks)
+    monkeypatch.setattr(fock, "sector_exp", skewed)
+    for check in checks:
         result = check(cfg)
-        assert result.deviation > 1e-8 and not result.passed
+        assert result.deviation > 1e-8 and not result.passed, result.check_id
 
 
 @pytest.mark.parametrize("check", [fn for checks in SUITES.values() for fn in checks],
