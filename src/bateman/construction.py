@@ -20,14 +20,13 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from .algebra import B1_ANN, B1_CRE, B2_ANN, B2_CRE, ExactScalar, LadderPoly, U_HW, U_IHL
 from .errors import DomainError, HeadroomError
-from .fock import (FockSpace, LadderSet, Operator, build_hamiltonian, exp_block, identity,
+from .fock import (FockSpace, LadderSet, Operator, build_hamiltonian, identity,
                    interior_deviation, intertwining_deviation, low_block, window_mask)
 from .params import PhysicalParams
 
@@ -196,12 +195,13 @@ def similarity_deviation(con: Construction, modes: MixedModes, generator: Operat
     where both products read u only one rung past it: the truncated u is
     exact there once n_max lies a few spreading lengths deeper, whatever
     weight it carries near the top corner.  Only the sectors of u that meet
-    that rung are exponentiated (`fock.exp_block`), 15 of the 49 sectors of
-    n1 - n2 at n_max 24, and the products are dense on B and the rung.
+    that rung are exponentiated (`fock.intertwining_deviation`), 15 of the 49
+    sectors of n1 - n2 at n_max 24, and the products are dense on B and the
+    rung.
     """
     plain = transform(con, 0.0, modes.ladder)
     names = ("ann1", "cre1", "ann2", "cre2")
-    return intertwining_deviation(partial(exp_block, modes.angle * generator, modes.charge),
+    return intertwining_deviation(modes.angle * generator, modes.charge,
                                   [(getattr(plain, n), getattr(modes, n)) for n in names],
                                   window_mask(modes.space, low_block(modes.space.n_max)))
 

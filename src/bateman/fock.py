@@ -429,25 +429,30 @@ def window_mask(space: FockSpace, cap: int) -> np.ndarray:
     return space.total <= cap
 
 
-def intertwining_deviation(read, pairs, keep: np.ndarray) -> float:
+def intertwining_deviation(generator: Operator, charge: np.ndarray, pairs,
+                           keep: np.ndarray) -> float:
     """max |u a - m u| over (a, m) in pairs on the kept block B, over max |u| on B.
 
-    keep is a boolean mask of the basis states, B.  u a and m u on B read u
-    only between B and the states B1 that some a or m joins to B (B itself
-    included), so they are formed as dense products u[B, B1] a[B1, B] and
-    m[B, B1] u[B1, B], each entry summing its terms in ascending state index,
-    the order of an `Operator` product.  read(rows, cols) returns
-    u[np.ix_(rows, cols)] as a dense array: `partial(exp_block, generator,
-    charge)` exponentiates only the sectors that B1 reaches, `partial(dense,
-    u)` reads a u already built.  Checks u a u^{-1} = m without forming u^{-1}.
+    u = e^generator, whose sectors are those of charge.  keep is a boolean
+    mask of the basis states, B.  u a and m u on B read u only between B and
+    the states B1 that some a or m joins to B (B itself included), so they are
+    formed as dense products u[B, B1] a[B1, B] and m[B, B1] u[B1, B], each
+    entry summing its terms in ascending state index, the order of an
+    `Operator` product; only the sectors that B1 reaches are exponentiated
+    (`exp_block`).  Checks u a u^{-1} = m without forming u^{-1}.
     """
     pairs = list(pairs)
+    shape = generator.shape
+    if len(keep) != shape[0]:
+        raise DimensionMismatch(f"{len(keep)} kept-state labels for a {shape} generator")
     mask = keep.astype(float)
     reach = keep.copy()
-    for a, m in pairs:  # != 0 also keeps a state joined through a NaN
-        reach |= (abs(a) @ mask != 0) | (mask @ abs(m) != 0)
+    for a, m in pairs:
+        if a.shape != shape or m.shape != shape:
+            raise DimensionMismatch(f"pair {a.shape}, {m.shape} for a {shape} generator")
+        reach |= (abs(a) @ mask != 0) | (mask @ abs(m) != 0)  # != 0 keeps a NaN's state
     block, near = np.flatnonzero(keep), np.flatnonzero(reach)
-    u = read(near, near)
+    u = exp_block(generator, charge, near, near)
     inner = keep[near]
     u_out, u_in = u[inner], u[:, inner]  # u[B, B1], u[B1, B]
     gap = np.max([np.abs(_ascending_product(u_out, dense(a, near, block))

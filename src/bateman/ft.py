@@ -288,11 +288,6 @@ def _chain_standard_norms(cases) -> list[float]:
     return norms
 
 
-def _chain_standard_norm(big_theta: float, n1: int, n2: int) -> float:
-    """The chain route (`_chain_standard_norms`) for one state."""
-    return _chain_standard_norms([(big_theta, n1, n2)])[0]
-
-
 def ft_norm_exponent_fit(thetas, n1: int, n2: int) -> float:
     """Least-squares slope of log norm against -log cos Theta; expected n1+n2+1."""
     thetas = [float(t) for t in thetas]

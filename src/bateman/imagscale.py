@@ -36,7 +36,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import replace
-from functools import partial
 from fractions import Fraction
 
 import numpy as np
@@ -49,10 +48,8 @@ from .fock import (
     Operator,
     block_stacks,
     coordinates,
-    dense,
     intertwining_deviation,
     low_block,
-    matrix_exp,
     sectors,
     single_mode_lowering,
 )
@@ -150,12 +147,12 @@ def tilde_similarity_deviation(phi: complex, n_max: int = 64) -> float:
     the n <= `low_block(n_max)` block both products read u one rung past the
     block, where the truncated u is exact once n_max is a few spreading
     lengths deeper; real phi = pi/2 itself is served by the closed form only.
-    The block reads both parity sectors, so u is the full exponential.
+    The block reads both parity sectors, so both are exponentiated.
     """
     ann = single_mode_lowering(n_max + 1)
     cre = ann.T
-    u = matrix_exp(phi * generator_y_matrix(ann, cre), np.arange(n_max + 1) % 2)
-    return intertwining_deviation(partial(dense, u), zip((ann, cre), tilde_pair(phi, ann, cre)),
+    return intertwining_deviation(phi * generator_y_matrix(ann, cre), np.arange(n_max + 1) % 2,
+                                  zip((ann, cre), tilde_pair(phi, ann, cre)),
                                   np.arange(n_max + 1) <= low_block(n_max))
 
 

@@ -1,7 +1,6 @@
 """Truncated two-mode ladder matrices: structure, commutators, exponentials."""
 
 import math
-from functools import partial
 
 import numpy as np
 import pytest
@@ -433,10 +432,20 @@ def test_position_operators_hermitian(ladder8, params):
 
 
 def test_intertwining_deviation_shape_guard(ladder8):
+    from bateman.ft import generator_matrix
+
+    # keep and the pairs agree, so only the generator of u is the wrong size
+    pairs = [(ladder8.a1, ladder8.a1_dag)]
     keep = window_mask(ladder8.space, 2)
+    for size in (ladder8.space.dim - 1, ladder8.space.dim + 1):
+        with pytest.raises(DimensionMismatch):
+            intertwining_deviation(Operator(size, {}), np.zeros(size, dtype=int), pairs, keep)
+    g = generator_matrix(ladder8)
     with pytest.raises(DimensionMismatch):
-        intertwining_deviation(partial(dense, Operator(3, {})),
-                               [(Operator(4, {}), Operator(4, {}))], keep)
+        intertwining_deviation(g, ladder8.space.difference, pairs, keep[:-1])
+    with pytest.raises(DimensionMismatch):
+        intertwining_deviation(g, ladder8.space.difference, [(Operator(4, {}), Operator(4, {}))],
+                               keep)
 
 
 @pytest.mark.parametrize("n_max", [8, 12, 24])
@@ -459,7 +468,5 @@ def test_intertwining_block_equals_the_full_products(n_max):
         u = matrix_exp(angle * g, lad.space.difference)
         gap = max(np.abs(dense(u @ a - m @ u, block, block)).max() for a, m in pairs)
         want = gap / np.abs(dense(u, block, block)).max()
-        assert intertwining_deviation(partial(dense, u), pairs, keep) == want
-        assert intertwining_deviation(partial(exp_block, angle * g, lad.space.difference),
-                                      pairs, keep) == want
+        assert intertwining_deviation(angle * g, lad.space.difference, pairs, keep) == want
 

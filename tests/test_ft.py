@@ -28,7 +28,6 @@ from bateman.ft import (
     FT,
     TREND_THETA_GRID,
     _chain_exp,
-    _chain_standard_norm,
     _chain_standard_norms,
     ft_basis_similarity,
     ft_norm_exponent_fit,
@@ -209,6 +208,11 @@ def test_standard_norm_is_even_and_rejects_bad_input():
         ft_standard_norm(TREND_THETA_GRID[-1] / 2.0, 200, 200)
     with pytest.raises(DomainError):
         ft_standard_norm(math.nan, 0, 0)
+
+
+def _chain_standard_norm(big_theta, n1, n2):
+    """The batched chain route run on one state alone."""
+    return _chain_standard_norms([(big_theta, n1, n2)])[0]
 
 
 @pytest.mark.parametrize("n1,n2", [(0, 0), (2, 1), (6, 4)])
