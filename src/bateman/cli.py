@@ -23,13 +23,12 @@ from pathlib import Path
 from . import __version__, dynamics, ft
 from .dynamics import StateEvolution, classify, eigen_record
 from .errors import BatemanError, DomainError
+from .ft import EDGE_EPSILONS, MODERATE_GRID, NORMS_STATES
 from .params import PhysicalParams, derive_params
 from .verify import VerifyConfig, all_passed, run_suite
 
 __all__ = ["main", "build_parser"]
 
-MODERATE_GRID = (0.3, 0.6, 1.0, 1.4)
-EDGE_EPSILONS = (1e-1, 1e-2, 1e-3, 1e-4)
 MAX_N_CAP = 16
 
 
@@ -222,7 +221,8 @@ def cmd_spectrum(args: argparse.Namespace) -> CommandOutput:
     return CommandOutput(payload, _EIGEN_HEADER, csv_rows, lines)
 
 
-_CLOSED_FORM_PAIRS = ((0, 0), (1, 0), (1, 1), (2, 1))
+#: perfbench's norm reference checks its own copy of the states against this name
+_CLOSED_FORM_PAIRS = NORMS_STATES
 
 
 def cmd_norms(args: argparse.Namespace) -> CommandOutput:
@@ -231,7 +231,7 @@ def cmd_norms(args: argparse.Namespace) -> CommandOutput:
     else:
         grid = tuple(MODERATE_GRID) + tuple(math.pi / 2 - eps for eps in EDGE_EPSILONS)
     rows = []
-    for (n1, n2) in _CLOSED_FORM_PAIRS:
+    for (n1, n2) in NORMS_STATES:
         for big_theta in grid:
             value = ft.ft_standard_norm(big_theta / 2.0, n1, n2)
             closed = ft.ft_norm_closed_forms(big_theta).get((n1, n2))
@@ -247,7 +247,7 @@ def cmd_norms(args: argparse.Namespace) -> CommandOutput:
                 }
             )
     fits = []
-    for (n1, n2) in _CLOSED_FORM_PAIRS:
+    for (n1, n2) in NORMS_STATES:
         slope = ft.ft_norm_exponent_fit(ft.FIT_THETA_GRID, n1, n2)
         fits.append({"n1": n1, "n2": n2, "slope": slope, "expected": n1 + n2 + 1})
     payload = _header_payload("norms", args)

@@ -38,6 +38,9 @@ __all__ = [
     "ft_generator_poly",
     "FIT_THETA_GRID",
     "TREND_THETA_GRID",
+    "NORMS_STATES",
+    "MODERATE_GRID",
+    "EDGE_EPSILONS",
 ]
 
 #: relative size below which a chain Taylor term, or the chain's neglected tail, is negligible
@@ -49,6 +52,11 @@ _CHAIN_CEILING = 2.0 ** 600
 #: Theta grids for the divergence study: pi/2 - 10^-j
 FIT_THETA_GRID = tuple(math.pi / 2 - 10.0 ** (-j) for j in (1, 2, 3))
 TREND_THETA_GRID = tuple(math.pi / 2 - 10.0 ** (-j) for j in (1, 2, 3, 4))
+#: the states and the Theta grid of `norms` and `ft.norm.closed-forms`; `norms`
+#: adds Theta = pi/2 - eps for each of EDGE_EPSILONS
+NORMS_STATES = ((0, 0), (1, 0), (1, 1), (2, 1))
+MODERATE_GRID = (0.3, 0.6, 1.0, 1.4)
+EDGE_EPSILONS = (1e-1, 1e-2, 1e-3, 1e-4)
 
 
 # ---------------------------------------------------------------------------

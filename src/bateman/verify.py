@@ -54,7 +54,6 @@ from .fock import (
     interior_deviation,
     interior_mask,
     low_block,
-    matrix_exp,
     max_abs,
     position_operators,
     sector_exp,
@@ -348,10 +347,11 @@ def check_h_structure(cfg: VerifyConfig) -> tuple:
     if herm_dev > 1e-13:
         mismatch += 1
     # complex eigenvalues coexist with a Hermitian truncation because the
-    # basis change e^{theta X} is non-unitary (X itself is Hermitian)
+    # basis change e^{theta X} is non-unitary (X itself is Hermitian); it is 0
+    # between sectors, so u^H u - I is read stack by stack
     x = ft.generator_matrix(lad)
-    s = matrix_exp(0.3 * x, lad.space.difference)
-    nonunitary = max_abs(s.conj().T @ s - identity(lad.space.dim))
+    nonunitary = _worst(*(max_abs(u.conj().transpose(0, 2, 1) @ u - np.eye(u.shape[1]))
+                          for _, u in sector_exp(0.3 * x, lad.space.difference)))
     if nonunitary < 0.1:
         mismatch += 1
     # H0 is diagonal and H1 normal ordered, so the truncated [H0, H1] is exact
@@ -751,8 +751,8 @@ def check_ft_two_route(cfg: VerifyConfig) -> tuple:
 def check_ft_norm_closed_forms(cfg: VerifyConfig) -> tuple:
     dev = 0.0
     worst = {}
-    cases = [(big_theta, n1, n2) for big_theta in (0.3, 0.6, 1.0, 1.4)
-             for (n1, n2) in ((0, 0), (1, 0), (1, 1), (2, 1))]
+    cases = [(big_theta, n1, n2) for big_theta in ft.MODERATE_GRID
+             for (n1, n2) in ft.NORMS_STATES]
     for (big_theta, n1, n2), chain in zip(cases, ft._chain_standard_norms(cases)):
         closed = ft.ft_norm_closed_forms(big_theta)
         got = ft.ft_standard_norm(big_theta / 2.0, n1, n2)
@@ -773,7 +773,7 @@ def check_ft_norm_closed_forms(cfg: VerifyConfig) -> tuple:
 def check_ft_norm_fits(cfg: VerifyConfig) -> tuple:
     dev = 0.0
     slopes = {}
-    for (n1, n2) in ((0, 0), (1, 0), (1, 1), (2, 1)):
+    for (n1, n2) in ft.NORMS_STATES:
         slope = ft.ft_norm_exponent_fit(ft.FIT_THETA_GRID, n1, n2)
         slopes[f"({n1},{n2})"] = slope
         dev = _worst(dev, abs(slope - (n1 + n2 + 1)))

@@ -30,8 +30,16 @@ def test_script_exits_zero(script):
 
 def test_bench_help_exits_zero():
     # the layer benchmark imports private kernels of the package at start-up;
-    # --help runs those imports and nothing else
-    pytest.importorskip("scipy")
-    done = _run([str(ROOT / "bench" / "run.py"), "--help"], 60)
+    # --help runs those imports and nothing else, and none of them is scipy's
+    bench = str(ROOT / "bench" / "run.py")
+    code = ("import runpy, sys\n"
+            f"sys.argv = [{bench!r}, '--help']\n"
+            "try:\n"
+            "    runpy.run_path(sys.argv[0], run_name='__main__')\n"
+            "except SystemExit as done:\n"
+            "    assert done.code == 0, done.code\n"
+            "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n")
+    done = _run(["-c", code], 60)
     assert done.returncode == 0, done.stderr[-2000:]
     assert "--out" in done.stdout
+    assert done.stdout.splitlines()[-1] == "[]"
