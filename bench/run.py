@@ -15,9 +15,11 @@ The truncated layers run at the n_max that `verify` resolves by default
   charge it conserves, with the number of sectors and of stacks;
 - the similarity reads: `construction.similarity_deviation` of e^{0.3 X} and
   e^{0.3i Z}, and `ft.ft_basis_similarity` of the states (0,0), (1,0), (2,1);
-- `imagscale._joint_null_vector` of the check annihilators and
-  `imagscale.is_vacuum`, in the original frame at chi = 0 and i pi/4 and in
-  the bounded frame at i pi/4;
+- the bounded frame's checks at i pi/4: `construction.basis_block` of the
+  21 states with n1 + n2 <= 5 (fewer below n_max 7), and the whole checks
+  `is.vacuum` (both annihilators and creators against e_(0,0), and the
+  mixing determinant) and `is.matrix-element` (the eigenvector residuals of
+  those states on both branches), on the cached ladder that `verify` uses;
 - `construction.identity_report` at each route's decoupling angle, the ladder
   product a1 @ a2 and `fock.commutator(H0, H1)`;
 - `construction.gram` in the rotation frame at theta 0.3 and in the bounded
@@ -66,6 +68,7 @@ sys.path.insert(0, str(SRC))
 from bateman import verify  # noqa: E402
 from bateman.algebra import LadderPoly, basis_column  # noqa: E402
 from bateman.construction import (  # noqa: E402
+    basis_block,
     gram,
     hamiltonian_from_plain,
     identity_report,
@@ -86,8 +89,6 @@ from bateman.ft import (  # noqa: E402
 )
 from bateman.imagscale import (  # noqa: E402
     IS,
-    _joint_null_vector,
-    _stacked,
     bounded_frame,
     generator_y_matrix,
     generator_z_matrix,
@@ -115,9 +116,6 @@ EXPONENTS = {"0.3 X": lambda lad: (0.3 * generator_matrix(lad), lad.space.differ
                                + np.arange(lad.space.dim) % (lad.space.n_max + 1) % 2),
              "i pi/4 Z": lambda lad: (1j * math.pi / 4 * generator_z_matrix(lad),
                                       lad.space.difference)}
-FRAMES = {"chi 0": lambda lad: transform(IS, 0j, lad),
-          "chi i pi/4": lambda lad: transform(IS, CHI_Q, lad),
-          "bounded i pi/4": lambda lad: bounded_frame(CHI_Q, lad)}
 PARAMS = derive_params(m=1.0, gamma=1.0, k=1.25)
 
 
@@ -158,13 +156,13 @@ def truncated_rows(n_max: int) -> list[dict]:
     bar = transform(FT, 0.3, lad)
     rows.append(row("ft_basis_similarity", lambda: ft_basis_similarity(bar, BASIS_STATES),
                     **at, states=len(BASIS_STATES)))
-    frames = {name: build(lad) for name, build in FRAMES.items()}
-    for name, frame in frames.items():
-        pair = _stacked(frame.ann1, frame.ann2, frame.charge)
-        rows.append(row("_joint_null_vector",
-                        lambda: _joint_null_vector(*pair, "check annihilator", frame),
-                        **at, frame=name))
-        rows.append(row("is_vacuum", lambda: is_vacuum(frame), **at, frame=name))
+    bounded = bounded_frame(CHI_Q, lad)
+    cap = min(5, n_max - 2)  # the states of is.matrix-element
+    rows.append(row("basis_block", lambda: basis_block(bounded, cap, is_vacuum(bounded)),
+                    **at, frame="bounded i pi/4", cap=cap))
+    cfg = verify.VerifyConfig(params=PARAMS, n_max=n_max)
+    for check in (verify.check_is_vacuum, verify.check_is_matrix_element):
+        rows.append(row("check", lambda: check(cfg), **at, check=check.check_id))
     for route, con in (("ft", FT), ("is", IS)):
         modes = transform(con, con.quarter(+1), lad)
         rows.append(row("identity_report", lambda: identity_report(con, modes, PARAMS),
@@ -172,7 +170,6 @@ def truncated_rows(n_max: int) -> list[dict]:
     rows.append(row("ladder_product", lambda: lad.a1 @ lad.a2, 100, **at))
     rows.append(row("commutator_h0_h1", lambda: commutator(ham.h0, ham.h1), **at))
     q_cap = min(3, max(0, (n_max - 2) // 2))  # the occupations of ft.gram and is.gram
-    bounded = frames["bounded i pi/4"]
     grams = {"ft theta 0.3": (bar, ft_vacuum_series(0.3, lad.space)),
              "bounded i pi/4": (bounded, is_vacuum(bounded))}
     for name, (modes, vacuum) in grams.items():

@@ -17,7 +17,6 @@ from .errors import (
     FitError,
     HeadroomError,
     MixedUnitError,
-    NullspaceError,
     NumericalError,
     OverdampedError,
     RadicalMismatch,
@@ -73,7 +72,6 @@ __all__ = [
     "FitError",
     "HeadroomError",
     "MixedUnitError",
-    "NullspaceError",
     "NumericalError",
     "OverdampedError",
     "RadicalMismatch",

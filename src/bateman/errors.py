@@ -29,10 +29,6 @@ class FitError(BatemanError, ValueError):
     """Not enough samples for a least-squares fit."""
 
 
-class NullspaceError(BatemanError):
-    """Joint nullspace has unexpected dimension."""
-
-
 class HeadroomError(BatemanError, ValueError):
     """Quantum numbers too close to the truncation boundary."""
 

@@ -19,20 +19,18 @@ column vectors, shape (n, k), in one pass per offset: each column gets the
 same multiplies and adds, in the same order, as it would alone, so a block
 product is bit for bit its columns' products.  A vector may stand on the
 left (`v @ A`), a block may not.
-State vectors and Gram matrices stay dense numpy arrays.  The two cubic
-kernels (the exponential, and the nullspace in `imagscale`) run on the
-sectors of a charge that the caller declares, one label per state
-(`FockSpace` holds n1 - n2 and n1 + n2); `sectors` checks that every nonzero
-entry lies inside one, nothing is discovered from the pattern.
-`block_stacks` gathers the sectors of each shape into one dense (k, r, c)
-stack, and each kernel makes one batched numpy call per stack (a Padé
-scaling and squaring, or singular values), so small blocks do not pay one
-LAPACK call (and one BLAS thread start-up) each.  The exponential has one
-kernel, `sector_exp`, which exponentiates only the sectors that hold the
-states a caller reads: `exp_block` reads a dense block of e^a from them,
-`intertwining_deviation` the block around a low-occupation window, and
-`matrix_exp` runs it over every sector.  numpy is the only numerical
-dependency.
+State vectors and Gram matrices stay dense numpy arrays.  The one cubic
+kernel, the exponential, runs on the sectors of a charge that the caller
+declares, one label per state (`FockSpace` holds n1 - n2 and n1 + n2);
+`sectors` checks that every nonzero entry lies inside one, nothing is
+discovered from the pattern.  `block_stacks` gathers the sectors of each
+shape into one dense (k, r, c) stack, and the kernel makes one batched Padé
+scaling and squaring per stack, so small blocks do not pay one LAPACK call
+(and one BLAS thread start-up) each.  That kernel, `sector_exp`,
+exponentiates only the sectors that hold the states a caller reads:
+`exp_block` reads a dense block of e^a from them, `intertwining_deviation`
+the block around a low-occupation window, and `matrix_exp` runs it over
+every sector.  numpy is the only numerical dependency.
 """
 
 from __future__ import annotations

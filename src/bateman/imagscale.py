@@ -8,27 +8,25 @@ below by hbar*omega, imaginary part zero exactly on the diagonal n1 = n2.
 
 `IS` holds the route's data for the generic machinery in `construction`.
 What only this route has lives here: the generators Y and Z, the squeeze
-similarity check on a single-mode chain, the nullspace vacuum, the
-bounded frame, and the symbolic x(t), y(t) conjugation.  The chi similarity
-e^{chi Z} is checked by `construction.similarity_deviation`, as the rotation
-route's e^{theta X} is.  The vacuum is read off the sectors of the frame's
-declared charge, each sector's rank tested from its singular values alone.
+similarity check on a single-mode chain, the bounded frame and its vacuum,
+and the symbolic x(t), y(t) conjugation.  The chi similarity e^{chi Z} is
+checked by `construction.similarity_deviation`, as the rotation route's
+e^{theta X} is.
 
 Two matrix realizations coexist on purpose.  In the original frame the
-check modes mix a1 with a2+, so the truncated joint nullspace of the two
-check annihilators sits at the top of the mode-2 ladder and every basis
-pairing built over it is dominated by truncation-boundary defects: with
-vacuum at mode-2 occupation N, the (1,0) self-pairing evaluates to
-(1-N)/2 exactly instead of 1.  The bounded frame (`bounded_frame`) is the
-same construction IS on the swapped ladder a2 -> i b2+, a2+ -> i b2, the
-post-squeeze pair stored as the ladder of a fresh Fock space: the chi
-mixing becomes a bounded, for imaginary chi unitary, mode rotation whose
-vacuum sits at the safe bottom corner, and `fock.build_hamiltonian` on the
-swapped ladder gives H there.  Operator identities and closed forms are
-checked in the original frame; basis vectors, Gram pairings, and eigen
-matrix elements live in the bounded frame.  Both regularizations are
-implementation choices documented in the README, not statements about the
-untruncated theory.
+check modes mix a1 with a2+, so the truncated joint kernel of the two check
+annihilators sits at the top of the mode-2 ladder, |0, n_max>, where every
+basis pairing built over it is dominated by truncation-boundary defects.
+The bounded frame (`bounded_frame`) is the same construction IS on the
+swapped ladder a2 -> i b2+, a2+ -> i b2, the post-squeeze pair stored as the
+ladder of a fresh Fock space: the chi mixing becomes a bounded, for
+imaginary chi unitary, mode rotation whose vacuum is the Fock vacuum
+e_(0,0) (`is_vacuum`), and `fock.build_hamiltonian` on the swapped ladder
+gives H there.  Operator identities and closed forms are checked in the
+original frame; basis vectors, Gram pairings, and eigenvector residuals
+live in the bounded frame.  Both regularizations are implementation
+choices documented in the README, not statements about the untruncated
+theory.
 """
 
 from __future__ import annotations
@@ -42,17 +40,8 @@ import numpy as np
 
 from .algebra import B1_ANN, B1_CRE, B2_ANN, B2_CRE, CQ, ExactScalar, LadderPoly
 from .construction import Construction, MixedModes, normalize_branch, transform
-from .errors import NullspaceError
-from .fock import (
-    LadderSet,
-    Operator,
-    block_stacks,
-    coordinates,
-    intertwining_deviation,
-    low_block,
-    sectors,
-    single_mode_lowering,
-)
+from .errors import DomainError
+from .fock import LadderSet, Operator, intertwining_deviation, low_block, single_mode_lowering
 from .ft import generator_matrix
 from .params import PhysicalParams
 
@@ -67,9 +56,6 @@ __all__ = [
     "is_xy_symbolic",
     "conjugate_xy_terms",
 ]
-
-#: singular values below this fraction of the largest count as zero
-NULLSPACE_RTOL = 1e-10
 
 _I = CQ(Fraction(0), Fraction(1))
 
@@ -165,10 +151,10 @@ def bounded_frame(chi: complex, ladder: LadderSet) -> MixedModes:
 
     The swapped pair obeys standard commutation relations, so the check modes
     come out as a bounded mode rotation of (b1, b2) (unitary for imaginary
-    chi): ann1 = ch b1 - sh b2, ann2 = -sh b1 + ch b2.  The joint annihilator
-    nullspace sits at the bottom corner, and creator monomials never touch
-    the truncation boundary while n1+n2 stays two rungs below n_max.  H on
-    the returned ladder (`build_hamiltonian`) is H with the same swap; its
+    chi): ann1 = ch b1 - sh b2, ann2 = -sh b1 + ch b2.  Their joint kernel
+    is the Fock vacuum e_(0,0) (`is_vacuum`), and creator monomials never
+    touch the truncation boundary while n1+n2 stays two rungs below n_max.
+    H on the returned ladder (`build_hamiltonian`) is H with the same swap; its
     gamma part is anti-Hermitian there, which is what makes H non-normal with
     complex eigenvalues p*hbar*omega + i q*hbar*lambda.  The check modes mix
     b1 with b2, so the frame's charge is n1 + n2.
@@ -178,76 +164,19 @@ def bounded_frame(chi: complex, ladder: LadderSet) -> MixedModes:
                    charge=ladder.space.total)
 
 
-# ---------------------------------------------------------------------------
-# nullspace vacuum
-
-
-def _stacked(top: Operator, bottom: Operator, charge: np.ndarray) -> tuple[tuple, tuple, tuple]:
-    """Coordinates, shape and (row, column) charges of the (2n, n) matrix of top over bottom."""
-    n = top.shape[0]
-    (r1, c1, v1), (r2, c2, v2) = coordinates(top), coordinates(bottom)
-    return ((np.concatenate([r1, r2 + n]), np.concatenate([c1, c2]), np.concatenate([v1, v2])),
-            (2 * n, n), (np.tile(charge, 2), charge))
-
-
-def _joint_null_vector(coords: tuple, shape: tuple[int, int], charge: tuple,
-                       label: str, frame) -> np.ndarray:
-    """Unique right-nullspace vector of a stacked operator pair, sector by sector.
-
-    coords, shape and charge are the stacked matrix's nonzero entries, shape
-    and (row, column) charges, as `_stacked` returns them.  The matrix must
-    lower the charge by 1, joining columns of charge q to rows of charge q - 1
-    (`sectors` checks it), so its singular values are those of its sectors; a
-    sector with columns but no rows is null throughout.  Each stack of
-    equal-shape sectors (`block_stacks`) gets one batched SVD without vectors,
-    and NULLSPACE_RTOL times the largest singular value is the cutoff.  Only a
-    stack in which a sector with rows has a null runs the full SVD.
-    """
-    row_charge, col_charge = charge
-    stacks = block_stacks(coords, shape, sectors(*coords[:2], row_charge, col_charge - 1))
-    sigmas = [np.linalg.svd(stack, compute_uv=False) if min(stack.shape[1:])
-              else np.zeros((len(stack), 0)) for _, _, stack in stacks]
-    cutoff = NULLSPACE_RTOL * max((sigma.max() for sigma in sigmas if sigma.size), default=0.0)
-    null_count = 0
-    vector = np.zeros(shape[1], dtype=complex)
-    for (_, cols, stack), sigma in zip(stacks, sigmas):
-        k, r, c = stack.shape
-        nulls = np.sum(sigma < cutoff, axis=1) + (c - sigma.shape[1])
-        if nulls.any():
-            vh = (np.linalg.svd(stack)[2] if r
-                  else np.broadcast_to(np.eye(c, dtype=complex), (k, c, c)))
-            for j in np.flatnonzero(nulls):
-                vector[cols[j]] = vh[j, -1].conj()
-        null_count += int(nulls.sum())
-    if null_count != 1:
-        raise NullspaceError(f"{label} nullspace dimension {null_count}, expected 1 "
-                             f"(n_max={frame.space.n_max}, chi={frame.angle})")
-    return vector
-
-
 def is_vacuum(frame: MixedModes) -> tuple[np.ndarray, np.ndarray]:
-    """Nullspace vacuum pair of either frame, normalized so bra @ ket = 1.
+    """Vacuum pair (ket, bra) of the bounded frame: the Fock vacuum e_(0,0), twice.
 
-    Ket from the right nullspace of the stacked check annihilators, bra from
-    the right nullspace of the stacked transposed check creators (plain
-    transpose: the pairing carries no conjugation); the dominant ket entry
-    is made positive.  In the original frame (`MixedModes`) the check modes
-    mix a1 with a2+ through an invertible matrix, so the truncated nullspace
-    is |0> x |n_max> for every chi: a diagnostic of where the original-frame
-    vacuum lives, not a usable anchor for basis construction.  In the bounded
-    frame (`bounded_frame`) it lands on the bottom corner state.
+    At imaginary chi the frame's check annihilators are an invertible mixing
+    of (b1, b2), so their joint kernel is that of b1 and b2, the corner state,
+    and so is the left kernel of the creators; bra @ ket = 1.  `is.vacuum`
+    checks both kernels and the mixing on the whole matrix.
     """
-    ket = _joint_null_vector(*_stacked(frame.ann1, frame.ann2, frame.charge),
-                             "check annihilator", frame)
-    bra = _joint_null_vector(*_stacked(frame.cre1.T, frame.cre2.T, frame.charge),
-                             "check creator (left)", frame)
-    lead = np.argmax(np.abs(ket))
-    ket = ket * (abs(ket[lead]) / ket[lead])
-    pairing = bra @ ket
-    if abs(pairing) < 1e-12:
-        raise NullspaceError("vacuum bra/ket pairing is numerically degenerate")
-    bra = bra / pairing
-    return ket, bra
+    if not np.array_equal(frame.charge, frame.space.total):
+        raise DomainError("is_vacuum needs the bounded frame (charge n1 + n2)")
+    ket = np.zeros(frame.space.dim, dtype=complex)
+    ket[frame.space.index(0, 0)] = 1.0
+    return ket, ket.copy()
 
 
 # ---------------------------------------------------------------------------

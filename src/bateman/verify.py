@@ -22,6 +22,7 @@ from . import algebra, dynamics, ft, imagscale
 from .construction import (
     Construction,
     basis,
+    basis_block,
     eigenvalue,
     gram,
     hamiltonian_formal,
@@ -49,6 +50,7 @@ from .fock import (
     build_hamiltonian,
     build_ladder,
     commutator,
+    dense,
     from_coordinates,
     identity,
     interior_deviation,
@@ -839,18 +841,23 @@ def check_is_tilde(cfg: VerifyConfig) -> tuple:
 def check_is_vacuum(cfg: VerifyConfig) -> tuple:
     n_max = cfg.resolve(8)
     lad = _ladder(n_max)
-    t0 = transform(imagscale.IS, 0.0, lad)
-    ket0, bra0 = imagscale.is_vacuum(t0)
-    unit = np.zeros(lad.space.dim, dtype=complex)
-    unit[lad.space.index(0, n_max)] = 1.0
-    dev = _worst(max_abs(ket0 - unit), max_abs(bra0 - unit))
-    tq = transform(imagscale.IS, imagscale.IS.quarter(+1), lad)
-    ketq, braq = imagscale.is_vacuum(tq)
-    dev = _worst(dev, float(np.linalg.norm(tq.ann1 @ ketq)), float(np.linalg.norm(tq.ann2 @ ketq)))
-    dev = _worst(dev, float(np.linalg.norm(braq @ tq.cre1)), float(np.linalg.norm(braq @ tq.cre2)))
-    dev = _worst(dev, abs(braq @ ketq - 1.0))
-    return ("nullspace vacuum: chi=0 is the mode-2 top state; defining relations at i pi/4",
-            dev, 1e-10)
+    zero = [lad.space.index(0, 0)]
+    one_quantum = [lad.space.index(1, 0), lad.space.index(0, 1)]
+    kernel, det_gap = 0.0, 0.0
+    for branch in (+1, -1):
+        frame = imagscale.bounded_frame(imagscale.IS.quarter(branch), lad)
+        ket, bra = imagscale.is_vacuum(frame)
+        kernel = _worst(kernel, max_abs(frame.ann1 @ ket), max_abs(frame.ann2 @ ket),
+                        max_abs(bra @ frame.cre1), max_abs(bra @ frame.cre2))
+        # the mixings of (b1, b2) and (b1+, b2+), read off the entries from e_(1,0)
+        # and e_(0,1) to e_(0,0) (of the transposed creators); invertible, they
+        # leave e_(0,0) the only joint kernel vector on each side
+        for first, second in ((frame.ann1, frame.ann2), (frame.cre1.T, frame.cre2.T)):
+            (a, b), (c, d) = (dense(op, zero, one_quantum)[0] for op in (first, second))
+            det_gap = _worst(det_gap, abs(abs(a * d - b * c) - 1.0))
+    return ("bounded-frame vacuum e_(0,0): check annihilators kill it, check creators "
+            "kill it from the left, (b1, b2) mixing has |det| 1 (both branches)",
+            _worst(kernel, det_gap), 1e-12, {"kernel": kernel, "det_gap": det_gap})
 
 
 @_check("is.matrix-element")
@@ -860,24 +867,24 @@ def check_is_matrix_element(cfg: VerifyConfig) -> tuple:
     params = cfg.params
     dev = 0.0
     witness = 0.0
-    states = [s for s in ((0, 0), (1, 0), (1, 1), (2, 1)) if s[0] + s[1] <= n_max - 2]
     for branch in (+1, -1):
         frame = imagscale.bounded_frame(imagscale.IS.quarter(branch), lad)
-        vacuum = imagscale.is_vacuum(frame)
+        states, kets, bras = basis_block(frame, min(5, n_max - 2), imagscale.is_vacuum(frame))
+        energy = np.array([eigenvalue(imagscale.IS, n1, n2, branch).as_complex(params)
+                           for n1, n2 in states])
+        # hbar (omega + lambda) (n1 + n2 + 1) bounds |E| and the size of H on the
+        # state, so the round-off of H k stays below it however small omega is
+        scale = params.hbar * (params.omega + params.lam) * (np.sum(states, axis=1) + 1)
         h = build_hamiltonian(frame.ladder, params).h
-        for (n1, n2) in states:
-            ket, bra = basis(frame, n1, n2, vacuum)
-            got = bra @ (h @ ket)
-            want = eigenvalue(imagscale.IS, n1, n2, branch).as_complex(params)
-            dev = _worst(dev, abs(got - want))
+        dev = _worst(dev, max_abs((h @ kets - kets * energy) / scale),
+                     max_abs((h.T @ bras - bras * energy) / scale))
         witness = _worst(witness, max_abs(h @ h.conj().T - h.conj().T @ h))
-    scale = params.hbar * (params.omega + params.lam)
-    # the witness scales as hbar^2 omega lambda (312 of it at n_max 12)
+    # the witness scales as hbar^2 omega lambda (156 of it at n_max 12)
     if params.gamma > 0 and witness <= 1e-6 * params.hbar**2 * params.omega * params.lam:
         dev = _worst(dev, 1.0)  # H must fail to be normal once damping is on
-    return ("bounded-frame H matrix elements match the spectrum (both branches)",
-            dev, 1e-8 * scale,
-            {"nonnormality_witness": witness})
+    return ("bounded-frame basis kets and bras are eigenvectors of H, max|H k - E k| "
+            "relative to hbar (omega + lambda) (n1 + n2 + 1) (both branches)",
+            dev, 1e-12, {"states": len(states), "nonnormality_witness": witness})
 
 
 @_check("is.xy-conjugation")

@@ -10,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bateman.cli import EDGE_EPSILONS, MODERATE_GRID, build_parser, main
@@ -155,16 +156,43 @@ def test_verify_passes_at_the_largest_n_max(capsys, suite, count):
     assert json.loads(out)["counts"] == {"total": count, "passed": count, "failed": 0}
 
 
+@pytest.mark.parametrize("n_max,states", [(4, 6), (5, 10), (6, 15)])
+def test_verify_is_passes_at_small_n_max(capsys, n_max, states):
+    # is.matrix-element covers the states with n1 + n2 <= min(5, n_max - 2)
+    rc, out, _ = run(capsys, "verify", "is", "--n-max", str(n_max))
+    checks = {c["check_id"]: c for c in json.loads(out)["checks"]}
+    assert rc == 0 and len(checks) == 14
+    assert checks["is.matrix-element"]["detail"]["states"] == states
+
+
+@pytest.mark.parametrize("argv,count", [(["verify", "is", "--n-max", "24"], 14),
+                                        (["verify", "all"], 44)])
+def test_verify_runs_without_an_svd(monkeypatch, capsys, argv, count):
+    # the bounded-frame vacuum is e_(0,0) by construction, no nullspace search
+    def svd(*args, **kwargs):
+        raise AssertionError("numpy.linalg.svd called")
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    rc, out, _ = run(capsys, *argv)
+    assert rc == 0 and json.loads(out)["counts"]["passed"] == count
+    sources = sorted((ROOT / "src").rglob("*.py"))
+    assert sources and not [path.name for path in sources if "svd" in path.read_text()]
+
+
 @pytest.mark.parametrize("flags", [["--hbar", "1e-8"], ["--gamma", "1e-6", "--k", "1e-8"],
                                    ["--hbar", "1e6"], ["--k", "1e8"], ["--k", "1e6"],
                                    ["--gamma", "300", "--k", "1e5"],
                                    ["--gamma", "1000", "--k", "1e6"],
                                    ["--m", "1e-4", "--k", "1e4"],
                                    ["--k", "1e10"], ["--hbar", "1e10"],
-                                   ["--gamma", "1e4", "--k", "1e9"]])
+                                   ["--gamma", "1e4", "--k", "1e9"],
+                                   ["--gamma", "1.99999999", "--k", "1"]])
 def test_verify_all_passes_at_far_physical_scales(capsys, flags):
     # the non-normality witness, [H0, H1] and the quadratic-root residual are
     # gated relative to the scale of H and of k, not against absolute numbers;
+    # the eigenvector residual relative to hbar (omega + lambda), not to |E|:
+    # near critical damping omega = 1e-4 lambda, and |E| of an n1 = n2 state is
+    # (n1 + n2 + 1) hbar omega;
     # dynamics.factor samples e^{2 lambda t} at times that shrink with 1/lambda;
     # the Heisenberg rates scale with omega and lambda, the H identities with
     # hbar max(omega, lambda) and x, y with sqrt(hbar / m omega)

@@ -163,12 +163,20 @@ def test_blocks_partition_and_reassemble(connected_blocks):
     assert np.array_equal(rebuilt, m)
 
 
+def stacked_pair(top, bottom, charge: np.ndarray) -> tuple[tuple, tuple, tuple]:
+    """Coordinates, shape and (row, column) charges of the (2n, n) matrix of top over bottom."""
+    n = top.shape[0]
+    (r1, c1, v1), (r2, c2, v2) = coordinates(top), coordinates(bottom)
+    return ((np.concatenate([r1, r2 + n]), np.concatenate([c1, c2]), np.concatenate([v1, v2])),
+            (2 * n, n), (np.tile(charge, 2), charge))
+
+
 @pytest.mark.parametrize("n_max", [2, 5, 8])
 def test_blocks_of_csr_match_dense_pattern(n_max, params, connected_blocks):
     # the coordinates of an operator and of its dense pattern give one partition,
     # and block_stacks gathers every declared sector as its dense block
     from bateman.ft import generator_matrix
-    from bateman.imagscale import _stacked, bounded_frame, generator_y_matrix
+    from bateman.imagscale import bounded_frame, generator_y_matrix
 
     lad = build_ladder(n_max)
     space = lad.space
@@ -177,7 +185,7 @@ def test_blocks_of_csr_match_dense_pattern(n_max, params, connected_blocks):
              for op, charge in ((generator_matrix(lad), space.difference),
                                 (generator_y_matrix(lad.a2, lad.a2_dag), n1_and_n2_parity(space)),
                                 (build_hamiltonian(rep.ladder, params).h, space.total))]
-    coords, shape, (row_charge, col_charge) = _stacked(rep.ann1, rep.ann2, rep.charge)
+    coords, shape, (row_charge, col_charge) = stacked_pair(rep.ann1, rep.ann2, rep.charge)
     cases.append((coords, shape, np.vstack([dense(rep.ann1), dense(rep.ann2)]),
                   (row_charge, col_charge - 1)))
     for coords, shape, full, (row_charge, col_charge) in cases:
@@ -204,8 +212,7 @@ def test_blocks_follow_conserved_quantities(n_max, connected_blocks):
     # lower their frame's charge by 1
     from bateman.construction import transform
     from bateman.ft import generator_matrix
-    from bateman.imagscale import (IS, _stacked, bounded_frame, generator_y_matrix,
-                                   generator_z_matrix)
+    from bateman.imagscale import IS, bounded_frame, generator_y_matrix, generator_z_matrix
 
     lad = build_ladder(n_max)
     ann = single_mode_lowering(n_max + 1)
@@ -219,7 +226,8 @@ def test_blocks_follow_conserved_quantities(n_max, connected_blocks):
     for chi in (0j, 1j * math.pi / 4):
         for frame in (transform(IS, chi, lad), bounded_frame(chi, lad)):
             for top, bottom in ((frame.ann1, frame.ann2), (frame.cre1.T, frame.cre2.T)):
-                coords, shape, (row_charge, col_charge) = _stacked(top, bottom, frame.charge)
+                coords, shape, (row_charge, col_charge) = stacked_pair(top, bottom,
+                                                                       frame.charge)
                 cases.append((coords, shape, (row_charge, col_charge - 1)))
     for coords, shape, (row_charge, col_charge) in cases:
         parts = sectors(*coords[:2], row_charge, col_charge)

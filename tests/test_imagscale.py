@@ -1,8 +1,9 @@
 """Second mixing route: imaginary-angle mixing and its bounded matrix frame.
 
-The original-frame matrices put the joint annihilator nullspace at the top of
+The original-frame matrices put the joint annihilator kernel at the top of
 the mode-2 ladder, which wrecks normalization there; the bounded frame moves
-it back to the corner. Both realizations are covered below.
+it back to the corner, where the vacuum is e_(0,0). Both realizations are
+covered below.
 """
 
 import cmath
@@ -13,6 +14,7 @@ import pytest
 
 from bateman.construction import (
     basis,
+    basis_block,
     eigenvalue,
     gram,
     hamiltonian_formal,
@@ -24,15 +26,11 @@ from bateman.construction import (
     transform,
     xy_operators,
 )
-from bateman.errors import DomainError, HeadroomError, NullspaceError
-from bateman.fock import (Operator, build_hamiltonian, build_ladder, coordinates, dense,
-                          max_abs, position_operators)
+from bateman.errors import DomainError, HeadroomError
+from bateman.fock import build_hamiltonian, build_ladder, dense, max_abs, position_operators
 from bateman.ft import FT
 from bateman.imagscale import (
     IS,
-    NULLSPACE_RTOL,
-    _joint_null_vector,
-    _stacked,
     bounded_frame,
     conjugate_xy_terms,
     generator_y_matrix,
@@ -142,138 +140,6 @@ def test_h_reduces_in_check_frame(chi, params):
             assert rep.reduced_deviation is None or rep.reduced_deviation <= bound
 
 
-# --- original-frame vacuum (diagnostic only) ---------------------------------
-
-def test_plain_vacuum_sits_at_ladder_top(ladder8):
-    ket, bra = is_vacuum(transform(IS, 0j, ladder8))
-    peak = int(np.argmax(np.abs(ket)))
-    assert peak == ladder8.space.index(0, 8)
-    assert abs(bra @ ket - 1.0) <= 1e-12
-
-
-def test_plain_vacuum_defining_property(ladder8):
-    ist = transform(IS, CHI_Q, ladder8)
-    ket, _ = is_vacuum(ist)
-    assert np.max(np.abs(ist.ann1 @ ket)) <= 1e-10
-    assert np.max(np.abs(ist.ann2 @ ket)) <= 1e-10
-
-
-def test_joint_null_vector_is_isolated_top_column(ladder8):
-    # both check annihilators vanish on |0, n_max> in the truncation, so its
-    # column of the stacked pair is a block with no rows
-    ist = transform(IS, CHI_Q, ladder8)
-    coords, shape, charge = _stacked(ist.ann1, ist.ann2, ist.charge)
-    top = ladder8.space.index(0, 8)
-    assert top not in coords[1]
-    ket = _joint_null_vector(coords, shape, charge, "check annihilator", ist)
-    unit = np.zeros(ladder8.space.dim)
-    unit[top] = 1.0
-    assert np.array_equal(np.abs(ket), unit)
-
-
-def test_joint_null_vector_rejects_nullity_nine(ladder8):
-    ist = transform(IS, 0, ladder8)  # ann1 = a1 kills every |0, n2>
-    # each |0, n2> lies in a sector with rows, so the count comes from singular values
-    charge = (ist.charge, ist.charge)
-    with pytest.raises(NullspaceError, match="dimension 9"):
-        _joint_null_vector(coordinates(ist.ann1), ist.ann1.shape, charge, "check annihilator",
-                           ist)
-
-
-def test_joint_null_vector_rejects_a_pair_that_breaks_its_charge(ladder8):
-    # one entry of ann1 from |0, 0> to itself keeps n1 - n2 instead of lowering it
-    ist = transform(IS, CHI_Q, ladder8)
-    zero = ladder8.space.index(0, 0)
-    stray = Operator(ladder8.space.dim, {0: np.where(np.arange(ladder8.space.dim) == zero,
-                                                     0.5, 0.0).astype(complex)})
-    with pytest.raises(DomainError, match=r"outside the declared sectors, first \(0, 0\)"):
-        _joint_null_vector(*_stacked(ist.ann1 + stray, ist.ann2, ist.charge),
-                           "check annihilator", ist)
-
-
-def declared(stacked: np.ndarray, parts) -> tuple:
-    """(row, column) charges that declare each (rows, cols) in parts a sector, lowered by 1."""
-    row_charge, col_charge = np.empty(stacked.shape[0]), np.empty(stacked.shape[1])
-    for q, (rows, cols) in enumerate(parts):
-        row_charge[rows], col_charge[cols] = q - 1, q
-    return row_charge, col_charge
-
-
-def test_joint_null_vector_matches_full_svd():
-    # a null direction inside a block that has rows, next to full-rank blocks
-    rng = np.random.default_rng(5)
-    stacked = np.zeros((9, 7), dtype=complex)
-    deficient = rng.standard_normal((4, 2)) @ rng.standard_normal((2, 3))
-    a_rows, a_cols = [0, 3, 5, 8], [1, 4, 6]
-    b_rows, b_cols = [1, 2, 4, 6, 7], [0, 2, 3, 5]
-    stacked[np.ix_(a_rows, a_cols)] = deficient
-    stacked[np.ix_(b_rows, b_cols)] = rng.standard_normal((5, 4)) + 1j
-    charge = declared(stacked, [(a_rows, a_cols), (b_rows, b_cols)])
-    got = _joint_null_vector(*matrix_coordinates(stacked), charge, "test", None)
-    want = np.linalg.svd(stacked)[2][-1].conj()
-    assert np.max(np.abs(stacked @ got)) <= 1e-13
-    assert abs(abs(np.vdot(want, got)) - 1.0) <= 1e-12
-    assert not np.any(got[[0, 2, 3, 5]])
-
-
-def matrix_coordinates(m: np.ndarray) -> tuple[tuple, tuple[int, int]]:
-    """(rows, cols, values) of the nonzero entries of a dense matrix, and its shape."""
-    rows, cols = np.nonzero(m)
-    return (rows, cols, m[rows, cols]), m.shape
-
-
-def _per_block_null_vector(stacked: np.ndarray, blocks) -> np.ndarray:
-    """Reference: the null vector from one SVD per connected block, with the same global cutoff."""
-    parts = []
-    for rows, cols in blocks(*np.nonzero(stacked), stacked.shape):
-        if len(rows) == 0:
-            parts.append((cols, np.zeros(0), np.eye(len(cols), dtype=complex)))
-        elif len(cols):
-            _, sigma, vh = np.linalg.svd(stacked[np.ix_(rows, cols)])
-            parts.append((cols, sigma, vh))
-    cutoff = NULLSPACE_RTOL * max(sigma[0] for _, sigma, _ in parts if len(sigma))
-    vector = np.zeros(stacked.shape[1], dtype=complex)
-    for cols, sigma, vh in parts:
-        if np.sum(sigma < cutoff) + len(cols) - len(sigma):
-            vector[cols] = vh[-1].conj()
-    return vector
-
-
-@pytest.mark.parametrize("n_max", [8, 12])
-def test_joint_null_vector_matches_per_block_svd(n_max, connected_blocks):
-    # the declared sectors give the null vector of one SVD per connected block,
-    # bit for bit: it comes from a sector with columns and no rows
-    lad = build_ladder(n_max)
-    for frame in (transform(IS, CHI_Q, lad), bounded_frame(CHI_Q, lad),
-                  bounded_frame(-0.3j, lad)):
-        for label, (top, bottom) in (("ket", (frame.ann1, frame.ann2)),
-                                     ("bra", (frame.cre1.T, frame.cre2.T))):
-            got = _joint_null_vector(*_stacked(top, bottom, frame.charge), label, frame)
-            want = _per_block_null_vector(np.vstack([dense(top), dense(bottom)]),
-                                          connected_blocks)
-            assert np.array_equal(got, want), (type(frame), label)
-
-
-def test_joint_null_vector_batches_same_shape_blocks(connected_blocks):
-    # three complex 4x3 blocks in one stack, one of rank 2, beside a 2x2 block:
-    # the null vector is complex and comes out of a batched SVD
-    rng = np.random.default_rng(8)
-    stacked = np.zeros((14, 11), dtype=complex)
-    rows, cols = [0, 4, 5, 13], [1, 2, 7]
-    parts = [(rows, cols), ([1, 2, 3, 6], [0, 3, 4]), ([7, 8, 9, 10], [5, 6, 8]),
-             ([11, 12], [9, 10])]
-    for j, (r, c) in enumerate(parts[:3]):
-        block = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
-        if j == 0:
-            block[:, 2] = block[:, :2] @ (rng.standard_normal(2) + 1j * rng.standard_normal(2))
-        stacked[np.ix_(r, c)] = block
-    stacked[np.ix_([11, 12], [9, 10])] = rng.standard_normal((2, 2))
-    got = _joint_null_vector(*matrix_coordinates(stacked), declared(stacked, parts), "test", None)
-    assert np.array_equal(got, _per_block_null_vector(stacked, connected_blocks))
-    assert np.max(np.abs(stacked @ got)) <= 1e-14 and np.any(got.imag)
-    assert not np.any(np.delete(got, cols))
-
-
 # --- bounded frame -----------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -286,12 +152,46 @@ def test_check_rep_rejects_real_angle(ladder8):
         bounded_frame(0.5, ladder8)
 
 
-def test_check_vacuum_at_corner(rep12):
-    ket, bra = is_vacuum(rep12)
-    assert int(np.argmax(np.abs(ket))) == rep12.space.index(0, 0)
-    assert abs(bra @ ket - 1.0) <= 1e-12
-    assert np.max(np.abs(rep12.ann1 @ ket)) <= 1e-12
-    assert np.max(np.abs(rep12.ann2 @ ket)) <= 1e-12
+def test_check_vacuum_at_corner():
+    # e_(0,0) twice, complex, two arrays; the stacked check annihilators (and
+    # the transposed creators) kill it and have no other null direction
+    for n_max in (4, 8, 12, 24):
+        lad = build_ladder(n_max)
+        unit = np.zeros(lad.space.dim, dtype=complex)
+        unit[lad.space.index(0, 0)] = 1.0
+        for chi in (CHI_Q, -CHI_Q, 0.3j):
+            frame = bounded_frame(chi, lad)
+            ket, bra = is_vacuum(frame)
+            assert ket.dtype == bra.dtype == complex and ket is not bra
+            assert np.array_equal(ket, unit) and np.array_equal(bra, unit)
+            for top, bottom in ((frame.ann1, frame.ann2), (frame.cre1.T, frame.cre2.T)):
+                stacked = np.vstack([dense(top), dense(bottom)])
+                sigma = np.linalg.svd(stacked, compute_uv=False)
+                assert np.sum(sigma < 1e-10 * sigma[0]) == 1
+                assert not np.any(stacked @ unit)
+
+
+def test_check_vacuum_rejects_the_original_frame(ladder8):
+    # there the joint kernel is |0, n_max>, not e_(0,0)
+    with pytest.raises(DomainError, match="bounded frame"):
+        is_vacuum(transform(IS, CHI_Q, ladder8))
+
+
+@pytest.mark.parametrize("n_max", [4, 12])
+def test_basis_block_equals_basis_bit_for_bit(n_max):
+    lad = build_ladder(n_max)
+    for branch in (1, -1):
+        frame = bounded_frame(IS.quarter(branch), lad)
+        vacuum = is_vacuum(frame)
+        cap = min(5, n_max - 2)
+        states, kets, bras = basis_block(frame, cap, vacuum)
+        assert states == [(n1, n2) for n1 in range(cap + 1) for n2 in range(cap + 1 - n1)]
+        assert kets.shape == bras.shape == (lad.space.dim, len(states))
+        for j, (n1, n2) in enumerate(states):
+            ket, bra = basis(frame, n1, n2, vacuum)
+            assert np.array_equal(kets[:, j], ket) and np.array_equal(bras[:, j], bra)
+    with pytest.raises(HeadroomError):
+        basis_block(frame, n_max - 1, vacuum)
 
 
 def test_check_gram_is_identity(rep12):

@@ -184,18 +184,24 @@ def test_cross_validation_fails_on_a_non_finite_ladder_entry(params, monkeypatch
     assert math.isnan(result.deviation) and not result.passed
 
 
-def _ladder_with_top_rung_bent(n_max):
-    """build_ladder with the sqrt(n_max) entries of a1 and a1+, the top rung of mode 1,
-    times 1 + 1e-9."""
-    lad = build_ladder(n_max)
-    top = math.sqrt(n_max)
+def _ladder_with_rung_bent(names, rung):
+    """verify._ladder with the sqrt(rung(n_max)) entries of the ladders `names` times 1 + 1e-9."""
+    def ladder(n_max):
+        lad = build_ladder(n_max)
+        weight = math.sqrt(rung(n_max))
 
-    def bent(op):
-        (offset, weights), = op.diagonals.items()
-        weights = np.where(np.abs(weights) == top, weights * (1.0 + 1e-9), weights)
-        return Operator(lad.space.dim, {offset: weights})
+        def bent(op):
+            (offset, weights), = op.diagonals.items()
+            weights = np.where(np.abs(weights) == weight, weights * (1.0 + 1e-9), weights)
+            return Operator(lad.space.dim, {offset: weights})
 
-    return dataclasses.replace(lad, a1=bent(lad.a1), a1_dag=bent(lad.a1_dag))
+        return dataclasses.replace(lad, **{name: bent(getattr(lad, name)) for name in names})
+
+    return ladder
+
+
+#: the top rung of mode 1, sqrt(n_max) in a1 and a1+
+_ladder_with_top_rung_bent = _ladder_with_rung_bent(("a1", "a1_dag"), lambda n_max: n_max)
 
 
 def test_top_rung_defect_fails_the_checks_that_read_the_top_rung(params, monkeypatch):
@@ -248,7 +254,7 @@ def test_exp_inverse_catches_a_matrix_exp_entry_off_by_1e9(cfg, monkeypatch):
 def test_is_gram_catches_a_bounded_frame_vacuum_entry_off_by_1e9(cfg, monkeypatch):
     # the vacuum ket's dominant entry off by 1e-9 relative after the bra was
     # normalized against it: is.gram reads 1.0e-9 against 1e-12
-    # (is.matrix-element, 4.0e-9 against 1.5e-8, lets it pass)
+    # (is.matrix-element lets it pass: a rescaled ket is still an eigenvector)
     exact = imagscale.is_vacuum
 
     def skewed(frame):
@@ -261,6 +267,52 @@ def test_is_gram_catches_a_bounded_frame_vacuum_entry_off_by_1e9(cfg, monkeypatc
     monkeypatch.setattr(imagscale, "is_vacuum", skewed)
     result = verify.check_is_gram(cfg)
     assert result.deviation > 5e-10 and not result.passed
+
+
+@pytest.mark.parametrize("n_max", [12, 24])
+@pytest.mark.parametrize("names,rung", [(("a1", "a1_dag"), 1), (("a1", "a1_dag"), 5),
+                                        (("a2", "a2_dag"), 5)],
+                         ids=["a1-sqrt1", "a1-sqrt5", "a2-sqrt5"])
+def test_is_matrix_element_catches_a_low_rung_bent_by_1e9(params, monkeypatch, n_max, names,
+                                                         rung):
+    # both is.h-identity checks read round-off under these bends; the whole
+    # eigenvector residual reads 4.7e-10, 6.2e-10 and 8.2e-10 against 1e-12
+    cfg = VerifyConfig(params=params, n_max=n_max)
+    assert verify.check_is_matrix_element(cfg).passed
+    monkeypatch.setattr(verify, "_ladder", _ladder_with_rung_bent(names, lambda _: rung))
+    result = verify.check_is_matrix_element(cfg)
+    assert result.deviation > 1e-10 and not result.passed
+
+
+def _bounded_frame_with(change):
+    """imagscale.bounded_frame with its MixedModes passed through change."""
+    exact = imagscale.bounded_frame
+    return lambda chi, ladder: change(exact(chi, ladder))
+
+
+def test_is_vacuum_catches_a_stray_entry_in_the_vacuum_column(cfg, monkeypatch):
+    # <1,0| ann1 |0,0> = 1e-9: ann1 no longer kills e_(0,0), though every entry
+    # the mixing is read from is untouched
+    def stray(frame):
+        space = frame.space
+        entry = np.zeros(space.dim - space.index(1, 0), dtype=complex)
+        entry[0] = 1e-9
+        return dataclasses.replace(frame, ann1=frame.ann1 + Operator(
+            space.dim, {-space.index(1, 0): entry}))
+
+    assert verify.check_is_vacuum(cfg).passed
+    monkeypatch.setattr(imagscale, "bounded_frame", _bounded_frame_with(stray))
+    result = verify.check_is_vacuum(cfg)
+    assert result.detail["kernel"] == 1e-9 and not result.passed
+
+
+def test_is_vacuum_catches_a_singular_mixing(cfg, monkeypatch):
+    # ann2 = ann1 still kills e_(0,0), but then so does any vector that
+    # ann1 kills: the mixing determinant is 0
+    monkeypatch.setattr(imagscale, "bounded_frame", _bounded_frame_with(
+        lambda frame: dataclasses.replace(frame, ann2=frame.ann1)))
+    result = verify.check_is_vacuum(cfg)
+    assert result.detail == {"kernel": 0.0, "det_gap": 1.0} and not result.passed
 
 
 @pytest.mark.parametrize("theta", [-0.3, 0.5, 0.6, 0.7, 0.78])
