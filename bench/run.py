@@ -15,11 +15,11 @@ The truncated layers run at the n_max that `verify` resolves by default
   charge it conserves, with the number of sectors and of stacks;
 - the similarity reads: `construction.similarity_deviation` of e^{0.3 X} and
   e^{0.3i Z}, and `ft.ft_basis_similarity` of the states (0,0), (1,0), (2,1);
-- the bounded frame's checks at i pi/4: `construction.basis_block` of the
-  21 states with n1 + n2 <= 5 (fewer below n_max 7), and the whole checks
-  `is.vacuum` (both annihilators and creators against e_(0,0), and the
-  mixing determinant) and `is.matrix-element` (the eigenvector residuals of
-  those states on both branches), on the cached ladder that `verify` uses;
+- the bounded frame's whole checks `is.vacuum` (both annihilators and
+  creators against e_(0,0), and the mixing determinant) and
+  `is.matrix-element` (the eigenvector residuals of the 21 states with
+  n1 + n2 <= 5, fewer below n_max 7, on both branches), on the cached ladder
+  that `verify` uses;
 - `construction.identity_report` at each route's decoupling angle, the ladder
   product a1 @ a2 and `fock.commutator(H0, H1)`;
 - `construction.gram` in the rotation frame at theta 0.3 and in the bounded
@@ -68,7 +68,6 @@ sys.path.insert(0, str(SRC))
 from bateman import verify  # noqa: E402
 from bateman.algebra import LadderPoly, basis_column  # noqa: E402
 from bateman.construction import (  # noqa: E402
-    basis_block,
     gram,
     hamiltonian_from_plain,
     identity_report,
@@ -157,9 +156,6 @@ def truncated_rows(n_max: int) -> list[dict]:
     rows.append(row("ft_basis_similarity", lambda: ft_basis_similarity(bar, BASIS_STATES),
                     **at, states=len(BASIS_STATES)))
     bounded = bounded_frame(CHI_Q, lad)
-    cap = min(5, n_max - 2)  # the states of is.matrix-element
-    rows.append(row("basis_block", lambda: basis_block(bounded, cap, is_vacuum(bounded)),
-                    **at, frame="bounded i pi/4", cap=cap))
     cfg = verify.VerifyConfig(params=PARAMS, n_max=n_max)
     for check in (verify.check_is_vacuum, verify.check_is_matrix_element):
         rows.append(row("check", lambda: check(cfg), **at, check=check.check_id))

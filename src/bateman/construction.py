@@ -43,7 +43,6 @@ __all__ = [
     "similarity_deviation",
     "identity_report",
     "basis",
-    "basis_block",
     "gram",
     "heisenberg_rate",
     "xy_operators",
@@ -280,45 +279,6 @@ def basis(modes, n1: int, n2: int, vacuum: tuple[np.ndarray, np.ndarray]
     for op in [modes.ann1] * n1 + [modes.ann2] * n2:
         bra = bra @ op
     return ket / norm, bra / norm
-
-
-def _climb(inner: Operator, outer: Operator, start: np.ndarray, cap: int) -> np.ndarray:
-    """Columns outer^a inner^b start for a + b <= cap, in ascending (a, b).
-
-    inner climbs from start one column at a time, then each power of outer
-    applies to the block of the power below it: a block product is bit for
-    bit its columns' products, so every column is the vector recurrence.
-    """
-    column, rung = start, [start]
-    for _ in range(cap):
-        column = inner @ column
-        rung.append(column)
-    block = np.stack(rung, axis=1)
-    blocks = [block]
-    for a in range(1, cap + 1):
-        block = outer @ block[:, :cap + 1 - a]
-        blocks.append(block)
-    return np.concatenate(blocks, axis=1)
-
-
-def basis_block(modes, cap: int, vacuum: tuple[np.ndarray, np.ndarray]
-                ) -> tuple[list[tuple[int, int]], np.ndarray, np.ndarray]:
-    """(states, kets, bras): every state with n1 + n2 <= cap, bit for bit as `basis` builds it.
-
-    states lists (n1, n2) in ascending order, and column j of the (dim, k)
-    blocks kets and bras is the pair of states[j], the bra as a column.  Each
-    block is one creator (or transposed annihilator) recurrence in the
-    operator order of `basis`: cre2 before cre1 for the kets, ann1 before
-    ann2 for the bras.
-    """
-    if cap > modes.headroom:
-        raise HeadroomError(f"n1+n2 = {cap} exceeds headroom {modes.headroom}")
-    states = [(n1, n2) for n1 in range(cap + 1) for n2 in range(cap + 1 - n1)]
-    where = {state: j for j, state in enumerate(states)}
-    norms = np.array([math.sqrt(math.factorial(n1) * math.factorial(n2)) for n1, n2 in states])
-    kets = _climb(modes.cre2, modes.cre1, vacuum[0], cap)
-    bras = _climb(modes.ann1.T, modes.ann2.T, vacuum[1], cap)  # in ascending (n2, n1)
-    return states, kets / norms, bras[:, [where[n2, n1] for n1, n2 in states]] / norms
 
 
 def gram(modes, vacuum: tuple[np.ndarray, np.ndarray], q_cap: int) -> np.ndarray:

@@ -170,7 +170,9 @@ def is_vacuum(frame: MixedModes) -> tuple[np.ndarray, np.ndarray]:
     At imaginary chi the frame's check annihilators are an invertible mixing
     of (b1, b2), so their joint kernel is that of b1 and b2, the corner state,
     and so is the left kernel of the creators; bra @ ket = 1.  `is.vacuum`
-    checks both kernels and the mixing on the whole matrix.
+    checks on the whole matrix that both sides kill it and that the mixing,
+    read off the one-quantum entries, is invertible; uniqueness also needs
+    the ladder weights of b1 and b2, which `is.commutators` checks.
     """
     if not np.array_equal(frame.charge, frame.space.total):
         raise DomainError("is_vacuum needs the bounded frame (charge n1 + n2)")

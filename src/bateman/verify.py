@@ -22,7 +22,6 @@ from . import algebra, dynamics, ft, imagscale
 from .construction import (
     Construction,
     basis,
-    basis_block,
     eigenvalue,
     gram,
     hamiltonian_formal,
@@ -850,8 +849,9 @@ def check_is_vacuum(cfg: VerifyConfig) -> tuple:
         kernel = _worst(kernel, max_abs(frame.ann1 @ ket), max_abs(frame.ann2 @ ket),
                         max_abs(bra @ frame.cre1), max_abs(bra @ frame.cre2))
         # the mixings of (b1, b2) and (b1+, b2+), read off the entries from e_(1,0)
-        # and e_(0,1) to e_(0,0) (of the transposed creators); invertible, they
-        # leave e_(0,0) the only joint kernel vector on each side
+        # and e_(0,1) to e_(0,0) (of the transposed creators).  Only with the
+        # ladder weights, which is.commutators checks, does an invertible
+        # mixing leave e_(0,0) the only joint kernel vector on each side
         for first, second in ((frame.ann1, frame.ann2), (frame.cre1.T, frame.cre2.T)):
             (a, b), (c, d) = (dense(op, zero, one_quantum)[0] for op in (first, second))
             det_gap = _worst(det_gap, abs(abs(a * d - b * c) - 1.0))
@@ -865,11 +865,15 @@ def check_is_matrix_element(cfg: VerifyConfig) -> tuple:
     n_max = cfg.resolve(12)
     lad = _ladder(n_max)
     params = cfg.params
+    cap = min(5, n_max - 2)
+    states = [(n1, n2) for n1 in range(cap + 1) for n2 in range(cap + 1 - n1)]
     dev = 0.0
     witness = 0.0
     for branch in (+1, -1):
         frame = imagscale.bounded_frame(imagscale.IS.quarter(branch), lad)
-        states, kets, bras = basis_block(frame, min(5, n_max - 2), imagscale.is_vacuum(frame))
+        vacuum = imagscale.is_vacuum(frame)
+        kets, bras = (np.stack(side, axis=1) for side in
+                      zip(*(basis(frame, n1, n2, vacuum) for n1, n2 in states)))
         energy = np.array([eigenvalue(imagscale.IS, n1, n2, branch).as_complex(params)
                            for n1, n2 in states])
         # hbar (omega + lambda) (n1 + n2 + 1) bounds |E| and the size of H on the

@@ -14,7 +14,6 @@ import pytest
 
 from bateman.construction import (
     basis,
-    basis_block,
     eigenvalue,
     gram,
     hamiltonian_formal,
@@ -175,23 +174,6 @@ def test_check_vacuum_rejects_the_original_frame(ladder8):
     # there the joint kernel is |0, n_max>, not e_(0,0)
     with pytest.raises(DomainError, match="bounded frame"):
         is_vacuum(transform(IS, CHI_Q, ladder8))
-
-
-@pytest.mark.parametrize("n_max", [4, 12])
-def test_basis_block_equals_basis_bit_for_bit(n_max):
-    lad = build_ladder(n_max)
-    for branch in (1, -1):
-        frame = bounded_frame(IS.quarter(branch), lad)
-        vacuum = is_vacuum(frame)
-        cap = min(5, n_max - 2)
-        states, kets, bras = basis_block(frame, cap, vacuum)
-        assert states == [(n1, n2) for n1 in range(cap + 1) for n2 in range(cap + 1 - n1)]
-        assert kets.shape == bras.shape == (lad.space.dim, len(states))
-        for j, (n1, n2) in enumerate(states):
-            ket, bra = basis(frame, n1, n2, vacuum)
-            assert np.array_equal(kets[:, j], ket) and np.array_equal(bras[:, j], bra)
-    with pytest.raises(HeadroomError):
-        basis_block(frame, n_max - 1, vacuum)
 
 
 def test_check_gram_is_identity(rep12):

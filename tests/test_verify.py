@@ -184,15 +184,15 @@ def test_cross_validation_fails_on_a_non_finite_ladder_entry(params, monkeypatch
     assert math.isnan(result.deviation) and not result.passed
 
 
-def _ladder_with_rung_bent(names, rung):
-    """verify._ladder with the sqrt(rung(n_max)) entries of the ladders `names` times 1 + 1e-9."""
+def _ladder_with_rung_bent(names, rung, factor=1.0 + 1e-9):
+    """verify._ladder with the sqrt(rung(n_max)) entries of the ladders `names` times factor."""
     def ladder(n_max):
         lad = build_ladder(n_max)
         weight = math.sqrt(rung(n_max))
 
         def bent(op):
             (offset, weights), = op.diagonals.items()
-            weights = np.where(np.abs(weights) == weight, weights * (1.0 + 1e-9), weights)
+            weights = np.where(np.abs(weights) == weight, weights * factor, weights)
             return Operator(lad.space.dim, {offset: weights})
 
         return dataclasses.replace(lad, **{name: bent(getattr(lad, name)) for name in names})
@@ -313,6 +313,16 @@ def test_is_vacuum_catches_a_singular_mixing(cfg, monkeypatch):
         lambda frame: dataclasses.replace(frame, ann2=frame.ann1)))
     result = verify.check_is_vacuum(cfg)
     assert result.detail == {"kernel": 0.0, "det_gap": 1.0} and not result.passed
+
+
+def test_is_vacuum_leaves_uniqueness_to_the_commutators(cfg, monkeypatch):
+    # a zeroed sqrt(3) weight of a1 (b1 in the bounded frame) puts e_(3,0) in
+    # the joint kernel too; is.vacuum reads only the e_(0,0) row and column
+    # and passes, and is.commutators is the check that fails
+    monkeypatch.setattr(verify, "_ladder", _ladder_with_rung_bent(("a1", "a1_dag"),
+                                                                  lambda _: 3, 0.0))
+    assert verify.check_is_vacuum(cfg).passed
+    assert not verify.check_is_commutators(cfg).passed
 
 
 @pytest.mark.parametrize("theta", [-0.3, 0.5, 0.6, 0.7, 0.78])
