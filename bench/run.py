@@ -33,10 +33,12 @@ The layers without a truncation:
 - the exact algebra: the `ft.spectrum` and `is.spectrum` sweeps (2 branches
   x 21 x 21 elements of H) and the 256-element `algebra.biorthonormality`
   sweep, one `basis_column` per ket; the 200 seeded polynomials of
-  `algebra.cross-validation` (`verify._oracle_draws`), their normal orders,
-  and the exact and the matrix half of that check;
+  `algebra.cross-validation` (`verify._oracle_draws`), their normal orders
+  and vacuum pairings, and the exact and the matrix half of that check;
 - `import bateman.cli` in a fresh interpreter: the CPU time of the import
-  and the peak RSS of the process.
+  and the peak RSS of the process;
+- `cli.build_parser`, with every subcommand's flags and with the flags of
+  `norms` alone, as `bateman norms` builds it.
 
 Accuracy references live in the tests, and each replaced route's comparison
 with its successor in the committed BENCH_6/7/10/12/14/15/19.json: a change
@@ -65,8 +67,8 @@ import numpy as np  # noqa: E402
 SRC = Path(__file__).resolve().parents[1] / "src"
 sys.path.insert(0, str(SRC))
 
-from bateman import verify  # noqa: E402
-from bateman.algebra import LadderPoly, basis_column  # noqa: E402
+from bateman import cli, verify  # noqa: E402
+from bateman.algebra import LadderPoly, basis_column, vacuum_pairing  # noqa: E402
 from bateman.construction import (  # noqa: E402
     gram,
     hamiltonian_from_plain,
@@ -218,6 +220,9 @@ def algebra_rows() -> list[dict]:
     rows.append(row("_oracle_draws", lambda: verify._oracle_draws(seed), **polys))
     rows.append(row("normal_order", lambda: [poly.normal_order() for poly, _ in draws],
                     **polys))
+    one = LadderPoly.one()
+    rows.append(row("vacuum_pairing", lambda: [vacuum_pairing(one, poly) for poly, _ in draws],
+                    **polys))
     rows.append(row("_oracle_exact", lambda: verify._oracle_exact(draws), **polys))
     rows.append(row("_oracle_numeric", lambda: oracle_matrix_half(draws), **polys))
     return rows
@@ -236,6 +241,12 @@ def import_row() -> dict:
     return {"layer": "import bateman.cli", "time": stats(cpu),
             "peak_rss_mb": {"median": statistics.median(rss), "min": min(rss),
                             "max": max(rss)}}
+
+
+def parser_rows() -> list[dict]:
+    """The CLI parser with every subcommand's flags, and with those `bateman norms` reads."""
+    return [row("build_parser", lambda: cli.build_parser(argv), 100, argv=argv)
+            for argv in (None, ["norms"])]
 
 
 def machine() -> dict:
@@ -258,7 +269,7 @@ def main(argv=None) -> int:
     rows = [import_row()]
     for n_max in N_MAX:
         rows += truncated_rows(n_max)
-    rows += norm_rows() + algebra_rows()
+    rows += norm_rows() + algebra_rows() + parser_rows()
     text = json.dumps({"machine": machine(), "repeats": REPEATS, "rows": rows}, indent=1) + "\n"
     if args.out is None:
         sys.stdout.write(text)

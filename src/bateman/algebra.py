@@ -97,7 +97,7 @@ class CQ:
         return self.re == 0 and self.im == 0
 
     def to_complex(self) -> complex:
-        return complex(self.re) + 1j * complex(self.im)
+        return complex(float(self.re), float(self.im))
 
     def __repr__(self) -> str:
         return f"({self.re}{'+' if self.im >= 0 else ''}{self.im}j)"
@@ -148,7 +148,8 @@ class ExactScalar:
     # -- constructors ------------------------------------------------------
     @staticmethod
     def zero() -> "ExactScalar":
-        return ExactScalar()
+        """The one shared zero; no operation changes a scalar once it is built."""
+        return _ZERO
 
     @staticmethod
     def of(value: "ExactScalar | CQ | Fraction | int") -> "ExactScalar":
@@ -280,7 +281,7 @@ class ExactScalar:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExactScalar):
             return NotImplemented
-        return self.key() == other.key()
+        return self.root == other.root and self._coeffs == other._coeffs
 
     def __hash__(self) -> int:
         return hash(self.key())
@@ -293,6 +294,7 @@ class ExactScalar:
         return body if self.root == 1 else f"({body})*sqrt({self.root})"
 
 
+_ZERO = ExactScalar()
 ScalarLike = "ExactScalar | CQ | Fraction | int"
 Word = tuple[int, ...]
 
@@ -402,28 +404,14 @@ class LadderPoly:
     def normal_order(self) -> "LadderPoly":
         """Canonical form: creators left of annihilators, mode 1 left of mode 2.
 
-        Fixed-point rewriting with per-generation merging, which keeps the
-        intermediate term count polynomial for number-operator sandwiches.
+        Each coefficient is scaled once by each integer multiplicity of its
+        word's normal form (`_word_normal_form`).
         """
-        done: dict[Word, ExactScalar] = {}
-        pending = dict(self._terms)
-        while pending:
-            nxt: dict[Word, ExactScalar] = {}
-            for word, coeff in pending.items():
-                idx = -1
-                for i in range(len(word) - 1):
-                    if word[i] > word[i + 1]:
-                        idx = i
-                        break
-                if idx < 0:
-                    _accumulate(done, word, coeff)
-                    continue
-                a, b = word[idx], word[idx + 1]
-                _accumulate(nxt, word[:idx] + (b, a) + word[idx + 2 :], coeff)
-                if (a, b) in ((B1_ANN, B1_CRE), (B2_ANN, B2_CRE)):
-                    _accumulate(nxt, word[:idx] + word[idx + 2 :], coeff)
-            pending = nxt
-        return LadderPoly._checked(done)
+        out: dict[Word, ExactScalar] = {}
+        for word, coeff in self._terms.items():
+            for canonical, k in _word_normal_form(word):
+                _accumulate(out, canonical, coeff._scaled(k))
+        return LadderPoly._checked(out)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LadderPoly):
@@ -443,13 +431,45 @@ class LadderPoly:
         return " + ".join(chunks)
 
 
+def _word_normal_form(word: Word) -> list[tuple[Word, int]]:
+    """[(canonical word, positive integer multiplicity)]: the normal form of one word.
+
+    The modes commute, so each mode is ordered alone: read right to left into
+    {(p, q): k} = sum k b+^p b^q, a b+ maps (p, q) to (p+1, q) and a b maps it
+    to (p, q+1) plus p times (p-1, q).  The word's form is the product of the
+    two modes' forms, in the canonical order b1+ b2+ b1 b2.
+    """
+    forms = []
+    for cre, ann in ((B1_CRE, B1_ANN), (B2_CRE, B2_ANN)):
+        form = {(0, 0): 1}
+        for sym in reversed(word):
+            if sym == cre:
+                form = {(p + 1, q): k for (p, q), k in form.items()}
+            elif sym == ann:
+                lowered: dict[tuple[int, int], int] = {}
+                for (p, q), k in form.items():
+                    lowered[p, q + 1] = lowered.get((p, q + 1), 0) + k
+                    if p:
+                        lowered[p - 1, q] = lowered.get((p - 1, q), 0) + p * k
+                form = lowered
+        forms.append(form)
+    return [((B1_CRE,) * p1 + (B2_CRE,) * p2 + (B1_ANN,) * q1 + (B2_ANN,) * q2, k1 * k2)
+            for (p1, q1), k1 in forms[0].items() for (p2, q2), k2 in forms[1].items()]
+
+
 def normal_order(poly: LadderPoly) -> LadderPoly:
     return poly.normal_order()
 
 
 def vacuum_pairing(bra: LadderPoly, ket: LadderPoly) -> ExactScalar:
-    """<vac| bra * ket |vac>: the constant term of the normal-ordered product."""
-    return (bra * ket).normal_order().constant_term()
+    """<vac| bra * ket |vac>: the constant term of the normal-ordered product, read from the
+    empty word of each term's normal form without building the product's normal order."""
+    total = ExactScalar.zero()
+    for word, coeff in (bra * ket)._terms.items():
+        # only a word with zero charge in each mode has the empty word in its form
+        if word.count(B1_CRE) == word.count(B1_ANN) and word.count(B2_CRE) == word.count(B2_ANN):
+            total = total + coeff._scaled(dict(_word_normal_form(word)).get((), 0))
+    return total
 
 
 def apply_to_monomial_ket(op: LadderPoly, n1: int, n2: int) -> dict[tuple[int, int], ExactScalar]:
@@ -530,34 +550,37 @@ def to_matrix(poly: LadderPoly, ladder, params: PhysicalParams | None = None) ->
     return total
 
 
-def matrix_elements(polys: list[LadderPoly], ladder, bra: tuple[int, int],
-                    ket: tuple[int, int], params: PhysicalParams | None = None) -> list[complex]:
-    """[<bra| poly |ket> for poly in polys] on the truncated matrices; the float route.
+def matrix_elements(elements: list[tuple[LadderPoly, tuple[int, int], tuple[int, int]]],
+                    ladder, params: PhysicalParams | None = None) -> list[complex]:
+    """[<bra| poly |ket> for poly, bra, ket in elements] on the truncated matrices; the float route.
 
     bra and ket are occupation pairs.  Every word of every poly is one column
-    of a (dim, words) block that starts as the basis vector of ket.  The
-    ladder matrices act right to left: for each position from the right and
-    each symbol, one operator-block product advances the columns whose word
-    has that symbol there.  A column takes every product of its word, even
-    on a vector that an annihilator has zeroed, so a non-finite ladder entry
-    still shows.  No product matrix is formed.  Each poly sums its words'
-    bra components in its term order.
+    of a (dim, words) block that starts as the basis vector of its poly's
+    ket.  The ladder matrices act right to left: for each position from the
+    right and each symbol, one operator-block product advances the columns
+    whose word has that symbol there.  A column takes every product of its
+    word, even on a vector that an annihilator has zeroed, so a non-finite
+    ladder entry still shows.  No product matrix is formed.  Each poly sums
+    its words' components on its own bra in its term order.
     """
     symbol_map = _symbol_matrices(ladder)
-    words = [word for poly in polys for word in poly._terms]
+    words = [word for poly, _, _ in elements for word in poly._terms]
+    index, counts = ladder.space.index, [len(poly._terms) for poly, _, _ in elements]
+    bras = np.repeat(np.array([index(*bra) for _, bra, _ in elements], dtype=np.intp), counts)
+    kets = np.repeat(np.array([index(*ket) for _, _, ket in elements], dtype=np.intp), counts)
+    columns = np.arange(len(words))
     # column-major, so that gathering the columns of one step copies whole columns
     block = np.zeros((ladder.space.dim, len(words)), dtype=complex, order="F")
-    block[ladder.space.index(*ket)] = 1.0
-    row = ladder.space.index(*bra)
+    block[kets, columns] = 1.0
     steps: dict[tuple[int, int], list[int]] = {}  # (position from the right, symbol) -> columns
     for col, word in enumerate(words):
         for step in enumerate(reversed(word)):
             steps.setdefault(step, []).append(col)
     for (_, sym), cols in sorted(steps.items()):
         block[:, cols] = symbol_map[sym] @ block[:, cols]
-    read = iter(block[row])
+    read = iter(block[bras, columns])
     out = []
-    for poly in polys:
+    for poly, _, _ in elements:
         total = 0.0 + 0.0j
         for coeff in poly._terms.values():
             total += coeff.to_complex(params) * next(read)
@@ -567,8 +590,8 @@ def matrix_elements(polys: list[LadderPoly], ladder, bra: tuple[int, int],
 
 def matrix_element(poly: LadderPoly, ladder, bra: tuple[int, int], ket: tuple[int, int],
                    params: PhysicalParams | None = None) -> complex:
-    """<bra| poly |ket> on the truncated matrices: matrix_elements of the one poly."""
-    return matrix_elements([poly], ladder, bra, ket, params)[0]
+    """<bra| poly |ket> on the truncated matrices: matrix_elements of the one element."""
+    return matrix_elements([(poly, bra, ket)], ladder, params)[0]
 
 
 def random_poly(rng, max_degree: int = 6, max_terms: int = 5) -> LadderPoly:
@@ -581,5 +604,5 @@ def random_poly(rng, max_degree: int = 6, max_terms: int = 5) -> LadderPoly:
             Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
             Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
         )
-        _accumulate(terms, word, ExactScalar.of(coeff))
+        _accumulate(terms, word, ExactScalar._checked({U_ONE: coeff}, 1))
     return LadderPoly._checked(terms)

@@ -425,32 +425,41 @@ def _add_flags(parser: argparse.ArgumentParser, *names: str) -> None:
     parser.set_defaults(flags=_SHARED_FLAGS + names)
 
 
-def build_parser() -> argparse.ArgumentParser:
+#: each subcommand's help line and the flags it reads besides the shared ones
+_SUBCOMMANDS = {
+    "spectrum": ("eigenvalue table for one construction and branch", "approach branch n_cap"),
+    "norms": ("standard norms of the rotated basis and exponent fits", "theta"),
+    "classify": ("stability class of a single (n1, n2) state", "approach branch n1 n2"),
+    "evolve": ("scalar evolution factor over a time grid", "approach branch n1 n2 times"),
+    "verify": ("run a verification suite and report pass/fail", "n_max theta seed corrupt_check"),
+}
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """Every subcommand with its help line; only the one that argv[0] names gets its flags,
+    or all of them without such an argv.  Registering flags is most of the parser's cost,
+    and a command line is parsed by its own subcommand alone."""
     parser = argparse.ArgumentParser(
         prog="bateman",
         description="Two-mode ladder constructions for the damped/amplified oscillator pair.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("spectrum", help="eigenvalue table for one construction and branch")
-    _add_flags(sp, "approach", "branch", "n_cap")
-    sp = sub.add_parser("norms", help="standard norms of the rotated basis and exponent fits")
-    _add_flags(sp, "theta")
-    sp = sub.add_parser("classify", help="stability class of a single (n1, n2) state")
-    _add_flags(sp, "approach", "branch", "n1", "n2")
-    sp = sub.add_parser("evolve", help="scalar evolution factor over a time grid")
-    _add_flags(sp, "approach", "branch", "n1", "n2", "times")
-    sp = sub.add_parser("verify", help="run a verification suite and report pass/fail")
-    sp.add_argument("suite", nargs="?", default="all",
-                    choices=("algebra", "ft", "is", "dynamics", "all"))
-    _add_flags(sp, "n_max", "theta", "seed", "corrupt_check")
+    named = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+    for name, (help_line, flags) in _SUBCOMMANDS.items():
+        sp = sub.add_parser(name, help=help_line)
+        if named not in (None, name):
+            continue
+        if name == "verify":
+            sp.add_argument("suite", nargs="?", default="all",
+                            choices=("algebra", "ft", "is", "dynamics", "all"))
+        _add_flags(sp, *flags.split())
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv).parse_args(argv)
     try:
         _resolve(args)
         out = COMMANDS[args.command](args)

@@ -393,19 +393,17 @@ def _oracle_exact(draws: list[tuple]) -> list[complex]:
 
 def _oracle_numeric(draws: list[tuple]) -> list[complex]:
     """The same values on ladders of n_max = degree + 2 (at least 2) for the pairings, degree
-    + 5 for the elements: one batched walk per ladder for the pairings, one per element."""
-    by_size: dict[int, list[LadderPoly]] = {}
-    for poly, _ in draws:
-        by_size.setdefault(max(2, poly.degree() + 2), []).append(poly)
-    pairings = {size: iter(algebra.matrix_elements(polys, _ladder(size), (0, 0), (0, 0)))
-                for size, polys in by_size.items()}
-    values = []
+    + 5 for the elements: one batched walk per ladder size for both."""
+    requests = []  # (n_max, poly, bra, ket) in the order of the exact values
     for poly, element in draws:
-        values.append(next(pairings[max(2, poly.degree() + 2)]))
+        requests.append((max(2, poly.degree() + 2), poly, (0, 0), (0, 0)))
         if element is not None:
-            bra, ket = element
-            values.append(algebra.matrix_element(poly, _ladder(poly.degree() + 5), bra, ket))
-    return values
+            requests.append((poly.degree() + 5, poly, *element))
+    by_size: dict[int, list[tuple]] = {}
+    for size, *element in requests:
+        by_size.setdefault(size, []).append(element)
+    values = {n: iter(algebra.matrix_elements(batch, _ladder(n))) for n, batch in by_size.items()}
+    return [next(values[size]) for size, *_ in requests]
 
 
 @_check("algebra.cross-validation")

@@ -5,6 +5,7 @@ purpose. The cross-check against truncated matrices at n_max = degree+2 is
 the one place floats enter, bounded by 1e-12.
 """
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bateman import algebra, ft
 from bateman.algebra import (
     B1_ANN,
     B1_CRE,
@@ -39,7 +41,13 @@ from bateman.fock import build_ladder, dense
 from bateman.construction import hamiltonian_formal, hamiltonian_from_plain
 from bateman.ft import FT
 from bateman.imagscale import IS
-from bateman.verify import _SWEEP_STATES
+from bateman.verify import (
+    _SWEEP_STATES,
+    VerifyConfig,
+    _oracle_draws,
+    check_oracle_cross_validation,
+    run_suite,
+)
 
 
 def test_normal_order_single_commutation():
@@ -192,7 +200,8 @@ def test_matrix_element_matches_whole_matrix_on_seeded_polys():
             for n in _LOW_OCCUPATIONS:
                 ket = np.zeros(ladder.space.dim, dtype=complex)
                 ket[ladder.space.index(*n)] = 1.0
-                for got, mat in zip(matrix_elements(polys, ladder, m, n), mats):
+                got_all = matrix_elements([(poly, m, n) for poly in polys], ladder)
+                for got, mat in zip(got_all, mats):
                     assert abs(got - bra @ (mat @ ket)) <= 1e-14
 
 
@@ -230,7 +239,7 @@ def _per_word_element(poly, ladder, bra, ket, params=None):
 def test_matrix_elements_equal_the_per_word_walk_at_the_vacuum():
     # the cross-validation's batches: one walk per ladder size, bit for bit the per-word walk
     for ladder, polys in _by_ladder_size(_seeded_polys(), lambda d: max(2, d + 2)).values():
-        got = matrix_elements(polys, ladder, (0, 0), (0, 0))
+        got = matrix_elements([(p, (0, 0), (0, 0)) for p in polys], ladder)
         assert _bits(got) == _bits([_per_word_element(p, ladder, (0, 0), (0, 0)) for p in polys])
         assert _bits(got) == _bits([matrix_element(p, ladder, (0, 0), (0, 0)) for p in polys])
 
@@ -240,10 +249,23 @@ def test_matrix_elements_equal_the_per_word_walk_on_low_occupations(params):
     ladder = build_ladder(6 + 5)
     for bra in _LOW_OCCUPATIONS:
         for ket in _LOW_OCCUPATIONS:
-            got = matrix_elements(polys, ladder, bra, ket, params)
+            got = matrix_elements([(p, bra, ket) for p in polys], ladder, params)
             want = [_per_word_element(p, ladder, bra, ket, params) for p in polys]
             assert _bits(got) == _bits(want)
-    assert matrix_elements([], ladder, (0, 0), (0, 0)) == []
+    assert matrix_elements([], ladder) == []
+
+
+def test_one_walk_reads_each_element_at_its_own_bra_and_ket(params):
+    # every poly at every low (bra, ket) pair in one block, bit for bit each element alone
+    polys = _seeded_polys(12) + [LadderPoly.word((B1_CRE, B2_ANN), ExactScalar.unit(U_HW, 3))]
+    ladder = build_ladder(6 + 5)
+    elements = [(p, bra, ket) for p in polys for bra in _LOW_OCCUPATIONS
+                for ket in _LOW_OCCUPATIONS]
+    got = matrix_elements(elements, ladder, params)
+    assert _bits(got) == _bits([_per_word_element(p, ladder, bra, ket, params)
+                                for p, bra, ket in elements])
+    assert _bits(got) == _bits([matrix_element(p, ladder, bra, ket, params)
+                                for p, bra, ket in elements])
 
 
 # --- the integer-weight column kernel against a per-symbol reference ----------
@@ -414,3 +436,112 @@ def test_root_one_products_and_cq_factors():
     c = CQ(Fraction(2, 3), Fraction(-5, 4))
     for k in (0, 1, -3, 7, Fraction(-2, 3)):
         assert c * k == c * CQ.of(k) == k * c
+
+
+# --- per-mode normal forms against the fixed-point rewriting ------------------
+
+def _reference_normal_order(poly):
+    """Fixed-point rewriting: swap the first out-of-order pair of each word, adding the
+    contraction when it is b b+ of one mode, until every word is canonical."""
+    done, pending = {}, poly.terms
+    while pending:
+        nxt = {}
+        for word, coeff in pending.items():
+            idx = next((i for i in range(len(word) - 1) if word[i] > word[i + 1]), None)
+            if idx is None:
+                rewritten = [(word, done)]
+            else:
+                a, b = word[idx], word[idx + 1]
+                rewritten = [(word[:idx] + (b, a) + word[idx + 2:], nxt)]
+                if (a, b) in ((B1_ANN, B1_CRE), (B2_ANN, B2_CRE)):
+                    rewritten.append((word[:idx] + word[idx + 2:], nxt))
+            for new_word, target in rewritten:
+                target[new_word] = target.get(new_word, ExactScalar.zero()) + coeff
+        pending = {w: c for w, c in nxt.items() if not c.is_zero()}
+    return LadderPoly(done)
+
+
+def test_normal_order_matches_the_rewriting_on_every_word_up_to_degree_6():
+    coeff = CQ(Fraction(2, 3), Fraction(-1, 5))
+    words = [w for n in range(7) for w in itertools.product(range(4), repeat=n)]
+    assert len(words) == 5461
+    for word in words:
+        poly = LadderPoly.word(word, coeff)
+        assert normal_order(poly) == _reference_normal_order(poly), word
+
+
+def test_normal_order_matches_the_rewriting_on_the_checks_messy_poly():
+    messy = ft.ft_generator_poly() * hamiltonian_formal(FT, "+") + LadderPoly.word(
+        (B2_ANN, B1_ANN, B2_CRE, B1_CRE), Fraction(3, 7)
+    )
+    assert normal_order(messy) == _reference_normal_order(messy)
+    assert normal_order(messy) != messy
+
+
+def test_vacuum_pairing_is_the_constant_term_of_the_normal_ordered_product():
+    polys = _seeded_polys(120)
+    for bra, ket in zip(polys[::2], polys[1::2]):
+        want = (bra * ket).normal_order().constant_term()
+        assert vacuum_pairing(bra, ket) == want
+        assert vacuum_pairing(bra.conjugated(), ket) == (bra.conjugated() * ket).normal_order(
+        ).constant_term()
+
+
+@pytest.mark.parametrize("word", [(B1_ANN, B1_CRE), (B2_ANN, B1_ANN, B1_CRE, B2_CRE)],
+                         ids=["b1 b1+", "b2 b1 b1+ b2+"])
+def test_cross_validation_catches_one_multiplicity_off_by_1(monkeypatch, params, word):
+    # the mutant adds 1 to the multiplicity of the empty word in one word's form
+    cfg = VerifyConfig(params=params)
+    words = {w for poly, _ in _oracle_draws(cfg.seed) for w in poly.terms}
+    assert word in words
+    assert check_oracle_cross_validation(cfg).passed
+    form = algebra._word_normal_form
+
+    def bent(w):
+        return [(c, k + 1 if w == word and not c else k) for c, k in form(w)]
+
+    assert bent(word) != form(word)
+    monkeypatch.setattr(algebra, "_word_normal_form", bent)
+    result = check_oracle_cross_validation(cfg)
+    assert not result.passed and result.deviation > 0.1
+
+
+# --- the shared zero and exact scalar equality --------------------------------
+
+def test_zero_is_one_shared_instance_that_stays_empty(params):
+    zero = ExactScalar.zero()
+    assert zero is ExactScalar.zero()
+    run_suite("all", VerifyConfig(params=params))
+    assert ExactScalar.zero() is zero
+    assert zero._coeffs == {} and zero.root == 1 and zero.is_zero()
+
+
+def _scalar_grid():
+    """Scalars on roots 1, 2, 3 and every nonempty set of unit tags, each value built twice:
+    from a dict in one tag order and by arithmetic in the other."""
+    values = [CQ(Fraction(1)), CQ(Fraction(0), Fraction(-1)), CQ(Fraction(-2, 3), Fraction(1, 2))]
+    tag_sets = [tags for n in (1, 2, 3) for tags in itertools.combinations((U_ONE, U_HW, U_IHL), n)]
+    grid = [ExactScalar.zero(), ExactScalar.of(0), ExactScalar({U_HW: CQ()}, 2)]
+    for root in (1, 2, 3):
+        for tags in tag_sets:
+            for shift in range(len(values)):
+                coeffs = {tag: values[(i + shift) % len(values)] for i, tag in enumerate(tags)}
+                grid.append(ExactScalar(coeffs, root))
+                built = ExactScalar.zero()
+                for tag in reversed(tags):
+                    built = built + ExactScalar.unit(tag, coeffs[tag]) * ExactScalar.surd(1, root)
+                grid.append(built)
+    return grid
+
+
+def test_scalar_equality_is_key_equality_and_equal_scalars_hash_alike():
+    grid = _scalar_grid()
+    equal_pairs = 0
+    for a in grid:
+        for b in grid:
+            assert (a == b) == (a.key() == b.key())
+            if a == b:
+                assert hash(a) == hash(b)
+                equal_pairs += a is not b
+    # each value equals its twin built the other way, and the zeros one another
+    assert equal_pairs == len(grid) - 3 + 6

@@ -13,8 +13,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bateman.cli import EDGE_EPSILONS, MODERATE_GRID, build_parser, main
+from bateman.cli import COMMANDS, EDGE_EPSILONS, MODERATE_GRID, build_parser, main
 from bateman.verify import SUITES
+from test_golden import CASES as GOLDEN_CASES
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -442,6 +443,40 @@ def test_config_of_defaults_matches_no_config(tmp_path, capsys, command):
     rc_ref, expected, _ = run(capsys, *reference)
     assert rc == rc_ref == 0
     assert from_file == expected
+
+
+# --- the parser of one command line --------------------------------------------
+
+def _parse(parser, argv, capsys):
+    """What parsing argv does: its namespace, or argparse's exit code and output."""
+    try:
+        return vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        out = capsys.readouterr()
+        return exc.code, out.out, out.err
+
+
+_PARSE_ARGVS = [
+    ["--help"], ["--version"], [], ["bogus"], ["bogus", "--m", "2"],
+    *([command, "--help"] for command in COMMANDS),
+    *GOLDEN_CASES.values(),
+    ["verify", "algebra", "--seed", "7"], ["verify", "--see", "7"], ["verify", "nope"],
+    ["norms", "--n1", "3"], ["spectrum", "--theta", "0.2"], ["norms", "--m"],
+]
+
+
+@pytest.mark.parametrize("argv", _PARSE_ARGVS, ids=" ".join)
+def test_parser_of_a_command_line_parses_it_as_the_full_parser(capsys, argv):
+    # help, usage errors and namespaces of the flags that argv[0] registers alone
+    assert _parse(build_parser(argv), argv, capsys) == _parse(build_parser(), argv, capsys)
+
+
+def test_parser_of_a_command_registers_only_its_flags():
+    subparsers = build_parser(["norms"])._subparsers._group_actions[0].choices
+    assert list(subparsers) == list(COMMANDS)
+    registered = {name: {a.dest for a in sp._actions} - {"help"} for name, sp in subparsers.items()}
+    assert registered["norms"] == {"m", "gamma", "k", "hbar", "format", "out", "config", "theta"}
+    assert all(not flags for name, flags in registered.items() if name != "norms")
 
 
 # --- imports ------------------------------------------------------------------
