@@ -32,13 +32,15 @@ The layers without a truncation:
   `ft.norm.closed-forms` and of that check's 16 chains at once;
 - the exact algebra: the `ft.spectrum` and `is.spectrum` sweeps (2 branches
   x 21 x 21 elements of H) and the 256-element `algebra.biorthonormality`
-  sweep, one `basis_column` per ket; the 200 seeded polynomials of
-  `algebra.cross-validation` (`verify._oracle_draws`), their normal orders
-  and vacuum pairings, and the exact and the matrix half of that check;
+  sweep, one `basis_column` per ket, read on its stored bras and the ket
+  itself as the checks read it; the 200 seeded polynomials of
+  `algebra.cross-validation` (`verify._oracle_draws`), their normal orders,
+  their vacuum pairings with the identity and their vacuum expectations,
+  and the exact and the matrix half of that check;
 - `import bateman.cli` in a fresh interpreter: the CPU time of the import
   and the peak RSS of the process;
-- `cli.build_parser`, with every subcommand's flags and with the flags of
-  `norms` alone, as `bateman norms` builds it.
+- `cli.build_parser`, with every subcommand and with the `norms` subcommand
+  alone, as `bateman norms` builds it.
 
 Accuracy references live in the tests, and each replaced route's comparison
 with its successor in the committed BENCH_6/7/10/12/14/15/19.json: a change
@@ -68,7 +70,12 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 sys.path.insert(0, str(SRC))
 
 from bateman import cli, verify  # noqa: E402
-from bateman.algebra import LadderPoly, basis_column, vacuum_pairing  # noqa: E402
+from bateman.algebra import (  # noqa: E402
+    LadderPoly,
+    basis_column,
+    vacuum_expectation,
+    vacuum_pairing,
+)
 from bateman.construction import (  # noqa: E402
     gram,
     hamiltonian_from_plain,
@@ -191,11 +198,12 @@ def norm_rows() -> list[dict]:
 
 
 def column_sweep(ops, bras, kets) -> None:
-    """Every <<m| op |n>>, one basis_column per (op, ket), as the exact sweeps read them."""
+    """Every <<m| op |n>>, one basis_column per (op, ket), as the exact sweeps read them:
+    an absent element is zero, so only the stored bras and the ket are read."""
     for op in ops:
         for n in kets:
             column = basis_column(op, *n)
-            for m in bras:
+            for m in {n, *column}.intersection(bras):
                 column.get(m)
 
 
@@ -223,6 +231,8 @@ def algebra_rows() -> list[dict]:
     one = LadderPoly.one()
     rows.append(row("vacuum_pairing", lambda: [vacuum_pairing(one, poly) for poly, _ in draws],
                     **polys))
+    rows.append(row("vacuum_expectation", lambda: [vacuum_expectation(poly) for poly, _ in draws],
+                    **polys))
     rows.append(row("_oracle_exact", lambda: verify._oracle_exact(draws), **polys))
     rows.append(row("_oracle_numeric", lambda: oracle_matrix_half(draws), **polys))
     return rows
@@ -244,7 +254,7 @@ def import_row() -> dict:
 
 
 def parser_rows() -> list[dict]:
-    """The CLI parser with every subcommand's flags, and with those `bateman norms` reads."""
+    """The CLI parser with every subcommand, and with the one `bateman norms` reads."""
     return [row("build_parser", lambda: cli.build_parser(argv), 100, argv=argv)
             for argv in (None, ["norms"])]
 

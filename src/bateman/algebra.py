@@ -34,6 +34,7 @@ __all__ = [
     "B1_ANN",
     "B2_ANN",
     "normal_order",
+    "vacuum_expectation",
     "vacuum_pairing",
     "apply_to_monomial_ket",
     "basis_column",
@@ -97,7 +98,9 @@ class CQ:
         return self.re == 0 and self.im == 0
 
     def to_complex(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        # float(Fraction) is this division, made through numbers.Rational.__float__
+        return complex(self.re.numerator / self.re.denominator,
+                       self.im.numerator / self.im.denominator)
 
     def __repr__(self) -> str:
         return f"({self.re}{'+' if self.im >= 0 else ''}{self.im}j)"
@@ -260,6 +263,8 @@ class ExactScalar:
                                     self.root)
 
     def to_complex(self, params: PhysicalParams | None = None) -> complex:
+        if not self._coeffs:
+            return 0j
         if len(self._coeffs) == 1 and U_ONE in self._coeffs:
             # the general expression below with both unit-tag terms skipped
             return self._coeffs[U_ONE].to_complex() * math.sqrt(self.root)
@@ -461,15 +466,20 @@ def normal_order(poly: LadderPoly) -> LadderPoly:
     return poly.normal_order()
 
 
-def vacuum_pairing(bra: LadderPoly, ket: LadderPoly) -> ExactScalar:
-    """<vac| bra * ket |vac>: the constant term of the normal-ordered product, read from the
-    empty word of each term's normal form without building the product's normal order."""
+def vacuum_expectation(poly: LadderPoly) -> ExactScalar:
+    """<vac| poly |vac>: the constant term of the normal-ordered poly, read from the empty
+    word of each term's normal form without building the poly's normal order."""
     total = ExactScalar.zero()
-    for word, coeff in (bra * ket)._terms.items():
+    for word, coeff in poly._terms.items():
         # only a word with zero charge in each mode has the empty word in its form
         if word.count(B1_CRE) == word.count(B1_ANN) and word.count(B2_CRE) == word.count(B2_ANN):
             total = total + coeff._scaled(dict(_word_normal_form(word)).get((), 0))
     return total
+
+
+def vacuum_pairing(bra: LadderPoly, ket: LadderPoly) -> ExactScalar:
+    """<vac| bra * ket |vac>."""
+    return vacuum_expectation(bra * ket)
 
 
 def apply_to_monomial_ket(op: LadderPoly, n1: int, n2: int) -> dict[tuple[int, int], ExactScalar]:
@@ -513,21 +523,27 @@ def basis_column(op: LadderPoly, n1: int, n2: int) -> dict[tuple[int, int], Exac
     """
     amplitudes = apply_to_monomial_ket(op, n1, n2)
     ket_norm = math.factorial(n1) * math.factorial(n2)
-    column: dict[tuple[int, int], ExactScalar] = {}
-    for (m1, m2), amp in amplitudes.items():
-        ratio = Fraction(math.factorial(m1) * math.factorial(m2), ket_norm)
-        # sqrt(p/q) = sqrt(p*q)/q
-        s, d = _square_split(ratio.numerator * ratio.denominator)
-        norm = Fraction(s, ratio.denominator)
-        column[(m1, m2)] = amp * norm if d == 1 else amp * ExactScalar.surd(norm, d)
-    return column
+    return {bra: _normalized(amp, *bra, ket_norm) for bra, amp in amplitudes.items()}
+
+
+def _normalized(amp: ExactScalar, m1: int, m2: int, ket_norm: int) -> ExactScalar:
+    """A monomial amplitude on b1+^m1 b2+^m2 |vac> times sqrt(m1! m2! / ket_norm)."""
+    ratio = Fraction(math.factorial(m1) * math.factorial(m2), ket_norm)
+    # sqrt(p/q) = sqrt(p*q)/q
+    s, d = _square_split(ratio.numerator * ratio.denominator)
+    norm = Fraction(s, ratio.denominator)
+    return amp * norm if d == 1 else amp * ExactScalar.surd(norm, d)
 
 
 def basis_matrix_element(m1: int, m2: int, op: LadderPoly, n1: int, n2: int) -> ExactScalar:
-    """<<m1, m2| op |n1, n2>>: one lookup in basis_column(op, n1, n2)."""
+    """<<m1, m2| op |n1, n2>>: the element of basis_column(op, n1, n2) at (m1, m2), with only
+    that amplitude normalized."""
     if min(m1, m2, n1, n2) < 0:
         raise DomainError("occupation numbers must be >= 0")
-    return basis_column(op, n1, n2).get((m1, m2), ExactScalar.zero())
+    amp = apply_to_monomial_ket(op, n1, n2).get((m1, m2))
+    if amp is None:
+        return ExactScalar.zero()
+    return _normalized(amp, m1, m2, math.factorial(n1) * math.factorial(n2))
 
 
 def _symbol_matrices(ladder) -> dict[int, Operator]:
@@ -577,6 +593,7 @@ def matrix_elements(elements: list[tuple[LadderPoly, tuple[int, int], tuple[int,
         for step in enumerate(reversed(word)):
             steps.setdefault(step, []).append(col)
     for (_, sym), cols in sorted(steps.items()):
+        cols = np.array(cols, dtype=np.intp)
         block[:, cols] = symbol_map[sym] @ block[:, cols]
     read = iter(block[bras, columns])
     out = []
@@ -594,15 +611,38 @@ def matrix_element(poly: LadderPoly, ladder, bra: tuple[int, int], ket: tuple[in
     return matrix_elements([(poly, bra, ket)], ladder, params)[0]
 
 
+#: Fraction(n, d) at index 9 * (n + 9) + d - 1, for n in -9..9 and d in 1..9
+_DRAWN_FRACTIONS = tuple(Fraction(n, d) for n in range(-9, 10) for d in range(1, 10))
+
+
+def _randint(bits, low: int, high: int) -> int:
+    """rng.randint(low, high) drawn from bits = rng.getrandbits, by CPython's rejection rule
+    (Random._randbelow_with_getrandbits): k = n.bit_length() bits, redrawn while r >= n."""
+    n = high - low + 1
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return low + r
+
+
 def random_poly(rng, max_degree: int = 6, max_terms: int = 5) -> LadderPoly:
-    """Random exact polynomial for the oracle-vs-matrix validation suite."""
+    """Random exact polynomial for the oracle-vs-matrix validation suite.
+
+    The draws are rng.randint's, in the same order: the number of terms, then
+    per term the word's length, its symbols and the coefficient's numerators
+    and denominators.
+    """
+    bits = rng.getrandbits
     terms: dict[Word, ExactScalar] = {}
-    for _ in range(rng.randint(1, max_terms)):
-        length = rng.randint(0, max_degree)
-        word = tuple(rng.randint(0, 3) for _ in range(length))
-        coeff = CQ(
-            Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
-            Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
-        )
-        _accumulate(terms, word, ExactScalar._checked({U_ONE: coeff}, 1))
+    for _ in range(_randint(bits, 1, max_terms)):
+        word = tuple(_randint(bits, 0, 3) for _ in range(_randint(bits, 0, max_degree)))
+        re, im = (_DRAWN_FRACTIONS[9 * (_randint(bits, -9, 9) + 9) + _randint(bits, 1, 9) - 1]
+                  for _ in range(2))
+        if re or im:
+            coeff = object.__new__(ExactScalar)
+            coeff._coeffs, coeff.root = {U_ONE: CQ(re, im)}, 1
+        else:
+            coeff = _ZERO
+        _accumulate(terms, word, coeff)
     return LadderPoly._checked(terms)

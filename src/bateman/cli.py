@@ -436,20 +436,24 @@ _SUBCOMMANDS = {
 
 
 def build_parser(argv=None) -> argparse.ArgumentParser:
-    """Every subcommand with its help line; only the one that argv[0] names gets its flags,
-    or all of them without such an argv.  Registering flags is most of the parser's cost,
-    and a command line is parsed by its own subcommand alone."""
+    """The subcommand that argv[0] names, or every subcommand without such an argv.
+
+    A command line is parsed by its own subcommand alone.  A lone subcommand
+    shows in usage and errors as the metavar of all five names, so they read as
+    the full parser's.  The full parser has no metavar: one would rename the
+    command in its "required" and "invalid choice" errors.
+    """
     parser = argparse.ArgumentParser(
         prog="bateman",
         description="Two-mode ladder constructions for the damped/amplified oscillator pair.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
     named = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
-    for name, (help_line, flags) in _SUBCOMMANDS.items():
+    metavar = None if named is None else "{" + ",".join(_SUBCOMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in _SUBCOMMANDS if named is None else [named]:
+        help_line, flags = _SUBCOMMANDS[name]
         sp = sub.add_parser(name, help=help_line)
-        if named not in (None, name):
-            continue
         if name == "verify":
             sp.add_argument("suite", nargs="?", default="all",
                             choices=("algebra", "ft", "is", "dynamics", "all"))

@@ -34,6 +34,7 @@ from bateman.algebra import (
     normal_order,
     random_poly,
     to_matrix,
+    vacuum_expectation,
     vacuum_pairing,
 )
 from bateman.errors import DomainError, MixedUnitError
@@ -545,3 +546,76 @@ def test_scalar_equality_is_key_equality_and_equal_scalars_hash_alike():
                 equal_pairs += a is not b
     # each value equals its twin built the other way, and the zeros one another
     assert equal_pairs == len(grid) - 3 + 6
+
+
+# --- the oracle's draws, exact half and element reads -------------------------
+
+def _randint_poly(rng, max_degree=6, max_terms=5):
+    """random_poly as rng.randint draws it: the reference for the getrandbits draws."""
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        length = rng.randint(0, max_degree)
+        word = tuple(rng.randint(0, 3) for _ in range(length))
+        coeff = CQ(Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+                   Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+        algebra._accumulate(terms, word, ExactScalar._checked({U_ONE: coeff}, 1))
+    return LadderPoly._checked(terms)
+
+
+def test_random_poly_draws_what_randint_draws():
+    # a Python release that changes randint's rejection rule fails here
+    for seed in range(300):
+        rng, reference = random.Random(seed), random.Random(seed)
+        for _ in range(50):
+            got, want = random_poly(rng), _randint_poly(reference)
+            assert got == want and list(got.terms) == list(want.terms)
+        assert rng.randint(0, 10**6) == reference.randint(0, 10**6)
+    rng, reference = random.Random(7), random.Random(7)
+    for degree, terms in ((0, 1), (1, 2), (5, 4), (9, 8)):
+        assert random_poly(rng, degree, terms) == _randint_poly(reference, degree, terms)
+    assert rng.getstate() == reference.getstate()
+
+
+def test_vacuum_pairing_is_the_expectation_of_the_product():
+    polys = _seeded_polys(120)
+    for bra, ket in zip(polys[::2], polys[1::2]):
+        assert vacuum_pairing(bra, ket) == vacuum_expectation(bra * ket)
+        assert vacuum_pairing(bra.conjugated(), ket) == vacuum_expectation(bra.conjugated() * ket)
+    assert vacuum_expectation(LadderPoly.one()) == ExactScalar.of(1)
+    assert vacuum_expectation(LadderPoly.zero()) is ExactScalar.zero()
+
+
+def test_basis_matrix_element_is_its_basis_column_entry():
+    # occupations up to 4 give factorial ratios such as 3!/1! = 6, whose square roots are surds
+    occupations = [(a, b) for a in range(5) for b in range(5)]
+    zero = ExactScalar.zero()
+    surds = 0
+    for op in [_surd_poly(), hamiltonian_from_plain(FT, +1), *_seeded_polys(12)]:
+        for n1, n2 in occupations:
+            column = basis_column(op, n1, n2)
+            for m1, m2 in occupations:
+                got = basis_matrix_element(m1, m2, op, n1, n2)
+                assert got == column.get((m1, m2), zero)
+                surds += got.root != 1
+    assert surds > 0
+
+
+def test_cq_to_complex_is_float_of_each_part():
+    parts = [Fraction(n, d) for n in (-7, -1, 0, 1, 3, 10**15 + 1, 2**53 + 1, -(3**40))
+             for d in (1, 3, 7, 2**60, 10**20 + 3)]
+    for re in parts:
+        for im in parts[::3]:
+            got, want = CQ(re, im).to_complex(), complex(float(re), float(im))
+            assert np.array([got]).tobytes() == np.array([want]).tobytes()
+    huge = Fraction(10**400, 3)
+    for value in (CQ(huge), CQ(Fraction(1), -huge)):
+        with pytest.raises(OverflowError):
+            complex(float(value.re), float(value.im))
+        with pytest.raises(OverflowError):
+            value.to_complex()
+
+
+def test_zero_scalar_evaluates_to_zero_with_and_without_params(params):
+    for zero in (ExactScalar.zero(), ExactScalar.of(0), ExactScalar({U_HW: CQ()}, 2)):
+        for got in (zero.to_complex(), zero.to_complex(params)):
+            assert type(got) is complex and np.array([got]).tobytes() == np.array([0j]).tobytes()
