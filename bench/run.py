@@ -15,11 +15,13 @@ The truncated layers run at the n_max that `verify` resolves by default
   charge it conserves, with the number of sectors and of stacks;
 - the similarity reads: `construction.similarity_deviation` of e^{0.3 X} and
   e^{0.3i Z}, and `ft.ft_basis_similarity` of the states (0,0), (1,0), (2,1);
-- the bounded frame's whole checks `is.vacuum` (both annihilators and
-  creators against e_(0,0), and the mixing determinant) and
-  `is.matrix-element` (the eigenvector residuals of the 21 states with
-  n1 + n2 <= 5, fewer below n_max 7, on both branches), on the cached ladder
-  that `verify` uses;
+- the whole checks that call `fock.sector_exp` on every sector,
+  `algebra.h-structure` (the non-unitarity of e^{0.3 X}, stack by stack)
+  and `ft.exp-inverse` (e^{theta X} e^{-theta X} at theta 0.3), and the
+  bounded frame's whole checks `is.vacuum` (both annihilators and creators
+  against e_(0,0), and the mixing determinant) and `is.matrix-element` (the
+  eigenvector residuals of the 21 states with n1 + n2 <= 5, fewer below
+  n_max 7, on both branches), on the cached ladder that `verify` uses;
 - `construction.identity_report` at each route's decoupling angle, the ladder
   product a1 @ a2 and `fock.commutator(H0, H1)`;
 - `construction.gram` in the rotation frame at theta 0.3 and in the bounded
@@ -33,7 +35,8 @@ The layers without a truncation:
 - the exact algebra: the `ft.spectrum` and `is.spectrum` sweeps (2 branches
   x 21 x 21 elements of H) and the 256-element `algebra.biorthonormality`
   sweep, one `basis_column` per ket, read on its stored bras and the ket
-  itself as the checks read it; the 200 seeded polynomials of
+  itself as the checks read it, and next to each sweep its whole check,
+  which also makes the exact compares; the 200 seeded polynomials of
   `algebra.cross-validation` (`verify._oracle_draws`), their normal orders,
   their vacuum pairings with the identity and their vacuum expectations,
   and the exact and the matrix half of that check;
@@ -166,7 +169,8 @@ def truncated_rows(n_max: int) -> list[dict]:
                     **at, states=len(BASIS_STATES)))
     bounded = bounded_frame(CHI_Q, lad)
     cfg = verify.VerifyConfig(params=PARAMS, n_max=n_max)
-    for check in (verify.check_is_vacuum, verify.check_is_matrix_element):
+    for check in (verify.check_h_structure, verify.check_exp_inverse, verify.check_is_vacuum,
+                  verify.check_is_matrix_element):
         rows.append(row("check", lambda: check(cfg), **at, check=check.check_id))
     for route, con in (("ft", FT), ("is", IS)):
         modes = transform(con, con.quarter(+1), lad)
@@ -219,9 +223,14 @@ def algebra_rows() -> list[dict]:
     sweeps = {f"{name}.spectrum": ([hamiltonian_from_plain(con, b) for b in (+1, -1)],
                                    states, states) for name, con in (("ft", FT), ("is", IS))}
     sweeps["algebra.biorthonormality"] = ([LadderPoly.one()], occupations, occupations)
-    rows = [row("basis_column_sweep", lambda: column_sweep(ops, bras, kets), sweep=name,
-                elements=len(ops) * len(bras) * len(kets))
-            for name, (ops, bras, kets) in sweeps.items()]
+    checks = {"ft.spectrum": verify.check_ft_spectrum, "is.spectrum": verify.check_is_spectrum,
+              "algebra.biorthonormality": verify.check_biorthonormality}
+    cfg = verify.VerifyConfig(params=PARAMS)
+    rows = []
+    for name, (ops, bras, kets) in sweeps.items():
+        rows.append(row("basis_column_sweep", lambda: column_sweep(ops, bras, kets), sweep=name,
+                        elements=len(ops) * len(bras) * len(kets)))
+        rows.append(row("check", lambda: checks[name](cfg), check=name))
     seed = verify.VerifyConfig.seed
     draws = verify._oracle_draws(seed)
     polys = {"polys": len(draws)}

@@ -187,18 +187,6 @@ class ExactScalar:
                 return c.re
         return None
 
-    def as_integer_pair(self) -> tuple[int, int]:
-        """Interpret as p*hw + q*ihl with integer p, q; raises otherwise."""
-        if self.root != 1 or not self.coeff(U_ONE).is_zero():
-            raise DomainError(f"not an integer unit pair: {self!r}")
-        pair = []
-        for tag in (U_HW, U_IHL):
-            c = self.coeff(tag)
-            if c.im != 0 or c.re.denominator != 1:
-                raise DomainError(f"not an integer unit pair: {self!r}")
-            pair.append(int(c.re))
-        return pair[0], pair[1]
-
     # -- arithmetic --------------------------------------------------------
     def __add__(self, other: "ExactScalar") -> "ExactScalar":
         other = ExactScalar.of(other)
@@ -365,9 +353,6 @@ class LadderPoly:
 
     def degree(self) -> int:
         return max((len(w) for w in self._terms), default=0)
-
-    def constant_term(self) -> ExactScalar:
-        return self._terms.get((), ExactScalar.zero())
 
     def is_zero(self) -> bool:
         return not self._terms

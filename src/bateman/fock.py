@@ -21,16 +21,16 @@ product is bit for bit its columns' products.  A vector may stand on the
 left (`v @ A`), a block may not.
 State vectors and Gram matrices stay dense numpy arrays.  The one cubic
 kernel, the exponential, runs on the sectors of a charge that the caller
-declares, one label per state (`FockSpace` holds n1 - n2 and n1 + n2);
-`sectors` checks that every nonzero entry lies inside one, nothing is
-discovered from the pattern.  `block_stacks` gathers the sectors of each
-shape into one dense (k, r, c) stack, and the kernel makes one batched Padé
-scaling and squaring per stack, so small blocks do not pay one LAPACK call
-(and one BLAS thread start-up) each.  That kernel, `sector_exp`,
-exponentiates only the sectors that hold the states a caller reads:
-`exp_block` reads a dense block of e^a from them, `intertwining_deviation`
-the block around a low-occupation window, and `matrix_exp` runs it over
-every sector.  numpy is the only numerical dependency.
+declares, one label per state (`FockSpace` holds n1 - n2 and n1 + n2).
+That kernel, `sector_exp`, checks that every nonzero entry lies inside one
+sector, nothing is discovered from the pattern; it gathers the sectors of
+each size into one dense (k, r, r) stack and makes one batched Padé scaling
+and squaring per stack, so small blocks do not pay one LAPACK call (and one
+BLAS thread start-up) each.  It exponentiates only the sectors that hold
+the states a caller reads: `exp_block` reads a dense block of e^a from
+them, `intertwining_deviation` the block around a low-occupation window,
+and `matrix_exp` runs it over every sector.  numpy is the only numerical
+dependency.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
 
 import numpy as np
 
@@ -53,7 +52,6 @@ __all__ = [
     "LadderSet",
     "HamiltonianSet",
     "identity",
-    "coordinates",
     "from_coordinates",
     "dense",
     "single_mode_lowering",
@@ -61,8 +59,6 @@ __all__ = [
     "build_hamiltonian",
     "commutator",
     "max_abs",
-    "sectors",
-    "block_stacks",
     "interior_mask",
     "interior_deviation",
     "low_block",
@@ -91,11 +87,6 @@ class FockSpace:
 
     def occupations(self, idx: int) -> tuple[int, int]:
         return divmod(idx, self.n_max + 1)
-
-    def iter_occupations(self) -> Iterator[tuple[int, int]]:
-        for n1 in range(self.n_max + 1):
-            for n2 in range(self.n_max + 1):
-                yield n1, n2
 
     @cached_property
     def difference(self) -> np.ndarray:
@@ -157,11 +148,7 @@ class Operator:
     def __sub__(self, other):
         if not isinstance(other, Operator):
             return NotImplemented
-        n = self._same_shape(other)
-        out = dict(self.diagonals)
-        for k, w in other.diagonals.items():
-            out[k] = -w if k not in out else out[k] - w
-        return Operator(n, dict(sorted(out.items())))
+        return self + (-other)  # IEEE a + (-b) is a - b, bit for bit
 
     def __neg__(self) -> Operator:
         return self._map(np.negative)
@@ -242,19 +229,6 @@ class Operator:
 
 def identity(n: int) -> Operator:
     return Operator(n, {0: np.ones(n, dtype=complex)})
-
-
-def coordinates(a: Operator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rows, cols, values) of the nonzero entries of a, diagonal by diagonal."""
-    n = a.shape[0]
-    rows, cols, values = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)], [
-        np.zeros(0, dtype=a.dtype)]
-    for k, w in a.diagonals.items():
-        hit = np.flatnonzero(w)
-        rows.append(hit + _rows(k, n)[0])
-        cols.append(rows[-1] + k)
-        values.append(w[hit])
-    return np.concatenate(rows), np.concatenate(cols), np.concatenate(values)
 
 
 def from_coordinates(rows, cols, values, n: int) -> Operator:
@@ -464,75 +438,6 @@ def _ascending_product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return np.add.reduce(left.T[:, :, None] * right[:, None, :], axis=0)
 
 
-def sectors(rows: np.ndarray, cols: np.ndarray, row_charge: np.ndarray,
-            col_charge: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The (rows, cols) of each charge of a matrix that joins only equal charges.
-
-    rows[k], cols[k] is the k-th nonzero entry (as from `coordinates`); row i
-    carries row_charge[i] and column j col_charge[j].  One vectorized
-    comparison checks that every entry joins equal charges, and raises
-    DomainError if one does not.  One pair per charge, ascending, with
-    ascending indices; a charge that only rows (or columns) carry gets an
-    empty other side.
-    """
-    crossing = np.flatnonzero(row_charge[rows] != col_charge[cols])
-    if crossing.size:
-        r, c = rows[crossing[0]], cols[crossing[0]]
-        raise DomainError(f"{crossing.size} entries lie outside the declared sectors, first "
-                          f"({r}, {c}): row label {row_charge[r]}, column label {col_charge[c]}")
-    labels, owner = np.unique(np.concatenate([row_charge, col_charge]), return_inverse=True)
-    sides = []
-    for side in np.split(owner, [len(row_charge)]):
-        ends = np.cumsum(np.bincount(side, minlength=len(labels))).tolist()
-        order = np.argsort(side, kind="stable")
-        sides.append([order[start:end] for start, end in zip([0, *ends], ends)])
-    return list(zip(*sides))
-
-
-def block_stacks(coords: tuple[np.ndarray, np.ndarray, np.ndarray], shape: tuple[int, int],
-                 parts: list[tuple[np.ndarray, np.ndarray]]
-                 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The (rows, cols) blocks in parts, grouped by shape and gathered as dense stacks.
-
-    coords is (rows, cols, values) of the nonzero entries of a matrix of the
-    given shape, as `coordinates` returns them.  One (rows, cols, dense)
-    triple per distinct block shape (r, c), in ascending order of r, then c:
-    rows is (k, r), cols is (k, c) and dense is (k, r, c), the matrix on
-    np.ix_(rows[j], cols[j]) at dense[j], for the k blocks of that shape in
-    the order of parts.  parts must be disjoint and hold every nonzero
-    entry, as the pairs that `sectors` returns do.  Every stack is a view of
-    one buffer that a single scatter of the values fills.
-    """
-    n_rows = np.array([len(rows) for rows, _ in parts], dtype=np.intp)
-    n_cols = np.array([len(cols) for _, cols in parts], dtype=np.intp)
-    _, kind, count = np.unique(n_rows * (shape[1] + 1) + n_cols,
-                               return_inverse=True, return_counts=True)
-    order = np.argsort(kind, kind="stable")
-    n_rows, n_cols = n_rows[order], n_cols[order]
-    row_idx = np.concatenate([parts[j][0] for j in order])
-    col_idx = np.concatenate([parts[j][1] for j in order])
-    # buffer offset of each block, and of its first index in row_idx and col_idx
-    size = n_rows * n_cols
-    start, row_start, col_start = (np.cumsum(n) - n for n in (size, n_rows, n_cols))
-    # entry (i, j) of the matrix lands at row_base[i] + col_local[j]
-    owner = np.repeat(np.arange(len(order)), n_rows)
-    row_base = np.zeros(shape[0], dtype=np.intp)
-    row_base[row_idx] = (start[owner]
-                         + (np.arange(len(row_idx)) - row_start[owner]) * n_cols[owner])
-    col_local = np.zeros(shape[1], dtype=np.intp)
-    col_local[col_idx] = np.arange(len(col_idx)) - np.repeat(col_start, n_cols)
-    rows, cols, values = coords
-    buffer = np.zeros(size.sum(), dtype=values.dtype)
-    buffer[row_base[rows] + col_local[cols]] = values
-    stacks = []
-    for j, k in zip(np.cumsum(count) - count, count):
-        r, c = n_rows[j], n_cols[j]
-        stacks.append((row_idx[row_start[j]:row_start[j] + k * r].reshape(k, r),
-                       col_idx[col_start[j]:col_start[j] + k * c].reshape(k, c),
-                       buffer[start[j]:start[j] + k * r * c].reshape(k, r, c)))
-    return stacks
-
-
 #: Padé degree m -> largest 1-norm at which the [m/m] approximant of e^A is exact to double
 #: precision in backward error (Higham, SIAM J. Matrix Anal. Appl. 26 (2005), Table 2.3)
 _PADE_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1, 7: 9.504178996162932e-1,
@@ -632,36 +537,65 @@ def sector_exp(a: Operator, charge: np.ndarray, states=None
                ) -> list[tuple[np.ndarray, np.ndarray]]:
     """e^a on the sectors of charge that hold one of states (every sector for None).
 
-    a must join only states of equal charge (`sectors` checks every nonzero
-    entry, those outside the sectors read too), so e^a is the direct sum of
-    the exponentials of its sectors and exactly 0 between them.  The sectors
-    read are gathered as one dense stack per size (`block_stacks`) and each
-    stack is exponentiated at once (`_stack_exp`), with finiteness guards on
-    input and output.  One (indices, blocks) pair per stack: indices is
-    (k, r) and blocks[j] is e^a on np.ix_(indices[j], indices[j]).  A real a
-    (every imaginary part 0) runs in real arithmetic and gives real blocks.
-    Each block is computed from its own sector alone, so it is bit for bit
-    the same whichever other sectors are read with it.
+    a must join only states of equal charge: every nonzero entry is checked,
+    those outside the sectors read too, so e^a is the direct sum of the
+    exponentials of its sectors and exactly 0 between them.  The sectors read
+    are ordered by size, then by charge, and one pass over the stored
+    diagonals scatters their entries into one buffer, of which each size's
+    (k, r, r) stack is a view; each stack is exponentiated at once
+    (`_stack_exp`), with finiteness guards on input and output.  One
+    (indices, blocks) pair per size, ascending: indices is (k, r), with the
+    sectors in ascending charge and each sector's states ascending, and
+    blocks[j] is e^a on np.ix_(indices[j], indices[j]).  A real a (every
+    imaginary part 0) runs in real arithmetic and gives real blocks.  Each
+    block is computed from its own sector alone, so it is bit for bit the
+    same whichever other sectors are read with it.
     """
     _check_charge(a, charge)
-    rows, cols, values = coordinates(a)
-    values = values.astype(complex)
-    if not np.all(np.isfinite(values)):
+    n = a.shape[0]
+    diagonals = a.diagonals.items()
+    if not all(np.isfinite(w).all() for _, w in diagonals):
         raise NumericalError("matrix_exp input contains non-finite entries")
-    if not values.imag.any():
-        values = values.real
-    parts = sectors(rows, cols, charge, charge)
-    if states is not None:
-        hot = np.isin(charge, charge[states])  # the states of the sectors read
-        parts = [part for part in parts if hot[part[0][0]]]
-        inside = hot[rows]
-        rows, cols, values = rows[inside], cols[inside], values[inside]
-    if not parts:
-        return []
+    real = not any(np.imag(w).any() for _, w in diagonals)
+    _, sector, count = np.unique(charge, return_inverse=True, return_counts=True)
+    members = np.argsort(sector, kind="stable")  # sector by sector, ascending state in each
+    ends = np.cumsum(count)
+    read = np.zeros(len(count), dtype=bool)
+    read[sector if states is None else sector[states]] = True
+    group = np.flatnonzero(read)
+    group = group[np.argsort(count[group], kind="stable")]
+    size = count[group]
+    start = np.cumsum(size * size) - size * size  # of each sector's block in the buffer
+    # entry (r, c) of a sector read lands at row_at[r] + local[c]
+    local = np.empty(n, dtype=np.intp)
+    local[members] = np.arange(n) - np.repeat(ends - count, count)
+    block_at = np.zeros(len(count), dtype=np.intp)
+    block_at[group] = start
+    row_at = block_at[sector] + local * count[sector]
+    buffer = np.zeros(int((size * size).sum()), dtype=float if real else complex)
+    crossing = []
+    for k, w in diagonals:
+        hit = np.flatnonzero(w)  # a stored 0 may join two charges
+        rows = hit + max(0, -k)
+        cols = rows + k
+        off = np.flatnonzero(charge[rows] != charge[cols])
+        if off.size:
+            crossing.append((rows[off], cols[off]))
+        elif not crossing:
+            keep = read[sector[rows]]
+            buffer[row_at[rows[keep]] + local[cols[keep]]] = (w.real if real else w)[hit[keep]]
+    if crossing:
+        r, c = (int(side[0]) for side in crossing[0])
+        raise DomainError(f"{sum(len(rows) for rows, _ in crossing)} entries lie outside the "
+                          f"declared sectors, first ({r}, {c}): row label {charge[r]}, column "
+                          f"label {charge[c]}")
+    firsts = np.flatnonzero(np.diff(size, prepend=0)).tolist()
     out = []
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is caught below
-        for idx, _, stack in block_stacks((rows, cols, values), a.shape, parts):
-            blocks = _stack_exp(stack)
+        for j, stop in zip(firsts, firsts[1:] + [len(group)]):
+            r = int(size[j])
+            idx = members[(ends[group[j:stop]] - r)[:, None] + np.arange(r)]
+            blocks = _stack_exp(buffer[start[j]:start[j] + (stop - j) * r * r].reshape(-1, r, r))
             if not np.all(np.isfinite(blocks)):
                 raise NumericalError("matrix_exp overflowed; argument norm too large")
             out.append((idx, blocks))

@@ -14,7 +14,14 @@ import pytest
 
 from bateman import algebra, dynamics, ft, imagscale
 from bateman.algebra import LadderPoly
-from bateman.construction import gram, hamiltonian_formal, identity_report, transform, xy_operators
+from bateman.construction import (
+    Eigen,
+    gram,
+    hamiltonian_formal,
+    identity_report,
+    transform,
+    xy_operators,
+)
 from bateman.errors import BatemanError
 from bateman.fock import (
     Operator,
@@ -53,7 +60,7 @@ def test_exact_spectra_first_mixing(capsys):
             for n1 in range(6):
                 for n2 in range(6 - n1):
                     got = algebra.basis_matrix_element(n1, n2, h, n1, n2)
-                    assert got.as_integer_pair() == (n1 - n2, branch * (n1 + n2 + 1))
+                    assert got == Eigen(n1, n2, branch, n1 - n2, branch * (n1 + n2 + 1)).exact()
                     checked += 1
         return f"{checked} diagonal elements exact, zero tolerance"
 
@@ -69,7 +76,7 @@ def test_exact_spectra_second_mixing(capsys):
                 for n2 in range(6 - n1):
                     got = algebra.basis_matrix_element(n1, n2, h, n1, n2)
                     want = (n1 + n2 + 1, branch * (n1 - n2))
-                    assert got.as_integer_pair() == want
+                    assert got == Eigen(n1, n2, branch, *want).exact()
                     assert want[0] >= 1  # real part never dips below hbar*omega
                     checked += 1
         return f"{checked} diagonal elements exact, real parts >= hbar*omega"

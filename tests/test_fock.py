@@ -1,21 +1,21 @@
 """Truncated two-mode ladder matrices: structure, commutators, exponentials."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+from bateman import fock
 from bateman.errors import DimensionMismatch, DomainError, NumericalError
 from bateman.fock import (
     FockSpace,
     Operator,
     _pade_choice,
-    block_stacks,
     build_hamiltonian,
     build_ladder,
     commutator,
-    coordinates,
     dense,
     exp_block,
     from_coordinates,
@@ -28,7 +28,6 @@ from bateman.fock import (
     max_abs,
     position_operators,
     sector_exp,
-    sectors,
     single_mode_lowering,
     window_mask,
 )
@@ -37,6 +36,20 @@ from bateman.fock import (
 def as_operator(m: np.ndarray) -> Operator:
     rows, cols = np.nonzero(m)
     return from_coordinates(rows, cols, m[rows, cols], len(m))
+
+
+def with_entries(op: Operator, entries) -> Operator:
+    """op with (row, col, value) entries added where op holds none."""
+    full = dense(op)
+    rows, cols = np.nonzero(full)
+    extra_rows, extra_cols, extra_values = zip(*entries)
+    return from_coordinates(np.append(rows, extra_rows), np.append(cols, extra_cols),
+                            np.append(full[rows, cols], extra_values), op.shape[0])
+
+
+def occupations(n_max: int) -> list[tuple[int, int]]:
+    """Every (n1, n2) in flat-index order."""
+    return [(n1, n2) for n1 in range(n_max + 1) for n2 in range(n_max + 1)]
 
 
 def n1_and_n2_parity(space: FockSpace) -> np.ndarray:
@@ -53,7 +66,7 @@ def test_space_indexing():
     assert space.occupations(space.index(3, 2)) == (3, 2)
     with pytest.raises(DomainError):
         space.index(5, 0)
-    assert len(list(space.iter_occupations())) == 25
+    assert [space.occupations(i) for i in range(space.dim)] == occupations(4)
 
 
 def test_min_n_max_enforced():
@@ -104,7 +117,7 @@ def test_interior_projector_margin(ladder8):
     keep = interior_mask(space, 2)
     assert keep.dtype == bool and int(keep.sum()) == 7 * 7
     assert all(keep[space.index(n1, n2)] == (n1 <= 6 and n2 <= 6)
-               for n1, n2 in space.iter_occupations())
+               for n1, n2 in occupations(space.n_max))
     with pytest.raises(DomainError):
         interior_mask(space, -1)
     with pytest.raises(DomainError):
@@ -130,7 +143,7 @@ def test_window_mask(ladder8):
     keep = window_mask(ladder8.space, 3)
     assert int(keep.sum()) == 10  # states with n1+n2 <= 3
     # reference: the mask state by state in flat-index order
-    want = [n1 + n2 <= 3 for n1, n2 in ladder8.space.iter_occupations()]
+    want = [n1 + n2 <= 3 for n1, n2 in occupations(8)]
     assert keep.dtype == bool and keep.tolist() == want
     with pytest.raises(DomainError):
         window_mask(ladder8.space, -1)
@@ -138,7 +151,7 @@ def test_window_mask(ladder8):
 
 def test_space_charges():
     space = FockSpace(3)
-    for i, (n1, n2) in enumerate(space.iter_occupations()):
+    for i, (n1, n2) in enumerate(occupations(3)):
         assert (space.difference[i], space.total[i]) == (n1 - n2, n1 + n2)
     assert space.difference is space.difference  # computed once per space
 
@@ -164,44 +177,38 @@ def test_blocks_partition_and_reassemble(connected_blocks):
 
 
 def stacked_pair(top, bottom, charge: np.ndarray) -> tuple[tuple, tuple, tuple]:
-    """Coordinates, shape and (row, column) charges of the (2n, n) matrix of top over bottom."""
+    """Pattern, shape and (row, column) charges of the (2n, n) matrix of top over bottom."""
     n = top.shape[0]
-    (r1, c1, v1), (r2, c2, v2) = coordinates(top), coordinates(bottom)
-    return ((np.concatenate([r1, r2 + n]), np.concatenate([c1, c2]), np.concatenate([v1, v2])),
-            (2 * n, n), (np.tile(charge, 2), charge))
+    return (np.nonzero(np.vstack([dense(top), dense(bottom)])), (2 * n, n),
+            (np.tile(charge, 2), charge))
 
 
 @pytest.mark.parametrize("n_max", [2, 5, 8])
-def test_blocks_of_csr_match_dense_pattern(n_max, params, connected_blocks):
-    # the coordinates of an operator and of its dense pattern give one partition,
-    # and block_stacks gathers every declared sector as its dense block
+def test_blocks_of_csr_match_dense_pattern(n_max, params, monkeypatch):
+    # with the kernel made the identity, sector_exp returns the blocks it gathers
+    # from the stored diagonals: every sector, and each one the dense block
     from bateman.ft import generator_matrix
     from bateman.imagscale import bounded_frame, generator_y_matrix
 
     lad = build_ladder(n_max)
     space = lad.space
     rep = bounded_frame(1j * math.pi / 4, lad)
-    cases = [(coordinates(op), op.shape, dense(op), (charge, charge))
-             for op, charge in ((generator_matrix(lad), space.difference),
-                                (generator_y_matrix(lad.a2, lad.a2_dag), n1_and_n2_parity(space)),
-                                (build_hamiltonian(rep.ladder, params).h, space.total))]
-    coords, shape, (row_charge, col_charge) = stacked_pair(rep.ann1, rep.ann2, rep.charge)
-    cases.append((coords, shape, np.vstack([dense(rep.ann1), dense(rep.ann2)]),
-                  (row_charge, col_charge - 1)))
-    for coords, shape, full, (row_charge, col_charge) in cases:
-        got = connected_blocks(*coords[:2], shape)
-        want = connected_blocks(*np.nonzero(full), full.shape)
-        assert [(list(r), list(c)) for r, c in got] == [(list(r), list(c)) for r, c in want]
-        parts = sectors(*coords[:2], row_charge, col_charge)
-        assert sorted(np.concatenate([r for r, _ in parts])) == list(range(shape[0]))
-        assert sorted(np.concatenate([c for _, c in parts])) == list(range(shape[1]))
-        stacked = [(list(r), list(c), block)
-                   for rows, cols, stack in block_stacks(coords, shape, parts)
-                   for r, c, block in zip(rows, cols, stack)]
-        assert sorted((r, c) for r, c, _ in stacked) == sorted(
-            (list(r), list(c)) for r, c in parts)
-        for r, c, block in stacked:
-            assert np.array_equal(block, full[np.ix_(r, c)])
+    monkeypatch.setattr(fock, "_stack_exp", lambda stack: stack)
+    for op, charge in ((generator_matrix(lad), space.difference),
+                       (generator_y_matrix(lad.a2, lad.a2_dag), n1_and_n2_parity(space)),
+                       (build_hamiltonian(rep.ladder, params).h, rep.charge)):
+        full = dense(op)
+        stacks = sector_exp(op, charge)
+        assert [idx.shape[1] for idx, _ in stacks] == sorted({idx.shape[1] for idx, _ in stacks})
+        read = np.concatenate([idx.ravel() for idx, _ in stacks])
+        assert sorted(read) == list(range(space.dim))
+        for idx, blocks in stacks:
+            # one sector per row of idx, ascending in charge and in state
+            assert len(set(charge[idx[:, 0]].tolist())) == len(idx)
+            assert np.all(charge[idx] == charge[idx[:, :1]])
+            assert np.all(np.diff(charge[idx[:, 0]]) > 0) and np.all(np.diff(idx) > 0)
+            for rows, block in zip(idx, blocks):
+                assert np.array_equal(block, full[np.ix_(rows, rows)])
 
 
 @pytest.mark.parametrize("n_max", [3, 8])
@@ -217,7 +224,7 @@ def test_blocks_follow_conserved_quantities(n_max, connected_blocks):
     lad = build_ladder(n_max)
     ann = single_mode_lowering(n_max + 1)
     parity = np.arange(n_max + 1) % 2
-    cases = [(coordinates(op), op.shape, (charge, charge))
+    cases = [(np.nonzero(dense(op)), op.shape, (charge, charge))
              for op, charge in ((generator_matrix(lad), lad.space.difference),
                                 (generator_z_matrix(lad), lad.space.difference),
                                 (generator_y_matrix(ann, ann.T), parity),
@@ -226,13 +233,11 @@ def test_blocks_follow_conserved_quantities(n_max, connected_blocks):
     for chi in (0j, 1j * math.pi / 4):
         for frame in (transform(IS, chi, lad), bounded_frame(chi, lad)):
             for top, bottom in ((frame.ann1, frame.ann2), (frame.cre1.T, frame.cre2.T)):
-                coords, shape, (row_charge, col_charge) = stacked_pair(top, bottom,
-                                                                       frame.charge)
-                cases.append((coords, shape, (row_charge, col_charge - 1)))
-    for coords, shape, (row_charge, col_charge) in cases:
-        parts = sectors(*coords[:2], row_charge, col_charge)
-        assert len(parts) == len(np.unique(np.concatenate([row_charge, col_charge])))
-        for rows, cols in connected_blocks(*coords[:2], shape):
+                pattern, shape, (row_charge, col_charge) = stacked_pair(top, bottom,
+                                                                        frame.charge)
+                cases.append((pattern, shape, (row_charge, col_charge - 1)))
+    for pattern, shape, (row_charge, col_charge) in cases:
+        for rows, cols in connected_blocks(*pattern, shape):
             assert len({*row_charge[rows].tolist(), *col_charge[cols].tolist()}) == 1
 
 
@@ -240,15 +245,54 @@ def test_sectors_reject_an_entry_between_charges(ladder8):
     from bateman.ft import generator_matrix
 
     space = ladder8.space
-    rows, cols, values = coordinates(generator_matrix(ladder8))
-    # one entry of X from |0, 0> (n1 - n2 = 0) to |0, 1> (n1 - n2 = -1)
-    crossed = from_coordinates(np.append(rows, space.index(0, 0)),
-                               np.append(cols, space.index(0, 1)),
-                               np.append(values, 0.5), space.dim)
-    with pytest.raises(DomainError, match="row label 0, column label -1"):
-        matrix_exp(0.3 * crossed, space.difference)
+    # entries of X from |0, 0> (n1 - n2 = 0) to |0, 1> (n1 - n2 = -1), and from
+    # |2, 0> to |3, 0>; the message counts both and names the first stored
+    crossed = with_entries(generator_matrix(ladder8), [
+        (space.index(0, 0), space.index(0, 1), 0.5), (space.index(2, 0), space.index(3, 0), 0.25)])
+    message = ("2 entries lie outside the declared sectors, first (0, 1): row label 0, "
+               "column label -1")
+    for exp in (sector_exp, matrix_exp):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            exp(0.3 * crossed, space.difference)
     with pytest.raises(DimensionMismatch):
         matrix_exp(0.3 * generator_matrix(ladder8), space.difference[:-1])
+
+
+def test_a_stored_zero_between_charges_is_neither_rejected_nor_scattered(ladder8):
+    from bateman.ft import generator_matrix
+    from bateman.imagscale import generator_y_matrix
+
+    space = ladder8.space
+    # sectors without a zero entry, where a scattered 0 would overwrite one
+    rng = np.random.default_rng(5)
+    full = as_operator(scipy.linalg.block_diag(*(rng.standard_normal((k, k)) for k in (3, 3, 2))))
+    x = 0.3 * generator_matrix(ladder8)
+    cases = [
+        (full, np.repeat(np.arange(3), [3, 3, 2]),
+         [with_entries(full, [(0, 3, 0.0), (7, 1, 0.0)])]),
+        # a stored 0.0 from |0, 0> to |0, 1>, and a whole stored diagonal of
+        # zeros that joins every n1 - n2 to the next one down
+        (x, space.difference,
+         [with_entries(x, [(space.index(0, 0), space.index(0, 1), 0.0)]),
+          x + (ladder8.a2 - ladder8.a2)]),
+    ]
+    for op, charge, zeroed in cases:
+        want = sector_exp(op, charge)
+        for other in zeroed:
+            assert len(other.diagonals) > len(op.diagonals)
+            got = sector_exp(other, charge)
+            assert len(got) == len(want)
+            for (got_idx, got_blocks), (want_idx, want_blocks) in zip(got, want):
+                assert np.array_equal(got_idx, want_idx)
+                assert np.array_equal(got_blocks, want_blocks)
+    # the two-mode Y stores the 0 weight of a2 at n2 = n_max: a2 a2 holds a 0
+    # from |n1, n_max - 1> to |n1 + 1, 0> and from |n1, n_max> to |n1 + 1, 1>,
+    # each between two sectors of n1 and the parity of n2
+    y = generator_y_matrix(ladder8.a2, ladder8.a2_dag)
+    charge = n1_and_n2_parity(space)
+    rows = np.flatnonzero(y.diagonals[2] == 0)
+    assert rows.size and np.all(charge[rows] != charge[rows + 2])
+    assert sum(idx.size for idx, _ in sector_exp(0.7j * y, charge)) == space.dim
 
 
 def _kernel_cases():
@@ -298,12 +342,10 @@ def test_sector_reads_reject_an_entry_outside_the_sectors_read(ladder8):
     from bateman.ft import generator_matrix
 
     space = ladder8.space
-    rows, cols, values = coordinates(generator_matrix(ladder8))
     # one entry from |3, 0> (n1 - n2 = 3) to |3, 1> (n1 - n2 = 2); the state read,
     # |0, 0>, lies in neither sector
-    crossed = from_coordinates(np.append(rows, space.index(3, 0)),
-                               np.append(cols, space.index(3, 1)),
-                               np.append(values, 0.5), space.dim)
+    crossed = with_entries(generator_matrix(ladder8),
+                           [(space.index(3, 0), space.index(3, 1), 0.5)])
     vacuum = np.array([space.index(0, 0)])
     with pytest.raises(DomainError, match="row label 3, column label 2"):
         sector_exp(0.3 * crossed, space.difference, vacuum)
@@ -390,9 +432,8 @@ def test_matrix_exp_varies_degree_and_scaling_inside_one_stack():
     assert len({s for _, s in choices}) == 3
     a = as_operator(scipy.linalg.block_diag(*blocks_))
     charge = np.repeat(np.arange(7), 5)
-    coords = coordinates(a)
-    (_, _, stack), = block_stacks(coords, a.shape, sectors(*coords[:2], charge, charge))
-    assert stack.shape == (7, 5, 5)
+    (idx, stack), = sector_exp(a, charge)
+    assert idx.shape == (7, 5) and stack.shape == (7, 5, 5)
     got = dense(matrix_exp(a, charge))
     for k, block in enumerate(blocks_):
         want = scipy.linalg.expm(block)

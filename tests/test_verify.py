@@ -221,6 +221,23 @@ def test_commutators_fail_on_a_nan_ladder_entry(params, monkeypatch):
     assert math.isnan(result.deviation) and not result.passed
 
 
+def test_commutators_fail_on_a_stray_ladder_entry(params, monkeypatch):
+    # a1 gains 1e-3 at (0, 1), an entry off its one diagonal: [a1, a1+] is off
+    # by sqrt(2) 1e-3 inside the interior, a defect that only _finish's
+    # negative control otherwise shows
+    def ladder(n_max):
+        lad = build_ladder(n_max)
+        return dataclasses.replace(
+            lad, a1=lad.a1 + fock.from_coordinates([0], [1], [1e-3], lad.space.dim))
+
+    cfg = VerifyConfig(params=params)
+    assert verify.check_commutators_interior(cfg).passed
+    monkeypatch.setattr(verify, "_ladder", ladder)
+    result = verify.check_commutators_interior(cfg)
+    assert result.deviation > 1e-3 and not result.passed
+    assert "corrupted" not in result.detail
+
+
 def test_boundary_defect_counts_a_wrong_ladder_weight(monkeypatch):
     # the sparse exact product still sees every entry: a weight sqrt(3) -> sqrt(4)
     # spoils [a, a+] at |1><1| and |2><2| of the n_top = 8 chain
