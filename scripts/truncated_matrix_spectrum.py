@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from bateman.dynamics import eigen_record
+from bateman.construction import eigenvalue
 from bateman.fock import build_hamiltonian, build_ladder, dense
+from bateman.imagscale import IS
 from bateman.params import derive_params
 
 
@@ -35,7 +36,7 @@ def main(argv=None) -> int:
 
     params = derive_params(m=cfg.m, gamma=cfg.gamma, k=cfg.k)
     analytic = sorted(
-        eigen_record("is", "+", n1, n2).as_complex(params).real
+        eigenvalue(IS, n1, n2, "+").as_complex(params).real
         for n1 in range(3)
         for n2 in range(3)
     )

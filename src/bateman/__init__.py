@@ -3,9 +3,9 @@ time-reversed partner, treated as one closed two-mode system.
 
 The package provides an exact symbolic ladder algebra (the oracle), truncated
 Fock-space matrices, the two canonical transforms that diagonalize the
-Hamiltonian, divergence diagnostics for the rotated basis, and scalar
-dynamics, plus verification suites and a CLI that reports every identity with
-explicit deviations and tolerances.
+Hamiltonian with the scalar dynamics their eigen maps give, divergence
+diagnostics for the rotated basis, plus verification suites and a CLI that
+reports every identity with explicit deviations and tolerances.
 """
 
 __version__ = "0.1.0"
@@ -48,20 +48,15 @@ from .construction import (
     Construction,
     Eigen,
     MixedModes,
+    StabilityClass,
     basis,
     eigenvalue,
     gram,
+    schrodinger_factor,
     transform,
 )
 from .ft import FT, ft_norm_exponent_fit, ft_standard_norm, ft_vacuum_series
 from .imagscale import IS, bounded_frame, is_vacuum
-from .dynamics import (
-    StabilityClass,
-    StateEvolution,
-    classify,
-    eigen_record,
-    schrodinger_factor,
-)
 from .verify import CheckResult, VerifyConfig, all_passed, run_suite
 
 __all__ = [
@@ -98,9 +93,11 @@ __all__ = [
     "Construction",
     "Eigen",
     "MixedModes",
+    "StabilityClass",
     "basis",
     "eigenvalue",
     "gram",
+    "schrodinger_factor",
     "transform",
     "FT",
     "ft_norm_exponent_fit",
@@ -109,11 +106,6 @@ __all__ = [
     "IS",
     "bounded_frame",
     "is_vacuum",
-    "StabilityClass",
-    "StateEvolution",
-    "classify",
-    "eigen_record",
-    "schrodinger_factor",
     "CheckResult",
     "VerifyConfig",
     "all_passed",

@@ -20,16 +20,19 @@ import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from . import __version__, dynamics, ft
-from .dynamics import StateEvolution, classify, eigen_record
+from . import __version__, ft
+from .construction import StabilityClass, eigenvalue, pairing_norm_in_time, schrodinger_factor
 from .errors import BatemanError, DomainError
-from .ft import EDGE_EPSILONS, MODERATE_GRID, NORMS_STATES
+from .ft import EDGE_EPSILONS, FT, MODERATE_GRID, NORMS_STATES
+from .imagscale import IS
 from .params import PhysicalParams, derive_params
 from .verify import VerifyConfig, all_passed, run_suite
 
 __all__ = ["main", "build_parser"]
 
 MAX_N_CAP = 16
+#: the constructions by the names that --approach takes
+APPROACHES = {"ft": FT, "is": IS}
 
 
 # ---------------------------------------------------------------------------
@@ -180,10 +183,10 @@ _EIGEN_HEADER = ("n1", "n2", "p", "q", "re", "im", "class")
 
 def _eigen_row(args: argparse.Namespace, n1: int, n2: int) -> dict:
     """The (n1, n2, p, q, re, im, class) record of one eigenstate."""
-    rec = eigen_record(args.approach, args.branch, n1, n2)
+    rec = eigenvalue(APPROACHES[args.approach], n1, n2, args.branch)
     value = rec.as_complex(args.params)
-    label = classify(args.approach, args.branch, n1, n2).value
-    return dict(zip(_EIGEN_HEADER, (n1, n2, rec.p, rec.q, value.real, value.imag, label)))
+    return dict(zip(_EIGEN_HEADER, (n1, n2, rec.p, rec.q, value.real, value.imag,
+                                    rec.stability.value)))
 
 
 def cmd_spectrum(args: argparse.Namespace) -> CommandOutput:
@@ -276,7 +279,7 @@ def cmd_classify(args: argparse.Namespace) -> CommandOutput:
             "approach": args.approach,
             "branch": args.branch,
             **row,
-            "stable": row["class"] == dynamics.StabilityClass.STABLE.value,
+            "stable": row["class"] == StabilityClass.STABLE.value,
         }
     )
     lines = [
@@ -288,10 +291,11 @@ def cmd_classify(args: argparse.Namespace) -> CommandOutput:
 
 def cmd_evolve(args: argparse.Namespace) -> CommandOutput:
     times = _parse_times(args.times)
-    evo = StateEvolution.create(args.approach, args.branch, args.n1, args.n2, args.params)
+    rec = eigenvalue(APPROACHES[args.approach], args.n1, args.n2, args.branch)
+    ev, hbar = rec.as_complex(args.params), args.params.hbar
     rows = []
     for t in times:
-        factor = evo.factor(t)
+        factor = schrodinger_factor(ev, t, hbar)
         rows.append(
             {
                 "t": t,
@@ -300,9 +304,7 @@ def cmd_evolve(args: argparse.Namespace) -> CommandOutput:
                 "abs2_factor": abs(factor) ** 2,
             }
         )
-    pairing = dynamics.pairing_norm_in_time(
-        args.approach, args.branch, args.n1, args.n2, times, args.params
-    )
+    pairing = pairing_norm_in_time(rec, times, args.params)
     payload = _header_payload("evolve", args)
     payload.update(
         {
@@ -310,9 +312,9 @@ def cmd_evolve(args: argparse.Namespace) -> CommandOutput:
             "branch": args.branch,
             "n1": args.n1,
             "n2": args.n2,
-            "stability": evo.stability.value,
-            "amplitude_rate": evo.amplitude_rate,
-            "phase_rate": evo.phase_rate,
+            "stability": rec.stability.value,
+            "amplitude_rate": ev.imag / hbar,
+            "phase_rate": -ev.real / hbar,
             "rows": rows,
             "pairing_norm": pairing,
         }
@@ -321,7 +323,7 @@ def cmd_evolve(args: argparse.Namespace) -> CommandOutput:
     csv_rows = [tuple(r[k] for k in header) for r in rows]
     lines = [
         f"evolution ({args.n1},{args.n2}) approach={args.approach} "
-        f"branch={args.branch}: {evo.stability.value}",
+        f"branch={args.branch}: {rec.stability.value}",
     ]
     for r in rows:
         lines.append(
@@ -401,7 +403,7 @@ _FLAGS = {
                        "the 8-angle grid, with it that one angle)"),
     "branch": dict(choices=("+", "-"), default="+", help="transform branch sign"),
     "n_cap": dict(type=int, default=6, help=f"largest n1+n2 listed (default 6, max {MAX_N_CAP})"),
-    "approach": dict(choices=("ft", "is"), default="ft",
+    "approach": dict(choices=tuple(APPROACHES), default="ft",
                      help="which construction: rotation (ft) or imaginary scale (is)"),
     "seed": dict(type=int, default=20260823, help="seed for randomized cross-validation"),
     "n1": dict(type=int, default=0, help="first occupation number (default 0)"),

@@ -7,8 +7,11 @@ rotation route (`ft.FT`) and the imaginary-scale route (`imagscale.IS`)
 differ only in the data of a `Construction`; everything written here serves
 both: eigenvalue records, mixed-mode matrices and the H0/H1 identity report,
 the similarity check u a = m u of the mixed modes against the route's
-exponential u, the biorthogonal basis and its Gram, Heisenberg rates, x(t)
-and y(t), and the exact symbol substitution at the decoupling point.
+exponential u, the biorthogonal basis and its Gram, x(t) and y(t), and the
+exact symbol substitution at the decoupling point.  The eigen map alone
+answers every dynamics question: stability is the sign of q, each state
+evolves by the scalar factor e^{-i E t / hbar}, and the Heisenberg rate of
+each mixed annihilator is its mode's one-quantum energy over i hbar.
 
 Two independent routes run through it: exact symbol algebra on abstract
 mixed modes (no truncation, no floats) and truncated `fock.Operator` matrices.
@@ -20,7 +23,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from enum import Enum
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -33,10 +37,16 @@ from .params import PhysicalParams
 __all__ = [
     "Construction",
     "Eigen",
+    "StabilityClass",
     "MixedModes",
     "IdentityReport",
     "normalize_branch",
     "eigenvalue",
+    "schrodinger_factor",
+    "dual_factor",
+    "pairing_norm_in_time",
+    "eom_residual",
+    "xy_mode_exponents",
     "valid_angle",
     "transform",
     "mode2_split",
@@ -64,10 +74,9 @@ class Construction:
     #: angle -> (M, P): (first, second) = M @ (a1, a2+), their partners = P @ (a1+, a2)
     mixing: Callable[[complex], tuple[Rows, Rows]]
     second_annihilates: bool        # second is ann2 (partner cre2), else cre2 (partner ann2)
+    #: mode i carries the one-quantum energy p_i*hbar*omega + q_i*branch*i*hbar*lambda
     p_map: Affine                   # p = p1*n1 + p2*n2 + p0
     q_map: Affine                   # q = branch*(q1*n1 + q2*n2 + q0)
-    #: mode -> (w, l): the annihilator rate is w*i*omega + l*branch*lambda; creators negate it
-    rates: dict[int, tuple[int, int]]
     quarter: Callable[[int], complex]   # branch -> decoupling angle
     #: (modes, q number form, params) -> H1 in mixed operators at any angle
     h1_mixed: Callable[["MixedModes", Operator, PhysicalParams], Operator]
@@ -90,7 +99,13 @@ def _check_occupations(n1: int, n2: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# eigenvalues
+# eigenvalues and their closed-form dynamics
+
+
+class StabilityClass(str, Enum):
+    DECAYING = "decaying"
+    GROWING = "growing"
+    STABLE = "stable"
 
 
 @dataclass(frozen=True)
@@ -109,6 +124,13 @@ class Eigen:
     def as_complex(self, params: PhysicalParams) -> complex:
         return self.p * params.hbar * params.omega + 1j * self.q * params.hbar * params.lam
 
+    @property
+    def stability(self) -> StabilityClass:
+        """Growth, decay or stability: validated parameters have lambda > 0, so the sign of q."""
+        if self.q == 0:
+            return StabilityClass.STABLE
+        return StabilityClass.GROWING if self.q > 0 else StabilityClass.DECAYING
+
 
 def _affine(coeffs: Affine, x1, x2, one=1):
     """c1*x1 + c2*x2 + c0*one, for occupations or for number-operator matrices."""
@@ -121,6 +143,52 @@ def eigenvalue(con: Construction, n1: int, n2: int, branch) -> Eigen:
     b = normalize_branch(branch)
     return Eigen(n1=n1, n2=n2, branch=b, p=_affine(con.p_map, n1, n2),
                  q=b * _affine(con.q_map, n1, n2))
+
+
+def schrodinger_factor(ev: complex, t: float, hbar: float = 1.0) -> complex:
+    """e^{-i ev t / hbar}, the factor an eigenstate of eigenvalue ev evolves by."""
+    return cmath.exp(-1j * ev * t / hbar)
+
+
+def dual_factor(ev: complex, t: float, hbar: float = 1.0) -> complex:
+    """Reciprocal factor carried by the dual (bra) state."""
+    return cmath.exp(1j * ev * t / hbar)
+
+
+def pairing_norm_in_time(rec: Eigen, t_grid: Iterable[float], params: PhysicalParams,
+                         other: tuple[int, int] | None = None) -> list[float]:
+    """Bra-ket pairing of the evolved pair of rec over a time grid.
+
+    The ket factor and the dual bra factor are exact reciprocals, so the
+    exponents cancel algebraically; the pairing is evaluated from the summed
+    exponent and equals 1.0 exactly for the matched state, 0.0 for a cross
+    pairing with the state other.  This is the pairing norm, not the
+    standard dagger norm.
+    """
+    if other is not None and tuple(other) != (rec.n1, rec.n2):
+        return [0.0 for _ in t_grid]
+    ev = rec.as_complex(params)
+    return [cmath.exp((-1j * ev + 1j * ev) * t / params.hbar).real for t in t_grid]
+
+
+def eom_residual(s: complex, sign: str, params: PhysicalParams) -> complex:
+    """m s^2 +- gamma s + k; zero certifies s as a classical mode exponent."""
+    if sign == "damped":
+        g = params.gamma
+    elif sign == "amplified":
+        g = -params.gamma
+    else:
+        raise DomainError(f"sign must be 'damped' or 'amplified', got {sign!r}")
+    return params.m * s * s + g * s + params.k
+
+
+def xy_mode_exponents(params: PhysicalParams) -> dict[str, tuple[complex, complex]]:
+    """The four exponential rates appearing in the x(t), y(t) assemblies."""
+    lam, omega = params.lam, params.omega
+    return {
+        "damped": (-lam + 1j * omega, -lam - 1j * omega),
+        "amplified": (lam + 1j * omega, lam - 1j * omega),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -295,19 +363,24 @@ def gram(modes, vacuum: tuple[np.ndarray, np.ndarray], q_cap: int) -> np.ndarray
 
 
 # ---------------------------------------------------------------------------
-# dynamics-facing factors and x(t), y(t)
+# Heisenberg rates and x(t), y(t)
 
 
 def heisenberg_rate(con: Construction, mode: int, kind: str, branch,
                     params: PhysicalParams) -> complex:
-    """r in d/dt op = r op for a mixed operator at the decoupling angle of branch."""
+    """r in d/dt op = r op for a mixed operator at the decoupling angle of branch.
+
+    The annihilator of mode i lowers the energy by E_i = p_i*hbar*omega +
+    q_i*branch*i*hbar*lambda, so [op, H] = E_i op and its rate is
+    E_i / (i hbar); creators raise the energy by E_i and negate the rate.
+    """
     b = normalize_branch(branch)
     if kind not in ("ann", "cre"):
         raise DomainError(f"kind must be 'ann' or 'cre', got {kind!r}")
-    if mode not in con.rates:
+    if mode not in (1, 2):
         raise DomainError(f"mode must be 1 or 2, got {mode}")
-    w, lam_sign = con.rates[mode]
-    rate = w * 1j * params.omega + lam_sign * b * params.lam
+    p, q = con.p_map[mode - 1], con.q_map[mode - 1]
+    rate = -p * 1j * params.omega + q * b * params.lam
     return -rate if kind == "cre" else rate
 
 

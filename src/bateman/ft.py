@@ -92,7 +92,6 @@ FT = Construction(
     second_annihilates=False,
     p_map=(1, -1, 0),
     q_map=(1, 1, 1),
-    rates={1: (-1, 1), 2: (1, 1)},
     quarter=lambda branch: branch * math.pi / 4,
     h1_mixed=_rotation_h1,
     substitution=_rotation_at_quarter,

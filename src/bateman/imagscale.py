@@ -93,7 +93,6 @@ IS = Construction(
     second_annihilates=True,
     p_map=(1, 1, 1),
     q_map=(1, -1, 0),
-    rates={1: (-1, 1), 2: (-1, -1)},
     quarter=lambda branch: branch * 1j * math.pi / 4,
     h1_mixed=_scale_h1,
     substitution=_scale_at_quarter,

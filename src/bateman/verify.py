@@ -18,19 +18,25 @@ from functools import lru_cache, wraps
 
 import numpy as np
 
-from . import algebra, dynamics, ft, imagscale
+from . import algebra, ft, imagscale
 from .construction import (
     Construction,
+    StabilityClass,
     basis,
+    dual_factor,
     eigenvalue,
+    eom_residual,
     gram,
     hamiltonian_formal,
     hamiltonian_from_plain,
     heisenberg_rate,
     identity_report,
     mode2_split,
+    pairing_norm_in_time,
+    schrodinger_factor,
     similarity_deviation,
     transform,
+    xy_mode_exponents,
     xy_operators,
 )
 from .algebra import (
@@ -187,10 +193,9 @@ def check_params_examples(cfg: VerifyConfig) -> tuple:
     except BatemanError:
         pass
     for q in (cfg.params, derive_params(1.3, 0.7, 2.1)):
-        for s in (-q.lam + 1j * q.omega, -q.lam - 1j * q.omega):
-            dev = _worst(dev, abs(q.m * s * s + q.gamma * s + q.k) / q.k)
-        for s in (q.lam + 1j * q.omega, q.lam - 1j * q.omega):
-            dev = _worst(dev, abs(q.m * s * s - q.gamma * s + q.k) / q.k)
+        for sign, roots in xy_mode_exponents(q).items():
+            for s in roots:
+                dev = _worst(dev, abs(eom_residual(s, sign, q)) / q.k)
         dev = _worst(dev, abs(q.omega**2 + q.lam**2 - q.k / q.m) / (q.k / q.m))
     return ("parameter derivation and quadratic roots", dev + mismatch, 1e-10)
 
@@ -936,22 +941,20 @@ def check_classification(cfg: VerifyConfig) -> tuple:
     for n1 in range(7):
         for n2 in range(7):
             for branch in (+1, -1):
-                c_ft = dynamics.classify("ft", branch, n1, n2)
-                if c_ft == dynamics.StabilityClass.STABLE:
+                c_ft = eigenvalue(ft.FT, n1, n2, branch).stability
+                if c_ft == StabilityClass.STABLE:
                     mismatch += 1
-                want_ft = (
-                    dynamics.StabilityClass.GROWING if branch > 0 else dynamics.StabilityClass.DECAYING
-                )
+                want_ft = StabilityClass.GROWING if branch > 0 else StabilityClass.DECAYING
                 if c_ft != want_ft:
                     mismatch += 1
-                c_is = dynamics.classify("is", branch, n1, n2)
-                if (n1 == n2) != (c_is == dynamics.StabilityClass.STABLE):
+                c_is = eigenvalue(imagscale.IS, n1, n2, branch).stability
+                if (n1 == n2) != (c_is == StabilityClass.STABLE):
                     mismatch += 1
                 if n1 != n2:
                     want_is = (
-                        dynamics.StabilityClass.GROWING
+                        StabilityClass.GROWING
                         if branch * (n1 - n2) > 0
-                        else dynamics.StabilityClass.DECAYING
+                        else StabilityClass.DECAYING
                     )
                     if c_is != want_is:
                         mismatch += 1
@@ -962,16 +965,16 @@ def check_classification(cfg: VerifyConfig) -> tuple:
 @_check("dynamics.branch-antisymmetry")
 def check_branch_antisymmetry(cfg: VerifyConfig) -> tuple:
     swap = {
-        dynamics.StabilityClass.GROWING: dynamics.StabilityClass.DECAYING,
-        dynamics.StabilityClass.DECAYING: dynamics.StabilityClass.GROWING,
-        dynamics.StabilityClass.STABLE: dynamics.StabilityClass.STABLE,
+        StabilityClass.GROWING: StabilityClass.DECAYING,
+        StabilityClass.DECAYING: StabilityClass.GROWING,
+        StabilityClass.STABLE: StabilityClass.STABLE,
     }
     mismatch = 0
-    for approach in ("ft", "is"):
+    for con in (ft.FT, imagscale.IS):
         for n1 in range(7):
             for n2 in range(7):
-                plus = dynamics.classify(approach, "+", n1, n2)
-                minus = dynamics.classify(approach, "-", n1, n2)
+                plus = eigenvalue(con, n1, n2, "+").stability
+                minus = eigenvalue(con, n1, n2, "-").stability
                 if swap[plus] != minus:
                     mismatch += 1
     return ("branches swap growing and decaying, stability is shared", mismatch, 0.0)
@@ -981,13 +984,11 @@ def check_branch_antisymmetry(cfg: VerifyConfig) -> tuple:
 def check_pairing_norm(cfg: VerifyConfig) -> tuple:
     grid = (0.0, 1.0, 10.0)
     mismatch = 0
-    for (approach, branch, n1, n2) in (("ft", "-", 1, 0), ("is", "+", 2, 1)):
-        values = dynamics.pairing_norm_in_time(approach, branch, n1, n2, grid, cfg.params)
+    for rec in (eigenvalue(ft.FT, 1, 0, "-"), eigenvalue(imagscale.IS, 2, 1, "+")):
+        values = pairing_norm_in_time(rec, grid, cfg.params)
         if values != [1.0, 1.0, 1.0]:
             mismatch += 1
-        cross = dynamics.pairing_norm_in_time(
-            approach, branch, n1, n2, grid, cfg.params, other=(n1 + 1, n2)
-        )
+        cross = pairing_norm_in_time(rec, grid, cfg.params, other=(rec.n1 + 1, rec.n2))
         if cross != [0.0, 0.0, 0.0]:
             mismatch += 1
     return ("bra-ket pairing is exactly constant in time", mismatch, 0.0)
@@ -996,14 +997,14 @@ def check_pairing_norm(cfg: VerifyConfig) -> tuple:
 @_check("dynamics.eom")
 def check_eom_residuals(cfg: VerifyConfig) -> tuple:
     params = cfg.params
-    exps = dynamics.xy_mode_exponents(params)
+    exps = xy_mode_exponents(params)
     dev = 0.0
     for s in exps["damped"]:
-        dev = _worst(dev, abs(dynamics.eom_residual(s, "damped", params)))
+        dev = _worst(dev, abs(eom_residual(s, "damped", params)))
     for s in exps["amplified"]:
-        dev = _worst(dev, abs(dynamics.eom_residual(s, "amplified", params)))
+        dev = _worst(dev, abs(eom_residual(s, "amplified", params)))
     mismatch = 0
-    undamped = abs(dynamics.eom_residual(1j * params.omega, "damped", params))
+    undamped = abs(eom_residual(1j * params.omega, "damped", params))
     if undamped <= 0.5 * params.gamma * params.omega:
         mismatch += 1
     return ("x/y mode exponents satisfy the classical equations of motion",
@@ -1015,24 +1016,20 @@ def check_factor_examples(cfg: VerifyConfig) -> tuple:
     params = cfg.params
     dev = 0.0
     ev = eigenvalue(ft.FT, 0, 0, "-").as_complex(params)
-    got = dynamics.schrodinger_factor(ev, 1.0 / params.lam, params.hbar)
+    got = schrodinger_factor(ev, 1.0 / params.lam, params.hbar)
     dev = _worst(dev, abs(got - math.exp(-1.0)))
     ev_stable = eigenvalue(imagscale.IS, 0, 0, "+").as_complex(params)
     for t in (0.0, 1.0, 10.0):
-        dev = _worst(dev, abs(abs(dynamics.schrodinger_factor(ev_stable, t, params.hbar)) - 1.0))
+        dev = _worst(dev, abs(abs(schrodinger_factor(ev_stable, t, params.hbar)) - 1.0))
     ev_mixed = eigenvalue(imagscale.IS, 1, 0, "+").as_complex(params)
     # |factor|^2 = e^{2 lambda t} must stay finite: past lambda = 1/2 the times shrink
     # with 1/lambda (the scale is exactly 1 below it)
     scale = 0.5 / max(params.lam, 0.5)
     for t in (0.0, 0.7 * scale, 3.0 * scale):
-        prod = dynamics.schrodinger_factor(ev_mixed, t, params.hbar) * dynamics.dual_factor(
-            ev_mixed, t, params.hbar
-        )
-        dev = _worst(dev, abs(prod - 1.0))
-        evo = dynamics.StateEvolution.create("is", "+", 1, 0, params)
-        lhs = abs(evo.factor(t)) ** 2
-        rhs = math.exp(2.0 * evo.amplitude_rate * t)
-        dev = _worst(dev, abs(lhs - rhs) / max(rhs, 1.0))
+        factor = schrodinger_factor(ev_mixed, t, params.hbar)
+        dev = _worst(dev, abs(factor * dual_factor(ev_mixed, t, params.hbar) - 1.0))
+        rhs = math.exp(2.0 * (ev_mixed.imag / params.hbar) * t)
+        dev = _worst(dev, abs(abs(factor) ** 2 - rhs) / max(rhs, 1.0))
     return ("scalar evolution factors: decay value, unit modulus, reciprocal pair", dev, 1e-12)
 
 

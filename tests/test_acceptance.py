@@ -12,14 +12,19 @@ import time
 import numpy as np
 import pytest
 
-from bateman import algebra, dynamics, ft, imagscale
+from bateman import algebra, ft, imagscale
 from bateman.algebra import LadderPoly
 from bateman.construction import (
     Eigen,
+    StabilityClass,
+    eigenvalue,
+    eom_residual,
     gram,
     hamiltonian_formal,
     identity_report,
+    pairing_norm_in_time,
     transform,
+    xy_mode_exponents,
     xy_operators,
 )
 from bateman.errors import BatemanError
@@ -182,9 +187,9 @@ def test_heisenberg_derivative_form(capsys):
 def test_eom_certification(capsys):
     def body():
         worst_res = 0.0
-        for sign, roots in dynamics.xy_mode_exponents(PARAMS).items():
+        for sign, roots in xy_mode_exponents(PARAMS).items():
             for s in roots:
-                res = abs(dynamics.eom_residual(s, sign, PARAMS))
+                res = abs(eom_residual(s, sign, PARAMS))
                 assert res <= 1e-12 * PARAMS.k
                 worst_res = max(worst_res, res)
         lad = build_ladder(12)
@@ -210,12 +215,15 @@ def test_stability_classification(capsys):
         for branch in ("+", "-"):
             for n1 in range(7):
                 for n2 in range(7):
-                    assert dynamics.classify("ft", branch, n1, n2) is not dynamics.StabilityClass.STABLE
-                    got = dynamics.classify("is", branch, n1, n2)
-                    assert (got is dynamics.StabilityClass.STABLE) == (n1 == n2)
-        norms = dynamics.pairing_norm_in_time("ft", "+", 2, 1, (0.0, 1.0, 10.0), PARAMS)
+                    got = eigenvalue(ft.FT, n1, n2, branch).stability
+                    assert got is not StabilityClass.STABLE
+                    got = eigenvalue(imagscale.IS, n1, n2, branch).stability
+                    assert (got is StabilityClass.STABLE) == (n1 == n2)
+        rec = eigenvalue(ft.FT, 2, 1, "+")
+        norms = pairing_norm_in_time(rec, (0.0, 1.0, 10.0), PARAMS)
         assert norms == [1.0, 1.0, 1.0]
-        norms = dynamics.pairing_norm_in_time("is", "-", 1, 1, (0.0, 1.0, 10.0), PARAMS)
+        rec = eigenvalue(imagscale.IS, 1, 1, "-")
+        norms = pairing_norm_in_time(rec, (0.0, 1.0, 10.0), PARAMS)
         assert norms == [1.0, 1.0, 1.0]
         return "98 classifications; pairing norm exactly constant on {0,1,10}"
 

@@ -289,6 +289,10 @@ def test_flag_parse_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "bogus"])
     assert exc.value.code == 2
+    # approach names live in the cli alone, so the cli rejects an unknown one
+    with pytest.raises(SystemExit) as exc:
+        main(["evolve", "--approach", "nope"])
+    assert exc.value.code == 2
 
 
 def test_domain_error_exits_2(capsys):
@@ -408,6 +412,7 @@ def test_verify_takes_no_window_or_tolerance_key(tmp_path, capsys, key, value):
     ("branch=plus\n", "'branch' must be one of +, -"),
     ("format=xml\n", "'format' must be one of json, csv, text"),
     ("n1=1.5\n", "'n1' is not valid"),
+    ("approach=nope\n", "'approach' must be one of ft, is"),
 ])
 def test_config_value_failing_its_flag_exits_2(tmp_path, capsys, text, words):
     cfg = tmp_path / "run.cfg"

@@ -1,6 +1,7 @@
 """The generic machinery, once per construction: rotation (ft) and imaginary scale (is)."""
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -16,11 +17,14 @@ from bateman.construction import (
     heisenberg_rate,
     plain_in_modes,
     transform,
+    xy_operators,
 )
 from bateman.errors import DomainError, HeadroomError
-from bateman.fock import Operator, dense, max_abs
+from bateman.fock import (Operator, build_hamiltonian, build_ladder, dense, exp_block, max_abs,
+                          position_operators)
 from bateman.ft import FT, ft_vacuum_series
 from bateman.imagscale import IS, bounded_frame, is_vacuum
+from bateman.params import derive_params
 
 ROUTES = pytest.mark.parametrize("con", [FT, IS], ids=["ft", "is"])
 
@@ -59,6 +63,63 @@ def test_heisenberg_factors_are_reciprocal(con, params):
             assert abs(ann * cre - 1.0) <= 1e-12
     with pytest.raises(DomainError):
         heisenberg_rate(con, 3, "ann", 1, params)
+
+
+#: mode -> (w, l): the annihilator rate is w*i*omega + l*branch*lambda; creators negate it
+RATE_TABLES = {"ft": {1: (-1, 1), 2: (1, 1)}, "is": {1: (-1, 1), 2: (-1, -1)}}
+
+
+@pytest.mark.parametrize("con,table", [(FT, RATE_TABLES["ft"]), (IS, RATE_TABLES["is"])],
+                         ids=["ft", "is"])
+def test_heisenberg_rates_match_the_rate_table(con, table, params):
+    # the rates derived from p_map/q_map equal the hand-written table bit for bit
+    for p in (params, derive_params(1.3, 0.7, 2.1)):
+        for mode, (w, lam_sign) in table.items():
+            for branch in (1, -1):
+                ann = w * 1j * p.omega + lam_sign * branch * p.lam
+                assert heisenberg_rate(con, mode, "ann", branch, p) == ann
+                assert heisenberg_rate(con, mode, "cre", branch, p) == -ann
+
+
+#: the 25 states with n1, n2 <= 4, far below the top rung of n_max 24
+XY_N_MAX = 24
+XY_STATES = [(n1, n2) for n1 in range(5) for n2 in range(5)]
+
+
+def _xy_deviation(con, branch, t, params, xy_params):
+    """Largest gap of x(t), y(t) from U^H x U, U = e^{-iHt/hbar}, on the low block B.
+
+    xy_params feeds `xy_operators` alone, so a defect in its scalar factors shows.
+    """
+    lad = build_ladder(XY_N_MAX)
+    space = lad.space
+    block = np.array([space.index(n1, n2) for n1, n2 in XY_STATES])
+    h = build_hamiltonian(lad, params).h
+    u = exp_block(h * (-1j * t / params.hbar), space.difference, None, block)
+    x_t, y_t = xy_operators(con, branch, t, transform(con, con.quarter(branch), lad), xy_params)
+    x, y = position_operators(lad, params)
+    return max(np.max(np.abs(dense(x_t, block, block) - u.conj().T @ (x @ u))),
+               np.max(np.abs(dense(y_t, block, block) - u.conj().T @ (y @ u))))
+
+
+XY_PARAMS = [derive_params(1.0, 1.0, 1.25), derive_params(1.3, 0.7, 2.1)]
+
+
+@ROUTES
+@pytest.mark.parametrize("branch", [1, -1])
+@pytest.mark.parametrize("params", XY_PARAMS, ids=["m1-g1-k1.25", "m1.3-g0.7-k2.1"])
+def test_xy_at_finite_time_is_the_heisenberg_evolution(con, branch, params):
+    for t in (0.25, 0.5):
+        assert _xy_deviation(con, branch, t, params, params) <= 1e-12
+
+
+@ROUTES
+@pytest.mark.parametrize("field,factor", [("lam", 2.0), ("omega", 3.0)])
+def test_xy_at_finite_time_catches_a_wrong_rate(con, field, factor):
+    params = XY_PARAMS[0]
+    wrong = dataclasses.replace(params, **{field: factor * getattr(params, field)})
+    # far past the 1e-12 that the true rates keep
+    assert _xy_deviation(con, 1, 0.5, params, wrong) > 1e-3
 
 
 def test_headroom_belongs_to_the_frame(ladder8):

@@ -1,25 +1,36 @@
-"""Time evolution factors, stability classes, dual-pairing conservation."""
+"""Time evolution factors, stability classes, dual-pairing conservation.
+
+All of it is read off the eigen record of a construction: `Eigen.stability`
+is the sign of q, and each state evolves by e^{-i E t / hbar}.
+"""
 
 import cmath
+import json
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bateman.dynamics import (
+from bateman.cli import main
+from bateman.construction import (
     StabilityClass,
-    StateEvolution,
-    classify,
     dual_factor,
-    eigen_record,
+    eigenvalue,
     eom_residual,
     pairing_norm_in_time,
     schrodinger_factor,
     xy_mode_exponents,
 )
 from bateman.errors import DomainError
+from bateman.ft import FT
+from bateman.imagscale import IS
 
 T_GRID = (0.0, 1.0, 10.0)
+ROUTES = {"ft": FT, "is": IS}
+
+
+def classify(approach, branch, n1, n2):
+    return eigenvalue(ROUTES[approach], n1, n2, branch).stability
 
 
 def test_schrodinger_factor_basics():
@@ -36,12 +47,11 @@ def test_dual_factor_reciprocal():
 
 
 def test_eigen_record_dispatch():
-    r = eigen_record("ft", "+", 1, 0)
+    # an unknown approach name is rejected where names live: the cli's --approach
+    r = eigenvalue(FT, 1, 0, "+")
     assert (r.p, r.q) == (1, 2)
-    r = eigen_record("is", "+", 1, 0)
+    r = eigenvalue(IS, 1, 0, "+")
     assert (r.p, r.q) == (2, 1)
-    with pytest.raises(DomainError):
-        eigen_record("nope", "+", 0, 0)
 
 
 def test_classification_examples():
@@ -81,32 +91,34 @@ def test_branch_flip_swaps_growth():
 
 
 def test_pairing_norm_conserved_exactly(params):
-    for approach in ("ft", "is"):
+    for con in (FT, IS):
         for branch in ("+", "-"):
-            got = pairing_norm_in_time(approach, branch, 1, 0, T_GRID, params)
+            got = pairing_norm_in_time(eigenvalue(con, 1, 0, branch), T_GRID, params)
             assert got == [1.0, 1.0, 1.0]
 
 
 def test_pairing_norm_cross_vanishes(params):
-    got = pairing_norm_in_time("ft", "+", 1, 0, T_GRID, params, other=(0, 1))
+    got = pairing_norm_in_time(eigenvalue(FT, 1, 0, "+"), T_GRID, params, other=(0, 1))
     assert got == [0.0, 0.0, 0.0]
 
 
-def test_state_evolution_record(params):
-    ev = StateEvolution.create("is", "-", 2, 0, params)
-    assert ev.eigenvalue == 3.0 - 1.0j
-    assert ev.amplitude_rate == -1.0
-    assert ev.phase_rate == -3.0
-    assert ev.stability is StabilityClass.DECAYING
+def test_state_evolution_record(params, capsys):
+    # `bateman evolve` reports the rates and class of the record it evolves
+    assert eigenvalue(IS, 2, 0, "-").as_complex(params) == 3.0 - 1.0j
+    assert main(["evolve", "--approach", "is", "--branch", "-", "--n1", "2"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["amplitude_rate"] == -1.0
+    assert report["phase_rate"] == -3.0
+    assert report["stability"] == StabilityClass.DECAYING.value
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.sampled_from(["ft", "is"]), st.sampled_from([1, -1]),
+@given(st.sampled_from([FT, IS]), st.sampled_from([1, -1]),
        st.integers(0, 5), st.integers(0, 5), st.floats(0.0, 4.0))
-def test_factor_modulus_tracks_rate(params, approach, branch, n1, n2, t):
-    ev = StateEvolution.create(approach, branch, n1, n2, params)
-    got = abs(ev.factor(t)) ** 2
-    want = math.exp(2.0 * ev.amplitude_rate * t)
+def test_factor_modulus_tracks_rate(params, con, branch, n1, n2, t):
+    ev = eigenvalue(con, n1, n2, branch).as_complex(params)
+    got = abs(schrodinger_factor(ev, t, params.hbar)) ** 2
+    want = math.exp(2.0 * ev.imag / params.hbar * t)
     assert abs(got - want) <= 1e-9 * max(1.0, want)
 
 
