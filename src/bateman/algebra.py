@@ -33,14 +33,12 @@ __all__ = [
     "B2_CRE",
     "B1_ANN",
     "B2_ANN",
-    "normal_order",
     "vacuum_expectation",
     "vacuum_pairing",
     "apply_to_monomial_ket",
     "basis_column",
     "basis_matrix_element",
     "to_matrix",
-    "matrix_element",
     "matrix_elements",
     "random_poly",
 ]
@@ -447,10 +445,6 @@ def _word_normal_form(word: Word) -> list[tuple[Word, int]]:
             for (p1, q1), k1 in forms[0].items() for (p2, q2), k2 in forms[1].items()]
 
 
-def normal_order(poly: LadderPoly) -> LadderPoly:
-    return poly.normal_order()
-
-
 def vacuum_expectation(poly: LadderPoly) -> ExactScalar:
     """<vac| poly |vac>: the constant term of the normal-ordered poly, read from the empty
     word of each term's normal form without building the poly's normal order."""
@@ -588,12 +582,6 @@ def matrix_elements(elements: list[tuple[LadderPoly, tuple[int, int], tuple[int,
             total += coeff.to_complex(params) * next(read)
         out.append(total)
     return out
-
-
-def matrix_element(poly: LadderPoly, ladder, bra: tuple[int, int], ket: tuple[int, int],
-                   params: PhysicalParams | None = None) -> complex:
-    """<bra| poly |ket> on the truncated matrices: matrix_elements of the one element."""
-    return matrix_elements([(poly, bra, ket)], ladder, params)[0]
 
 
 #: Fraction(n, d) at index 9 * (n + 9) + d - 1, for n in -9..9 and d in 1..9

@@ -398,14 +398,14 @@ _FLAGS = {
     "out": dict(default=None, help="write the report to this file instead of stdout"),
     "config": dict(default=None, help="key=value file; command line flags take precedence"),
     "n_max": dict(type=int, default=None, help="occupation truncation override"),
-    "theta": dict(type=float, default=0.3,
+    "theta": dict(type=float, default=VerifyConfig.theta,
                   help="transform rotation angle (verify: default 0.3; norms: without it, "
                        "the 8-angle grid, with it that one angle)"),
     "branch": dict(choices=("+", "-"), default="+", help="transform branch sign"),
     "n_cap": dict(type=int, default=6, help=f"largest n1+n2 listed (default 6, max {MAX_N_CAP})"),
     "approach": dict(choices=tuple(APPROACHES), default="ft",
                      help="which construction: rotation (ft) or imaginary scale (is)"),
-    "seed": dict(type=int, default=20260823, help="seed for randomized cross-validation"),
+    "seed": dict(type=int, default=VerifyConfig.seed, help="seed for randomized cross-validation"),
     "n1": dict(type=int, default=0, help="first occupation number (default 0)"),
     "n2": dict(type=int, default=0, help="second occupation number (default 0)"),
     "times": dict(default="0,0.25,0.5,0.75,1,1.25,1.5,1.75,2",

@@ -24,6 +24,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from fractions import Fraction
 from typing import Callable, Iterable
 
 import numpy as np
@@ -47,7 +48,6 @@ __all__ = [
     "pairing_norm_in_time",
     "eom_residual",
     "xy_mode_exponents",
-    "valid_angle",
     "transform",
     "mode2_split",
     "similarity_deviation",
@@ -57,6 +57,7 @@ __all__ = [
     "heisenberg_rate",
     "xy_operators",
     "plain_in_modes",
+    "xy_terms",
     "hamiltonian_formal",
     "hamiltonian_from_plain",
 ]
@@ -220,7 +221,7 @@ class MixedModes:
         return self.ladder.space
 
 
-def valid_angle(con: Construction, angle: complex) -> complex:
+def _valid_angle(con: Construction, angle: complex) -> complex:
     """angle as a complex number, checked against the route's domain."""
     angle = complex(angle)
     if not (math.isfinite(angle.real) and math.isfinite(angle.imag)):
@@ -231,7 +232,7 @@ def valid_angle(con: Construction, angle: complex) -> complex:
 
 
 def transform(con: Construction, angle: complex, ladder: LadderSet) -> MixedModes:
-    angle = valid_angle(con, angle)
+    angle = _valid_angle(con, angle)
     (m1, m2), (p1, p2) = con.mixing(angle)
     a1, a1d, a2, a2d = ladder.a1, ladder.a1_dag, ladder.a2, ladder.a2_dag
     second = m2[0] * a1 + m2[1] * a2d
@@ -278,8 +279,6 @@ def similarity_deviation(con: Construction, modes: MixedModes, generator: Operat
 class IdentityReport:
     """Interior deviations of H0/H1 from their mixed-operator expressions."""
 
-    angle: complex
-    n_max: int
     h0_deviation: float
     h1_deviation: float
     reduced_deviation: float | None  # against the pure number-operator form; decoupling angles only
@@ -316,8 +315,6 @@ def identity_report(con: Construction, modes: MixedModes, params: PhysicalParams
         reduced = interior_deviation(h1, branch * 1j * hbar * lam * q_form, space)
 
     return IdentityReport(
-        angle=modes.angle,
-        n_max=space.n_max,
         h0_deviation=interior_deviation(h0, hbar * omega * _affine(con.p_map, n1, n2, eye),
                                         space),
         h1_deviation=interior_deviation(h1, con.h1_mixed(modes, q_form, params), space),
@@ -417,6 +414,7 @@ def xy_operators(con: Construction, branch, t: float, modes: MixedModes,
 
 _HW = ExactScalar.unit(U_HW)
 _IHL = ExactScalar.unit(U_IHL)
+_INV_SQRT2 = ExactScalar.surd(Fraction(1, 2), 2)   # sqrt2/2
 
 
 def plain_in_modes(con: Construction, branch) -> dict[str, LadderPoly]:
@@ -435,6 +433,31 @@ def plain_in_modes(con: Construction, branch) -> dict[str, LadderPoly]:
         "a1_dag": partner1 * s1[0] + partner2 * s1[1],
         "a2": partner1 * s2[0] + partner2 * s2[1],
     }
+
+
+#: {(p_lam, p_omega): poly}, each poly carrying the factor e^{(p_lam*lam + i*p_omega*omega)t}
+XYTerms = dict[tuple[int, int], LadderPoly]
+
+
+def xy_terms(con: Construction, branch) -> tuple[XYTerms, XYTerms]:
+    """x(t) and y(t) in mixed-mode symbols at the decoupling angle of branch, exactly.
+
+    x = (a1 + a1+ + a2 + a2+)/sqrt2 and y = (a1 + a1+ - a2 - a2+)/sqrt2 with
+    `plain_in_modes` substituted, in units of the real sqrt(hbar/2 m omega).
+    Each symbol evolves at its mode's Heisenberg rate (`heisenberg_rate`):
+    the annihilator of mode i is labeled (branch*q_i, -p_i), its creator the
+    negative.
+    """
+    b = normalize_branch(branch)
+    ops = plain_in_modes(con, b)
+    labels = {}
+    for i, (ann, cre) in enumerate(((B1_ANN, B1_CRE), (B2_ANN, B2_CRE))):
+        labels[ann] = (b * con.q_map[i], -con.p_map[i])
+        labels[cre] = (-b * con.q_map[i], con.p_map[i])
+    mode1, mode2 = ops["a1"] + ops["a1_dag"], ops["a2"] + ops["a2_dag"]
+    return tuple({labels[sym]: LadderPoly.symbol(sym) * (coeff * _INV_SQRT2)
+                  for (sym,), coeff in poly.terms.items()}
+                 for poly in (mode1 + mode2, mode1 - mode2))
 
 
 def hamiltonian_formal(con: Construction, branch) -> LadderPoly:

@@ -287,7 +287,6 @@ class HamiltonianSet:
     h0: Operator
     h1: Operator
     h: Operator
-    params: PhysicalParams
 
 
 def single_mode_lowering(size: int) -> Operator:
@@ -326,7 +325,7 @@ def build_hamiltonian(ladder: LadderSet, params: PhysicalParams) -> HamiltonianS
     coupling = 1j * params.hbar * params.gamma / (2.0 * params.m)
     h0 = hw * (ladder.a1_dag @ ladder.a1 - ladder.a2_dag @ ladder.a2)
     h1 = coupling * (ladder.a1 @ ladder.a2 - ladder.a1_dag @ ladder.a2_dag)
-    return HamiltonianSet(h0=h0, h1=h1, h=h0 + h1, params=params)
+    return HamiltonianSet(h0=h0, h1=h1, h=h0 + h1)
 
 
 def commutator(a, b):

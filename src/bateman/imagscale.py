@@ -9,9 +9,9 @@ below by hbar*omega, imaginary part zero exactly on the diagonal n1 = n2.
 `IS` holds the route's data for the generic machinery in `construction`.
 What only this route has lives here: the generators Y and Z, the squeeze
 similarity check on a single-mode chain, the bounded frame and its vacuum,
-and the symbolic x(t), y(t) conjugation.  The chi similarity e^{chi Z} is
-checked by `construction.similarity_deviation`, as the rotation route's
-e^{theta X} is.
+and the symbol conjugation of the x(t), y(t) terms (`construction.xy_terms`).
+The chi similarity e^{chi Z} is checked by `construction.similarity_deviation`,
+as the rotation route's e^{theta X} is.
 
 Two matrix realizations coexist on purpose.  In the original frame the
 check modes mix a1 with a2+, so the truncated joint kernel of the two check
@@ -38,8 +38,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import B1_ANN, B1_CRE, B2_ANN, B2_CRE, CQ, ExactScalar, LadderPoly
-from .construction import Construction, MixedModes, normalize_branch, transform
+from .algebra import CQ, ExactScalar
+from .construction import Construction, MixedModes, XYTerms, transform
 from .errors import DomainError
 from .fock import LadderSet, Operator, intertwining_deviation, low_block, single_mode_lowering
 from .ft import generator_matrix
@@ -53,7 +53,6 @@ __all__ = [
     "tilde_similarity_deviation",
     "bounded_frame",
     "is_vacuum",
-    "is_xy_symbolic",
     "conjugate_xy_terms",
 ]
 
@@ -182,29 +181,6 @@ def is_vacuum(frame: MixedModes) -> tuple[np.ndarray, np.ndarray]:
 
 # ---------------------------------------------------------------------------
 # exact symbol route
-
-XYTerms = dict[tuple[int, int], LadderPoly]
-
-
-def is_xy_symbolic(sign) -> tuple[XYTerms, XYTerms]:
-    """x(t) and y(t) as {(p_lam, p_omega): poly} with factor e^{(p_lam*lam + i*p_omega*omega)t}.
-
-    The common real prefactor sqrt(hbar/2 m omega) is omitted; it is invariant
-    under the symbol conjugation and plays no role in the symmetry.
-    """
-    b = normalize_branch(sign)
-    i_scalar = ExactScalar.of(_I)
-    b1 = LadderPoly.symbol(B1_ANN)
-    b2 = LadderPoly.symbol(B2_ANN)
-    b1d = LadderPoly.symbol(B1_CRE)
-    b2d = LadderPoly.symbol(B2_CRE)
-    if b > 0:
-        x_terms = {(-1, 1): b1d, (-1, -1): b2 * i_scalar}
-        y_terms = {(1, -1): b1, (1, 1): b2d * (-i_scalar)}
-    else:
-        x_terms = {(-1, -1): b1, (-1, 1): b2d * i_scalar}
-        y_terms = {(1, 1): b1d, (1, -1): b2 * (-i_scalar)}
-    return x_terms, y_terms
 
 
 def conjugate_xy_terms(terms: XYTerms) -> XYTerms:

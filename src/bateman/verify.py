@@ -38,6 +38,7 @@ from .construction import (
     transform,
     xy_mode_exponents,
     xy_operators,
+    xy_terms,
 )
 from .algebra import (
     B1_ANN,
@@ -202,21 +203,20 @@ def check_params_examples(cfg: VerifyConfig) -> tuple:
 
 @_check("algebra.normal-order")
 def check_normal_order(cfg: VerifyConfig) -> tuple:
-    b1 = LadderPoly.symbol(B1_ANN)
-    b1d = LadderPoly.symbol(B1_CRE)
-    mismatch = 0
-    if (b1 * b1d).normal_order() != (b1d * b1 + LadderPoly.one()):
-        mismatch += 1
-    if (b1 * LadderPoly.symbol(B2_CRE)).normal_order() != LadderPoly.word((B2_CRE, B1_ANN)):
-        mismatch += 1
-    quartic = LadderPoly.word((B1_ANN, B1_ANN, B1_CRE, B1_CRE)).normal_order()
-    expected = (
-        LadderPoly.word((B1_CRE, B1_CRE, B1_ANN, B1_ANN))
-        + LadderPoly.word((B1_CRE, B1_ANN), 4)
-        + LadderPoly.word((), 2)
-    )
-    if quartic != expected:
-        mismatch += 1
+    one, num1 = LadderPoly.one(), LadderPoly.word((B1_CRE, B1_ANN))
+    num2 = LadderPoly.word((B2_CRE, B2_ANN))
+    # (word, its normal form), every canonical word's multiplicity stated, not only the constant's
+    examples = [
+        ((B1_ANN, B1_CRE), num1 + one),
+        ((B1_ANN, B2_CRE), LadderPoly.word((B2_CRE, B1_ANN))),
+        ((B1_ANN, B1_ANN, B1_CRE, B1_CRE),
+         LadderPoly.word((B1_CRE, B1_CRE, B1_ANN, B1_ANN)) + num1 * 4 + one * 2),
+        ((B2_ANN, B1_ANN, B2_CRE, B1_CRE),
+         LadderPoly.word((B1_CRE, B2_CRE, B1_ANN, B2_ANN)) + num1 + num2 + one),
+        ((B1_ANN, B1_CRE, B1_ANN, B1_CRE),
+         LadderPoly.word((B1_CRE, B1_CRE, B1_ANN, B1_ANN)) + num1 * 3 + one),
+    ]
+    mismatch = sum(LadderPoly.word(word).normal_order() != want for word, want in examples)
     messy = ft.ft_generator_poly() * hamiltonian_formal(ft.FT, "+") + LadderPoly.word(
         (B2_ANN, B1_ANN, B2_CRE, B1_CRE), Fraction(3, 7)
     )
@@ -893,7 +893,7 @@ def check_is_matrix_element(cfg: VerifyConfig) -> tuple:
 def check_is_conjugation(cfg: VerifyConfig) -> tuple:
     mismatch = 0
     for sign in (+1, -1):
-        x_terms, y_terms = imagscale.is_xy_symbolic(sign)
+        x_terms, y_terms = xy_terms(imagscale.IS, sign)
         if imagscale.conjugate_xy_terms(x_terms) != y_terms:
             mismatch += 1
         if imagscale.conjugate_xy_terms(y_terms) != x_terms:

@@ -6,6 +6,7 @@ the one place floats enter, bounded by 1e-12.
 """
 
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -29,9 +30,7 @@ from bateman.algebra import (
     apply_to_monomial_ket,
     basis_column,
     basis_matrix_element,
-    matrix_element,
     matrix_elements,
-    normal_order,
     random_poly,
     to_matrix,
     vacuum_expectation,
@@ -39,6 +38,7 @@ from bateman.algebra import (
 )
 from bateman.errors import DomainError, MixedUnitError
 from bateman.fock import build_ladder, dense
+from bateman.cli import main
 from bateman.construction import Eigen, hamiltonian_formal, hamiltonian_from_plain
 from bateman.ft import FT
 from bateman.imagscale import IS
@@ -52,19 +52,19 @@ from bateman.verify import (
 
 
 def test_normal_order_single_commutation():
-    got = normal_order(LadderPoly.word((B1_ANN, B1_CRE)))
+    got = LadderPoly.word((B1_ANN, B1_CRE)).normal_order()
     want = LadderPoly.word((B1_CRE, B1_ANN)) + LadderPoly.one()
     assert got == want
 
 
 def test_normal_order_distinct_modes():
-    got = normal_order(LadderPoly.word((B1_ANN, B2_CRE)))
+    got = LadderPoly.word((B1_ANN, B2_CRE)).normal_order()
     assert got == LadderPoly.word((B2_CRE, B1_ANN))
 
 
 def test_normal_order_quartic():
     # b1 b1 b1+ b1+ = b1+^2 b1^2 + 4 b1+ b1 + 2
-    got = normal_order(LadderPoly.word((B1_ANN, B1_ANN, B1_CRE, B1_CRE)))
+    got = LadderPoly.word((B1_ANN, B1_ANN, B1_CRE, B1_CRE)).normal_order()
     want = (
         LadderPoly.word((B1_CRE, B1_CRE, B1_ANN, B1_ANN))
         + LadderPoly.word((B1_CRE, B1_ANN)) * ExactScalar.of(4)
@@ -78,8 +78,8 @@ def test_normal_order_idempotent():
         LadderPoly.word((B1_ANN, B2_ANN, B1_CRE, B2_CRE))
         + LadderPoly.word((B2_ANN, B2_CRE, B2_ANN)) * ExactScalar.surd(Fraction(1, 3), 2)
     )
-    once = normal_order(messy)
-    assert normal_order(once) == once
+    once = messy.normal_order()
+    assert once.normal_order() == once
 
 
 def test_vacuum_pairing_examples():
@@ -159,7 +159,7 @@ def test_oracle_matches_matrices(seed):
     poly = random_poly(rng, max_degree=5, max_terms=4)
     ladder = build_ladder(poly.degree() + 2)
     exact = vacuum_pairing(LadderPoly.one(), poly).to_complex()
-    numeric = matrix_element(poly, ladder, (0, 0), (0, 0))
+    numeric = matrix_elements([(poly, (0, 0), (0, 0))], ladder)[0]
     assert abs(exact - numeric) <= 1e-12
 
 
@@ -209,13 +209,13 @@ def test_matrix_element_reads_bra_row_and_ket_column(ladder8, params):
     # b1+ b2: <1, 0| b1+ b2 |0, 1> = 1 but <0, 1| b1+ b2 |1, 0> = 0; the hw tag needs params
     poly = LadderPoly.word((B1_CRE, B2_ANN), ExactScalar.unit(U_HW, 3))
     hw = params.hbar * params.omega
-    assert matrix_element(poly, ladder8, (1, 0), (0, 1), params) == 3 * hw
-    assert matrix_element(poly, ladder8, (0, 1), (1, 0), params) == 0
+    assert matrix_elements([(poly, (1, 0), (0, 1))], ladder8, params)[0] == 3 * hw
+    assert matrix_elements([(poly, (0, 1), (1, 0))], ladder8, params)[0] == 0
     # b1 b1+ b1+ |0, 0> = 2 |1, 0>: the words act right to left
     word = LadderPoly.word((B1_ANN, B1_CRE, B1_CRE))
-    assert matrix_element(word, ladder8, (1, 0), (0, 0)) == pytest.approx(2.0, abs=1e-15)
+    assert matrix_elements([(word, (1, 0), (0, 0))], ladder8)[0] == pytest.approx(2.0, abs=1e-15)
     with pytest.raises(DomainError):
-        matrix_element(poly, ladder8, (9, 0), (0, 0), params)
+        matrix_elements([(poly, (9, 0), (0, 0))], ladder8, params)[0]
 
 
 # --- the batched walk against the one-word-at-a-time walk ---------------------
@@ -241,7 +241,8 @@ def test_matrix_elements_equal_the_per_word_walk_at_the_vacuum():
     for ladder, polys in _by_ladder_size(_seeded_polys(), lambda d: max(2, d + 2)).values():
         got = matrix_elements([(p, (0, 0), (0, 0)) for p in polys], ladder)
         assert _bits(got) == _bits([_per_word_element(p, ladder, (0, 0), (0, 0)) for p in polys])
-        assert _bits(got) == _bits([matrix_element(p, ladder, (0, 0), (0, 0)) for p in polys])
+        assert _bits(got) == _bits([matrix_elements([(p, (0, 0), (0, 0))], ladder)[0]
+                                    for p in polys])
 
 
 def test_matrix_elements_equal_the_per_word_walk_on_low_occupations(params):
@@ -264,7 +265,7 @@ def test_one_walk_reads_each_element_at_its_own_bra_and_ket(params):
     got = matrix_elements(elements, ladder, params)
     assert _bits(got) == _bits([_per_word_element(p, ladder, bra, ket, params)
                                 for p, bra, ket in elements])
-    assert _bits(got) == _bits([matrix_element(p, ladder, bra, ket, params)
+    assert _bits(got) == _bits([matrix_elements([(p, bra, ket)], ladder, params)[0]
                                 for p, bra, ket in elements])
 
 
@@ -467,15 +468,15 @@ def test_normal_order_matches_the_rewriting_on_every_word_up_to_degree_6():
     assert len(words) == 5461
     for word in words:
         poly = LadderPoly.word(word, coeff)
-        assert normal_order(poly) == _reference_normal_order(poly), word
+        assert poly.normal_order() == _reference_normal_order(poly), word
 
 
 def test_normal_order_matches_the_rewriting_on_the_checks_messy_poly():
     messy = ft.ft_generator_poly() * hamiltonian_formal(FT, "+") + LadderPoly.word(
         (B2_ANN, B1_ANN, B2_CRE, B1_CRE), Fraction(3, 7)
     )
-    assert normal_order(messy) == _reference_normal_order(messy)
-    assert normal_order(messy) != messy
+    assert messy.normal_order() == _reference_normal_order(messy)
+    assert messy.normal_order() != messy
 
 
 def test_vacuum_pairing_is_the_constant_term_of_the_normal_ordered_product():
@@ -504,6 +505,22 @@ def test_cross_validation_catches_one_multiplicity_off_by_1(monkeypatch, params,
     monkeypatch.setattr(algebra, "_word_normal_form", bent)
     result = check_oracle_cross_validation(cfg)
     assert not result.passed and result.deviation > 0.1
+
+
+def test_normal_order_check_catches_a_canonical_multiplicity_off_by_1(monkeypatch, capsys):
+    # the mutant adds 1 to the b1+ b1 multiplicity in the forms of two words, leaving
+    # the empty word's multiplicity, which the oracle's vacuum pairings read, alone
+    words = {(B2_ANN, B1_ANN, B2_CRE, B1_CRE), (B1_ANN, B1_CRE, B1_ANN, B1_CRE)}
+    form = algebra._word_normal_form
+
+    def bent(w):
+        return [(c, k + 1 if w in words and c == (B1_CRE, B1_ANN) else k) for c, k in form(w)]
+
+    assert all(bent(w) != form(w) for w in words)
+    monkeypatch.setattr(algebra, "_word_normal_form", bent)
+    assert main(["verify", "algebra"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert "algebra.normal-order" in [c["check_id"] for c in report["checks"] if not c["passed"]]
 
 
 # --- the shared zero and exact scalar equality --------------------------------

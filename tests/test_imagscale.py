@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from bateman.algebra import B1_ANN, B1_CRE, B2_ANN, B2_CRE, CQ, ExactScalar, LadderPoly
 from bateman.construction import (
     basis,
     eigenvalue,
@@ -24,6 +25,7 @@ from bateman.construction import (
     similarity_deviation,
     transform,
     xy_operators,
+    xy_terms,
 )
 from bateman.errors import DomainError, HeadroomError
 from bateman.fock import build_hamiltonian, build_ladder, dense, max_abs, position_operators
@@ -35,7 +37,6 @@ from bateman.imagscale import (
     generator_y_matrix,
     generator_z_matrix,
     is_vacuum,
-    is_xy_symbolic,
     tilde_pair,
     tilde_similarity_deviation,
 )
@@ -224,9 +225,35 @@ def test_heisenberg_factor(params):
     assert abs(got - np.exp((-1j * params.omega - params.lam) * t)) <= 1e-12
 
 
+def _is_xy_table(sign):
+    """x(t), y(t) of IS typed by hand: {(p_lam, p_omega): poly}, prefactor omitted."""
+    i = ExactScalar.of(CQ(0, 1))
+    b1, b2 = LadderPoly.symbol(B1_ANN), LadderPoly.symbol(B2_ANN)
+    b1d, b2d = LadderPoly.symbol(B1_CRE), LadderPoly.symbol(B2_CRE)
+    if sign > 0:
+        return {(-1, 1): b1d, (-1, -1): b2 * i}, {(1, -1): b1, (1, 1): b2d * (-i)}
+    return {(-1, -1): b1, (-1, 1): b2d * i}, {(1, 1): b1d, (1, -1): b2 * (-i)}
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_xy_terms_of_is_are_the_hand_typed_tables(sign):
+    assert xy_terms(IS, sign) == _is_xy_table(sign)
+
+
 def test_xy_symbolic_conjugation():
     for sign in (1, -1):
-        x_terms, y_terms = is_xy_symbolic(sign)
+        x_terms, y_terms = xy_terms(IS, sign)
         assert conjugate_xy_terms(x_terms) == y_terms
         assert conjugate_xy_terms(y_terms) == x_terms
         assert conjugate_xy_terms(conjugate_xy_terms(x_terms)) == x_terms
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_ft_xy_terms_are_not_conjugate_because_the_b2_term_flips_sign(sign):
+    x_terms, y_terms = xy_terms(FT, sign)
+    conj = conjugate_xy_terms(x_terms)
+    assert conj != y_terms
+    # the mode-1 terms agree; the mode-2 term of y is minus the conjugate of x's
+    mode2 = {k for k, poly in y_terms.items() if set(poly.terms) & {(B2_ANN,), (B2_CRE,)}}
+    assert conj.keys() == y_terms.keys() and len(y_terms) == 2 and len(mode2) == 1
+    assert all(conj[k] == (-y_terms[k] if k in mode2 else y_terms[k]) for k in y_terms)
