@@ -295,15 +295,16 @@ def cmd_evolve(args: argparse.Namespace) -> CommandOutput:
     ev, hbar = rec.as_complex(args.params), args.params.hbar
     rows = []
     for t in times:
-        factor = schrodinger_factor(ev, t, hbar)
-        rows.append(
-            {
-                "t": t,
-                "re_factor": factor.real,
-                "im_factor": factor.imag,
-                "abs2_factor": abs(factor) ** 2,
-            }
-        )
+        try:
+            factor = schrodinger_factor(ev, t, hbar)
+            abs2 = abs(factor) ** 2
+        except OverflowError:
+            abs2 = math.inf
+        if not math.isfinite(abs2):  # also NaN when the phase is lost at an infinite argument
+            raise DomainError(f"--times {t!r}: the evolution factor of state ({args.n1},{args.n2}) "
+                              f"is not finite")
+        rows.append({"t": t, "re_factor": factor.real, "im_factor": factor.imag,
+                     "abs2_factor": abs2})
     pairing = pairing_norm_in_time(rec, times, args.params)
     payload = _header_payload("evolve", args)
     payload.update(

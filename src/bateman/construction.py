@@ -3,8 +3,8 @@
 Each route mixes (a1, a2+) by a 2x2 matrix into two new operators, completes
 them with partners mixed from (a1+, a2), and ends at an affine integer map
 (n1, n2) -> (p, q) with eigenvalue p*hbar*omega + q*i*hbar*lambda.  The
-rotation route (`ft.FT`) and the imaginary-scale route (`imagscale.IS`)
-differ only in the data of a `Construction`; everything written here serves
+imaginary-scale route's record `imagscale.IS` is derived from the rotation
+route's `ft.FT` by exchanging bar mode 2; everything written here serves
 both: eigenvalue records, mixed-mode matrices and the H0/H1 identity report,
 the similarity check u a = m u of the mixed modes against the route's
 exponential u, the biorthogonal basis and its Gram, x(t) and y(t), and the

@@ -1,17 +1,15 @@
-"""Imaginary-scale route: the construction IS, mode 2 traded for its creator.
+"""Imaginary-scale route: the construction IS, FT with bar mode 2 exchanged.
 
-A squeeze-type generator Y acting on mode 2 alone realizes, at parameter
-pi/2, the replacement a2 -> -i a2+, a2+ -> -i a2.  Composing with a
-hyperbolic mixing of (a1, a2+) at chi = +-i pi/4 yields check modes on which
-H becomes hbar*omega*(n1+n2+1) +- i*hbar*lambda*(n1-n2): real part bounded
-below by hbar*omega, imaginary part zero exactly on the diagonal n1 = n2.
-
-`IS` holds the route's data for the generic machinery in `construction`.
-What only this route has lives here: the generators Y and Z, the squeeze
-similarity check on a single-mode chain, the bounded frame and its vacuum,
-and the symbol conjugation of the x(t), y(t) terms (`construction.xy_terms`).
-The chi similarity e^{chi Z} is checked by `construction.similarity_deviation`,
-as the rotation route's e^{theta X} is.
+`IS` is derived from `ft.FT` (`_exchanged`): e^{chi Z} is e^{theta X} at
+theta = -i chi, and IS's check modes are FT's bar modes with b2 and b2+
+exchanged, so IS's eigen map is FT's at n2 -> -n2 - 1.  At chi = +-i pi/4, H
+becomes hbar*omega*(n1+n2+1) +- i*hbar*lambda*(n1-n2): FT's unbounded
+p = n1 - n2 turns into a real part bounded below by hbar*omega, and FT's
+q = n1 + n2 + 1, never 0, into an imaginary part zero exactly on n1 = n2.
+The squeeze generator Y on mode 2 realizes the exchange a2 -> -i a2+ at
+phi = pi/2.  What only this route has lives here: the generators Y and Z,
+the squeeze similarity check on a single-mode chain, the bounded frame and
+its vacuum, and the symbol conjugation of the x(t), y(t) terms.
 
 Two matrix realizations coexist on purpose.  In the original frame the
 check modes mix a1 with a2+, so the truncated joint kernel of the two check
@@ -19,31 +17,29 @@ annihilators sits at the top of the mode-2 ladder, |0, n_max>, where every
 basis pairing built over it is dominated by truncation-boundary defects.
 The bounded frame (`bounded_frame`) is the same construction IS on the
 swapped ladder a2 -> i b2+, a2+ -> i b2, the post-squeeze pair stored as the
-ladder of a fresh Fock space: the chi mixing becomes a bounded, for
-imaginary chi unitary, mode rotation whose vacuum is the Fock vacuum
-e_(0,0) (`is_vacuum`), and `fock.build_hamiltonian` on the swapped ladder
-gives H there.  Operator identities and closed forms are checked in the
-original frame; basis vectors, Gram pairings, and eigenvector residuals
-live in the bounded frame.  Both regularizations are implementation
-choices documented in the README, not statements about the untruncated
-theory.
+ladder of a fresh Fock space: the chi mixing becomes FT's rotation of
+(b1, b2) at theta = -i chi, up to a phase i on mode 2, bounded and for
+imaginary chi unitary, whose vacuum is the Fock vacuum e_(0,0)
+(`is_vacuum`), and `fock.build_hamiltonian` on the swapped ladder gives H
+there.  Operator identities and closed forms are checked in the original
+frame; basis vectors, Gram pairings, and eigenvector residuals live in the
+bounded frame.  Both regularizations are implementation choices documented
+in the README, not statements about the untruncated theory.
 """
 
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 
-from .algebra import CQ, ExactScalar
+from .algebra import CQ
 from .construction import Construction, MixedModes, XYTerms, transform
 from .errors import DomainError
 from .fock import LadderSet, Operator, intertwining_deviation, low_block, single_mode_lowering
-from .ft import generator_matrix
-from .params import PhysicalParams
+from .ft import FT, generator_matrix
 
 __all__ = [
     "IS",
@@ -56,47 +52,42 @@ __all__ = [
     "conjugate_xy_terms",
 ]
 
-_I = CQ(Fraction(0), Fraction(1))
-
 
 # ---------------------------------------------------------------------------
 # the construction
 
 
-def _scale(chi: complex):
-    """(check_ann1, check_ann2) = [[ch, i sh], [-sh, -i ch]] (a1, a2+);
-    (check_cre1, check_cre2) = [[ch, -i sh], [sh, -i ch]] (a1+, a2)."""
-    ch, sh = cmath.cosh(chi), cmath.sinh(chi)
-    return ((ch, 1j * sh), (-sh, -1j * ch)), ((ch, -1j * sh), (sh, -1j * ch))
+def _exchanged(con: Construction) -> Construction:
+    """con with bar mode 2 exchanged: its annihilator becomes -i times its creator.
+
+    The mixing is con's at -i angle with the mode-2 row times -i, the eigen
+    map con's at n2 -> -n2 - 1, the substitution (the inverse mixing) con's
+    with its mode-2 column times i, and H1 con's form on the modes exchanged back.
+    """
+    def mixing(angle):
+        (m1, m2), (p1, p2) = con.mixing(-1j * angle)
+        return (m1, (-1j * m2[0], -1j * m2[1])), (p1, (-1j * p2[0], -1j * p2[1]))
+
+    def h1_mixed(modes, q_form, params):
+        return con.h1_mixed(replace(modes, angle=-1j * modes.angle, ann2=1j * modes.cre2,
+                                    cre2=1j * modes.ann2), q_form, params)
+
+    i = CQ(im=Fraction(1))  # the exact substitution of each branch, built once
+    substitution = {b: tuple(tuple((r[0], r[1] * i) for r in rows) for rows in con.substitution(b))
+                    for b in (1, -1)}
+
+    def flipped(c1, c2, c0):
+        return c1, -c2, c0 - c2
+
+    return Construction(
+        angle_name="chi", imaginary_angle=not con.imaginary_angle,
+        mixing=mixing, second_annihilates=not con.second_annihilates,
+        p_map=flipped(*con.p_map), q_map=flipped(*con.q_map),
+        quarter=lambda branch: 1j * con.quarter(branch), h1_mixed=h1_mixed,
+        substitution=substitution.__getitem__, xy_phase=1j * con.xy_phase)
 
 
-def _scale_h1(check: MixedModes, q_form: Operator, params: PhysicalParams) -> Operator:
-    """H1 = hbar lambda [cosh 2chi (c1+ c2 - c2+ c1) + sinh 2chi (N1 - N2)]."""
-    c2, s2 = cmath.cosh(2 * check.angle), cmath.sinh(2 * check.angle)
-    return params.hbar * params.lam * (
-        c2 * (check.cre1 @ check.ann2 - check.cre2 @ check.ann1) + s2 * q_form
-    )
-
-
-def _scale_at_quarter(branch: int):
-    """Inverse mixing at chi = branch*i*pi/4: cosh = sqrt2/2, sinh = branch*i*sqrt2/2."""
-    c = ExactScalar.surd(Fraction(1, 2), 2)
-    i_c = ExactScalar.surd(_I * Fraction(1, 2), 2)
-    return ((c, i_c * branch), (c * (-branch), i_c)), ((c, -(i_c * branch)), (c * branch, i_c))
-
-
-IS = Construction(
-    angle_name="chi",
-    imaginary_angle=True,
-    mixing=_scale,
-    second_annihilates=True,
-    p_map=(1, 1, 1),
-    q_map=(1, -1, 0),
-    quarter=lambda branch: branch * 1j * math.pi / 4,
-    h1_mixed=_scale_h1,
-    substitution=_scale_at_quarter,
-    xy_phase=1j,
-)
+IS = _exchanged(FT)
 
 
 # ---------------------------------------------------------------------------
@@ -148,8 +139,9 @@ def bounded_frame(chi: complex, ladder: LadderSet) -> MixedModes:
     """IS at purely imaginary chi on the swapped ladder a2 -> i b2+, a2+ -> i b2.
 
     The swapped pair obeys standard commutation relations, so the check modes
-    come out as a bounded mode rotation of (b1, b2) (unitary for imaginary
-    chi): ann1 = ch b1 - sh b2, ann2 = -sh b1 + ch b2.  Their joint kernel
+    come out as FT's rotation of (b1, b2) at theta = -i chi, up to a phase i
+    on mode 2 (unitary for imaginary chi): ann1 = ch b1 - sh b2,
+    ann2 = -sh b1 + ch b2.  Their joint kernel
     is the Fock vacuum e_(0,0) (`is_vacuum`), and creator monomials never
     touch the truncation boundary while n1+n2 stays two rungs below n_max.
     H on the returned ladder (`build_hamiltonian`) is H with the same swap; its

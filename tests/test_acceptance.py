@@ -2,7 +2,8 @@
 
 Every guarantee the package makes is rechecked here at its stated tolerance
 and runtime budget, one printed line per guarantee. Run with -s (or rely on
-capsys.disabled) to see the lines.
+capsys.disabled) to see the lines. Each budget is max(1 s, 20 times the
+gate's median over 5 runs on a 2-vCPU box), so a slowdown of that order fails.
 """
 
 import math
@@ -69,7 +70,7 @@ def test_exact_spectra_first_mixing(capsys):
                     checked += 1
         return f"{checked} diagonal elements exact, zero tolerance"
 
-    _gate(capsys, "spectrum, rotation route", 5.0, body)
+    _gate(capsys, "spectrum, rotation route", 1.0, body)
 
 
 def test_exact_spectra_second_mixing(capsys):
@@ -86,7 +87,7 @@ def test_exact_spectra_second_mixing(capsys):
                     checked += 1
         return f"{checked} diagonal elements exact, real parts >= hbar*omega"
 
-    _gate(capsys, "spectrum, imaginary-scale route", 5.0, body)
+    _gate(capsys, "spectrum, imaginary-scale route", 1.0, body)
 
 
 def test_operator_identities_at_split_angles(capsys):
@@ -106,7 +107,7 @@ def test_operator_identities_at_split_angles(capsys):
                 worst = max(worst, dev)
         return f"max deviation {worst:.2e} <= {bound:.2e} (n_max=12, off the top rung)"
 
-    _gate(capsys, "operator identities at the split angles", 10.0, body)
+    _gate(capsys, "operator identities at the split angles", 1.0, body)
 
 
 def test_commutator_algebra_and_boundary_defect(capsys):
@@ -130,7 +131,7 @@ def test_commutator_algebra_and_boundary_defect(capsys):
         assert mismatches == 0
         return f"interior commutators {worst:.2e} <= 1e-12; boundary defect exact"
 
-    _gate(capsys, "commutator algebra", 5.0, body)
+    _gate(capsys, "commutator algebra", 1.0, body)
 
 
 def test_norm_closed_forms_and_exponent_fits(capsys):
@@ -152,7 +153,7 @@ def test_norm_closed_forms_and_exponent_fits(capsys):
             worst_fit = max(worst_fit, err)
         return f"closed forms rel {worst:.2e} <= 1e-8; fit error {worst_fit:.3f} <= 0.1"
 
-    _gate(capsys, "standard-norm closed forms and divergence fits", 10.0, body)
+    _gate(capsys, "standard-norm closed forms and divergence fits", 1.0, body)
 
 
 def test_biorthonormality_grams(capsys):
@@ -167,7 +168,7 @@ def test_biorthonormality_grams(capsys):
         assert dev2 <= 1e-8
         return f"rotation {dev1:.2e}, imaginary-scale {dev2:.2e}, both <= 1e-8"
 
-    _gate(capsys, "biorthonormality Grams", 10.0, body)
+    _gate(capsys, "biorthonormality Grams", 1.0, body)
 
 
 def test_heisenberg_derivative_form(capsys):
@@ -181,7 +182,7 @@ def test_heisenberg_derivative_form(capsys):
             worst = max(worst, result.deviation)
         return f"rate-constant form, interior deviation {worst:.2e} <= 1e-10"
 
-    _gate(capsys, "Heisenberg derivative form", 5.0, body)
+    _gate(capsys, "Heisenberg derivative form", 1.0, body)
 
 
 def test_eom_certification(capsys):
@@ -207,7 +208,7 @@ def test_eom_certification(capsys):
         assert worst_xy <= 1e-10
         return f"residuals {worst_res:.2e} <= 1e-12*k; t=0 x,y deviation {worst_xy:.2e} <= 1e-10"
 
-    _gate(capsys, "equations of motion", 5.0, body)
+    _gate(capsys, "equations of motion", 1.0, body)
 
 
 def test_stability_classification(capsys):
@@ -227,7 +228,7 @@ def test_stability_classification(capsys):
         assert norms == [1.0, 1.0, 1.0]
         return "98 classifications; pairing norm exactly constant on {0,1,10}"
 
-    _gate(capsys, "stability classification and pairing conservation", 2.0, body)
+    _gate(capsys, "stability classification and pairing conservation", 1.0, body)
 
 
 def test_oracle_matrix_cross_validation(capsys):
@@ -244,4 +245,4 @@ def test_oracle_matrix_cross_validation(capsys):
             worst = max(worst, dev)
         return f"200 random polynomials, worst gap {worst:.2e} <= 1e-12"
 
-    _gate(capsys, "exact-oracle vs matrix cross-validation", 30.0, body)
+    _gate(capsys, "exact-oracle vs matrix cross-validation", 1.02, body)

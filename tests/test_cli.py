@@ -310,11 +310,31 @@ def test_out_writes_file(tmp_path, capsys):
     assert target.read_text() == stdout_doc
 
 
-def test_unexpected_exception_exits_2_without_traceback(capsys):
-    rc, out, err = run(capsys, "evolve", "--times", "1e6")  # e^{lambda t} overflows
+def test_unexpected_exception_exits_2_without_traceback(capsys, monkeypatch):
+    # evolve rejects an overflowing factor itself, so the catch-all is reached by a
+    # command that fails outside the package's own errors
+    def overflow(args):
+        raise OverflowError("math range error")
+
+    monkeypatch.setitem(COMMANDS, "evolve", overflow)
+    rc, out, err = run(capsys, "evolve", "--times", "1e6")
     assert rc == 2
     assert out == ""
     assert err.startswith("error: OverflowError: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,time", [
+    (["--approach", "is", "--n1", "3", "--n2", "3", "--times", "1e308"], "1e+308"),  # phase NaN
+    (["--times", "1e308"], "1e+308"),                   # e^{lambda t} overflows in exp
+    (["--approach", "is", "--n1", "100", "--times", "10"], "10.0"),  # |factor|^2 overflows
+    (["--times", "0,1e6"], "1000000.0"),
+])
+def test_evolve_rejects_a_factor_out_of_float_range(capsys, argv, time):
+    # a domain error that names the time and the state, before any output
+    rc, out, err = run(capsys, "evolve", *argv)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith(f"error: --times {time}: ") and "state (" in err
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

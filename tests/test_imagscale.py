@@ -8,6 +8,7 @@ covered below.
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,7 +29,14 @@ from bateman.construction import (
     xy_terms,
 )
 from bateman.errors import DomainError, HeadroomError
-from bateman.fock import build_hamiltonian, build_ladder, dense, max_abs, position_operators
+from bateman.fock import (
+    build_hamiltonian,
+    build_ladder,
+    dense,
+    interior_deviation,
+    max_abs,
+    position_operators,
+)
 from bateman.ft import FT
 from bateman.imagscale import (
     IS,
@@ -92,6 +100,99 @@ def test_similarity_on_low_window():
         assert tilde_similarity_deviation(phi) <= 1e-10
     lad = build_ladder(24)
     assert similarity_deviation(IS, transform(IS, 0.3j, lad), generator_z_matrix(lad)) <= 1e-10
+
+
+# --- the exchange: IS is FT with bar mode 2 exchanged -------------------------
+# IS's hand-typed data from before it was derived from FT, kept as exact references
+
+
+def _scale(chi: complex):
+    """(check_ann1, check_ann2) = [[ch, i sh], [-sh, -i ch]] (a1, a2+);
+    (check_cre1, check_cre2) = [[ch, -i sh], [sh, -i ch]] (a1+, a2)."""
+    ch, sh = cmath.cosh(chi), cmath.sinh(chi)
+    return ((ch, 1j * sh), (-sh, -1j * ch)), ((ch, -1j * sh), (sh, -1j * ch))
+
+
+def _scale_h1(check, q_form, params):
+    """H1 = hbar lambda [cosh 2chi (c1+ c2 - c2+ c1) + sinh 2chi (N1 - N2)]."""
+    c2, s2 = cmath.cosh(2 * check.angle), cmath.sinh(2 * check.angle)
+    return params.hbar * params.lam * (
+        c2 * (check.cre1 @ check.ann2 - check.cre2 @ check.ann1) + s2 * q_form
+    )
+
+
+def _scale_at_quarter(branch: int):
+    """Inverse mixing at chi = branch*i*pi/4: cosh = sqrt2/2, sinh = branch*i*sqrt2/2."""
+    c = ExactScalar.surd(Fraction(1, 2), 2)
+    i_c = ExactScalar.surd(CQ(Fraction(0), Fraction(1)) * Fraction(1, 2), 2)
+    return ((c, i_c * branch), (c * (-branch), i_c)), ((c, -(i_c * branch)), (c * branch, i_c))
+
+
+@pytest.mark.parametrize("chi", [0j, 0.2j, 0.37j, CHI_Q, -CHI_Q])
+def test_derived_mixing_is_the_hand_typed_one(chi):
+    # entry for entry with ==, which ignores the sign of a zero: the derived rows
+    # carry other signs of zero at 0 and -i pi/4
+    (m1, m2), (p1, p2) = IS.mixing(chi)
+    (w1, w2), (v1, v2) = _scale(chi)
+    for got, want in ((m1, w1), (m2, w2), (p1, v1), (p2, v2)):
+        assert got[0] == want[0] and got[1] == want[1]
+
+
+@pytest.mark.parametrize("branch", [1, -1])
+def test_derived_substitution_is_the_hand_typed_one(branch):
+    assert IS.substitution(branch) == _scale_at_quarter(branch)
+
+
+def test_derived_maps_angles_and_phase():
+    assert IS.p_map == (1, 1, 1)
+    assert IS.q_map == (1, -1, 0)
+    assert IS.quarter(1) == 1j * math.pi / 4 and IS.quarter(-1) == -1j * math.pi / 4
+    assert IS.xy_phase == 1j
+    assert (IS.angle_name, IS.imaginary_angle, IS.second_annihilates) == ("chi", True, True)
+
+
+@pytest.mark.parametrize("n_max", [6, 12])
+@pytest.mark.parametrize("t", [0.3, -0.2, 0.37, math.pi / 4, -math.pi / 4])
+def test_is_modes_are_ft_modes_with_mode_2_exchanged(n_max, t):
+    # bit for bit: ann1 and cre1 agree, ann2 = -i cre2 and cre2 = -i ann2
+    lad = build_ladder(n_max)
+    ist, ftt = transform(IS, 1j * t, lad), transform(FT, t, lad)
+    pairs = ((ist.ann1, ftt.ann1), (ist.cre1, ftt.cre1),
+             (ist.ann2, -1j * ftt.cre2), (ist.cre2, -1j * ftt.ann2))
+    for got, want in pairs:
+        assert list(got.diagonals) == list(want.diagonals)
+        for k, diag in got.diagonals.items():
+            assert np.array_equal(diag, want.diagonals[k])
+
+
+def test_is_eigen_map_is_ft_map_at_minus_n2_minus_1():
+    # FT's map read at a negative occupation, which `eigenvalue` rejects
+    def ft_at(coeffs, n1, n2):
+        c1, c2, c0 = coeffs
+        return c1 * n1 + c2 * (-n2 - 1) + c0
+
+    for branch in (1, -1):
+        for n1 in range(8):
+            for n2 in range(8):
+                rec = eigenvalue(IS, n1, n2, branch)
+                assert rec.p == ft_at(FT.p_map, n1, n2)
+                assert rec.q == branch * ft_at(FT.q_map, n1, n2)
+
+
+@pytest.mark.parametrize("chi", [0.2j, 0.37j, CHI_Q, -CHI_Q])
+def test_derived_h1_form_is_the_hand_typed_one_off_the_top_rung(chi, params):
+    # FT's form on the exchanged modes multiplies ann1 @ cre2 where the hand form
+    # multiplies cre2 @ ann1: the two commute, but their truncations differ at the
+    # top rung, so the forms agree to round-off in the interior only
+    for n_max in (8, 24):
+        lad = build_ladder(n_max)
+        tol = 8 * np.finfo(float).eps * n_max
+        for frame in (transform(IS, chi, lad), bounded_frame(chi, lad)):
+            q_form = frame.cre1 @ frame.ann1 - frame.cre2 @ frame.ann2
+            got, want = IS.h1_mixed(frame, q_form, params), _scale_h1(frame, q_form, params)
+            assert interior_deviation(got, want, lad.space) <= tol
+            if n_max == 24 and chi == 0.37j:
+                assert max_abs(got - want) > 1.0
 
 
 # --- eigenvalues -------------------------------------------------------------
