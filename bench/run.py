@@ -1,55 +1,34 @@
-"""Per-layer CPU timings of the kernels that `bateman` runs.
+"""Per-layer CPU timings of `bateman`, alone or paired with a parent tree.
 
-    python bench/run.py [--out FILE]
+    python bench/run.py [--parent DIR] [--out FILE]
 
-Each row times one function of the package as the CLI calls it, in CPU
-seconds of this process with BLAS on one thread: REPEATS repeats, each of
-`calls` calls (1 unless the row says), and the median, minimum and maximum
-of the time per call under "time", next to the layer and its parameters.
+DIR is a `git clone` or `git archive` of the commit to compare with.  Each
+tree's `src` is copied to a temporary directory, compiled to fresh bytecode
+and loaded under a package name of its own (every import inside `bateman` is
+relative), so both trees run in this one interpreter, BLAS on one thread.
 
-The truncated layers run at the n_max that `verify` resolves by default
-(8, 12 and 24) and at the largest it accepts (48):
+A row is one layer at fixed input parameters, called as the CLI calls it
+(`build_rows`): the truncated kernels and four whole checks at n_max 8, 12, 24
+and 48, the standard norms, the exact sweeps and the 200-polynomial oracle,
+the CLI parser, every check of `verify all` at the CLI defaults, and `import
+bateman.cli` in a cold child, with its peak RSS.  Rows are matched across the
+trees by layer and parameters.  Counts that a tree computes itself (sectors,
+stacks, elements, polys, peak RSS) are recorded per tree, and a row that one
+tree cannot build is listed under "one side only".
 
-- the ladder and Hamiltonian build (`fock.build_ladder`, `build_hamiltonian`);
-- `fock.sector_exp` of 0.3 X, Y and i pi/4 Z, each on the sectors of the
-  charge it conserves, with the number of sectors and of stacks;
-- the similarity reads: `construction.similarity_deviation` of e^{0.3 X} and
-  e^{0.3i Z}, and `ft.ft_basis_similarity` of the states (0,0), (1,0), (2,1);
-- the whole checks that call `fock.sector_exp` on every sector,
-  `algebra.h-structure` (the non-unitarity of e^{0.3 X}, stack by stack)
-  and `ft.exp-inverse` (e^{theta X} e^{-theta X} at theta 0.3), and the
-  bounded frame's whole checks `is.vacuum` (both annihilators and creators
-  against e_(0,0), and the mixing determinant) and `is.matrix-element` (the
-  eigenvector residuals of the 21 states with n1 + n2 <= 5, fewer below
-  n_max 7, on both branches), on the cached ladder that `verify` uses;
-- `construction.identity_report` at each route's decoupling angle, the ladder
-  product a1 @ a2 and `fock.commutator(H0, H1)`;
-- `construction.gram` in the rotation frame at theta 0.3 and in the bounded
-  frame, on the occupations that `ft.gram` and `is.gram` pair.
+Each row runs once per tree to warm its caches, then PAIRS times per tree,
+alternating which tree goes first, in CPU seconds per call (of the child, for
+the import).  Alone, a row reports its median, minimum and maximum.  Paired,
+it also reports the median per-pair ratio this/parent, the pairs this tree won
+and a verdict.  Decision rule, fixed before any measurement: a row is faster
+or slower only if its two-sided sign test has p < ALPHA / (rows compared) and
+its median ratio lies beyond 1 -+ MIN_CHANGE; every other row is unresolved.
+Paired, every invocation of INVOCATIONS also runs as `python -m bateman.cli`
+in a cold child of each tree, and stdout, stderr and the exit code are
+compared byte for byte.
 
-The layers without a truncation:
-
-- `ft.ft_standard_norm` of the four `norms` states at each Theta of
-  `norms`, and `ft._chain_standard_norms` of the same states at each Theta of
-  `ft.norm.closed-forms` and of that check's 16 chains at once;
-- the exact algebra: the `ft.spectrum` and `is.spectrum` sweeps (2 branches
-  x 21 x 21 elements of H) and the 256-element `algebra.biorthonormality`
-  sweep, one `basis_column` per ket, read on its stored bras and the ket
-  itself as the checks read it, and next to each sweep its whole check,
-  which also makes the exact compares; the 200 seeded polynomials of
-  `algebra.cross-validation` (`verify._oracle_draws`), their normal orders,
-  their vacuum pairings with the identity and their vacuum expectations,
-  and the exact and the matrix half of that check;
-- `import bateman.cli` in a fresh interpreter: the CPU time of the import
-  and the peak RSS of the process;
-- `cli.build_parser`, with every subcommand and with the `norms` subcommand
-  alone, as `bateman norms` builds it.
-
-Accuracy references live in the tests, and each replaced route's comparison
-with its successor in the committed BENCH_6/7/10/12/14/15/19.json: a change
-that replaces a kernel runs this script at its parent and at itself.
-The JSON record goes to FILE, or to stdout without `--out`, and carries the
-machine: core count, Python, numpy and BLAS versions.
+The JSON record, with the machine (cores, Python, numpy and BLAS versions),
+goes to FILE, or to stdout without `--out`; a summary goes to stderr.
 """
 
 import os
@@ -58,242 +37,358 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 import argparse  # noqa: E402
+import compileall  # noqa: E402
+import importlib  # noqa: E402
+import importlib.util  # noqa: E402
+import itertools  # noqa: E402
 import json  # noqa: E402
 import math  # noqa: E402
+import operator  # noqa: E402
 import platform  # noqa: E402
+import shutil  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
+import tempfile  # noqa: E402
 import time  # noqa: E402
+from functools import partial  # noqa: E402
 from pathlib import Path  # noqa: E402
+from types import SimpleNamespace  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-SRC = Path(__file__).resolve().parents[1] / "src"
-sys.path.insert(0, str(SRC))
-
-from bateman import cli, verify  # noqa: E402
-from bateman.algebra import (  # noqa: E402
-    LadderPoly,
-    basis_column,
-    vacuum_expectation,
-    vacuum_pairing,
-)
-from bateman.construction import (  # noqa: E402
-    gram,
-    hamiltonian_from_plain,
-    identity_report,
-    similarity_deviation,
-    transform,
-)
-from bateman.fock import build_hamiltonian, build_ladder, commutator, sector_exp  # noqa: E402
-from bateman.ft import (  # noqa: E402
-    EDGE_EPSILONS,
-    FT,
-    MODERATE_GRID,
-    NORMS_STATES,
-    _chain_standard_norms,
-    ft_basis_similarity,
-    ft_standard_norm,
-    ft_vacuum_series,
-    generator_matrix,
-)
-from bateman.imagscale import (  # noqa: E402
-    IS,
-    bounded_frame,
-    generator_y_matrix,
-    generator_z_matrix,
-    is_vacuum,
-)
-from bateman.params import derive_params  # noqa: E402
-
+ROOT = Path(__file__).resolve().parents[1]
 N_MAX = (8, 12, 24, 48)
-REPEATS = 5
-#: the child's own peak RSS is VmHWM: ru_maxrss would carry this process's peak over the exec
-IMPORT_CODE = ("import time\n"
-               "start = time.process_time()\n"
-               "import bateman.cli\n"
-               "cpu = time.process_time() - start\n"
-               "hwm = [line.split()[1] for line in open('/proc/self/status')"
-               " if line.startswith('VmHWM')][0]\n"
-               "print(cpu, int(hwm) / 1024)\n")
+PAIRS = 21
+ALPHA = 0.05
+MIN_CHANGE = 0.03
+#: the CLI's default physical parameters, which `verify all` runs at
+DEFAULT_PARAMS = dict(m=1.0, gamma=1.0, k=1.25)
 BASIS_STATES = ((0, 0), (1, 0), (2, 1))
-NORMS_GRID = MODERATE_GRID + tuple(math.pi / 2 - eps for eps in EDGE_EPSILONS)
-CHI_Q = 1j * math.pi / 4
-#: each exponent with the charge it conserves: n1 - n2, or n1 and the parity of n2 for Y
-EXPONENTS = {"0.3 X": lambda lad: (0.3 * generator_matrix(lad), lad.space.difference),
-             "Y": lambda lad: (generator_y_matrix(lad.a2, lad.a2_dag),
-                               lad.space.total + lad.space.difference
-                               + np.arange(lad.space.dim) % (lad.space.n_max + 1) % 2),
-             "i pi/4 Z": lambda lad: (1j * math.pi / 4 * generator_z_matrix(lad),
-                                      lad.space.difference)}
-PARAMS = derive_params(m=1.0, gamma=1.0, k=1.25)
+MODULES = ("algebra", "cli", "construction", "fock", "ft", "imagscale", "params", "verify")
+#: the child's own peak RSS is VmHWM: ru_maxrss would carry this process's peak over the exec
+IMPORT_CODE = ("import time\nstart = time.process_time()\nimport bateman.cli\n"
+               "cpu = time.process_time() - start\nhwm = [line.split()[1] for line in"
+               " open('/proc/self/status') if line.startswith('VmHWM')][0]\n"
+               "print(cpu, int(hwm) / 1024)\n")
+#: a fresh package name per load, so no load reads another's modules from sys.modules
+_LOADS = itertools.count()
 
 
-def stats(times: list[float]) -> dict:
-    return {"median_s": statistics.median(times), "min_s": min(times), "max_s": max(times)}
+def _scalar_invocations() -> list[list[str]]:
+    """spectrum, classify and evolve for both approaches, both branches and every format."""
+    return [command + ["--approach", approach, "--branch", branch, "--format", fmt]
+            for command in (["spectrum"], ["classify", "--n1", "2", "--n2", "2"],
+                            ["evolve", "--n1", "1"])
+            for approach in ("ft", "is") for branch in ("+", "-")
+            for fmt in ("json", "csv", "text")]
 
 
-def row(layer: str, fn, calls: int = 1, **params) -> dict:
-    """The layer, its parameters and the CPU seconds per call of fn over REPEATS repeats."""
-    times = []
-    for _ in range(REPEATS):
+INVOCATIONS = [
+    ["verify", "all"], ["verify", "all", "--seed", "1"],
+    ["verify", "all", "--m", "1.3", "--gamma", "0.7", "--k", "2.1"],
+    ["verify", "all", "--corrupt-check", "is.h-identity.quarter"],
+    ["verify", "is"], ["verify", "is", "--n-max", "8"], ["verify", "is", "--n-max", "16"],
+    ["verify", "is", "--n-max", "24"], ["verify", "ft"], ["verify", "dynamics"],
+    ["verify", "algebra", "--seed", "5"], ["norms"], ["norms", "--theta", "0.4"],
+    *_scalar_invocations(),
+    ["verify", "is", "--n-max", "3"],                       # exit 2: below the smallest n_max
+    ["spectrum", "--approach", "is", "--n-cap", "17"],      # exit 2: past the largest n_cap
+]
+
+
+def stage(tree: Path, into: Path) -> Path:
+    """A copy of tree/src under into, compiled to fresh bytecode; returns the copy."""
+    src = into / "src"
+    shutil.copytree(tree / "src", src, ignore=shutil.ignore_patterns("__pycache__", "*.pyc"))
+    if not compileall.compile_dir(str(src), quiet=1, force=True):
+        raise RuntimeError(f"{tree / 'src'} does not compile")
+    return src
+
+
+def describe(tree: Path) -> dict:
+    """The tree's commit and whether its files differ from it, when it is a git checkout."""
+    def git(*argv: str) -> str | None:
+        done = subprocess.run(["git", "-C", str(tree), *argv], capture_output=True, text=True)
+        return done.stdout.strip() if done.returncode == 0 else None
+    changes = git("status", "--porcelain", "--", "src", "bench")
+    return {"revision": git("rev-parse", "HEAD"),
+            "worktree_changes": None if changes is None else bool(changes)}
+
+
+def run_cli(src: Path, argv: list[str]) -> tuple[bytes, bytes, int]:
+    """stdout, stderr and exit code of `python -m bateman.cli argv` in a fresh child."""
+    done = subprocess.run([sys.executable, "-m", "bateman.cli", *argv], capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), cwd=src, timeout=300)
+    return done.stdout, done.stderr, done.returncode
+
+
+def diff_outputs(this: Path, parent: Path, invocations=INVOCATIONS) -> list[dict]:
+    """One row per invocation: which of stdout, stderr and exit code differ between the trees."""
+    rows = []
+    for argv in invocations:
+        got, want = run_cli(this, argv), run_cli(parent, argv)
+        differs = [name for name, a, b in zip(("stdout", "stderr", "exit"), got, want) if a != b]
+        rows.append({"argv": argv, "exit": [got[2], want[2]], "differs": differs})
+    return rows
+
+
+def load(src: Path, label: str) -> SimpleNamespace:
+    """The bateman package under src, imported under a fresh name; returns its modules."""
+    name = f"bench_{label}_{next(_LOADS)}"
+    spec = importlib.util.spec_from_file_location(
+        name, src / "bateman" / "__init__.py", submodule_search_locations=[str(src / "bateman")])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return SimpleNamespace(**{m: importlib.import_module(f"{name}.{m}") for m in MODULES})
+
+
+def cpu(fn, calls: int = 1):
+    """A measure: the CPU seconds per call of fn over calls calls."""
+    def measure() -> float:
         start = time.process_time()
         for _ in range(calls):
             fn()
-        times.append((time.process_time() - start) / calls)
-    return {"layer": layer, **params, **({"calls": calls} if calls > 1 else {}),
-            "time": stats(times)}
+        return (time.process_time() - start) / calls
+    return measure
 
 
-def truncated_rows(n_max: int) -> list[dict]:
-    """Every truncated layer at one n_max."""
-    lad = build_ladder(n_max)
-    ham = build_hamiltonian(lad, PARAMS)
-    at = {"n_max": n_max, "dim": lad.space.dim}
-    rows = [row("ladder_and_hamiltonian",
-                lambda: build_hamiltonian(build_ladder(n_max), PARAMS), 10, **at)]
-    for name, exponent in EXPONENTS.items():
-        a, charge = exponent(lad)
-        stacks = sector_exp(a, charge)
-        rows.append(row("sector_exp", lambda: sector_exp(a, charge), **at, exponent=name,
-                        sectors=sum(len(idx) for idx, _ in stacks), stacks=len(stacks)))
-    reads = {"0.3 X": (FT, 0.3, generator_matrix(lad)),
-             "0.3i Z": (IS, 0.3j, generator_z_matrix(lad))}
-    for name, (con, angle, generator) in reads.items():
-        modes = transform(con, angle, lad)
-        rows.append(row("similarity_deviation",
-                        lambda: similarity_deviation(con, modes, generator), **at, exponent=name))
-    bar = transform(FT, 0.3, lad)
-    rows.append(row("ft_basis_similarity", lambda: ft_basis_similarity(bar, BASIS_STATES),
-                    **at, states=len(BASIS_STATES)))
-    bounded = bounded_frame(CHI_Q, lad)
-    cfg = verify.VerifyConfig(params=PARAMS, n_max=n_max)
-    for check in (verify.check_h_structure, verify.check_exp_inverse, verify.check_is_vacuum,
-                  verify.check_is_matrix_element):
-        rows.append(row("check", lambda: check(cfg), **at, check=check.check_id))
-    for route, con in (("ft", FT), ("is", IS)):
-        modes = transform(con, con.quarter(+1), lad)
-        rows.append(row("identity_report", lambda: identity_report(con, modes, PARAMS),
-                        **at, route=route))
-    rows.append(row("ladder_product", lambda: lad.a1 @ lad.a2, 100, **at))
-    rows.append(row("commutator_h0_h1", lambda: commutator(ham.h0, ham.h1), **at))
-    q_cap = min(3, max(0, (n_max - 2) // 2))  # the occupations of ft.gram and is.gram
-    grams = {"ft theta 0.3": (bar, ft_vacuum_series(0.3, lad.space)),
-             "bounded i pi/4": (bounded, is_vacuum(bounded))}
-    for name, (modes, vacuum) in grams.items():
-        rows.append(row("gram", lambda: gram(modes, vacuum, q_cap), **at, frame=name,
-                        q_cap=q_cap))
-    return rows
+def cold_import(src: Path, rss: list[float]):
+    """A measure: the CPU seconds of `import bateman.cli` in a fresh child; its peak RSS to rss."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    def measure() -> float:
+        done = subprocess.run([sys.executable, "-c", IMPORT_CODE], capture_output=True,
+                              text=True, env=env, check=True)
+        seconds, mb = map(float, done.stdout.split())
+        rss.append(mb)
+        return seconds
+    return measure
 
 
-def norm_rows() -> list[dict]:
-    """The standard norms of the `norms` states: the law at each Theta, the chain route."""
-    rows = [row("ft_standard_norm",
-                lambda: [ft_standard_norm(theta / 2.0, *state) for state in NORMS_STATES],
-                100, Theta=theta, states=len(NORMS_STATES)) for theta in NORMS_GRID]
-    grids = [[(theta, *state) for state in NORMS_STATES] for theta in MODERATE_GRID]
-    rows += [row("_chain_standard_norms", lambda: _chain_standard_norms(cases),
-                 Theta=cases[0][0], chains=len(cases)) for cases in grids]
-    check = [case for cases in grids for case in cases]
-    rows.append(row("_chain_standard_norms", lambda: _chain_standard_norms(check),
-                    grid="ft.norm.closed-forms", chains=len(check)))
-    return rows
-
-
-def column_sweep(ops, bras, kets) -> None:
+def column_sweep(algebra, ops, bras, kets) -> None:
     """Every <<m| op |n>>, one basis_column per (op, ket), as the exact sweeps read them:
     an absent element is zero, so only the stored bras and the ket are read."""
     for op in ops:
         for n in kets:
-            column = basis_column(op, *n)
+            column = algebra.basis_column(op, *n)
             for m in {n, *column}.intersection(bras):
                 column.get(m)
 
 
-def oracle_matrix_half(draws) -> list[complex]:
+def oracle_matrix_half(verify, draws) -> list[complex]:
     verify._ladder.cache_clear()  # the check starts from an empty ladder cache
     return verify._oracle_numeric(draws)
 
 
-def algebra_rows() -> list[dict]:
-    """The exact sweeps and the 200-polynomial cross-validation."""
+def build_rows(src: Path, label: str = "this") -> dict[str, tuple]:
+    """Every row of the tree under src: {key: (layer and parameters, measure, counts)}."""
+    b = load(src, label)
+    con, fock, ft, imag, verify = b.construction, b.fock, b.ft, b.imagscale, b.verify
+    params = b.params.derive_params(**DEFAULT_PARAMS)
+    rows = {}
+
+    def put(key: dict, measure, counts: dict) -> None:
+        rows[json.dumps(key, sort_keys=True)] = (key, measure, counts)
+
+    def add(layer: str, fn, *args, calls: int = 1, counts=None, **at) -> None:
+        key = {"layer": layer, **at, **({"calls": calls} if calls > 1 else {})}
+        put(key, cpu(partial(fn, *args), calls), counts or {})
+
+    rss = []
+    put({"layer": "import bateman.cli"}, cold_import(src, rss), {"peak_rss_mb": rss})
+    for n_max in N_MAX:
+        lad = fock.build_ladder(n_max)
+        ham = fock.build_hamiltonian(lad, params)
+        space = lad.space
+        at = {"n_max": n_max, "dim": space.dim}
+        add("ladder_and_hamiltonian", lambda n=n_max: fock.build_hamiltonian(
+            fock.build_ladder(n), params), calls=10, **at)
+        # each exponent with the charge it conserves: n1 - n2, or n1 and the parity of n2 for Y
+        exponents = {"0.3 X": (0.3 * ft.generator_matrix(lad), space.difference),
+                     "Y": (imag.generator_y_matrix(lad.a2, lad.a2_dag),
+                           space.total + space.difference + np.arange(space.dim) % (n_max + 1) % 2),
+                     "i pi/4 Z": (1j * math.pi / 4 * imag.generator_z_matrix(lad), space.difference)}
+        for name, (a, charge) in exponents.items():
+            stacks = fock.sector_exp(a, charge)
+            add("sector_exp", fock.sector_exp, a, charge, **at, exponent=name,
+                counts={"sectors": sum(len(idx) for idx, _ in stacks), "stacks": len(stacks)})
+        reads = {"0.3 X": (ft.FT, 0.3, ft.generator_matrix(lad)),
+                 "0.3i Z": (imag.IS, 0.3j, imag.generator_z_matrix(lad))}
+        for name, (route, angle, generator) in reads.items():
+            add("similarity_deviation", con.similarity_deviation, route,
+                con.transform(route, angle, lad), generator, **at, exponent=name)
+        bar = con.transform(ft.FT, 0.3, lad)
+        add("ft_basis_similarity", ft.ft_basis_similarity, bar, BASIS_STATES, **at,
+            states=len(BASIS_STATES))
+        cfg = verify.VerifyConfig(params=params, n_max=n_max)
+        for check in (verify.check_h_structure, verify.check_exp_inverse,
+                      verify.check_is_vacuum, verify.check_is_matrix_element):
+            add("check", check, cfg, **at, check=check.check_id)
+        for name, route in (("ft", ft.FT), ("is", imag.IS)):
+            add("identity_report", con.identity_report, route,
+                con.transform(route, route.quarter(+1), lad), params, **at, route=name)
+        add("ladder_product", operator.matmul, lad.a1, lad.a2, calls=100, **at)
+        add("commutator_h0_h1", fock.commutator, ham.h0, ham.h1, **at)
+        q_cap = min(3, max(0, (n_max - 2) // 2))  # the occupations of ft.gram and is.gram
+        bounded = imag.bounded_frame(1j * math.pi / 4, lad)
+        grams = {"ft theta 0.3": (bar, ft.ft_vacuum_series(0.3, space)),
+                 "bounded i pi/4": (bounded, imag.is_vacuum(bounded))}
+        for name, (modes, vacuum) in grams.items():
+            add("gram", con.gram, modes, vacuum, q_cap, **at, frame=name, q_cap=q_cap)
+
+    for theta in ft.MODERATE_GRID + tuple(math.pi / 2 - eps for eps in ft.EDGE_EPSILONS):
+        add("ft_standard_norm", lambda t=theta: [ft.ft_standard_norm(t / 2.0, *state)
+                                                 for state in ft.NORMS_STATES],
+            calls=100, Theta=theta, states=len(ft.NORMS_STATES))
+    grids = [[(theta, *state) for state in ft.NORMS_STATES] for theta in ft.MODERATE_GRID]
+    for cases in grids:
+        add("_chain_standard_norms", ft._chain_standard_norms, cases, Theta=cases[0][0],
+            chains=len(cases))
+    whole = [case for cases in grids for case in cases]
+    add("_chain_standard_norms", ft._chain_standard_norms, whole, grid="ft.norm.closed-forms",
+        chains=len(whole))
+
     states = verify._SWEEP_STATES
-    occupations = [(a, b) for a in range(4) for b in range(4)]
-    sweeps = {f"{name}.spectrum": ([hamiltonian_from_plain(con, b) for b in (+1, -1)],
-                                   states, states) for name, con in (("ft", FT), ("is", IS))}
-    sweeps["algebra.biorthonormality"] = ([LadderPoly.one()], occupations, occupations)
-    checks = {"ft.spectrum": verify.check_ft_spectrum, "is.spectrum": verify.check_is_spectrum,
-              "algebra.biorthonormality": verify.check_biorthonormality}
-    cfg = verify.VerifyConfig(params=PARAMS)
-    rows = []
+    occupations = [(n1, n2) for n1 in range(4) for n2 in range(4)]
+    sweeps = {f"{name}.spectrum": ([con.hamiltonian_from_plain(route, branch)
+                                    for branch in (+1, -1)], states, states)
+              for name, route in (("ft", ft.FT), ("is", imag.IS))}
+    sweeps["algebra.biorthonormality"] = ([b.algebra.LadderPoly.one()], occupations, occupations)
     for name, (ops, bras, kets) in sweeps.items():
-        rows.append(row("basis_column_sweep", lambda: column_sweep(ops, bras, kets), sweep=name,
-                        elements=len(ops) * len(bras) * len(kets)))
-        rows.append(row("check", lambda: checks[name](cfg), check=name))
+        add("basis_column_sweep", column_sweep, b.algebra, ops, bras, kets, sweep=name,
+            counts={"elements": len(ops) * len(bras) * len(kets)})
     seed = verify.VerifyConfig.seed
     draws = verify._oracle_draws(seed)
     polys = {"polys": len(draws)}
-    rows.append(row("_oracle_draws", lambda: verify._oracle_draws(seed), **polys))
-    rows.append(row("normal_order", lambda: [poly.normal_order() for poly, _ in draws],
-                    **polys))
-    one = LadderPoly.one()
-    rows.append(row("vacuum_pairing", lambda: [vacuum_pairing(one, poly) for poly, _ in draws],
-                    **polys))
-    rows.append(row("vacuum_expectation", lambda: [vacuum_expectation(poly) for poly, _ in draws],
-                    **polys))
-    rows.append(row("_oracle_exact", lambda: verify._oracle_exact(draws), **polys))
-    rows.append(row("_oracle_numeric", lambda: oracle_matrix_half(draws), **polys))
+    one = b.algebra.LadderPoly.one()
+    add("_oracle_draws", verify._oracle_draws, seed, counts=polys)
+    add("normal_order", lambda: [poly.normal_order() for poly, _ in draws], counts=polys)
+    add("vacuum_pairing", lambda: [b.algebra.vacuum_pairing(one, poly) for poly, _ in draws],
+        counts=polys)
+    add("vacuum_expectation", lambda: [b.algebra.vacuum_expectation(poly) for poly, _ in draws],
+        counts=polys)
+    add("_oracle_exact", verify._oracle_exact, draws, counts=polys)
+    add("_oracle_numeric", oracle_matrix_half, verify, draws, counts=polys)
+    for argv in (None, ["norms"]):
+        add("build_parser", b.cli.build_parser, argv, calls=100, argv=argv)
+
+    cfg = verify.VerifyConfig(params=params)
+    for suite in verify.SUITE_NAMES:
+        for check in verify.SUITES[suite]:
+            add("check", check, cfg, check=check.check_id)
     return rows
 
 
-def import_row() -> dict:
-    """CPU time and peak RSS of `import bateman.cli` in REPEATS fresh interpreters."""
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    cpu, rss = [], []
-    for _ in range(REPEATS):
-        done = subprocess.run([sys.executable, "-c", IMPORT_CODE], capture_output=True,
-                              text=True, env=env, check=True)
-        t, mb = map(float, done.stdout.split())
-        cpu.append(t)
-        rss.append(mb)
-    return {"layer": "import bateman.cli", "time": stats(cpu),
-            "peak_rss_mb": {"median": statistics.median(rss), "min": min(rss),
-                            "max": max(rss)}}
+def sign_test(wins: int, losses: int) -> float:
+    """The two-sided p-value of wins against losses under a fair coin (ties dropped)."""
+    n = wins + losses
+    tail = sum(math.comb(n, i) for i in range(min(wins, losses) + 1)) / 2 ** n
+    return min(1.0, 2 * tail)
 
 
-def parser_rows() -> list[dict]:
-    """The CLI parser with every subcommand, and with the one `bateman norms` reads."""
-    return [row("build_parser", lambda: cli.build_parser(argv), 100, argv=argv)
-            for argv in (None, ["norms"])]
+def verdict(ratios: list[float], rows: int) -> str:
+    """The decision rule of the module docstring, on the per-pair ratios this/parent."""
+    wins, losses = sum(r < 1.0 for r in ratios), sum(r > 1.0 for r in ratios)
+    median = statistics.median(ratios)
+    if sign_test(wins, losses) >= ALPHA / rows or abs(median - 1.0) <= MIN_CHANGE:
+        return "unresolved"
+    return "faster" if median < 1.0 else "slower"
+
+
+def min_wins(pairs: int, rows: int) -> int | None:
+    """The fewest wins of pairs that can resolve a row among rows compared, if any can."""
+    return next((w for w in range(pairs // 2 + 1, pairs + 1)
+                 if sign_test(w, pairs - w) < ALPHA / rows), None)
+
+
+def stats(values: list[float]) -> dict:
+    return {"median": statistics.median(values), "min": min(values), "max": max(values)}
+
+
+def time_pairs(measures: list, pairs: int) -> list[list[float]]:
+    """Each tree's times of one row: a warm run each, then pairs runs, alternating the order."""
+    for measure in measures:
+        measure()
+    times = [[] for _ in measures]
+    for k in range(pairs):
+        for side in (range(len(measures)) if k % 2 == 0 else reversed(range(len(measures)))):
+            times[side].append(measures[side]())
+    return times
+
+
+def shared(sides: list[dict]) -> tuple[list[str], list[dict]]:
+    """The keys every tree builds, in build order, and the rows only some tree builds."""
+    keys = [key for key in sides[0] if all(key in side for side in sides)]
+    only = {key: side[key][0] for side in sides for key in side if key not in keys}
+    return keys, list(only.values())
+
+
+def pair_rows(sides: list[dict], pairs: int, keys: list[str]) -> list[dict]:
+    """One record per key, timed on every tree in sides (this tree first)."""
+    records = []
+    for key in keys:
+        times = time_pairs([side[key][1] for side in sides], pairs)
+        record = dict(sides[0][key][0])
+        for label, side, seconds in zip(("this", "parent"), sides, times):
+            counts = {name: stats(v) if isinstance(v, list) else v
+                      for name, v in side[key][2].items()}
+            record[label] = {"time_s": stats(seconds), **counts}
+        if len(sides) == 2:
+            ratios = [t / p if p > 0 else math.inf for t, p in zip(*times)]
+            record.update(median_ratio=statistics.median(ratios),
+                          wins=sum(r < 1.0 for r in ratios), pairs=pairs,
+                          verdict=verdict(ratios, len(keys)))
+        records.append(record)
+    return records
 
 
 def machine() -> dict:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return {
-        "cores": os.cpu_count(),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "blas": f"{blas.get('name')} {blas.get('version')}",
-        "blas_threads": os.environ["OPENBLAS_NUM_THREADS"],
-        "platform": platform.platform(),
-        "clock": "time.process_time (CPU seconds of this process)",
-    }
+    return {"cores": os.cpu_count(), "python": platform.python_version(),
+            "numpy": np.__version__, "blas": f"{blas.get('name')} {blas.get('version')}",
+            "blas_threads": os.environ["OPENBLAS_NUM_THREADS"], "platform": platform.platform(),
+            "clock": "time.process_time (CPU seconds of the timing process)"}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", type=Path, help="checkout of the tree to compare with")
     parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv)
-    rows = [import_row()]
-    for n_max in N_MAX:
-        rows += truncated_rows(n_max)
-    rows += norm_rows() + algebra_rows() + parser_rows()
-    text = json.dumps({"machine": machine(), "repeats": REPEATS, "rows": rows}, indent=1) + "\n"
+    trees = {"this": ROOT}
+    if args.parent is not None:
+        trees["parent"] = args.parent.resolve()
+        if not (trees["parent"] / "src" / "bateman" / "__init__.py").is_file():
+            parser.error(f"{trees['parent']} holds no src/bateman package")
+    start = time.perf_counter()
+    record = {"machine": machine(), "sides": {label: describe(t) for label, t in trees.items()}}
+    with tempfile.TemporaryDirectory(prefix="bateman-bench-") as tmp:
+        srcs = {label: stage(tree, Path(tmp) / label) for label, tree in trees.items()}
+        if args.parent is not None:
+            record["invocations"] = diff_outputs(srcs["this"], srcs["parent"])
+        sides = [build_rows(src, label) for label, src in srcs.items()]
+        keys, only = shared(sides)
+        record["rule"] = {"pairs": PAIRS, "alpha": ALPHA, "min_change": MIN_CHANGE,
+                          "rows_compared": len(keys), "min_wins": min_wins(PAIRS, len(keys))}
+        record["rows"] = pair_rows(sides, PAIRS, keys)
+        record["one side only"] = only
+    record["wall_s"] = time.perf_counter() - start
+    text = json.dumps(record, indent=1) + "\n"
     if args.out is None:
         sys.stdout.write(text)
     else:
         args.out.write_text(text)
+    summary = [f"{len(record['rows'])} rows, {len(only)} on one side only,"
+               f" {record['wall_s']:.0f} s"]
+    if args.parent is not None:
+        diff = record["invocations"]
+        summary += [f"{sum(not r['differs'] for r in diff)} of {len(diff)} invocations"
+                    " byte-identical", *(f"  differs: {' '.join(r['argv'])}"
+                                         for r in diff if r["differs"])]
+        summary += [f"{r['verdict']} {r['median_ratio']:.3f} {r['wins']}/{r['pairs']}: {key}"
+                    for key, r in zip(keys, record["rows"]) if r["verdict"] != "unresolved"]
+    print("\n".join(summary), file=sys.stderr)
     return 0
 
 

@@ -303,6 +303,9 @@ def cmd_evolve(args: argparse.Namespace) -> CommandOutput:
         if not math.isfinite(abs2):  # also NaN when the phase is lost at an infinite argument
             raise DomainError(f"--times {t!r}: the evolution factor of state ({args.n1},{args.n2}) "
                               f"is not finite")
+        if abs(ev.real * t / hbar) >= 2.0 ** 33:  # float spacing >= 2^-19 rad: 6 digits unsure
+            raise DomainError(f"--times {t!r}: the phase of state ({args.n1},{args.n2}) "
+                              f"has lost its printed digits")
         rows.append({"t": t, "re_factor": factor.real, "im_factor": factor.imag,
                      "abs2_factor": abs2})
     pairing = pairing_norm_in_time(rec, times, args.params)

@@ -541,6 +541,10 @@ def _h_scale(params: PhysicalParams) -> float:
     return max(1, params.hbar * max(params.omega, params.lam))  # H's entries; 1 by default
 
 
+#: round-off of an h-identity per row of the matrix, in units of H's entries
+_IDENTITY_ROUNDOFF = 4 * float(np.finfo(float).eps)
+
+
 def _identity_quarter(cfg: VerifyConfig, con: Construction, description: str) -> tuple:
     n_max = cfg.resolve(12)
     lad = _ladder(n_max)
@@ -548,7 +552,7 @@ def _identity_quarter(cfg: VerifyConfig, con: Construction, description: str) ->
     for branch in (+1, -1):
         rep = identity_report(con, transform(con, con.quarter(branch), lad), cfg.params)
         dev = _worst(dev, rep.h0_deviation, rep.h1_deviation, rep.reduced_deviation)
-    return (description, dev, 1e-10 * lad.space.dim * _h_scale(cfg.params))
+    return (description, dev, _IDENTITY_ROUNDOFF * lad.space.dim * _h_scale(cfg.params))
 
 
 check_ft_identity_quarter, check_is_identity_quarter = _twin(
@@ -565,7 +569,7 @@ def _identity_generic(cfg: VerifyConfig, con: Construction, description: str, an
     lad = _ladder(n_max)
     rep = identity_report(con, transform(con, angle(cfg), lad), cfg.params)
     return (description, _worst(rep.h0_deviation, rep.h1_deviation),
-            1e-10 * lad.space.dim * _h_scale(cfg.params))
+            _IDENTITY_ROUNDOFF * lad.space.dim * _h_scale(cfg.params))
 
 
 check_ft_identity_generic, check_is_identity_generic = _twin(

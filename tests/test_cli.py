@@ -328,6 +328,8 @@ def test_unexpected_exception_exits_2_without_traceback(capsys, monkeypatch):
     (["--times", "1e308"], "1e+308"),                   # e^{lambda t} overflows in exp
     (["--approach", "is", "--n1", "100", "--times", "10"], "10.0"),  # |factor|^2 overflows
     (["--times", "0,1e6"], "1000000.0"),
+    (["--approach", "is", "--n1", "1", "--n2", "1", "--times", "1e10"], "10000000000.0"),
+    (["--approach", "is", "--n1", "1", "--n2", "1", "--times", "1e17"], "1e+17"),  # phase lost
 ])
 def test_evolve_rejects_a_factor_out_of_float_range(capsys, argv, time):
     # a domain error that names the time and the state, before any output
@@ -335,6 +337,14 @@ def test_evolve_rejects_a_factor_out_of_float_range(capsys, argv, time):
     assert rc == 2
     assert out == ""
     assert err.startswith(f"error: --times {time}: ") and "state (" in err
+
+
+def test_evolve_prints_a_phase_that_keeps_its_digits(capsys):
+    # the phase argument is 3e9 rad, below the 2^33 rad from which six digits are unsure
+    rc, out, err = run(capsys, "evolve", "--approach", "is", "--n1", "1", "--n2", "1",
+                       "--times", "1e9", "--format", "text")
+    assert rc == 0 and err == ""
+    assert out.splitlines()[-1].startswith("t=1e+09    factor=(")
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

@@ -1,7 +1,8 @@
-"""Smoke test: every experiment under scripts/ runs to completion, bench/run.py starts,
-and bench/ab.py finds no difference between two copies of this tree."""
+"""Smoke test: every experiment under scripts/ runs to completion, and bench/run.py starts
+and finds no difference between two copies of this tree."""
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -32,8 +33,7 @@ def test_script_exits_zero(script):
 
 
 def test_bench_help_exits_zero():
-    # the layer benchmark imports private kernels of the package at start-up;
-    # --help runs those imports and nothing else, and none of them is scipy's
+    # --help loads no package of either tree, so no scipy either
     bench = str(ROOT / "bench" / "run.py")
     code = ("import runpy, sys\n"
             f"sys.argv = [{bench!r}, '--help']\n"
@@ -44,39 +44,63 @@ def test_bench_help_exits_zero():
             "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n")
     done = _run(["-c", code], 60)
     assert done.returncode == 0, done.stderr[-2000:]
-    assert "--out" in done.stdout
+    assert "--out" in done.stdout and "--parent" in done.stdout
     assert done.stdout.splitlines()[-1] == "[]"
 
 
-def _load_ab():
-    spec = importlib.util.spec_from_file_location("bench_ab", ROOT / "bench" / "ab.py")
-    ab = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(ab)
-    return ab
+def _load_bench():
+    spec = importlib.util.spec_from_file_location("bench_run", ROOT / "bench" / "run.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    return bench
 
 
 def test_ab_harness_finds_no_difference_between_copies_of_one_tree(tmp_path):
     start = time.perf_counter()
-    ab = _load_ab()
-    child, parent = ab.stage(ROOT, tmp_path / "child"), ab.stage(ROOT, tmp_path / "parent")
+    bench = _load_bench()
+    this, parent = bench.stage(ROOT, tmp_path / "this"), bench.stage(ROOT, tmp_path / "parent")
     invocations = [["classify", "--approach", "is", "--n1", "2", "--n2", "2", "--format", "text"],
                    ["spectrum", "--approach", "is", "--n-cap", "17"],
                    ["verify", "dynamics"]]
-    diff = ab.diff_outputs(child, parent, invocations)
+    diff = bench.diff_outputs(this, parent, invocations)
     assert [r["differs"] for r in diff] == [[], [], []]
     assert [r["exit"] for r in diff] == [[0, 0], [2, 2], [0, 0]]
-    ids = ["is.spectrum", "dynamics.factor"]
-    rows = ab.paired_timings(child, parent, pairs=3, check_ids=set(ids))
-    assert [r["check"] for r in rows] == ids
-    # three pairs can never reach MIN_WINS, whatever the clock says
+    sides = [bench.build_rows(this, "this"), bench.build_rows(parent, "parent")]
+    picked = [{"layer": "sector_exp", "n_max": 8, "dim": 81, "exponent": "Y"},
+              {"layer": "commutator_h0_h1", "n_max": 12, "dim": 169},
+              {"layer": "check", "check": "is.spectrum"},
+              {"layer": "check", "check": "dynamics.factor"}]
+    rows = bench.pair_rows(sides, 3, [json.dumps(key, sort_keys=True) for key in picked])
+    assert [{k: r[k] for k in key} for r, key in zip(rows, picked)] == picked
+    assert rows[0]["this"]["sectors"] == rows[0]["parent"]["sectors"] == 18   # counted per side
+    # three pairs can never resolve a row, whatever the clock says
     assert all(r["pairs"] == 3 and r["verdict"] == "unresolved" for r in rows)
     assert time.perf_counter() - start < 3.0
 
 
+def test_bench_builds_the_same_rows_for_a_copy_of_a_tree(tmp_path):
+    bench = _load_bench()
+    sides = [bench.build_rows(bench.stage(ROOT, tmp_path / label), label)
+             for label in ("this", "parent")]
+    assert list(sides[0]) == list(sides[1])
+    keys, only = bench.shared(sides)
+    assert keys == list(sides[0]) and only == []
+    rows = [sides[0][key][0] for key in keys]
+    assert rows[0] == {"layer": "import bateman.cli"}
+    assert sum(row.keys() == {"layer", "check"} for row in rows) == 44   # every check of `all`
+
+
 def test_ab_decision_rule():
-    ab = _load_ab()
-    assert (ab.PAIRS, ab.MIN_WINS, ab.MIN_CHANGE) == (21, 16, 0.03)
-    assert ab.verdict([0.9] * 16 + [1.1] * 5) == "faster"
-    assert ab.verdict([1.1] * 16 + [0.9] * 5) == "slower"
-    assert ab.verdict([0.9] * 15 + [1.1] * 6) == "unresolved"   # too few wins
-    assert ab.verdict([0.98] * 21) == "unresolved"              # inside +-3%
+    bench = _load_bench()
+    assert (bench.PAIRS, bench.ALPHA, bench.MIN_CHANGE) == (21, 0.05, 0.03)
+    # the Bonferroni threshold: 16 wins of 21 resolve one row, 19 are needed among 140
+    assert (bench.min_wins(21, 1), bench.min_wins(21, 140)) == (16, 19)
+    assert bench.verdict([0.9] * 16 + [1.1] * 5, 1) == "faster"
+    assert bench.verdict([1.1] * 16 + [0.9] * 5, 1) == "slower"
+    assert bench.verdict([0.9] * 15 + [1.1] * 6, 1) == "unresolved"   # too few wins
+    assert bench.verdict([0.98] * 21, 1) == "unresolved"              # inside +-3%
+    assert bench.verdict([0.9] * 19 + [1.1] * 2, 140) == "faster"
+    assert bench.verdict([0.9] * 18 + [1.1] * 3, 140) == "unresolved"
+    # two rows of an A/A run of 44 check rows: 16 of 21 lost at 1.035, 18 of 21 won at 0.969
+    assert bench.verdict([1.035] * 16 + [0.98] * 5, 44) == "unresolved"
+    assert bench.verdict([0.969] * 18 + [1.02] * 3, 44) == "unresolved"

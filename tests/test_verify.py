@@ -207,11 +207,12 @@ _ladder_with_top_rung_bent = _ladder_with_rung_bent(("a1", "a1_dag"), lambda n_m
 def test_top_rung_defect_fails_the_checks_that_read_the_top_rung(params, monkeypatch):
     # a1 a1+ climbs from the rung below the top through both bent entries and
     # back, so the bend shows off the top rung; [H0, H1] is compared on the
-    # whole matrix.  ft.h-identity.quarter reads 1.2e-8 against 1.69e-8 and passes
+    # whole matrix.  is.h-identity.quarter still reads round-off under this bend
     monkeypatch.setattr(verify, "_ladder", _ladder_with_top_rung_bent)
     failed = {r.check_id for r in run_suite("all", VerifyConfig(params=params)) if not r.passed}
     assert {"algebra.commutators.interior", "ft.commutators", "is.commutators",
-            "algebra.h-structure", "ft.heisenberg", "is.heisenberg"} <= failed
+            "algebra.h-structure", "ft.heisenberg", "is.heisenberg", "ft.h-identity.quarter",
+            "ft.h-identity.generic", "is.h-identity.generic"} <= failed
 
 
 def test_commutators_fail_on_a_nan_ladder_entry(params, monkeypatch):
