@@ -9,9 +9,9 @@ relative), so both trees run in this one interpreter, BLAS on one thread.
 
 A row is one layer at fixed input parameters, called as the CLI calls it
 (`build_rows`): the truncated kernels and four whole checks at n_max 8, 12, 24
-and 48, the standard norms, the exact sweeps and the 200-polynomial oracle,
-the CLI parser, every check of `verify all` at the CLI defaults, and `import
-bateman.cli` in a cold child, with its peak RSS.  Rows are matched across the
+and 48, the standard norms, the biorthonormality sweep and the 200-polynomial
+oracle, the CLI parser, every check of `verify all` at the CLI defaults, and
+`import bateman.cli` in a cold child, with its peak RSS.  Rows are matched across the
 trees by layer and parameters.  Counts that a tree computes itself (sectors,
 stacks, elements, polys, peak RSS) are recorded per tree, and a row that one
 tree cannot build is listed under "one side only".
@@ -249,15 +249,10 @@ def build_rows(src: Path, label: str = "this") -> dict[str, tuple]:
     add("_chain_standard_norms", ft._chain_standard_norms, whole, grid="ft.norm.closed-forms",
         chains=len(whole))
 
-    states = verify._SWEEP_STATES
     occupations = [(n1, n2) for n1 in range(4) for n2 in range(4)]
-    sweeps = {f"{name}.spectrum": ([con.hamiltonian_from_plain(route, branch)
-                                    for branch in (+1, -1)], states, states)
-              for name, route in (("ft", ft.FT), ("is", imag.IS))}
-    sweeps["algebra.biorthonormality"] = ([b.algebra.LadderPoly.one()], occupations, occupations)
-    for name, (ops, bras, kets) in sweeps.items():
-        add("basis_column_sweep", column_sweep, b.algebra, ops, bras, kets, sweep=name,
-            counts={"elements": len(ops) * len(bras) * len(kets)})
+    add("basis_column_sweep", column_sweep, b.algebra, [b.algebra.LadderPoly.one()],
+        occupations, occupations, sweep="algebra.biorthonormality",
+        counts={"elements": len(occupations) ** 2})
     seed = verify.VerifyConfig.seed
     draws = verify._oracle_draws(seed)
     polys = {"polys": len(draws)}

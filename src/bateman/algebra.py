@@ -1,34 +1,27 @@
 """Exact two-mode ladder algebra over complex rationals.
 
 Symbols b1, b2, b1+, b2+ obey [b_i, b_j+] = delta_ij with all other pairs
-commuting.  Scalars are exact: complex rationals attached to unit tags
-{1, hbar*omega, i*hbar*lambda}, optionally times the square root of a
-squarefree integer (needed for the pi/4 rotation coefficients).  Nothing in
-this module touches floating point except the explicit to_complex, to_matrix
-and matrix_elements evaluators, which exist to cross-validate against the
-truncated matrices.
+commuting.  Scalars are exact: complex rationals, optionally times the square
+root of a squarefree integer (needed for the pi/4 rotation coefficients).
+Nothing in this module touches floating point except the explicit to_complex,
+to_matrix and matrix_elements evaluators, which exist to cross-validate
+against the truncated matrices.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import DomainError, MixedUnitError, RadicalMismatch
+from .errors import DomainError, RadicalMismatch
 from .fock import Operator, identity
-from .params import PhysicalParams
 
 __all__ = [
-    "CQ",
     "ExactScalar",
     "LadderPoly",
-    "U_ONE",
-    "U_HW",
-    "U_IHL",
     "B1_CRE",
     "B2_CRE",
     "B1_ANN",
@@ -43,65 +36,12 @@ __all__ = [
     "random_poly",
 ]
 
-# unit tags; products of two non-trivial tags are out of scope and rejected
-U_ONE = "1"
-U_HW = "hw"      # hbar*omega
-U_IHL = "ihl"    # i*hbar*lambda
-
 # symbol codes; the numeric order is the canonical word order
 # (creators before annihilators, mode 1 before mode 2)
 B1_CRE, B2_CRE, B1_ANN, B2_ANN = 0, 1, 2, 3
 
 _SYMBOL_NAMES = {B1_CRE: "b1+", B2_CRE: "b2+", B1_ANN: "b1", B2_ANN: "b2"}
 _CONJ_MAP = {B1_CRE: B1_ANN, B2_CRE: B2_ANN, B1_ANN: B1_CRE, B2_ANN: B2_CRE}
-
-
-@dataclass(frozen=True)
-class CQ:
-    """Complex number with exact rational real and imaginary parts."""
-
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
-
-    @staticmethod
-    def of(value: "CQ | Fraction | int") -> "CQ":
-        if isinstance(value, CQ):
-            return value
-        return CQ(Fraction(value))
-
-    def __add__(self, other: "CQ") -> "CQ":
-        return CQ(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "CQ") -> "CQ":
-        return CQ(self.re - other.re, self.im - other.im)
-
-    def __neg__(self) -> "CQ":
-        return CQ(-self.re, -self.im)
-
-    def __mul__(self, other: "CQ | Fraction | int") -> "CQ":
-        if isinstance(other, (int, Fraction)):
-            return CQ(self.re * other, self.im * other)
-        other = CQ.of(other)
-        return CQ(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    __rmul__ = __mul__
-
-    def conjugate(self) -> "CQ":
-        return CQ(self.re, -self.im)
-
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
-
-    def to_complex(self) -> complex:
-        # float(Fraction) is this division, made through numbers.Rational.__float__
-        return complex(self.re.numerator / self.re.denominator,
-                       self.im.numerator / self.im.denominator)
-
-    def __repr__(self) -> str:
-        return f"({self.re}{'+' if self.im >= 0 else ''}{self.im}j)"
 
 
 def _square_split(n: int) -> tuple[int, int]:
@@ -118,33 +58,37 @@ def _square_split(n: int) -> tuple[int, int]:
     return s, d * n
 
 
-class ExactScalar:
-    """(c_1 + c_hw*hbar*omega + c_ihl*i*hbar*lambda) * sqrt(root).
+_FRACTION_ZERO = Fraction(0)
 
-    root is a squarefree positive integer; 1 in almost every in-scope value.
-    Sums of scalars with different roots are rejected rather than widened.
-    No stored coefficient is zero.
+
+class ExactScalar:
+    """(re + i*im) * sqrt(root) with exact rational re and im.
+
+    The constructor takes any positive root and moves its square part into re
+    and im, so root is squarefree; 1 in almost every in-scope value.  Every
+    zero is the one shared zero, of root 1.  Sums of scalars with different
+    roots are rejected rather than widened.
     """
 
-    __slots__ = ("_coeffs", "root")
+    __slots__ = ("re", "im", "root")
 
-    def __init__(self, coeffs: Mapping[str, CQ] | None = None, root: int = 1):
-        for u, c in (coeffs or {}).items():
-            if u not in (U_ONE, U_HW, U_IHL) and not c.is_zero():
-                raise DomainError(f"unknown unit tag {u!r}")
+    def __new__(cls, re: Fraction | int = 0, im: Fraction | int = 0, root: int = 1):
         if root < 1:
             raise DomainError(f"root must be positive, got {root}")
-        self._set(coeffs or {}, root)
-
-    def _set(self, coeffs: Mapping[str, CQ], root: int) -> "ExactScalar":
-        self._coeffs: dict[str, CQ] = {u: c for u, c in coeffs.items() if not c.is_zero()}
-        self.root = root if self._coeffs else 1
-        return self
+        re, im = Fraction(re), Fraction(im)
+        if root > 1:
+            s, root = _square_split(root)
+            re, im = re * s, im * s
+        return ExactScalar._checked(re, im, root)
 
     @staticmethod
-    def _checked(coeffs: Mapping[str, CQ], root: int) -> "ExactScalar":
-        """A result of arithmetic on scalars: its tags and root are valid, so only zeros drop."""
-        return object.__new__(ExactScalar)._set(coeffs, root)
+    def _checked(re: Fraction, im: Fraction, root: int) -> "ExactScalar":
+        """The scalar of squarefree root; the shared zero when both parts are 0."""
+        if not (re or im):
+            return _ZERO
+        out = object.__new__(ExactScalar)
+        out.re, out.im, out.root = re, im, root
+        return out
 
     # -- constructors ------------------------------------------------------
     @staticmethod
@@ -153,37 +97,17 @@ class ExactScalar:
         return _ZERO
 
     @staticmethod
-    def of(value: "ExactScalar | CQ | Fraction | int") -> "ExactScalar":
+    def of(value: "ExactScalar | Fraction | int") -> "ExactScalar":
         if isinstance(value, ExactScalar):
             return value
-        return ExactScalar({U_ONE: CQ.of(value)})
-
-    @staticmethod
-    def unit(tag: str, coeff: "CQ | Fraction | int" = 1) -> "ExactScalar":
-        return ExactScalar({tag: CQ.of(coeff)})
-
-    @staticmethod
-    def surd(coeff: "CQ | Fraction | int", root: int) -> "ExactScalar":
-        s, d = _square_split(root)
-        return ExactScalar({U_ONE: CQ.of(coeff) * Fraction(s)}, d)
+        return ExactScalar._checked(Fraction(value), _FRACTION_ZERO, 1)  # root 1: nothing to split
 
     # -- queries -----------------------------------------------------------
     def is_zero(self) -> bool:
-        return not self._coeffs
-
-    def coeff(self, tag: str) -> CQ:
-        return self._coeffs.get(tag, CQ())
+        return self is _ZERO
 
     def key(self) -> tuple:
-        return (tuple(sorted(self._coeffs.items())), self.root)
-
-    def _rational(self) -> Fraction | None:
-        """The value when it is a real rational (root 1, unit tag 1 alone), else None."""
-        if self.root == 1 and len(self._coeffs) == 1:
-            c = self._coeffs.get(U_ONE)
-            if c is not None and c.im == 0:
-                return c.re
-        return None
+        return (self.re, self.im, self.root)
 
     # -- arithmetic --------------------------------------------------------
     def __add__(self, other: "ExactScalar") -> "ExactScalar":
@@ -194,26 +118,23 @@ class ExactScalar:
             return self
         if self.root != other.root:
             raise RadicalMismatch(f"cannot add sqrt({self.root}) and sqrt({other.root}) terms")
-        merged = dict(self._coeffs)
-        for u, c in other._coeffs.items():
-            merged[u] = merged[u] + c if u in merged else c
-        return ExactScalar._checked(merged, self.root)
+        return ExactScalar._checked(self.re + other.re, self.im + other.im, self.root)
 
     def __neg__(self) -> "ExactScalar":
-        return ExactScalar._checked({u: -c for u, c in self._coeffs.items()}, self.root)
+        return self if self is _ZERO else ExactScalar._checked(-self.re, -self.im, self.root)
 
     def __sub__(self, other: "ExactScalar") -> "ExactScalar":
         return self + (-ExactScalar.of(other))
 
     def _scaled(self, k: int | Fraction) -> "ExactScalar":
-        """self times the real rational k: each coefficient scaled, the tags and root kept."""
+        """self times the real rational k: both parts scaled, the root kept."""
         if k == 1:
             return self
         if not k:
-            return ExactScalar.zero()
-        return ExactScalar._checked({u: c * k for u, c in self._coeffs.items()}, self.root)
+            return _ZERO
+        return ExactScalar._checked(self.re * k, self.im * k, self.root)
 
-    def __mul__(self, other: "ExactScalar | CQ | Fraction | int") -> "ExactScalar":
+    def __mul__(self, other: "ExactScalar | Fraction | int") -> "ExactScalar":
         if isinstance(other, LadderPoly):
             return NotImplemented
         if isinstance(other, (int, Fraction)):
@@ -222,57 +143,32 @@ class ExactScalar:
         other = ExactScalar.of(other)
         # a real rational scalar on either side, such as LadderPoly.one()'s
         # coefficient, scales the other: the same value as the general product
-        k = other._rational()
-        if k is not None:
-            return self._scaled(k)
-        k = self._rational()
-        if k is not None:
-            return other._scaled(k)
-        if self.is_zero() or other.is_zero():
-            return ExactScalar.zero()
+        if other.root == 1 and not other.im:
+            return self._scaled(other.re)
+        if self.root == 1 and not self.im:
+            return other._scaled(self.re)
         s, d = (1, 1) if self.root == other.root == 1 else _square_split(self.root * other.root)
-        out: dict[str, CQ] = {}
-        for u1, c1 in self._coeffs.items():
-            for u2, c2 in other._coeffs.items():
-                if u1 != U_ONE and u2 != U_ONE:
-                    raise MixedUnitError(f"product of unit tags {u1!r} and {u2!r}")
-                tag = u2 if u1 == U_ONE else u1
-                term = c1 * c2 if s == 1 else c1 * c2 * s
-                out[tag] = out[tag] + term if tag in out else term
-        return ExactScalar._checked(out, d)
+        re = self.re * other.re - self.im * other.im
+        im = self.re * other.im + self.im * other.re
+        if s != 1:
+            re, im = re * s, im * s
+        return ExactScalar._checked(re, im, d)
 
     __rmul__ = __mul__
 
     def conjugated(self) -> "ExactScalar":
-        """i -> -i together with gamma -> -gamma; both unit tags are invariant."""
-        return ExactScalar._checked({u: c.conjugate() for u, c in self._coeffs.items()},
-                                    self.root)
+        """i -> -i, which the basis-adapted conjugation pairs with gamma -> -gamma."""
+        return ExactScalar._checked(self.re, -self.im, self.root)
 
-    def to_complex(self, params: PhysicalParams | None = None) -> complex:
-        if not self._coeffs:
-            return 0j
-        if len(self._coeffs) == 1 and U_ONE in self._coeffs:
-            # the general expression below with both unit-tag terms skipped
-            return self._coeffs[U_ONE].to_complex() * math.sqrt(self.root)
-        total = self.coeff(U_ONE).to_complex()
-        for tag in (U_HW, U_IHL):
-            c = self.coeff(tag)
-            if c.is_zero():
-                continue
-            if params is None:
-                raise DomainError(f"unit tag {tag!r} needs params for numeric evaluation")
-            factor = (
-                params.hbar * params.omega
-                if tag == U_HW
-                else 1j * params.hbar * params.lam
-            )
-            total += c.to_complex() * factor
-        return total * math.sqrt(self.root)
+    def to_complex(self) -> complex:
+        # float(Fraction) is this division, made through numbers.Rational.__float__
+        return complex(self.re.numerator / self.re.denominator,
+                       self.im.numerator / self.im.denominator) * math.sqrt(self.root)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExactScalar):
             return NotImplemented
-        return self.root == other.root and self._coeffs == other._coeffs
+        return self is other or self.key() == other.key()
 
     def __hash__(self) -> int:
         return hash(self.key())
@@ -280,13 +176,13 @@ class ExactScalar:
     def __repr__(self) -> str:
         if self.is_zero():
             return "0"
-        parts = [f"{c!r}*{u}" for u, c in sorted(self._coeffs.items())]
-        body = " + ".join(parts)
-        return body if self.root == 1 else f"({body})*sqrt({self.root})"
+        body = f"({self.re}{'+' if self.im >= 0 else ''}{self.im}j)"
+        return body if self.root == 1 else f"{body}*sqrt({self.root})"
 
 
-_ZERO = ExactScalar()
-ScalarLike = "ExactScalar | CQ | Fraction | int"
+_ZERO = object.__new__(ExactScalar)
+_ZERO.re, _ZERO.im, _ZERO.root = _FRACTION_ZERO, _FRACTION_ZERO, 1
+ScalarLike = "ExactScalar | Fraction | int"
 Word = tuple[int, ...]
 
 
@@ -511,7 +407,7 @@ def _normalized(amp: ExactScalar, m1: int, m2: int, ket_norm: int) -> ExactScala
     # sqrt(p/q) = sqrt(p*q)/q
     s, d = _square_split(ratio.numerator * ratio.denominator)
     norm = Fraction(s, ratio.denominator)
-    return amp * norm if d == 1 else amp * ExactScalar.surd(norm, d)
+    return amp * norm if d == 1 else amp * ExactScalar(norm, 0, d)
 
 
 def basis_matrix_element(m1: int, m2: int, op: LadderPoly, n1: int, n2: int) -> ExactScalar:
@@ -529,7 +425,7 @@ def _symbol_matrices(ladder) -> dict[int, Operator]:
     return {B1_CRE: ladder.a1_dag, B2_CRE: ladder.a2_dag, B1_ANN: ladder.a1, B2_ANN: ladder.a2}
 
 
-def to_matrix(poly: LadderPoly, ladder, params: PhysicalParams | None = None) -> Operator:
+def to_matrix(poly: LadderPoly, ladder) -> Operator:
     """Evaluate the poly on truncated matrices as one whole matrix."""
     symbol_map = _symbol_matrices(ladder)
     dim = ladder.space.dim
@@ -541,12 +437,12 @@ def to_matrix(poly: LadderPoly, ladder, params: PhysicalParams | None = None) ->
                 acc = acc @ symbol_map[sym]
         else:
             acc = identity(dim)
-        total = total + coeff.to_complex(params) * acc
+        total = total + coeff.to_complex() * acc
     return total
 
 
 def matrix_elements(elements: list[tuple[LadderPoly, tuple[int, int], tuple[int, int]]],
-                    ladder, params: PhysicalParams | None = None) -> list[complex]:
+                    ladder) -> list[complex]:
     """[<bra| poly |ket> for poly, bra, ket in elements] on the truncated matrices; the float route.
 
     bra and ket are occupation pairs.  Every word of every poly is one column
@@ -579,7 +475,7 @@ def matrix_elements(elements: list[tuple[LadderPoly, tuple[int, int], tuple[int,
     for poly, _, _ in elements:
         total = 0.0 + 0.0j
         for coeff in poly._terms.values():
-            total += coeff.to_complex(params) * next(read)
+            total += coeff.to_complex() * next(read)
         out.append(total)
     return out
 
@@ -612,10 +508,5 @@ def random_poly(rng, max_degree: int = 6, max_terms: int = 5) -> LadderPoly:
         word = tuple(_randint(bits, 0, 3) for _ in range(_randint(bits, 0, max_degree)))
         re, im = (_DRAWN_FRACTIONS[9 * (_randint(bits, -9, 9) + 9) + _randint(bits, 1, 9) - 1]
                   for _ in range(2))
-        if re or im:
-            coeff = object.__new__(ExactScalar)
-            coeff._coeffs, coeff.root = {U_ONE: CQ(re, im)}, 1
-        else:
-            coeff = _ZERO
-        _accumulate(terms, word, coeff)
+        _accumulate(terms, word, ExactScalar._checked(re, im, 1))
     return LadderPoly._checked(terms)

@@ -29,7 +29,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .algebra import B1_ANN, B1_CRE, B2_ANN, B2_CRE, ExactScalar, LadderPoly, U_HW, U_IHL
+from .algebra import B1_ANN, B1_CRE, B2_ANN, B2_CRE, ExactScalar, LadderPoly
 from .errors import DomainError, HeadroomError
 from .fock import (FockSpace, LadderSet, Operator, build_hamiltonian, identity,
                    interior_deviation, intertwining_deviation, low_block, window_mask)
@@ -87,9 +87,9 @@ class Construction:
 
 
 def normalize_branch(branch) -> int:
-    if branch in (1, +1, "+", "plus"):
+    if branch in (1, "+"):
         return 1
-    if branch in (-1, "-", "minus"):
+    if branch in (-1, "-"):
         return -1
     raise DomainError(f"branch must be one of +1, -1, '+', '-', got {branch!r}")
 
@@ -118,9 +118,6 @@ class Eigen:
     branch: int
     p: int
     q: int
-
-    def exact(self) -> ExactScalar:
-        return ExactScalar.unit(U_HW, self.p) + ExactScalar.unit(U_IHL, self.q)
 
     def as_complex(self, params: PhysicalParams) -> complex:
         return self.p * params.hbar * params.omega + 1j * self.q * params.hbar * params.lam
@@ -412,9 +409,7 @@ def xy_operators(con: Construction, branch, t: float, modes: MixedModes,
 # ---------------------------------------------------------------------------
 # exact symbol route
 
-_HW = ExactScalar.unit(U_HW)
-_IHL = ExactScalar.unit(U_IHL)
-_INV_SQRT2 = ExactScalar.surd(Fraction(1, 2), 2)   # sqrt2/2
+_INV_SQRT2 = ExactScalar(Fraction(1, 2), 0, 2)   # sqrt2/2
 
 
 def plain_in_modes(con: Construction, branch) -> dict[str, LadderPoly]:
@@ -460,24 +455,25 @@ def xy_terms(con: Construction, branch) -> tuple[XYTerms, XYTerms]:
                  for poly in (mode1 + mode2, mode1 - mode2))
 
 
-def hamiltonian_formal(con: Construction, branch) -> LadderPoly:
-    """H on the mixed basis from the eigen map: hw*(p number form) + branch*ihl*(q number form)."""
+def hamiltonian_formal(con: Construction, branch) -> tuple[LadderPoly, LadderPoly]:
+    """(H0 / hbar omega, H1 / i hbar lambda) on the mixed basis from the eigen map: the p
+    number form and branch times the q number form."""
     b = normalize_branch(branch)
     num1 = LadderPoly.word((B1_CRE, B1_ANN))
     num2 = LadderPoly.word((B2_CRE, B2_ANN))
     one = LadderPoly.one()
-    return (_affine(con.p_map, num1, num2, one) * _HW
-            + _affine(con.q_map, num1, num2, one) * (_IHL * b))
+    return _affine(con.p_map, num1, num2, one), _affine(con.q_map, num1, num2, one) * b
 
 
-def hamiltonian_from_plain(con: Construction, branch) -> LadderPoly:
-    """H0 + H1 with the plain modes substituted by mixed symbols, normal ordered.
+def hamiltonian_from_plain(con: Construction, branch) -> tuple[LadderPoly, LadderPoly]:
+    """(H0 / hbar omega, H1 / i hbar lambda) with the plain modes substituted by mixed
+    symbols, normal ordered.
 
     Equality with hamiltonian_formal is the exact operator-level
     diagonalization statement; it is asserted in the verification suite, not
     assumed here.
     """
     ops = plain_in_modes(con, branch)
-    h0 = (ops["a1_dag"] * ops["a1"] - ops["a2_dag"] * ops["a2"]) * _HW
-    h1 = (ops["a1"] * ops["a2"] - ops["a1_dag"] * ops["a2_dag"]) * _IHL
-    return (h0 + h1).normal_order()
+    h0 = ops["a1_dag"] * ops["a1"] - ops["a2_dag"] * ops["a2"]
+    h1 = ops["a1"] * ops["a2"] - ops["a1_dag"] * ops["a2_dag"]
+    return h0.normal_order(), h1.normal_order()

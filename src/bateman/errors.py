@@ -33,9 +33,5 @@ class HeadroomError(BatemanError, ValueError):
     """Quantum numbers too close to the truncation boundary."""
 
 
-class MixedUnitError(BatemanError, ValueError):
-    """Product of two dimensionful unit tags; never arises in-scope."""
-
-
 class RadicalMismatch(BatemanError, ValueError):
     """Sum of exact scalars carrying different surd factors."""

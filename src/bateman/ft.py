@@ -80,7 +80,7 @@ def _rotation_h1(bar: MixedModes, q_form: Operator, params: PhysicalParams) -> O
 
 def _rotation_at_quarter(branch: int):
     """Inverse rotation at theta = branch*pi/4: cos = sqrt2/2, sin = branch*sqrt2/2."""
-    c = ExactScalar.surd(Fraction(1, 2), 2)
+    c = ExactScalar(Fraction(1, 2), 0, 2)
     s = c * branch
     return ((c, s), (-s, c)), ((c, -s), (s, c))
 

@@ -31,11 +31,10 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import replace
-from fractions import Fraction
 
 import numpy as np
 
-from .algebra import CQ
+from .algebra import ExactScalar
 from .construction import Construction, MixedModes, XYTerms, transform
 from .errors import DomainError
 from .fock import LadderSet, Operator, intertwining_deviation, low_block, single_mode_lowering
@@ -72,7 +71,7 @@ def _exchanged(con: Construction) -> Construction:
         return con.h1_mixed(replace(modes, angle=-1j * modes.angle, ann2=1j * modes.cre2,
                                     cre2=1j * modes.ann2), q_form, params)
 
-    i = CQ(im=Fraction(1))  # the exact substitution of each branch, built once
+    i = ExactScalar(0, 1)  # the exact substitution of each branch, built once
     substitution = {b: tuple(tuple((r[0], r[1] * i) for r in rows) for rows in con.substitution(b))
                     for b in (1, -1)}
 

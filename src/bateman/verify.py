@@ -47,8 +47,6 @@ from .algebra import (
     B2_CRE,
     ExactScalar,
     LadderPoly,
-    U_HW,
-    U_IHL,
 )
 from .errors import BatemanError, DomainError, SeriesDivergence
 from .fock import (
@@ -217,7 +215,8 @@ def check_normal_order(cfg: VerifyConfig) -> tuple:
          LadderPoly.word((B1_CRE, B1_CRE, B1_ANN, B1_ANN)) + num1 * 3 + one),
     ]
     mismatch = sum(LadderPoly.word(word).normal_order() != want for word, want in examples)
-    messy = ft.ft_generator_poly() * hamiltonian_formal(ft.FT, "+") + LadderPoly.word(
+    h0, h1 = hamiltonian_formal(ft.FT, "+")
+    messy = ft.ft_generator_poly() * (h0 + h1) + LadderPoly.word(
         (B2_ANN, B1_ANN, B2_CRE, B1_CRE), Fraction(3, 7)
     )
     once = messy.normal_order()
@@ -262,11 +261,11 @@ def check_matrix_element_examples(cfg: VerifyConfig) -> tuple:
     number1 = LadderPoly.word((B1_CRE, B1_ANN))
     if algebra.basis_matrix_element(3, 2, number1, 3, 2) != ExactScalar.of(3):
         mismatch += 1
-    h_plus = hamiltonian_formal(ft.FT, "+")
-    want = ExactScalar.unit(U_HW) + ExactScalar.unit(U_IHL, 2)
-    if algebra.basis_matrix_element(1, 0, h_plus, 1, 0) != want:
+    parts = hamiltonian_formal(ft.FT, "+")  # (H0 / hw, H1 / ihl): the element hw + 2 ihl
+    got = [algebra.basis_matrix_element(1, 0, h, 1, 0) for h in parts]
+    if got != [ExactScalar.of(1), ExactScalar.of(2)]:
         mismatch += 1
-    if algebra.basis_matrix_element(2, 0, h_plus, 1, 1) != ExactScalar.zero():
+    if any(not algebra.basis_matrix_element(2, 0, h, 1, 1).is_zero() for h in parts):
         mismatch += 1
     return ("number operator and diagonal H elements", mismatch, 0.0)
 
@@ -300,7 +299,7 @@ def _exact_single_mode_defect(n_top: int) -> int:
     matrices hold only their nonzero entries, {(row, col): entry}."""
     size = n_top + 1
     zero = ExactScalar.zero()
-    low = {(m, m + 1): ExactScalar.surd(1, m + 1) for m in range(size - 1)}
+    low = {(m, m + 1): ExactScalar(1, 0, m + 1) for m in range(size - 1)}
     raise_ = {(c, r): value for (r, c), value in low.items()}
 
     def mul(a, b):
@@ -437,20 +436,20 @@ def _spectrum(cfg: VerifyConfig, con: Construction, description: str, law,
               p_floor: int | None = None) -> tuple:
     mismatch = 0
     for branch in (+1, -1):
-        h = hamiltonian_from_plain(con, branch)
+        parts = hamiltonian_from_plain(con, branch)  # (H0 / hw, H1 / ihl)
         for (n1, n2) in _SWEEP_STATES:
             want = eigenvalue(con, n1, n2, branch)
             if (want.p, want.q) != law(n1, n2, branch):
                 mismatch += 1
             if p_floor is not None and want.p < p_floor:
                 mismatch += 1
-            column = algebra.basis_column(h, n1, n2)
-            # an absent element is zero on both sides: only the stored bras and the ket can differ
-            for bra in {(n1, n2), *column}.intersection(_SWEEP_STATES):
-                got = column.get(bra, ExactScalar.zero())
-                expect = want.exact() if bra == (n1, n2) else ExactScalar.zero()
-                if got != expect:
-                    mismatch += 1
+            for h, value in zip(parts, (want.p, want.q)):
+                column = algebra.basis_column(h, n1, n2)
+                # an absent element is zero on both sides: only stored bras and the ket can differ
+                for bra in {(n1, n2), *column}.intersection(_SWEEP_STATES):
+                    got = column.get(bra, ExactScalar.zero())
+                    if got != ExactScalar.of(value if bra == (n1, n2) else 0):
+                        mismatch += 1
     return (description, mismatch, 0.0)
 
 

@@ -14,9 +14,8 @@ import numpy as np
 import pytest
 
 from bateman import algebra, ft, imagscale
-from bateman.algebra import LadderPoly
+from bateman.algebra import ExactScalar, LadderPoly
 from bateman.construction import (
-    Eigen,
     StabilityClass,
     eigenvalue,
     eom_residual,
@@ -62,11 +61,12 @@ def test_exact_spectra_first_mixing(capsys):
     def body():
         checked = 0
         for branch in (1, -1):
-            h = hamiltonian_formal(ft.FT, branch)
+            parts = hamiltonian_formal(ft.FT, branch)  # (H0 / hw, H1 / ihl)
             for n1 in range(6):
                 for n2 in range(6 - n1):
-                    got = algebra.basis_matrix_element(n1, n2, h, n1, n2)
-                    assert got == Eigen(n1, n2, branch, n1 - n2, branch * (n1 + n2 + 1)).exact()
+                    got = [algebra.basis_matrix_element(n1, n2, h, n1, n2) for h in parts]
+                    want = (n1 - n2, branch * (n1 + n2 + 1))
+                    assert got == [ExactScalar.of(v) for v in want]
                     checked += 1
         return f"{checked} diagonal elements exact, zero tolerance"
 
@@ -77,12 +77,12 @@ def test_exact_spectra_second_mixing(capsys):
     def body():
         checked = 0
         for branch in (1, -1):
-            h = hamiltonian_formal(imagscale.IS, branch)
+            parts = hamiltonian_formal(imagscale.IS, branch)  # (H0 / hw, H1 / ihl)
             for n1 in range(6):
                 for n2 in range(6 - n1):
-                    got = algebra.basis_matrix_element(n1, n2, h, n1, n2)
+                    got = [algebra.basis_matrix_element(n1, n2, h, n1, n2) for h in parts]
                     want = (n1 + n2 + 1, branch * (n1 - n2))
-                    assert got == Eigen(n1, n2, branch, *want).exact()
+                    assert got == [ExactScalar.of(v) for v in want]
                     assert want[0] >= 1  # real part never dips below hbar*omega
                     checked += 1
         return f"{checked} diagonal elements exact, real parts >= hbar*omega"

@@ -21,12 +21,8 @@ from bateman.algebra import (
     B1_CRE,
     B2_ANN,
     B2_CRE,
-    CQ,
     ExactScalar,
     LadderPoly,
-    U_HW,
-    U_IHL,
-    U_ONE,
     apply_to_monomial_ket,
     basis_column,
     basis_matrix_element,
@@ -36,10 +32,10 @@ from bateman.algebra import (
     vacuum_expectation,
     vacuum_pairing,
 )
-from bateman.errors import DomainError, MixedUnitError
+from bateman.errors import DomainError, RadicalMismatch
 from bateman.fock import build_ladder, dense
 from bateman.cli import main
-from bateman.construction import Eigen, hamiltonian_formal, hamiltonian_from_plain
+from bateman.construction import hamiltonian_formal, hamiltonian_from_plain
 from bateman.ft import FT
 from bateman.imagscale import IS
 from bateman.verify import (
@@ -76,7 +72,7 @@ def test_normal_order_quartic():
 def test_normal_order_idempotent():
     messy = (
         LadderPoly.word((B1_ANN, B2_ANN, B1_CRE, B2_CRE))
-        + LadderPoly.word((B2_ANN, B2_CRE, B2_ANN)) * ExactScalar.surd(Fraction(1, 3), 2)
+        + LadderPoly.word((B2_ANN, B2_CRE, B2_ANN)) * ExactScalar(Fraction(1, 3), 0, 2)
     )
     once = messy.normal_order()
     assert once.normal_order() == once
@@ -100,10 +96,11 @@ def test_number_operator_element():
 
 
 def test_hamiltonian_elements_exact():
-    h_plus = hamiltonian_formal(FT, "+")
-    got = basis_matrix_element(1, 0, h_plus, 1, 0)
-    assert got == ExactScalar.unit(U_HW, 1) + ExactScalar.unit(U_IHL, 2)
-    assert basis_matrix_element(2, 0, h_plus, 1, 1).is_zero()
+    # (H0 / hw, H1 / ihl): the element hw + 2 ihl
+    parts = hamiltonian_formal(FT, "+")
+    got = [basis_matrix_element(1, 0, h, 1, 0) for h in parts]
+    assert got == [ExactScalar.of(1), ExactScalar.of(2)]
+    assert all(basis_matrix_element(2, 0, h, 1, 1).is_zero() for h in parts)
 
 
 @pytest.mark.parametrize("con,expect", [
@@ -112,11 +109,11 @@ def test_hamiltonian_elements_exact():
 ], ids=["ft", "is"])
 def test_diagonal_spectra_oracle(con, expect):
     for b in (+1, -1):
-        h = hamiltonian_formal(con, "+" if b > 0 else "-")
+        parts = hamiltonian_formal(con, "+" if b > 0 else "-")
         for n1 in range(4):
             for n2 in range(4 - n1):
-                got = basis_matrix_element(n1, n2, h, n1, n2)
-                assert got == Eigen(n1, n2, b, *expect(n1, n2, b)).exact()
+                got = [basis_matrix_element(n1, n2, h, n1, n2) for h in parts]
+                assert got == [ExactScalar.of(v) for v in expect(n1, n2, b)]
 
 
 def test_biorthonormality_delta():
@@ -133,23 +130,25 @@ def test_biorthonormality_delta():
 
 
 def test_surd_arithmetic_exact():
-    half_sqrt2 = ExactScalar.surd(Fraction(1, 2), 2)
+    half_sqrt2 = ExactScalar(Fraction(1, 2), 0, 2)
     assert half_sqrt2 * half_sqrt2 == ExactScalar.of(Fraction(1, 2))
-    i_unit = ExactScalar.of(CQ(Fraction(0), Fraction(1)))
+    i_unit = ExactScalar(0, 1)
     assert i_unit * i_unit == ExactScalar.of(-1)
     assert (i_unit * i_unit).conjugated() == ExactScalar.of(-1)
 
 
-def test_mixed_units_rejected():
-    hw = ExactScalar.unit(U_HW)
-    ihl = ExactScalar.unit(U_IHL)
-    with pytest.raises(MixedUnitError):
-        hw * ihl
-
-
-def test_unit_scalars_evaluate(params):
-    v = ExactScalar.unit(U_HW, 2) + ExactScalar.unit(U_IHL, -1)
-    assert v.to_complex(params) == 2.0 * params.hbar * params.omega - 1j * params.hbar * params.lam
+def test_a_root_with_a_square_factor_is_split_at_construction():
+    # sqrt(4) = 2 and 3 sqrt(12) = 6 sqrt(3): equal values compare equal, hash alike and add
+    assert ExactScalar(1, 0, 4) == ExactScalar.of(2) and ExactScalar(1, 0, 4).root == 1
+    assert hash(ExactScalar(1, 0, 4)) == hash(ExactScalar.of(2))
+    assert ExactScalar(1, 0, 4) + ExactScalar.of(2) == ExactScalar.of(4)
+    assert ExactScalar(3, -1, 12) == ExactScalar(6, -2, 3)
+    assert ExactScalar(3, -1, 12) + ExactScalar(0, 1, 3) == ExactScalar(6, -1, 3)
+    assert ExactScalar(Fraction(1, 2), 0, 8) * ExactScalar(1, 0, 2) == ExactScalar.of(2)
+    with pytest.raises(RadicalMismatch):
+        ExactScalar(1, 0, 8) + ExactScalar.of(1)
+    with pytest.raises(DomainError):
+        ExactScalar(1, 0, 0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -205,22 +204,21 @@ def test_matrix_element_matches_whole_matrix_on_seeded_polys():
                     assert abs(got - bra @ (mat @ ket)) <= 1e-14
 
 
-def test_matrix_element_reads_bra_row_and_ket_column(ladder8, params):
-    # b1+ b2: <1, 0| b1+ b2 |0, 1> = 1 but <0, 1| b1+ b2 |1, 0> = 0; the hw tag needs params
-    poly = LadderPoly.word((B1_CRE, B2_ANN), ExactScalar.unit(U_HW, 3))
-    hw = params.hbar * params.omega
-    assert matrix_elements([(poly, (1, 0), (0, 1))], ladder8, params)[0] == 3 * hw
-    assert matrix_elements([(poly, (0, 1), (1, 0))], ladder8, params)[0] == 0
+def test_matrix_element_reads_bra_row_and_ket_column(ladder8):
+    # b1+ b2: <1, 0| b1+ b2 |0, 1> = 1 but <0, 1| b1+ b2 |1, 0> = 0
+    poly = LadderPoly.word((B1_CRE, B2_ANN), ExactScalar(3, Fraction(1, 2)))
+    assert matrix_elements([(poly, (1, 0), (0, 1))], ladder8)[0] == 3 + 0.5j
+    assert matrix_elements([(poly, (0, 1), (1, 0))], ladder8)[0] == 0
     # b1 b1+ b1+ |0, 0> = 2 |1, 0>: the words act right to left
     word = LadderPoly.word((B1_ANN, B1_CRE, B1_CRE))
     assert matrix_elements([(word, (1, 0), (0, 0))], ladder8)[0] == pytest.approx(2.0, abs=1e-15)
     with pytest.raises(DomainError):
-        matrix_elements([(poly, (9, 0), (0, 0))], ladder8, params)[0]
+        matrix_elements([(poly, (9, 0), (0, 0))], ladder8)[0]
 
 
 # --- the batched walk against the one-word-at-a-time walk ---------------------
 
-def _per_word_element(poly, ladder, bra, ket, params=None):
+def _per_word_element(poly, ladder, bra, ket):
     """Reference: each word's ladder matrices applied right to left to its own vector."""
     symbol_map = {B1_CRE: ladder.a1_dag, B2_CRE: ladder.a2_dag,
                   B1_ANN: ladder.a1, B2_ANN: ladder.a2}
@@ -232,7 +230,7 @@ def _per_word_element(poly, ladder, bra, ket, params=None):
         vec = start
         for sym in reversed(word):
             vec = symbol_map[sym] @ vec
-        total += coeff.to_complex(params) * vec[row]
+        total += coeff.to_complex() * vec[row]
     return total
 
 
@@ -245,27 +243,27 @@ def test_matrix_elements_equal_the_per_word_walk_at_the_vacuum():
                                     for p in polys])
 
 
-def test_matrix_elements_equal_the_per_word_walk_on_low_occupations(params):
-    polys = _seeded_polys(60) + [LadderPoly.word((B1_CRE, B2_ANN), ExactScalar.unit(U_HW, 3))]
+def test_matrix_elements_equal_the_per_word_walk_on_low_occupations():
+    polys = _seeded_polys(60) + [LadderPoly.word((B1_CRE, B2_ANN), ExactScalar(3, 0, 2))]
     ladder = build_ladder(6 + 5)
     for bra in _LOW_OCCUPATIONS:
         for ket in _LOW_OCCUPATIONS:
-            got = matrix_elements([(p, bra, ket) for p in polys], ladder, params)
-            want = [_per_word_element(p, ladder, bra, ket, params) for p in polys]
+            got = matrix_elements([(p, bra, ket) for p in polys], ladder)
+            want = [_per_word_element(p, ladder, bra, ket) for p in polys]
             assert _bits(got) == _bits(want)
     assert matrix_elements([], ladder) == []
 
 
-def test_one_walk_reads_each_element_at_its_own_bra_and_ket(params):
+def test_one_walk_reads_each_element_at_its_own_bra_and_ket():
     # every poly at every low (bra, ket) pair in one block, bit for bit each element alone
-    polys = _seeded_polys(12) + [LadderPoly.word((B1_CRE, B2_ANN), ExactScalar.unit(U_HW, 3))]
+    polys = _seeded_polys(12) + [LadderPoly.word((B1_CRE, B2_ANN), ExactScalar(3, 0, 2))]
     ladder = build_ladder(6 + 5)
     elements = [(p, bra, ket) for p in polys for bra in _LOW_OCCUPATIONS
                 for ket in _LOW_OCCUPATIONS]
-    got = matrix_elements(elements, ladder, params)
-    assert _bits(got) == _bits([_per_word_element(p, ladder, bra, ket, params)
+    got = matrix_elements(elements, ladder)
+    assert _bits(got) == _bits([_per_word_element(p, ladder, bra, ket)
                                 for p, bra, ket in elements])
-    assert _bits(got) == _bits([matrix_elements([(p, bra, ket)], ladder, params)[0]
+    assert _bits(got) == _bits([matrix_elements([(p, bra, ket)], ladder)[0]
                                 for p, bra, ket in elements])
 
 
@@ -302,9 +300,9 @@ def _reference_element(m1, m2, op, n1, n2):
         return ExactScalar.zero()
     ratio = Fraction(math.factorial(m1) * math.factorial(m2),
                      math.factorial(n1) * math.factorial(n2))
-    # sqrt(p/q) = sqrt(p*q)/q; surd() takes the square part out of p*q
-    return amp * ExactScalar.surd(Fraction(1, ratio.denominator),
-                                  ratio.numerator * ratio.denominator)
+    # sqrt(p/q) = sqrt(p*q)/q; the constructor takes the square part out of p*q
+    return amp * ExactScalar(Fraction(1, ratio.denominator), 0,
+                             ratio.numerator * ratio.denominator)
 
 
 _KETS = [(n1, n2) for n1 in range(4) for n2 in range(4)]
@@ -325,16 +323,16 @@ def test_monomial_walk_matches_reference_on_seeded_polys():
     ((B1_ANN, B2_CRE, B2_ANN), (0, 0)),
 ])
 def test_walk_past_zero_stays_zero(word, ket):
-    poly = LadderPoly.word(word, CQ(Fraction(2, 3), Fraction(-1, 5))) + LadderPoly.one()
+    poly = LadderPoly.word(word, ExactScalar(Fraction(2, 3), Fraction(-1, 5))) + LadderPoly.one()
     got = apply_to_monomial_ket(poly, *ket)
     assert got == _reference_apply(poly, *ket) == {ket: ExactScalar.of(1)}
 
 
 def _surd_poly():
     # coefficients with sqrt(2), and words whose factorial ratios are not squares
-    return (LadderPoly.word((B1_CRE, B2_ANN), ExactScalar.surd(Fraction(1, 3), 2))
-            + LadderPoly.word((B1_ANN, B1_ANN, B2_CRE), ExactScalar.surd(-2, 8))
-            + LadderPoly.word((B2_CRE, B2_ANN), ExactScalar.surd(5, 2))
+    return (LadderPoly.word((B1_CRE, B2_ANN), ExactScalar(Fraction(1, 3), 0, 2))
+            + LadderPoly.word((B1_ANN, B1_ANN, B2_CRE), ExactScalar(-2, 0, 8))
+            + LadderPoly.word((B2_CRE, B2_ANN), ExactScalar(5, 0, 2))
             + LadderPoly.word((B1_CRE,), Fraction(1, 2)))
 
 
@@ -346,8 +344,8 @@ _COLUMN_OPS = {
 
 @pytest.mark.parametrize("name", sorted(_COLUMN_OPS))
 def test_basis_column_matches_per_element(name):
-    op = _surd_poly() if name == "surd" else hamiltonian_from_plain(*_COLUMN_OPS[name])
-    for n1, n2 in _SWEEP_STATES:
+    ops = [_surd_poly()] if name == "surd" else hamiltonian_from_plain(*_COLUMN_OPS[name])
+    for op, (n1, n2) in itertools.product(ops, _SWEEP_STATES):
         column = basis_column(op, n1, n2)
         assert all(not v.is_zero() for v in column.values())
         for m1, m2 in _SWEEP_STATES:
@@ -359,20 +357,19 @@ def test_basis_column_matches_per_element(name):
 def test_basis_column_surd_elements():
     op = _surd_poly()
     # b1+ b2 from (0, 1) to (1, 0): weight 1, factorial ratio 1
-    assert basis_column(op, 0, 1)[(1, 0)] == ExactScalar.surd(Fraction(1, 3), 2)
+    assert basis_column(op, 0, 1)[(1, 0)] == ExactScalar(Fraction(1, 3), 0, 2)
     # b1 b1 b2+ from (2, 0) to (0, 1): weight 2, ratio 1/2, coefficient -4 sqrt2
     assert basis_column(op, 2, 0)[(0, 1)] == ExactScalar.of(-8)
     # b1+ / 2 from (1, 0) to (2, 0): weight 1, ratio 2
-    assert basis_column(op, 1, 0)[(2, 0)] == ExactScalar.surd(Fraction(1, 2), 2)
+    assert basis_column(op, 1, 0)[(2, 0)] == ExactScalar(Fraction(1, 2), 0, 2)
 
 
 # --- exact fast paths of the scalar products ---------------------------------
 
 _SCALARS = [
-    *[ExactScalar.unit(tag, CQ(Fraction(3, 4), Fraction(-2, 5))) for tag in (U_ONE, U_HW, U_IHL)],
-    *[ExactScalar.surd(CQ(Fraction(-1, 6), Fraction(1, 2)), 2) * ExactScalar.unit(tag)
-      for tag in (U_ONE, U_HW, U_IHL)],
-    ExactScalar.unit(U_HW, 2) + ExactScalar.unit(U_IHL, -1) + ExactScalar.of(Fraction(1, 3)),
+    ExactScalar(Fraction(3, 4), Fraction(-2, 5)),
+    ExactScalar(Fraction(-1, 6), Fraction(1, 2), 2),
+    ExactScalar(Fraction(1, 3), 2, 6),
     ExactScalar.zero(),
 ]
 
@@ -388,23 +385,29 @@ def test_rational_factor_fast_path(x, k):
         assert got.root == x.root
 
 
-@pytest.mark.parametrize("root", [1, 2])
-@pytest.mark.parametrize("tag", [U_ONE, U_HW, U_IHL])
-def test_real_scalar_product_equals_the_general_product(tag, root):
-    c = CQ(Fraction(3, 4), Fraction(-2, 5))
-    x = ExactScalar({tag: c}, root)
-    for k in (Fraction(-2, 3), Fraction(5), Fraction(1)):
-        real = ExactScalar.of(k)
-        # the four-multiply complex product, on x's tag and root
-        want = ExactScalar({tag: c * CQ(k, Fraction(0))}, root)
-        assert x * real == real * x == want
-        assert (x * real).root == root
+def _general_product(x, y):
+    """The four-multiply complex product of x and y; the constructor splits its root."""
+    return ExactScalar(x.re * y.re - x.im * y.im, x.re * y.im + x.im * y.re, x.root * y.root)
+
+
+def test_real_scalar_product_equals_the_general_product():
+    # a real rational of root 1 on either side scales the other; every product on the grid,
+    # shortcut or not, is the general product exactly, with the same parts and root
+    parts = [Fraction(0), Fraction(1), Fraction(-2, 3), Fraction(5)]
+    grid = [ExactScalar(re, im, root) for re in parts for im in parts for root in (1, 2, 3)]
+    shortcuts = 0
+    for x, y in itertools.product(grid, repeat=2):
+        want = _general_product(x, y)
+        got = x * y
+        assert got == want and got.key() == want.key() and hash(got) == hash(want)
+        shortcuts += (x.root == 1 and not x.im) or (y.root == 1 and not y.im)
+    assert shortcuts > len(grid)
+    x = ExactScalar(Fraction(3, 4), Fraction(-2, 5), 2)
     assert x * ExactScalar.of(1) is x and ExactScalar.of(1) * x is x and x * 1 is x
 
 
 def _stores_no_zero(poly):
-    return all(not coeff.is_zero() and all(not c.is_zero() for c in coeff._coeffs.values())
-               for coeff in poly._terms.values())
+    return all(not coeff.is_zero() for coeff in poly._terms.values())
 
 
 def test_rebuilt_polys_equal_the_results_of_arithmetic():
@@ -420,23 +423,23 @@ def test_rebuilt_polys_equal_the_results_of_arithmetic():
             assert _stores_no_zero(result)
         for empty in (p + (-p), p - p, p * 0, (p - p).normal_order()):
             assert empty.is_zero() and empty._terms == {}
-    scalar = ExactScalar.unit(U_HW, 2) + ExactScalar.of(Fraction(1, 3))
-    assert (scalar - ExactScalar.unit(U_HW, 2))._coeffs == {U_ONE: CQ(Fraction(1, 3))}
-    assert (scalar - scalar)._coeffs == {} and (scalar - scalar).root == 1
+    scalar = ExactScalar(Fraction(1, 3), 2, 2)
+    assert (scalar - ExactScalar(0, 2, 2)).key() == (Fraction(1, 3), 0, 2)
+    assert (scalar - scalar).key() == (0, 0, 1)
 
 
-def test_root_one_products_and_cq_factors():
-    sqrt2 = ExactScalar.surd(1, 2)
+def test_root_one_products_and_complex_factors():
+    sqrt2 = ExactScalar(1, 0, 2)
     assert sqrt2.root == 2
     assert sqrt2 * sqrt2 == ExactScalar.of(2)
     assert (sqrt2 * sqrt2).root == 1
-    # (1/2 + 3i)(-2/7 + i/3) = -8/7 - 29/42 i, on the hw tag
-    a = ExactScalar.unit(U_HW, CQ(Fraction(1, 2), Fraction(3)))
-    b = ExactScalar.of(CQ(Fraction(-2, 7), Fraction(1, 3)))
-    assert a * b == b * a == ExactScalar.unit(U_HW, CQ(Fraction(-8, 7), Fraction(-29, 42)))
-    c = CQ(Fraction(2, 3), Fraction(-5, 4))
+    # (1/2 + 3i)(-2/7 + i/3) = -8/7 - 29/42 i
+    a = ExactScalar(Fraction(1, 2), Fraction(3))
+    b = ExactScalar(Fraction(-2, 7), Fraction(1, 3))
+    assert a * b == b * a == ExactScalar(Fraction(-8, 7), Fraction(-29, 42))
+    c = ExactScalar(Fraction(2, 3), Fraction(-5, 4))
     for k in (0, 1, -3, 7, Fraction(-2, 3)):
-        assert c * k == c * CQ.of(k) == k * c
+        assert c * k == c * ExactScalar.of(k) == k * c
 
 
 # --- per-mode normal forms against the fixed-point rewriting ------------------
@@ -463,7 +466,7 @@ def _reference_normal_order(poly):
 
 
 def test_normal_order_matches_the_rewriting_on_every_word_up_to_degree_6():
-    coeff = CQ(Fraction(2, 3), Fraction(-1, 5))
+    coeff = ExactScalar(Fraction(2, 3), Fraction(-1, 5))
     words = [w for n in range(7) for w in itertools.product(range(4), repeat=n)]
     assert len(words) == 5461
     for word in words:
@@ -472,7 +475,8 @@ def test_normal_order_matches_the_rewriting_on_every_word_up_to_degree_6():
 
 
 def test_normal_order_matches_the_rewriting_on_the_checks_messy_poly():
-    messy = ft.ft_generator_poly() * hamiltonian_formal(FT, "+") + LadderPoly.word(
+    h0, h1 = hamiltonian_formal(FT, "+")
+    messy = ft.ft_generator_poly() * (h0 + h1) + LadderPoly.word(
         (B2_ANN, B1_ANN, B2_CRE, B1_CRE), Fraction(3, 7)
     )
     assert messy.normal_order() == _reference_normal_order(messy)
@@ -530,24 +534,19 @@ def test_zero_is_one_shared_instance_that_stays_empty(params):
     assert zero is ExactScalar.zero()
     run_suite("all", VerifyConfig(params=params))
     assert ExactScalar.zero() is zero
-    assert zero._coeffs == {} and zero.root == 1 and zero.is_zero()
+    assert zero.key() == (0, 0, 1) and zero.is_zero()
 
 
 def _scalar_grid():
-    """Scalars on roots 1, 2, 3 and every nonempty set of unit tags, each value built twice:
-    from a dict in one tag order and by arithmetic in the other."""
-    values = [CQ(Fraction(1)), CQ(Fraction(0), Fraction(-1)), CQ(Fraction(-2, 3), Fraction(1, 2))]
-    tag_sets = [tags for n in (1, 2, 3) for tags in itertools.combinations((U_ONE, U_HW, U_IHL), n)]
-    grid = [ExactScalar.zero(), ExactScalar.of(0), ExactScalar({U_HW: CQ()}, 2)]
+    """Scalars on roots 1, 2, 3, each value built twice: by the constructor, and by
+    arithmetic on its real part, its imaginary part and sqrt(root)."""
+    values = [(Fraction(1), Fraction(0)), (Fraction(0), Fraction(-1)),
+              (Fraction(-2, 3), Fraction(1, 2))]
+    grid = [ExactScalar.zero(), ExactScalar.of(0), ExactScalar(0, 0, 2)]
     for root in (1, 2, 3):
-        for tags in tag_sets:
-            for shift in range(len(values)):
-                coeffs = {tag: values[(i + shift) % len(values)] for i, tag in enumerate(tags)}
-                grid.append(ExactScalar(coeffs, root))
-                built = ExactScalar.zero()
-                for tag in reversed(tags):
-                    built = built + ExactScalar.unit(tag, coeffs[tag]) * ExactScalar.surd(1, root)
-                grid.append(built)
+        for re, im in values:
+            grid.append(ExactScalar(re, im, root))
+            grid.append((ExactScalar(0, im) + ExactScalar.of(re)) * ExactScalar(1, 0, root))
     return grid
 
 
@@ -560,8 +559,9 @@ def test_scalar_equality_is_key_equality_and_equal_scalars_hash_alike():
             if a == b:
                 assert hash(a) == hash(b)
                 equal_pairs += a is not b
-    # each value equals its twin built the other way, and the zeros one another
-    assert equal_pairs == len(grid) - 3 + 6
+    # each value equals its twin built the other way, and the zeros are one instance
+    assert equal_pairs == len(grid) - 3
+    assert grid[0] is grid[1] is grid[2] is ExactScalar.zero()
 
 
 # --- the oracle's draws, exact half and element reads -------------------------
@@ -572,9 +572,9 @@ def _randint_poly(rng, max_degree=6, max_terms=5):
     for _ in range(rng.randint(1, max_terms)):
         length = rng.randint(0, max_degree)
         word = tuple(rng.randint(0, 3) for _ in range(length))
-        coeff = CQ(Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
-                   Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
-        algebra._accumulate(terms, word, ExactScalar._checked({U_ONE: coeff}, 1))
+        coeff = ExactScalar(Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+                            Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+        algebra._accumulate(terms, word, coeff)
     return LadderPoly._checked(terms)
 
 
@@ -606,7 +606,7 @@ def test_basis_matrix_element_is_its_basis_column_entry():
     occupations = [(a, b) for a in range(5) for b in range(5)]
     zero = ExactScalar.zero()
     surds = 0
-    for op in [_surd_poly(), hamiltonian_from_plain(FT, +1), *_seeded_polys(12)]:
+    for op in [_surd_poly(), *hamiltonian_from_plain(FT, +1), *_seeded_polys(12)]:
         for n1, n2 in occupations:
             column = basis_column(op, n1, n2)
             for m1, m2 in occupations:
@@ -616,22 +616,27 @@ def test_basis_matrix_element_is_its_basis_column_entry():
     assert surds > 0
 
 
-def test_cq_to_complex_is_float_of_each_part():
+def test_to_complex_is_float_of_each_part_times_the_root():
     parts = [Fraction(n, d) for n in (-7, -1, 0, 1, 3, 10**15 + 1, 2**53 + 1, -(3**40))
              for d in (1, 3, 7, 2**60, 10**20 + 3)]
     for re in parts:
         for im in parts[::3]:
-            got, want = CQ(re, im).to_complex(), complex(float(re), float(im))
-            assert np.array([got]).tobytes() == np.array([want]).tobytes()
+            for root in (1, 2, 3, 6):
+                got = ExactScalar(re, im, root).to_complex()
+                want = complex(re.numerator / re.denominator,
+                               im.numerator / im.denominator) * math.sqrt(root)
+                assert np.array([got]).tobytes() == np.array([want]).tobytes()
+                if root == 1:
+                    assert got == complex(float(re), float(im))
     huge = Fraction(10**400, 3)
-    for value in (CQ(huge), CQ(Fraction(1), -huge)):
+    for value in (ExactScalar(huge), ExactScalar(1, -huge)):
         with pytest.raises(OverflowError):
             complex(float(value.re), float(value.im))
         with pytest.raises(OverflowError):
             value.to_complex()
 
 
-def test_zero_scalar_evaluates_to_zero_with_and_without_params(params):
-    for zero in (ExactScalar.zero(), ExactScalar.of(0), ExactScalar({U_HW: CQ()}, 2)):
-        for got in (zero.to_complex(), zero.to_complex(params)):
-            assert type(got) is complex and np.array([got]).tobytes() == np.array([0j]).tobytes()
+def test_zero_scalar_evaluates_to_zero():
+    for zero in (ExactScalar.zero(), ExactScalar.of(0), ExactScalar(0, 0, 2)):
+        got = zero.to_complex()
+        assert type(got) is complex and np.array([got]).tobytes() == np.array([0j]).tobytes()

@@ -9,7 +9,7 @@ import pytest
 from numpy.linalg import matrix_power
 
 from bateman import algebra
-from bateman.algebra import B1_ANN, B1_CRE, B2_ANN, B2_CRE
+from bateman.algebra import B1_ANN, B1_CRE, B2_ANN, B2_CRE, ExactScalar
 from bateman.construction import (
     basis,
     eigenvalue,
@@ -32,11 +32,12 @@ ROUTES = pytest.mark.parametrize("con", [FT, IS], ids=["ft", "is"])
 @ROUTES
 def test_eigenvalue_matches_formal_element(con):
     for branch in ("+", "-"):
-        h = hamiltonian_formal(con, branch)
+        parts = hamiltonian_formal(con, branch)  # (H0 / hw, H1 / ihl)
         for n1 in range(4):
             for n2 in range(4 - n1):
-                got = algebra.basis_matrix_element(n1, n2, h, n1, n2)
-                assert got == eigenvalue(con, n1, n2, branch).exact()
+                got = [algebra.basis_matrix_element(n1, n2, h, n1, n2) for h in parts]
+                want = eigenvalue(con, n1, n2, branch)
+                assert got == [ExactScalar.of(want.p), ExactScalar.of(want.q)]
 
 
 @ROUTES

@@ -99,8 +99,9 @@ def test_plain_in_bars_inverts():
 def test_branch_normalization():
     assert normalize_branch("+") == normalize_branch(1) == 1
     assert normalize_branch("-") == normalize_branch(-1) == -1
-    with pytest.raises(DomainError):
-        normalize_branch("x")
+    for bad in ("x", "plus", "minus", 0, 2):
+        with pytest.raises(DomainError):
+            normalize_branch(bad)
 
 
 # --- reduced structure at the decoupling angle -------------------------------

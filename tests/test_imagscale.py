@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bateman.algebra import B1_ANN, B1_CRE, B2_ANN, B2_CRE, CQ, ExactScalar, LadderPoly
+from bateman.algebra import B1_ANN, B1_CRE, B2_ANN, B2_CRE, ExactScalar, LadderPoly
 from bateman.construction import (
     basis,
     eigenvalue,
@@ -123,8 +123,8 @@ def _scale_h1(check, q_form, params):
 
 def _scale_at_quarter(branch: int):
     """Inverse mixing at chi = branch*i*pi/4: cosh = sqrt2/2, sinh = branch*i*sqrt2/2."""
-    c = ExactScalar.surd(Fraction(1, 2), 2)
-    i_c = ExactScalar.surd(CQ(Fraction(0), Fraction(1)) * Fraction(1, 2), 2)
+    c = ExactScalar(Fraction(1, 2), 0, 2)
+    i_c = ExactScalar(0, Fraction(1, 2), 2)
     return ((c, i_c * branch), (c * (-branch), i_c)), ((c, -(i_c * branch)), (c * branch, i_c))
 
 
@@ -328,7 +328,7 @@ def test_heisenberg_factor(params):
 
 def _is_xy_table(sign):
     """x(t), y(t) of IS typed by hand: {(p_lam, p_omega): poly}, prefactor omitted."""
-    i = ExactScalar.of(CQ(0, 1))
+    i = ExactScalar(0, 1)
     b1, b2 = LadderPoly.symbol(B1_ANN), LadderPoly.symbol(B2_ANN)
     b1d, b2d = LadderPoly.symbol(B1_CRE), LadderPoly.symbol(B2_CRE)
     if sign > 0:

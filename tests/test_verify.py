@@ -117,14 +117,20 @@ def test_norm_closed_forms_check_catches_a_wrong_norm(params, monkeypatch, state
                          ids=lambda fn: fn.check_id)
 def test_spectrum_sweep_sees_an_off_diagonal_term(params, monkeypatch, check):
     # b1+ b2 keeps n1 + n2, so its element lands inside the swept block but
-    # off the diagonal; the column lookups must report it as a mismatch
+    # off the diagonal; the column lookups of either part of H must report it
     exact = verify.hamiltonian_from_plain
     cfg = VerifyConfig(params=params)
     assert check(cfg).deviation == 0
-    monkeypatch.setattr(verify, "hamiltonian_from_plain", lambda con, branch: (
-        exact(con, branch) + LadderPoly.word((B1_CRE, B2_ANN), Fraction(1, 7))))
-    result = check(cfg)
-    assert result.deviation > 0 and not result.passed
+    stray = LadderPoly.word((B1_CRE, B2_ANN), Fraction(1, 7))
+    for part in (0, 1):
+        def bent(con, branch, part=part):
+            parts = list(exact(con, branch))
+            parts[part] = parts[part] + stray
+            return tuple(parts)
+
+        monkeypatch.setattr(verify, "hamiltonian_from_plain", bent)
+        result = check(cfg)
+        assert result.deviation > 0 and not result.passed, part
 
 
 @pytest.mark.parametrize("field,value", [("theta", math.nan), ("theta", -math.inf)])
@@ -243,9 +249,14 @@ def test_boundary_defect_counts_a_wrong_ladder_weight(monkeypatch):
     # the sparse exact product still sees every entry: a weight sqrt(3) -> sqrt(4)
     # spoils [a, a+] at |1><1| and |2><2| of the n_top = 8 chain
     assert verify._exact_single_mode_defect(8) == 0
-    exact = verify.ExactScalar.surd
-    monkeypatch.setattr(verify.ExactScalar, "surd",
-                        staticmethod(lambda coeff, root: exact(coeff, 4 if root == 3 else root)))
+
+    exact = verify.ExactScalar
+
+    class Bent(exact):
+        def __new__(cls, re=0, im=0, root=1):
+            return exact(re, im, 4 if root == 3 else root)
+
+    monkeypatch.setattr(verify, "ExactScalar", Bent)
     assert verify._exact_single_mode_defect(8) == 2
 
 
