@@ -2,7 +2,8 @@
 
     python bench/run.py [--parent DIR] [--out FILE]
 
-DIR is a `git clone` or `git archive` of the commit to compare with.  Each
+DIR is a `git clone` or `git worktree add` checkout of the commit to compare
+with; any other directory is refused, since its commit cannot be told.  Each
 tree's `src` is copied to a temporary directory, compiled to fresh bytecode
 and loaded under a package name of its own (every import inside `bateman` is
 relative), so both trees run in this one interpreter, BLAS on one thread.
@@ -88,6 +89,7 @@ INVOCATIONS = [
     ["verify", "all"], ["verify", "all", "--seed", "1"],
     ["verify", "all", "--m", "1.3", "--gamma", "0.7", "--k", "2.1"],
     ["verify", "all", "--corrupt-check", "is.h-identity.quarter"],
+    ["verify", "all", "--n-max", "4"], ["verify", "all", "--n-max", "48"],
     ["verify", "is"], ["verify", "is", "--n-max", "8"], ["verify", "is", "--n-max", "16"],
     ["verify", "is", "--n-max", "24"], ["verify", "ft"], ["verify", "dynamics"],
     ["verify", "algebra", "--seed", "5"], ["norms"], ["norms", "--theta", "0.4"],
@@ -106,13 +108,16 @@ def stage(tree: Path, into: Path) -> Path:
     return src
 
 
+def git(tree: Path, *argv: str) -> str | None:
+    """The stdout of `git -C tree argv`, or None when git fails there."""
+    done = subprocess.run(["git", "-C", str(tree), *argv], capture_output=True, text=True)
+    return done.stdout.strip() if done.returncode == 0 else None
+
+
 def describe(tree: Path) -> dict:
     """The tree's commit and whether its files differ from it, when it is a git checkout."""
-    def git(*argv: str) -> str | None:
-        done = subprocess.run(["git", "-C", str(tree), *argv], capture_output=True, text=True)
-        return done.stdout.strip() if done.returncode == 0 else None
-    changes = git("status", "--porcelain", "--", "src", "bench")
-    return {"revision": git("rev-parse", "HEAD"),
+    changes = git(tree, "status", "--porcelain", "--", "src", "bench")
+    return {"revision": git(tree, "rev-parse", "HEAD"),
             "worktree_changes": None if changes is None else bool(changes)}
 
 
@@ -348,7 +353,8 @@ def machine() -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--parent", type=Path, help="checkout of the tree to compare with")
+    parser.add_argument("--parent", type=Path,
+                        help="git clone or worktree of the commit to compare with")
     parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv)
     trees = {"this": ROOT}
@@ -356,6 +362,11 @@ def main(argv=None) -> int:
         trees["parent"] = args.parent.resolve()
         if not (trees["parent"] / "src" / "bateman" / "__init__.py").is_file():
             parser.error(f"{trees['parent']} holds no src/bateman package")
+        top = git(trees["parent"], "rev-parse", "--show-toplevel")
+        if top is None or Path(top).resolve() != trees["parent"]:
+            # a copy inside another checkout would be recorded as that checkout's commit
+            parser.error(f"{trees['parent']} is not the top of a git checkout, so its commit "
+                         "cannot be recorded; make it with `git clone` or `git worktree add`")
     start = time.perf_counter()
     record = {"machine": machine(), "sides": {label: describe(t) for label, t in trees.items()}}
     with tempfile.TemporaryDirectory(prefix="bateman-bench-") as tmp:

@@ -148,7 +148,11 @@ class Operator:
     def __sub__(self, other):
         if not isinstance(other, Operator):
             return NotImplemented
-        return self + (-other)  # IEEE a + (-b) is a - b, bit for bit
+        n = self._same_shape(other)
+        out = dict(self.diagonals)
+        for k, w in other.diagonals.items():
+            out[k] = -w if k not in out else out[k] - w
+        return Operator(n, dict(sorted(out.items())))
 
     def __neg__(self) -> Operator:
         return self._map(np.negative)

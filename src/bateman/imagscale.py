@@ -112,22 +112,28 @@ def tilde_pair(phi: complex, ann: Operator, cre: Operator) -> tuple[Operator, Op
     return c * ann - 1j * s * cre, c * cre - 1j * s * ann
 
 
-def tilde_similarity_deviation(phi: complex, n_max: int = 64) -> float:
+#: top rung of the single-mode chain on which `tilde_similarity_deviation` compares
+TILDE_CHAIN_N_MAX = 64
+
+
+def tilde_similarity_deviation(phi: complex) -> float:
     """Low-block gap of u a = m u for u = e^{phi Y}, relative to the largest |u| there.
 
     a runs over (a2, a2+) and m over their closed forms under the Y rotation.
     Y acts on mode 2 alone, so the comparison runs on a dedicated single-mode
-    chain where a long truncation is cheap; Y conserves the parity of n.  On
-    the n <= `low_block(n_max)` block both products read u one rung past the
-    block, where the truncated u is exact once n_max is a few spreading
-    lengths deeper; real phi = pi/2 itself is served by the closed form only.
-    The block reads both parity sectors, so both are exponentiated.
+    chain up to rung TILDE_CHAIN_N_MAX, where a long truncation is cheap; Y
+    conserves the parity of n.  On the n <= `low_block(TILDE_CHAIN_N_MAX)` block
+    both products read u one rung past the block, where the truncated u is exact
+    once the chain is a few spreading lengths deeper; real phi = pi/2 itself is
+    served by the closed form only.  The block reads both parity sectors, so both
+    are exponentiated.
     """
-    ann = single_mode_lowering(n_max + 1)
+    rungs = np.arange(TILDE_CHAIN_N_MAX + 1)
+    ann = single_mode_lowering(TILDE_CHAIN_N_MAX + 1)
     cre = ann.T
-    return intertwining_deviation(phi * generator_y_matrix(ann, cre), np.arange(n_max + 1) % 2,
+    return intertwining_deviation(phi * generator_y_matrix(ann, cre), rungs % 2,
                                   zip((ann, cre), tilde_pair(phi, ann, cre)),
-                                  np.arange(n_max + 1) <= low_block(n_max))
+                                  rungs <= low_block(TILDE_CHAIN_N_MAX))
 
 
 # ---------------------------------------------------------------------------

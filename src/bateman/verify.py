@@ -142,36 +142,25 @@ def _finish(cfg: VerifyConfig, check_id: str, description: str, deviation: float
     )
 
 
-def _check(check_id: str):
-    """Declare a check whose body returns (description, deviation, tolerance[, detail])."""
+def _check(check_id: str, n_max: int | None = None, **args):
+    """Declare a check whose body returns (description, deviation, tolerance[, detail]).
+
+    A check that reads a truncated ladder declares its default n_max, and its body
+    is called as body(cfg, ladder of cfg.resolve(n_max), **args); any other body as
+    body(cfg, **args).  args holds a shared body's own arguments for this check, such
+    as its construction `con`, paper formula or angles.
+    """
     def declare(body):
         @wraps(body)
         def check(cfg: VerifyConfig) -> CheckResult:
-            return _finish(cfg, check_id, *body(cfg))
+            if n_max is None:
+                return _finish(cfg, check_id, *body(cfg, **args))
+            return _finish(cfg, check_id, *body(cfg, _ladder(cfg.resolve(n_max)), **args))
 
-        check.check_id = check_id
+        check.check_id, check.n_max = check_id, n_max
         return check
 
     return declare
-
-
-def _twin(body, ft_args: dict, is_args: dict):
-    """Declare one check body under its ft id and its is id.
-
-    Each dict holds the check id and that route's own arguments, such as its
-    paper formula or angles; the body is called as body(cfg, construction, **args).
-    """
-    def declare(con: Construction, args: dict):
-        args = dict(args)
-        check_id = args.pop("check_id")
-
-        @wraps(body)
-        def run(cfg: VerifyConfig) -> tuple:
-            return body(cfg, con, **args)
-
-        return _check(check_id)(run)
-
-    return declare(ft.FT, ft_args), declare(imagscale.IS, is_args)
 
 
 # ---------------------------------------------------------------------------
@@ -270,10 +259,8 @@ def check_matrix_element_examples(cfg: VerifyConfig) -> tuple:
     return ("number operator and diagonal H elements", mismatch, 0.0)
 
 
-@_check("algebra.commutators.interior")
-def check_commutators_interior(cfg: VerifyConfig) -> tuple:
-    n_max = cfg.resolve(12)
-    lad = _ladder(n_max)
+@_check("algebra.commutators.interior", n_max=12)
+def check_commutators_interior(cfg: VerifyConfig, lad) -> tuple:
     space = lad.space
     eye = identity(space.dim)
     zero = Operator(space.dim, {})
@@ -321,9 +308,9 @@ def _exact_single_mode_defect(n_top: int) -> int:
     return mismatch
 
 
-@_check("algebra.boundary-defect")
-def check_boundary_defect(cfg: VerifyConfig) -> tuple:
-    n_top = cfg.resolve(8)
+@_check("algebra.boundary-defect", n_max=8)
+def check_boundary_defect(cfg: VerifyConfig, lad) -> tuple:
+    n_top = lad.space.n_max
     mismatch = _exact_single_mode_defect(n_top)
     # float route for the same structure
     low = np.diag(np.sqrt(np.arange(1, n_top + 1, dtype=float)), k=1)
@@ -337,10 +324,8 @@ def check_boundary_defect(cfg: VerifyConfig) -> tuple:
             {"float_deviation": float_dev})
 
 
-@_check("algebra.h-structure")
-def check_h_structure(cfg: VerifyConfig) -> tuple:
-    n_max = cfg.resolve(12)
-    lad = _ladder(n_max)
+@_check("algebra.h-structure", n_max=12)
+def check_h_structure(cfg: VerifyConfig, lad) -> tuple:
     ham = build_hamiltonian(lad, cfg.params)
     herm_dev = max_abs(ham.h - ham.h.conj().T)
     mismatch = 0
@@ -453,16 +438,15 @@ def _spectrum(cfg: VerifyConfig, con: Construction, description: str, law,
     return (description, mismatch, 0.0)
 
 
-check_ft_spectrum, check_is_spectrum = _twin(
-    _spectrum,
-    {"check_id": "ft.spectrum",
-     "description": "exact eigenvalues hw(n1-n2) +- ihl(n1+n2+1), n1+n2 <= 5, both branches",
-     "law": lambda n1, n2, branch: (n1 - n2, branch * (n1 + n2 + 1))},
-    {"check_id": "is.spectrum",
-     "description": "exact eigenvalues hw(n1+n2+1) +- ihl(n1-n2), real part >= hw",
-     "law": lambda n1, n2, branch: (n1 + n2 + 1, branch * (n1 - n2)),
-     "p_floor": 1},  # real part bounded below by hbar omega
-)
+check_ft_spectrum = _check(
+    "ft.spectrum", con=ft.FT,
+    description="exact eigenvalues hw(n1-n2) +- ihl(n1+n2+1), n1+n2 <= 5, both branches",
+    law=lambda n1, n2, branch: (n1 - n2, branch * (n1 + n2 + 1)))(_spectrum)
+check_is_spectrum = _check(
+    "is.spectrum", con=imagscale.IS,
+    description="exact eigenvalues hw(n1+n2+1) +- ihl(n1-n2), real part >= hw",
+    law=lambda n1, n2, branch: (n1 + n2 + 1, branch * (n1 - n2)),
+    p_floor=1)(_spectrum)  # real part bounded below by hbar omega
 
 
 def _derivation(cfg: VerifyConfig, con: Construction, description: str) -> tuple:
@@ -473,18 +457,15 @@ def _derivation(cfg: VerifyConfig, con: Construction, description: str) -> tuple
     return (description, mismatch, 0.0)
 
 
-check_ft_derivation, check_is_derivation = _twin(
-    _derivation,
-    {"check_id": "ft.h-derivation",
-     "description": "substituted H normal-orders to the diagonal bar form exactly"},
-    {"check_id": "is.h-derivation",
-     "description": "substituted H normal-orders to the diagonal check form exactly"},
-)
+check_ft_derivation = _check(
+    "ft.h-derivation", con=ft.FT,
+    description="substituted H normal-orders to the diagonal bar form exactly")(_derivation)
+check_is_derivation = _check(
+    "is.h-derivation", con=imagscale.IS,
+    description="substituted H normal-orders to the diagonal check form exactly")(_derivation)
 
 
-def _closed_form(cfg: VerifyConfig, con: Construction, description: str, at_zero) -> tuple:
-    n_max = cfg.resolve(12)
-    lad = _ladder(n_max)
+def _closed_form(cfg: VerifyConfig, lad, con: Construction, description: str, at_zero) -> tuple:
     t0 = transform(con, 0.0, lad)
     dev = _worst(*(max_abs(getattr(t0, name) - want) for name, want in at_zero(lad).items()))
     tq = transform(con, con.quarter(+1), lad)
@@ -493,23 +474,20 @@ def _closed_form(cfg: VerifyConfig, con: Construction, description: str, at_zero
     return (description, dev, 1e-14)
 
 
-check_ft_reconstruction, check_is_closed_form = _twin(
-    _closed_form,
-    {"check_id": "ft.reconstruction",
-     "description": "bar operators at theta=0 and theta=pi/4 match closed combinations",
-     "at_zero": lambda lad: {"ann1": lad.a1, "cre2": lad.a2_dag,
-                             "cre1": lad.a1_dag, "ann2": lad.a2}},
-    {"check_id": "is.closed-form",
-     "description": "check operators at chi=0 and chi=i pi/4 match closed combinations",
-     # mode 2 is already swapped at chi = 0
-     "at_zero": lambda lad: {"ann1": lad.a1, "ann2": (-1j) * lad.a2_dag,
-                             "cre1": lad.a1_dag, "cre2": (-1j) * lad.a2}},
-)
+check_ft_reconstruction = _check(
+    "ft.reconstruction", n_max=12, con=ft.FT,
+    description="bar operators at theta=0 and theta=pi/4 match closed combinations",
+    at_zero=lambda lad: {"ann1": lad.a1, "cre2": lad.a2_dag,
+                         "cre1": lad.a1_dag, "ann2": lad.a2})(_closed_form)
+check_is_closed_form = _check(
+    "is.closed-form", n_max=12, con=imagscale.IS,
+    description="check operators at chi=0 and chi=i pi/4 match closed combinations",
+    # mode 2 is already swapped at chi = 0
+    at_zero=lambda lad: {"ann1": lad.a1, "ann2": (-1j) * lad.a2_dag,
+                         "cre1": lad.a1_dag, "cre2": (-1j) * lad.a2})(_closed_form)
 
 
-def _commutators(cfg: VerifyConfig, con: Construction, description: str, angle) -> tuple:
-    n_max = cfg.resolve(12)
-    lad = _ladder(n_max)
+def _commutators(cfg: VerifyConfig, lad, con: Construction, description: str, angle) -> tuple:
     space = lad.space
     eye = identity(space.dim)
     zero = Operator(space.dim, {})
@@ -525,15 +503,12 @@ def _commutators(cfg: VerifyConfig, con: Construction, description: str, angle) 
     return (description, dev, 1e-12)
 
 
-check_ft_commutators, check_is_commutators = _twin(
-    _commutators,
-    {"check_id": "ft.commutators",
-     "description": "bar-mode commutation relations on the interior",
-     "angle": lambda cfg: cfg.theta},
-    {"check_id": "is.commutators",
-     "description": "check-mode commutation relations on the interior",
-     "angle": lambda cfg: 0.37j},
-)
+check_ft_commutators = _check(
+    "ft.commutators", n_max=12, con=ft.FT, angle=lambda cfg: cfg.theta,
+    description="bar-mode commutation relations on the interior")(_commutators)
+check_is_commutators = _check(
+    "is.commutators", n_max=12, con=imagscale.IS, angle=lambda cfg: 0.37j,
+    description="check-mode commutation relations on the interior")(_commutators)
 
 
 def _h_scale(params: PhysicalParams) -> float:
@@ -544,9 +519,7 @@ def _h_scale(params: PhysicalParams) -> float:
 _IDENTITY_ROUNDOFF = 4 * float(np.finfo(float).eps)
 
 
-def _identity_quarter(cfg: VerifyConfig, con: Construction, description: str) -> tuple:
-    n_max = cfg.resolve(12)
-    lad = _ladder(n_max)
+def _identity_quarter(cfg: VerifyConfig, lad, con: Construction, description: str) -> tuple:
     dev = 0.0
     for branch in (+1, -1):
         rep = identity_report(con, transform(con, con.quarter(branch), lad), cfg.params)
@@ -554,43 +527,36 @@ def _identity_quarter(cfg: VerifyConfig, con: Construction, description: str) ->
     return (description, dev, _IDENTITY_ROUNDOFF * lad.space.dim * _h_scale(cfg.params))
 
 
-check_ft_identity_quarter, check_is_identity_quarter = _twin(
-    _identity_quarter,
-    {"check_id": "ft.h-identity.quarter",
-     "description": "H0/H1 equal their bar number-operator forms at theta=+-pi/4"},
-    {"check_id": "is.h-identity.quarter",
-     "description": "H0/H1 equal their check number-operator forms at chi=+-i pi/4"},
-)
+check_ft_identity_quarter = _check(
+    "ft.h-identity.quarter", n_max=12, con=ft.FT,
+    description="H0/H1 equal their bar number-operator forms at theta=+-pi/4")(_identity_quarter)
+check_is_identity_quarter = _check(
+    "is.h-identity.quarter", n_max=12, con=imagscale.IS,
+    description="H0/H1 equal their check number-operator forms at chi=+-i pi/4")(_identity_quarter)
 
 
-def _identity_generic(cfg: VerifyConfig, con: Construction, description: str, angle) -> tuple:
-    n_max = cfg.resolve(12)
-    lad = _ladder(n_max)
+def _identity_generic(cfg: VerifyConfig, lad, con: Construction, description: str,
+                      angle) -> tuple:
     rep = identity_report(con, transform(con, angle(cfg), lad), cfg.params)
     return (description, _worst(rep.h0_deviation, rep.h1_deviation),
             _IDENTITY_ROUNDOFF * lad.space.dim * _h_scale(cfg.params))
 
 
-check_ft_identity_generic, check_is_identity_generic = _twin(
-    _identity_generic,
-    {"check_id": "ft.h-identity.generic",
-     "description": "H0/H1 equal the full cos2theta/sin2theta bar expressions",
-     "angle": lambda cfg: cfg.theta},
-    {"check_id": "is.h-identity.generic",
-     "description": "H0/H1 equal the full cosh/sinh check expressions at generic chi",
-     "angle": lambda cfg: 0.2j},
-)
+check_ft_identity_generic = _check(
+    "ft.h-identity.generic", n_max=12, con=ft.FT, angle=lambda cfg: cfg.theta,
+    description="H0/H1 equal the full cos2theta/sin2theta bar expressions")(_identity_generic)
+check_is_identity_generic = _check(
+    "is.h-identity.generic", n_max=12, con=imagscale.IS, angle=lambda cfg: 0.2j,
+    description="H0/H1 equal the full cosh/sinh check expressions at generic chi",
+)(_identity_generic)
 
 
-def _gram(cfg: VerifyConfig, con: Construction, description: str, default_n_max: int,
-          frame, tolerance) -> tuple:
-    n_max = cfg.resolve(default_n_max)
-    lad = _ladder(n_max)
+def _gram(cfg: VerifyConfig, lad, description: str, frame, tolerance) -> tuple:
     modes, vacuum = frame(cfg, lad)
-    q_cap = min(3, max(0, (n_max - 2) // 2))
+    q_cap = min(3, max(0, (lad.space.n_max - 2) // 2))
     pairing = gram(modes, vacuum, q_cap)
     dev = max_abs(pairing - np.eye(pairing.shape[0]))
-    return (description.format(q_cap=q_cap), dev, tolerance(cfg, n_max, q_cap))
+    return (description.format(q_cap=q_cap), dev, tolerance(cfg, lad.space.n_max, q_cap))
 
 
 def _ft_frame(cfg: VerifyConfig, lad):
@@ -610,20 +576,15 @@ def _is_frame(cfg: VerifyConfig, lad):
     return frame, imagscale.is_vacuum(frame)
 
 
-check_ft_gram, check_is_gram = _twin(
-    _gram,
-    {"check_id": "ft.gram",
-     "description": "biorthonormality Gram is identity for occupations <= {q_cap}",
-     "default_n_max": 24, "frame": _ft_frame, "tolerance": _ft_gram_tolerance},
-    {"check_id": "is.gram",
-     "description": "bounded-frame Gram is identity for occupations <= {q_cap}",
-     "default_n_max": 12, "frame": _is_frame, "tolerance": lambda cfg, n_max, q_cap: 1e-12},
-)
+check_ft_gram = _check(
+    "ft.gram", n_max=24, frame=_ft_frame, tolerance=_ft_gram_tolerance,
+    description="biorthonormality Gram is identity for occupations <= {q_cap}")(_gram)
+check_is_gram = _check(
+    "is.gram", n_max=12, frame=_is_frame, tolerance=lambda cfg, n_max, q_cap: 1e-12,
+    description="bounded-frame Gram is identity for occupations <= {q_cap}")(_gram)
 
 
-def _heisenberg(cfg: VerifyConfig, con: Construction, description: str) -> tuple:
-    n_max = cfg.resolve(12)
-    lad = _ladder(n_max)
+def _heisenberg(cfg: VerifyConfig, lad, con: Construction, description: str) -> tuple:
     params = cfg.params
     h = build_hamiltonian(lad, params).h
     dev = 0.0
@@ -638,18 +599,15 @@ def _heisenberg(cfg: VerifyConfig, con: Construction, description: str) -> tuple
     return (description, dev, 1e-10 * max(1, params.omega, params.lam))
 
 
-check_ft_heisenberg, check_is_heisenberg = _twin(
-    _heisenberg,
-    {"check_id": "ft.heisenberg",
-     "description": "(i hbar)^-1 [bar op, H] equals the closed-form rate times the op"},
-    {"check_id": "is.heisenberg",
-     "description": "(i hbar)^-1 [check op, H] equals the closed-form rate times the op"},
-)
+check_ft_heisenberg = _check(
+    "ft.heisenberg", n_max=12, con=ft.FT,
+    description="(i hbar)^-1 [bar op, H] equals the closed-form rate times the op")(_heisenberg)
+check_is_heisenberg = _check(
+    "is.heisenberg", n_max=12, con=imagscale.IS,
+    description="(i hbar)^-1 [check op, H] equals the closed-form rate times the op")(_heisenberg)
 
 
-def _xy(cfg: VerifyConfig, con: Construction, description: str) -> tuple:
-    n_max = cfg.resolve(12)
-    lad = _ladder(n_max)
+def _xy(cfg: VerifyConfig, lad, con: Construction) -> tuple:
     x_ref, y_ref = position_operators(lad, cfg.params)
     dev = 0.0
     for branch in (+1, -1):
@@ -658,39 +616,30 @@ def _xy(cfg: VerifyConfig, con: Construction, description: str) -> tuple:
         dev = _worst(dev, max_abs(x0 - x_ref), max_abs(y0 - y_ref))
     # x and y carry the length scale sqrt(hbar / m omega)
     length = math.sqrt(cfg.params.hbar / (cfg.params.m * cfg.params.omega))
-    return (description, dev, 1e-12 * max(1, length))
+    return ("x(0), y(0) reassemble the rotated position pair", dev, 1e-12 * max(1, length))
 
 
-check_ft_xy, check_is_xy = _twin(
-    _xy,
-    {"check_id": "ft.xy-reconstruction",
-     "description": "x(0), y(0) reassemble the rotated position pair"},
-    {"check_id": "is.xy-reconstruction",
-     "description": "x(0), y(0) reassemble the rotated position pair"},
-)
+check_ft_xy = _check("ft.xy-reconstruction", n_max=12, con=ft.FT)(_xy)
+check_is_xy = _check("is.xy-reconstruction", n_max=12, con=imagscale.IS)(_xy)
 
 
 # ---------------------------------------------------------------------------
 # ft suite
 
 
-@_check("ft.similarity")
-def check_ft_similarity(cfg: VerifyConfig) -> tuple:
-    n_max = cfg.resolve(24)
-    lad = _ladder(n_max)
+@_check("ft.similarity", n_max=24)
+def check_ft_similarity(cfg: VerifyConfig, lad) -> tuple:
     thetas = sorted({0.1, cfg.theta})
     x = ft.generator_matrix(lad)
     dev = _worst(*(similarity_deviation(ft.FT, transform(ft.FT, theta, lad), x)
                    for theta in thetas))
     return ("e^{theta X} a = (bar a) e^{theta X} on the low block",
-            dev, 1e-8, {"thetas": list(thetas), "window": low_block(n_max),
-                        "n_max": n_max})
+            dev, 1e-8, {"thetas": list(thetas), "window": low_block(lad.space.n_max),
+                        "n_max": lad.space.n_max})
 
 
-@_check("ft.exp-inverse")
-def check_exp_inverse(cfg: VerifyConfig) -> tuple:
-    n_max = cfg.resolve(8)
-    lad = _ladder(n_max)
+@_check("ft.exp-inverse", n_max=8)
+def check_exp_inverse(cfg: VerifyConfig, lad) -> tuple:
     x = ft.generator_matrix(lad)
     # both exponentials are 0 between sectors, and theta X and -theta X share
     # their sectors and stacks: u u^{-1} is one batched product per stack
@@ -707,12 +656,10 @@ def check_exp_inverse(cfg: VerifyConfig) -> tuple:
             raw / kappa, 1e-12, {"raw_deviation": raw, "kappa": kappa})
 
 
-@_check("ft.vacuum-series")
-def check_ft_vacuum(cfg: VerifyConfig) -> tuple:
-    n_max = cfg.resolve(24)
-    lad = _ladder(n_max)
+@_check("ft.vacuum-series", n_max=24)
+def check_ft_vacuum(cfg: VerifyConfig, lad) -> tuple:
     ket, bra = ft.ft_vacuum_series(cfg.theta, lad.space)
-    tail = abs(math.tan(cfg.theta)) ** (2 * (n_max + 1))
+    tail = abs(math.tan(cfg.theta)) ** (2 * (lad.space.n_max + 1))
     dev = abs(bra @ ket - 1.0)
     mismatch = 0
     k0, b0 = ft.ft_vacuum_series(0.0, lad.space)
@@ -730,10 +677,8 @@ def check_ft_vacuum(cfg: VerifyConfig) -> tuple:
             {"geometric_tail": tail})
 
 
-@_check("ft.basis-two-route")
-def check_ft_two_route(cfg: VerifyConfig) -> tuple:
-    n_max = cfg.resolve(24)
-    lad = _ladder(n_max)
+@_check("ft.basis-two-route", n_max=24)
+def check_ft_two_route(cfg: VerifyConfig, lad) -> tuple:
     tr = transform(ft.FT, cfg.theta, lad)
     vacuum = ft.ft_vacuum_series(cfg.theta, lad.space)
     keep = interior_mask(lad.space, 2)
@@ -744,7 +689,7 @@ def check_ft_two_route(cfg: VerifyConfig) -> tuple:
         dev = _worst(dev, max_abs((ket_a - ket_b)[keep]), max_abs((bra_a - bra_b)[keep]))
     # both routes truncate the same series; the measured gap decays like a
     # single power of tan per rung (normalization eats the other power)
-    tail = abs(math.tan(cfg.theta)) ** (n_max - 2)
+    tail = abs(math.tan(cfg.theta)) ** (lad.space.n_max - 2)
     return ("creator-monomial and exponential-map basis vectors agree",
             dev, max(1e-8, 50.0 * tail))
 
@@ -819,10 +764,8 @@ FT_SUITE = [
 # is suite
 
 
-@_check("is.tilde")
-def check_is_tilde(cfg: VerifyConfig) -> tuple:
-    n_max = cfg.resolve(12)
-    lad = _ladder(n_max)
+@_check("is.tilde", n_max=12)
+def check_is_tilde(cfg: VerifyConfig, lad) -> tuple:
     dev_sim = _worst(*(imagscale.tilde_similarity_deviation(phi) for phi in (0.2j, 0.3j)))
     t_ann, t_cre = imagscale.tilde_pair(math.pi / 2, lad.a2, lad.a2_dag)
     dev_cf = _worst(max_abs(t_ann - (-1j) * lad.a2_dag), max_abs(t_cre - (-1j) * lad.a2))
@@ -837,10 +780,8 @@ def check_is_tilde(cfg: VerifyConfig) -> tuple:
              "z_composition": dev_z, "chi_similarity": dev_chi})
 
 
-@_check("is.vacuum")
-def check_is_vacuum(cfg: VerifyConfig) -> tuple:
-    n_max = cfg.resolve(8)
-    lad = _ladder(n_max)
+@_check("is.vacuum", n_max=8)
+def check_is_vacuum(cfg: VerifyConfig, lad) -> tuple:
     zero = [lad.space.index(0, 0)]
     one_quantum = [lad.space.index(1, 0), lad.space.index(0, 1)]
     kernel, det_gap = 0.0, 0.0
@@ -861,12 +802,10 @@ def check_is_vacuum(cfg: VerifyConfig) -> tuple:
             _worst(kernel, det_gap), 1e-12, {"kernel": kernel, "det_gap": det_gap})
 
 
-@_check("is.matrix-element")
-def check_is_matrix_element(cfg: VerifyConfig) -> tuple:
-    n_max = cfg.resolve(12)
-    lad = _ladder(n_max)
+@_check("is.matrix-element", n_max=12)
+def check_is_matrix_element(cfg: VerifyConfig, lad) -> tuple:
     params = cfg.params
-    cap = min(5, n_max - 2)
+    cap = min(5, lad.space.n_max - 2)
     states = [(n1, n2) for n1 in range(cap + 1) for n2 in range(cap + 1 - n1)]
     dev = 0.0
     witness = 0.0

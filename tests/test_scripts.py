@@ -4,6 +4,7 @@ and finds no difference between two copies of this tree."""
 import importlib.util
 import json
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -46,6 +47,22 @@ def test_bench_help_exits_zero():
     assert done.returncode == 0, done.stderr[-2000:]
     assert "--out" in done.stdout and "--parent" in done.stdout
     assert done.stdout.splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize("inside_checkout", [False, True])
+def test_bench_refuses_a_parent_that_is_no_git_checkout(tmp_path, inside_checkout):
+    # a plain copy has no commit of its own to record; inside a checkout it
+    # would read as that checkout's HEAD.  Either is refused before any staging
+    if inside_checkout:
+        subprocess.run(["git", "init", "-q", str(tmp_path)], check=True)
+    parent, out = tmp_path / "copy", tmp_path / "bench.json"
+    shutil.copytree(ROOT / "src", parent / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    start = time.perf_counter()
+    done = _run([str(ROOT / "bench" / "run.py"), "--parent", str(parent), "--out", str(out)], 60)
+    assert done.returncode == 2, done.stderr[-2000:]
+    assert "git clone" in done.stderr and "git worktree add" in done.stderr
+    assert not out.exists()
+    assert time.perf_counter() - start < 10.0
 
 
 def _load_bench():

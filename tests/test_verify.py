@@ -89,6 +89,46 @@ def test_declared_ids_match_reported_ids(params):
     assert len(ids) == len(set(ids)) == 44
 
 
+#: the default truncation each laddered check declares; is.tilde also reads a chi ladder at 24
+_DECLARED_N_MAX = {
+    **dict.fromkeys(["ft.similarity", "ft.vacuum-series", "ft.gram", "ft.basis-two-route"], 24),
+    **dict.fromkeys(["ft.exp-inverse", "algebra.boundary-defect", "is.vacuum"], 8),
+    **dict.fromkeys(["algebra.commutators.interior", "algebra.h-structure", "ft.reconstruction",
+                     "ft.commutators", "ft.h-identity.quarter", "ft.h-identity.generic",
+                     "ft.heisenberg", "ft.xy-reconstruction", "is.closed-form", "is.tilde",
+                     "is.commutators", "is.h-identity.quarter", "is.h-identity.generic",
+                     "is.gram", "is.matrix-element", "is.heisenberg", "is.xy-reconstruction"], 12),
+}
+
+
+def _ladder_sizes(monkeypatch, cfg) -> dict[str, list[int]]:
+    """The sizes each check of `verify all` asks verify._ladder for, in order."""
+    asked, ladder = [], verify._ladder
+    monkeypatch.setattr(verify, "_ladder", lambda n_max: asked.append(n_max) or ladder(n_max))
+    sizes = {}
+    for fn in (fn for suite in SUITE_NAMES for fn in SUITES[suite]):
+        asked.clear()
+        assert fn(cfg).passed, fn.check_id
+        sizes[fn.check_id] = list(asked)
+    return sizes
+
+
+def test_each_laddered_check_declares_the_truncation_it_reads(params, monkeypatch):
+    checks = [fn for suite in SUITE_NAMES for fn in SUITES[suite]]
+    # readable without running a check; the oracle's sizes follow its polynomial degrees
+    assert {fn.check_id: fn.n_max for fn in checks if fn.n_max is not None} == _DECLARED_N_MAX
+    sizes = _ladder_sizes(monkeypatch, VerifyConfig(params=params))
+    assert {check_id for check_id, asked in sizes.items() if asked} == {
+        *_DECLARED_N_MAX, "algebra.cross-validation"}
+    assert {check_id: sizes[check_id] for check_id in _DECLARED_N_MAX} == {
+        check_id: [n_max, 24] if check_id == "is.tilde" else [n_max]
+        for check_id, n_max in _DECLARED_N_MAX.items()}
+    overridden = _ladder_sizes(monkeypatch, VerifyConfig(params=params, n_max=10))
+    assert {check_id: overridden[check_id] for check_id in _DECLARED_N_MAX} == {
+        check_id: [10, 10] if check_id == "is.tilde" else [10] for check_id in _DECLARED_N_MAX}
+    assert overridden["algebra.cross-validation"] == sizes["algebra.cross-validation"]
+
+
 def test_n_max_upper_bound(params):
     assert VerifyConfig(params=params, n_max=48).n_max == 48
     with pytest.raises(DomainError, match="bytes"):
