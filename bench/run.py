@@ -93,6 +93,11 @@ INVOCATIONS = [
     ["verify", "is"], ["verify", "is", "--n-max", "8"], ["verify", "is", "--n-max", "16"],
     ["verify", "is", "--n-max", "24"], ["verify", "ft"], ["verify", "dynamics"],
     ["verify", "algebra", "--seed", "5"], ["norms"], ["norms", "--theta", "0.4"],
+    # every tolerance model off its floor: the series tails (exit 1 at n_max 8, where the
+    # ft.gram tail does not bound the gap) and the scales of H, x/y and the rates above 1
+    ["verify", "ft", "--theta", "0.5", "--n-max", "8"],
+    ["verify", "ft", "--theta", "-0.3", "--n-max", "16"],
+    ["verify", "all", "--hbar", "2", "--m", "0.5", "--gamma", "0.7", "--k", "2.1"],
     *_scalar_invocations(),
     ["verify", "is", "--n-max", "3"],                       # exit 2: below the smallest n_max
     ["spectrum", "--approach", "is", "--n-cap", "17"],      # exit 2: past the largest n_cap

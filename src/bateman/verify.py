@@ -2,10 +2,13 @@
 law checked at desk scale with explicit deviations and tolerances.
 
 Checks are pure functions of a VerifyConfig; results carry (deviation,
-tolerance, passed) so reports stay self-describing.  Exact checks use
-tolerance 0 and count mismatches.  A corrupt hook is provided as a negative
-control for the reporting pipeline: it inflates the targeted check's
-deviation and must flip the exit status.
+tolerance, passed) so reports stay self-describing.  Each check declares its
+claim, its tolerance and the truncation it reads (`_check`), so
+check.description(cfg), check.tolerance(cfg) and check.n_max are read without
+running it; its body returns only its deviation, and a detail dict if it has
+one.  Exact checks declare tolerance 0 and count mismatches.  A corrupt hook is
+provided as a negative control for the reporting pipeline: it inflates the
+targeted check's deviation and must flip the exit status.
 """
 
 from __future__ import annotations
@@ -127,37 +130,41 @@ def _worst(*deviations: float) -> float:
     return max(deviations)
 
 
-def _finish(cfg: VerifyConfig, check_id: str, description: str, deviation: float,
-            tolerance: float, detail: dict | None = None) -> CheckResult:
-    if cfg.corrupt_check == check_id:
-        deviation = deviation + 10.0 * tolerance + 1.0
-        detail = dict(detail or {}, corrupted=True)
-    return CheckResult(
-        check_id=check_id,
-        description=description,
-        deviation=float(deviation),
-        tolerance=float(tolerance),
-        passed=bool(deviation <= tolerance),
-        detail=detail or {},
-    )
+def _check(check_id: str, description, tolerance, n_max: int | None = None, **args):
+    """Declare a check: the claim it reports, its tolerance and the truncation it reads.
 
-
-def _check(check_id: str, n_max: int | None = None, **args):
-    """Declare a check whose body returns (description, deviation, tolerance[, detail]).
-
-    A check that reads a truncated ladder declares its default n_max, and its body
-    is called as body(cfg, ladder of cfg.resolve(n_max), **args); any other body as
-    body(cfg, **args).  args holds a shared body's own arguments for this check, such
-    as its construction `con`, paper formula or angles.
+    description and tolerance are each a constant or a function of (cfg, n_max), with
+    n_max resolved as cfg.resolve(n_max), or None for a check without a ladder.
+    check.description(cfg) and check.tolerance(cfg) give what check(cfg) reports
+    without running the body.  The body returns only what it measures: its deviation,
+    or (deviation, detail).  A check that reads a truncated ladder declares its default
+    n_max, and its body is called as body(cfg, ladder of cfg.resolve(n_max), **args);
+    any other body as body(cfg, **args).  args holds a shared body's own arguments for
+    this check, such as its construction `con`, paper formula or angles.
     """
+    def declared(value):
+        if not callable(value):
+            return lambda cfg: value
+        return lambda cfg: value(cfg, None if n_max is None else cfg.resolve(n_max))
+
     def declare(body):
         @wraps(body)
         def check(cfg: VerifyConfig) -> CheckResult:
             if n_max is None:
-                return _finish(cfg, check_id, *body(cfg, **args))
-            return _finish(cfg, check_id, *body(cfg, _ladder(cfg.resolve(n_max)), **args))
+                measured = body(cfg, **args)
+            else:
+                measured = body(cfg, _ladder(cfg.resolve(n_max)), **args)
+            deviation, detail = measured if isinstance(measured, tuple) else (measured, {})
+            tolerance = check.tolerance(cfg)
+            if cfg.corrupt_check == check_id:
+                deviation = deviation + 10.0 * tolerance + 1.0
+                detail = dict(detail, corrupted=True)
+            return CheckResult(check_id=check_id, description=check.description(cfg),
+                               deviation=float(deviation), tolerance=float(tolerance),
+                               passed=bool(deviation <= tolerance), detail=detail)
 
         check.check_id, check.n_max = check_id, n_max
+        check.description, check.tolerance = declared(description), declared(tolerance)
         return check
 
     return declare
@@ -167,8 +174,8 @@ def _check(check_id: str, n_max: int | None = None, **args):
 # algebra suite
 
 
-@_check("algebra.params")
-def check_params_examples(cfg: VerifyConfig) -> tuple:
+@_check("algebra.params", "parameter derivation and quadratic roots", 1e-10)
+def check_params_examples(cfg: VerifyConfig):
     dev = 0.0
     mismatch = 0
     p = derive_params(1.0, 1e-9, 1.0)
@@ -185,11 +192,11 @@ def check_params_examples(cfg: VerifyConfig) -> tuple:
             for s in roots:
                 dev = _worst(dev, abs(eom_residual(s, sign, q)) / q.k)
         dev = _worst(dev, abs(q.omega**2 + q.lam**2 - q.k / q.m) / (q.k / q.m))
-    return ("parameter derivation and quadratic roots", dev + mismatch, 1e-10)
+    return dev + mismatch
 
 
-@_check("algebra.normal-order")
-def check_normal_order(cfg: VerifyConfig) -> tuple:
+@_check("algebra.normal-order", "normal ordering examples and idempotence", 0.0)
+def check_normal_order(cfg: VerifyConfig):
     one, num1 = LadderPoly.one(), LadderPoly.word((B1_CRE, B1_ANN))
     num2 = LadderPoly.word((B2_CRE, B2_ANN))
     # (word, its normal form), every canonical word's multiplicity stated, not only the constant's
@@ -211,26 +218,22 @@ def check_normal_order(cfg: VerifyConfig) -> tuple:
     once = messy.normal_order()
     if once.normal_order() != once:
         mismatch += 1
-    return ("normal ordering examples and idempotence", mismatch, 0.0)
+    return mismatch
 
 
-@_check("algebra.vacuum-pairing")
-def check_vacuum_pairing(cfg: VerifyConfig) -> tuple:
+@_check("algebra.vacuum-pairing", "vacuum pairing examples (n1! n2! weights)", 0.0)
+def check_vacuum_pairing(cfg: VerifyConfig):
     one = LadderPoly.one()
-    mismatch = 0
-    if algebra.vacuum_pairing(one, one) != ExactScalar.of(1):
-        mismatch += 1
-    if algebra.vacuum_pairing(LadderPoly.symbol(B1_ANN), LadderPoly.symbol(B1_CRE)) != ExactScalar.of(1):
-        mismatch += 1
-    bra = LadderPoly.word((B1_ANN, B1_ANN, B2_ANN))
-    ket = LadderPoly.word((B1_CRE, B1_CRE, B2_CRE))
-    if algebra.vacuum_pairing(bra, ket) != ExactScalar.of(2):
-        mismatch += 1
-    return ("vacuum pairing examples (n1! n2! weights)", mismatch, 0.0)
+    examples = [(one, one, 1),  # (bra, ket, pairing)
+                (LadderPoly.symbol(B1_ANN), LadderPoly.symbol(B1_CRE), 1),
+                (LadderPoly.word((B1_ANN, B1_ANN, B2_ANN)),
+                 LadderPoly.word((B1_CRE, B1_CRE, B2_CRE)), 2)]
+    return sum(algebra.vacuum_pairing(bra, ket) != ExactScalar.of(want)
+               for bra, ket, want in examples)
 
 
-@_check("algebra.biorthonormality")
-def check_biorthonormality(cfg: VerifyConfig) -> tuple:
+@_check("algebra.biorthonormality", "pairing of basis monomials is Kronecker delta", 0.0)
+def check_biorthonormality(cfg: VerifyConfig):
     one = LadderPoly.one()
     occupations = [(a, b) for a in range(4) for b in range(4)]
     mismatch = 0
@@ -241,11 +244,11 @@ def check_biorthonormality(cfg: VerifyConfig) -> tuple:
             want = ExactScalar.of(1 if bra == ket else 0)
             if column.get(bra, ExactScalar.zero()) != want:
                 mismatch += 1
-    return ("pairing of basis monomials is Kronecker delta", mismatch, 0.0)
+    return mismatch
 
 
-@_check("algebra.matrix-element")
-def check_matrix_element_examples(cfg: VerifyConfig) -> tuple:
+@_check("algebra.matrix-element", "number operator and diagonal H elements", 0.0)
+def check_matrix_element_examples(cfg: VerifyConfig):
     mismatch = 0
     number1 = LadderPoly.word((B1_CRE, B1_ANN))
     if algebra.basis_matrix_element(3, 2, number1, 3, 2) != ExactScalar.of(3):
@@ -256,11 +259,12 @@ def check_matrix_element_examples(cfg: VerifyConfig) -> tuple:
         mismatch += 1
     if any(not algebra.basis_matrix_element(2, 0, h, 1, 1).is_zero() for h in parts):
         mismatch += 1
-    return ("number operator and diagonal H elements", mismatch, 0.0)
+    return mismatch
 
 
-@_check("algebra.commutators.interior", n_max=12)
-def check_commutators_interior(cfg: VerifyConfig, lad) -> tuple:
+@_check("algebra.commutators.interior", "ladder commutators on the interior projection", 1e-12,
+        n_max=12)
+def check_commutators_interior(cfg: VerifyConfig, lad):
     space = lad.space
     eye = identity(space.dim)
     zero = Operator(space.dim, {})
@@ -277,8 +281,7 @@ def check_commutators_interior(cfg: VerifyConfig, lad) -> tuple:
         dev = _worst(dev, interior_deviation(commutator(x, y), want, space))
     cross = max_abs(commutator(lad.a1, lad.a2_dag))
     dev = _worst(dev, cross)
-    return ("ladder commutators on the interior projection", dev, 1e-12,
-            {"cross_mode_exact": cross})
+    return dev, {"cross_mode_exact": cross}
 
 
 def _exact_single_mode_defect(n_top: int) -> int:
@@ -308,8 +311,9 @@ def _exact_single_mode_defect(n_top: int) -> int:
     return mismatch
 
 
-@_check("algebra.boundary-defect", n_max=8)
-def check_boundary_defect(cfg: VerifyConfig, lad) -> tuple:
+@_check("algebra.boundary-defect", "truncated [a, a+] equals I - (N+1)|N><N| exactly", 0.0,
+        n_max=8)
+def check_boundary_defect(cfg: VerifyConfig, lad):
     n_top = lad.space.n_max
     mismatch = _exact_single_mode_defect(n_top)
     # float route for the same structure
@@ -320,12 +324,12 @@ def check_boundary_defect(cfg: VerifyConfig, lad) -> tuple:
     float_dev = max_abs(comm - want)
     if float_dev > 1e-13:
         mismatch += 1
-    return ("truncated [a, a+] equals I - (N+1)|N><N| exactly", mismatch, 0.0,
-            {"float_deviation": float_dev})
+    return mismatch, {"float_deviation": float_dev}
 
 
-@_check("algebra.h-structure", n_max=12)
-def check_h_structure(cfg: VerifyConfig, lad) -> tuple:
+@_check("algebra.h-structure", "H Hermitian when truncated; basis change non-unitary; [H0,H1]=0",
+        0.0, n_max=12)
+def check_h_structure(cfg: VerifyConfig, lad):
     ham = build_hamiltonian(lad, cfg.params)
     herm_dev = max_abs(ham.h - ham.h.conj().T)
     mismatch = 0
@@ -344,9 +348,8 @@ def check_h_structure(cfg: VerifyConfig, lad) -> tuple:
     comm_dev = max_abs(commutator(ham.h0, ham.h1))
     comm_scale = max_abs(ham.h0) * max_abs(ham.h1)
     dev = mismatch + (comm_dev if comm_dev > 1e-10 * comm_scale else 0.0)
-    return ("H Hermitian when truncated; basis change non-unitary; [H0,H1]=0",
-            dev, 0.0, {"hermiticity": herm_dev, "nonunitarity": nonunitary,
-                       "h0_h1_commutator": comm_dev})
+    return dev, {"hermiticity": herm_dev, "nonunitarity": nonunitary,
+                 "h0_h1_commutator": comm_dev}
 
 
 def _oracle_draws(seed: int) -> list[tuple]:
@@ -389,12 +392,13 @@ def _oracle_numeric(draws: list[tuple]) -> list[complex]:
     return [next(values[size]) for size, *_ in requests]
 
 
-@_check("algebra.cross-validation")
-def check_oracle_cross_validation(cfg: VerifyConfig) -> tuple:
+@_check("algebra.cross-validation", "200 random polynomials: exact oracle vs truncated matrices",
+        1e-12)
+def check_oracle_cross_validation(cfg: VerifyConfig):
     draws = _oracle_draws(cfg.seed)
     gaps = [abs(exact - numeric)
             for exact, numeric in zip(_oracle_exact(draws), _oracle_numeric(draws))]
-    return ("200 random polynomials: exact oracle vs truncated matrices", _worst(*gaps), 1e-12)
+    return _worst(*gaps)
 
 
 ALGEBRA_SUITE = [
@@ -417,8 +421,7 @@ ALGEBRA_SUITE = [
 _SWEEP_STATES = [(n1, n2) for n1 in range(6) for n2 in range(6) if n1 + n2 <= 5]
 
 
-def _spectrum(cfg: VerifyConfig, con: Construction, description: str, law,
-              p_floor: int | None = None) -> tuple:
+def _spectrum(cfg: VerifyConfig, con: Construction, law, p_floor: int | None = None):
     mismatch = 0
     for branch in (+1, -1):
         parts = hamiltonian_from_plain(con, branch)  # (H0 / hw, H1 / ihl)
@@ -435,59 +438,53 @@ def _spectrum(cfg: VerifyConfig, con: Construction, description: str, law,
                     got = column.get(bra, ExactScalar.zero())
                     if got != ExactScalar.of(value if bra == (n1, n2) else 0):
                         mismatch += 1
-    return (description, mismatch, 0.0)
+    return mismatch
 
 
 check_ft_spectrum = _check(
-    "ft.spectrum", con=ft.FT,
-    description="exact eigenvalues hw(n1-n2) +- ihl(n1+n2+1), n1+n2 <= 5, both branches",
-    law=lambda n1, n2, branch: (n1 - n2, branch * (n1 + n2 + 1)))(_spectrum)
+    "ft.spectrum", "exact eigenvalues hw(n1-n2) +- ihl(n1+n2+1), n1+n2 <= 5, both branches", 0.0,
+    con=ft.FT, law=lambda n1, n2, branch: (n1 - n2, branch * (n1 + n2 + 1)))(_spectrum)
 check_is_spectrum = _check(
-    "is.spectrum", con=imagscale.IS,
-    description="exact eigenvalues hw(n1+n2+1) +- ihl(n1-n2), real part >= hw",
-    law=lambda n1, n2, branch: (n1 + n2 + 1, branch * (n1 - n2)),
+    "is.spectrum", "exact eigenvalues hw(n1+n2+1) +- ihl(n1-n2), real part >= hw", 0.0,
+    con=imagscale.IS, law=lambda n1, n2, branch: (n1 + n2 + 1, branch * (n1 - n2)),
     p_floor=1)(_spectrum)  # real part bounded below by hbar omega
 
 
-def _derivation(cfg: VerifyConfig, con: Construction, description: str) -> tuple:
-    mismatch = 0
-    for branch in (+1, -1):
-        if hamiltonian_from_plain(con, branch) != hamiltonian_formal(con, branch):
-            mismatch += 1
-    return (description, mismatch, 0.0)
+def _derivation(cfg: VerifyConfig, con: Construction):
+    return sum(hamiltonian_from_plain(con, branch) != hamiltonian_formal(con, branch)
+               for branch in (+1, -1))
 
 
 check_ft_derivation = _check(
-    "ft.h-derivation", con=ft.FT,
-    description="substituted H normal-orders to the diagonal bar form exactly")(_derivation)
+    "ft.h-derivation", "substituted H normal-orders to the diagonal bar form exactly", 0.0,
+    con=ft.FT)(_derivation)
 check_is_derivation = _check(
-    "is.h-derivation", con=imagscale.IS,
-    description="substituted H normal-orders to the diagonal check form exactly")(_derivation)
+    "is.h-derivation", "substituted H normal-orders to the diagonal check form exactly", 0.0,
+    con=imagscale.IS)(_derivation)
 
 
-def _closed_form(cfg: VerifyConfig, lad, con: Construction, description: str, at_zero) -> tuple:
+def _closed_form(cfg: VerifyConfig, lad, con: Construction, at_zero):
     t0 = transform(con, 0.0, lad)
     dev = _worst(*(max_abs(getattr(t0, name) - want) for name, want in at_zero(lad).items()))
     tq = transform(con, con.quarter(+1), lad)
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    dev = _worst(dev, max_abs(tq.ann1 - inv_sqrt2 * (lad.a1 - lad.a2_dag)))
-    return (description, dev, 1e-14)
+    return _worst(dev, max_abs(tq.ann1 - inv_sqrt2 * (lad.a1 - lad.a2_dag)))
 
 
 check_ft_reconstruction = _check(
-    "ft.reconstruction", n_max=12, con=ft.FT,
-    description="bar operators at theta=0 and theta=pi/4 match closed combinations",
+    "ft.reconstruction", "bar operators at theta=0 and theta=pi/4 match closed combinations",
+    1e-14, n_max=12, con=ft.FT,
     at_zero=lambda lad: {"ann1": lad.a1, "cre2": lad.a2_dag,
                          "cre1": lad.a1_dag, "ann2": lad.a2})(_closed_form)
 check_is_closed_form = _check(
-    "is.closed-form", n_max=12, con=imagscale.IS,
-    description="check operators at chi=0 and chi=i pi/4 match closed combinations",
+    "is.closed-form", "check operators at chi=0 and chi=i pi/4 match closed combinations",
+    1e-14, n_max=12, con=imagscale.IS,
     # mode 2 is already swapped at chi = 0
     at_zero=lambda lad: {"ann1": lad.a1, "ann2": (-1j) * lad.a2_dag,
                          "cre1": lad.a1_dag, "cre2": (-1j) * lad.a2})(_closed_form)
 
 
-def _commutators(cfg: VerifyConfig, lad, con: Construction, description: str, angle) -> tuple:
+def _commutators(cfg: VerifyConfig, lad, con: Construction, angle):
     space = lad.space
     eye = identity(space.dim)
     zero = Operator(space.dim, {})
@@ -500,74 +497,73 @@ def _commutators(cfg: VerifyConfig, lad, con: Construction, description: str, an
         dev = _worst(dev, interior_deviation(commutator(tr.ann2, tr.cre2), eye, space))
         dev = _worst(dev, interior_deviation(commutator(tr.ann1, cross), zero, space))
         dev = _worst(dev, max_abs(commutator(tr.ann1, same_side)))
-    return (description, dev, 1e-12)
+    return dev
 
 
 check_ft_commutators = _check(
-    "ft.commutators", n_max=12, con=ft.FT, angle=lambda cfg: cfg.theta,
-    description="bar-mode commutation relations on the interior")(_commutators)
+    "ft.commutators", "bar-mode commutation relations on the interior", 1e-12,
+    n_max=12, con=ft.FT, angle=lambda cfg: cfg.theta)(_commutators)
 check_is_commutators = _check(
-    "is.commutators", n_max=12, con=imagscale.IS, angle=lambda cfg: 0.37j,
-    description="check-mode commutation relations on the interior")(_commutators)
+    "is.commutators", "check-mode commutation relations on the interior", 1e-12,
+    n_max=12, con=imagscale.IS, angle=lambda cfg: 0.37j)(_commutators)
 
 
-def _h_scale(params: PhysicalParams) -> float:
-    return max(1, params.hbar * max(params.omega, params.lam))  # H's entries; 1 by default
+def _identity_roundoff(cfg: VerifyConfig, n_max: int) -> float:
+    """Round-off of an h-identity: 4 eps per row of the (n_max+1)^2 matrix, in units of
+    H's entries, hbar max(omega, lambda), taken as at least 1 (1 at the defaults)."""
+    scale = max(1, cfg.params.hbar * max(cfg.params.omega, cfg.params.lam))
+    return 4 * float(np.finfo(float).eps) * (n_max + 1) ** 2 * scale
 
 
-#: round-off of an h-identity per row of the matrix, in units of H's entries
-_IDENTITY_ROUNDOFF = 4 * float(np.finfo(float).eps)
-
-
-def _identity_quarter(cfg: VerifyConfig, lad, con: Construction, description: str) -> tuple:
+def _identity_quarter(cfg: VerifyConfig, lad, con: Construction):
     dev = 0.0
     for branch in (+1, -1):
         rep = identity_report(con, transform(con, con.quarter(branch), lad), cfg.params)
         dev = _worst(dev, rep.h0_deviation, rep.h1_deviation, rep.reduced_deviation)
-    return (description, dev, _IDENTITY_ROUNDOFF * lad.space.dim * _h_scale(cfg.params))
+    return dev
 
 
 check_ft_identity_quarter = _check(
-    "ft.h-identity.quarter", n_max=12, con=ft.FT,
-    description="H0/H1 equal their bar number-operator forms at theta=+-pi/4")(_identity_quarter)
+    "ft.h-identity.quarter", "H0/H1 equal their bar number-operator forms at theta=+-pi/4",
+    _identity_roundoff, n_max=12, con=ft.FT)(_identity_quarter)
 check_is_identity_quarter = _check(
-    "is.h-identity.quarter", n_max=12, con=imagscale.IS,
-    description="H0/H1 equal their check number-operator forms at chi=+-i pi/4")(_identity_quarter)
+    "is.h-identity.quarter", "H0/H1 equal their check number-operator forms at chi=+-i pi/4",
+    _identity_roundoff, n_max=12, con=imagscale.IS)(_identity_quarter)
 
 
-def _identity_generic(cfg: VerifyConfig, lad, con: Construction, description: str,
-                      angle) -> tuple:
+def _identity_generic(cfg: VerifyConfig, lad, con: Construction, angle):
     rep = identity_report(con, transform(con, angle(cfg), lad), cfg.params)
-    return (description, _worst(rep.h0_deviation, rep.h1_deviation),
-            _IDENTITY_ROUNDOFF * lad.space.dim * _h_scale(cfg.params))
+    return _worst(rep.h0_deviation, rep.h1_deviation)
 
 
 check_ft_identity_generic = _check(
-    "ft.h-identity.generic", n_max=12, con=ft.FT, angle=lambda cfg: cfg.theta,
-    description="H0/H1 equal the full cos2theta/sin2theta bar expressions")(_identity_generic)
+    "ft.h-identity.generic", "H0/H1 equal the full cos2theta/sin2theta bar expressions",
+    _identity_roundoff, n_max=12, con=ft.FT, angle=lambda cfg: cfg.theta)(_identity_generic)
 check_is_identity_generic = _check(
-    "is.h-identity.generic", n_max=12, con=imagscale.IS, angle=lambda cfg: 0.2j,
-    description="H0/H1 equal the full cosh/sinh check expressions at generic chi",
-)(_identity_generic)
+    "is.h-identity.generic", "H0/H1 equal the full cosh/sinh check expressions at generic chi",
+    _identity_roundoff, n_max=12, con=imagscale.IS, angle=lambda cfg: 0.2j)(_identity_generic)
 
 
-def _gram(cfg: VerifyConfig, lad, description: str, frame, tolerance) -> tuple:
+def _gram_q_cap(n_max: int) -> int:
+    """The largest occupation a Gram pairs, two rungs of headroom per quantum below n_max."""
+    return min(3, max(0, (n_max - 2) // 2))
+
+
+def _gram(cfg: VerifyConfig, lad, frame):
     modes, vacuum = frame(cfg, lad)
-    q_cap = min(3, max(0, (lad.space.n_max - 2) // 2))
-    pairing = gram(modes, vacuum, q_cap)
-    dev = max_abs(pairing - np.eye(pairing.shape[0]))
-    return (description.format(q_cap=q_cap), dev, tolerance(cfg, lad.space.n_max, q_cap))
+    pairing = gram(modes, vacuum, _gram_q_cap(lad.space.n_max))
+    return max_abs(pairing - np.eye(pairing.shape[0]))
 
 
 def _ft_frame(cfg: VerifyConfig, lad):
     return transform(ft.FT, cfg.theta, lad), ft.ft_vacuum_series(cfg.theta, lad.space)
 
 
-def _ft_gram_tolerance(cfg: VerifyConfig, n_max: int, q_cap: int) -> float:
+def _ft_gram_tolerance(cfg: VerifyConfig, n_max: int) -> float:
     # the series tail per rung is tan^2, but the monomial normalization of the
     # worst pair (2*q_cap rungs up) gives back roughly one power per rung;
     # the single power with a x10 cushion bounds the measured gap at every n_max
-    tail = abs(math.tan(cfg.theta)) ** (n_max + 1 - 2 * q_cap)
+    tail = abs(math.tan(cfg.theta)) ** (n_max + 1 - 2 * _gram_q_cap(n_max))
     return max(1e-10, 10.0 * tail)
 
 
@@ -577,14 +573,14 @@ def _is_frame(cfg: VerifyConfig, lad):
 
 
 check_ft_gram = _check(
-    "ft.gram", n_max=24, frame=_ft_frame, tolerance=_ft_gram_tolerance,
-    description="biorthonormality Gram is identity for occupations <= {q_cap}")(_gram)
+    "ft.gram", lambda cfg, n_max: "biorthonormality Gram is identity for occupations <= "
+    f"{_gram_q_cap(n_max)}", _ft_gram_tolerance, n_max=24, frame=_ft_frame)(_gram)
 check_is_gram = _check(
-    "is.gram", n_max=12, frame=_is_frame, tolerance=lambda cfg, n_max, q_cap: 1e-12,
-    description="bounded-frame Gram is identity for occupations <= {q_cap}")(_gram)
+    "is.gram", lambda cfg, n_max: "bounded-frame Gram is identity for occupations <= "
+    f"{_gram_q_cap(n_max)}", 1e-12, n_max=12, frame=_is_frame)(_gram)
 
 
-def _heisenberg(cfg: VerifyConfig, lad, con: Construction, description: str) -> tuple:
+def _heisenberg(cfg: VerifyConfig, lad, con: Construction):
     params = cfg.params
     h = build_hamiltonian(lad, params).h
     dev = 0.0
@@ -595,51 +591,59 @@ def _heisenberg(cfg: VerifyConfig, lad, con: Construction, description: str) -> 
             lhs = commutator(op, h) / (1j * params.hbar)
             rate = heisenberg_rate(con, mode, kind, branch, params)
             dev = _worst(dev, interior_deviation(lhs, rate * op, lad.space))
+    return dev
+
+
+def _rate_roundoff(cfg: VerifyConfig, n_max: int) -> float:
     # the rates, and the round-off of [op, H] / hbar, grow with omega and lambda
-    return (description, dev, 1e-10 * max(1, params.omega, params.lam))
+    return 1e-10 * max(1, cfg.params.omega, cfg.params.lam)
 
 
 check_ft_heisenberg = _check(
-    "ft.heisenberg", n_max=12, con=ft.FT,
-    description="(i hbar)^-1 [bar op, H] equals the closed-form rate times the op")(_heisenberg)
+    "ft.heisenberg", "(i hbar)^-1 [bar op, H] equals the closed-form rate times the op",
+    _rate_roundoff, n_max=12, con=ft.FT)(_heisenberg)
 check_is_heisenberg = _check(
-    "is.heisenberg", n_max=12, con=imagscale.IS,
-    description="(i hbar)^-1 [check op, H] equals the closed-form rate times the op")(_heisenberg)
+    "is.heisenberg", "(i hbar)^-1 [check op, H] equals the closed-form rate times the op",
+    _rate_roundoff, n_max=12, con=imagscale.IS)(_heisenberg)
 
 
-def _xy(cfg: VerifyConfig, lad, con: Construction) -> tuple:
+def _xy(cfg: VerifyConfig, lad, con: Construction):
     x_ref, y_ref = position_operators(lad, cfg.params)
     dev = 0.0
     for branch in (+1, -1):
         tr = transform(con, con.quarter(branch), lad)
         x0, y0 = xy_operators(con, branch, 0.0, tr, cfg.params)
         dev = _worst(dev, max_abs(x0 - x_ref), max_abs(y0 - y_ref))
+    return dev
+
+
+def _length_roundoff(cfg: VerifyConfig, n_max: int) -> float:
     # x and y carry the length scale sqrt(hbar / m omega)
-    length = math.sqrt(cfg.params.hbar / (cfg.params.m * cfg.params.omega))
-    return ("x(0), y(0) reassemble the rotated position pair", dev, 1e-12 * max(1, length))
+    return 1e-12 * max(1, math.sqrt(cfg.params.hbar / (cfg.params.m * cfg.params.omega)))
 
 
-check_ft_xy = _check("ft.xy-reconstruction", n_max=12, con=ft.FT)(_xy)
-check_is_xy = _check("is.xy-reconstruction", n_max=12, con=imagscale.IS)(_xy)
+check_ft_xy = _check("ft.xy-reconstruction", "x(0), y(0) reassemble the rotated position pair",
+                     _length_roundoff, n_max=12, con=ft.FT)(_xy)
+check_is_xy = _check("is.xy-reconstruction", "x(0), y(0) reassemble the rotated position pair",
+                     _length_roundoff, n_max=12, con=imagscale.IS)(_xy)
 
 
 # ---------------------------------------------------------------------------
 # ft suite
 
 
-@_check("ft.similarity", n_max=24)
-def check_ft_similarity(cfg: VerifyConfig, lad) -> tuple:
+@_check("ft.similarity", "e^{theta X} a = (bar a) e^{theta X} on the low block", 1e-8, n_max=24)
+def check_ft_similarity(cfg: VerifyConfig, lad):
     thetas = sorted({0.1, cfg.theta})
     x = ft.generator_matrix(lad)
     dev = _worst(*(similarity_deviation(ft.FT, transform(ft.FT, theta, lad), x)
                    for theta in thetas))
-    return ("e^{theta X} a = (bar a) e^{theta X} on the low block",
-            dev, 1e-8, {"thetas": list(thetas), "window": low_block(lad.space.n_max),
-                        "n_max": lad.space.n_max})
+    return dev, {"thetas": list(thetas), "window": low_block(lad.space.n_max),
+                 "n_max": lad.space.n_max}
 
 
-@_check("ft.exp-inverse", n_max=8)
-def check_exp_inverse(cfg: VerifyConfig, lad) -> tuple:
+@_check("ft.exp-inverse", "exp(theta X) exp(-theta X) = identity", 1e-12, n_max=8)
+def check_exp_inverse(cfg: VerifyConfig, lad):
     x = ft.generator_matrix(lad)
     # both exponentials are 0 between sectors, and theta X and -theta X share
     # their sectors and stacks: u u^{-1} is one batched product per stack
@@ -652,14 +656,18 @@ def check_exp_inverse(cfg: VerifyConfig, lad) -> tuple:
     # ||e^{theta X}|| grows like e^{theta n_max}; the resolution-independent
     # statement is the residual relative to the factor norms (max row sums)
     kappa = u_rows * inv_rows
-    return ("exp(theta X) exp(-theta X) = identity",
-            raw / kappa, 1e-12, {"raw_deviation": raw, "kappa": kappa})
+    return raw / kappa, {"raw_deviation": raw, "kappa": kappa}
 
 
-@_check("ft.vacuum-series", n_max=24)
-def check_ft_vacuum(cfg: VerifyConfig, lad) -> tuple:
+def _ft_vacuum_tail(cfg: VerifyConfig, n_max: int) -> float:
+    # the pairing sums tan^2 per rung, and the truncation drops every rung past n_max
+    return abs(math.tan(cfg.theta)) ** (2 * (n_max + 1))
+
+
+@_check("ft.vacuum-series", "vacuum pairing telescopes to 1; divergence signaled at pi/4",
+        lambda cfg, n_max: max(1e-12, 2.0 * _ft_vacuum_tail(cfg, n_max)), n_max=24)
+def check_ft_vacuum(cfg: VerifyConfig, lad):
     ket, bra = ft.ft_vacuum_series(cfg.theta, lad.space)
-    tail = abs(math.tan(cfg.theta)) ** (2 * (lad.space.n_max + 1))
     dev = abs(bra @ ket - 1.0)
     mismatch = 0
     k0, b0 = ft.ft_vacuum_series(0.0, lad.space)
@@ -672,13 +680,18 @@ def check_ft_vacuum(cfg: VerifyConfig, lad) -> tuple:
         mismatch += 1
     except SeriesDivergence:
         pass
-    return ("vacuum pairing telescopes to 1; divergence signaled at pi/4",
-            dev + mismatch, max(1e-12, 2.0 * tail),
-            {"geometric_tail": tail})
+    return dev + mismatch, {"geometric_tail": _ft_vacuum_tail(cfg, lad.space.n_max)}
 
 
-@_check("ft.basis-two-route", n_max=24)
-def check_ft_two_route(cfg: VerifyConfig, lad) -> tuple:
+def _ft_two_route_tolerance(cfg: VerifyConfig, n_max: int) -> float:
+    # both routes truncate the same series; the measured gap decays like a
+    # single power of tan per rung (normalization eats the other power)
+    return max(1e-8, 50.0 * abs(math.tan(cfg.theta)) ** (n_max - 2))
+
+
+@_check("ft.basis-two-route", "creator-monomial and exponential-map basis vectors agree",
+        _ft_two_route_tolerance, n_max=24)
+def check_ft_two_route(cfg: VerifyConfig, lad):
     tr = transform(ft.FT, cfg.theta, lad)
     vacuum = ft.ft_vacuum_series(cfg.theta, lad.space)
     keep = interior_mask(lad.space, 2)
@@ -687,15 +700,12 @@ def check_ft_two_route(cfg: VerifyConfig, lad) -> tuple:
     for (n1, n2), (ket_b, bra_b) in zip(states, ft.ft_basis_similarity(tr, states)):
         ket_a, bra_a = basis(tr, n1, n2, vacuum)
         dev = _worst(dev, max_abs((ket_a - ket_b)[keep]), max_abs((bra_a - bra_b)[keep]))
-    # both routes truncate the same series; the measured gap decays like a
-    # single power of tan per rung (normalization eats the other power)
-    tail = abs(math.tan(cfg.theta)) ** (lad.space.n_max - 2)
-    return ("creator-monomial and exponential-map basis vectors agree",
-            dev, max(1e-8, 50.0 * tail))
+    return dev
 
 
-@_check("ft.norm.closed-forms")
-def check_ft_norm_closed_forms(cfg: VerifyConfig) -> tuple:
+@_check("ft.norm.closed-forms",
+        "standard norms match 1/cos, 1/cos^2, (2-cos^2)/cos^3 and the chain route", 1e-8)
+def check_ft_norm_closed_forms(cfg: VerifyConfig):
     dev = 0.0
     worst = {}
     cases = [(big_theta, n1, n2) for big_theta in ft.MODERATE_GRID
@@ -712,32 +722,25 @@ def check_ft_norm_closed_forms(cfg: VerifyConfig) -> tuple:
                 dev = rel
                 worst = {"Theta": big_theta, "n1": n1, "n2": n2, "route": route,
                          "got": got, "want": want}
-    return ("standard norms match 1/cos, 1/cos^2, (2-cos^2)/cos^3 and the chain route",
-            dev, 1e-8, worst)
+    return dev, worst
 
 
-@_check("ft.norm.exponent-fits")
-def check_ft_norm_fits(cfg: VerifyConfig) -> tuple:
+@_check("ft.norm.exponent-fits", "divergence exponents fit to n1+n2+1", 0.1)
+def check_ft_norm_fits(cfg: VerifyConfig):
     dev = 0.0
     slopes = {}
     for (n1, n2) in ft.NORMS_STATES:
         slope = ft.ft_norm_exponent_fit(ft.FIT_THETA_GRID, n1, n2)
         slopes[f"({n1},{n2})"] = slope
         dev = _worst(dev, abs(slope - (n1 + n2 + 1)))
-    return ("divergence exponents fit to n1+n2+1", dev, 0.1, slopes)
+    return dev, slopes
 
 
-@_check("ft.norm.trend")
-def check_ft_norm_trend(cfg: VerifyConfig) -> tuple:
+@_check("ft.norm.trend", "vacuum norm strictly increases toward pi/2 and exceeds 1e3", 0.0)
+def check_ft_norm_trend(cfg: VerifyConfig):
     values = [ft.ft_standard_norm(t / 2.0, 0, 0) for t in ft.TREND_THETA_GRID]
-    mismatch = 0
-    for a, b in zip(values, values[1:]):
-        if not b > a:
-            mismatch += 1
-    if not values[-1] > 1e3:
-        mismatch += 1
-    return ("vacuum norm strictly increases toward pi/2 and exceeds 1e3",
-            mismatch, 0.0, {"values": values})
+    mismatch = sum(not b > a for a, b in zip(values, values[1:])) + (not values[-1] > 1e3)
+    return mismatch, {"values": values}
 
 
 FT_SUITE = [
@@ -764,8 +767,9 @@ FT_SUITE = [
 # is suite
 
 
-@_check("is.tilde", n_max=12)
-def check_is_tilde(cfg: VerifyConfig, lad) -> tuple:
+@_check("is.tilde", "mode-2 squeeze: similarity routes, pi/2 closed form, Z composition", 1e-8,
+        n_max=12)
+def check_is_tilde(cfg: VerifyConfig, lad):
     dev_sim = _worst(*(imagscale.tilde_similarity_deviation(phi) for phi in (0.2j, 0.3j)))
     t_ann, t_cre = imagscale.tilde_pair(math.pi / 2, lad.a2, lad.a2_dag)
     dev_cf = _worst(max_abs(t_ann - (-1j) * lad.a2_dag), max_abs(t_cre - (-1j) * lad.a2))
@@ -774,14 +778,14 @@ def check_is_tilde(cfg: VerifyConfig, lad) -> tuple:
     chi_lad = _ladder(cfg.resolve(24))
     dev_chi = similarity_deviation(imagscale.IS, transform(imagscale.IS, 0.3j, chi_lad),
                                    imagscale.generator_z_matrix(chi_lad))
-    return ("mode-2 squeeze: similarity routes, pi/2 closed form, Z composition",
-            _worst(dev_sim, dev_cf, dev_z, dev_chi), 1e-8,
-            {"squeeze_similarity": dev_sim, "closed_form": dev_cf,
-             "z_composition": dev_z, "chi_similarity": dev_chi})
+    return _worst(dev_sim, dev_cf, dev_z, dev_chi), {
+        "squeeze_similarity": dev_sim, "closed_form": dev_cf, "z_composition": dev_z,
+        "chi_similarity": dev_chi}
 
 
-@_check("is.vacuum", n_max=8)
-def check_is_vacuum(cfg: VerifyConfig, lad) -> tuple:
+@_check("is.vacuum", "bounded-frame vacuum e_(0,0): check annihilators kill it, check creators "
+        "kill it from the left, (b1, b2) mixing has |det| 1 (both branches)", 1e-12, n_max=8)
+def check_is_vacuum(cfg: VerifyConfig, lad):
     zero = [lad.space.index(0, 0)]
     one_quantum = [lad.space.index(1, 0), lad.space.index(0, 1)]
     kernel, det_gap = 0.0, 0.0
@@ -797,13 +801,13 @@ def check_is_vacuum(cfg: VerifyConfig, lad) -> tuple:
         for first, second in ((frame.ann1, frame.ann2), (frame.cre1.T, frame.cre2.T)):
             (a, b), (c, d) = (dense(op, zero, one_quantum)[0] for op in (first, second))
             det_gap = _worst(det_gap, abs(abs(a * d - b * c) - 1.0))
-    return ("bounded-frame vacuum e_(0,0): check annihilators kill it, check creators "
-            "kill it from the left, (b1, b2) mixing has |det| 1 (both branches)",
-            _worst(kernel, det_gap), 1e-12, {"kernel": kernel, "det_gap": det_gap})
+    return _worst(kernel, det_gap), {"kernel": kernel, "det_gap": det_gap}
 
 
-@_check("is.matrix-element", n_max=12)
-def check_is_matrix_element(cfg: VerifyConfig, lad) -> tuple:
+@_check("is.matrix-element", "bounded-frame basis kets and bras are eigenvectors of H, "
+        "max|H k - E k| relative to hbar (omega + lambda) (n1 + n2 + 1) (both branches)", 1e-12,
+        n_max=12)
+def check_is_matrix_element(cfg: VerifyConfig, lad):
     params = cfg.params
     cap = min(5, lad.space.n_max - 2)
     states = [(n1, n2) for n1 in range(cap + 1) for n2 in range(cap + 1 - n1)]
@@ -822,29 +826,25 @@ def check_is_matrix_element(cfg: VerifyConfig, lad) -> tuple:
         h = build_hamiltonian(frame.ladder, params).h
         dev = _worst(dev, max_abs((h @ kets - kets * energy) / scale),
                      max_abs((h.T @ bras - bras * energy) / scale))
-        witness = _worst(witness, max_abs(h @ h.conj().T - h.conj().T @ h))
-    # the witness scales as hbar^2 omega lambda (156 of it at n_max 12)
-    if params.gamma > 0 and witness <= 1e-6 * params.hbar**2 * params.omega * params.lam:
+        unit = h / params.hbar  # H / hbar, whose square neither underflows nor overflows
+        witness = _worst(witness, max_abs(unit @ unit.conj().T - unit.conj().T @ unit))
+    # the witness of H / hbar scales as omega lambda (156 of it at n_max 12)
+    if params.gamma > 0 and witness <= 1e-6 * params.omega * params.lam:
         dev = _worst(dev, 1.0)  # H must fail to be normal once damping is on
-    return ("bounded-frame basis kets and bras are eigenvectors of H, max|H k - E k| "
-            "relative to hbar (omega + lambda) (n1 + n2 + 1) (both branches)",
-            dev, 1e-12, {"states": len(states), "nonnormality_witness": witness})
+    # reported for H itself: hbar^2 times that of H / hbar
+    return dev, {"states": len(states),
+                 "nonnormality_witness": witness * params.hbar * params.hbar}
 
 
-@_check("is.xy-conjugation")
-def check_is_conjugation(cfg: VerifyConfig) -> tuple:
-    mismatch = 0
-    for sign in (+1, -1):
-        x_terms, y_terms = xy_terms(imagscale.IS, sign)
-        if imagscale.conjugate_xy_terms(x_terms) != y_terms:
-            mismatch += 1
-        if imagscale.conjugate_xy_terms(y_terms) != x_terms:
-            mismatch += 1
-    return ("symbol conjugation maps the x(t) expression onto y(t)", mismatch, 0.0)
+@_check("is.xy-conjugation", "symbol conjugation maps the x(t) expression onto y(t)", 0.0)
+def check_is_conjugation(cfg: VerifyConfig):
+    pairs = [xy_terms(imagscale.IS, sign) for sign in (+1, -1)]
+    return sum((imagscale.conjugate_xy_terms(x_terms) != y_terms)
+               + (imagscale.conjugate_xy_terms(y_terms) != x_terms) for x_terms, y_terms in pairs)
 
 
-@_check("is.contrast")
-def check_contrast(cfg: VerifyConfig) -> tuple:
+@_check("is.contrast", "integer pairs transpose between the two constructions", 0.0)
+def check_contrast(cfg: VerifyConfig):
     mismatch = 0
     for n1 in range(5):
         for n2 in range(5):
@@ -852,7 +852,7 @@ def check_contrast(cfg: VerifyConfig) -> tuple:
             is_rec = eigenvalue(imagscale.IS, n1, n2, "+")
             if ft_rec.p != is_rec.q or ft_rec.q != is_rec.p:
                 mismatch += 1
-    return ("integer pairs transpose between the two constructions", mismatch, 0.0)
+    return mismatch
 
 
 IS_SUITE = [
@@ -877,8 +877,9 @@ IS_SUITE = [
 # dynamics suite
 
 
-@_check("dynamics.classification")
-def check_classification(cfg: VerifyConfig) -> tuple:
+@_check("dynamics.classification",
+        "no stable states in the rotation construction; stability on n1=n2 otherwise", 0.0)
+def check_classification(cfg: VerifyConfig):
     mismatch = 0
     for n1 in range(7):
         for n2 in range(7):
@@ -900,44 +901,36 @@ def check_classification(cfg: VerifyConfig) -> tuple:
                     )
                     if c_is != want_is:
                         mismatch += 1
-    return ("no stable states in the rotation construction; stability on n1=n2 otherwise",
-            mismatch, 0.0)
+    return mismatch
 
 
-@_check("dynamics.branch-antisymmetry")
-def check_branch_antisymmetry(cfg: VerifyConfig) -> tuple:
+@_check("dynamics.branch-antisymmetry",
+        "branches swap growing and decaying, stability is shared", 0.0)
+def check_branch_antisymmetry(cfg: VerifyConfig):
     swap = {
         StabilityClass.GROWING: StabilityClass.DECAYING,
         StabilityClass.DECAYING: StabilityClass.GROWING,
         StabilityClass.STABLE: StabilityClass.STABLE,
     }
-    mismatch = 0
-    for con in (ft.FT, imagscale.IS):
-        for n1 in range(7):
-            for n2 in range(7):
-                plus = eigenvalue(con, n1, n2, "+").stability
-                minus = eigenvalue(con, n1, n2, "-").stability
-                if swap[plus] != minus:
-                    mismatch += 1
-    return ("branches swap growing and decaying, stability is shared", mismatch, 0.0)
+    return sum(swap[eigenvalue(con, n1, n2, "+").stability]
+               != eigenvalue(con, n1, n2, "-").stability
+               for con in (ft.FT, imagscale.IS) for n1 in range(7) for n2 in range(7))
 
 
-@_check("dynamics.pairing-norm")
-def check_pairing_norm(cfg: VerifyConfig) -> tuple:
+@_check("dynamics.pairing-norm", "bra-ket pairing is exactly constant in time", 0.0)
+def check_pairing_norm(cfg: VerifyConfig):
     grid = (0.0, 1.0, 10.0)
     mismatch = 0
     for rec in (eigenvalue(ft.FT, 1, 0, "-"), eigenvalue(imagscale.IS, 2, 1, "+")):
-        values = pairing_norm_in_time(rec, grid, cfg.params)
-        if values != [1.0, 1.0, 1.0]:
-            mismatch += 1
+        mismatch += pairing_norm_in_time(rec, grid, cfg.params) != [1.0, 1.0, 1.0]
         cross = pairing_norm_in_time(rec, grid, cfg.params, other=(rec.n1 + 1, rec.n2))
-        if cross != [0.0, 0.0, 0.0]:
-            mismatch += 1
-    return ("bra-ket pairing is exactly constant in time", mismatch, 0.0)
+        mismatch += cross != [0.0, 0.0, 0.0]
+    return mismatch
 
 
-@_check("dynamics.eom")
-def check_eom_residuals(cfg: VerifyConfig) -> tuple:
+@_check("dynamics.eom", "x/y mode exponents satisfy the classical equations of motion",
+        lambda cfg, n_max: 1e-12 * cfg.params.k)
+def check_eom_residuals(cfg: VerifyConfig):
     params = cfg.params
     exps = xy_mode_exponents(params)
     dev = 0.0
@@ -949,12 +942,12 @@ def check_eom_residuals(cfg: VerifyConfig) -> tuple:
     undamped = abs(eom_residual(1j * params.omega, "damped", params))
     if undamped <= 0.5 * params.gamma * params.omega:
         mismatch += 1
-    return ("x/y mode exponents satisfy the classical equations of motion",
-            dev + mismatch, 1e-12 * params.k, {"undamped_control": undamped})
+    return dev + mismatch, {"undamped_control": undamped}
 
 
-@_check("dynamics.factor")
-def check_factor_examples(cfg: VerifyConfig) -> tuple:
+@_check("dynamics.factor", "scalar evolution factors: decay value, unit modulus, reciprocal pair",
+        1e-12)
+def check_factor_examples(cfg: VerifyConfig):
     params = cfg.params
     dev = 0.0
     ev = eigenvalue(ft.FT, 0, 0, "-").as_complex(params)
@@ -972,7 +965,7 @@ def check_factor_examples(cfg: VerifyConfig) -> tuple:
         dev = _worst(dev, abs(factor * dual_factor(ev_mixed, t, params.hbar) - 1.0))
         rhs = math.exp(2.0 * (ev_mixed.imag / params.hbar) * t)
         dev = _worst(dev, abs(abs(factor) ** 2 - rhs) / max(rhs, 1.0))
-    return ("scalar evolution factors: decay value, unit modulus, reciprocal pair", dev, 1e-12)
+    return dev
 
 
 DYNAMICS_SUITE = [

@@ -253,13 +253,32 @@ def test_check_rep_rejects_real_angle(ladder8):
         bounded_frame(0.5, ladder8)
 
 
+def _block_singular_values(stacked: np.ndarray, row_charge, col_charge) -> np.ndarray:
+    """The singular values of a matrix that maps each charge-s column block to the s-1 rows.
+
+    They are the union of the blocks' own, and a block with more columns than rows adds
+    one zero per column beyond its rows, as the whole matrix's SVD would count them.
+    """
+    assert not np.any(stacked[row_charge[:, None] != col_charge[None, :] - 1])
+    sigma = []
+    for s in np.unique(col_charge):
+        rows, cols = np.flatnonzero(row_charge == s - 1), np.flatnonzero(col_charge == s)
+        if len(rows):
+            sigma.extend(np.linalg.svd(stacked[np.ix_(rows, cols)], compute_uv=False))
+        sigma.extend([0.0] * max(0, len(cols) - len(rows)))
+    return np.array(sigma)
+
+
 def test_check_vacuum_at_corner():
     # e_(0,0) twice, complex, two arrays; the stacked check annihilators (and
-    # the transposed creators) kill it and have no other null direction
+    # the transposed creators) kill it and have no other null direction.  Both
+    # map the n1+n2 = s block to the s-1 block only, so the null space is read
+    # block by block, where the s = 0 column, with no rows, gives the one zero
     for n_max in (4, 8, 12, 24):
         lad = build_ladder(n_max)
         unit = np.zeros(lad.space.dim, dtype=complex)
         unit[lad.space.index(0, 0)] = 1.0
+        charge = lad.space.total
         for chi in (CHI_Q, -CHI_Q, 0.3j):
             frame = bounded_frame(chi, lad)
             ket, bra = is_vacuum(frame)
@@ -267,8 +286,9 @@ def test_check_vacuum_at_corner():
             assert np.array_equal(ket, unit) and np.array_equal(bra, unit)
             for top, bottom in ((frame.ann1, frame.ann2), (frame.cre1.T, frame.cre2.T)):
                 stacked = np.vstack([dense(top), dense(bottom)])
-                sigma = np.linalg.svd(stacked, compute_uv=False)
-                assert np.sum(sigma < 1e-10 * sigma[0]) == 1
+                sigma = _block_singular_values(stacked, np.concatenate([charge, charge]), charge)
+                assert len(sigma) == lad.space.dim
+                assert np.sum(sigma < 1e-10 * sigma.max()) == 1
                 assert not np.any(stacked @ unit)
 
 

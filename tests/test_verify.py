@@ -11,6 +11,7 @@ from bateman import fock, ft, imagscale, verify
 from bateman.algebra import B1_CRE, B2_ANN, LadderPoly
 from bateman.errors import DomainError
 from bateman.fock import Operator, build_ladder
+from bateman.params import derive_params
 from bateman.verify import (
     SUITE_NAMES,
     SUITES,
@@ -65,7 +66,7 @@ def test_crashing_check_is_reported(params):
     # a coarse truncation once raised through run_suite; now any check that
     # still escapes must come back as an inf-deviation failure under its
     # declared id, not a raise
-    @_check("algebra.synthetic-case")
+    @_check("algebra.synthetic-case", "raises before it measures", 0.0)
     def boom(cfg):
         raise DomainError("synthetic failure")
 
@@ -127,6 +128,44 @@ def test_each_laddered_check_declares_the_truncation_it_reads(params, monkeypatc
     assert {check_id: overridden[check_id] for check_id in _DECLARED_N_MAX} == {
         check_id: [10, 10] if check_id == "is.tilde" else [10] for check_id in _DECLARED_N_MAX}
     assert overridden["algebra.cross-validation"] == sizes["algebra.cross-validation"]
+
+
+#: the checks that count mismatches and declare tolerance 0
+_EXACT = {"algebra.normal-order", "algebra.vacuum-pairing", "algebra.biorthonormality",
+          "algebra.matrix-element", "algebra.boundary-defect", "algebra.h-structure",
+          "ft.spectrum", "ft.h-derivation", "ft.norm.trend", "is.spectrum", "is.h-derivation",
+          "is.xy-conjugation", "is.contrast", "dynamics.classification",
+          "dynamics.branch-antisymmetry", "dynamics.pairing-norm"}
+
+
+@pytest.mark.parametrize("config", [
+    {}, {"n_max": 8, "theta": 0.5}, {"n_max": 24, "theta": -0.3},
+    # H's entries, the x/y length and max(1, omega, lambda) all above 1
+    {"params": derive_params(m=0.5, gamma=0.7, k=2.1, hbar=2.0)},
+], ids=["defaults", "n8-theta0.5", "n24-theta-0.3", "scaled"])
+def test_declared_description_and_tolerance_are_what_the_check_reports(params, monkeypatch,
+                                                                       config):
+    cfg = VerifyConfig(**{"params": params, **config})
+    checks = [fn for suite in SUITE_NAMES for fn in SUITES[suite]]
+    results = [fn(cfg) for fn in checks]
+    # the declarations are read without running a body: no ladder is built
+    monkeypatch.setattr(verify, "_ladder", None)
+    for fn, result in zip(checks, results):
+        tolerance = fn.tolerance(cfg)
+        assert isinstance(tolerance, float), fn.check_id
+        assert tolerance.hex() == result.tolerance.hex(), fn.check_id
+        assert fn.description(cfg) == result.description, fn.check_id
+    assert len(_EXACT) == 16
+    assert {fn.check_id for fn in checks if fn.tolerance(cfg) == 0.0} == _EXACT
+
+
+@pytest.mark.parametrize("hbar", [1e-170, 1e200])
+def test_verify_all_passes_at_an_extreme_hbar(hbar):
+    # is.matrix-element's non-normality witness was read on H itself: it
+    # underflowed to 0 at 1e-170, failing the guard, and hbar**2 overflowed at
+    # 1e200; it is read on H / hbar, which does not scale with hbar
+    results = run_suite("all", VerifyConfig(params=derive_params(1.0, 1.0, 1.25, hbar=hbar)))
+    assert [r.check_id for r in results if not r.passed] == []
 
 
 def test_n_max_upper_bound(params):
@@ -270,8 +309,8 @@ def test_commutators_fail_on_a_nan_ladder_entry(params, monkeypatch):
 
 def test_commutators_fail_on_a_stray_ladder_entry(params, monkeypatch):
     # a1 gains 1e-3 at (0, 1), an entry off its one diagonal: [a1, a1+] is off
-    # by sqrt(2) 1e-3 inside the interior, a defect that only _finish's
-    # negative control otherwise shows
+    # by sqrt(2) 1e-3 inside the interior, a defect that only the corrupt
+    # hook's negative control otherwise shows
     def ladder(n_max):
         lad = build_ladder(n_max)
         return dataclasses.replace(
