@@ -11,19 +11,22 @@ relative), so both trees run in this one interpreter, BLAS on one thread.
 A row is one layer at fixed input parameters, called as the CLI calls it
 (`build_rows`): the truncated kernels and four whole checks at n_max 8, 12, 24
 and 48, the standard norms, the biorthonormality sweep and the 200-polynomial
-oracle, the CLI parser, every check of `verify all` at the CLI defaults, and
-`import bateman.cli` in a cold child, with its peak RSS.  Rows are matched across the
-trees by layer and parameters.  Counts that a tree computes itself (sectors,
-stacks, elements, polys, peak RSS) are recorded per tree, and a row that one
-tree cannot build is listed under "one side only".
+oracle, the CLI parser, every check of `verify all` at the CLI defaults,
+`import bateman.cli` in a cold child, with its peak RSS, and the CPU of
+`cli.main` for each of COLD_INVOCATIONS in a cold child, after its import.
+Rows are matched across the trees by layer and parameters.  Counts that a
+tree computes itself (sectors, stacks, elements, polys, peak RSS) are recorded
+per tree, and a row that one tree cannot build is listed under "one side
+only".
 
 Each row runs once per tree to warm its caches, then PAIRS times per tree,
 alternating which tree goes first, in CPU seconds per call (of the child, for
-the import).  Alone, a row reports its median, minimum and maximum.  Paired,
-it also reports the median per-pair ratio this/parent, the pairs this tree won
-and a verdict.  Decision rule, fixed before any measurement: a row is faster
-or slower only if its two-sided sign test has p < ALPHA / (rows compared) and
-its median ratio lies beyond 1 -+ MIN_CHANGE; every other row is unresolved.
+the import and the cold invocations).  Alone, a row reports its median,
+minimum and maximum.  Paired, it also reports the median per-pair ratio
+this/parent, the pairs this tree won and a verdict.  Decision rule, fixed
+before any measurement: a row is faster or slower only if its two-sided sign
+test has p < ALPHA / (rows compared) and its median ratio lies beyond
+1 -+ MIN_CHANGE; every other row is unresolved.
 Paired, every invocation of INVOCATIONS also runs as `python -m bateman.cli`
 in a cold child of each tree, and stdout, stderr and the exit code are
 compared byte for byte.
@@ -72,6 +75,13 @@ IMPORT_CODE = ("import time\nstart = time.process_time()\nimport bateman.cli\n"
                "cpu = time.process_time() - start\nhwm = [line.split()[1] for line in"
                " open('/proc/self/status') if line.startswith('VmHWM')][0]\n"
                "print(cpu, int(hwm) / 1024)\n")
+#: the CPU seconds of cli.main(argv) alone, its stdout swallowed, after a cold import
+MAIN_CODE = ("import contextlib, io, sys, time\nimport bateman.cli as cli\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    start = time.process_time()\n    code = cli.main(sys.argv[1:])\n"
+             "    cpu = time.process_time() - start\nprint(cpu, code)\n")
+#: the end-to-end invocations timed as cold-child rows: the oracle, the acceptance run, the norms
+COLD_INVOCATIONS = (("verify", "algebra", "--seed", "20260823"), ("verify", "all"), ("norms",))
 #: a fresh package name per load, so no load reads another's modules from sys.modules
 _LOADS = itertools.count()
 
@@ -176,6 +186,20 @@ def cold_import(src: Path, rss: list[float]):
     return measure
 
 
+def cold_main(src: Path, argv: tuple[str, ...]):
+    """A measure: the CPU seconds of cli.main(argv) in a fresh child, once bateman.cli is
+    imported there; the invocation must exit 0."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    def measure() -> float:
+        done = subprocess.run([sys.executable, "-c", MAIN_CODE, *argv], capture_output=True,
+                              text=True, env=env, check=True)
+        seconds, code = done.stdout.split()
+        if code != "0":
+            raise RuntimeError(f"{' '.join(argv)} exited {code} under {src}")
+        return float(seconds)
+    return measure
+
+
 def column_sweep(algebra, ops, bras, kets) -> None:
     """Every <<m| op |n>>, one basis_column per (op, ket), as the exact sweeps read them:
     an absent element is zero, so only the stored bras and the ket are read."""
@@ -207,6 +231,8 @@ def build_rows(src: Path, label: str = "this") -> dict[str, tuple]:
 
     rss = []
     put({"layer": "import bateman.cli"}, cold_import(src, rss), {"peak_rss_mb": rss})
+    for argv in COLD_INVOCATIONS:
+        put({"layer": "cold cli.main", "argv": list(argv)}, cold_main(src, argv), {})
     for n_max in N_MAX:
         lad = fock.build_ladder(n_max)
         ham = fock.build_hamiltonian(lad, params)

@@ -3,13 +3,15 @@
 Symbols b1, b2, b1+, b2+ obey [b_i, b_j+] = delta_ij with all other pairs
 commuting.  Scalars are exact: complex rationals, optionally times the square
 root of a squarefree integer (needed for the pi/4 rotation coefficients).
-Nothing in this module touches floating point except the explicit to_complex,
-to_matrix and matrix_elements evaluators, which exist to cross-validate
-against the truncated matrices.
+Nothing in this module touches floating point except the explicit to_complex
+and matrix_elements evaluators, which exist to cross-validate against the
+truncated matrices: matrix_elements walks each word of a poly as one
+(position, amplitude) pair over the one-diagonal ladder matrices.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -17,7 +19,6 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import DomainError, RadicalMismatch
-from .fock import Operator, identity
 
 __all__ = [
     "ExactScalar",
@@ -31,7 +32,6 @@ __all__ = [
     "apply_to_monomial_ket",
     "basis_column",
     "basis_matrix_element",
-    "to_matrix",
     "matrix_elements",
     "random_poly",
 ]
@@ -246,7 +246,7 @@ class LadderPoly:
         return dict(self._terms)
 
     def degree(self) -> int:
-        return max((len(w) for w in self._terms), default=0)
+        return max(map(len, self._terms), default=0)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -421,78 +421,77 @@ def basis_matrix_element(m1: int, m2: int, op: LadderPoly, n1: int, n2: int) -> 
     return _normalized(amp, m1, m2, math.factorial(n1) * math.factorial(n2))
 
 
-def _symbol_matrices(ladder) -> dict[int, Operator]:
-    return {B1_CRE: ladder.a1_dag, B2_CRE: ladder.a2_dag, B1_ANN: ladder.a1, B2_ANN: ladder.a2}
+def matrix_elements(elements: list[tuple]) -> list[complex]:
+    """[<bra| poly |ket> for ladder, poly, bra, ket in elements] on the truncated ladder
+    matrices; the float route.  bra and ket are occupation pairs; the ladders may differ.
 
-
-def to_matrix(poly: LadderPoly, ladder) -> Operator:
-    """Evaluate the poly on truncated matrices as one whole matrix."""
-    symbol_map = _symbol_matrices(ladder)
-    dim = ladder.space.dim
-    total = Operator(dim, {})
-    for word, coeff in poly._terms.items():
-        if word:
-            acc = symbol_map[word[0]]
-            for sym in word[1:]:
-                acc = acc @ symbol_map[sym]
-        else:
-            acc = identity(dim)
-        total = total + coeff.to_complex() * acc
-    return total
-
-
-def matrix_elements(elements: list[tuple[LadderPoly, tuple[int, int], tuple[int, int]]],
-                    ladder) -> list[complex]:
-    """[<bra| poly |ket> for poly, bra, ket in elements] on the truncated matrices; the float route.
-
-    bra and ket are occupation pairs.  Every word of every poly is one column
-    of a (dim, words) block that starts as the basis vector of its poly's
-    ket.  The ladder matrices act right to left: for each position from the
-    right and each symbol, one operator-block product advances the columns
-    whose word has that symbol there.  A column takes every product of its
-    word, even on a vector that an annihilator has zeroed, so a non-finite
-    ladder entry still shows.  No product matrix is formed.  Each poly sums
-    its words' components on its own bra in its term order.
+    Every ladder matrix stores one diagonal, so each word of each poly is walked as one
+    (position, amplitude) pair, from its poly's ket with amplitude 1.  The ladders lie end
+    to end in one table per symbol of weights and next positions, plus a sink of weight 0
+    for a word that leaves its space.  All words advance together, right to left: each
+    position from the right is one gather and one multiply, 0j + weight * amplitude, the
+    multiplies of the whole-matrix walk bit for bit.  Each poly sums its words' amplitudes
+    at its bra in term order.  An element whose ladder holds a non-finite entry reads NaN.
     """
-    symbol_map = _symbol_matrices(ladder)
-    words = [word for poly, _, _ in elements for word in poly._terms]
-    index, counts = ladder.space.index, [len(poly._terms) for poly, _, _ in elements]
-    bras = np.repeat(np.array([index(*bra) for _, bra, _ in elements], dtype=np.intp), counts)
-    kets = np.repeat(np.array([index(*ket) for _, _, ket in elements], dtype=np.intp), counts)
-    columns = np.arange(len(words))
-    # column-major, so that gathering the columns of one step copies whole columns
-    block = np.zeros((ladder.space.dim, len(words)), dtype=complex, order="F")
-    block[kets, columns] = 1.0
-    steps: dict[tuple[int, int], list[int]] = {}  # (position from the right, symbol) -> columns
-    for col, word in enumerate(words):
-        for step in enumerate(reversed(word)):
-            steps.setdefault(step, []).append(col)
-    for (_, sym), cols in sorted(steps.items()):
-        cols = np.array(cols, dtype=np.intp)
-        block[:, cols] = symbol_map[sym] @ block[:, cols]
-    read = iter(block[bras, columns])
-    out = []
-    for poly, _, _ in elements:
-        total = 0.0 + 0.0j
-        for coeff in poly._terms.values():
-            total += coeff.to_complex() * next(read)
-        out.append(total)
-    return out
+    ladders = list({id(lad): lad for lad, *_ in elements}.values())
+    firsts = np.cumsum([0] + [lad.space.dim for lad in ladders]).tolist()
+    weights = np.zeros((4, firsts[-1] + 1), dtype=complex)  # the last position is the sink
+    moves = np.full((4, firsts[-1] + 1), firsts[-1], dtype=np.intp)
+    broken = set()
+    for lad, base in zip(ladders, firsts):
+        # the symbol codes 0 to 3 name b1+, b2+, b1, b2
+        for sym, op in enumerate((lad.a1_dag, lad.a2_dag, lad.a1, lad.a2)):
+            if len(op.diagonals) != 1:
+                raise DomainError("every ladder matrix must store exactly one diagonal")
+            (k, w), = op.diagonals.items()
+            if not np.isfinite(w).all():
+                broken.add(id(lad))
+                continue
+            lo, hi = max(0, -k), lad.space.dim - max(0, k)
+            # entry (r, r + k) takes column r + k to row r
+            weights[sym, base + lo + k:base + hi + k] = w
+            moves[sym, base + lo + k:base + hi + k] = np.arange(base + lo, base + hi)
+    first = dict(zip(map(id, ladders), firsts))
+    kets = [first[id(lad)] + lad.space.index(*ket) for lad, _, _, ket in elements]
+    bras = [first[id(lad)] + lad.space.index(*bra) for lad, _, bra, _ in elements]
+    counts = np.array([len(poly._terms) for _, poly, _, _ in elements], dtype=np.intp)
+    words = [word for _, poly, _, _ in elements for word in poly._terms]
+    lengths = np.fromiter(map(len, words), dtype=np.intp, count=len(words))
+    # longest words first, so the words still walking at each position are a prefix
+    order = np.argsort(-lengths, kind="stable")
+    symbols = np.fromiter(itertools.chain.from_iterable(words), dtype=np.intp)
+    last = (np.cumsum(lengths) - 1)[order]  # each word's rightmost symbol in symbols
+    walking = np.count_nonzero(lengths[:, None] > np.arange(lengths.max(initial=0)), axis=0)
+    rows = np.repeat(kets, counts)[order]
+    amps = np.ones(len(words), dtype=complex)
+    for position, count in enumerate(walking.tolist()):
+        sym, at = symbols[last[:count] - position], rows[:count]
+        amps[:count] = 0j + weights[sym, at] * amps[:count]
+        rows[:count] = moves[sym, at]
+    values = np.zeros(len(words), dtype=complex)
+    values[order] = np.where(rows == np.repeat(bras, counts)[order], amps, 0j)
+    values *= [coeff.to_complex() for _, poly, _, _ in elements for coeff in poly._terms.values()]
+    starts = np.cumsum(counts) - counts
+    totals = np.zeros(len(elements), dtype=complex)
+    for term in range(int(counts.max(initial=0))):
+        has = counts > term
+        totals[has] += values[starts[has] + term]
+    totals[[id(lad) in broken for lad, *_ in elements]] = complex(math.nan, math.nan)
+    return list(totals)
 
 
 #: Fraction(n, d) at index 9 * (n + 9) + d - 1, for n in -9..9 and d in 1..9
 _DRAWN_FRACTIONS = tuple(Fraction(n, d) for n in range(-9, 10) for d in range(1, 10))
 
 
-def _randint(bits, low: int, high: int) -> int:
-    """rng.randint(low, high) drawn from bits = rng.getrandbits, by CPython's rejection rule
-    (Random._randbelow_with_getrandbits): k = n.bit_length() bits, redrawn while r >= n."""
-    n = high - low + 1
-    k = n.bit_length()
+def _below(bits, n: int, k: int) -> int:
+    """A draw from range(n) with bits = rng.getrandbits and k = n.bit_length(), by CPython's
+    rejection rule (Random._randbelow_with_getrandbits): k bits, redrawn while >= n.  So
+    rng.randint(low, high) draws low + _below(bits, n, k) with n = high - low + 1."""
     r = bits(k)
     while r >= n:
         r = bits(k)
-    return low + r
+    return r
 
 
 def random_poly(rng, max_degree: int = 6, max_terms: int = 5) -> LadderPoly:
@@ -500,13 +499,16 @@ def random_poly(rng, max_degree: int = 6, max_terms: int = 5) -> LadderPoly:
 
     The draws are rng.randint's, in the same order: the number of terms, then
     per term the word's length, its symbols and the coefficient's numerators
-    and denominators.
+    and denominators.  Each range's (n, n.bit_length()) is resolved once.
     """
     bits = rng.getrandbits
+    terms_n, length_n = max_terms, max_degree + 1
+    terms_k, length_k = terms_n.bit_length(), length_n.bit_length()
     terms: dict[Word, ExactScalar] = {}
-    for _ in range(_randint(bits, 1, max_terms)):
-        word = tuple(_randint(bits, 0, 3) for _ in range(_randint(bits, 0, max_degree)))
-        re, im = (_DRAWN_FRACTIONS[9 * (_randint(bits, -9, 9) + 9) + _randint(bits, 1, 9) - 1]
-                  for _ in range(2))
+    for _ in range(1 + _below(bits, terms_n, terms_k)):
+        word = tuple([_below(bits, 4, 3) for _ in range(_below(bits, length_n, length_k))])
+        # numerator -9..9 (19 values, 5 bits), then denominator 1..9 (9 values, 4 bits)
+        re = _DRAWN_FRACTIONS[9 * _below(bits, 19, 5) + _below(bits, 9, 4)]
+        im = _DRAWN_FRACTIONS[9 * _below(bits, 19, 5) + _below(bits, 9, 4)]
         _accumulate(terms, word, ExactScalar._checked(re, im, 1))
     return LadderPoly._checked(terms)

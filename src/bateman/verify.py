@@ -330,26 +330,25 @@ def check_boundary_defect(cfg: VerifyConfig, lad):
 @_check("algebra.h-structure", "H Hermitian when truncated; basis change non-unitary; [H0,H1]=0",
         0.0, n_max=12)
 def check_h_structure(cfg: VerifyConfig, lad):
+    hbar = cfg.params.hbar
     ham = build_hamiltonian(lad, cfg.params)
     herm_dev = max_abs(ham.h - ham.h.conj().T)
-    mismatch = 0
-    if herm_dev > 1e-13:
-        mismatch += 1
     # complex eigenvalues coexist with a Hermitian truncation because the
     # basis change e^{theta X} is non-unitary (X itself is Hermitian); it is 0
     # between sectors, so u^H u - I is read stack by stack
     x = ft.generator_matrix(lad)
     nonunitary = _worst(*(max_abs(u.conj().transpose(0, 2, 1) @ u - np.eye(u.shape[1]))
                           for _, u in sector_exp(0.3 * x, lad.space.difference)))
-    if nonunitary < 0.1:
-        mismatch += 1
     # H0 is diagonal and H1 normal ordered, so the truncated [H0, H1] is exact
-    # and vanishes on the whole matrix
-    comm_dev = max_abs(commutator(ham.h0, ham.h1))
-    comm_scale = max_abs(ham.h0) * max_abs(ham.h1)
-    dev = mismatch + (comm_dev if comm_dev > 1e-10 * comm_scale else 0.0)
-    return dev, {"hermiticity": herm_dev, "nonunitarity": nonunitary,
-                 "h0_h1_commutator": comm_dev}
+    # and vanishes on the whole matrix; it is read on H / hbar, whose products
+    # neither overflow nor underflow, and reported for H itself (times hbar^2)
+    h0, h1 = ham.h0 / hbar, ham.h1 / hbar
+    comm_dev = max_abs(commutator(h0, h1))
+    # the gaps are read in units of hbar, and a NaN counts as a mismatch
+    mismatch = ((not herm_dev / hbar <= 1e-13) + (not nonunitary >= 0.1)
+                + (not comm_dev <= 1e-10 * max_abs(h0) * max_abs(h1)))
+    return mismatch, {"hermiticity": herm_dev, "nonunitarity": nonunitary,
+                      "h0_h1_commutator": comm_dev * hbar * hbar}
 
 
 def _oracle_draws(seed: int) -> list[tuple]:
@@ -379,17 +378,14 @@ def _oracle_exact(draws: list[tuple]) -> list[complex]:
 
 def _oracle_numeric(draws: list[tuple]) -> list[complex]:
     """The same values on ladders of n_max = degree + 2 (at least 2) for the pairings, degree
-    + 5 for the elements: one batched walk per ladder size for both."""
+    + 5 for the elements: one walk over every ladder size."""
     requests = []  # (n_max, poly, bra, ket) in the order of the exact values
     for poly, element in draws:
         requests.append((max(2, poly.degree() + 2), poly, (0, 0), (0, 0)))
         if element is not None:
             requests.append((poly.degree() + 5, poly, *element))
-    by_size: dict[int, list[tuple]] = {}
-    for size, *element in requests:
-        by_size.setdefault(size, []).append(element)
-    values = {n: iter(algebra.matrix_elements(batch, _ladder(n))) for n, batch in by_size.items()}
-    return [next(values[size]) for size, *_ in requests]
+    ladders = {n: _ladder(n) for n in {n for n, *_ in requests}}
+    return algebra.matrix_elements([(ladders[n], *element) for n, *element in requests])
 
 
 @_check("algebra.cross-validation", "200 random polynomials: exact oracle vs truncated matrices",

@@ -252,7 +252,7 @@ def test_oracle_matrix_cross_validation(capsys):
             poly = algebra.random_poly(rng, max_degree=6)
             lad = build_ladder(max(2, poly.degree() + 2))
             exact = algebra.vacuum_pairing(LadderPoly.one(), poly).to_complex()
-            numeric = algebra.matrix_elements([(poly, (0, 0), (0, 0))], lad)[0]
+            numeric = algebra.matrix_elements([(lad, poly, (0, 0), (0, 0))])[0]
             dev = abs(exact - numeric)
             assert dev <= 1e-12
             worst = max(worst, dev)

@@ -5,6 +5,7 @@ purpose. The cross-check against truncated matrices at n_max = degree+2 is
 the one place floats enter, bounded by 1e-12.
 """
 
+import dataclasses
 import itertools
 import json
 import math
@@ -28,12 +29,11 @@ from bateman.algebra import (
     basis_matrix_element,
     matrix_elements,
     random_poly,
-    to_matrix,
     vacuum_expectation,
     vacuum_pairing,
 )
 from bateman.errors import DomainError, RadicalMismatch
-from bateman.fock import build_ladder, dense
+from bateman.fock import Operator, build_ladder, dense, identity
 from bateman.cli import main
 from bateman.construction import hamiltonian_formal, hamiltonian_from_plain
 from bateman.ft import FT
@@ -158,8 +158,25 @@ def test_oracle_matches_matrices(seed):
     poly = random_poly(rng, max_degree=5, max_terms=4)
     ladder = build_ladder(poly.degree() + 2)
     exact = vacuum_pairing(LadderPoly.one(), poly).to_complex()
-    numeric = matrix_elements([(poly, (0, 0), (0, 0))], ladder)[0]
+    numeric = matrix_elements([(ladder, poly, (0, 0), (0, 0))])[0]
     assert abs(exact - numeric) <= 1e-12
+
+
+def to_matrix(poly, ladder) -> Operator:
+    """The poly on the truncated matrices as one whole matrix: the reference for
+    matrix_elements."""
+    symbol_map = {B1_CRE: ladder.a1_dag, B2_CRE: ladder.a2_dag,
+                  B1_ANN: ladder.a1, B2_ANN: ladder.a2}
+    total = Operator(ladder.space.dim, {})
+    for word, coeff in poly.terms.items():
+        if word:
+            acc = symbol_map[word[0]]
+            for sym in word[1:]:
+                acc = acc @ symbol_map[sym]
+        else:
+            acc = identity(ladder.space.dim)
+        total = total + coeff.to_complex() * acc
+    return total
 
 
 def test_to_matrix_round_trip(ladder8):
@@ -199,7 +216,7 @@ def test_matrix_element_matches_whole_matrix_on_seeded_polys():
             for n in _LOW_OCCUPATIONS:
                 ket = np.zeros(ladder.space.dim, dtype=complex)
                 ket[ladder.space.index(*n)] = 1.0
-                got_all = matrix_elements([(poly, m, n) for poly in polys], ladder)
+                got_all = matrix_elements([(ladder, poly, m, n) for poly in polys])
                 for got, mat in zip(got_all, mats):
                     assert abs(got - bra @ (mat @ ket)) <= 1e-14
 
@@ -207,13 +224,13 @@ def test_matrix_element_matches_whole_matrix_on_seeded_polys():
 def test_matrix_element_reads_bra_row_and_ket_column(ladder8):
     # b1+ b2: <1, 0| b1+ b2 |0, 1> = 1 but <0, 1| b1+ b2 |1, 0> = 0
     poly = LadderPoly.word((B1_CRE, B2_ANN), ExactScalar(3, Fraction(1, 2)))
-    assert matrix_elements([(poly, (1, 0), (0, 1))], ladder8)[0] == 3 + 0.5j
-    assert matrix_elements([(poly, (0, 1), (1, 0))], ladder8)[0] == 0
+    assert matrix_elements([(ladder8, poly, (1, 0), (0, 1))])[0] == 3 + 0.5j
+    assert matrix_elements([(ladder8, poly, (0, 1), (1, 0))])[0] == 0
     # b1 b1+ b1+ |0, 0> = 2 |1, 0>: the words act right to left
     word = LadderPoly.word((B1_ANN, B1_CRE, B1_CRE))
-    assert matrix_elements([(word, (1, 0), (0, 0))], ladder8)[0] == pytest.approx(2.0, abs=1e-15)
+    assert matrix_elements([(ladder8, word, (1, 0), (0, 0))])[0] == pytest.approx(2.0, abs=1e-15)
     with pytest.raises(DomainError):
-        matrix_elements([(poly, (9, 0), (0, 0))], ladder8)[0]
+        matrix_elements([(ladder8, poly, (9, 0), (0, 0))])
 
 
 # --- the batched walk against the one-word-at-a-time walk ---------------------
@@ -235,11 +252,11 @@ def _per_word_element(poly, ladder, bra, ket):
 
 
 def test_matrix_elements_equal_the_per_word_walk_at_the_vacuum():
-    # the cross-validation's batches: one walk per ladder size, bit for bit the per-word walk
+    # the cross-validation's pairings: each ladder size alone, bit for bit the per-word walk
     for ladder, polys in _by_ladder_size(_seeded_polys(), lambda d: max(2, d + 2)).values():
-        got = matrix_elements([(p, (0, 0), (0, 0)) for p in polys], ladder)
+        got = matrix_elements([(ladder, p, (0, 0), (0, 0)) for p in polys])
         assert _bits(got) == _bits([_per_word_element(p, ladder, (0, 0), (0, 0)) for p in polys])
-        assert _bits(got) == _bits([matrix_elements([(p, (0, 0), (0, 0))], ladder)[0]
+        assert _bits(got) == _bits([matrix_elements([(ladder, p, (0, 0), (0, 0))])[0]
                                     for p in polys])
 
 
@@ -248,23 +265,53 @@ def test_matrix_elements_equal_the_per_word_walk_on_low_occupations():
     ladder = build_ladder(6 + 5)
     for bra in _LOW_OCCUPATIONS:
         for ket in _LOW_OCCUPATIONS:
-            got = matrix_elements([(p, bra, ket) for p in polys], ladder)
+            got = matrix_elements([(ladder, p, bra, ket) for p in polys])
             want = [_per_word_element(p, ladder, bra, ket) for p in polys]
             assert _bits(got) == _bits(want)
-    assert matrix_elements([], ladder) == []
+    assert matrix_elements([]) == []
+
+
+def test_matrix_elements_equal_the_per_word_walk_over_mixed_ladder_sizes():
+    # one call over every size the cross-validation reads (n_max 2 to 11), its pairings and
+    # elements interleaved as the check asks for them, bit for bit the per-word walk
+    ladders = {n_max: build_ladder(n_max) for n_max in range(2, 12)}
+    rng = random.Random(20260823)
+    elements = []
+    for poly in _seeded_polys():
+        elements.append((ladders[max(2, poly.degree() + 2)], poly, (0, 0), (0, 0)))
+        bra, ket = rng.choice(_LOW_OCCUPATIONS), rng.choice(_LOW_OCCUPATIONS)
+        elements.append((ladders[poly.degree() + 5], poly, bra, ket))
+    assert {lad.space.n_max for lad, *_ in elements} == set(range(2, 12))
+    got = matrix_elements(elements)
+    assert _bits(got) == _bits([_per_word_element(p, lad, bra, ket)
+                                for lad, p, bra, ket in elements])
 
 
 def test_one_walk_reads_each_element_at_its_own_bra_and_ket():
-    # every poly at every low (bra, ket) pair in one block, bit for bit each element alone
+    # every poly at every low (bra, ket) pair in one walk, bit for bit each element alone
     polys = _seeded_polys(12) + [LadderPoly.word((B1_CRE, B2_ANN), ExactScalar(3, 0, 2))]
     ladder = build_ladder(6 + 5)
-    elements = [(p, bra, ket) for p in polys for bra in _LOW_OCCUPATIONS
+    elements = [(ladder, p, bra, ket) for p in polys for bra in _LOW_OCCUPATIONS
                 for ket in _LOW_OCCUPATIONS]
-    got = matrix_elements(elements, ladder)
+    got = matrix_elements(elements)
     assert _bits(got) == _bits([_per_word_element(p, ladder, bra, ket)
-                                for p, bra, ket in elements])
-    assert _bits(got) == _bits([matrix_elements([(p, bra, ket)], ladder)[0]
-                                for p, bra, ket in elements])
+                                for _, p, bra, ket in elements])
+    assert _bits(got) == _bits([matrix_elements([element])[0] for element in elements])
+
+
+def test_matrix_elements_refuses_a_ladder_with_two_diagonals(ladder8):
+    # the walk keeps one position per word, which a second diagonal would split
+    poly = LadderPoly.word((B1_ANN,))
+    a1 = ladder8.a1
+    two = Operator(a1.shape[0], {**a1.diagonals, 0: np.ones(a1.shape[0], dtype=complex)})
+    for name in ("a1", "a1_dag", "a2", "a2_dag"):
+        bent = dataclasses.replace(ladder8, **{name: two})
+        with pytest.raises(DomainError, match="one diagonal"):
+            matrix_elements([(bent, poly, (0, 0), (1, 0))])
+    # an operator that stores no diagonal is refused too
+    bent = dataclasses.replace(ladder8, a2=Operator(a1.shape[0], {}))
+    with pytest.raises(DomainError, match="one diagonal"):
+        matrix_elements([(bent, poly, (0, 0), (1, 0))])
 
 
 # --- the integer-weight column kernel against a per-symbol reference ----------

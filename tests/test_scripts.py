@@ -107,6 +107,18 @@ def test_bench_builds_the_same_rows_for_a_copy_of_a_tree(tmp_path):
     assert sum(row.keys() == {"layer", "check"} for row in rows) == 44   # every check of `all`
 
 
+def test_bench_times_each_end_to_end_invocation_in_a_cold_child(tmp_path):
+    bench = _load_bench()
+    src = bench.stage(ROOT, tmp_path / "this")
+    rows = [key for key, _, _ in bench.build_rows(src).values()]
+    assert [row["argv"] for row in rows if row["layer"] == "cold cli.main"] == [
+        ["verify", "algebra", "--seed", "20260823"], ["verify", "all"], ["norms"]]
+    seconds = bench.cold_main(src, ("verify", "algebra", "--seed", "5"))()
+    assert 0.0 < seconds < 5.0
+    with pytest.raises(RuntimeError, match="exited 2"):
+        bench.cold_main(src, ("verify", "is", "--n-max", "3"))()
+
+
 def test_ab_decision_rule():
     bench = _load_bench()
     assert (bench.PAIRS, bench.ALPHA, bench.MIN_CHANGE) == (21, 0.05, 0.03)

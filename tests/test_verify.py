@@ -168,6 +168,26 @@ def test_verify_all_passes_at_an_extreme_hbar(hbar):
     assert [r.check_id for r in results if not r.passed] == []
 
 
+@pytest.mark.parametrize("hbar", [1.0, 1e-170, 1e200])
+def test_h_structure_fails_on_a_term_that_breaks_commutation(monkeypatch, hbar):
+    # hbar omega 1e-3 (a1 a2+ + a2 a1+) in H1 moves n1 - n2 by 2, so [H0, H1] is not 0;
+    # on H itself the commutator overflowed to NaN at 1e200 and underflowed to 0 at
+    # 1e-170, and neither was counted
+    params = derive_params(1.0, 1.0, 1.25, hbar=hbar)
+    cfg = VerifyConfig(params=params)
+    assert verify.check_h_structure(cfg).passed
+    build = verify.build_hamiltonian
+
+    def bent(lad, p):
+        ham = build(lad, p)
+        h1 = ham.h1 + 1e-3 * p.hbar * p.omega * (lad.a1 @ lad.a2_dag + lad.a2 @ lad.a1_dag)
+        return fock.HamiltonianSet(h0=ham.h0, h1=h1, h=ham.h0 + h1)
+
+    monkeypatch.setattr(verify, "build_hamiltonian", bent)
+    result = verify.check_h_structure(cfg)
+    assert not result.passed and result.detail["hermiticity"] == 0.0
+
+
 def test_n_max_upper_bound(params):
     assert VerifyConfig(params=params, n_max=48).n_max == 48
     with pytest.raises(DomainError, match="bytes"):
