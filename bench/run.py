@@ -10,8 +10,9 @@ relative), so both trees run in this one interpreter, BLAS on one thread.
 
 A row is one layer at fixed input parameters, called as the CLI calls it
 (`build_rows`): the truncated kernels and four whole checks at n_max 8, 12, 24
-and 48, the standard norms, the biorthonormality sweep and the 200-polynomial
-oracle, the CLI parser, every check of `verify all` at the CLI defaults,
+and 48, the standard norms, the biorthonormality sweep, the exact spectrum
+sweep of each route and the 200-polynomial oracle, the CLI parser, every
+check of `verify all` at the CLI defaults,
 `import bateman.cli` in a cold child, with its peak RSS, and the CPU of
 `cli.main` for each of COLD_INVOCATIONS in a cold child, after its import.
 Rows are matched across the trees by layer and parameters.  Counts that a
@@ -44,6 +45,7 @@ import argparse  # noqa: E402
 import compileall  # noqa: E402
 import importlib  # noqa: E402
 import importlib.util  # noqa: E402
+import inspect  # noqa: E402
 import itertools  # noqa: E402
 import json  # noqa: E402
 import math  # noqa: E402
@@ -69,6 +71,8 @@ MIN_CHANGE = 0.03
 #: the CLI's default physical parameters, which `verify all` runs at
 DEFAULT_PARAMS = dict(m=1.0, gamma=1.0, k=1.25)
 BASIS_STATES = ((0, 0), (1, 0), (2, 1))
+#: the bounded-frame states of `is.matrix-element`: n1 + n2 <= 5
+TRIANGLE = tuple((n1, n2) for n1 in range(6) for n2 in range(6 - n1))
 MODULES = ("algebra", "cli", "construction", "fock", "ft", "imagscale", "params", "verify")
 #: the child's own peak RSS is VmHWM: ru_maxrss would carry this process's peak over the exec
 IMPORT_CODE = ("import time\nstart = time.process_time()\nimport bateman.cli\n"
@@ -210,6 +214,19 @@ def column_sweep(algebra, ops, bras, kets) -> None:
                 column.get(m)
 
 
+def block_basis(construction):
+    """basis(modes, states, vacuum) -> (kets, bras) of the tree's construction module: its
+    own `basis` where that takes a block of states, else one call per state, stacked as
+    `is.matrix-element` stacked them."""
+    if "states" in inspect.signature(construction.basis).parameters:
+        return construction.basis
+
+    def per_state(modes, states, vacuum):
+        kets, bras = zip(*(construction.basis(modes, n1, n2, vacuum) for n1, n2 in states))
+        return np.stack(kets, axis=1), np.stack(bras)
+    return per_state
+
+
 def oracle_matrix_half(verify, draws) -> list[complex]:
     verify._ladder.cache_clear()  # the check starts from an empty ladder cache
     return verify._oracle_numeric(draws)
@@ -272,6 +289,8 @@ def build_rows(src: Path, label: str = "this") -> dict[str, tuple]:
                  "bounded i pi/4": (bounded, imag.is_vacuum(bounded))}
         for name, (modes, vacuum) in grams.items():
             add("gram", con.gram, modes, vacuum, q_cap, **at, frame=name, q_cap=q_cap)
+        add("basis", block_basis(con), bounded, TRIANGLE, imag.is_vacuum(bounded), **at,
+            frame="bounded i pi/4", states=len(TRIANGLE))
 
     for theta in ft.MODERATE_GRID + tuple(math.pi / 2 - eps for eps in ft.EDGE_EPSILONS):
         add("ft_standard_norm", lambda t=theta: [ft.ft_standard_norm(t / 2.0, *state)
@@ -285,6 +304,11 @@ def build_rows(src: Path, label: str = "this") -> dict[str, tuple]:
     add("_chain_standard_norms", ft._chain_standard_norms, whole, grid="ft.norm.closed-forms",
         chains=len(whole))
 
+    laws = {"ft": (ft.FT, lambda n1, n2, b: (n1 - n2, b * (n1 + n2 + 1)), None),
+            "is": (imag.IS, lambda n1, n2, b: (n1 + n2 + 1, b * (n1 - n2)), 1)}
+    for name, (route, law, p_floor) in laws.items():  # as ft.spectrum and is.spectrum read them
+        add("_spectrum", verify._spectrum, verify.VerifyConfig(params=params), route, law,
+            p_floor, route=name)
     occupations = [(n1, n2) for n1 in range(4) for n2 in range(4)]
     add("basis_column_sweep", column_sweep, b.algebra, [b.algebra.LadderPoly.one()],
         occupations, occupations, sweep="algebra.biorthonormality",

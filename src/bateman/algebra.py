@@ -11,6 +11,7 @@ truncated matrices: matrix_elements walks each word of a poly as one
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -44,6 +45,7 @@ _SYMBOL_NAMES = {B1_CRE: "b1+", B2_CRE: "b2+", B1_ANN: "b1", B2_ANN: "b2"}
 _CONJ_MAP = {B1_CRE: B1_ANN, B2_CRE: B2_ANN, B1_ANN: B1_CRE, B2_ANN: B2_CRE}
 
 
+@functools.cache
 def _square_split(n: int) -> tuple[int, int]:
     """n = s**2 * d with d squarefree; returns (s, d).  n must be >= 1."""
     s, d, f = 1, 1, 2
@@ -58,37 +60,27 @@ def _square_split(n: int) -> tuple[int, int]:
     return s, d * n
 
 
-_FRACTION_ZERO = Fraction(0)
-
-
 class ExactScalar:
-    """(re + i*im) * sqrt(root) with exact rational re and im.
+    """(a + i*b) / d * sqrt(root) with integers a, b and d > 0, gcd(a, b, d) = 1.
 
-    The constructor takes any positive root and moves its square part into re
-    and im, so root is squarefree; 1 in almost every in-scope value.  Every
-    zero is the one shared zero, of root 1.  Sums of scalars with different
-    roots are rejected rather than widened.
+    One denominator serves both parts, so an operation is integer arithmetic
+    and one gcd, and equal scalars store equal parts; re = a/d and im = b/d
+    read as Fractions.  The constructor takes rational re and im and moves the
+    square part of any positive root into a and b, so root is squarefree.
+    Every zero is the one shared zero, of root 1.  Sums of scalars with
+    different roots are rejected rather than widened.
     """
 
-    __slots__ = ("re", "im", "root")
+    __slots__ = ("a", "b", "d", "root")
 
     def __new__(cls, re: Fraction | int = 0, im: Fraction | int = 0, root: int = 1):
         if root < 1:
             raise DomainError(f"root must be positive, got {root}")
         re, im = Fraction(re), Fraction(im)
-        if root > 1:
-            s, root = _square_split(root)
-            re, im = re * s, im * s
-        return ExactScalar._checked(re, im, root)
-
-    @staticmethod
-    def _checked(re: Fraction, im: Fraction, root: int) -> "ExactScalar":
-        """The scalar of squarefree root; the shared zero when both parts are 0."""
-        if not (re or im):
-            return _ZERO
-        out = object.__new__(ExactScalar)
-        out.re, out.im, out.root = re, im, root
-        return out
+        s, root = _square_split(root)
+        return _reduced(re.numerator * im.denominator * s,
+                                    im.numerator * re.denominator * s,
+                                    re.denominator * im.denominator, root)
 
     # -- constructors ------------------------------------------------------
     @staticmethod
@@ -100,9 +92,13 @@ class ExactScalar:
     def of(value: "ExactScalar | Fraction | int") -> "ExactScalar":
         if isinstance(value, ExactScalar):
             return value
-        return ExactScalar._checked(Fraction(value), _FRACTION_ZERO, 1)  # root 1: nothing to split
+        value = value if isinstance(value, int) else Fraction(value)
+        return _reduced(value.numerator, 0, value.denominator, 1)
 
     # -- queries -----------------------------------------------------------
+    re = property(lambda self: Fraction(self.a, self.d))
+    im = property(lambda self: Fraction(self.b, self.d))
+
     def is_zero(self) -> bool:
         return self is _ZERO
 
@@ -111,77 +107,88 @@ class ExactScalar:
 
     # -- arithmetic --------------------------------------------------------
     def __add__(self, other: "ExactScalar") -> "ExactScalar":
-        other = ExactScalar.of(other)
-        if self.is_zero():
+        if not isinstance(other, ExactScalar):
+            other = ExactScalar.of(other)
+        if self is _ZERO:
             return other
-        if other.is_zero():
+        if other is _ZERO:
             return self
         if self.root != other.root:
             raise RadicalMismatch(f"cannot add sqrt({self.root}) and sqrt({other.root}) terms")
-        return ExactScalar._checked(self.re + other.re, self.im + other.im, self.root)
+        d, e = self.d, other.d
+        return _reduced(self.a * e + other.a * d, self.b * e + other.b * d, d * e,
+                                    self.root)
 
     def __neg__(self) -> "ExactScalar":
-        return self if self is _ZERO else ExactScalar._checked(-self.re, -self.im, self.root)
+        return _reduced(-self.a, -self.b, self.d, self.root)
 
     def __sub__(self, other: "ExactScalar") -> "ExactScalar":
         return self + (-ExactScalar.of(other))
 
-    def _scaled(self, k: int | Fraction) -> "ExactScalar":
-        """self times the real rational k: both parts scaled, the root kept."""
-        if k == 1:
-            return self
-        if not k:
-            return _ZERO
-        return ExactScalar._checked(self.re * k, self.im * k, self.root)
+    def _times(self, n: int, m: int) -> "ExactScalar":
+        """self times the real rational n/m, m > 0: both parts scaled, the root kept."""
+        return self if n == m else _reduced(self.a * n, self.b * n, self.d * m, self.root)
 
     def __mul__(self, other: "ExactScalar | Fraction | int") -> "ExactScalar":
-        if isinstance(other, LadderPoly):
-            return NotImplemented
-        if isinstance(other, (int, Fraction)):
-            # a real rational factor, such as a walk weight
-            return self._scaled(other)
-        other = ExactScalar.of(other)
+        if not isinstance(other, ExactScalar):
+            if isinstance(other, LadderPoly):
+                return NotImplemented
+            if isinstance(other, (int, Fraction)):
+                # a real rational factor, such as a walk weight
+                return self._times(other.numerator, other.denominator)
+            other = ExactScalar.of(other)
         # a real rational scalar on either side, such as LadderPoly.one()'s
         # coefficient, scales the other: the same value as the general product
-        if other.root == 1 and not other.im:
-            return self._scaled(other.re)
-        if self.root == 1 and not self.im:
-            return other._scaled(self.re)
-        s, d = (1, 1) if self.root == other.root == 1 else _square_split(self.root * other.root)
-        re = self.re * other.re - self.im * other.im
-        im = self.re * other.im + self.im * other.re
-        if s != 1:
-            re, im = re * s, im * s
-        return ExactScalar._checked(re, im, d)
+        if other.root == 1 and not other.b:
+            return self._times(other.a, other.d)
+        if self.root == 1 and not self.b:
+            return other._times(self.a, self.d)
+        s, root = _square_split(self.root * other.root)
+        a, b, c, e = self.a, self.b, other.a, other.b
+        return _reduced((a * c - b * e) * s, (a * e + b * c) * s, self.d * other.d,
+                                    root)
 
     __rmul__ = __mul__
 
     def conjugated(self) -> "ExactScalar":
         """i -> -i, which the basis-adapted conjugation pairs with gamma -> -gamma."""
-        return ExactScalar._checked(self.re, -self.im, self.root)
+        return _reduced(self.a, -self.b, self.d, self.root) if self.b else self
 
     def to_complex(self) -> complex:
-        # float(Fraction) is this division, made through numbers.Rational.__float__
-        return complex(self.re.numerator / self.re.denominator,
-                       self.im.numerator / self.im.denominator) * math.sqrt(self.root)
+        # int true division is correctly rounded: a/d is float(self.re), reduced or not
+        return complex(self.a / self.d, self.b / self.d) * math.sqrt(self.root)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExactScalar):
             return NotImplemented
-        return self is other or self.key() == other.key()
+        return self is other or (self.a == other.a and self.b == other.b and self.d == other.d
+                                 and self.root == other.root)
 
     def __hash__(self) -> int:
-        return hash(self.key())
+        return hash((self.a, self.b, self.d, self.root))
 
     def __repr__(self) -> str:
         if self.is_zero():
             return "0"
-        body = f"({self.re}{'+' if self.im >= 0 else ''}{self.im}j)"
+        body = f"({self.re}{'+' if self.b >= 0 else ''}{self.im}j)"
         return body if self.root == 1 else f"{body}*sqrt({self.root})"
 
 
+def _reduced(a: int, b: int, d: int, root: int, new=object.__new__, gcd=math.gcd) -> ExactScalar:
+    """(a + i*b) / d * sqrt(root), d > 0 and root squarefree, in lowest terms; the shared zero
+    when a and b are 0.  new and gcd are bound once, as every scalar is built here."""
+    if not (a or b):
+        return _ZERO
+    g = gcd(a, b, d)
+    if g != 1:
+        a, b, d = a // g, b // g, d // g
+    out = new(ExactScalar)
+    out.a, out.b, out.d, out.root = a, b, d, root
+    return out
+
+
 _ZERO = object.__new__(ExactScalar)
-_ZERO.re, _ZERO.im, _ZERO.root = _FRACTION_ZERO, _FRACTION_ZERO, 1
+_ZERO.a, _ZERO.b, _ZERO.d, _ZERO.root = 0, 0, 1, 1
 ScalarLike = "ExactScalar | Fraction | int"
 Word = tuple[int, ...]
 
@@ -238,7 +245,7 @@ class LadderPoly:
 
     @staticmethod
     def symbol(sym: int) -> "LadderPoly":
-        return LadderPoly.word((sym,))
+        return _SYMBOLS.get(sym) or LadderPoly.word((sym,))  # built once: polys never change
 
     # -- queries -----------------------------------------------------------
     @property
@@ -262,12 +269,13 @@ class LadderPoly:
         return self + (-other)
 
     def __neg__(self) -> "LadderPoly":
-        return LadderPoly({w: -c for w, c in self._terms.items()})
+        return LadderPoly._checked({w: -c for w, c in self._terms.items()})
 
     def __mul__(self, other: "LadderPoly | ScalarLike") -> "LadderPoly":
         if not isinstance(other, LadderPoly):
-            scalar = ExactScalar.of(other)
-            return LadderPoly({w: c * scalar for w, c in self._terms.items()})
+            scalar = ExactScalar.of(other)  # a product of nonzero scalars is nonzero
+            terms = {} if scalar.is_zero() else {w: c * scalar for w, c in self._terms.items()}
+            return LadderPoly._checked(terms)
         out: dict[Word, ExactScalar] = {}
         for w1, c1 in self._terms.items():
             for w2, c2 in other._terms.items():
@@ -283,7 +291,7 @@ class LadderPoly:
         for word, coeff in self._terms.items():
             new_word = tuple(_CONJ_MAP[s] for s in reversed(word))
             _accumulate(out, new_word, coeff.conjugated())
-        return LadderPoly(out)
+        return LadderPoly._checked(out)
 
     def normal_order(self) -> "LadderPoly":
         """Canonical form: creators left of annihilators, mode 1 left of mode 2.
@@ -294,7 +302,7 @@ class LadderPoly:
         out: dict[Word, ExactScalar] = {}
         for word, coeff in self._terms.items():
             for canonical, k in _word_normal_form(word):
-                _accumulate(out, canonical, coeff._scaled(k))
+                _accumulate(out, canonical, coeff._times(k, 1))
         return LadderPoly._checked(out)
 
     def __eq__(self, other: object) -> bool:
@@ -313,6 +321,9 @@ class LadderPoly:
             name = " ".join(_SYMBOL_NAMES[s] for s in word) or "1"
             chunks.append(f"({self._terms[word]!r})*{name}")
         return " + ".join(chunks)
+
+
+_SYMBOLS = {sym: LadderPoly.word((sym,)) for sym in _SYMBOL_NAMES}
 
 
 def _word_normal_form(word: Word) -> list[tuple[Word, int]]:
@@ -348,7 +359,7 @@ def vacuum_expectation(poly: LadderPoly) -> ExactScalar:
     for word, coeff in poly._terms.items():
         # only a word with zero charge in each mode has the empty word in its form
         if word.count(B1_CRE) == word.count(B1_ANN) and word.count(B2_CRE) == word.count(B2_ANN):
-            total = total + coeff._scaled(dict(_word_normal_form(word)).get((), 0))
+            total = total + coeff._times(dict(_word_normal_form(word)).get((), 0), 1)
     return total
 
 
@@ -398,16 +409,15 @@ def basis_column(op: LadderPoly, n1: int, n2: int) -> dict[tuple[int, int], Exac
     """
     amplitudes = apply_to_monomial_ket(op, n1, n2)
     ket_norm = math.factorial(n1) * math.factorial(n2)
-    return {bra: _normalized(amp, *bra, ket_norm) for bra, amp in amplitudes.items()}
+    return {bra: amp * _normalized(*bra, ket_norm) for bra, amp in amplitudes.items()}
 
 
-def _normalized(amp: ExactScalar, m1: int, m2: int, ket_norm: int) -> ExactScalar:
-    """A monomial amplitude on b1+^m1 b2+^m2 |vac> times sqrt(m1! m2! / ket_norm)."""
+@functools.cache
+def _normalized(m1: int, m2: int, ket_norm: int) -> ExactScalar:
+    """sqrt(m1! m2! / ket_norm), the factor of a monomial amplitude on b1+^m1 b2+^m2 |vac>."""
     ratio = Fraction(math.factorial(m1) * math.factorial(m2), ket_norm)
-    # sqrt(p/q) = sqrt(p*q)/q
-    s, d = _square_split(ratio.numerator * ratio.denominator)
-    norm = Fraction(s, ratio.denominator)
-    return amp * norm if d == 1 else amp * ExactScalar(norm, 0, d)
+    s, d = _square_split(ratio.numerator * ratio.denominator)  # sqrt(p/q) = sqrt(p*q)/q
+    return ExactScalar(Fraction(s, ratio.denominator), 0, d)
 
 
 def basis_matrix_element(m1: int, m2: int, op: LadderPoly, n1: int, n2: int) -> ExactScalar:
@@ -418,7 +428,7 @@ def basis_matrix_element(m1: int, m2: int, op: LadderPoly, n1: int, n2: int) -> 
     amp = apply_to_monomial_ket(op, n1, n2).get((m1, m2))
     if amp is None:
         return ExactScalar.zero()
-    return _normalized(amp, m1, m2, math.factorial(n1) * math.factorial(n2))
+    return amp * _normalized(m1, m2, math.factorial(n1) * math.factorial(n2))
 
 
 def matrix_elements(elements: list[tuple]) -> list[complex]:
@@ -480,8 +490,8 @@ def matrix_elements(elements: list[tuple]) -> list[complex]:
     return list(totals)
 
 
-#: Fraction(n, d) at index 9 * (n + 9) + d - 1, for n in -9..9 and d in 1..9
-_DRAWN_FRACTIONS = tuple(Fraction(n, d) for n in range(-9, 10) for d in range(1, 10))
+#: the fraction n/d as the pair (n, d) at index 9 * (n + 9) + d - 1, for n in -9..9 and d in 1..9
+_DRAWN_FRACTIONS = tuple((n, d) for n in range(-9, 10) for d in range(1, 10))
 
 
 def _below(bits, n: int, k: int) -> int:
@@ -508,7 +518,7 @@ def random_poly(rng, max_degree: int = 6, max_terms: int = 5) -> LadderPoly:
     for _ in range(1 + _below(bits, terms_n, terms_k)):
         word = tuple([_below(bits, 4, 3) for _ in range(_below(bits, length_n, length_k))])
         # numerator -9..9 (19 values, 5 bits), then denominator 1..9 (9 values, 4 bits)
-        re = _DRAWN_FRACTIONS[9 * _below(bits, 19, 5) + _below(bits, 9, 4)]
-        im = _DRAWN_FRACTIONS[9 * _below(bits, 19, 5) + _below(bits, 9, 4)]
-        _accumulate(terms, word, ExactScalar._checked(re, im, 1))
+        a, d = _DRAWN_FRACTIONS[9 * _below(bits, 19, 5) + _below(bits, 9, 4)]
+        b, e = _DRAWN_FRACTIONS[9 * _below(bits, 19, 5) + _below(bits, 9, 4)]
+        _accumulate(terms, word, _reduced(a * e, b * d, d * e, 1))
     return LadderPoly._checked(terms)

@@ -21,6 +21,7 @@ Neither route knows about the other's results.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -262,8 +263,8 @@ def similarity_deviation(con: Construction, modes: MixedModes, generator: Operat
     exact there once n_max lies a few spreading lengths deeper, whatever
     weight it carries near the top corner.  Only the sectors of u that meet
     that rung are exponentiated (`fock.intertwining_deviation`), 15 of the 49
-    sectors of n1 - n2 at n_max 24, and the products are dense on B and the
-    rung.
+    sectors of n1 - n2 at n_max 24, and the products are read off the stored
+    diagonals of the four pairs.
     """
     plain = transform(con, 0.0, modes.ladder)
     names = ("ann1", "cre1", "ann2", "cre2")
@@ -323,37 +324,51 @@ def identity_report(con: Construction, modes: MixedModes, params: PhysicalParams
 # biorthogonal basis
 
 
-def basis(modes, n1: int, n2: int, vacuum: tuple[np.ndarray, np.ndarray]
+def basis(modes, states, vacuum: tuple[np.ndarray, np.ndarray]
           ) -> tuple[np.ndarray, np.ndarray]:
-    """Pair: ket = cre1^n1 cre2^n2 |vac>> / sqrt(n1! n2!), bra = <<vac| ann1^n1 ann2^n2 / same.
+    """(kets, bras): column j of kets is cre1^n1 cre2^n2 |vac>> / sqrt(n1! n2!) and row j of
+    bras <<vac| ann1^n1 ann2^n2 / sqrt(n1! n2!), for (n1, n2) = states[j].
 
-    modes is either frame, original or bounded; the bra is a plain row
-    vector and pairings are bra @ ket with no conjugation.
+    modes is either frame, original or bounded; pairings are bras @ kets, with
+    no conjugation.  Each side is one ladder walk (`_climb`), which gives every
+    vector the bits of its own state's walk.
     """
-    _check_occupations(n1, n2)
-    if n1 + n2 > modes.headroom:
-        raise HeadroomError(f"n1+n2 = {n1 + n2} exceeds headroom {modes.headroom}")
-    ket0, bra0 = vacuum
-    norm = math.sqrt(math.factorial(n1) * math.factorial(n2))
-    ket, bra = ket0, bra0
-    for op in [modes.cre2] * n2 + [modes.cre1] * n1:
-        ket = op @ ket
-    for op in [modes.ann1] * n1 + [modes.ann2] * n2:
-        bra = bra @ op
-    return ket / norm, bra / norm
+    states = list(states)
+    for n1, n2 in states:
+        _check_occupations(n1, n2)
+        if n1 + n2 > modes.headroom:
+            raise HeadroomError(f"n1+n2 = {n1 + n2} exceeds headroom {modes.headroom}")
+    n1s, n2s = [n1 for n1, _ in states], [n2 for _, n2 in states]
+    norms = np.array([math.sqrt(math.factorial(n1) * math.factorial(n2)) for n1, n2 in states])
+    norms = norms[:, None]
+    shape = (len(states), len(vacuum[0]))  # also the shape of an empty block
+    kets = np.array(_climb(modes.cre2, modes.cre1, vacuum[0], n2s, n1s)).reshape(shape) / norms
+    bras = np.array(_climb(modes.ann1.T, modes.ann2.T, vacuum[1], n1s, n2s)).reshape(shape)
+    return kets.T, bras / norms
+
+
+def _climb(first: Operator, second: Operator, start: np.ndarray, firsts: list[int],
+           seconds: list[int]) -> list[np.ndarray]:
+    """[second^s first^f start for f, s in zip(firsts, seconds)], each power walked once.
+
+    first climbs from start rung by rung, and each rung f that a state asks
+    for starts a chain that second climbs as high as a state on it asks; each
+    state is read off its chain, by the operations of its own walk.
+    """
+    rungs = [start]
+    for _ in range(max(firsts, default=0)):
+        rungs.append(first @ rungs[-1])
+    chains = {f: [rungs[f]] for f in firsts}
+    for f, s in zip(firsts, seconds):
+        while len(chains[f]) <= s:
+            chains[f].append(second @ chains[f][-1])
+    return [chains[f][s] for f, s in zip(firsts, seconds)]
 
 
 def gram(modes, vacuum: tuple[np.ndarray, np.ndarray], q_cap: int) -> np.ndarray:
-    """Pairing matrix <<m1,m2|n1,n2>> for all occupations <= q_cap per mode."""
-    side = (q_cap + 1) ** 2
-    kets = np.empty((side, modes.space.dim), dtype=complex)
-    bras = np.empty((side, modes.space.dim), dtype=complex)
-    i = 0
-    for m1 in range(q_cap + 1):
-        for m2 in range(q_cap + 1):
-            kets[i], bras[i] = basis(modes, m1, m2, vacuum)
-            i += 1
-    return bras @ kets.T
+    """Pairing matrix <<m1,m2|n1,n2>> of one `basis` block, occupations <= q_cap per mode."""
+    kets, bras = basis(modes, list(itertools.product(range(q_cap + 1), repeat=2)), vacuum)
+    return bras @ kets
 
 
 # ---------------------------------------------------------------------------

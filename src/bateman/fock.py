@@ -408,20 +408,20 @@ def intertwining_deviation(generator: Operator, charge: np.ndarray, pairs,
                            keep: np.ndarray) -> float:
     """max |u a - m u| over (a, m) in pairs on the kept block B, over max |u| on B.
 
-    u = e^generator, whose sectors are those of charge.  keep is a boolean
-    mask of the basis states, B.  u a and m u on B read u only between B and
-    the states B1 that some a or m joins to B (B itself included), so they are
-    formed as dense products u[B, B1] a[B1, B] and m[B, B1] u[B1, B], each
-    entry summing its terms in ascending state index, the order of an
-    `Operator` product; only the sectors that B1 reaches are exponentiated
-    (`exp_block`).  Checks u a u^{-1} = m without forming u^{-1}.
+    u = e^generator, whose sectors are those of charge; keep masks the states
+    B.  u a and m u on B read u only between B and the states B1 that an a or
+    m joins to B (B included), so only the sectors that B1 reaches are
+    exponentiated (`exp_block`).  Each stored diagonal of a or m adds one term
+    to every entry (`_landings`): a column of u[B, B1] times its weight to u a,
+    its weight times a row of u[B1, B] to m u.  The terms come in ascending
+    state index, the order of a dense product over B1, which adds only exact
+    zeros between them, so the products keep the dense products' bits.
     """
     pairs = list(pairs)
     shape = generator.shape
     if len(keep) != shape[0]:
         raise DimensionMismatch(f"{len(keep)} kept-state labels for a {shape} generator")
-    mask = keep.astype(float)
-    reach = keep.copy()
+    mask, reach = keep.astype(float), keep.copy()
     for a, m in pairs:
         if a.shape != shape or m.shape != shape:
             raise DimensionMismatch(f"pair {a.shape}, {m.shape} for a {shape} generator")
@@ -429,16 +429,30 @@ def intertwining_deviation(generator: Operator, charge: np.ndarray, pairs,
     block, near = np.flatnonzero(keep), np.flatnonzero(reach)
     u = exp_block(generator, charge, near, near)
     inner = keep[near]
+    at = np.full(3 * shape[0], -1)  # at[n + s] places state s in B1, -1 off it or off 0..n-1
+    at[shape[0] + near] = np.arange(len(near))
     u_out, u_in = u[inner], u[:, inner]  # u[B, B1], u[B1, B]
-    gap = np.max([np.abs(_ascending_product(u_out, dense(a, near, block))
-                         - _ascending_product(dense(m, block, near), u_in)).max()
-                  for a, m in pairs])  # keeps a NaN
-    return float(gap) / float(np.abs(u_out[:, inner]).max())
+    gaps = []
+    for a, m in pairs:
+        ua, mu = np.zeros((2, len(block), len(block)), dtype=np.result_type(u, a.dtype, m.dtype))
+        for j, l, w in _landings(a.T, block, at):  # a[l, j] = a.T[j, l]
+            ua[:, j] += u_out[:, l] * w
+        for i, l, w in _landings(m, block, at):
+            mu[i] += w[:, None] * u_in[l]
+        gaps.append(np.abs(ua - mu).max())
+    return float(np.max(gaps)) / float(np.abs(u_out[:, inner]).max())  # np.max keeps a NaN
 
 
-def _ascending_product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """left @ right with every entry summing its terms in ascending inner index."""
-    return np.add.reduce(left.T[:, :, None] * right[:, None, :], axis=0)
+def _landings(op: Operator, block: np.ndarray, at: np.ndarray):
+    """(j, l, w) per stored diagonal of op, ascending: op[block[j], s] = w for the states s
+    at l = at[n + s] >= 0; -1 marks a state that op joins to B only by exact zeros."""
+    n = op.shape[0]
+    for k, w in op.diagonals.items():
+        if not w.any():  # a diagonal of exact zeros adds exact zeros
+            continue
+        l = at[block + (n + k)]
+        j = np.flatnonzero(l >= 0)
+        yield j, l[j], w[block[j] - max(0, -k)]
 
 
 #: Padé degree m -> largest 1-norm at which the [m/m] approximant of e^A is exact to double

@@ -213,37 +213,42 @@ def _chain_exp(starts: np.ndarray, s: np.ndarray, couplings: np.ndarray
     rows = np.arange(len(starts))
     term = np.zeros((len(starts), couplings.shape[1] + 1))
     term[rows, starts] = 1.0
-    acc = term.copy()
+    acc, out = term.copy(), term.copy()
     exponents = np.zeros(len(starts), dtype=int)
-    out = acc.copy()
-    max_iter = (4.4 * s * couplings.max(axis=1)).astype(int) + 200
-    for m in range(1, int(max_iter.max()) + 1):
-        width = min(term.shape[1], int(starts.max()) + m + 1)  # no term reaches further yet
-        t, c = term[:, :width], couplings[:, :width - 1]
+    scale, peak = s[:, None], couplings.max(axis=1)
+    caps = (4.4 * s * peak).astype(int) + 200
+    # every entry of e^{s T} e_j is at most e^{s ||T||_inf} <= e^{2 s peak}: a batch whose
+    # rows all stay a factor 2 below the ceiling (for the round-off of the sums) skips the test
+    guarded = bool((2.0 * s * peak).max() > math.log(_CHAIN_CEILING / 2))
+    reach, cap = int(starts.max()), int(caps.min())
+    for m in range(1, int(caps.max()) + 1):
+        width = min(term.shape[1], reach + m + 1)  # no term reaches further yet
+        t, c, a = term[:, :width], couplings[:, :width - 1], acc[:, :width]
         down = c * t[:, 1:]
         np.multiply(c, t[:, :-1], out=t[:, 1:])  # numpy buffers the overlapping operands
         t[:, 0] = 0.0
         t[:, :-1] += down
-        t *= (s / m)[:, None]
-        acc[:, :width] += t
-        top = acc.max(axis=1)
-        if top.max() > _CHAIN_CEILING:
+        t *= scale / m
+        a += t
+        top = a.max(axis=1)
+        if guarded and top.max() > _CHAIN_CEILING:
             big = top > _CHAIN_CEILING
             shift = np.frexp(top[big])[1]
             acc[big] = np.ldexp(acc[big], -shift[:, None])
             term[big] = np.ldexp(term[big], -shift[:, None])
             exponents[rows[big]] += shift
-            top = acc.max(axis=1)
-        done = term.max(axis=1) < _CONV * top
-        if m >= max_iter.min() and (~done & (m >= max_iter)).any():
+            top = a.max(axis=1)
+        done = t.max(axis=1) < _CONV * top
+        if m >= cap and (~done & (m >= caps)).any():
             raise NumericalError("chain exponential series did not converge")
         if done.any():
             out[rows[done]] = acc[done]
             live = ~done
-            rows, starts, s, max_iter = rows[live], starts[live], s[live], max_iter[live]
+            rows, starts, scale, caps = rows[live], starts[live], scale[live], caps[live]
             term, acc, couplings = term[live], acc[live], couplings[live]
             if not len(rows):
                 return out, exponents
+            reach, cap = int(starts.max()), int(caps.min())
     raise NumericalError("chain exponential series did not converge")
 
 

@@ -690,3 +690,57 @@ def test_zero_scalar_evaluates_to_zero():
     for zero in (ExactScalar.zero(), ExactScalar.of(0), ExactScalar(0, 0, 2)):
         got = zero.to_complex()
         assert type(got) is complex and np.array([got]).tobytes() == np.array([0j]).tobytes()
+
+
+# --- integer parts against Fraction arithmetic -----------------------------------
+
+_PART = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
+_FRACTION_SCALARS = st.tuples(st.one_of(st.just(Fraction(0)), _PART),
+                              st.one_of(st.just(Fraction(0)), _PART),
+                              st.sampled_from([1, 2, 3, 6]))
+
+
+def _fraction_key(re: Fraction, im: Fraction, root: int) -> tuple:
+    """(re, im, root) with the square part of root moved into re and im, as key() reads
+    it; the zero has root 1."""
+    if not (re or im):
+        return (0, 0, 1)
+    s = max(k for k in range(1, root + 1) if root % (k * k) == 0)
+    return (re * s, im * s, root // (s * s))
+
+
+def _check_parts(x: ExactScalar) -> None:
+    assert x.d > 0 and math.gcd(x.a, x.b, x.d) == 1
+    assert (x.re, x.im) == (Fraction(x.a, x.d), Fraction(x.b, x.d))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_FRACTION_SCALARS, _FRACTION_SCALARS)
+def test_integer_parts_follow_fraction_arithmetic(xs, ys):
+    # the scalar keeps (a + i b) / d * sqrt(root) in Python ints over one denominator;
+    # every operation must give the key, the hash and the float that Fraction
+    # arithmetic on (re, im, root) gives
+    x, y = ExactScalar(*xs), ExactScalar(*ys)
+    (xr, xi, xroot), (yr, yi, yroot) = _fraction_key(*xs), _fraction_key(*ys)
+    for value, want in ((x, (xr, xi, xroot)), (y, (yr, yi, yroot)),
+                        (x * y, _fraction_key(xr * yr - xi * yi, xr * yi + xi * yr,
+                                              xroot * yroot)),
+                        (x.conjugated(), _fraction_key(xr, -xi, xroot)),
+                        (-x, _fraction_key(-xr, -xi, xroot))):
+        _check_parts(value)
+        assert value.key() == want and value == ExactScalar(*want)
+        assert hash(value) == hash(ExactScalar(*want))
+        got = np.array([value.to_complex()]).tobytes()
+        assert got == np.array([complex(float(want[0]), float(want[1]))
+                                * math.sqrt(want[2])]).tobytes()
+    if x.is_zero() or y.is_zero() or xroot == yroot:
+        root = yroot if x.is_zero() else xroot
+        for value, want in ((x + y, _fraction_key(xr + yr, xi + yi, root)),
+                            (x - y, _fraction_key(xr - yr, xi - yi, root))):
+            _check_parts(value)
+            assert value.key() == want and value == ExactScalar(*want)
+    else:
+        with pytest.raises(RadicalMismatch):
+            x + y
+        with pytest.raises(RadicalMismatch):
+            x - y

@@ -127,12 +127,54 @@ def test_headroom_belongs_to_the_frame(ladder8):
     # the original-frame rotation basis may use any occupation of the space;
     # the bounded frame keeps two rungs clear of the boundary
     bar = transform(FT, 0.3, ladder8)
-    ket, bra = basis(bar, 5, 4, ft_vacuum_series(0.3, ladder8.space))
-    assert ket.shape == bra.shape == (ladder8.space.dim,)
+    kets, bras = basis(bar, [(5, 4)], ft_vacuum_series(0.3, ladder8.space))
+    assert kets.shape == bras.T.shape == (ladder8.space.dim, 1)
     rep = bounded_frame(IS.quarter(1), ladder8)
-    basis(rep, 3, 3, is_vacuum(rep))
-    with pytest.raises(HeadroomError):
-        basis(rep, 4, 3, is_vacuum(rep))
+    basis(rep, [(3, 3)], is_vacuum(rep))
+    for states in ([(4, 3)], [(0, 0), (4, 3)], [(1, 1), (0, 7), (2, 0)]):
+        with pytest.raises(HeadroomError):
+            basis(rep, states, is_vacuum(rep))
+    with pytest.raises(DomainError):
+        basis(rep, [(0, 0), (-1, 2)], is_vacuum(rep))
+
+
+def _basis_state_by_state(modes, n1, n2, vacuum):
+    """The walk of one state: cre2 n2 times then cre1 n1 times on the ket, ann1 n1 times
+    then ann2 n2 times on the bra, each vector divided by sqrt(n1! n2!) at the end."""
+    ket, bra = vacuum
+    for op in [modes.cre2] * n2 + [modes.cre1] * n1:
+        ket = op @ ket
+    for op in [modes.ann1] * n1 + [modes.ann2] * n2:
+        bra = bra @ op
+    norm = math.sqrt(math.factorial(n1) * math.factorial(n2))
+    return ket / norm, bra / norm
+
+
+def _hex(vector):
+    return [x.hex() for x in np.ravel(np.column_stack([vector.real, vector.imag]))]
+
+
+@pytest.mark.parametrize("n_max", [4, 8, 12, 24])
+def test_basis_block_equals_the_state_by_state_walk(n_max):
+    # the walk shares each power of the first operator and each chain of the
+    # second, and every vector keeps the bits of its own walk, signed zeros too
+    lad = build_ladder(n_max)
+    frames = [(transform(FT, theta, lad), ft_vacuum_series(theta, lad.space))
+              for theta in (0.3, -0.5)]
+    frames += [(rep, is_vacuum(rep)) for rep in (bounded_frame(IS.quarter(b), lad)
+                                                 for b in (1, -1))]
+    for modes, vacuum in frames:
+        cap = min(5, modes.headroom)
+        triangle = [(n1, n2) for n1 in range(cap + 1) for n2 in range(cap + 1 - n1)]
+        singles = [[state] for state in triangle]
+        for states in [triangle, triangle[::-1], [(1, 1), (1, 1)], *singles]:
+            kets, bras = basis(modes, states, vacuum)
+            assert kets.shape == bras.T.shape == (lad.space.dim, len(states))
+            for j, (n1, n2) in enumerate(states):
+                ket, bra = _basis_state_by_state(modes, n1, n2, vacuum)
+                assert _hex(kets[:, j]) == _hex(ket) and _hex(bras[j]) == _hex(bra)
+        assert [side.shape for side in basis(modes, [], vacuum)] == [(lad.space.dim, 0),
+                                                                     (0, lad.space.dim)]
 
 
 @pytest.mark.parametrize("n1,n2", [(0, 0), (2, 0), (0, 3), (3, 2)])
@@ -148,6 +190,7 @@ def test_basis_matches_matrix_powers(n1, n2, ladder8):
         ann1, ann2 = dense(modes.ann1), dense(modes.ann2)
         want_ket = matrix_power(cre1, n1) @ matrix_power(cre2, n2) @ ket0 / norm
         want_bra = bra0 @ matrix_power(ann1, n1) @ matrix_power(ann2, n2) / norm
-        ket, bra = basis(modes, n1, n2, vacuum)
+        kets, bras = basis(modes, [(n1, n2)], vacuum)
+        ket, bra = kets[:, 0], bras[0]
         assert np.max(np.abs(ket - want_ket)) <= 1e-12 * np.max(np.abs(want_ket))
         assert np.max(np.abs(bra - want_bra)) <= 1e-12 * np.max(np.abs(want_bra))

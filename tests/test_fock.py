@@ -1,5 +1,6 @@
 """Truncated two-mode ladder matrices: structure, commutators, exponentials."""
 
+import dataclasses
 import math
 import re
 
@@ -497,25 +498,81 @@ def test_intertwining_deviation_shape_guard(ladder8):
                                keep)
 
 
-@pytest.mark.parametrize("n_max", [8, 12, 24])
-def test_intertwining_block_equals_the_full_products(n_max):
-    # the dense block products sum each entry in the order of the Operator
-    # products u @ a and m @ u, so the deviation is bit for bit the one read
-    # off the full products, kept here as the reference
+def _ascending_product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """left @ right with every entry summing its terms in ascending inner index."""
+    return np.add.reduce(left.T[:, :, None] * right[:, None, :], axis=0)
+
+
+def _dense_route_deviation(generator, charge, pairs, keep) -> float:
+    """intertwining_deviation by dense products over the reached states B1: the products
+    u[B, B1] a[B1, B] and m[B, B1] u[B1, B], each read with `dense`."""
+    mask, reach = keep.astype(float), keep.copy()
+    for a, m in pairs:
+        reach |= (abs(a) @ mask != 0) | (mask @ abs(m) != 0)
+    block, near = np.flatnonzero(keep), np.flatnonzero(reach)
+    u = exp_block(generator, charge, near, near)
+    inner = keep[near]
+    u_out, u_in = u[inner], u[:, inner]
+    gap = np.max([np.abs(_ascending_product(u_out, dense(a, near, block))
+                         - _ascending_product(dense(m, block, near), u_in)).max()
+                  for a, m in pairs])
+    return float(gap) / float(np.abs(u_out[:, inner]).max())
+
+
+def _full_product_deviation(generator, charge, pairs, keep) -> float:
+    """intertwining_deviation off the full Operator products u @ a and m @ u."""
+    block = np.flatnonzero(keep)
+    u = matrix_exp(generator, charge)
+    gap = max(np.abs(dense(u @ a - m @ u, block, block)).max() for a, m in pairs)
+    return gap / np.abs(dense(u, block, block)).max()
+
+
+def _intertwining_cases(n_max):
+    """(generator, charge, pairs, keep) of the similarity checks at n_max: FT at 0.3 and
+    -0.6, IS at 0.3i, and FT at 0.3 with a NaN in the plain a1 on the compared block."""
     from bateman.construction import transform
     from bateman.ft import FT, generator_matrix
     from bateman.imagscale import IS, generator_z_matrix
 
     lad = build_ladder(n_max)
     keep = window_mask(lad.space, low_block(n_max))
-    block = np.flatnonzero(keep)
     names = ("ann1", "cre1", "ann2", "cre2")
+    cases = []
     for con, g, angle in ((FT, generator_matrix(lad), 0.3), (FT, generator_matrix(lad), -0.6),
                           (IS, generator_z_matrix(lad), 0.3j)):
         plain, modes = transform(con, 0.0, lad), transform(con, angle, lad)
-        pairs = [(getattr(plain, n), getattr(modes, n)) for n in names]
-        u = matrix_exp(angle * g, lad.space.difference)
-        gap = max(np.abs(dense(u @ a - m @ u, block, block)).max() for a, m in pairs)
-        want = gap / np.abs(dense(u, block, block)).max()
-        assert intertwining_deviation(angle * g, lad.space.difference, pairs, keep) == want
+        cases.append((angle * g, lad.space.difference,
+                      [(getattr(plain, n), getattr(modes, n)) for n in names], keep))
+    (k, w), = lad.a1.diagonals.items()
+    bent = dataclasses.replace(lad, a1=Operator(lad.space.dim, {k: np.where(
+        np.arange(len(w)) == lad.space.index(0, 0), complex(math.nan), w)}))
+    plain, modes = transform(FT, 0.0, bent), transform(FT, 0.3, lad)
+    cases.append((0.3 * generator_matrix(lad), lad.space.difference,
+                  [(getattr(plain, n), getattr(modes, n)) for n in names],
+                  window_mask(lad.space, max(1, low_block(n_max)))))
+    return cases
 
+
+def _tilde_cases():
+    from bateman.imagscale import TILDE_CHAIN_N_MAX, generator_y_matrix, tilde_pair
+
+    rungs = np.arange(TILDE_CHAIN_N_MAX + 1)
+    ann = single_mode_lowering(TILDE_CHAIN_N_MAX + 1)
+    return [(phi * generator_y_matrix(ann, ann.T), rungs % 2,
+             list(zip((ann, ann.T), tilde_pair(phi, ann, ann.T))),
+             rungs <= low_block(TILDE_CHAIN_N_MAX)) for phi in (0.2j, 0.3j)]
+
+
+@pytest.mark.parametrize("n_max", [8, 12, 24, 48, "tilde"])
+def test_intertwining_block_equals_the_full_products(n_max):
+    # the products read off the stored diagonals sum each entry in ascending state
+    # index, as the dense products over the reached states and the Operator products
+    # u @ a and m @ u do, so all three routes give the deviation bit for bit; a NaN
+    # in a ladder entry on the block reaches it on every route
+    cases = _tilde_cases() if n_max == "tilde" else _intertwining_cases(n_max)
+    for case in cases:
+        got = intertwining_deviation(*case)
+        for want in (_dense_route_deviation(*case), _full_product_deviation(*case)):
+            assert got.hex() == want.hex()
+    if n_max != "tilde":
+        assert math.isnan(got)

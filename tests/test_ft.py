@@ -141,8 +141,8 @@ def test_basis_two_routes():
     ft = transform(FT, 0.3, build_ladder(24))
     vacuum = ft_vacuum_series(0.3, ft.space)
     states = ((0, 0), (1, 0), (1, 1), (2, 1))
-    for (n1, n2), (k2, b2) in zip(states, ft_basis_similarity(ft, states), strict=True):
-        k1, b1 = basis(ft, n1, n2, vacuum)
+    kets, bras = basis(ft, states, vacuum)
+    for k1, b1, (k2, b2) in zip(kets.T, bras, ft_basis_similarity(ft, states), strict=True):
         assert np.max(np.abs(k1 - k2)) <= 1e-10
         assert np.max(np.abs(b1 - b2)) <= 1e-10
         assert abs(b1 @ k1 - 1.0) <= 1e-12

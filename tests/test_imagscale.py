@@ -310,7 +310,8 @@ def test_check_matrix_elements(params):
         rep = bounded_frame(IS.quarter(branch), lad)
         h = build_hamiltonian(rep.ladder, params).h
         for n1, n2 in ((0, 0), (1, 0), (1, 1), (2, 1)):
-            ket, bra = basis(rep, n1, n2, is_vacuum(rep))
+            kets, bras = basis(rep, [(n1, n2)], is_vacuum(rep))
+            ket, bra = kets[:, 0], bras[0]
             got = bra @ (h @ ket)
             want = eigenvalue(IS, n1, n2, branch).as_complex(params)
             assert abs(got - want) <= 1e-10
@@ -318,7 +319,7 @@ def test_check_matrix_elements(params):
 
 def test_check_headroom_guard(rep12):
     with pytest.raises(HeadroomError):
-        basis(rep12, 6, 5, is_vacuum(rep12))  # n1+n2 > n_max - 2
+        basis(rep12, [(6, 5)], is_vacuum(rep12))  # n1+n2 > n_max - 2
 
 
 def test_check_h_not_normal(rep12, params):

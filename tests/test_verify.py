@@ -188,6 +188,16 @@ def test_h_structure_fails_on_a_term_that_breaks_commutation(monkeypatch, hbar):
     assert not result.passed and result.detail["hermiticity"] == 0.0
 
 
+@pytest.mark.parametrize("hbar", [3.0, 1e200, 1e300])
+def test_h_structure_reports_the_commutator_relative_to_its_factors(hbar):
+    # the round-off commutator of H0 / hbar and H1 / hbar times hbar^2 read 1.8e-13 at
+    # hbar 3 and inf at 1e200 and 1e300; relative to max|H0| max|H1| it is scale-free
+    result = verify.check_h_structure(VerifyConfig(params=derive_params(1.0, 1.0, 1.25,
+                                                                        hbar=hbar)))
+    assert result.passed
+    assert 0.0 <= result.detail["h0_h1_commutator"] <= 1e-15
+
+
 def test_n_max_upper_bound(params):
     assert VerifyConfig(params=params, n_max=48).n_max == 48
     with pytest.raises(DomainError, match="bytes"):
