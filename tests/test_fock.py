@@ -523,8 +523,8 @@ def _full_product_deviation(generator, charge, pairs, keep) -> float:
     """intertwining_deviation off the full Operator products u @ a and m @ u."""
     block = np.flatnonzero(keep)
     u = matrix_exp(generator, charge)
-    gap = max(np.abs(dense(u @ a - m @ u, block, block)).max() for a, m in pairs)
-    return gap / np.abs(dense(u, block, block)).max()
+    gap = np.max([np.abs(dense(u @ a - m @ u, block, block)).max() for a, m in pairs])
+    return float(gap) / float(np.abs(dense(u, block, block)).max())  # np.max keeps a NaN
 
 
 def _intertwining_cases(n_max):
