@@ -45,7 +45,6 @@ import argparse  # noqa: E402
 import compileall  # noqa: E402
 import importlib  # noqa: E402
 import importlib.util  # noqa: E402
-import inspect  # noqa: E402
 import itertools  # noqa: E402
 import json  # noqa: E402
 import math  # noqa: E402
@@ -214,19 +213,6 @@ def column_sweep(algebra, ops, bras, kets) -> None:
                 column.get(m)
 
 
-def block_basis(construction):
-    """basis(modes, states, vacuum) -> (kets, bras) of the tree's construction module: its
-    own `basis` where that takes a block of states, else one call per state, stacked as
-    `is.matrix-element` stacked them."""
-    if "states" in inspect.signature(construction.basis).parameters:
-        return construction.basis
-
-    def per_state(modes, states, vacuum):
-        kets, bras = zip(*(construction.basis(modes, n1, n2, vacuum) for n1, n2 in states))
-        return np.stack(kets, axis=1), np.stack(bras)
-    return per_state
-
-
 def oracle_matrix_half(verify, draws) -> list[complex]:
     verify._ladder.cache_clear()  # the check starts from an empty ladder cache
     return verify._oracle_numeric(draws)
@@ -283,13 +269,13 @@ def build_rows(src: Path, label: str = "this") -> dict[str, tuple]:
                 con.transform(route, route.quarter(+1), lad), params, **at, route=name)
         add("ladder_product", operator.matmul, lad.a1, lad.a2, calls=100, **at)
         add("commutator_h0_h1", fock.commutator, ham.h0, ham.h1, **at)
-        q_cap = min(3, max(0, (n_max - 2) // 2))  # the occupations of ft.gram and is.gram
+        q_cap = verify._gram_q_cap(n_max)  # the occupations of ft.gram and is.gram
         bounded = imag.bounded_frame(1j * math.pi / 4, lad)
         grams = {"ft theta 0.3": (bar, ft.ft_vacuum_series(0.3, space)),
                  "bounded i pi/4": (bounded, imag.is_vacuum(bounded))}
         for name, (modes, vacuum) in grams.items():
             add("gram", con.gram, modes, vacuum, q_cap, **at, frame=name, q_cap=q_cap)
-        add("basis", block_basis(con), bounded, TRIANGLE, imag.is_vacuum(bounded), **at,
+        add("basis", con.basis, bounded, TRIANGLE, imag.is_vacuum(bounded), **at,
             frame="bounded i pi/4", states=len(TRIANGLE))
 
     for theta in ft.MODERATE_GRID + tuple(math.pi / 2 - eps for eps in ft.EDGE_EPSILONS):

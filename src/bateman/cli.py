@@ -26,7 +26,7 @@ from .errors import BatemanError, DomainError
 from .ft import EDGE_EPSILONS, FT, MODERATE_GRID, NORMS_STATES
 from .imagscale import IS
 from .params import PhysicalParams, derive_params
-from .verify import VerifyConfig, all_passed, run_suite
+from .verify import SUITE_NAMES, VerifyConfig, all_passed, run_suite
 
 __all__ = ["main", "build_parser"]
 
@@ -461,8 +461,7 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
         help_line, flags = _SUBCOMMANDS[name]
         sp = sub.add_parser(name, help=help_line)
         if name == "verify":
-            sp.add_argument("suite", nargs="?", default="all",
-                            choices=("algebra", "ft", "is", "dynamics", "all"))
+            sp.add_argument("suite", nargs="?", default="all", choices=(*SUITE_NAMES, "all"))
         _add_flags(sp, *flags.split())
     return parser
 

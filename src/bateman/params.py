@@ -35,7 +35,8 @@ def derive_params(m: float, gamma: float, k: float, hbar: float = 1.0) -> Physic
     """Validate (m, gamma, k, hbar) and derive (omega, lam).
 
     Raises OverdampedError when 4*m*k <= gamma**2 (boundary included) and
-    DomainError for non-positive or non-finite inputs.
+    DomainError for non-positive or non-finite inputs, and for inputs whose omega or
+    lam is not finite.
     """
     values = {"m": m, "gamma": gamma, "k": k, "hbar": hbar}
     for name, value in values.items():
@@ -50,4 +51,8 @@ def derive_params(m: float, gamma: float, k: float, hbar: float = 1.0) -> Physic
         )
     lam = gamma / (2.0 * m)
     omega = math.sqrt(k / m - lam * lam)
+    if not (math.isfinite(omega) and math.isfinite(lam)):
+        # k/m or lam**2 overflows even though 4*m*k > gamma**2 holds
+        raise DomainError(f"derived frequencies are not finite: k/m = {k / m!r}, "
+                          f"lam = gamma/(2m) = {lam!r}, omega = {omega!r}")
     return PhysicalParams(m=m, gamma=gamma, k=k, hbar=hbar, omega=omega, lam=lam)

@@ -6,7 +6,9 @@ tolerance, passed) so reports stay self-describing.  Each check declares its
 claim, its tolerance and the truncation it reads (`_check`), so
 check.description(cfg), check.tolerance(cfg) and check.n_max are read without
 running it; its body returns only its deviation, and a detail dict if it has
-one.  Exact checks declare tolerance 0 and count mismatches.  A corrupt hook is
+one.  A check's suite is its id's prefix, and the checks of each suite are
+declared here in the order they report.  Exact checks declare tolerance 0 and
+count mismatches.  A corrupt hook is
 provided as a negative control for the reporting pipeline: it inflates the
 targeted check's deviation and must flip the exit status.
 """
@@ -70,7 +72,6 @@ from .params import PhysicalParams, derive_params
 
 __all__ = ["CheckResult", "VerifyConfig", "SUITE_NAMES", "run_suite", "all_passed"]
 
-SUITE_NAMES = ("algebra", "ft", "is", "dynamics")
 #: largest accepted --n-max.  Operators are stored as their diagonals, offsets x dim
 #: complex entries of 16 bytes; most hold a few offsets, the largest is an exponential
 #: of X or Z, whose sector blocks fill 2 n_max + 1 offsets of the (n_max+1)^2 states
@@ -130,6 +131,10 @@ def _worst(*deviations: float) -> float:
     return max(deviations)
 
 
+#: each suite's checks in report order, filed by `_check` under their id's prefix
+SUITES: dict[str, list] = {}
+
+
 def _check(check_id: str, description, tolerance, n_max: int | None = None, **args):
     """Declare a check: the claim it reports, its tolerance and the truncation it reads.
 
@@ -140,7 +145,8 @@ def _check(check_id: str, description, tolerance, n_max: int | None = None, **ar
     or (deviation, detail).  A check that reads a truncated ladder declares its default
     n_max, and its body is called as body(cfg, ladder of cfg.resolve(n_max), **args);
     any other body as body(cfg, **args).  args holds a shared body's own arguments for
-    this check, such as its construction `con`, paper formula or angles.
+    this check, such as its construction `con`, paper formula or angles.  The check is
+    filed in SUITES under its id's prefix, after the checks declared before it.
     """
     def declared(value):
         if not callable(value):
@@ -165,6 +171,7 @@ def _check(check_id: str, description, tolerance, n_max: int | None = None, **ar
 
         check.check_id, check.n_max = check_id, n_max
         check.description, check.tolerance = declared(description), declared(tolerance)
+        SUITES.setdefault(check_id.split(".")[0], []).append(check)
         return check
 
     return declare
@@ -396,21 +403,8 @@ def check_oracle_cross_validation(cfg: VerifyConfig):
     return _worst(*gaps)
 
 
-ALGEBRA_SUITE = [
-    check_params_examples,
-    check_normal_order,
-    check_vacuum_pairing,
-    check_biorthonormality,
-    check_matrix_element_examples,
-    check_commutators_interior,
-    check_boundary_defect,
-    check_h_structure,
-    check_oracle_cross_validation,
-]
-
-
 # ---------------------------------------------------------------------------
-# checks shared by the ft and is suites
+# ft and is suites: each ft check followed by its is twin, a shared body above both
 
 
 _SWEEP_STATES = [(n1, n2) for n1 in range(6) for n2 in range(6) if n1 + n2 <= 5]
@@ -479,6 +473,49 @@ check_is_closed_form = _check(
                          "cre1": lad.a1_dag, "cre2": (-1j) * lad.a2})(_closed_form)
 
 
+@_check("ft.similarity", "e^{theta X} a = (bar a) e^{theta X} on the low block", 1e-8, n_max=24)
+def check_ft_similarity(cfg: VerifyConfig, lad):
+    thetas = sorted({0.1, cfg.theta})
+    x = ft.generator_matrix(lad)
+    dev = _worst(*(similarity_deviation(ft.FT, transform(ft.FT, theta, lad), x)
+                   for theta in thetas))
+    return dev, {"thetas": list(thetas), "window": low_block(lad.space.n_max),
+                 "n_max": lad.space.n_max}
+
+
+@_check("ft.exp-inverse", "exp(theta X) exp(-theta X) = identity", 1e-12, n_max=8)
+def check_exp_inverse(cfg: VerifyConfig, lad):
+    x = ft.generator_matrix(lad)
+    # both exponentials are 0 between sectors, and theta X and -theta X share
+    # their sectors and stacks: u u^{-1} is one batched product per stack
+    raw, u_rows, inv_rows = 0.0, 0.0, 0.0
+    for (_, u), (_, u_inv) in zip(sector_exp(cfg.theta * x, lad.space.difference),
+                                  sector_exp(-cfg.theta * x, lad.space.difference)):
+        raw = _worst(raw, max_abs(u @ u_inv - np.eye(u.shape[1])))
+        u_rows = _worst(u_rows, max_abs(np.abs(u).sum(axis=2)))
+        inv_rows = _worst(inv_rows, max_abs(np.abs(u_inv).sum(axis=2)))
+    # ||e^{theta X}|| grows like e^{theta n_max}; the resolution-independent
+    # statement is the residual relative to the factor norms (max row sums)
+    kappa = u_rows * inv_rows
+    return raw / kappa, {"raw_deviation": raw, "kappa": kappa}
+
+
+@_check("is.tilde", "mode-2 squeeze: similarity routes, pi/2 closed form, Z composition", 1e-8,
+        n_max=12)
+def check_is_tilde(cfg: VerifyConfig, lad):
+    dev_sim = _worst(*(imagscale.tilde_similarity_deviation(phi) for phi in (0.2j, 0.3j)))
+    t_ann, t_cre = imagscale.tilde_pair(math.pi / 2, lad.a2, lad.a2_dag)
+    dev_cf = _worst(max_abs(t_ann - (-1j) * lad.a2_dag), max_abs(t_cre - (-1j) * lad.a2))
+    z_built = lad.a1_dag @ t_ann + t_cre @ lad.a1
+    dev_z = max_abs(z_built - imagscale.generator_z_matrix(lad))
+    chi_lad = _ladder(cfg.resolve(24))
+    dev_chi = similarity_deviation(imagscale.IS, transform(imagscale.IS, 0.3j, chi_lad),
+                                   imagscale.generator_z_matrix(chi_lad))
+    return _worst(dev_sim, dev_cf, dev_z, dev_chi), {
+        "squeeze_similarity": dev_sim, "closed_form": dev_cf, "z_composition": dev_z,
+        "chi_similarity": dev_chi}
+
+
 def _commutators(cfg: VerifyConfig, lad, con: Construction, angle):
     space = lad.space
     eye = identity(space.dim)
@@ -539,6 +576,51 @@ check_is_identity_generic = _check(
     _identity_roundoff, n_max=12, con=imagscale.IS, angle=lambda cfg: 0.2j)(_identity_generic)
 
 
+def _ft_vacuum_tail(cfg: VerifyConfig, n_max: int) -> float:
+    # the pairing sums tan^2 per rung, and the truncation drops every rung past n_max
+    return abs(math.tan(cfg.theta)) ** (2 * (n_max + 1))
+
+
+@_check("ft.vacuum-series", "vacuum pairing telescopes to 1; divergence signaled at pi/4",
+        lambda cfg, n_max: max(1e-12, 2.0 * _ft_vacuum_tail(cfg, n_max)), n_max=24)
+def check_ft_vacuum(cfg: VerifyConfig, lad):
+    ket, bra = ft.ft_vacuum_series(cfg.theta, lad.space)
+    dev = abs(bra @ ket - 1.0)
+    mismatch = 0
+    k0, b0 = ft.ft_vacuum_series(0.0, lad.space)
+    unit = np.zeros(lad.space.dim)
+    unit[lad.space.index(0, 0)] = 1.0
+    if max_abs(k0 - unit) != 0.0 or max_abs(b0 - unit) != 0.0:
+        mismatch += 1
+    try:
+        ft.ft_vacuum_series(math.pi / 4, lad.space)
+        mismatch += 1
+    except SeriesDivergence:
+        pass
+    return dev + mismatch, {"geometric_tail": _ft_vacuum_tail(cfg, lad.space.n_max)}
+
+
+@_check("is.vacuum", "bounded-frame vacuum e_(0,0): check annihilators kill it, check creators "
+        "kill it from the left, (b1, b2) mixing has |det| 1 (both branches)", 1e-12, n_max=8)
+def check_is_vacuum(cfg: VerifyConfig, lad):
+    zero = [lad.space.index(0, 0)]
+    one_quantum = [lad.space.index(1, 0), lad.space.index(0, 1)]
+    kernel, det_gap = 0.0, 0.0
+    for branch in (+1, -1):
+        frame = imagscale.bounded_frame(imagscale.IS.quarter(branch), lad)
+        ket, bra = imagscale.is_vacuum(frame)
+        kernel = _worst(kernel, max_abs(frame.ann1 @ ket), max_abs(frame.ann2 @ ket),
+                        max_abs(bra @ frame.cre1), max_abs(bra @ frame.cre2))
+        # the mixings of (b1, b2) and (b1+, b2+), read off the entries from e_(1,0)
+        # and e_(0,1) to e_(0,0) (of the transposed creators).  Only with the
+        # ladder weights, which is.commutators checks, does an invertible
+        # mixing leave e_(0,0) the only joint kernel vector on each side
+        for first, second in ((frame.ann1, frame.ann2), (frame.cre1.T, frame.cre2.T)):
+            (a, b), (c, d) = (dense(op, zero, one_quantum)[0] for op in (first, second))
+            det_gap = _worst(det_gap, abs(abs(a * d - b * c) - 1.0))
+    return _worst(kernel, det_gap), {"kernel": kernel, "det_gap": det_gap}
+
+
 def _gram_q_cap(n_max: int) -> int:
     """The largest occupation a Gram pairs, two rungs of headroom per quantum below n_max."""
     return min(3, max(0, (n_max - 2) // 2))
@@ -573,109 +655,6 @@ check_ft_gram = _check(
 check_is_gram = _check(
     "is.gram", lambda cfg, n_max: "bounded-frame Gram is identity for occupations <= "
     f"{_gram_q_cap(n_max)}", 1e-12, n_max=12, frame=_is_frame)(_gram)
-
-
-def _heisenberg(cfg: VerifyConfig, lad, con: Construction):
-    params = cfg.params
-    h = build_hamiltonian(lad, params).h
-    dev = 0.0
-    for branch in (+1, -1):
-        tr = transform(con, con.quarter(branch), lad)
-        for mode, kind, op in ((1, "ann", tr.ann1), (2, "ann", tr.ann2),
-                               (1, "cre", tr.cre1), (2, "cre", tr.cre2)):
-            lhs = commutator(op, h) / (1j * params.hbar)
-            rate = heisenberg_rate(con, mode, kind, branch, params)
-            dev = _worst(dev, interior_deviation(lhs, rate * op, lad.space))
-    return dev
-
-
-def _rate_roundoff(cfg: VerifyConfig, n_max: int) -> float:
-    # the rates, and the round-off of [op, H] / hbar, grow with omega and lambda
-    return 1e-10 * max(1, cfg.params.omega, cfg.params.lam)
-
-
-check_ft_heisenberg = _check(
-    "ft.heisenberg", "(i hbar)^-1 [bar op, H] equals the closed-form rate times the op",
-    _rate_roundoff, n_max=12, con=ft.FT)(_heisenberg)
-check_is_heisenberg = _check(
-    "is.heisenberg", "(i hbar)^-1 [check op, H] equals the closed-form rate times the op",
-    _rate_roundoff, n_max=12, con=imagscale.IS)(_heisenberg)
-
-
-def _xy(cfg: VerifyConfig, lad, con: Construction):
-    x_ref, y_ref = position_operators(lad, cfg.params)
-    dev = 0.0
-    for branch in (+1, -1):
-        tr = transform(con, con.quarter(branch), lad)
-        x0, y0 = xy_operators(con, branch, 0.0, tr, cfg.params)
-        dev = _worst(dev, max_abs(x0 - x_ref), max_abs(y0 - y_ref))
-    return dev
-
-
-def _length_roundoff(cfg: VerifyConfig, n_max: int) -> float:
-    # x and y carry the length scale sqrt(hbar / m omega)
-    return 1e-12 * max(1, math.sqrt(cfg.params.hbar / (cfg.params.m * cfg.params.omega)))
-
-
-check_ft_xy = _check("ft.xy-reconstruction", "x(0), y(0) reassemble the rotated position pair",
-                     _length_roundoff, n_max=12, con=ft.FT)(_xy)
-check_is_xy = _check("is.xy-reconstruction", "x(0), y(0) reassemble the rotated position pair",
-                     _length_roundoff, n_max=12, con=imagscale.IS)(_xy)
-
-
-# ---------------------------------------------------------------------------
-# ft suite
-
-
-@_check("ft.similarity", "e^{theta X} a = (bar a) e^{theta X} on the low block", 1e-8, n_max=24)
-def check_ft_similarity(cfg: VerifyConfig, lad):
-    thetas = sorted({0.1, cfg.theta})
-    x = ft.generator_matrix(lad)
-    dev = _worst(*(similarity_deviation(ft.FT, transform(ft.FT, theta, lad), x)
-                   for theta in thetas))
-    return dev, {"thetas": list(thetas), "window": low_block(lad.space.n_max),
-                 "n_max": lad.space.n_max}
-
-
-@_check("ft.exp-inverse", "exp(theta X) exp(-theta X) = identity", 1e-12, n_max=8)
-def check_exp_inverse(cfg: VerifyConfig, lad):
-    x = ft.generator_matrix(lad)
-    # both exponentials are 0 between sectors, and theta X and -theta X share
-    # their sectors and stacks: u u^{-1} is one batched product per stack
-    raw, u_rows, inv_rows = 0.0, 0.0, 0.0
-    for (_, u), (_, u_inv) in zip(sector_exp(cfg.theta * x, lad.space.difference),
-                                  sector_exp(-cfg.theta * x, lad.space.difference)):
-        raw = _worst(raw, max_abs(u @ u_inv - np.eye(u.shape[1])))
-        u_rows = _worst(u_rows, max_abs(np.abs(u).sum(axis=2)))
-        inv_rows = _worst(inv_rows, max_abs(np.abs(u_inv).sum(axis=2)))
-    # ||e^{theta X}|| grows like e^{theta n_max}; the resolution-independent
-    # statement is the residual relative to the factor norms (max row sums)
-    kappa = u_rows * inv_rows
-    return raw / kappa, {"raw_deviation": raw, "kappa": kappa}
-
-
-def _ft_vacuum_tail(cfg: VerifyConfig, n_max: int) -> float:
-    # the pairing sums tan^2 per rung, and the truncation drops every rung past n_max
-    return abs(math.tan(cfg.theta)) ** (2 * (n_max + 1))
-
-
-@_check("ft.vacuum-series", "vacuum pairing telescopes to 1; divergence signaled at pi/4",
-        lambda cfg, n_max: max(1e-12, 2.0 * _ft_vacuum_tail(cfg, n_max)), n_max=24)
-def check_ft_vacuum(cfg: VerifyConfig, lad):
-    ket, bra = ft.ft_vacuum_series(cfg.theta, lad.space)
-    dev = abs(bra @ ket - 1.0)
-    mismatch = 0
-    k0, b0 = ft.ft_vacuum_series(0.0, lad.space)
-    unit = np.zeros(lad.space.dim)
-    unit[lad.space.index(0, 0)] = 1.0
-    if max_abs(k0 - unit) != 0.0 or max_abs(b0 - unit) != 0.0:
-        mismatch += 1
-    try:
-        ft.ft_vacuum_series(math.pi / 4, lad.space)
-        mismatch += 1
-    except SeriesDivergence:
-        pass
-    return dev + mismatch, {"geometric_tail": _ft_vacuum_tail(cfg, lad.space.n_max)}
 
 
 def _ft_two_route_tolerance(cfg: VerifyConfig, n_max: int) -> float:
@@ -738,67 +717,6 @@ def check_ft_norm_trend(cfg: VerifyConfig):
     return mismatch, {"values": values}
 
 
-FT_SUITE = [
-    check_ft_spectrum,
-    check_ft_derivation,
-    check_ft_reconstruction,
-    check_ft_similarity,
-    check_exp_inverse,
-    check_ft_commutators,
-    check_ft_identity_quarter,
-    check_ft_identity_generic,
-    check_ft_vacuum,
-    check_ft_gram,
-    check_ft_two_route,
-    check_ft_norm_closed_forms,
-    check_ft_norm_fits,
-    check_ft_norm_trend,
-    check_ft_heisenberg,
-    check_ft_xy,
-]
-
-
-# ---------------------------------------------------------------------------
-# is suite
-
-
-@_check("is.tilde", "mode-2 squeeze: similarity routes, pi/2 closed form, Z composition", 1e-8,
-        n_max=12)
-def check_is_tilde(cfg: VerifyConfig, lad):
-    dev_sim = _worst(*(imagscale.tilde_similarity_deviation(phi) for phi in (0.2j, 0.3j)))
-    t_ann, t_cre = imagscale.tilde_pair(math.pi / 2, lad.a2, lad.a2_dag)
-    dev_cf = _worst(max_abs(t_ann - (-1j) * lad.a2_dag), max_abs(t_cre - (-1j) * lad.a2))
-    z_built = lad.a1_dag @ t_ann + t_cre @ lad.a1
-    dev_z = max_abs(z_built - imagscale.generator_z_matrix(lad))
-    chi_lad = _ladder(cfg.resolve(24))
-    dev_chi = similarity_deviation(imagscale.IS, transform(imagscale.IS, 0.3j, chi_lad),
-                                   imagscale.generator_z_matrix(chi_lad))
-    return _worst(dev_sim, dev_cf, dev_z, dev_chi), {
-        "squeeze_similarity": dev_sim, "closed_form": dev_cf, "z_composition": dev_z,
-        "chi_similarity": dev_chi}
-
-
-@_check("is.vacuum", "bounded-frame vacuum e_(0,0): check annihilators kill it, check creators "
-        "kill it from the left, (b1, b2) mixing has |det| 1 (both branches)", 1e-12, n_max=8)
-def check_is_vacuum(cfg: VerifyConfig, lad):
-    zero = [lad.space.index(0, 0)]
-    one_quantum = [lad.space.index(1, 0), lad.space.index(0, 1)]
-    kernel, det_gap = 0.0, 0.0
-    for branch in (+1, -1):
-        frame = imagscale.bounded_frame(imagscale.IS.quarter(branch), lad)
-        ket, bra = imagscale.is_vacuum(frame)
-        kernel = _worst(kernel, max_abs(frame.ann1 @ ket), max_abs(frame.ann2 @ ket),
-                        max_abs(bra @ frame.cre1), max_abs(bra @ frame.cre2))
-        # the mixings of (b1, b2) and (b1+, b2+), read off the entries from e_(1,0)
-        # and e_(0,1) to e_(0,0) (of the transposed creators).  Only with the
-        # ladder weights, which is.commutators checks, does an invertible
-        # mixing leave e_(0,0) the only joint kernel vector on each side
-        for first, second in ((frame.ann1, frame.ann2), (frame.cre1.T, frame.cre2.T)):
-            (a, b), (c, d) = (dense(op, zero, one_quantum)[0] for op in (first, second))
-            det_gap = _worst(det_gap, abs(abs(a * d - b * c) - 1.0))
-    return _worst(kernel, det_gap), {"kernel": kernel, "det_gap": det_gap}
-
-
 @_check("is.matrix-element", "bounded-frame basis kets and bras are eigenvectors of H, "
         "max|H k - E k| relative to hbar (omega + lambda) (n1 + n2 + 1) (both branches)", 1e-12,
         n_max=12)
@@ -830,6 +748,54 @@ def check_is_matrix_element(cfg: VerifyConfig, lad):
                  "nonnormality_witness": witness * params.hbar * params.hbar}
 
 
+def _heisenberg(cfg: VerifyConfig, lad, con: Construction):
+    params = cfg.params
+    h = build_hamiltonian(lad, params).h
+    dev = 0.0
+    for branch in (+1, -1):
+        tr = transform(con, con.quarter(branch), lad)
+        for mode, kind, op in ((1, "ann", tr.ann1), (2, "ann", tr.ann2),
+                               (1, "cre", tr.cre1), (2, "cre", tr.cre2)):
+            lhs = commutator(op, h) / (1j * params.hbar)
+            rate = heisenberg_rate(con, mode, kind, branch, params)
+            dev = _worst(dev, interior_deviation(lhs, rate * op, lad.space))
+    return dev
+
+
+def _rate_roundoff(cfg: VerifyConfig, n_max: int) -> float:
+    # the rates, and the round-off of [op, H] / hbar, grow with omega and lambda
+    return 1e-10 * max(1, cfg.params.omega, cfg.params.lam)
+
+
+check_ft_heisenberg = _check(
+    "ft.heisenberg", "(i hbar)^-1 [bar op, H] equals the closed-form rate times the op",
+    _rate_roundoff, n_max=12, con=ft.FT)(_heisenberg)
+check_is_heisenberg = _check(
+    "is.heisenberg", "(i hbar)^-1 [check op, H] equals the closed-form rate times the op",
+    _rate_roundoff, n_max=12, con=imagscale.IS)(_heisenberg)
+
+
+def _xy(cfg: VerifyConfig, lad, con: Construction):
+    x_ref, y_ref = position_operators(lad, cfg.params)
+    dev = 0.0
+    for branch in (+1, -1):
+        tr = transform(con, con.quarter(branch), lad)
+        x0, y0 = xy_operators(con, branch, 0.0, tr, cfg.params)
+        dev = _worst(dev, max_abs(x0 - x_ref), max_abs(y0 - y_ref))
+    return dev
+
+
+def _length_roundoff(cfg: VerifyConfig, n_max: int) -> float:
+    # x and y carry the length scale sqrt(hbar / m omega)
+    return 1e-12 * max(1, math.sqrt(cfg.params.hbar / (cfg.params.m * cfg.params.omega)))
+
+
+check_ft_xy = _check("ft.xy-reconstruction", "x(0), y(0) reassemble the rotated position pair",
+                     _length_roundoff, n_max=12, con=ft.FT)(_xy)
+check_is_xy = _check("is.xy-reconstruction", "x(0), y(0) reassemble the rotated position pair",
+                     _length_roundoff, n_max=12, con=imagscale.IS)(_xy)
+
+
 @_check("is.xy-conjugation", "symbol conjugation maps the x(t) expression onto y(t)", 0.0)
 def check_is_conjugation(cfg: VerifyConfig):
     pairs = [xy_terms(imagscale.IS, sign) for sign in (+1, -1)]
@@ -847,24 +813,6 @@ def check_contrast(cfg: VerifyConfig):
             if ft_rec.p != is_rec.q or ft_rec.q != is_rec.p:
                 mismatch += 1
     return mismatch
-
-
-IS_SUITE = [
-    check_is_spectrum,
-    check_is_derivation,
-    check_is_closed_form,
-    check_is_tilde,
-    check_is_commutators,
-    check_is_identity_quarter,
-    check_is_identity_generic,
-    check_is_vacuum,
-    check_is_gram,
-    check_is_matrix_element,
-    check_is_heisenberg,
-    check_is_xy,
-    check_is_conjugation,
-    check_contrast,
-]
 
 
 # ---------------------------------------------------------------------------
@@ -962,21 +910,7 @@ def check_factor_examples(cfg: VerifyConfig):
     return dev
 
 
-DYNAMICS_SUITE = [
-    check_classification,
-    check_branch_antisymmetry,
-    check_pairing_norm,
-    check_eom_residuals,
-    check_factor_examples,
-]
-
-
-SUITES = {
-    "algebra": ALGEBRA_SUITE,
-    "ft": FT_SUITE,
-    "is": IS_SUITE,
-    "dynamics": DYNAMICS_SUITE,
-}
+SUITE_NAMES = tuple(SUITES)
 
 
 def run_suite(name: str, cfg: VerifyConfig) -> list[CheckResult]:

@@ -115,6 +115,13 @@ def test_theta_help_states_both_defaults(capsys):
         assert "(verify: default 0.3; norms: without it, the 8-angle grid, " in text
 
 
+def test_verify_help_lists_the_suites_and_all(capsys):
+    with pytest.raises(SystemExit) as done:
+        main(["verify", "--help"])
+    assert done.value.code == 0
+    assert "[{algebra,ft,is,dynamics,all}]" in capsys.readouterr().out
+
+
 # --- classify / evolve -------------------------------------------------------
 
 def test_classify_text(capsys):
@@ -299,6 +306,16 @@ def test_domain_error_exits_2(capsys):
     rc, _, err = run(capsys, "spectrum", "--gamma", "5")  # overdamped
     assert rc == 2
     assert "error" in err.lower()
+
+
+@pytest.mark.parametrize("command", ["spectrum", "classify", "norms", "verify"])
+@pytest.mark.parametrize("flags", [["--m", "1e-200", "--k", "1e200"],
+                                   ["--m", "1e-300", "--gamma", "1e-300", "--k", "1e10"]])
+def test_parameters_whose_omega_overflows_exit_2(capsys, command, flags):
+    # omega once printed as nan with exit 0
+    rc, out, err = run(capsys, command, *flags)
+    assert rc == 2
+    assert out == "" and err.startswith("error: derived frequencies are not finite: ")
 
 
 def test_out_writes_file(tmp_path, capsys):

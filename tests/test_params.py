@@ -50,6 +50,16 @@ def test_bad_inputs_rejected(bad):
         derive_params(**bad)
 
 
+@pytest.mark.parametrize("inputs,omega", [
+    (dict(m=1e-200, gamma=1.0, k=1e200), "nan"),    # k/m and lam**2 both overflow: inf - inf
+    (dict(m=1e-300, gamma=1e-300, k=1e10), "inf"),  # k/m overflows, lam = 0.5
+])
+def test_inputs_whose_frequencies_overflow_rejected(inputs, omega):
+    # each input is finite, positive and underdamped; only the derived omega is not finite
+    with pytest.raises(DomainError, match=f"not finite: k/m = inf, .*omega = {omega}$"):
+        derive_params(**inputs)
+
+
 @given(
     m=st.floats(0.1, 10.0),
     gamma=st.floats(0.01, 1.0),

@@ -32,8 +32,33 @@ def cfg(params):
 
 
 def test_suite_names_cover_registry():
-    assert set(SUITE_NAMES) == set(SUITES)
+    assert SUITE_NAMES == tuple(SUITES) == ("algebra", "ft", "is", "dynamics")
     assert sum(len(v) for v in SUITES.values()) == 44
+
+
+#: every suite's check ids in the order its report prints them
+_REPORT_ORDER = {
+    "algebra": ["algebra.params", "algebra.normal-order", "algebra.vacuum-pairing",
+                "algebra.biorthonormality", "algebra.matrix-element",
+                "algebra.commutators.interior", "algebra.boundary-defect", "algebra.h-structure",
+                "algebra.cross-validation"],
+    "ft": ["ft.spectrum", "ft.h-derivation", "ft.reconstruction", "ft.similarity",
+           "ft.exp-inverse", "ft.commutators", "ft.h-identity.quarter", "ft.h-identity.generic",
+           "ft.vacuum-series", "ft.gram", "ft.basis-two-route", "ft.norm.closed-forms",
+           "ft.norm.exponent-fits", "ft.norm.trend", "ft.heisenberg", "ft.xy-reconstruction"],
+    "is": ["is.spectrum", "is.h-derivation", "is.closed-form", "is.tilde", "is.commutators",
+           "is.h-identity.quarter", "is.h-identity.generic", "is.vacuum", "is.gram",
+           "is.matrix-element", "is.heisenberg", "is.xy-reconstruction", "is.xy-conjugation",
+           "is.contrast"],
+    "dynamics": ["dynamics.classification", "dynamics.branch-antisymmetry",
+                 "dynamics.pairing-norm", "dynamics.eom", "dynamics.factor"],
+}
+
+
+def test_each_suite_files_its_checks_in_report_order():
+    # a check's suite is its id's prefix, and its place is the order of the declarations
+    assert {suite: [fn.check_id for fn in checks] for suite, checks in SUITES.items()} \
+        == _REPORT_ORDER
 
 
 def test_algebra_suite_passes(cfg):
@@ -70,8 +95,9 @@ def test_crashing_check_is_reported(params):
     def boom(cfg):
         raise DomainError("synthetic failure")
 
-    SUITES["algebra"].append(boom)
     try:
+        # declaring it files it last in the suite its id names
+        assert SUITES["algebra"][-1] is boom
         results = run_suite("algebra", VerifyConfig(params=params, n_max=6))
         crashed = [r for r in results if r.deviation == math.inf]
         assert [r.check_id for r in crashed] == ["algebra.synthetic-case"]
