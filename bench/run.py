@@ -10,7 +10,7 @@ relative), so both trees run in this one interpreter, BLAS on one thread.
 
 A row is one layer at fixed input parameters, called as the CLI calls it
 (`build_rows`): the truncated kernels and four whole checks at n_max 8, 12, 24
-and 48, the standard norms, the biorthonormality sweep, the exact spectrum
+and 48, the standard norms and their exponent fits, the biorthonormality sweep, the exact spectrum
 sweep of each route and the 200-polynomial oracle, the CLI parser, every
 check of `verify all` at the CLI defaults,
 `import bateman.cli` in a cold child, with its peak RSS, and the CPU of
@@ -282,6 +282,9 @@ def build_rows(src: Path, label: str = "this") -> dict[str, tuple]:
         add("ft_standard_norm", lambda t=theta: [ft.ft_standard_norm(t / 2.0, *state)
                                                  for state in ft.NORMS_STATES],
             calls=100, Theta=theta, states=len(ft.NORMS_STATES))
+    add("ft_norm_exponent_fit", lambda: [ft.ft_norm_exponent_fit(ft.FIT_THETA_GRID, *state)
+                                         for state in ft.NORMS_STATES],
+        calls=100, states=len(ft.NORMS_STATES), thetas=len(ft.FIT_THETA_GRID))
     grids = [[(theta, *state) for state in ft.NORMS_STATES] for theta in ft.MODERATE_GRID]
     for cases in grids:
         add("_chain_standard_norms", ft._chain_standard_norms, cases, Theta=cases[0][0],

@@ -16,6 +16,7 @@ with their divergence at |Theta| = pi/2.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from fractions import Fraction
 
@@ -46,6 +47,7 @@ __all__ = [
 #: relative size below which a chain Taylor term, or the chain's neglected tail, is negligible
 _CONV = 1e-19
 _CONV_LOG = math.log(_CONV)
+_LOG2 = math.log(2.0)
 #: a chain row whose sum passes this is scaled down by a power of two, far from overflow
 _CHAIN_CEILING = 2.0 ** 600
 
@@ -164,6 +166,18 @@ def ft_norm_closed_forms(big_theta: float) -> dict[tuple[int, int], float]:
     return {(0, 0): 1.0 / c, (1, 0): 1.0 / c**2, (1, 1): (2.0 - c * c) / c**3}
 
 
+def _logaddexp(x: float, y: float) -> float:
+    """log(e^x + e^y), step for step as numpy's npy_logaddexp, so it keeps its bits."""
+    if x == y:  # also infinities of one sign, whose difference is NaN
+        return x + _LOG2
+    gap = x - y
+    if gap > 0:
+        return x + math.log1p(math.exp(-gap))
+    if gap <= 0:
+        return y + math.log1p(math.exp(gap))
+    return gap  # a NaN argument
+
+
 def ft_standard_norm(theta: complex, n1: int, n2: int) -> float:
     """Standard (dagger) squared norm of the bar basis ket |n1,n2>>.
 
@@ -172,6 +186,8 @@ def ft_standard_norm(theta: complex, n1: int, n2: int) -> float:
     Vitiello for this model) makes it a sum of min(n1, n2) + 1 positive terms,
     N = sum_j C(n1,j) C(n2,j) tan^{2j} Theta cos^{-(n1+n2-2j+1)} Theta, summed
     in log space so the blowup near the wall |Theta| = pi/2 stays accurate.
+    The log terms are folded left to right by `_logaddexp`, as
+    np.logaddexp.reduce folds them.
     """
     if n1 < 0 or n2 < 0:
         raise DomainError(f"occupation numbers must be >= 0, got ({n1}, {n2})")
@@ -187,12 +203,12 @@ def ft_standard_norm(theta: complex, n1: int, n2: int) -> float:
     log_cos = math.log(math.cos(big_theta))
     log_tan2 = 2.0 * math.log(abs(math.tan(big_theta)))
     log_fact = math.lgamma(n1 + 1) + math.lgamma(n2 + 1)
-    log_norm = float(np.logaddexp.reduce([
+    log_norm = functools.reduce(_logaddexp, (
         j * log_tan2 + log_fact - 2.0 * math.lgamma(j + 1)
         - math.lgamma(n1 - j + 1) - math.lgamma(n2 - j + 1)
         - (n1 + n2 - 2 * j + 1) * log_cos
         for j in range(min(n1, n2) + 1)
-    ]))
+    ))
     if log_norm > 700.0:
         raise NumericalError(f"standard norm overflows float64 (log = {log_norm:.3g})")
     return math.exp(log_norm)
@@ -301,14 +317,23 @@ def _chain_standard_norms(cases) -> list[float]:
 
 
 def ft_norm_exponent_fit(thetas, n1: int, n2: int) -> float:
-    """Least-squares slope of log norm against -log cos Theta; expected n1+n2+1."""
+    """Least-squares slope of log norm against -log cos Theta; expected n1+n2+1.
+
+    The slope of the ordinary least-squares line, in closed form:
+    sum (x - xbar)(y - ybar) / sum (x - xbar)^2, each sum an exact `math.fsum`.
+    """
     thetas = [float(t) for t in thetas]
     if len(thetas) < 3:
         raise FitError(f"exponent fit needs >= 3 samples, got {len(thetas)}")
-    xs = np.array([-math.log(math.cos(t)) for t in thetas])
-    ys = np.array([math.log(ft_standard_norm(t / 2.0, n1, n2)) for t in thetas])
-    slope, _ = np.polyfit(xs, ys, 1)
-    return float(slope)
+    xs = [-math.log(math.cos(t)) for t in thetas]
+    xbar = math.fsum(xs) / len(xs)
+    dxs = [x - xbar for x in xs]
+    spread = math.fsum(dx * dx for dx in dxs)
+    if spread == 0.0:
+        raise FitError(f"exponent fit needs distinct -log cos Theta, got Theta = {thetas}")
+    ys = [math.log(ft_standard_norm(t / 2.0, n1, n2)) for t in thetas]
+    ybar = math.fsum(ys) / len(ys)
+    return math.fsum(dx * (y - ybar) for dx, y in zip(dxs, ys)) / spread
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ amplified mirror y (m*y'' - gamma*y' + k*y = 0).  Only the underdamped regime
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import DomainError, OverdampedError
@@ -35,8 +36,8 @@ def derive_params(m: float, gamma: float, k: float, hbar: float = 1.0) -> Physic
     """Validate (m, gamma, k, hbar) and derive (omega, lam).
 
     Raises OverdampedError when 4*m*k <= gamma**2 (boundary included) and
-    DomainError for non-positive or non-finite inputs, and for inputs whose omega or
-    lam is not finite.
+    DomainError for non-positive, subnormal or non-finite inputs, and for inputs whose
+    omega or lam is not finite or is subnormal.
     """
     values = {"m": m, "gamma": gamma, "k": k, "hbar": hbar}
     for name, value in values.items():
@@ -44,6 +45,9 @@ def derive_params(m: float, gamma: float, k: float, hbar: float = 1.0) -> Physic
             raise DomainError(f"{name} must be finite, got {value!r}")
         if value <= 0.0:
             raise DomainError(f"{name} must be positive, got {value!r}")
+        if value < sys.float_info.min:
+            raise DomainError(f"{name} must be a normal float (>= {sys.float_info.min!r}), "
+                              f"got {value!r}")
     if 4.0 * m * k <= gamma * gamma:
         raise OverdampedError(
             f"underdamped regime requires 4*m*k > gamma**2; "
@@ -54,5 +58,9 @@ def derive_params(m: float, gamma: float, k: float, hbar: float = 1.0) -> Physic
     if not (math.isfinite(omega) and math.isfinite(lam)):
         # k/m or lam**2 overflows even though 4*m*k > gamma**2 holds
         raise DomainError(f"derived frequencies are not finite: k/m = {k / m!r}, "
+                          f"lam = gamma/(2m) = {lam!r}, omega = {omega!r}")
+    if min(omega, lam) < sys.float_info.min:
+        # a subnormal frequency has lost precision, and 1/omega or 1/lam overflows
+        raise DomainError(f"derived frequencies are not normal floats: "
                           f"lam = gamma/(2m) = {lam!r}, omega = {omega!r}")
     return PhysicalParams(m=m, gamma=gamma, k=k, hbar=hbar, omega=omega, lam=lam)

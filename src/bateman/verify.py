@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache, wraps
 
@@ -722,6 +722,7 @@ def check_ft_norm_trend(cfg: VerifyConfig):
         n_max=12)
 def check_is_matrix_element(cfg: VerifyConfig, lad):
     params = cfg.params
+    unit = replace(params, hbar=1.0)  # H / hbar and E / hbar, which do not scale with hbar
     cap = min(5, lad.space.n_max - 2)
     states = [(n1, n2) for n1 in range(cap + 1) for n2 in range(cap + 1 - n1)]
     dev = 0.0
@@ -730,16 +731,15 @@ def check_is_matrix_element(cfg: VerifyConfig, lad):
         frame = imagscale.bounded_frame(imagscale.IS.quarter(branch), lad)
         vacuum = imagscale.is_vacuum(frame)
         kets, bras = basis(frame, states, vacuum)
-        energy = np.array([eigenvalue(imagscale.IS, n1, n2, branch).as_complex(params)
+        energy = np.array([eigenvalue(imagscale.IS, n1, n2, branch).as_complex(unit)
                            for n1, n2 in states])
-        # hbar (omega + lambda) (n1 + n2 + 1) bounds |E| and the size of H on the
-        # state, so the round-off of H k stays below it however small omega is
-        scale = params.hbar * (params.omega + params.lam) * (np.sum(states, axis=1) + 1)
-        h = build_hamiltonian(frame.ladder, params).h
+        # (omega + lambda) (n1 + n2 + 1) bounds |E / hbar| and the size of H / hbar on
+        # the state, so the round-off of H k stays below it however small omega is
+        scale = (params.omega + params.lam) * (np.sum(states, axis=1) + 1)
+        h = build_hamiltonian(frame.ladder, unit).h  # its square neither underflows nor overflows
         dev = _worst(dev, max_abs((h @ kets - kets * energy) / scale),
                      max_abs((h.T @ bras.T - bras.T * energy) / scale))
-        unit = h / params.hbar  # H / hbar, whose square neither underflows nor overflows
-        witness = _worst(witness, max_abs(unit @ unit.conj().T - unit.conj().T @ unit))
+        witness = _worst(witness, max_abs(h @ h.conj().T - h.conj().T @ h))
     # the witness of H / hbar scales as omega lambda (156 of it at n_max 12)
     if params.gamma > 0 and witness <= 1e-6 * params.omega * params.lam:
         dev = _worst(dev, 1.0)  # H must fail to be normal once damping is on
@@ -750,13 +750,14 @@ def check_is_matrix_element(cfg: VerifyConfig, lad):
 
 def _heisenberg(cfg: VerifyConfig, lad, con: Construction):
     params = cfg.params
-    h = build_hamiltonian(lad, params).h
+    # H / hbar, built at hbar 1: [op, H] itself overflows at hbar 1e307
+    h = build_hamiltonian(lad, replace(params, hbar=1.0)).h
     dev = 0.0
     for branch in (+1, -1):
         tr = transform(con, con.quarter(branch), lad)
         for mode, kind, op in ((1, "ann", tr.ann1), (2, "ann", tr.ann2),
                                (1, "cre", tr.cre1), (2, "cre", tr.cre2)):
-            lhs = commutator(op, h) / (1j * params.hbar)
+            lhs = commutator(op, h) / 1j
             rate = heisenberg_rate(con, mode, kind, branch, params)
             dev = _worst(dev, interior_deviation(lhs, rate * op, lad.space))
     return dev

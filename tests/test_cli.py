@@ -318,6 +318,18 @@ def test_parameters_whose_omega_overflows_exit_2(capsys, command, flags):
     assert out == "" and err.startswith("error: derived frequencies are not finite: ")
 
 
+@pytest.mark.parametrize("flags", [["--hbar", "1e-310"], ["--hbar", "5e-324"],
+                                   ["--gamma", "1e-320"], ["--gamma", "1e-308"],
+                                   ["--gamma", "1e-300", "--m", "1e10"],
+                                   ["--k", "1e-310", "--m", "1e10", "--gamma", "1e-300"]])
+def test_subnormal_parameters_exit_2(capsys, flags):
+    # each once ran `verify all` to exit 1 on NaN deviations; the last two via a
+    # subnormal lam = 5e-311 and a subnormal k
+    rc, out, err = run(capsys, "verify", "all", *flags)
+    assert rc == 2
+    assert out == "" and err.startswith("error: ") and "normal float" in err
+
+
 def test_out_writes_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     rc, out, _ = run(capsys, "spectrum", "--n-cap", "1", "--out", str(target))

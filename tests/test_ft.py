@@ -1,6 +1,7 @@
 """First mixing route: real-angle mixing, its eigenbasis, norms, dynamics."""
 
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -29,6 +30,7 @@ from bateman.ft import (
     TREND_THETA_GRID,
     _chain_exp,
     _chain_standard_norms,
+    _logaddexp,
     ft_basis_similarity,
     ft_norm_exponent_fit,
     ft_standard_norm,
@@ -270,6 +272,44 @@ def test_chain_route_raises_without_a_tail_to_resolve():
 def test_norm_fit_needs_three_samples():
     with pytest.raises(FitError):
         ft_norm_exponent_fit(FIT_THETA_GRID[:2], 0, 0)
+
+
+def test_norm_fit_needs_distinct_samples():
+    # every Theta coincides (or is mirrored), so -log cos Theta has no spread to divide by
+    with pytest.raises(FitError, match="distinct"):
+        ft_norm_exponent_fit([FIT_THETA_GRID[0]] * 3, 0, 0)
+    with pytest.raises(FitError, match="distinct"):
+        ft_norm_exponent_fit([0.5, -0.5, 0.5], 0, 0)
+
+
+@pytest.mark.parametrize("n1,n2", NORMS_STATES)
+def test_norm_exponent_fit_is_the_least_squares_line(n1, n2):
+    xs = [-math.log(math.cos(t)) for t in FIT_THETA_GRID]
+    ys = [math.log(ft_standard_norm(t / 2.0, n1, n2)) for t in FIT_THETA_GRID]
+    want = np.polyfit(xs, ys, 1)[0]
+    assert abs(ft_norm_exponent_fit(FIT_THETA_GRID, n1, n2) - want) <= 8 * math.ulp(want)
+
+
+#: equal arguments, both infinities, NaN, signed zeros, gaps up to and past 700
+_LOGADDEXP_GRID = (0.0, -0.0, 1.0, -1.0, 0.5, 1e-300, -1e-300, 36.0, -36.0, 700.0, -700.0,
+                   709.5, 745.0, -745.0, 1e300, -1e300, math.inf, -math.inf, math.nan)
+
+
+def test_logaddexp_has_the_bits_of_numpys():
+    for x in _LOGADDEXP_GRID:
+        for y in _LOGADDEXP_GRID:
+            with np.errstate(invalid="ignore"):  # inf - inf
+                want = float(np.logaddexp(x, y))
+            assert _logaddexp(x, y).hex() == want.hex(), (x, y)
+
+
+def test_logaddexp_fold_has_the_bits_of_numpys_reduce():
+    # the terms of ft_standard_norm are folded left to right, as np.logaddexp.reduce does
+    rng = np.random.default_rng(20261021)
+    for _ in range(2000):
+        terms = (rng.standard_normal(rng.integers(1, 5)) * 10.0 ** rng.integers(-3, 4)).tolist()
+        want = float(np.logaddexp.reduce(terms))
+        assert functools.reduce(_logaddexp, terms).hex() == want.hex(), terms
 
 
 # --- Heisenberg factors and coordinate reconstruction ------------------------

@@ -6,9 +6,12 @@ the `*_config` cases read their settings from the `.cfg` file beside it.
 deviations are rounding residues of BLAS and LAPACK calls, so their last
 digits depend on the linked library, while the dynamics checks are integer
 eigenvalue maps and scalar `math`/`cmath` arithmetic on a few exponentials,
-with no BLAS or LAPACK call at all.
+with no BLAS or LAPACK call at all.  `norms`, `spectrum`, `classify` and
+`evolve` make no numpy call at all (the standard norms fold their log terms
+and fit their exponents in `math`), and a test holds them to it.
 """
 
+import sys
 from pathlib import Path
 
 import pytest
@@ -40,6 +43,25 @@ CASES = {
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_stdout_matches_golden(name, capsys):
+    assert main(CASES[name]) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.out").read_text()
+
+
+class _NoNumpy:
+    def __getattr__(self, name):
+        raise AssertionError(f"np.{name} called")
+
+
+#: the golden cases of the scalar commands, which compute on `math` and `cmath` alone
+SCALAR = sorted(name for name in CASES if CASES[name][0] in ("norms", "spectrum", "classify",
+                                                              "evolve"))
+
+
+@pytest.mark.parametrize("name", SCALAR)
+def test_scalar_commands_make_no_numpy_call(name, capsys, monkeypatch):
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("bateman") and hasattr(module, "np"):
+            monkeypatch.setattr(module, "np", _NoNumpy())
     assert main(CASES[name]) == 0
     assert capsys.readouterr().out == (GOLDEN / f"{name}.out").read_text()
 

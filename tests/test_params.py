@@ -1,6 +1,7 @@
 """Parameter validation and derived frequencies."""
 
 import math
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -44,10 +45,26 @@ def test_boundary_rejected():
     dict(m=1.0, gamma=1.0, k=1.25, hbar=0.0),
     dict(m=float("nan"), gamma=1.0, k=1.25),
     dict(m=float("inf"), gamma=1.0, k=1.25),
+    # subnormal inputs: 1/hbar overflows, and the checks read NaN
+    dict(m=1.0, gamma=1.0, k=1.25, hbar=1e-310),
+    dict(m=1.0, gamma=1.0, k=1.25, hbar=5e-324),
+    dict(m=1.0, gamma=1e-320, k=1.25),
+    dict(m=1.0, gamma=1e-308, k=1.25),
+    dict(m=1e10, gamma=1e-300, k=1e-310),
+    # normal inputs whose lam = gamma/(2m) = 5e-311 is subnormal
+    dict(m=1e10, gamma=1e-300, k=1.25),
 ])
 def test_bad_inputs_rejected(bad):
     with pytest.raises(DomainError):
         derive_params(**bad)
+
+
+def test_smallest_normal_inputs_accepted():
+    tiny = sys.float_info.min
+    p = derive_params(m=0.5, gamma=tiny, k=0.5, hbar=tiny)
+    assert (p.hbar, p.lam, p.omega) == (tiny, tiny, 1.0)
+    with pytest.raises(DomainError, match=r"lam = gamma/\(2m\) = 1.1125369292536007e-308,"):
+        derive_params(m=1.0, gamma=tiny, k=0.5)  # lam = tiny / 2
 
 
 @pytest.mark.parametrize("inputs,omega", [

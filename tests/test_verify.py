@@ -185,12 +185,16 @@ def test_declared_description_and_tolerance_are_what_the_check_reports(params, m
     assert {fn.check_id for fn in checks if fn.tolerance(cfg) == 0.0} == _EXACT
 
 
-@pytest.mark.parametrize("hbar", [1e-170, 1e200])
-def test_verify_all_passes_at_an_extreme_hbar(hbar):
+@pytest.mark.parametrize("hbar,n_max", [(1e-170, None), (1e200, None), (1e306, 48),
+                                        (1e307, None)])
+def test_verify_all_passes_at_an_extreme_hbar(hbar, n_max):
     # is.matrix-element's non-normality witness was read on H itself: it
     # underflowed to 0 at 1e-170, failing the guard, and hbar**2 overflowed at
-    # 1e200; it is read on H / hbar, which does not scale with hbar
-    results = run_suite("all", VerifyConfig(params=derive_params(1.0, 1.0, 1.25, hbar=hbar)))
+    # 1e200; it is read on H / hbar, which does not scale with hbar.  The
+    # Heisenberg commutators [op, H] overflowed to NaN at 1e307, and at 1e306
+    # with n_max 48; they are read on H / hbar too
+    params = derive_params(1.0, 1.0, 1.25, hbar=hbar)
+    results = run_suite("all", VerifyConfig(params=params, n_max=n_max))
     assert [r.check_id for r in results if not r.passed] == []
 
 
