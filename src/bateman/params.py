@@ -15,6 +15,9 @@ from .errors import DomainError, OverdampedError
 
 __all__ = ["PhysicalParams", "derive_params"]
 
+#: the normal floats: a parameter or frequency outside [_TINY, _HUGE] is rejected
+_TINY, _HUGE = sys.float_info.min, sys.float_info.max
+
 
 @dataclass(frozen=True)
 class PhysicalParams:
@@ -41,13 +44,12 @@ def derive_params(m: float, gamma: float, k: float, hbar: float = 1.0) -> Physic
     """
     values = {"m": m, "gamma": gamma, "k": k, "hbar": hbar}
     for name, value in values.items():
-        if not math.isfinite(value):
-            raise DomainError(f"{name} must be finite, got {value!r}")
-        if value <= 0.0:
-            raise DomainError(f"{name} must be positive, got {value!r}")
-        if value < sys.float_info.min:
-            raise DomainError(f"{name} must be a normal float (>= {sys.float_info.min!r}), "
-                              f"got {value!r}")
+        if not _TINY <= value <= _HUGE:  # a NaN fails too
+            if not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value!r}")
+            if value <= 0.0:
+                raise DomainError(f"{name} must be positive, got {value!r}")
+            raise DomainError(f"{name} must be a normal float (>= {_TINY!r}), got {value!r}")
     if 4.0 * m * k <= gamma * gamma:
         raise OverdampedError(
             f"underdamped regime requires 4*m*k > gamma**2; "
@@ -55,11 +57,11 @@ def derive_params(m: float, gamma: float, k: float, hbar: float = 1.0) -> Physic
         )
     lam = gamma / (2.0 * m)
     omega = math.sqrt(k / m - lam * lam)
-    if not (math.isfinite(omega) and math.isfinite(lam)):
-        # k/m or lam**2 overflows even though 4*m*k > gamma**2 holds
-        raise DomainError(f"derived frequencies are not finite: k/m = {k / m!r}, "
-                          f"lam = gamma/(2m) = {lam!r}, omega = {omega!r}")
-    if min(omega, lam) < sys.float_info.min:
+    if not (_TINY <= omega <= _HUGE and _TINY <= lam <= _HUGE):
+        if not (math.isfinite(omega) and math.isfinite(lam)):
+            # k/m or lam**2 overflows even though 4*m*k > gamma**2 holds
+            raise DomainError(f"derived frequencies are not finite: k/m = {k / m!r}, "
+                              f"lam = gamma/(2m) = {lam!r}, omega = {omega!r}")
         # a subnormal frequency has lost precision, and 1/omega or 1/lam overflows
         raise DomainError(f"derived frequencies are not normal floats: "
                           f"lam = gamma/(2m) = {lam!r}, omega = {omega!r}")
