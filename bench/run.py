@@ -10,9 +10,9 @@ relative), so both trees run in this one interpreter, BLAS on one thread.
 
 A row is one layer at fixed input parameters, called as the CLI calls it
 (`build_rows`): the truncated kernels and four whole checks at n_max 8, 12, 24
-and 48, the standard norms and their exponent fits, the biorthonormality sweep, the exact spectrum
-sweep of each route and the 200-polynomial oracle, the CLI parser, every
-check of `verify all` at the CLI defaults,
+and 48, the standard norms and their exponent fits, the biorthonormality
+sweep, the exact spectrum sweep of each route and the 200-polynomial oracle,
+the CLI parser, every check of `verify all` at the CLI defaults,
 `import bateman.cli` in a cold child, with its peak RSS, and the CPU of
 `cli.main` for each of COLD_INVOCATIONS in a cold child, after its import.
 Rows are matched across the trees by layer and parameters.  Counts that a

@@ -320,7 +320,8 @@ def ft_norm_exponent_fit(thetas, n1: int, n2: int) -> float:
     """Least-squares slope of log norm against -log cos Theta; expected n1+n2+1.
 
     The slope of the ordinary least-squares line, in closed form:
-    sum (x - xbar)(y - ybar) / sum (x - xbar)^2, each sum an exact `math.fsum`.
+    sum (x - xbar)(y - ybar) / sum (x - xbar)^2, each sum a correctly rounded
+    `math.fsum`, with no LAPACK call.
     """
     thetas = [float(t) for t in thetas]
     if len(thetas) < 3:
