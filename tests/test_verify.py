@@ -186,7 +186,8 @@ def test_declared_description_and_tolerance_are_what_the_check_reports(params, m
 
 
 @pytest.mark.parametrize("hbar,n_max", [(1e-170, None), (1e200, None), (1e306, 48),
-                                        (1e307, None)])
+                                        (1e307, None)],
+                         ids=["1e-170", "1e+200", "1e+306-48", "1e+307"])
 def test_verify_all_passes_at_an_extreme_hbar(hbar, n_max):
     # is.matrix-element's non-normality witness was read on H itself: it
     # underflowed to 0 at 1e-170, failing the guard, and hbar**2 overflowed at
