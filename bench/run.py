@@ -111,6 +111,8 @@ INVOCATIONS = [
     ["verify", "ft", "--theta", "0.5", "--n-max", "8"],
     ["verify", "ft", "--theta", "-0.3", "--n-max", "16"],
     ["verify", "all", "--hbar", "2", "--m", "0.5", "--gamma", "0.7", "--k", "2.1"],
+    # scales whose products under- or overflow: omega lambda 5.6e-451 and hbar lambda 5e-401
+    ["verify", "all", "--m", "1e300"], ["evolve", "--hbar", "1e-300", "--m", "1e100"],
     *_scalar_invocations(),
     ["verify", "is", "--n-max", "3"],                       # exit 2: below the smallest n_max
     ["spectrum", "--approach", "is", "--n-cap", "17"],      # exit 2: past the largest n_cap
@@ -223,6 +225,9 @@ def build_rows(src: Path, label: str = "this") -> dict[str, tuple]:
     b = load(src, label)
     con, fock, ft, imag, verify = b.construction, b.fock, b.ft, b.imagscale, b.verify
     params = b.params.derive_params(**DEFAULT_PARAMS)
+    # what builds H in each tree: r = lam / omega, or in a parent that built H in physical
+    # units the whole parameter set
+    h_scale = getattr(params, "r", params)
     rows = {}
 
     def put(key: dict, measure, counts: dict) -> None:
@@ -238,11 +243,11 @@ def build_rows(src: Path, label: str = "this") -> dict[str, tuple]:
         put({"layer": "cold cli.main", "argv": list(argv)}, cold_main(src, argv), {})
     for n_max in N_MAX:
         lad = fock.build_ladder(n_max)
-        ham = fock.build_hamiltonian(lad, params)
+        ham = fock.build_hamiltonian(lad, h_scale)
         space = lad.space
         at = {"n_max": n_max, "dim": space.dim}
         add("ladder_and_hamiltonian", lambda n=n_max: fock.build_hamiltonian(
-            fock.build_ladder(n), params), calls=10, **at)
+            fock.build_ladder(n), h_scale), calls=10, **at)
         # each exponent with the charge it conserves: n1 - n2, or n1 and the parity of n2 for Y
         exponents = {"0.3 X": (0.3 * ft.generator_matrix(lad), space.difference),
                      "Y": (imag.generator_y_matrix(lad.a2, lad.a2_dag),
@@ -266,7 +271,7 @@ def build_rows(src: Path, label: str = "this") -> dict[str, tuple]:
             add("check", check, cfg, **at, check=check.check_id)
         for name, route in (("ft", ft.FT), ("is", imag.IS)):
             add("identity_report", con.identity_report, route,
-                con.transform(route, route.quarter(+1), lad), params, **at, route=name)
+                con.transform(route, route.quarter(+1), lad), h_scale, **at, route=name)
         add("ladder_product", operator.matmul, lad.a1, lad.a2, calls=100, **at)
         add("commutator_h0_h1", fock.commutator, ham.h0, ham.h1, **at)
         q_cap = verify._gram_q_cap(n_max)  # the occupations of ft.gram and is.gram

@@ -292,23 +292,23 @@ def cmd_classify(args: argparse.Namespace) -> CommandOutput:
 def cmd_evolve(args: argparse.Namespace) -> CommandOutput:
     times = _parse_times(args.times)
     rec = eigenvalue(APPROACHES[args.approach], args.n1, args.n2, args.branch)
-    ev, hbar = rec.as_complex(args.params), args.params.hbar
+    rate = rec.rate(args.params)  # E / hbar, read directly: hbar * lambda may underflow
     rows = []
     for t in times:
         try:
-            factor = schrodinger_factor(ev, t, hbar)
+            factor = schrodinger_factor(rate, t)
             abs2 = abs(factor) ** 2
-        except OverflowError:
+        except (OverflowError, ValueError):  # e^{rate t} overflows, or its phase is infinite
             abs2 = math.inf
         if not math.isfinite(abs2):  # also NaN when the phase is lost at an infinite argument
             raise DomainError(f"--times {t!r}: the evolution factor of state ({args.n1},{args.n2}) "
                               f"is not finite")
-        if abs(ev.real * t / hbar) >= 2.0 ** 33:  # float spacing >= 2^-19 rad: 6 digits unsure
+        if abs(rate.real * t) >= 2.0 ** 33:  # float spacing >= 2^-19 rad: 6 digits unsure
             raise DomainError(f"--times {t!r}: the phase of state ({args.n1},{args.n2}) "
                               f"has lost its printed digits")
         rows.append({"t": t, "re_factor": factor.real, "im_factor": factor.imag,
                      "abs2_factor": abs2})
-    pairing = pairing_norm_in_time(rec, times, args.params)
+    pairing = pairing_norm_in_time(rec, times, rate)
     payload = _header_payload("evolve", args)
     payload.update(
         {
@@ -317,8 +317,8 @@ def cmd_evolve(args: argparse.Namespace) -> CommandOutput:
             "n1": args.n1,
             "n2": args.n2,
             "stability": rec.stability.value,
-            "amplitude_rate": ev.imag / hbar,
-            "phase_rate": -ev.real / hbar,
+            "amplitude_rate": rate.imag,
+            "phase_rate": -rate.real,
             "rows": rows,
             "pairing_norm": pairing,
         }

@@ -15,7 +15,9 @@ each mixed annihilator is its mode's one-quantum energy over i hbar.
 
 Two independent routes run through it: exact symbol algebra on abstract
 mixed modes (no truncation, no floats) and truncated `fock.Operator` matrices.
-Neither route knows about the other's results.
+Neither route knows about the other's results.  Both work in units of hbar
+omega, where H depends on r = lambda / omega alone; the physical scale enters
+only what the spectrum, evolve and dynamics reports print.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import numpy as np
 
 from .algebra import B1_ANN, B1_CRE, B2_ANN, B2_CRE, ExactScalar, LadderPoly
 from .errors import DomainError, HeadroomError
-from .fock import (FockSpace, LadderSet, Operator, build_hamiltonian, identity,
+from .fock import (X_SCALE, FockSpace, LadderSet, Operator, build_hamiltonian, identity,
                    interior_deviation, intertwining_deviation, low_block, window_mask)
 from .params import PhysicalParams
 
@@ -80,8 +82,8 @@ class Construction:
     p_map: Affine                   # p = p1*n1 + p2*n2 + p0
     q_map: Affine                   # q = branch*(q1*n1 + q2*n2 + q0)
     quarter: Callable[[int], complex]   # branch -> decoupling angle
-    #: (modes, q number form, params) -> H1 in mixed operators at any angle
-    h1_mixed: Callable[["MixedModes", Operator, PhysicalParams], Operator]
+    #: (modes, q number form, r) -> H1 / hbar omega in mixed operators at any angle
+    h1_mixed: Callable[["MixedModes", Operator, float], Operator]
     #: branch -> exact inverse mixing at the decoupling angle, rows for (a1, a2+), (a1+, a2)
     substitution: Callable[[int], tuple[Rows, Rows]]
     xy_phase: complex               # weight of the mode-2 operator in x(t), y(t)
@@ -123,6 +125,10 @@ class Eigen:
     def as_complex(self, params: PhysicalParams) -> complex:
         return self.p * params.hbar * params.omega + 1j * self.q * params.hbar * params.lam
 
+    def rate(self, params: PhysicalParams) -> complex:
+        """E / hbar = p*omega + q*i*lambda, the complex frequency the state evolves at."""
+        return self.p * params.omega + 1j * self.q * params.lam
+
     @property
     def stability(self) -> StabilityClass:
         """Growth, decay or stability: validated parameters have lambda > 0, so the sign of q."""
@@ -144,17 +150,17 @@ def eigenvalue(con: Construction, n1: int, n2: int, branch) -> Eigen:
                  q=b * _affine(con.q_map, n1, n2))
 
 
-def schrodinger_factor(ev: complex, t: float, hbar: float = 1.0) -> complex:
-    """e^{-i ev t / hbar}, the factor an eigenstate of eigenvalue ev evolves by."""
-    return cmath.exp(-1j * ev * t / hbar)
+def schrodinger_factor(rate: complex, t: float) -> complex:
+    """e^{-i rate t}, the factor an eigenstate of rate E / hbar (`Eigen.rate`) evolves by."""
+    return cmath.exp(-1j * rate * t)
 
 
-def dual_factor(ev: complex, t: float, hbar: float = 1.0) -> complex:
+def dual_factor(rate: complex, t: float) -> complex:
     """Reciprocal factor carried by the dual (bra) state."""
-    return cmath.exp(1j * ev * t / hbar)
+    return cmath.exp(1j * rate * t)
 
 
-def pairing_norm_in_time(rec: Eigen, t_grid: Iterable[float], params: PhysicalParams,
+def pairing_norm_in_time(rec: Eigen, t_grid: Iterable[float], rate: complex,
                          other: tuple[int, int] | None = None) -> list[float]:
     """Bra-ket pairing of the evolved pair of rec over a time grid.
 
@@ -162,23 +168,20 @@ def pairing_norm_in_time(rec: Eigen, t_grid: Iterable[float], params: PhysicalPa
     exponents cancel algebraically; the pairing is evaluated from the summed
     exponent and equals 1.0 exactly for the matched state, 0.0 for a cross
     pairing with the state other.  This is the pairing norm, not the
-    standard dagger norm.
+    standard dagger norm.  rate is rec's E / hbar (`Eigen.rate`).
     """
     if other is not None and tuple(other) != (rec.n1, rec.n2):
         return [0.0 for _ in t_grid]
-    ev = rec.as_complex(params)
-    return [cmath.exp((-1j * ev + 1j * ev) * t / params.hbar).real for t in t_grid]
+    return [cmath.exp((-1j * rate + 1j * rate) * t).real for t in t_grid]
 
 
 def eom_residual(s: complex, sign: str, params: PhysicalParams) -> complex:
-    """m s^2 +- gamma s + k; zero certifies s as a classical mode exponent."""
-    if sign == "damped":
-        g = params.gamma
-    elif sign == "amplified":
-        g = -params.gamma
-    else:
+    """(m s^2 +- gamma s + k) / m omega^2 = sigma^2 +- 2 r sigma + 1 + r^2 with sigma = s / omega;
+    zero certifies s as a classical mode exponent.  In these units no term underflows."""
+    if sign not in ("damped", "amplified"):
         raise DomainError(f"sign must be 'damped' or 'amplified', got {sign!r}")
-    return params.m * s * s + g * s + params.k
+    sigma, r = s / params.omega, params.r
+    return sigma * sigma + (2 * r if sign == "damped" else -2 * r) * sigma + (1 + r * r)
 
 
 def xy_mode_exponents(params: PhysicalParams) -> dict[str, tuple[complex, complex]]:
@@ -290,17 +293,16 @@ def _quarter_branch(con: Construction, angle: complex, tol: float) -> int | None
     return None
 
 
-def identity_report(con: Construction, modes: MixedModes, params: PhysicalParams) -> IdentityReport:
-    """Check H0 and H1 against their expressions in the mixed operators.
+def identity_report(con: Construction, modes: MixedModes, r: float) -> IdentityReport:
+    """Check H0 and H1 against their expressions in the mixed operators, in units of hbar omega.
 
-    H0 is hbar*omega times the p number form at every angle; H1 carries the
-    route's general-angle expression, which at the decoupling angle of a
-    branch reduces to branch*i*hbar*lambda times the q number form.
+    H0 / hbar omega is the p number form at every angle; H1 / hbar omega carries
+    the route's general-angle expression, which at the decoupling angle of a
+    branch reduces to branch*i*r times the q number form.
     """
     space = modes.space
-    hbar, omega, lam = params.hbar, params.omega, params.lam
     eye = identity(space.dim)
-    ham = build_hamiltonian(modes.ladder, params)
+    ham = build_hamiltonian(modes.ladder, r)
     h0, h1 = ham.h0, ham.h1
 
     n1 = modes.cre1 @ modes.ann1
@@ -310,12 +312,11 @@ def identity_report(con: Construction, modes: MixedModes, params: PhysicalParams
     reduced = None
     branch = _quarter_branch(con, modes.angle, 1e-9)
     if branch is not None:
-        reduced = interior_deviation(h1, branch * 1j * hbar * lam * q_form, space)
+        reduced = interior_deviation(h1, branch * 1j * r * q_form, space)
 
     return IdentityReport(
-        h0_deviation=interior_deviation(h0, hbar * omega * _affine(con.p_map, n1, n2, eye),
-                                        space),
-        h1_deviation=interior_deviation(h1, con.h1_mixed(modes, q_form, params), space),
+        h0_deviation=interior_deviation(h0, _affine(con.p_map, n1, n2, eye), space),
+        h1_deviation=interior_deviation(h1, con.h1_mixed(modes, q_form, r), space),
         reduced_deviation=reduced,
     )
 
@@ -375,13 +376,13 @@ def gram(modes, vacuum: tuple[np.ndarray, np.ndarray], q_cap: int) -> np.ndarray
 # Heisenberg rates and x(t), y(t)
 
 
-def heisenberg_rate(con: Construction, mode: int, kind: str, branch,
-                    params: PhysicalParams) -> complex:
-    """r in d/dt op = r op for a mixed operator at the decoupling angle of branch.
+def heisenberg_rate(con: Construction, mode: int, kind: str, branch, r: float) -> complex:
+    """rate / omega in d/dt op = rate op, for a mixed operator at the decoupling angle of branch.
 
     The annihilator of mode i lowers the energy by E_i = p_i*hbar*omega +
     q_i*branch*i*hbar*lambda, so [op, H] = E_i op and its rate is
-    E_i / (i hbar); creators raise the energy by E_i and negate the rate.
+    E_i / (i hbar), which is omega (-i p_i + q_i*branch*r); creators raise the
+    energy by E_i and negate the rate.
     """
     b = normalize_branch(branch)
     if kind not in ("ann", "cre"):
@@ -389,13 +390,13 @@ def heisenberg_rate(con: Construction, mode: int, kind: str, branch,
     if mode not in (1, 2):
         raise DomainError(f"mode must be 1 or 2, got {mode}")
     p, q = con.p_map[mode - 1], con.q_map[mode - 1]
-    rate = -p * 1j * params.omega + q * b * params.lam
+    rate = -p * 1j + q * b * r
     return -rate if kind == "cre" else rate
 
 
 def xy_operators(con: Construction, branch, t: float, modes: MixedModes,
-                 params: PhysicalParams) -> tuple[Operator, Operator]:
-    """x(t), y(t) assembled from mixed matrices with closed-form scalar factors.
+                 r: float) -> tuple[Operator, Operator]:
+    """x(t), y(t) / sqrt(hbar / m omega) at t in units of 1 / omega, from mixed matrices.
 
     modes must be built at the decoupling angle of branch.  x carries the
     damped exponents -lambda +- i omega, y the amplified ones; each pairs a
@@ -406,18 +407,16 @@ def xy_operators(con: Construction, branch, t: float, modes: MixedModes,
         raise DomainError(f"transform built at {con.angle_name}={modes.angle}, "
                           f"expected {con.quarter(b)}")
     second, partner = mode2_split(con, modes)
-    pref = math.sqrt(params.hbar / (2.0 * params.m * params.omega))
-    lam, omega = params.lam, params.omega
-    decay = cmath.exp(-lam * t)
-    grow = cmath.exp(lam * t)
-    spin = cmath.exp(1j * omega * t)
+    decay = cmath.exp(-r * t)
+    grow = cmath.exp(r * t)
+    spin = cmath.exp(1j * t)
     k = con.xy_phase
     if b > 0:
-        x_t = pref * decay * (modes.cre1 * spin + k * second / spin)
-        y_t = pref * grow * (modes.ann1 / spin - k * partner * spin)
+        x_t = X_SCALE * decay * (modes.cre1 * spin + k * second / spin)
+        y_t = X_SCALE * grow * (modes.ann1 / spin - k * partner * spin)
     else:
-        x_t = pref * decay * (modes.ann1 / spin + k * partner * spin)
-        y_t = pref * grow * (modes.cre1 * spin - k * second / spin)
+        x_t = X_SCALE * decay * (modes.ann1 / spin + k * partner * spin)
+        y_t = X_SCALE * grow * (modes.cre1 * spin - k * second / spin)
     return x_t, y_t
 
 

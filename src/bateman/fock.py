@@ -44,7 +44,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, NumericalError
-from .params import PhysicalParams
 
 __all__ = [
     "FockSpace",
@@ -68,6 +67,7 @@ __all__ = [
     "matrix_exp",
     "exp_block",
     "position_operators",
+    "X_SCALE",
 ]
 
 @dataclass(frozen=True)
@@ -286,7 +286,7 @@ class LadderSet:
 
 @dataclass(frozen=True)
 class HamiltonianSet:
-    """h0 (oscillator part), h1 (damping coupling) and their sum."""
+    """h0 (oscillator part), h1 (damping coupling) and their sum, in units of hbar omega."""
 
     h0: Operator
     h1: Operator
@@ -323,12 +323,10 @@ def build_ladder(n_max: int) -> LadderSet:
     )
 
 
-def build_hamiltonian(ladder: LadderSet, params: PhysicalParams) -> HamiltonianSet:
-    """H = hbar*omega*(n1 - n2) + i*(hbar*gamma/2m)*(a1 a2 - a1+ a2+)."""
-    hw = params.hbar * params.omega
-    coupling = 1j * params.hbar * params.gamma / (2.0 * params.m)
-    h0 = hw * (ladder.a1_dag @ ladder.a1 - ladder.a2_dag @ ladder.a2)
-    h1 = coupling * (ladder.a1 @ ladder.a2 - ladder.a1_dag @ ladder.a2_dag)
+def build_hamiltonian(ladder: LadderSet, r: float) -> HamiltonianSet:
+    """H / hbar omega = (n1 - n2) + i r (a1 a2 - a1+ a2+), with r = lambda / omega."""
+    h0 = ladder.a1_dag @ ladder.a1 - ladder.a2_dag @ ladder.a2
+    h1 = 1j * r * (ladder.a1 @ ladder.a2 - ladder.a1_dag @ ladder.a2_dag)
     return HamiltonianSet(h0=h0, h1=h1, h=h0 + h1)
 
 
@@ -654,11 +652,13 @@ def exp_block(a: Operator, charge: np.ndarray, rows=None, cols=None) -> np.ndarr
     return out
 
 
-def position_operators(ladder: LadderSet, params: PhysicalParams
-                       ) -> tuple[Operator, Operator]:
-    """(x, y) as matrices, from the rotated pair x = (x1+x2)/sqrt2, y = (x1-x2)/sqrt2."""
-    scale = math.sqrt(params.hbar / (2.0 * params.m * params.omega))
-    x1 = scale * (ladder.a1 + ladder.a1_dag)
-    x2 = scale * (ladder.a2 + ladder.a2_dag)
+#: x_i = sqrt(1/2) (a_i + a_i+) in units of the oscillator length sqrt(hbar / m omega)
+X_SCALE = math.sqrt(0.5)
+
+
+def position_operators(ladder: LadderSet) -> tuple[Operator, Operator]:
+    """(x, y) in units of sqrt(hbar / m omega), from the pair x, y = (x1 +- x2)/sqrt2."""
+    x1 = X_SCALE * (ladder.a1 + ladder.a1_dag)
+    x2 = X_SCALE * (ladder.a2 + ladder.a2_dag)
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     return inv_sqrt2 * (x1 + x2), inv_sqrt2 * (x1 - x2)

@@ -26,7 +26,6 @@ from .algebra import B1_ANN, B1_CRE, B2_ANN, B2_CRE, ExactScalar, LadderPoly
 from .construction import Construction, MixedModes
 from .errors import DomainError, FitError, NumericalError, SeriesDivergence
 from .fock import FockSpace, LadderSet, Operator, exp_block
-from .params import PhysicalParams
 
 __all__ = [
     "FT",
@@ -72,10 +71,10 @@ def _rotation(theta: complex):
     return ((c, -s), (s, c)), ((c, s), (-s, c))
 
 
-def _rotation_h1(bar: MixedModes, q_form: Operator, params: PhysicalParams) -> Operator:
-    """H1 = i hbar lambda [cos 2theta (b1 b2 - b1+ b2+) + sin 2theta (N1 + N2 + 1)]."""
+def _rotation_h1(bar: MixedModes, q_form: Operator, r: float) -> Operator:
+    """H1 / hbar omega = i r [cos 2theta (b1 b2 - b1+ b2+) + sin 2theta (N1 + N2 + 1)]."""
     c2, s2 = cmath.cos(2 * bar.angle), cmath.sin(2 * bar.angle)
-    return (1j * params.hbar * params.lam) * (
+    return (1j * r) * (
         c2 * (bar.ann1 @ bar.ann2 - bar.cre1 @ bar.cre2) + s2 * q_form
     )
 

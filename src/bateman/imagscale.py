@@ -67,9 +67,9 @@ def _exchanged(con: Construction) -> Construction:
         (m1, m2), (p1, p2) = con.mixing(-1j * angle)
         return (m1, (-1j * m2[0], -1j * m2[1])), (p1, (-1j * p2[0], -1j * p2[1]))
 
-    def h1_mixed(modes, q_form, params):
+    def h1_mixed(modes, q_form, r):
         return con.h1_mixed(replace(modes, angle=-1j * modes.angle, ann2=1j * modes.cre2,
-                                    cre2=1j * modes.ann2), q_form, params)
+                                    cre2=1j * modes.ann2), q_form, r)
 
     i = ExactScalar(0, 1)  # the exact substitution of each branch, built once
     substitution = {b: tuple(tuple((r[0], r[1] * i) for r in rows) for rows in con.substitution(b))

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, wraps
 
@@ -197,8 +197,12 @@ def check_params_examples(cfg: VerifyConfig):
     for q in (cfg.params, derive_params(1.3, 0.7, 2.1)):
         for sign, roots in xy_mode_exponents(q).items():
             for s in roots:
-                dev = _worst(dev, abs(eom_residual(s, sign, q)) / q.k)
-        dev = _worst(dev, abs(q.omega**2 + q.lam**2 - q.k / q.m) / (q.k / q.m))
+                dev = _worst(dev, abs(eom_residual(s, sign, q)) / (1 + q.r * q.r))  # over k
+        # omega^2 + lam^2 = k/m, scaled near 1 by powers of two: k/m is 1e310 at m 1e-300
+        a, e = math.frexp(q.m)[1], math.frexp(q.omega)[1]
+        w, lam = math.ldexp(q.omega, -e), math.ldexp(q.lam, -e)
+        k_m = math.ldexp(q.k, -a - 2 * e) / math.ldexp(q.m, -a)
+        dev = _worst(dev, abs(w**2 + lam**2 - k_m) / k_m)
     return dev + mismatch
 
 
@@ -337,8 +341,7 @@ def check_boundary_defect(cfg: VerifyConfig, lad):
 @_check("algebra.h-structure", "H Hermitian when truncated; basis change non-unitary; [H0,H1]=0",
         0.0, n_max=12)
 def check_h_structure(cfg: VerifyConfig, lad):
-    hbar = cfg.params.hbar
-    ham = build_hamiltonian(lad, cfg.params)
+    ham = build_hamiltonian(lad, cfg.params.r)
     herm_dev = max_abs(ham.h - ham.h.conj().T)
     # complex eigenvalues coexist with a Hermitian truncation because the
     # basis change e^{theta X} is non-unitary (X itself is Hermitian); it is 0
@@ -347,12 +350,10 @@ def check_h_structure(cfg: VerifyConfig, lad):
     nonunitary = _worst(*(max_abs(u.conj().transpose(0, 2, 1) @ u - np.eye(u.shape[1]))
                           for _, u in sector_exp(0.3 * x, lad.space.difference)))
     # H0 is diagonal and H1 normal ordered, so the truncated [H0, H1] vanishes up to
-    # round-off; it is read on H / hbar, whose products neither overflow nor underflow,
-    # relative to max|H0| max|H1|, so no scale of hbar shows in it
-    h0, h1 = ham.h0 / hbar, ham.h1 / hbar
-    comm_dev = max_abs(commutator(h0, h1)) / (max_abs(h0) * max_abs(h1))
-    # the gaps are read in units of hbar, and a NaN counts as a mismatch
-    mismatch = (not herm_dev / hbar <= 1e-13) + (not nonunitary >= 0.1) + (not comm_dev <= 1e-10)
+    # round-off; it is read relative to max|H0| max|H1|
+    comm_dev = max_abs(commutator(ham.h0, ham.h1)) / (max_abs(ham.h0) * max_abs(ham.h1))
+    # a NaN counts as a mismatch
+    mismatch = (not herm_dev <= 1e-13) + (not nonunitary >= 0.1) + (not comm_dev <= 1e-10)
     return mismatch, {"hermiticity": herm_dev, "nonunitarity": nonunitary,
                       "h0_h1_commutator": comm_dev}
 
@@ -542,15 +543,14 @@ check_is_commutators = _check(
 
 def _identity_roundoff(cfg: VerifyConfig, n_max: int) -> float:
     """Round-off of an h-identity: 4 eps per row of the (n_max+1)^2 matrix, in units of
-    H's entries, hbar max(omega, lambda), taken as at least 1 (1 at the defaults)."""
-    scale = max(1, cfg.params.hbar * max(cfg.params.omega, cfg.params.lam))
-    return 4 * float(np.finfo(float).eps) * (n_max + 1) ** 2 * scale
+    the entries of H / hbar omega, max(1, r) (1 at the defaults)."""
+    return 4 * float(np.finfo(float).eps) * (n_max + 1) ** 2 * max(1, cfg.params.r)
 
 
 def _identity_quarter(cfg: VerifyConfig, lad, con: Construction):
     dev = 0.0
     for branch in (+1, -1):
-        rep = identity_report(con, transform(con, con.quarter(branch), lad), cfg.params)
+        rep = identity_report(con, transform(con, con.quarter(branch), lad), cfg.params.r)
         dev = _worst(dev, rep.h0_deviation, rep.h1_deviation, rep.reduced_deviation)
     return dev
 
@@ -564,7 +564,7 @@ check_is_identity_quarter = _check(
 
 
 def _identity_generic(cfg: VerifyConfig, lad, con: Construction, angle):
-    rep = identity_report(con, transform(con, angle(cfg), lad), cfg.params)
+    rep = identity_report(con, transform(con, angle(cfg), lad), cfg.params.r)
     return _worst(rep.h0_deviation, rep.h1_deviation)
 
 
@@ -721,8 +721,7 @@ def check_ft_norm_trend(cfg: VerifyConfig):
         "max|H k - E k| relative to hbar (omega + lambda) (n1 + n2 + 1) (both branches)", 1e-12,
         n_max=12)
 def check_is_matrix_element(cfg: VerifyConfig, lad):
-    params = cfg.params
-    unit = replace(params, hbar=1.0)  # H / hbar and E / hbar, which do not scale with hbar
+    r = cfg.params.r
     cap = min(5, lad.space.n_max - 2)
     states = [(n1, n2) for n1 in range(cap + 1) for n2 in range(cap + 1 - n1)]
     dev = 0.0
@@ -731,41 +730,37 @@ def check_is_matrix_element(cfg: VerifyConfig, lad):
         frame = imagscale.bounded_frame(imagscale.IS.quarter(branch), lad)
         vacuum = imagscale.is_vacuum(frame)
         kets, bras = basis(frame, states, vacuum)
-        energy = np.array([eigenvalue(imagscale.IS, n1, n2, branch).as_complex(unit)
-                           for n1, n2 in states])
-        # (omega + lambda) (n1 + n2 + 1) bounds |E / hbar| and the size of H / hbar on
-        # the state, so the round-off of H k stays below it however small omega is
-        scale = (params.omega + params.lam) * (np.sum(states, axis=1) + 1)
-        h = build_hamiltonian(frame.ladder, unit).h  # its square neither underflows nor overflows
+        energy = np.array([rec.p + 1j * rec.q * r for rec in
+                           (eigenvalue(imagscale.IS, n1, n2, branch) for n1, n2 in states)])
+        # (1 + r) (n1 + n2 + 1) bounds |E / hbar omega| and the size of H / hbar omega on
+        # the state, so the round-off of H k stays below it however large r is
+        scale = (1 + r) * (np.sum(states, axis=1) + 1)
+        h = build_hamiltonian(frame.ladder, r).h
         dev = _worst(dev, max_abs((h @ kets - kets * energy) / scale),
                      max_abs((h.T @ bras.T - bras.T * energy) / scale))
         witness = _worst(witness, max_abs(h @ h.conj().T - h.conj().T @ h))
-    # the witness of H / hbar scales as omega lambda (156 of it at n_max 12)
-    if params.gamma > 0 and witness <= 1e-6 * params.omega * params.lam:
+    # the witness of H / hbar omega scales as r (156 r at n_max 12)
+    if witness <= 1e-6 * r:
         dev = _worst(dev, 1.0)  # H must fail to be normal once damping is on
-    # reported for H itself: hbar^2 times that of H / hbar
-    return dev, {"states": len(states),
-                 "nonnormality_witness": witness * params.hbar * params.hbar}
+    return dev, {"states": len(states), "nonnormality_witness": witness}
 
 
 def _heisenberg(cfg: VerifyConfig, lad, con: Construction):
-    params = cfg.params
-    # H / hbar, built at hbar 1: [op, H] itself overflows at hbar 1e307
-    h = build_hamiltonian(lad, replace(params, hbar=1.0)).h
+    h = build_hamiltonian(lad, cfg.params.r).h
     dev = 0.0
     for branch in (+1, -1):
         tr = transform(con, con.quarter(branch), lad)
         for mode, kind, op in ((1, "ann", tr.ann1), (2, "ann", tr.ann2),
                                (1, "cre", tr.cre1), (2, "cre", tr.cre2)):
             lhs = commutator(op, h) / 1j
-            rate = heisenberg_rate(con, mode, kind, branch, params)
+            rate = heisenberg_rate(con, mode, kind, branch, cfg.params.r)
             dev = _worst(dev, interior_deviation(lhs, rate * op, lad.space))
     return dev
 
 
 def _rate_roundoff(cfg: VerifyConfig, n_max: int) -> float:
-    # the rates, and the round-off of [op, H] / hbar, grow with omega and lambda
-    return 1e-10 * max(1, cfg.params.omega, cfg.params.lam)
+    # the rates in units of omega, and the round-off of [op, H / hbar omega], grow with r
+    return 1e-10 * max(1, cfg.params.r)
 
 
 check_ft_heisenberg = _check(
@@ -777,24 +772,19 @@ check_is_heisenberg = _check(
 
 
 def _xy(cfg: VerifyConfig, lad, con: Construction):
-    x_ref, y_ref = position_operators(lad, cfg.params)
+    x_ref, y_ref = position_operators(lad)
     dev = 0.0
     for branch in (+1, -1):
         tr = transform(con, con.quarter(branch), lad)
-        x0, y0 = xy_operators(con, branch, 0.0, tr, cfg.params)
+        x0, y0 = xy_operators(con, branch, 0.0, tr, cfg.params.r)
         dev = _worst(dev, max_abs(x0 - x_ref), max_abs(y0 - y_ref))
     return dev
 
 
-def _length_roundoff(cfg: VerifyConfig, n_max: int) -> float:
-    # x and y carry the length scale sqrt(hbar / m omega)
-    return 1e-12 * max(1, math.sqrt(cfg.params.hbar / (cfg.params.m * cfg.params.omega)))
-
-
 check_ft_xy = _check("ft.xy-reconstruction", "x(0), y(0) reassemble the rotated position pair",
-                     _length_roundoff, n_max=12, con=ft.FT)(_xy)
+                     1e-12, n_max=12, con=ft.FT)(_xy)
 check_is_xy = _check("is.xy-reconstruction", "x(0), y(0) reassemble the rotated position pair",
-                     _length_roundoff, n_max=12, con=imagscale.IS)(_xy)
+                     1e-12, n_max=12, con=imagscale.IS)(_xy)
 
 
 @_check("is.xy-conjugation", "symbol conjugation maps the x(t) expression onto y(t)", 0.0)
@@ -865,14 +855,15 @@ def check_pairing_norm(cfg: VerifyConfig):
     grid = (0.0, 1.0, 10.0)
     mismatch = 0
     for rec in (eigenvalue(ft.FT, 1, 0, "-"), eigenvalue(imagscale.IS, 2, 1, "+")):
-        mismatch += pairing_norm_in_time(rec, grid, cfg.params) != [1.0, 1.0, 1.0]
-        cross = pairing_norm_in_time(rec, grid, cfg.params, other=(rec.n1 + 1, rec.n2))
+        rate = rec.rate(cfg.params)
+        mismatch += pairing_norm_in_time(rec, grid, rate) != [1.0, 1.0, 1.0]
+        cross = pairing_norm_in_time(rec, grid, rate, other=(rec.n1 + 1, rec.n2))
         mismatch += cross != [0.0, 0.0, 0.0]
     return mismatch
 
 
 @_check("dynamics.eom", "x/y mode exponents satisfy the classical equations of motion",
-        lambda cfg, n_max: 1e-12 * cfg.params.k)
+        lambda cfg, n_max: 1e-12 * (1 + cfg.params.r * cfg.params.r))  # 1e-12 k / m omega^2
 def check_eom_residuals(cfg: VerifyConfig):
     params = cfg.params
     exps = xy_mode_exponents(params)
@@ -883,7 +874,7 @@ def check_eom_residuals(cfg: VerifyConfig):
         dev = _worst(dev, abs(eom_residual(s, "amplified", params)))
     mismatch = 0
     undamped = abs(eom_residual(1j * params.omega, "damped", params))
-    if undamped <= 0.5 * params.gamma * params.omega:
+    if undamped <= params.r:  # 0.5 gamma omega / m omega^2
         mismatch += 1
     return dev + mismatch, {"undamped_control": undamped}
 
@@ -893,20 +884,20 @@ def check_eom_residuals(cfg: VerifyConfig):
 def check_factor_examples(cfg: VerifyConfig):
     params = cfg.params
     dev = 0.0
-    ev = eigenvalue(ft.FT, 0, 0, "-").as_complex(params)
-    got = schrodinger_factor(ev, 1.0 / params.lam, params.hbar)
+    rate = eigenvalue(ft.FT, 0, 0, "-").rate(params)
+    got = schrodinger_factor(rate, 1.0 / params.lam)
     dev = _worst(dev, abs(got - math.exp(-1.0)))
-    ev_stable = eigenvalue(imagscale.IS, 0, 0, "+").as_complex(params)
+    stable = eigenvalue(imagscale.IS, 0, 0, "+").rate(params)
     for t in (0.0, 1.0, 10.0):
-        dev = _worst(dev, abs(abs(schrodinger_factor(ev_stable, t, params.hbar)) - 1.0))
-    ev_mixed = eigenvalue(imagscale.IS, 1, 0, "+").as_complex(params)
+        dev = _worst(dev, abs(abs(schrodinger_factor(stable, t)) - 1.0))
+    mixed = eigenvalue(imagscale.IS, 1, 0, "+").rate(params)
     # |factor|^2 = e^{2 lambda t} must stay finite: past lambda = 1/2 the times shrink
     # with 1/lambda (the scale is exactly 1 below it)
     scale = 0.5 / max(params.lam, 0.5)
     for t in (0.0, 0.7 * scale, 3.0 * scale):
-        factor = schrodinger_factor(ev_mixed, t, params.hbar)
-        dev = _worst(dev, abs(factor * dual_factor(ev_mixed, t, params.hbar) - 1.0))
-        rhs = math.exp(2.0 * (ev_mixed.imag / params.hbar) * t)
+        factor = schrodinger_factor(mixed, t)
+        dev = _worst(dev, abs(factor * dual_factor(mixed, t) - 1.0))
+        rhs = math.exp(2.0 * mixed.imag * t)
         dev = _worst(dev, abs(abs(factor) ** 2 - rhs) / max(rhs, 1.0))
     return dev
 

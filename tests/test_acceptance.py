@@ -107,12 +107,12 @@ def test_operator_identities_at_split_angles(capsys):
         assert bound == check_is_identity_quarter.tolerance(cfg)
         worst = 0.0
         for sign in (1, -1):
-            rep = identity_report(ft.FT, transform(ft.FT, sign * math.pi / 4, lad), PARAMS)
+            rep = identity_report(ft.FT, transform(ft.FT, sign * math.pi / 4, lad), PARAMS.r)
             for dev in (rep.h0_deviation, rep.h1_deviation, rep.reduced_deviation):
                 assert dev <= bound
                 worst = max(worst, dev)
             chi = sign * 1j * math.pi / 4
-            rep = identity_report(imagscale.IS, transform(imagscale.IS, chi, lad), PARAMS)
+            rep = identity_report(imagscale.IS, transform(imagscale.IS, chi, lad), PARAMS.r)
             for dev in (rep.h0_deviation, rep.h1_deviation, rep.reduced_deviation):
                 assert dev <= bound
                 worst = max(worst, dev)
@@ -202,23 +202,24 @@ def test_eom_certification(capsys):
         for sign, roots in xy_mode_exponents(PARAMS).items():
             for s in roots:
                 res = abs(eom_residual(s, sign, PARAMS))
-                assert res <= 1e-12 * PARAMS.k
+                assert res <= 1e-12 * (1 + PARAMS.r**2)  # 1e-12 k in units of m omega^2
                 worst_res = max(worst_res, res)
         lad = build_ladder(12)
-        xp, yp = position_operators(lad, PARAMS)
+        xp, yp = position_operators(lad)
         worst_xy = 0.0
         for sign in (1, -1):
             theta = sign * math.pi / 4
-            x, y = xy_operators(ft.FT, sign, 0.0, transform(ft.FT, theta, lad), PARAMS)
+            x, y = xy_operators(ft.FT, sign, 0.0, transform(ft.FT, theta, lad), PARAMS.r)
             worst_xy = max(worst_xy, interior_deviation(x, xp, lad.space),
                            interior_deviation(y, yp, lad.space))
             chi = sign * 1j * math.pi / 4
-            x, y = xy_operators(imagscale.IS, sign, 0.0, transform(imagscale.IS, chi, lad), PARAMS)
+            x, y = xy_operators(imagscale.IS, sign, 0.0, transform(imagscale.IS, chi, lad),
+                                PARAMS.r)
             worst_xy = max(worst_xy, interior_deviation(x, xp, lad.space),
                            interior_deviation(y, yp, lad.space))
         bound = check_ft_xy.tolerance(VerifyConfig(params=PARAMS))  # 1e-12 at unit length
         assert worst_xy <= bound
-        return (f"residuals {worst_res:.2e} <= 1e-12*k; "
+        return (f"residuals {worst_res:.2e} <= 1e-12 k / m omega^2; "
                 f"t=0 x,y deviation {worst_xy:.2e} <= {bound:.0e}")
 
     _gate(capsys, "equations of motion", 1.0, body)
@@ -234,10 +235,10 @@ def test_stability_classification(capsys):
                     got = eigenvalue(imagscale.IS, n1, n2, branch).stability
                     assert (got is StabilityClass.STABLE) == (n1 == n2)
         rec = eigenvalue(ft.FT, 2, 1, "+")
-        norms = pairing_norm_in_time(rec, (0.0, 1.0, 10.0), PARAMS)
+        norms = pairing_norm_in_time(rec, (0.0, 1.0, 10.0), rec.rate(PARAMS))
         assert norms == [1.0, 1.0, 1.0]
         rec = eigenvalue(imagscale.IS, 1, 1, "-")
-        norms = pairing_norm_in_time(rec, (0.0, 1.0, 10.0), PARAMS)
+        norms = pairing_norm_in_time(rec, (0.0, 1.0, 10.0), rec.rate(PARAMS))
         assert norms == [1.0, 1.0, 1.0]
         return "98 classifications; pairing norm exactly constant on {0,1,10}"
 

@@ -5,15 +5,20 @@ command layer catches itself comes back as a plain return code.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from bateman.cli import COMMANDS, EDGE_EPSILONS, MODERATE_GRID, build_parser, main
+from bateman.errors import BatemanError
+from bateman.params import derive_params
 from bateman.verify import SUITES
 from test_golden import CASES as GOLDEN_CASES
 
@@ -144,6 +149,18 @@ def test_evolve_csv(capsys):
     assert abs(float(last[3]) - 7.38905609893065) <= 1e-10
 
 
+def test_evolve_reads_rates_whose_products_with_hbar_underflow(capsys):
+    # hbar lambda = 5e-401 and hbar omega = 1.1e-350 underflow: the rates of this
+    # growing state once read 0 and -0
+    rc, out, _ = run(capsys, "evolve", "--hbar", "1e-300", "--m", "1e100", "--n1", "1",
+                     "--times", "0,2")
+    report = json.loads(out)
+    omega, lam = report["params"]["omega"], report["params"]["lambda"]
+    assert rc == 0 and report["stability"] == "growing" and 0.0 < lam < omega < 1e-49
+    assert (report["amplitude_rate"], report["phase_rate"]) == (2.0 * lam, -omega)
+    assert report["rows"][1]["im_factor"] == -2.0 * omega  # sin(-omega t) at t = 2
+
+
 # --- verify ------------------------------------------------------------------
 
 def test_verify_algebra_passes(capsys):
@@ -197,13 +214,13 @@ def test_verify_runs_without_an_svd(monkeypatch, capsys, argv, count):
                                    ["--gamma", "1.99999999", "--k", "1"]])
 def test_verify_all_passes_at_far_physical_scales(capsys, flags):
     # the non-normality witness, [H0, H1] and the quadratic-root residual are
-    # gated relative to the scale of H and of k, not against absolute numbers;
+    # gated relative to the scale of H and of m omega^2, not against absolute numbers;
     # the eigenvector residual relative to hbar (omega + lambda), not to |E|:
     # near critical damping omega = 1e-4 lambda, and |E| of an n1 = n2 state is
     # (n1 + n2 + 1) hbar omega;
     # dynamics.factor samples e^{2 lambda t} at times that shrink with 1/lambda;
-    # the Heisenberg rates scale with omega and lambda, the H identities with
-    # hbar max(omega, lambda) and x, y with sqrt(hbar / m omega)
+    # the Heisenberg rates and the H identities are read in units of omega and
+    # hbar omega, where they scale with max(1, r)
     rc, out, _ = run(capsys, "verify", "all", *flags)
     failed = [c["check_id"] for c in json.loads(out)["checks"] if not c["passed"]]
     assert rc == 0 and failed == []
@@ -311,11 +328,12 @@ def test_domain_error_exits_2(capsys):
 @pytest.mark.parametrize("command", ["spectrum", "classify", "norms", "verify"])
 @pytest.mark.parametrize("flags", [["--m", "1e-200", "--k", "1e200"],
                                    ["--m", "1e-300", "--gamma", "1e-300", "--k", "1e10"]])
-def test_parameters_whose_omega_overflows_exit_2(capsys, command, flags):
-    # omega once printed as nan with exit 0
+def test_parameters_whose_k_over_m_overflows_are_accepted(capsys, command, flags):
+    # k/m overflows, but omega (8.7e199 and 1e155) does not: omega once printed as nan
+    # with exit 0, then both inputs were rejected as not finite
     rc, out, err = run(capsys, command, *flags)
-    assert rc == 2
-    assert out == "" and err.startswith("error: derived frequencies are not finite: ")
+    assert rc == 0 and err == ""
+    assert 1e150 < json.loads(out)["params"]["omega"] < 1e200
 
 
 @pytest.mark.parametrize("flags", [["--hbar", "1e-310"], ["--hbar", "5e-324"],
@@ -328,6 +346,67 @@ def test_subnormal_parameters_exit_2(capsys, flags):
     rc, out, err = run(capsys, "verify", "all", *flags)
     assert rc == 2
     assert out == "" and err.startswith("error: ") and "normal float" in err
+
+
+_TINY, _HUGE = sys.float_info.min, sys.float_info.max
+
+
+def _true_reason(message: str, inputs: dict) -> bool:
+    """Whether the rejection message names a condition that the inputs meet, in exact
+    arithmetic; a decision at the edge of the underdamped regime counts within 2^-50."""
+    name = message.split()[0]
+    if name in inputs:  # "<name> must be finite / positive / a normal float"
+        return not _TINY <= inputs[name] <= _HUGE
+    m, gamma, k = (Fraction(inputs[name]) for name in ("m", "gamma", "k"))
+    tiny2, lam2 = Fraction(_TINY) ** 2, (gamma / (2 * m)) ** 2
+    omega2 = k / m - lam2
+    if message.startswith("underdamped regime requires"):
+        return gamma * gamma >= 4 * m * k * (1 - Fraction(1, 2**50))
+    if message.startswith("derived frequencies are not normal floats"):
+        # omega also when k/m - lam^2 cancels to below the rounding of its terms
+        return min(lam2, omega2) < tiny2 or omega2 < k / m / 2**50
+    if message.startswith("the damping ratio r = lam/omega"):
+        return lam2 < tiny2 * omega2
+    return False
+
+
+@st.composite
+def _physical_inputs(draw):
+    """m, k and hbar log-uniform over the normal floats, gamma from the damping angle
+    phi = atan(lam / omega) in (0, pi/2): gamma = 2 sqrt(m k) sin phi."""
+    m, k, hbar = (2.0 ** draw(st.floats(-1022.0, 1023.99)) for _ in range(3))
+    phi = draw(st.floats(0.0, math.pi / 2, exclude_min=True, exclude_max=True))
+    return {"m": m, "gamma": 2.0 * math.sqrt(m) * math.sqrt(k) * math.sin(phi), "k": k,
+            "hbar": hbar}
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@example({"m": 1e300, "gamma": 1.0, "k": 1.25, "hbar": 1.0})  # omega lambda underflowed
+@example({"m": 1e250, "gamma": 1.0, "k": 1.25, "hbar": 1.0})
+@example({"m": 1e100, "gamma": 1.0, "k": 1.25, "hbar": 1e-300})  # hbar lambda underflowed
+@example({"m": 1e200, "gamma": 1e200, "k": 1e200, "hbar": 1.0})  # rejected as overdamped
+@example({"m": 1e-300, "gamma": 1e-300, "k": 1e10, "hbar": 1.0})  # rejected as not finite
+# dynamics.eom's undamped control: gamma omega = 2e-346 underflowed
+@example({"m": 1.539951875650745e42, "gamma": 4.5103652822293216e-216, "k": 3.636146535198901e-219,
+          "hbar": 1.0})
+# k/m - lam**2 rounds below 0 at the edge of the regime: math.sqrt raised ValueError
+@example({"m": 0.7326433490014181, "gamma": 1.5046735787072876, "k": 0.7725595890366207,
+          "hbar": 1.0})
+@given(_physical_inputs())
+def test_verify_all_exits_0_on_an_accepted_input_and_2_for_a_true_reason(inputs):
+    # the domain contract: an input that derive_params accepts passes every check,
+    # and one it rejects exits 2 with a message whose condition holds
+    flags = [f"--{name}={value!r}" for name, value in inputs.items()]
+    try:
+        derive_params(**inputs)
+        message = None
+    except BatemanError as exc:
+        message = str(exc)
+    rc = main(["verify", "all", "--format", "csv", *flags])
+    if message is None:
+        assert rc == 0, flags
+    else:
+        assert rc == 2 and _true_reason(message, inputs), (flags, message)
 
 
 def test_out_writes_file(tmp_path, capsys):

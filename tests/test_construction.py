@@ -58,15 +58,15 @@ def test_heisenberg_factors_are_reciprocal(con, params):
     t = 0.7
     for mode in (1, 2):
         for branch in (1, -1):
-            ann = cmath.exp(heisenberg_rate(con, mode, "ann", branch, params) * t)
-            cre = cmath.exp(heisenberg_rate(con, mode, "cre", branch, params) * t)
-            assert cmath.exp(heisenberg_rate(con, mode, "ann", branch, params) * 0.0) == 1.0
+            ann = cmath.exp(heisenberg_rate(con, mode, "ann", branch, params.r) * t)
+            cre = cmath.exp(heisenberg_rate(con, mode, "cre", branch, params.r) * t)
+            assert cmath.exp(heisenberg_rate(con, mode, "ann", branch, params.r) * 0.0) == 1.0
             assert abs(ann * cre - 1.0) <= 1e-12
     with pytest.raises(DomainError):
-        heisenberg_rate(con, 3, "ann", 1, params)
+        heisenberg_rate(con, 3, "ann", 1, params.r)
 
 
-#: mode -> (w, l): the annihilator rate is w*i*omega + l*branch*lambda; creators negate it
+#: mode -> (w, l): the annihilator rate is w*i + l*branch*r in units of omega; creators negate it
 RATE_TABLES = {"ft": {1: (-1, 1), 2: (1, 1)}, "is": {1: (-1, 1), 2: (-1, -1)}}
 
 
@@ -77,9 +77,9 @@ def test_heisenberg_rates_match_the_rate_table(con, table, params):
     for p in (params, derive_params(1.3, 0.7, 2.1)):
         for mode, (w, lam_sign) in table.items():
             for branch in (1, -1):
-                ann = w * 1j * p.omega + lam_sign * branch * p.lam
-                assert heisenberg_rate(con, mode, "ann", branch, p) == ann
-                assert heisenberg_rate(con, mode, "cre", branch, p) == -ann
+                ann = w * 1j + lam_sign * branch * p.r
+                assert heisenberg_rate(con, mode, "ann", branch, p.r) == ann
+                assert heisenberg_rate(con, mode, "cre", branch, p.r) == -ann
 
 
 #: the 25 states with n1, n2 <= 4, far below the top rung of n_max 24
@@ -87,18 +87,19 @@ XY_N_MAX = 24
 XY_STATES = [(n1, n2) for n1 in range(5) for n2 in range(5)]
 
 
-def _xy_deviation(con, branch, t, params, xy_params):
-    """Largest gap of x(t), y(t) from U^H x U, U = e^{-iHt/hbar}, on the low block B.
+def _xy_deviation(con, branch, t, r, xy_r):
+    """Largest gap of x(t), y(t) from U^H x U, U = e^{-iHt/hbar}, on the low block B, in
+    units of sqrt(hbar / m omega) at the time t in units of 1 / omega.
 
-    xy_params feeds `xy_operators` alone, so a defect in its scalar factors shows.
+    xy_r feeds `xy_operators` alone, so a defect in its scalar factors shows.
     """
     lad = build_ladder(XY_N_MAX)
     space = lad.space
     block = np.array([space.index(n1, n2) for n1, n2 in XY_STATES])
-    h = build_hamiltonian(lad, params).h
-    u = exp_block(h * (-1j * t / params.hbar), space.difference, None, block)
-    x_t, y_t = xy_operators(con, branch, t, transform(con, con.quarter(branch), lad), xy_params)
-    x, y = position_operators(lad, params)
+    h = build_hamiltonian(lad, r).h  # H / hbar omega
+    u = exp_block(h * (-1j * t), space.difference, None, block)
+    x_t, y_t = xy_operators(con, branch, t, transform(con, con.quarter(branch), lad), xy_r)
+    x, y = position_operators(lad)
     return max(np.max(np.abs(dense(x_t, block, block) - u.conj().T @ (x @ u))),
                np.max(np.abs(dense(y_t, block, block) - u.conj().T @ (y @ u))))
 
@@ -111,7 +112,7 @@ XY_PARAMS = [derive_params(1.0, 1.0, 1.25), derive_params(1.3, 0.7, 2.1)]
 @pytest.mark.parametrize("params", XY_PARAMS, ids=["m1-g1-k1.25", "m1.3-g0.7-k2.1"])
 def test_xy_at_finite_time_is_the_heisenberg_evolution(con, branch, params):
     for t in (0.25, 0.5):
-        assert _xy_deviation(con, branch, t, params, params) <= 1e-12
+        assert _xy_deviation(con, branch, t, params.r, params.r) <= 1e-12
 
 
 @ROUTES
@@ -119,8 +120,9 @@ def test_xy_at_finite_time_is_the_heisenberg_evolution(con, branch, params):
 def test_xy_at_finite_time_catches_a_wrong_rate(con, field, factor):
     params = XY_PARAMS[0]
     wrong = dataclasses.replace(params, **{field: factor * getattr(params, field)})
-    # far past the 1e-12 that the true rates keep
-    assert _xy_deviation(con, 1, 0.5, params, wrong) > 1e-3
+    # a wrong lam or omega reaches x(t), y(t) through r = lam / omega; far past the 1e-12
+    # that the true rates keep
+    assert _xy_deviation(con, 1, 0.5, params.r, wrong.lam / wrong.omega) > 1e-3
 
 
 def test_headroom_belongs_to_the_frame(ladder8):

@@ -35,7 +35,7 @@ def classify(approach, branch, n1, n2):
 
 def test_schrodinger_factor_basics():
     assert schrodinger_factor(1j, 1.0) == cmath.exp(1)
-    # real eigenvalue: pure phase
+    # real rate: pure phase
     v = schrodinger_factor(2.5, 0.7)
     assert abs(abs(v) - 1.0) <= 1e-15
 
@@ -93,12 +93,14 @@ def test_branch_flip_swaps_growth():
 def test_pairing_norm_conserved_exactly(params):
     for con in (FT, IS):
         for branch in ("+", "-"):
-            got = pairing_norm_in_time(eigenvalue(con, 1, 0, branch), T_GRID, params)
+            rec = eigenvalue(con, 1, 0, branch)
+            got = pairing_norm_in_time(rec, T_GRID, rec.rate(params))
             assert got == [1.0, 1.0, 1.0]
 
 
 def test_pairing_norm_cross_vanishes(params):
-    got = pairing_norm_in_time(eigenvalue(FT, 1, 0, "+"), T_GRID, params, other=(0, 1))
+    rec = eigenvalue(FT, 1, 0, "+")
+    got = pairing_norm_in_time(rec, T_GRID, rec.rate(params), other=(0, 1))
     assert got == [0.0, 0.0, 0.0]
 
 
@@ -116,9 +118,9 @@ def test_state_evolution_record(params, capsys):
 @given(st.sampled_from([FT, IS]), st.sampled_from([1, -1]),
        st.integers(0, 5), st.integers(0, 5), st.floats(0.0, 4.0))
 def test_factor_modulus_tracks_rate(params, con, branch, n1, n2, t):
-    ev = eigenvalue(con, n1, n2, branch).as_complex(params)
-    got = abs(schrodinger_factor(ev, t, params.hbar)) ** 2
-    want = math.exp(2.0 * ev.imag / params.hbar * t)
+    rate = eigenvalue(con, n1, n2, branch).rate(params)
+    got = abs(schrodinger_factor(rate, t)) ** 2
+    want = math.exp(2.0 * rate.imag * t)
     assert abs(got - want) <= 1e-9 * max(1.0, want)
 
 
@@ -131,8 +133,9 @@ def test_xy_mode_exponents(params):
 
 def test_eom_residual_roots(params):
     for sign, (s1, s2) in xy_mode_exponents(params).items():
-        assert abs(eom_residual(s1, sign, params)) <= 1e-12 * params.k
-        assert abs(eom_residual(s2, sign, params)) <= 1e-12 * params.k
+        # in units of m omega^2, where k reads 1 + r^2
+        assert abs(eom_residual(s1, sign, params)) <= 1e-12 * (1 + params.r**2)
+        assert abs(eom_residual(s2, sign, params)) <= 1e-12 * (1 + params.r**2)
 
 
 def test_eom_residual_rejects_undamped_guess(params):

@@ -197,7 +197,7 @@ def test_blocks_of_csr_match_dense_pattern(n_max, params, monkeypatch):
     monkeypatch.setattr(fock, "_stack_exp", lambda stack: stack)
     for op, charge in ((generator_matrix(lad), space.difference),
                        (generator_y_matrix(lad.a2, lad.a2_dag), n1_and_n2_parity(space)),
-                       (build_hamiltonian(rep.ladder, params).h, rep.charge)):
+                       (build_hamiltonian(rep.ladder, params.r).h, rep.charge)):
         full = dense(op)
         stacks = sector_exp(op, charge)
         assert [idx.shape[1] for idx, _ in stacks] == sorted({idx.shape[1] for idx, _ in stacks})
@@ -390,12 +390,12 @@ def test_matrix_exp_matches_dense_expm(params):
             "X": (0.3 * generator_matrix(lad), difference),
             "Y": (0.7j * y, n1_and_n2_parity(lad.space)),
             "Z quarter": (1j * math.pi / 4 * generator_z_matrix(lad), difference),
-            "H": (-0.4j * build_hamiltonian(lad, params).h, difference),
+            "H": (-0.4j * build_hamiltonian(lad, params.r).h, difference),
         }
         if n_max == 8:
             ops["Z"] = (0.25j * generator_z_matrix(lad), difference)
             check = bounded_frame(1j * math.pi / 4, lad)
-            ops["H check"] = (-0.4j * build_hamiltonian(check.ladder, params).h, check.charge)
+            ops["H check"] = (-0.4j * build_hamiltonian(check.ladder, params.r).h, check.charge)
         for name, (a, charge) in ops.items():
             want = scipy.linalg.expm(dense(a))
             got = matrix_exp(a, charge)
@@ -469,14 +469,14 @@ def test_exp_inverse_property(ladder8):
 
 
 def test_hamiltonian_hermitian_and_commuting(ladder8, params):
-    ham = build_hamiltonian(ladder8, params)
+    ham = build_hamiltonian(ladder8, params.r)
     assert max_abs(ham.h - ham.h.conj().T) == 0.0
     # H0 is diagonal and H1 normal ordered: they commute on the whole truncated space
     assert max_abs(commutator(ham.h0, ham.h1)) < 1e-13
 
 
-def test_position_operators_hermitian(ladder8, params):
-    x, y = position_operators(ladder8, params)
+def test_position_operators_hermitian(ladder8):
+    x, y = position_operators(ladder8)
     assert max_abs(x - x.conj().T) < 1e-14
     assert max_abs(y - y.conj().T) < 1e-14
 

@@ -111,7 +111,7 @@ def test_branch_normalization():
 @pytest.mark.parametrize("sign", [+1, -1])
 def test_h1_reduces_at_quarter_turn(sign, params):
     lad = build_ladder(12)
-    rep = identity_report(FT, transform(FT, sign * math.pi / 4, lad), params)
+    rep = identity_report(FT, transform(FT, sign * math.pi / 4, lad), params.r)
     bound = 1e-10 * lad.space.dim
     assert rep.h0_deviation <= bound
     assert rep.h1_deviation <= bound
@@ -318,21 +318,21 @@ def test_heisenberg_factor_at_zero(params):
     for mode in (1, 2):
         for kind in ("ann", "cre"):
             for branch in (1, -1):
-                assert cmath.exp(heisenberg_rate(FT, mode, kind, branch, params) * 0.0) == 1.0
+                assert cmath.exp(heisenberg_rate(FT, mode, kind, branch, params.r) * 0.0) == 1.0
 
 
 def test_heisenberg_factor_closed_form(params):
-    t = 0.7
-    got = cmath.exp(heisenberg_rate(FT, 1, "ann", -1, params) * t)
-    want = np.exp((-1j * params.omega - params.lam) * t)
+    t = 0.7  # in units of 1 / omega
+    got = cmath.exp(heisenberg_rate(FT, 1, "ann", -1, params.r) * t)
+    want = np.exp((-1j - params.r) * t)
     assert abs(got - want) <= 1e-12
 
 
 def test_heisenberg_conjugate_product(params):
     # matched ann/cre factors carry opposite exponents
     t = 0.7
-    prod = (cmath.exp(heisenberg_rate(FT, 1, "ann", 1, params) * t)
-            * cmath.exp(heisenberg_rate(FT, 1, "cre", 1, params) * t))
+    prod = (cmath.exp(heisenberg_rate(FT, 1, "ann", 1, params.r) * t)
+            * cmath.exp(heisenberg_rate(FT, 1, "cre", 1, params.r) * t))
     assert abs(prod - 1.0) <= 1e-12
 
 
@@ -340,9 +340,9 @@ def test_heisenberg_conjugate_product(params):
 @given(st.floats(0.0, 5.0), st.sampled_from([1, 2]), st.sampled_from([1, -1]))
 def test_heisenberg_modulus(params, t, mode, branch):
     # modulus is set by branch and kind alone; mode only moves the phase
-    rate = branch * params.lam
+    rate = branch * params.r
     for kind, s in (("ann", +1), ("cre", -1)):
-        got = abs(cmath.exp(heisenberg_rate(FT, mode, kind, branch, params) * t))
+        got = abs(cmath.exp(heisenberg_rate(FT, mode, kind, branch, params.r) * t))
         assert abs(got - math.exp(s * rate * t)) <= 1e-9 * math.exp(abs(rate) * t)
 
 
@@ -350,8 +350,8 @@ def test_heisenberg_modulus(params, t, mode, branch):
 def test_xy_reconstruction_at_zero(sign, params):
     lad = build_ladder(12)
     ft = transform(FT, sign * math.pi / 4, lad)
-    x, y = xy_operators(FT, sign, 0.0, ft, params)
-    xp, yp = position_operators(lad, params)
+    x, y = xy_operators(FT, sign, 0.0, ft, params.r)
+    xp, yp = position_operators(lad)
     assert max_abs(x - xp) <= 1e-10
     assert max_abs(y - yp) <= 1e-10
 
@@ -359,4 +359,4 @@ def test_xy_reconstruction_at_zero(sign, params):
 def test_xy_requires_decoupling_angle(params):
     lad = build_ladder(8)
     with pytest.raises(DomainError):
-        xy_operators(FT, +1, 0.0, transform(FT, 0.3, lad), params)
+        xy_operators(FT, +1, 0.0, transform(FT, 0.3, lad), params.r)

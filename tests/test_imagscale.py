@@ -113,10 +113,10 @@ def _scale(chi: complex):
     return ((ch, 1j * sh), (-sh, -1j * ch)), ((ch, -1j * sh), (sh, -1j * ch))
 
 
-def _scale_h1(check, q_form, params):
-    """H1 = hbar lambda [cosh 2chi (c1+ c2 - c2+ c1) + sinh 2chi (N1 - N2)]."""
+def _scale_h1(check, q_form, r):
+    """H1 / hbar omega = r [cosh 2chi (c1+ c2 - c2+ c1) + sinh 2chi (N1 - N2)]."""
     c2, s2 = cmath.cosh(2 * check.angle), cmath.sinh(2 * check.angle)
-    return params.hbar * params.lam * (
+    return r * (
         c2 * (check.cre1 @ check.ann2 - check.cre2 @ check.ann1) + s2 * q_form
     )
 
@@ -189,7 +189,7 @@ def test_derived_h1_form_is_the_hand_typed_one_off_the_top_rung(chi, params):
         tol = 8 * np.finfo(float).eps * n_max
         for frame in (transform(IS, chi, lad), bounded_frame(chi, lad)):
             q_form = frame.cre1 @ frame.ann1 - frame.cre2 @ frame.ann2
-            got, want = IS.h1_mixed(frame, q_form, params), _scale_h1(frame, q_form, params)
+            got, want = IS.h1_mixed(frame, q_form, params.r), _scale_h1(frame, q_form, params.r)
             assert interior_deviation(got, want, lad.space) <= tol
             if n_max == 24 and chi == 0.37j:
                 assert max_abs(got - want) > 1.0
@@ -233,7 +233,7 @@ def test_h_reduces_in_check_frame(chi, params):
         lad = build_ladder(n_max)
         bound = 1e-10 * lad.space.dim
         for frame in (transform(IS, chi, lad), bounded_frame(chi, lad)):
-            rep = identity_report(IS, frame, params)
+            rep = identity_report(IS, frame, params.r)
             assert rep.h0_deviation <= bound
             assert rep.h1_deviation <= bound
             # populated only at the split points
@@ -308,12 +308,13 @@ def test_check_matrix_elements(params):
     lad = build_ladder(12)
     for branch in (1, -1):
         rep = bounded_frame(IS.quarter(branch), lad)
-        h = build_hamiltonian(rep.ladder, params).h
+        h = build_hamiltonian(rep.ladder, params.r).h
         for n1, n2 in ((0, 0), (1, 0), (1, 1), (2, 1)):
             kets, bras = basis(rep, [(n1, n2)], is_vacuum(rep))
             ket, bra = kets[:, 0], bras[0]
             got = bra @ (h @ ket)
-            want = eigenvalue(IS, n1, n2, branch).as_complex(params)
+            rec = eigenvalue(IS, n1, n2, branch)
+            want = rec.p + 1j * rec.q * params.r  # E / hbar omega
             assert abs(got - want) <= 1e-10
 
 
@@ -323,7 +324,7 @@ def test_check_headroom_guard(rep12):
 
 
 def test_check_h_not_normal(rep12, params):
-    h = build_hamiltonian(rep12.ladder, params).h
+    h = build_hamiltonian(rep12.ladder, params.r).h
     witness = max_abs(h @ h.conj().T - h.conj().T @ h)
     assert witness > 1e-6
 
@@ -334,17 +335,17 @@ def test_check_h_not_normal(rep12, params):
 def test_xy_reconstruction_at_zero(sign, params):
     lad = build_ladder(12)
     ist = transform(IS, sign * CHI_Q, lad)
-    x, y = xy_operators(IS, sign, 0.0, ist, params)
-    xp, yp = position_operators(lad, params)
+    x, y = xy_operators(IS, sign, 0.0, ist, params.r)
+    xp, yp = position_operators(lad)
     assert max_abs(x - xp) <= 1e-10
     assert max_abs(y - yp) <= 1e-10
 
 
 def test_heisenberg_factor(params):
-    assert cmath.exp(heisenberg_rate(IS, 1, "ann", 1, params) * 0.0) == 1.0
-    t = 0.7
-    got = cmath.exp(heisenberg_rate(IS, 1, "ann", -1, params) * t)
-    assert abs(got - np.exp((-1j * params.omega - params.lam) * t)) <= 1e-12
+    assert cmath.exp(heisenberg_rate(IS, 1, "ann", 1, params.r) * 0.0) == 1.0
+    t = 0.7  # in units of 1 / omega
+    got = cmath.exp(heisenberg_rate(IS, 1, "ann", -1, params.r) * t)
+    assert abs(got - np.exp((-1j - params.r) * t)) <= 1e-12
 
 
 def _is_xy_table(sign):

@@ -191,12 +191,34 @@ def test_declared_description_and_tolerance_are_what_the_check_reports(params, m
 def test_verify_all_passes_at_an_extreme_hbar(hbar, n_max):
     # is.matrix-element's non-normality witness was read on H itself: it
     # underflowed to 0 at 1e-170, failing the guard, and hbar**2 overflowed at
-    # 1e200; it is read on H / hbar, which does not scale with hbar.  The
-    # Heisenberg commutators [op, H] overflowed to NaN at 1e307, and at 1e306
-    # with n_max 48; they are read on H / hbar too
+    # 1e200.  The Heisenberg commutators [op, H] overflowed to NaN at 1e307, and
+    # at 1e306 with n_max 48.  Both read H / hbar omega, which does not scale with hbar
     params = derive_params(1.0, 1.0, 1.25, hbar=hbar)
     results = run_suite("all", VerifyConfig(params=params, n_max=n_max))
     assert [r.check_id for r in results if not r.passed] == []
+
+
+@pytest.fixture(scope="module")
+def r_half_results():
+    """Every ft and is check and algebra.h-structure at the defaults, where r = 1/2."""
+    cfg = VerifyConfig(params=derive_params(1.0, 1.0, 1.25))
+    return {fn.check_id: fn(cfg) for fn in (*SUITES["ft"], *SUITES["is"],
+                                            verify.check_h_structure)}
+
+
+@pytest.mark.parametrize("inputs", [dict(hbar=3.0), dict(hbar=1e200), dict(gamma=4.0, k=20.0)],
+                         ids=["hbar-3", "hbar-1e200", "4gamma-16k"])
+def test_matrix_checks_read_r_alone(r_half_results, inputs):
+    # each input keeps the bits of r = lam / omega = 1/2 (4 gamma and 16 k scale omega and
+    # lam by 4), so every deviation and detail keeps its bits; with H built in physical
+    # units 7 to 9 of these checks moved, and the h-identities read 4.4e185 at hbar 1e200
+    params = derive_params(**{"m": 1.0, "gamma": 1.0, "k": 1.25, **inputs})
+    assert params.r == 0.5
+    cfg = VerifyConfig(params=params)
+    for fn in (*SUITES["ft"], *SUITES["is"], verify.check_h_structure):
+        got, want = fn(cfg), r_half_results[fn.check_id]
+        assert got.deviation.hex() == want.deviation.hex(), fn.check_id
+        assert repr(got.detail) == repr(want.detail), fn.check_id
 
 
 @pytest.mark.parametrize("hbar", [1.0, 1e-170, 1e200])
@@ -209,9 +231,9 @@ def test_h_structure_fails_on_a_term_that_breaks_commutation(monkeypatch, hbar):
     assert verify.check_h_structure(cfg).passed
     build = verify.build_hamiltonian
 
-    def bent(lad, p):
-        ham = build(lad, p)
-        h1 = ham.h1 + 1e-3 * p.hbar * p.omega * (lad.a1 @ lad.a2_dag + lad.a2 @ lad.a1_dag)
+    def bent(lad, r):
+        ham = build(lad, r)  # H / hbar omega
+        h1 = ham.h1 + 1e-3 * (lad.a1 @ lad.a2_dag + lad.a2 @ lad.a1_dag)
         return fock.HamiltonianSet(h0=ham.h0, h1=h1, h=ham.h0 + h1)
 
     monkeypatch.setattr(verify, "build_hamiltonian", bent)
