@@ -82,8 +82,8 @@ def test_inputs_whose_intermediates_overflow_are_derived(inputs, omega, lam):
 
 @pytest.mark.parametrize("scale", [1e200, 1e-200, 2.0 ** 1000])
 def test_a_common_scale_of_m_gamma_k_keeps_the_frequencies(scale):
-    # 4 m k and gamma**2 overflow or underflow at 1e+-200; (1, 1, 1) was rejected
-    # as overdamped at 1e200 (inf <= inf) and as not finite at 2**1000
+    # 4 m k and gamma**2 overflow or underflow: each scale was rejected as overdamped,
+    # as inf <= inf or 0 <= 0
     want = derive_params(1.0, 1.0, 1.0)
     got = derive_params(scale, scale, scale)
     assert (got.omega, got.lam, got.r) == (want.omega, want.lam, want.r) == (
