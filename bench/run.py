@@ -17,8 +17,8 @@ the CLI parser, every check of `verify all` at the CLI defaults,
 `cli.main` for each of COLD_INVOCATIONS in a cold child, after its import.
 Rows are matched across the trees by layer and parameters.  Counts that a
 tree computes itself (sectors, stacks, elements, polys, peak RSS) are recorded
-per tree, and a row that one tree cannot build is listed under "one side
-only".
+per tree, and a row that one tree cannot build, because its function there does
+not take the row's arguments, is listed under "one side only".
 
 Each row runs once per tree to warm its caches, then PAIRS times per tree,
 alternating which tree goes first, in CPU seconds per call (of the child, for
@@ -45,6 +45,7 @@ import argparse  # noqa: E402
 import compileall  # noqa: E402
 import importlib  # noqa: E402
 import importlib.util  # noqa: E402
+import inspect  # noqa: E402
 import itertools  # noqa: E402
 import json  # noqa: E402
 import math  # noqa: E402
@@ -113,6 +114,9 @@ INVOCATIONS = [
     ["verify", "all", "--hbar", "2", "--m", "0.5", "--gamma", "0.7", "--k", "2.1"],
     # scales whose products under- or overflow: omega lambda 5.6e-451 and hbar lambda 5e-401
     ["verify", "all", "--m", "1e300"], ["evolve", "--hbar", "1e-300", "--m", "1e100"],
+    # exit 2: a printed energy would read 0 (hbar lambda 5e-401) or inf (hbar omega 1e310)
+    ["spectrum", "--hbar", "1e-300", "--m", "1e100"],
+    ["spectrum", "--hbar", "1e300", "--k", "1e20"],
     *_scalar_invocations(),
     ["verify", "is", "--n-max", "3"],                       # exit 2: below the smallest n_max
     ["spectrum", "--approach", "is", "--n-cap", "17"],      # exit 2: past the largest n_cap
@@ -225,9 +229,6 @@ def build_rows(src: Path, label: str = "this") -> dict[str, tuple]:
     b = load(src, label)
     con, fock, ft, imag, verify = b.construction, b.fock, b.ft, b.imagscale, b.verify
     params = b.params.derive_params(**DEFAULT_PARAMS)
-    # what builds H in each tree: r = lam / omega, or in a parent that built H in physical
-    # units the whole parameter set
-    h_scale = getattr(params, "r", params)
     rows = {}
 
     def put(key: dict, measure, counts: dict) -> None:
@@ -235,6 +236,10 @@ def build_rows(src: Path, label: str = "this") -> dict[str, tuple]:
 
     def add(layer: str, fn, *args, calls: int = 1, counts=None, **at) -> None:
         key = {"layer": layer, **at, **({"calls": calls} if calls > 1 else {})}
+        try:
+            inspect.signature(fn, follow_wrapped=False).bind(*args)
+        except TypeError:  # this tree's fn takes other arguments: the row is one side only
+            return
         put(key, cpu(partial(fn, *args), calls), counts or {})
 
     rss = []
@@ -243,11 +248,11 @@ def build_rows(src: Path, label: str = "this") -> dict[str, tuple]:
         put({"layer": "cold cli.main", "argv": list(argv)}, cold_main(src, argv), {})
     for n_max in N_MAX:
         lad = fock.build_ladder(n_max)
-        ham = fock.build_hamiltonian(lad, h_scale)
+        ham = fock.build_hamiltonian(lad, params.r)
         space = lad.space
         at = {"n_max": n_max, "dim": space.dim}
         add("ladder_and_hamiltonian", lambda n=n_max: fock.build_hamiltonian(
-            fock.build_ladder(n), h_scale), calls=10, **at)
+            fock.build_ladder(n), params.r), calls=10, **at)
         # each exponent with the charge it conserves: n1 - n2, or n1 and the parity of n2 for Y
         exponents = {"0.3 X": (0.3 * ft.generator_matrix(lad), space.difference),
                      "Y": (imag.generator_y_matrix(lad.a2, lad.a2_dag),
@@ -271,7 +276,8 @@ def build_rows(src: Path, label: str = "this") -> dict[str, tuple]:
             add("check", check, cfg, **at, check=check.check_id)
         for name, route in (("ft", ft.FT), ("is", imag.IS)):
             add("identity_report", con.identity_report, route,
-                con.transform(route, route.quarter(+1), lad), h_scale, **at, route=name)
+                con.transform(route, route.quarter(+1), lad), params.r, +1, **at, route=name,
+                branch=+1)
         add("ladder_product", operator.matmul, lad.a1, lad.a2, calls=100, **at)
         add("commutator_h0_h1", fock.commutator, ham.h0, ham.h1, **at)
         q_cap = verify._gram_q_cap(n_max)  # the occupations of ft.gram and is.gram

@@ -182,9 +182,17 @@ _EIGEN_HEADER = ("n1", "n2", "p", "q", "re", "im", "class")
 
 
 def _eigen_row(args: argparse.Namespace, n1: int, n2: int) -> dict:
-    """The (n1, n2, p, q, re, im, class) record of one eigenstate."""
+    """The (n1, n2, p, q, re, im, class) record of one eigenstate; a nonzero part of its
+    energy that is not a normal float (hbar omega or hbar lambda under- or overflows) is
+    an error, not a printed 0 or inf."""
     rec = eigenvalue(APPROACHES[args.approach], n1, n2, args.branch)
-    value = rec.as_complex(args.params)
+    params = args.params
+    value = rec.as_complex(params)
+    for count, part, name, rate in ((rec.p, value.real, "p hbar omega", params.omega),
+                                    (rec.q, value.imag, "q hbar lambda", params.lam)):
+        if count and not sys.float_info.min <= abs(part) <= sys.float_info.max:
+            raise DomainError(f"the energy of state ({n1},{n2}) is outside the normal floats: "
+                              f"{name} = {count} * {params.hbar!r} * {rate!r} = {part!r}")
     return dict(zip(_EIGEN_HEADER, (n1, n2, rec.p, rec.q, value.real, value.imag,
                                     rec.stability.value)))
 

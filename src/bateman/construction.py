@@ -43,7 +43,6 @@ __all__ = [
     "Eigen",
     "StabilityClass",
     "MixedModes",
-    "IdentityReport",
     "normalize_branch",
     "eigenvalue",
     "schrodinger_factor",
@@ -276,49 +275,26 @@ def similarity_deviation(con: Construction, modes: MixedModes, generator: Operat
                                   window_mask(modes.space, low_block(modes.space.n_max)))
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    """Interior deviations of H0/H1 from their mixed-operator expressions."""
+def identity_report(con: Construction, modes: MixedModes, r: float, branch=None) -> float:
+    """The larger interior gap of H0 and H1 from their expressions in the mixed operators,
+    in units of hbar omega.
 
-    h0_deviation: float
-    h1_deviation: float
-    reduced_deviation: float | None  # against the pure number-operator form; decoupling angles only
-
-
-def _quarter_branch(con: Construction, angle: complex, tol: float) -> int | None:
-    """The branch whose decoupling angle lies within tol of angle, if any."""
-    for b in (1, -1):
-        if abs(angle - con.quarter(b)) <= tol:
-            return b
-    return None
-
-
-def identity_report(con: Construction, modes: MixedModes, r: float) -> IdentityReport:
-    """Check H0 and H1 against their expressions in the mixed operators, in units of hbar omega.
-
-    H0 / hbar omega is the p number form at every angle; H1 / hbar omega carries
-    the route's general-angle expression, which at the decoupling angle of a
-    branch reduces to branch*i*r times the q number form.
+    H0 / hbar omega is the p number form at every angle.  H1 / hbar omega is compared
+    with the route's general-angle expression, or, given the branch whose decoupling
+    angle modes are built at, with the reduced form branch*i*r times the q number form.
     """
     space = modes.space
     eye = identity(space.dim)
     ham = build_hamiltonian(modes.ladder, r)
-    h0, h1 = ham.h0, ham.h1
-
     n1 = modes.cre1 @ modes.ann1
     n2 = modes.cre2 @ modes.ann2
     q_form = _affine(con.q_map, n1, n2, eye)
-
-    reduced = None
-    branch = _quarter_branch(con, modes.angle, 1e-9)
-    if branch is not None:
-        reduced = interior_deviation(h1, branch * 1j * r * q_form, space)
-
-    return IdentityReport(
-        h0_deviation=interior_deviation(h0, _affine(con.p_map, n1, n2, eye), space),
-        h1_deviation=interior_deviation(h1, con.h1_mixed(modes, q_form, r), space),
-        reduced_deviation=reduced,
-    )
+    if branch is None:
+        h1_form = con.h1_mixed(modes, q_form, r)
+    else:
+        h1_form = normalize_branch(branch) * 1j * r * q_form
+    return np.max([interior_deviation(ham.h0, _affine(con.p_map, n1, n2, eye), space),
+                   interior_deviation(ham.h1, h1_form, space)])  # a NaN is kept
 
 
 # ---------------------------------------------------------------------------
@@ -394,18 +370,16 @@ def heisenberg_rate(con: Construction, mode: int, kind: str, branch, r: float) -
     return -rate if kind == "cre" else rate
 
 
-def xy_operators(con: Construction, branch, t: float, modes: MixedModes,
+def xy_operators(con: Construction, branch, t: float, ladder: LadderSet,
                  r: float) -> tuple[Operator, Operator]:
-    """x(t), y(t) / sqrt(hbar / m omega) at t in units of 1 / omega, from mixed matrices.
+    """x(t), y(t) / sqrt(hbar / m omega) at t in units of 1 / omega, from the mixed matrices
+    of ladder at the decoupling angle of branch.
 
-    modes must be built at the decoupling angle of branch.  x carries the
-    damped exponents -lambda +- i omega, y the amplified ones; each pairs a
-    mode-1 operator with the mode-2 operator mixed from the other side.
+    x carries the damped exponents -lambda +- i omega, y the amplified ones;
+    each pairs a mode-1 operator with the mode-2 operator mixed from the other side.
     """
     b = normalize_branch(branch)
-    if _quarter_branch(con, modes.angle, 1e-12) != b:
-        raise DomainError(f"transform built at {con.angle_name}={modes.angle}, "
-                          f"expected {con.quarter(b)}")
+    modes = transform(con, con.quarter(b), ladder)
     second, partner = mode2_split(con, modes)
     decay = cmath.exp(-r * t)
     grow = cmath.exp(r * t)

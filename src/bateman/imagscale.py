@@ -150,7 +150,7 @@ def bounded_frame(chi: complex, ladder: LadderSet) -> MixedModes:
     is the Fock vacuum e_(0,0) (`is_vacuum`), and creator monomials never
     touch the truncation boundary while n1+n2 stays two rungs below n_max.
     H on the returned ladder (`build_hamiltonian`) is H with the same swap; its
-    gamma part is anti-Hermitian there, which is what makes H non-normal with
+    gamma part is anti-Hermitian there, which makes H non-Hermitian, with
     complex eigenvalues p*hbar*omega + i q*hbar*lambda.  The check modes mix
     b1 with b2, so the frame's charge is n1 + n2.
     """

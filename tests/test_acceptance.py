@@ -107,15 +107,14 @@ def test_operator_identities_at_split_angles(capsys):
         assert bound == check_is_identity_quarter.tolerance(cfg)
         worst = 0.0
         for sign in (1, -1):
-            rep = identity_report(ft.FT, transform(ft.FT, sign * math.pi / 4, lad), PARAMS.r)
-            for dev in (rep.h0_deviation, rep.h1_deviation, rep.reduced_deviation):
-                assert dev <= bound
-                worst = max(worst, dev)
             chi = sign * 1j * math.pi / 4
-            rep = identity_report(imagscale.IS, transform(imagscale.IS, chi, lad), PARAMS.r)
-            for dev in (rep.h0_deviation, rep.h1_deviation, rep.reduced_deviation):
-                assert dev <= bound
-                worst = max(worst, dev)
+            for con, angle in ((ft.FT, sign * math.pi / 4), (imagscale.IS, chi)):
+                modes = transform(con, angle, lad)
+                # H1 against the general-angle form, then against the reduced form
+                for branch in (None, sign):
+                    dev = identity_report(con, modes, PARAMS.r, branch)
+                    assert dev <= bound
+                    worst = max(worst, dev)
         return f"max deviation {worst:.2e} <= {bound:.2e} (n_max=12, off the top rung)"
 
     _gate(capsys, "operator identities at the split angles", 1.0, body)
@@ -208,13 +207,10 @@ def test_eom_certification(capsys):
         xp, yp = position_operators(lad)
         worst_xy = 0.0
         for sign in (1, -1):
-            theta = sign * math.pi / 4
-            x, y = xy_operators(ft.FT, sign, 0.0, transform(ft.FT, theta, lad), PARAMS.r)
+            x, y = xy_operators(ft.FT, sign, 0.0, lad, PARAMS.r)
             worst_xy = max(worst_xy, interior_deviation(x, xp, lad.space),
                            interior_deviation(y, yp, lad.space))
-            chi = sign * 1j * math.pi / 4
-            x, y = xy_operators(imagscale.IS, sign, 0.0, transform(imagscale.IS, chi, lad),
-                                PARAMS.r)
+            x, y = xy_operators(imagscale.IS, sign, 0.0, lad, PARAMS.r)
             worst_xy = max(worst_xy, interior_deviation(x, xp, lad.space),
                            interior_deviation(y, yp, lad.space))
         bound = check_ft_xy.tolerance(VerifyConfig(params=PARAMS))  # 1e-12 at unit length

@@ -161,6 +161,24 @@ def test_evolve_reads_rates_whose_products_with_hbar_underflow(capsys):
     assert report["rows"][1]["im_factor"] == -2.0 * omega  # sin(-omega t) at t = 2
 
 
+@pytest.mark.parametrize("command", [["spectrum"], ["classify", "--n1", "1"]])
+@pytest.mark.parametrize("flags", [["--hbar", "1e-300", "--m", "1e100"],
+                                   ["--hbar", "1e300", "--k", "1e20"]], ids=["under", "over"])
+def test_energies_outside_the_normal_floats_exit_2(capsys, command, flags):
+    # p hbar omega = 1.1e-350 and q hbar lambda = 5e-401 once printed 0 for every state,
+    # growing ones included; hbar omega = 1e310 printed inf for (0,1) and (1,0)
+    rc, out, err = run(capsys, *command, *flags)
+    assert rc == 2 and out == ""
+    assert err.startswith("error: the energy of state (") and " hbar " in err
+
+
+def test_a_zero_part_of_the_energy_is_printed(capsys):
+    # (0,0) of the rotation route has p = 0: its real part is 0 at any hbar omega
+    rc, out, _ = run(capsys, "classify", "--hbar", "1e300", "--k", "1e20")
+    report = json.loads(out)
+    assert rc == 0 and (report["p"], report["re"], report["im"]) == (0, 0.0, 5e299)
+
+
 # --- verify ------------------------------------------------------------------
 
 def test_verify_algebra_passes(capsys):
@@ -213,8 +231,8 @@ def test_verify_runs_without_an_svd(monkeypatch, capsys, argv, count):
                                    ["--gamma", "1e4", "--k", "1e9"],
                                    ["--gamma", "1.99999999", "--k", "1"]])
 def test_verify_all_passes_at_far_physical_scales(capsys, flags):
-    # the non-normality witness, [H0, H1] and the quadratic-root residual are
-    # gated relative to the scale of H and of m omega^2, not against absolute numbers;
+    # [H0, H1] and the quadratic-root residual are gated relative to the scale of H
+    # and of m omega^2, not against absolute numbers;
     # the eigenvector residual relative to hbar (omega + lambda), not to |E|:
     # near critical damping omega = 1e-4 lambda, and |E| of an n1 = n2 state is
     # (n1 + n2 + 1) hbar omega;

@@ -15,6 +15,7 @@ from bateman.construction import (
     eigenvalue,
     hamiltonian_formal,
     heisenberg_rate,
+    identity_report,
     plain_in_modes,
     transform,
     xy_operators,
@@ -23,8 +24,9 @@ from bateman.errors import DomainError, HeadroomError
 from bateman.fock import (Operator, build_hamiltonian, build_ladder, dense, exp_block, max_abs,
                           position_operators)
 from bateman.ft import FT, ft_vacuum_series
-from bateman.imagscale import IS, bounded_frame, is_vacuum
+from bateman.imagscale import IS, _exchanged, bounded_frame, is_vacuum
 from bateman.params import derive_params
+from bateman.verify import VerifyConfig, check_ft_identity_generic
 
 ROUTES = pytest.mark.parametrize("con", [FT, IS], ids=["ft", "is"])
 
@@ -98,7 +100,7 @@ def _xy_deviation(con, branch, t, r, xy_r):
     block = np.array([space.index(n1, n2) for n1, n2 in XY_STATES])
     h = build_hamiltonian(lad, r).h  # H / hbar omega
     u = exp_block(h * (-1j * t), space.difference, None, block)
-    x_t, y_t = xy_operators(con, branch, t, transform(con, con.quarter(branch), lad), xy_r)
+    x_t, y_t = xy_operators(con, branch, t, lad, xy_r)
     x, y = position_operators(lad)
     return max(np.max(np.abs(dense(x_t, block, block) - u.conj().T @ (x @ u))),
                np.max(np.abs(dense(y_t, block, block) - u.conj().T @ (y @ u))))
@@ -123,6 +125,21 @@ def test_xy_at_finite_time_catches_a_wrong_rate(con, field, factor):
     # a wrong lam or omega reaches x(t), y(t) through r = lam / omega; far past the 1e-12
     # that the true rates keep
     assert _xy_deviation(con, 1, 0.5, params.r, wrong.lam / wrong.omega) > 1e-3
+
+
+def test_generic_identity_catches_a_bent_cos_2theta_term(params):
+    # the cos 2theta term of FT's general-angle H1 form off by 1e-9 relative; IS derives
+    # its form from FT's (`imagscale._exchanged`), so its generic identity fails too
+    def bent_h1(bar, q_form, r):
+        pair = bar.ann1 @ bar.ann2 - bar.cre1 @ bar.cre2
+        return FT.h1_mixed(bar, q_form, r) + (1e-9j * r * cmath.cos(2 * bar.angle)) * pair
+
+    bent = dataclasses.replace(FT, h1_mixed=bent_h1)
+    lad = build_ladder(12)
+    bound = check_ft_identity_generic.tolerance(VerifyConfig(params=params))
+    for good, bad, angle in ((FT, bent, 0.3), (IS, _exchanged(bent), 0.2j)):
+        assert identity_report(good, transform(good, angle, lad), params.r) <= bound
+        assert identity_report(bad, transform(bad, angle, lad), params.r) > 1e3 * bound
 
 
 def test_headroom_belongs_to_the_frame(ladder8):

@@ -111,11 +111,10 @@ def test_branch_normalization():
 @pytest.mark.parametrize("sign", [+1, -1])
 def test_h1_reduces_at_quarter_turn(sign, params):
     lad = build_ladder(12)
-    rep = identity_report(FT, transform(FT, sign * math.pi / 4, lad), params.r)
+    modes = transform(FT, sign * math.pi / 4, lad)
     bound = 1e-10 * lad.space.dim
-    assert rep.h0_deviation <= bound
-    assert rep.h1_deviation <= bound
-    assert rep.reduced_deviation <= bound
+    assert identity_report(FT, modes, params.r) <= bound
+    assert identity_report(FT, modes, params.r, sign) <= bound
 
 
 # --- vacuum series and basis -------------------------------------------------
@@ -349,14 +348,9 @@ def test_heisenberg_modulus(params, t, mode, branch):
 @pytest.mark.parametrize("sign", [+1, -1])
 def test_xy_reconstruction_at_zero(sign, params):
     lad = build_ladder(12)
-    ft = transform(FT, sign * math.pi / 4, lad)
-    x, y = xy_operators(FT, sign, 0.0, ft, params.r)
+    x, y = xy_operators(FT, sign, 0.0, lad, params.r)
     xp, yp = position_operators(lad)
     assert max_abs(x - xp) <= 1e-10
     assert max_abs(y - yp) <= 1e-10
 
 
-def test_xy_requires_decoupling_angle(params):
-    lad = build_ladder(8)
-    with pytest.raises(DomainError):
-        xy_operators(FT, +1, 0.0, transform(FT, 0.3, lad), params.r)

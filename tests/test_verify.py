@@ -422,6 +422,22 @@ def test_boundary_defect_counts_a_wrong_ladder_weight(monkeypatch):
     assert verify._exact_single_mode_defect(8) == 2
 
 
+def test_boundary_defect_reads_the_package_ladder(cfg, monkeypatch):
+    # the float route squares fock's single-mode ladder: its sqrt(3) weight off by 1e-9
+    # relative spoils [a, a+] at |2><2| and |3><3| by 6e-9
+    exact = verify.single_mode_lowering
+
+    def bent(size):
+        weights = exact(size).diagonals[1].copy()
+        weights[2] *= 1.0 + 1e-9
+        return Operator(size, {1: weights})
+
+    assert verify.check_boundary_defect(cfg).passed
+    monkeypatch.setattr(verify, "single_mode_lowering", bent)
+    result = verify.check_boundary_defect(cfg)
+    assert result.detail["float_deviation"] > 5e-9 and not result.passed
+
+
 def test_exp_inverse_catches_a_matrix_exp_entry_off_by_1e9(cfg, monkeypatch):
     # the largest entry of one sector block of every e^{theta X} off by 1e-9
     # relative; the check reads its exponentials stack by stack from sector_exp
@@ -479,6 +495,20 @@ def _bounded_frame_with(change):
     """imagscale.bounded_frame with its MixedModes passed through change."""
     exact = imagscale.bounded_frame
     return lambda chi, ladder: change(exact(chi, ladder))
+
+
+def test_is_matrix_element_fails_on_a_hermitian_h_through_the_residual(cfg, monkeypatch):
+    # with the frame's swap phase i set to 1 (a2 -> b2+, a2+ -> b2), H on the swapped
+    # ladder is Hermitian, so it has no complex eigenpair: the residual alone fails
+    exact = imagscale.bounded_frame
+
+    def phase_one(chi, ladder):
+        return exact(chi, dataclasses.replace(ladder, a2=-1j * ladder.a2,
+                                              a2_dag=-1j * ladder.a2_dag))
+
+    monkeypatch.setattr(imagscale, "bounded_frame", phase_one)
+    result = verify.check_is_matrix_element(cfg)
+    assert result.deviation > 1.0 and result.detail == {"states": 21} and not result.passed
 
 
 def test_is_vacuum_catches_a_stray_entry_in_the_vacuum_column(cfg, monkeypatch):
